@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -353,8 +355,13 @@ def _cmd_compare(args) -> int:
         files = sorted(p for p in target.glob("*.json") if not p.name.endswith(".meta.json"))
         if not files:
             raise QpRelaxError(f"no instance files in {target}")
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            reports = list(pool.map(lambda p: _compare_one(p, opts), files))
+        compare = partial(_compare_one, opts=opts)
+        if args.jobs <= 1:
+            reports = [compare(p) for p in files]
+        else:
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
+                reports = list(pool.map(compare, files))
         if args.json:
             print(json.dumps([_jsonable(r.to_dict()) for r in reports], indent=2))
         else:
@@ -428,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_envelope)
 
     p = sub.add_parser("compare", help="full report with theory cross-checks")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for directories")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for directories")
     p.add_argument("instance", help="instance file or directory of instances")
     p.set_defaults(handler=_cmd_compare)
 

@@ -6,6 +6,13 @@ copy of the matrix variable per cone factor (the PSD cone plus an entrywise
 sign cone) and one copy for the affine slice, coupled through averaging
 with scaled dual variables, over-relaxation, and an adaptive penalty.
 
+The block copies and their scaled duals are kept as one ``(blocks, k, k)``
+stack.  Each iteration does one finiteness check of the stacked input
+``Z - U``, one dense affine map (the face projector's precomputed matrix),
+one ``k x k`` eigendecomposition for the PSD factor, one clip for the sign
+factor, and a handful of whole-array updates and dot products for the
+averaging, the residuals and the divergence test.
+
 Plain splitting has a sublinear tail when the cone touches the affine slice
 tangentially (exactly the structurally exact instances), so the loop
 periodically attempts an active-face polish: predict the optimal face from
@@ -39,9 +46,9 @@ from .core import (
     lift_instance,
     validate_lifted_point,
 )
-from .errors import PointInfeasible
+from .errors import NonFinite, PointInfeasible
 from .numerics import (
-    AffineProjector,
+    FaceProjector,
     build_affine_projector,
     certificate_projector,
     cone_projection_for,
@@ -384,7 +391,7 @@ class _Polisher:
 class _LoopOutcome:
     status: str  # CONVERGED, POLISHED, MAX_ITER, STALLED, DIVERGING
     Z: np.ndarray
-    U: list
+    U: np.ndarray  # (blocks, k, k) scaled duals
     iterations: int
     residual_primal: float
     residual_dual: float
@@ -393,7 +400,7 @@ class _LoopOutcome:
 
 def _consensus(
     qhat,
-    projector: AffineProjector,
+    projector: FaceProjector,
     factors,
     opts: SolveOptions,
     stall: bool = False,
@@ -402,17 +409,18 @@ def _consensus(
 ) -> _LoopOutcome:
     """Consensus splitting over the affine slice and the cone factors."""
     k = qhat.shape[0]
-    blocks = [projector.apply] + list(factors)
+    blocks = (projector.affine,) + tuple(factors)
     nb = len(blocks)
     if warm is not None:
-        Z = warm[0].copy()
-        U = [u.copy() for u in warm[1]]
+        Z = np.array(warm[0], dtype=float)
+        U = np.array(warm[1], dtype=float)
     else:
         Z = projector.apply(np.zeros((k, k)))
-        U = [np.zeros((k, k)) for _ in range(nb)]
+        U = np.zeros((nb, k, k))
+    Y = np.empty((nb, k, k))
     rho = opts.penalty
     alpha = opts.over_relaxation
-    qscale = max(1.0, float(np.linalg.norm(qhat)))
+    qscale = max(1.0, math.sqrt(np.vdot(qhat, qhat)))
     step = qhat / nb
 
     best_res = math.inf
@@ -425,25 +433,26 @@ def _consensus(
 
     for it in range(1, opts.max_iterations + 1):
         Zold = Z
-        Ys = [blocks[i](Z - U[i]) for i in range(nb)]
-        acc = np.zeros((k, k))
+        W = Z - U
+        if not np.isfinite(W).all():
+            raise NonFinite(f"splitting iterate is non-finite at iteration {it}")
         for i in range(nb):
-            Yr = alpha * Ys[i] + (1.0 - alpha) * Zold
-            acc += Yr + U[i]
-            U[i] = U[i] + Yr  # completed after the Z update
-        Z = acc / nb - step / rho
-        for i in range(nb):
-            U[i] -= Z
+            Y[i] = blocks[i](W[i])
+        U += alpha * Y + (1.0 - alpha) * Zold  # completed after the Z update
+        Z = U.sum(axis=0) / nb - step / rho
+        U -= Z
 
-        r = math.sqrt(sum(float(np.linalg.norm(Y - Z)) ** 2 for Y in Ys))
-        s = rho * math.sqrt(nb) * float(np.linalg.norm(Z - Zold))
-        zscale = max(1.0, float(np.linalg.norm(Z)))
+        res = Y - Z
+        dz = Z - Zold
+        r = math.sqrt(np.vdot(res, res))
+        s = rho * math.sqrt(nb) * math.sqrt(np.vdot(dz, dz))
+        zscale = max(1.0, math.sqrt(np.vdot(Z, Z)))
         r_rel = r / zscale
         s_rel = s / qscale
         if r_rel <= opts.tol_primal and s_rel <= opts.tol_dual:
             status = "CONVERGED"
             break
-        if float(np.tensordot(qhat, Z)) < opts.unbounded_threshold * qscale:
+        if np.vdot(qhat, Z) < opts.unbounded_threshold * qscale:
             status = "DIVERGING"
             break
         if polisher is not None and opts.polish and it % opts.polish_interval == 0:
@@ -466,10 +475,10 @@ def _consensus(
         if it % opts.adapt_interval == 0:
             if r_rel > 10.0 * s_rel:
                 rho = min(rho * 2.0, 1e9)
-                U = [u * 0.5 for u in U]
+                U *= 0.5
             elif s_rel > 10.0 * r_rel:
                 rho = max(rho * 0.5, 1e-9)
-                U = [u * 2.0 for u in U]
+                U *= 2.0
 
     return _LoopOutcome(
         status=status,
@@ -586,7 +595,7 @@ def recession_certificate_search(
 # relaxation solves
 
 
-def _finish(lp: LiftedProblem, inst: QpInstance, projector: AffineProjector,
+def _finish(lp: LiftedProblem, inst: QpInstance, projector: FaceProjector,
             out: _LoopOutcome, opts: SolveOptions) -> RelaxationResult:
     if out.status == "POLISHED":
         point = LiftedPoint(out.polish["y"])

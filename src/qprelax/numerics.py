@@ -3,6 +3,14 @@
 Everything here operates on small dense matrices; the eigensolver is the
 LAPACK symmetric driver behind ``numpy.linalg.eigh``, which meets the
 accuracy contract at the target sizes (order below ~200).
+
+Public projections (``project_cone``, ``AffineProjector.apply``,
+``FaceProjector.apply``) validate their input: shape, finiteness, and
+symmetrization.  The kernels they share with the splitting loop
+(``_psd``, ``_nonneg``, ``_row0nonneg`` and ``FaceProjector.affine``)
+assume finite, symmetric, correctly sized input and check nothing; the
+loop in ``conic._consensus`` checks finiteness once per iteration on its
+stacked input instead.
 """
 
 from __future__ import annotations
@@ -68,6 +76,26 @@ def nullspace_basis(a, tol: float = RANK_TOL) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
+def _psd(m: np.ndarray) -> np.ndarray:
+    values, vectors = np.linalg.eigh(m)
+    out = (vectors * np.maximum(values, 0.0)) @ vectors.T
+    return 0.5 * (out + out.T)
+
+
+def _nonneg(m: np.ndarray) -> np.ndarray:
+    return np.maximum(m, 0.0)
+
+
+def _row0nonneg(m: np.ndarray) -> np.ndarray:
+    out = m.copy()
+    out[0, :] = np.maximum(out[0, :], 0.0)
+    out[:, 0] = out[0, :]
+    return out
+
+
+_CONE_KERNELS = {PSD: _psd, NONNEG: _nonneg, ROW0NONNEG: _row0nonneg}
+
+
 def project_cone(m, cone: str) -> np.ndarray:
     """Frobenius-nearest point of a symmetric matrix in the selected cone.
 
@@ -75,19 +103,9 @@ def project_cone(m, cone: str) -> np.ndarray:
     ROW0NONNEG clips negative entries of the 0th row and column only.
     """
     m = _check_symmetric(m)
-    if cone == PSD:
-        values, vectors = np.linalg.eigh(m)
-        clipped = np.clip(values, 0.0, None)
-        out = (vectors * clipped) @ vectors.T
-        return 0.5 * (out + out.T)
-    if cone == NONNEG:
-        return np.clip(m, 0.0, None)
-    if cone == ROW0NONNEG:
-        out = m.copy()
-        out[0, :] = np.clip(out[0, :], 0.0, None)
-        out[:, 0] = out[0, :]
-        return out
-    raise ValueError(f"unknown projection cone {cone!r}")
+    if cone not in _CONE_KERNELS:
+        raise ValueError(f"unknown projection cone {cone!r}")
+    return _CONE_KERNELS[cone](m)
 
 
 class AffineProjector:
@@ -149,11 +167,18 @@ class FaceProjector:
     ``V P(V^T M V) V^T`` where P is the affine projection in the reduced
     space: for an orthonormal V this is the Frobenius-nearest point of the
     sliced face.
+
+    The whole map is affine on the symmetric matrices, so it is built once
+    as a dense ``(k^2, k^2)`` matrix ``L`` and offset ``c`` acting on
+    row-major vectorizations.  With ``Pi = V V^T`` and ``h_i`` the
+    vectorized ``V G_i V^T`` of the reduced constraints, ``L`` is the
+    symmetrized ``Pi (x) Pi`` minus ``H^T Gram^+ H`` and ``c`` is
+    ``H^T Gram^+ r``.
     """
 
     def __init__(self, basis: np.ndarray, reduced_constraints, reduced_rhs):
         self.basis = np.asarray(basis, dtype=float)
-        self.order = self.basis.shape[0]
+        self.order = k = self.basis.shape[0]
         self.rank = self.basis.shape[1]
         if self.rank == 0:
             # trivial face: the only member is the zero matrix
@@ -161,23 +186,35 @@ class FaceProjector:
             self.matrices = ()
             self.rhs = np.zeros(0)
             self.degenerate = False
+            self.L = np.zeros((k * k, k * k))
+            self.c = np.zeros(k * k)
             return
         self.reduced = AffineProjector(reduced_constraints, reduced_rhs, self.rank)
         self.matrices = self.reduced.matrices
         self.rhs = self.reduced.rhs
         self.degenerate = self.reduced.degenerate
+        v = self.basis
+        pi = v @ v.T
+        kron = np.einsum("ia,jb->ijab", pi, pi)
+        lmat = 0.5 * (kron + kron.transpose(1, 0, 2, 3)).reshape(k * k, k * k)
+        h = v @ np.array(self.matrices) @ v.T
+        h = 0.5 * (h + h.transpose(0, 2, 1)).reshape(len(self.matrices), k * k)
+        self.L = lmat - h.T @ (self.reduced._gram_pinv @ h)
+        self.c = h.T @ (self.reduced._gram_pinv @ self.rhs)
+
+    def affine(self, m: np.ndarray) -> np.ndarray:
+        """The projection of a finite symmetric ``k x k`` matrix, unchecked."""
+        out = (self.L @ m.ravel() + self.c).reshape(self.order, self.order)
+        return 0.5 * (out + out.T)
 
     def compress(self, m) -> np.ndarray:
         return self.basis.T @ np.asarray(m, dtype=float) @ self.basis
 
-    def lift(self, s) -> np.ndarray:
-        out = self.basis @ np.asarray(s, dtype=float) @ self.basis.T
-        return 0.5 * (out + out.T)
-
     def apply(self, m) -> np.ndarray:
-        if self.reduced is None:
-            return np.zeros((self.order, self.order))
-        return self.lift(self.reduced.apply(self.compress(m)))
+        m = _check_symmetric(m)
+        if m.shape != (self.order, self.order):
+            raise DimensionMismatch(f"expected order {self.order}, got {m.shape}")
+        return self.affine(m)
 
     def residual(self, m) -> float:
         if self.reduced is None:
@@ -240,11 +277,14 @@ def certificate_projector(lp: LiftedProblem) -> FaceProjector:
 
 
 def cone_projection_for(cone: str):
-    """The pair of factor projections whose intersection is the cone."""
+    """The pair of factor projections whose intersection is the cone.
+
+    These are the unchecked kernels: inputs must be finite and symmetric.
+    """
     if cone == DNN:
-        return (lambda m: project_cone(m, PSD), lambda m: project_cone(m, NONNEG))
+        return (_psd, _nonneg)
     if cone == PSD0:
-        return (lambda m: project_cone(m, PSD), lambda m: project_cone(m, ROW0NONNEG))
+        return (_psd, _row0nonneg)
     raise ValueError(f"unknown cone selector {cone!r}")
 
 

@@ -197,6 +197,15 @@ def _finite(x: float) -> bool:
     return not math.isinf(x) and not math.isnan(x)
 
 
+#: Relaxation statuses whose values a value-based check may treat as bounds.
+_VERDICTS = (OPTIMAL, UNBOUNDED, INFEASIBLE)
+_INCONCLUSIVE = "MAX_ITER relaxation is inconclusive"
+
+
+def _conclusive(*results) -> bool:
+    return all(res.status in _VERDICTS for res in results)
+
+
 def compare_report(
     inst: QpInstance,
     opts: Optional[SolveOptions] = None,
@@ -266,7 +275,9 @@ def _grade(inst: QpInstance, report: Report) -> None:
 
     # lower bound: each relaxation value stays below the exact optimum
     applicable = oracle is not None and dnn is not None and _finite(oracle.value)
-    if applicable:
+    if applicable and not _conclusive(*report.relaxations.values()):
+        applicable, passed, detail = False, None, _INCONCLUSIVE
+    elif applicable:
         results = []
         for cone, res in report.relaxations.items():
             bound = res.value <= oracle.value + tol * (1.0 + abs(oracle.value))
@@ -282,7 +293,9 @@ def _grade(inst: QpInstance, report: Report) -> None:
 
     # cone ordering: the border cone is the weaker relaxation
     applicable = dnn is not None and psd0 is not None and dnn.status != INFEASIBLE
-    if applicable:
+    if applicable and not _conclusive(dnn, psd0):
+        applicable, passed, detail = False, None, _INCONCLUSIVE
+    elif applicable:
         passed = psd0.value <= dnn.value + tol * (1.0 + abs(dnn.value) if _finite(dnn.value) else 1.0)
         detail = f"border-cone {psd0.value:.8g} <= doubly-nonnegative {dnn.value:.8g}"
     else:
@@ -299,7 +312,9 @@ def _grade(inst: QpInstance, report: Report) -> None:
         and dnn is not None
         and psd0 is not None
     )
-    if applicable:
+    if applicable and not _conclusive(dnn, psd0):
+        applicable, passed, detail = False, None, _INCONCLUSIVE
+    elif applicable:
         ok = True
         for res in (dnn, psd0):
             ok = ok and res.status == OPTIMAL
@@ -369,7 +384,9 @@ def _grade(inst: QpInstance, report: Report) -> None:
         and feasible
         and dnn is not None
     )
-    if applicable:
+    if applicable and not _conclusive(dnn):
+        applicable, passed, detail = False, None, _INCONCLUSIVE
+    elif applicable:
         passed = dnn.status != UNBOUNDED and _finite(dnn.value)
         detail = f"doubly-nonnegative value {dnn.value:.8g}"
     else:

@@ -18,8 +18,8 @@ from qprelax.conic import (
     solve_relaxation,
     verify_certificate,
 )
-from qprelax.core import DNN, PSD0, evaluate_objective, validate_lifted_point
-from qprelax.errors import PointInfeasible
+from qprelax.core import DNN, PSD0, evaluate_objective, lift_instance, validate_lifted_point
+from qprelax.errors import NonFinite, PointInfeasible
 from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
@@ -27,6 +27,7 @@ from qprelax.generators import (
     UNBOUNDED_SAFE,
     random_instance,
 )
+from qprelax.numerics import build_affine_projector, cone_projection_for
 from qprelax.oracle import global_solve
 
 from conftest import feasible_samples, make_qp
@@ -187,6 +188,22 @@ class TestCertificateSearch:
     def test_bad_mode(self, simplex_convex):
         with pytest.raises(ValueError):
             recession_certificate_search(simplex_convex, DNN, "SIDEWAYS")
+
+
+class TestConsensusLoop:
+    @pytest.mark.parametrize("block", [None, 0, 1, 2])
+    def test_nonfinite_warm_state_raises(self, simplex_convex, block):
+        lp = lift_instance(simplex_convex, DNN)
+        projector = build_affine_projector(lp)
+        z = projector.apply(np.zeros((3, 3)))
+        u = np.zeros((3, 3, 3))
+        if block is None:
+            z[1, 2] = z[2, 1] = np.inf
+        else:
+            u[block, 1, 1] = -np.inf
+        with pytest.raises(NonFinite):
+            conic._consensus(lp.qhat, projector, cone_projection_for(DNN), SolveOptions(),
+                             warm=(z, u))
 
 
 class TestOptions:

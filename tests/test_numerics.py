@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qprelax.core import DNN, lift_instance
+from qprelax.core import DNN, PSD0, lift_instance
 from qprelax.errors import DimensionMismatch, NonFinite
+from qprelax.generators import BOUNDED, UNBOUNDED_SAFE, random_instance
 from qprelax.numerics import (
     NONNEG,
     PSD,
@@ -12,11 +13,15 @@ from qprelax.numerics import (
     AffineProjector,
     build_affine_projector,
     certificate_projector,
+    cone_projection_for,
     cone_violation,
     nullspace_basis,
     project_cone,
     sym_eigen,
 )
+
+from conftest import feasible_samples, make_qp
+
 
 def sym_matrices(n, elements=st.floats(min_value=-5, max_value=5)):
     return arrays(np.float64, (n, n), elements=elements).map(lambda m: 0.5 * (m + m.T))
@@ -159,6 +164,67 @@ class TestAffineProjector:
         assert np.abs(out - d).max() <= 1e-9
         assert abs(np.trace(out) - 1.0) <= 1e-10
         assert abs(out[0, 0]) <= 1e-12
+
+
+def _structured_apply(proj, m):
+    """Face projection as compress, reduced affine projection, lift."""
+    if proj.rank == 0:
+        return np.zeros_like(m)
+    v = proj.basis
+    out = v @ proj.reduced.apply(v.T @ m @ v) @ v.T
+    return 0.5 * (out + out.T)
+
+
+def _face_projectors():
+    unbounded = random_instance(UNBOUNDED_SAFE, 5, 2, 0)
+    box = random_instance(BOUNDED, 4, 2, 2)
+    pin = feasible_samples(box, 1, seed=3)[0]
+    point = make_qp(np.eye(2), [0, 0], [[1, 0], [0, 1]], [1, 1], "point")
+    return {
+        "unpinned": build_affine_projector(lift_instance(unbounded, DNN)),
+        "pinned": build_affine_projector(lift_instance(box, PSD0), pin=pin),
+        "certificate": certificate_projector(lift_instance(unbounded, DNN)),
+        "rank-0 certificate": certificate_projector(lift_instance(point, DNN)),
+    }
+
+
+FACE_PROJECTORS = _face_projectors()
+
+
+class TestKernels:
+    """The dense face map and the cone kernels against the checked paths."""
+
+    def test_rank0_face_is_trivial(self):
+        assert FACE_PROJECTORS["rank-0 certificate"].rank == 0
+
+    @given(st.sampled_from(sorted(FACE_PROJECTORS)), st.data())
+    def test_dense_face_map_matches_structured(self, name, data):
+        proj = FACE_PROJECTORS[name]
+        m = data.draw(sym_matrices(proj.order))
+        once = proj.affine(m)
+        assert np.abs(once - _structured_apply(proj, m)).max() <= 1e-12
+        assert np.abs(proj.affine(once) - once).max() <= 1e-12
+        assert np.array_equal(proj.apply(m), once)
+        assert np.array_equal(once, once.T)
+
+    @given(sym_matrices(4))
+    def test_cone_kernels_match_project_cone(self, m):
+        for cone, cones in ((DNN, (PSD, NONNEG)), (PSD0, (PSD, ROW0NONNEG))):
+            for kernel, selector in zip(cone_projection_for(cone), cones):
+                assert np.array_equal(kernel(m), project_cone(m, selector))
+
+    def test_public_projections_validate(self):
+        proj = FACE_PROJECTORS["rank-0 certificate"]
+        bad = np.eye(proj.order)
+        bad[0, 1] = np.nan
+        with pytest.raises(NonFinite):
+            proj.apply(bad)
+        with pytest.raises(DimensionMismatch):
+            proj.apply(np.eye(proj.order + 1))
+        with pytest.raises(NonFinite):
+            project_cone(bad, PSD)
+        with pytest.raises(DimensionMismatch):
+            project_cone(np.ones((2, 3)), NONNEG)
 
 
 class TestDegenerateConstraints:

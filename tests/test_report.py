@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qprelax.conic import MAX_ITER, SolveOptions
 from qprelax.core import DNN, PSD0
 from qprelax.generators import (
     BOUNDED,
@@ -33,6 +34,17 @@ class TestCompareReport:
         assert failed_checks(report) == []
         by_name = {c.name: c for c in report.checks}
         assert by_name["curvature condition makes relaxations exact"].passed
+
+    def test_max_iter_values_are_not_bounds(self, horn):
+        inst, _ = horn
+        report = compare_report(inst, SolveOptions(max_iterations=300))
+        assert report.relaxations[DNN].status == MAX_ITER
+        assert report.relaxations[PSD0].status == MAX_ITER
+        by_name = {c.name: c for c in report.checks}
+        for name in ("relaxations lower-bound the optimum", "weaker cone gives a weaker bound"):
+            check = by_name[name]
+            assert not check.applicable and check.passed is None
+            assert check.detail == "MAX_ITER relaxation is inconclusive"
 
     def test_infeasible_instance(self):
         inst = random_instance(INFEASIBLE, 3, 2, 0)
