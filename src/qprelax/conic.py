@@ -8,10 +8,11 @@ with scaled dual variables, over-relaxation, and an adaptive penalty.
 
 The block copies and their scaled duals are kept as one ``(blocks, k, k)``
 stack.  Each iteration does one finiteness check of the stacked input
-``Z - U``, one dense affine map (the face projector's precomputed matrix),
-one ``k x k`` eigendecomposition for the PSD factor, one clip for the sign
-factor, and a handful of whole-array updates and dot products for the
-averaging, the residuals and the divergence test.
+``Z - U``, one unchecked face projection (two ``k x k`` products and two
+products with the lifted face constraints), one ``k x k``
+eigendecomposition for the PSD factor, one clip for the sign factor, and a
+handful of whole-array updates and dot products for the averaging, the
+residuals and the divergence test.
 
 Plain splitting has a sublinear tail when the cone touches the affine slice
 tangentially (exactly the structurally exact instances), so the loop

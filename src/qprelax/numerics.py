@@ -151,11 +151,6 @@ class AffineProjector:
         out = m - (self._basis.T @ correction).reshape(self.order, self.order)
         return 0.5 * (out + out.T)
 
-    def residual(self, m) -> float:
-        """Infinity norm of the constraint violation at m."""
-        m = np.asarray(m, dtype=float)
-        return float(np.abs(self._basis @ m.ravel() - self._rhs).max())
-
 
 class FaceProjector:
     """Projector onto an affine slice of the face ``{V S V^T}``.
@@ -168,17 +163,17 @@ class FaceProjector:
     space: for an orthonormal V this is the Frobenius-nearest point of the
     sliced face.
 
-    The whole map is affine on the symmetric matrices, so it is built once
-    as a dense ``(k^2, k^2)`` matrix ``L`` and offset ``c`` acting on
-    row-major vectorizations.  With ``Pi = V V^T`` and ``h_i`` the
-    vectorized ``V G_i V^T`` of the reduced constraints, ``L`` is the
-    symmetrized ``Pi (x) Pi`` minus ``H^T Gram^+ H`` and ``c`` is
-    ``H^T Gram^+ r``.
+    For symmetric M the same map reads, in the full space,
+    ``Pi M Pi - sum_i y_i H_i`` with ``Pi = V V^T``, lifted constraints
+    ``H_i = V G_i V^T`` and ``y = Gram^+ (<H_i, M> - r_i)``; ``affine``
+    evaluates this form.  With at most k reduced constraints it takes
+    O(k^3) work per call and O(k^3) storage, where a dense ``(k^2, k^2)``
+    matrix for the same affine map would take O(k^4) in both.
     """
 
     def __init__(self, basis: np.ndarray, reduced_constraints, reduced_rhs):
         self.basis = np.asarray(basis, dtype=float)
-        self.order = k = self.basis.shape[0]
+        self.order = self.basis.shape[0]
         self.rank = self.basis.shape[1]
         if self.rank == 0:
             # trivial face: the only member is the zero matrix
@@ -186,40 +181,36 @@ class FaceProjector:
             self.matrices = ()
             self.rhs = np.zeros(0)
             self.degenerate = False
-            self.L = np.zeros((k * k, k * k))
-            self.c = np.zeros(k * k)
+            k = self.order
+            self._range = np.zeros((k, k))
+            self._lifted = self._weights = np.zeros((0, k * k))
+            self._offset = np.zeros(0)
             return
         self.reduced = AffineProjector(reduced_constraints, reduced_rhs, self.rank)
         self.matrices = self.reduced.matrices
         self.rhs = self.reduced.rhs
         self.degenerate = self.reduced.degenerate
         v = self.basis
-        pi = v @ v.T
-        kron = np.einsum("ia,jb->ijab", pi, pi)
-        lmat = 0.5 * (kron + kron.transpose(1, 0, 2, 3)).reshape(k * k, k * k)
+        k = self.order
         h = v @ np.array(self.matrices) @ v.T
-        h = 0.5 * (h + h.transpose(0, 2, 1)).reshape(len(self.matrices), k * k)
-        self.L = lmat - h.T @ (self.reduced._gram_pinv @ h)
-        self.c = h.T @ (self.reduced._gram_pinv @ self.rhs)
+        # Pi, the rows vec(H_i), and Gram^+ applied to them and to r
+        self._range = v @ v.T
+        self._lifted = (0.5 * (h + h.transpose(0, 2, 1))).reshape(len(h), k * k)
+        self._weights = self.reduced._gram_pinv @ self._lifted
+        self._offset = self.reduced._gram_pinv @ self.rhs
 
     def affine(self, m: np.ndarray) -> np.ndarray:
         """The projection of a finite symmetric ``k x k`` matrix, unchecked."""
-        out = (self.L @ m.ravel() + self.c).reshape(self.order, self.order)
+        p = self._range
+        y = self._weights @ m.ravel() - self._offset
+        out = p @ m @ p - (y @ self._lifted).reshape(self.order, self.order)
         return 0.5 * (out + out.T)
-
-    def compress(self, m) -> np.ndarray:
-        return self.basis.T @ np.asarray(m, dtype=float) @ self.basis
 
     def apply(self, m) -> np.ndarray:
         m = _check_symmetric(m)
         if m.shape != (self.order, self.order):
             raise DimensionMismatch(f"expected order {self.order}, got {m.shape}")
         return self.affine(m)
-
-    def residual(self, m) -> float:
-        if self.reduced is None:
-            return 0.0
-        return self.reduced.residual(self.compress(m))
 
 
 def _constraint_face_basis(lp: LiftedProblem) -> np.ndarray:

@@ -167,7 +167,7 @@ class TestAffineProjector:
 
 
 def _structured_apply(proj, m):
-    """Face projection as compress, reduced affine projection, lift."""
+    """Face projection through the checked reduced ``AffineProjector.apply``."""
     if proj.rank == 0:
         return np.zeros_like(m)
     v = proj.basis
@@ -192,13 +192,13 @@ FACE_PROJECTORS = _face_projectors()
 
 
 class TestKernels:
-    """The dense face map and the cone kernels against the checked paths."""
+    """The unchecked face map and the cone kernels against the checked paths."""
 
     def test_rank0_face_is_trivial(self):
         assert FACE_PROJECTORS["rank-0 certificate"].rank == 0
 
     @given(st.sampled_from(sorted(FACE_PROJECTORS)), st.data())
-    def test_dense_face_map_matches_structured(self, name, data):
+    def test_face_map_matches_checked_path(self, name, data):
         proj = FACE_PROJECTORS[name]
         m = data.draw(sym_matrices(proj.order))
         once = proj.affine(m)

@@ -8,6 +8,7 @@ from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
     INFEASIBLE,
+    horn_instance,
     random_instance,
 )
 from qprelax.report import compare_report
@@ -35,14 +36,22 @@ class TestCompareReport:
         by_name = {c.name: c for c in report.checks}
         assert by_name["curvature condition makes relaxations exact"].passed
 
-    def test_max_iter_values_are_not_bounds(self, horn):
-        inst, _ = horn
-        report = compare_report(inst, SolveOptions(max_iterations=300))
+    @pytest.mark.parametrize(
+        "inst, max_iterations, name",
+        [
+            (horn_instance()[0], 300, "weaker cone gives a weaker bound"),
+            (random_instance(CONVEX_ON_NULLSPACE, 3, 1, 2), 20,
+             "curvature condition makes relaxations exact"),
+            (random_instance(BOUNDED, 3, 1, 4), 20, "bounded feasible set keeps the bound finite"),
+        ],
+        ids=["horn", "exact", "bounded"],
+    )
+    def test_max_iter_values_are_not_bounds(self, inst, max_iterations, name):
+        report = compare_report(inst, SolveOptions(max_iterations=max_iterations))
         assert report.relaxations[DNN].status == MAX_ITER
         assert report.relaxations[PSD0].status == MAX_ITER
         by_name = {c.name: c for c in report.checks}
-        for name in ("relaxations lower-bound the optimum", "weaker cone gives a weaker bound"):
-            check = by_name[name]
+        for check in (by_name["relaxations lower-bound the optimum"], by_name[name]):
             assert not check.applicable and check.passed is None
             assert check.detail == "MAX_ITER relaxation is inconclusive"
 
