@@ -2,23 +2,14 @@
 """Write a reproducible instance corpus: Horn family plus random kinds.
 
 Each instance is emitted as JSON with a metadata side-file recording the
-kind, the seed, and any embedded certificate.
+kind, the seed, and any embedded certificate, exactly as
+``qprelax generate`` writes it.
 """
 
 import argparse
-import json
 from pathlib import Path
 
-import numpy as np
-
-from qprelax.core import save_instance
-from qprelax.generators import (
-    KINDS,
-    HornFamilyParams,
-    horn_family,
-    horn_instance,
-    random_instance,
-)
+from qprelax.generators import KINDS, write_generated
 
 
 def main():
@@ -29,36 +20,13 @@ def main():
     args = parser.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    inst, dtilde = horn_instance()
-    save_instance(inst, out / "horn5.json")
-    (out / "horn5.meta.json").write_text(json.dumps({
-        "kind": "HORN",
-        "certificate": dtilde.tolist(),
-        "certificate_objective": -5,
-    }, indent=2) + "\n")
-    written.append("horn5.json")
-
+    written = [write_generated(out, "horn")]
     for n in args.family_dims:
         for seed in range(args.seeds):
-            fam = horn_family(HornFamilyParams(n=n, seed=seed))
-            save_instance(fam, out / f"{fam.name}.json")
-            embedded = np.zeros((n, n))
-            embedded[:5, :5] = dtilde
-            (out / f"{fam.name}.meta.json").write_text(json.dumps({
-                "kind": "HORN_FAMILY", "n": n, "seed": seed,
-                "embedded_certificate": embedded.tolist(),
-            }, indent=2) + "\n")
-            written.append(f"{fam.name}.json")
-
+            written.append(write_generated(out, "horn-family", n=n, seed=seed))
     for kind in KINDS:
         for seed in range(args.seeds):
-            inst, meta = random_instance(kind, 4, 2, seed, with_metadata=True)
-            save_instance(inst, out / f"{inst.name}.json")
-            (out / f"{inst.name}.meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-            written.append(f"{inst.name}.json")
+            written.append(write_generated(out, "random", n=4, m=2, seed=seed, kind=kind))
 
     print(f"wrote {len(written)} instances to {out}")
 

@@ -31,20 +31,14 @@ from .analysis import (
     sample_envelope,
 )
 from .conic import SolveOptions
-from .core import DNN, PSD0, load_instance, load_vector, save_instance
+from .core import DNN, PSD0, load_instance, load_vector
 from .errors import (
     DeskScaleLimit,
     GenerationFailed,
     NonFinite,
     QpRelaxError,
 )
-from .generators import (
-    KINDS,
-    HornFamilyParams,
-    horn_family,
-    horn_instance,
-    random_instance,
-)
+from .generators import KINDS, TARGETS, write_generated
 from .oracle import enumerate_vertices, global_solve, verify_local_minimizer
 from .report import compare_report
 
@@ -274,47 +268,8 @@ def _cmd_localmin(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if args.target == "horn":
-        inst, dtilde = horn_instance()
-        path = out / "horn5.json"
-        save_instance(inst, path)
-        meta = {
-            "kind": "HORN",
-            "certificate": dtilde.tolist(),
-            "certificate_objective": -5,
-            "feasible_point": [0, 1, 0, 0, 4],
-        }
-        meta_path = out / "horn5.meta.json"
-        meta_path.write_text(json.dumps(meta, indent=2) + "\n")
-        written += [str(path), str(meta_path)]
-    elif args.target == "horn-family":
-        params = HornFamilyParams(n=args.n, seed=args.seed)
-        inst = horn_family(params)
-        path = out / f"{inst.name}.json"
-        save_instance(inst, path)
-        _, dtilde = horn_instance()
-        embedded = np.zeros((args.n, args.n))
-        embedded[:5, :5] = dtilde
-        meta = {
-            "kind": "HORN_FAMILY",
-            "n": args.n,
-            "seed": args.seed,
-            "embedded_certificate": embedded.tolist(),
-            "certificate_objective": -5,
-        }
-        meta_path = out / f"{inst.name}.meta.json"
-        meta_path.write_text(json.dumps(meta, indent=2) + "\n")
-        written += [str(path), str(meta_path)]
-    else:
-        inst, meta = random_instance(args.kind, args.n, args.m, args.seed, with_metadata=True)
-        path = out / f"{inst.name}.json"
-        save_instance(inst, path)
-        meta_path = out / f"{inst.name}.meta.json"
-        meta_path.write_text(json.dumps(_jsonable(meta), indent=2) + "\n")
-        written += [str(path), str(meta_path)]
+    written = [str(p) for p in write_generated(args.out, args.target, n=args.n, m=args.m,
+                                                seed=args.seed, kind=args.kind)]
     _emit(args, {"written": written}, "\n".join(f"wrote {p}" for p in written))
     return 0
 
@@ -417,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_localmin)
 
     p = sub.add_parser("generate", help="write instance files")
-    p.add_argument("target", choices=("horn", "horn-family", "random"))
+    p.add_argument("target", choices=TARGETS)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

@@ -24,13 +24,16 @@ dual certificate closes the duality gap.
 Unboundedness is decided by a certificate pre-pass rather than by watching
 the objective diverge: a nonzero cone matrix with zero corner, zero
 constraint value, and negative objective rate is an independently checkable
-proof that the relaxation value is minus infinity.
+proof that the relaxation value is minus infinity.  Pinning the 0th row
+does not change the recession cone, so the pinned solves keep the last
+pre-pass verdict and reuse it across consecutive calls with the same
+instance, cone and options.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -43,6 +46,7 @@ from .core import (
     LiftedProblem,
     QpInstance,
     ValidationReport,
+    _frozen_array,
     feasibility_residual,
     lift_instance,
     validate_lifted_point,
@@ -120,6 +124,10 @@ class RecessionCertificate:
     objective_rate: float
     trace_norm: float
     cone: str
+
+    def __post_init__(self):
+        # read-only: the pinned pre-pass hands one certificate to many results
+        object.__setattr__(self, "d", _frozen_array(self.d))
 
 
 @dataclass(frozen=True)
@@ -672,18 +680,42 @@ def solve_relaxation(
     return _finish(lp, inst, projector, out, opts)
 
 
-def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions, warm=None,
-                  skip_certificate_prepass: bool = False):
+#: The last pinned pre-pass: (instance, cone, options tuple, verdict).  The
+#: instance is matched by identity; holding it keeps its id from being reused.
+_last_prepass = None
+
+
+def _pinned_prepass(inst: QpInstance, cone: str,
+                    opts: SolveOptions) -> Optional[CertificateSearch]:
+    """The FOUND certificate search of the pinned pre-pass, or None.
+
+    The verdict depends on the instance, the cone and the options only, so
+    the last one is reused while consecutive calls share all three.
+    """
+    global _last_prepass
+    key = astuple(opts)
+    last = _last_prepass
+    if last is not None and last[0] is inst and last[1] == cone and last[2] == key:
+        return last[3]
+    verdict = None
+    if certificate_feasible_set_nonempty(inst, cone):
+        search = recession_certificate_search(inst, cone, OBJECTIVE, opts)
+        if search.status == FOUND:
+            verdict = search
+    _last_prepass = (inst, cone, key, verdict)
+    return verdict
+
+
+def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions, warm=None):
     """Pinned relaxation solve; returns the result and reusable warm state."""
     x = np.asarray(x, dtype=float)
     resid = feasibility_residual(inst, x)
     if resid > max(FEAS_TOL, 10.0 * opts.tol_primal):
         raise PointInfeasible(f"anchor point violates the constraints (residual {resid:.3e})")
+    search = _pinned_prepass(inst, cone, opts)
+    if search is not None:
+        return _unbounded_result(search), None
     lp = lift_instance(inst, cone)
-    if not skip_certificate_prepass and certificate_feasible_set_nonempty(inst, cone):
-        search = recession_certificate_search(inst, cone, OBJECTIVE, opts)
-        if search.status == FOUND:
-            return _unbounded_result(search), None
     projector = build_affine_projector(lp, pin=x)
     polisher = _Polisher(lp, projector, cone)
     out = _consensus(lp.qhat, projector, cone_projection_for(cone), opts,
@@ -700,7 +732,10 @@ def evaluate_underestimator(
     Solves the relaxation with the 0th row pinned to the point.  The same
     certificate pre-pass applies: pinning does not change the recession
     cone of the lifted feasible set, so one negative-rate certificate
-    proves the underestimator is minus infinity everywhere.
+    proves the underestimator is minus infinity everywhere.  The pre-pass
+    verdict is therefore reused across consecutive calls with the same
+    instance, cone and options; only the anchor's feasibility is checked
+    on every call.
     """
     opts = opts or SolveOptions()
     result, _ = _pinned_solve(inst, cone, x, opts)

@@ -15,12 +15,14 @@ by the source below, so corpora are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .analysis import analyze_recession_cone, check_psd_on_nullspace
-from .core import QpInstance
+from .core import QpInstance, save_instance
 from .errors import GenerationFailed, InvalidDimension
 from .numerics import nullspace_basis
 from .oracle import enumerate_vertices
@@ -297,3 +299,50 @@ def random_instance(
     raise GenerationFailed(
         f"could not generate kind={kind} n={n} m={m} seed={seed}: {last_error}"
     )
+
+
+#: Targets of ``write_generated`` (and of ``qprelax generate``).
+TARGETS = ("horn", "horn-family", "random")
+
+
+def write_generated(out, target: str, n: int = 5, m: int = 1, seed: int = 0,
+                    kind: str = BOUNDED) -> list[Path]:
+    """Generate one instance and write it with its metadata side-file.
+
+    ``horn`` is the classic instance (its certificate, rate and a feasible
+    point in the metadata), ``horn-family`` the embedding of dimension ``n``
+    (its embedded certificate and rate), ``random`` the seeded instance of
+    ``kind`` (the generator's metadata).  Writes ``<name>.json`` and
+    ``<name>.meta.json`` into ``out``, created if missing, and returns both
+    paths.
+    """
+    if target == "horn":
+        inst, dtilde = horn_instance()
+        meta = {
+            "kind": "HORN",
+            "certificate": dtilde.tolist(),
+            "certificate_objective": -5,
+            "feasible_point": list(HORN_FEASIBLE_POINT),
+        }
+    elif target == "horn-family":
+        inst = horn_family(HornFamilyParams(n=n, seed=seed))
+        embedded = np.zeros((n, n))
+        embedded[:5, :5] = horn_certificate()
+        meta = {
+            "kind": "HORN_FAMILY",
+            "n": n,
+            "seed": seed,
+            "embedded_certificate": embedded.tolist(),
+            "certificate_objective": -5,
+        }
+    elif target == "random":
+        inst, meta = random_instance(kind, n, m, seed, with_metadata=True)
+    else:
+        raise ValueError(f"unknown generation target {target!r}")
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{inst.name}.json"
+    meta_path = out / f"{inst.name}.meta.json"
+    save_instance(inst, path)
+    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+    return [path, meta_path]

@@ -335,7 +335,9 @@ def _grade(inst: QpInstance, report: Report) -> None:
         report.nullspace is not None and not report.nullspace.holds and feasible
         and psd0 is not None
     )
-    if applicable:
+    if applicable and not _conclusive(psd0):
+        applicable, passed, detail = False, None, _INCONCLUSIVE
+    elif applicable:
         passed = psd0.status == UNBOUNDED
         detail = f"border-cone status {psd0.status}"
     else:
@@ -351,7 +353,9 @@ def _grade(inst: QpInstance, report: Report) -> None:
         and feasible
         and dnn is not None
     )
-    if applicable:
+    if applicable and not _conclusive(dnn):
+        applicable, passed, detail = False, None, _INCONCLUSIVE
+    elif applicable:
         passed = dnn.status == UNBOUNDED
         detail = f"doubly-nonnegative status {dnn.status}"
     else:

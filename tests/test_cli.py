@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,36 @@ class TestGenerate:
         assert "horn-family-n6-s1.json" in files
         assert "bounded-n3-m1-s2.json" in files
         assert "bounded-n3-m1-s2.meta.json" in files
+
+
+    def test_make_corpus_writes_what_generate_writes(self, tmp_path, capsys):
+        root = Path(__file__).resolve().parents[1]
+        corpus = tmp_path / "corpus"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                           env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, str(root / "scripts" / "make_corpus.py"),
+                        "--out", str(corpus)], check=True, env=env, capture_output=True)
+        metas = sorted(corpus.glob("*.meta.json"))
+        assert len(metas) == 22
+        assert len(list(corpus.glob("*.json"))) == 44
+        for meta_path in metas:
+            meta = json.loads(meta_path.read_text())
+            if meta["kind"] == "HORN":
+                args = ["horn"]
+            elif meta["kind"] == "HORN_FAMILY":
+                args = ["horn-family", "--n", str(meta["n"]), "--seed", str(meta["seed"])]
+            else:
+                args = ["random", "--kind", meta["kind"], "--n", str(meta["n"]),
+                        "--m", str(meta["m"]), "--seed", str(meta["seed"])]
+            ref = tmp_path / "ref"
+            assert main(["generate", *args, "--out", str(ref)]) == 0
+            ref_meta = ref / meta_path.name
+            assert json.loads(ref_meta.read_text()).keys() == meta.keys()
+            assert ref_meta.read_text() == meta_path.read_text()
+            name = meta_path.name.replace(".meta.json", ".json")
+            assert (ref / name).read_text() == (corpus / name).read_text()
+        capsys.readouterr()
 
 
 class TestCommands:

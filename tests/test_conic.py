@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qprelax import conic
+from qprelax.analysis import sample_envelope
 from qprelax.conic import (
     FEASIBILITY,
     FOUND,
@@ -146,6 +147,84 @@ class TestUnderestimator:
         zero_rows = [j for j in range(inst.n) if x[j] <= 1e-9]
         if zero_rows:
             assert np.abs(delta[zero_rows, :]).max() <= 1e-5
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Instances and cones of the certificate searches run, from an empty memo."""
+    calls = []
+    search = conic.recession_certificate_search
+
+    def counted(inst, cone, *args, **kwargs):
+        calls.append((inst, cone))
+        return search(inst, cone, *args, **kwargs)
+
+    monkeypatch.setattr(conic, "recession_certificate_search", counted)
+    monkeypatch.setattr(conic, "_last_prepass", None)
+    return calls
+
+
+class TestPinnedPrepassReuse:
+    # bounded polyhedron, but Q fails curvature on null(A): PSD0 is unbounded
+    inst = random_instance(BOUNDED, 3, 1, 0)
+
+    def points(self, count=3):
+        return feasible_samples(self.inst, count, seed=5)
+
+    def test_repeated_calls_search_once(self, searches):
+        results = [evaluate_underestimator(self.inst, PSD0, x) for x in self.points()]
+        assert len(searches) == 1
+        conic._last_prepass = None
+        fresh = evaluate_underestimator(self.inst, PSD0, self.points()[0])
+        assert len(searches) == 2
+        for res in results:
+            assert res.status == fresh.status == UNBOUNDED
+            assert res.value == fresh.value
+            assert res.iterations == fresh.iterations
+            assert res.residual_primal == fresh.residual_primal
+            assert np.array_equal(res.certificate.d, fresh.certificate.d)
+            assert res.certificate.objective_rate == fresh.certificate.objective_rate
+
+    def test_shared_certificate_is_read_only(self, searches):
+        res = evaluate_underestimator(self.inst, PSD0, self.points()[0])
+        assert res.certificate.d.flags.writeable is False
+        with pytest.raises(ValueError):
+            res.certificate.d[0, 0] = 1.0
+
+    def test_cone_change_searches_again(self, searches):
+        x = self.points()[0]
+        for cone in (PSD0, DNN, PSD0):
+            evaluate_underestimator(self.inst, cone, x)
+        assert searches == [(self.inst, PSD0), (self.inst, PSD0)]
+
+    def test_option_change_searches_again(self, searches):
+        x = self.points()[0]
+        evaluate_underestimator(self.inst, PSD0, x)
+        evaluate_underestimator(self.inst, PSD0, x, SolveOptions(tol_certificate=2e-6))
+        evaluate_underestimator(self.inst, PSD0, x, SolveOptions(tol_certificate=2e-6))
+        assert len(searches) == 2
+
+    def test_instance_change_searches_again(self, searches):
+        x = self.points()[0]
+        inst = self.inst
+        twin = make_qp(inst.Q, inst.c, inst.A, inst.b, inst.name)
+        for target in (inst, twin, twin, inst):
+            res = evaluate_underestimator(target, PSD0, x)
+            assert res.status == UNBOUNDED
+        assert [s[0] for s in searches] == [inst, twin, inst]
+
+    def test_infeasible_anchor_raises_on_hit(self, searches):
+        evaluate_underestimator(self.inst, PSD0, self.points()[0])
+        with pytest.raises(PointInfeasible):
+            evaluate_underestimator(self.inst, PSD0, -self.points()[0])
+        assert len(searches) == 1
+
+    def test_envelope_searches_once(self, searches):
+        start, end = self.points(2)
+        rows = sample_envelope(self.inst, PSD0, start, end, samples=11)
+        assert len(rows) == 11
+        assert all(row.status == UNBOUNDED for row in rows)
+        assert len(searches) == 1
 
 
 class TestCertificateSearch:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qprelax.conic import MAX_ITER, SolveOptions
@@ -12,6 +13,12 @@ from qprelax.generators import (
     random_instance,
 )
 from qprelax.report import compare_report
+
+from conftest import make_qp
+
+
+LOWER_BOUND = "relaxations lower-bound the optimum"
+BORDER_TRIVIAL = "curvature failure trivializes the border cone"
 
 
 def failed_checks(report):
@@ -37,22 +44,28 @@ class TestCompareReport:
         assert by_name["curvature condition makes relaxations exact"].passed
 
     @pytest.mark.parametrize(
-        "inst, max_iterations, name",
+        "inst, max_iterations, names",
         [
-            (horn_instance()[0], 300, "weaker cone gives a weaker bound"),
+            (horn_instance()[0], 300,
+             (LOWER_BOUND, "weaker cone gives a weaker bound", BORDER_TRIVIAL)),
             (random_instance(CONVEX_ON_NULLSPACE, 3, 1, 2), 20,
-             "curvature condition makes relaxations exact"),
-            (random_instance(BOUNDED, 3, 1, 4), 20, "bounded feasible set keeps the bound finite"),
+             (LOWER_BOUND, "curvature condition makes relaxations exact")),
+            (random_instance(BOUNDED, 3, 1, 4), 20,
+             (LOWER_BOUND, "bounded feasible set keeps the bound finite", BORDER_TRIVIAL)),
+            # x1 = x2 >= 0 with objective -x1^2: a negative-curvature ray
+            (make_qp(np.diag([-1.0, 0.0]), [0, 0], [[1, -1]], [0]), 20,
+             (BORDER_TRIVIAL, "negative recession curvature collapses the bound")),
         ],
-        ids=["horn", "exact", "bounded"],
+        ids=["horn", "exact", "bounded", "negative-ray"],
     )
-    def test_max_iter_values_are_not_bounds(self, inst, max_iterations, name):
+    def test_max_iter_values_are_not_bounds(self, inst, max_iterations, names):
         report = compare_report(inst, SolveOptions(max_iterations=max_iterations))
         assert report.relaxations[DNN].status == MAX_ITER
         assert report.relaxations[PSD0].status == MAX_ITER
         by_name = {c.name: c for c in report.checks}
-        for check in (by_name["relaxations lower-bound the optimum"], by_name[name]):
-            assert not check.applicable and check.passed is None
+        for name in names:
+            check = by_name[name]
+            assert not check.applicable and check.passed is None, name
             assert check.detail == "MAX_ITER relaxation is inconclusive"
 
     def test_infeasible_instance(self):
