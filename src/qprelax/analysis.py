@@ -1,9 +1,11 @@
 """Structural condition checkers for the relaxation theory.
 
 Covers the dichotomy between exact and trivial relaxations (positive
-semidefiniteness of Q on null(A)), recession-cone curvature analysis, the
-classical ray-based unboundedness test, desk-scale copositivity by exact
-enumeration, and sampling of the induced underestimator along segments.
+semidefiniteness of Q on null(A)), recession-cone curvature analysis and
+the classical ray-based unboundedness test on instances (both run the
+exact oracle's ``recession_analysis`` and ``ray_witness``), desk-scale
+copositivity by exact enumeration, and sampling of the induced
+underestimator along segments.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from .core import QpInstance, evaluate_objective, is_feasible
 from .errors import DeskScaleLimit, InfeasibleInstance, PointInfeasible
 from .numerics import nullspace_basis
 from .oracle import (
-    basic_feasible_points,
+    RecessionReport,
     enum_cap,
     enumerate_vertices,
-    linear_min_over_polytope,
     minimize_quad_over_polytope,
+    ray_witness,
+    recession_analysis,
 )
 
 CASE1 = "UNBOUNDED_CASE1"
@@ -42,23 +45,6 @@ class NullspaceCurvatureReport:
     holds: bool
     witness: Optional[np.ndarray]
     min_eigenvalue: float
-    tolerance: float
-
-
-@dataclass(frozen=True)
-class RecessionReport:
-    """Curvature analysis of the recession cone ``{A d = 0, d >= 0}``.
-
-    ``min_curvature`` is the exact minimum of ``d^T Q d`` over the recession
-    directions normalized to the unit simplex (+inf when the cone is
-    trivial); ``zero_directions`` samples normalized directions of zero
-    curvature.
-    """
-
-    l_nontrivial: bool
-    min_curvature: float
-    neg_direction: Optional[np.ndarray]
-    zero_directions: tuple[np.ndarray, ...]
     tolerance: float
 
 
@@ -115,29 +101,11 @@ def analyze_recession_cone(
 
     Nontriviality and the minimum of ``d^T Q d`` are decided over the
     compact slice ``{A d = 0, e^T d = 1, d >= 0}`` by basic-solution and
-    face enumeration.
+    face enumeration (``oracle.recession_analysis``).
     """
     if inst.n > enum_cap(cap):
         raise DeskScaleLimit(f"n={inst.n} exceeds the enumeration cap {enum_cap(cap)}")
-    aug = np.vstack([inst.A, np.ones((1, inst.n))])
-    rhs = np.concatenate([np.zeros(inst.m), [1.0]])
-    rays = basic_feasible_points(aug, rhs, cap=cap)
-    if not rays:
-        return RecessionReport(False, math.inf, None, (), tol)
-    curv = minimize_quad_over_polytope(inst.Q, np.zeros(inst.n), aug, rhs, cap=cap)
-    qscale = max(1.0, float(np.abs(inst.Q).max()))
-    neg = None
-    if curv.value < -tol * qscale:
-        neg = curv.minimizers[0]
-    zero_dirs = []
-    seen = set()
-    for d in list(rays) + list(curv.minimizers):
-        if abs(float(d @ inst.Q @ d)) <= tol * qscale:
-            key = tuple(np.round(d, 8))
-            if key not in seen:
-                seen.add(key)
-                zero_dirs.append(d)
-    return RecessionReport(True, float(curv.value), neg, tuple(zero_dirs), tol)
+    return recession_analysis(inst.Q, inst.A, cap=cap, tol=tol)
 
 
 def detect_unbounded(inst: QpInstance, cap: Optional[int] = None, tol: float = 1e-9) -> UnboundednessVerdict:
@@ -150,24 +118,12 @@ def detect_unbounded(inst: QpInstance, cap: Optional[int] = None, tol: float = 1
     verts = enumerate_vertices(inst, cap=cap)
     if not verts:
         raise InfeasibleInstance("unboundedness test requires a feasible instance")
-    report = analyze_recession_cone(inst, cap=cap, tol=tol)
-    qscale = max(1.0, float(np.abs(inst.Q).max()))
-    if report.neg_direction is not None:
-        return UnboundednessVerdict(CASE1, direction=report.neg_direction)
-    gscale = qscale + float(np.abs(inst.c).max())
-    for d in report.zero_directions:
-        g = inst.Q @ d
-        const = float(inst.c @ d)
-        value, argmin, ray = linear_min_over_polytope(g, inst.A, inst.b, cap=cap)
-        if value == -math.inf:
-            v0 = verts[0]
-            h0 = float((inst.Q @ v0 + inst.c) @ d)
-            rate = float(g @ ray)
-            t = (abs(h0) + 1.0) / max(-rate, 1e-12)
-            return UnboundednessVerdict(CASE2, direction=d, point=v0 + t * ray)
-        if value + const < -tol * gscale:
-            return UnboundednessVerdict(CASE2, direction=d, point=argmin)
-    return UnboundednessVerdict(NOT_DETECTED)
+    witness = ray_witness(inst.Q, inst.c, verts, analyze_recession_cone(inst, cap=cap, tol=tol))
+    if witness is None:
+        return UnboundednessVerdict(NOT_DETECTED)
+    if "curvature" in witness:
+        return UnboundednessVerdict(CASE1, direction=witness["direction"])
+    return UnboundednessVerdict(CASE2, direction=witness["direction"], point=witness["point"])
 
 
 def check_copositivity_desk_scale(Q, cap: Optional[int] = None) -> CopositivityCheck:

@@ -3,9 +3,10 @@
 The core is exhaustive face enumeration.  For every zero pattern the
 quadratic is restricted to the face's affine hull; stationary points with a
 positive semidefinite reduced Hessian, together with all vertices, cover
-every possible location of the global minimum.  Recession directions are
-analyzed first so that unbounded problems are flagged instead of silently
-returning a wrong finite value.
+every possible location of the global minimum.  The recession cone is
+analyzed first (``recession_analysis``, then the ray test ``ray_witness``)
+so that unbounded problems are flagged instead of silently returning a
+wrong finite value.
 
 All enumeration is capped (default 16 variables, override with the
 QPRELAX_ENUM_CAP environment variable).
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -47,13 +48,32 @@ def enum_cap(cap: Optional[int] = None) -> int:
 
 
 @dataclass(frozen=True)
+class RecessionReport:
+    """Curvature analysis of the recession cone ``{A d = 0, d >= 0}``.
+
+    ``min_curvature`` is the exact minimum of ``d^T Q d`` over the recession
+    directions normalized to the unit simplex (+inf when the cone is
+    trivial); ``zero_directions`` samples normalized directions of zero
+    curvature; ``rays`` are the extreme normalized directions.
+    """
+
+    l_nontrivial: bool
+    min_curvature: float
+    neg_direction: Optional[np.ndarray]
+    zero_directions: tuple[np.ndarray, ...]
+    tolerance: float
+    rays: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
 class OracleResult:
     """Exact minimization outcome.
 
     ``value`` is the optimal value with +inf / -inf sentinels for infeasible
     and unbounded problems; ``minimizers`` samples the optimal set; the
     ``certified`` flag records whether boundedness below was proved (it is
-    always True for compact feasible regions).
+    always True for compact feasible regions).  ``recession`` is the
+    recession analysis of a call without a box.
     """
 
     value: float
@@ -63,6 +83,7 @@ class OracleResult:
     status: str
     certified: bool = True
     unbounded_witness: Optional[dict] = None
+    recession: Optional[RecessionReport] = None
 
 
 @dataclass(frozen=True)
@@ -150,36 +171,6 @@ def enumerate_vertices(inst: QpInstance, cap: Optional[int] = None):
 
 
 # ---------------------------------------------------------------------------
-# linear minimization (support for unboundedness analysis)
-
-
-def linear_min_over_polytope(g, A, b, cap: Optional[int] = None):
-    """Minimize ``g^T x`` over ``{A x = b, x >= 0}`` exactly.
-
-    Returns ``(value, argmin, ray)``: for unbounded problems value is -inf
-    and ``ray`` is a recession direction with negative rate; for infeasible
-    problems value is +inf.
-    """
-    g = np.asarray(g, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    verts = basic_feasible_points(A, b, cap=cap)
-    if not verts:
-        return math.inf, None, None
-    n = A.shape[1]
-    aug = np.vstack([A, np.ones((1, n))])
-    rhs = np.concatenate([np.zeros(A.shape[0]), [1.0]])
-    rays = basic_feasible_points(aug, rhs, cap=cap)
-    gscale = 1.0 + float(np.abs(g).max(initial=0.0))
-    for ray in rays:
-        if float(g @ ray) < -_TOL_CURV * gscale:
-            return -math.inf, None, ray
-    values = [float(g @ v) for v in verts]
-    k = int(np.argmin(values))
-    return values[k], verts[k], None
-
-
-# ---------------------------------------------------------------------------
 # face enumeration engine
 
 
@@ -231,12 +222,16 @@ def minimize_quad_over_polytope(
 ) -> OracleResult:
     """Exact minimum of ``x^T Q x + 2 c^T x`` over ``{A x = b, 0 <= x <= box}``.
 
-    ``box`` gives optional per-variable upper bounds (may contain inf; None
-    means all inf).  The global minimizer of a quadratic lies in the relative
+    ``box`` is None (no upper bounds) or gives a finite upper bound for every
+    variable.  The global minimizer of a quadratic lies in the relative
     interior of some face, where the reduced gradient vanishes and the
     reduced Hessian is positive semidefinite; enumerating those candidates
-    plus all vertices is exact.  With ``stop_below`` the scan aborts early
-    once any candidate value falls below the threshold (sign queries).
+    plus all vertices is exact.  Without a box the recession cone is
+    analyzed first (``recession_analysis``, ``ray_witness``): a divergent
+    ray gives UNBOUNDED_BELOW, and the finite value is certified only when
+    every recession direction has strictly positive curvature.  With
+    ``stop_below`` the scan aborts early once any candidate value falls
+    below the threshold (sign queries).
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -253,98 +248,26 @@ def minimize_quad_over_polytope(
     upper = np.full(n, np.inf) if box is None else np.asarray(box, dtype=float).copy()
     if upper.shape != (n,):
         raise DimensionMismatch("box must give one upper bound per variable")
+    if box is not None and not np.isfinite(upper).all():
+        raise ValueError("box must give a finite upper bound for every variable")
     if np.any(upper < 0):
         raise ValueError("upper bounds must be nonnegative")
 
-    mixed = np.isfinite(upper).any() and not np.isfinite(upper).all()
-    if mixed:
-        # fold the finite bounds into equality rows with slacks, then rerun
-        finite = np.flatnonzero(np.isfinite(upper))
-        k = finite.size
-        Q2 = np.zeros((n + k, n + k))
-        Q2[:n, :n] = Q
-        c2 = np.concatenate([c, np.zeros(k)])
-        slack = np.zeros((k, n + k))
-        slack[np.arange(k), finite] = 1.0
-        slack[np.arange(k), n + np.arange(k)] = 1.0
-        A2 = np.vstack([np.hstack([A, np.zeros((A.shape[0], k))]), slack])
-        b2 = np.concatenate([b, upper[finite]])
-        res = minimize_quad_over_polytope(Q2, c2, A2, b2, cap=cap, stop_below=stop_below)
-        mins = tuple(x[:n] for x in res.minimizers)
-        wit = res.unbounded_witness
-        if wit is not None:
-            wit = {k2: (v[:n] if isinstance(v, np.ndarray) else v) for k2, v in wit.items()}
-        return OracleResult(
-            value=res.value,
-            minimizers=mins,
-            attained=res.attained,
-            faces_explored=res.faces_explored,
-            status=res.status,
-            certified=res.certified,
-            unbounded_witness=wit,
-        )
-
     certified = True
-    compact = np.isfinite(upper).all()
-    if not compact:
-        aug = np.vstack([A, np.ones((1, n))])
-        rhs = np.concatenate([np.zeros(A.shape[0]), [1.0]])
-        rays = basic_feasible_points(aug, rhs, cap=cap)
-        if rays:
+    recession = None
+    if box is None:
+        recession = recession_analysis(Q, A, cap=cap)
+        if recession.l_nontrivial:
             verts = basic_feasible_points(A, b, cap=cap)
             if not verts:
-                return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE)
-            curv = minimize_quad_over_polytope(Q, np.zeros(n), aug, rhs, cap=cap)
-            qscale = 1.0 + float(np.abs(Q).max(initial=0.0))
-            if curv.value < -_TOL_CURV * qscale:
-                d = curv.minimizers[0]
-                return OracleResult(
-                    -math.inf,
-                    (),
-                    False,
-                    curv.faces_explored,
-                    ORACLE_UNBOUNDED,
-                    certified=True,
-                    unbounded_witness={"direction": d, "curvature": curv.value},
-                )
-            # zero-curvature rays: objective decreases linearly along some ray
-            zero_dirs = [r for r in rays if abs(float(r @ Q @ r)) <= _TOL_CURV * qscale]
-            for dmin in curv.minimizers:
-                if abs(float(dmin @ Q @ dmin)) <= _TOL_CURV * qscale:
-                    zero_dirs.append(dmin)
-            gscale = 1.0 + float(np.abs(c).max(initial=0.0)) + qscale
-            for d in zero_dirs:
-                grad = Q @ d
-                ray_rates = [float(grad @ r) for r in rays]
-                if min(ray_rates, default=0.0) < -_TOL_CURV * gscale:
-                    k = int(np.argmin(ray_rates))
-                    v0 = verts[0]
-                    h0 = float((Q @ v0 + c) @ d)
-                    t = (abs(h0) + 1.0) / max(-ray_rates[k], 1e-12)
-                    witness_x = v0 + t * rays[k]
-                    return OracleResult(
-                        -math.inf,
-                        (),
-                        False,
-                        0,
-                        ORACLE_UNBOUNDED,
-                        certified=True,
-                        unbounded_witness={"direction": d, "point": witness_x},
-                    )
-                values = [float((Q @ v + c) @ d) for v in verts]
-                if min(values) < -_TOL_CURV * gscale:
-                    k = int(np.argmin(values))
-                    return OracleResult(
-                        -math.inf,
-                        (),
-                        False,
-                        0,
-                        ORACLE_UNBOUNDED,
-                        certified=True,
-                        unbounded_witness={"direction": d, "point": verts[k]},
-                    )
-            curv_strict = curv.value > _TOL_CURV * qscale
-            certified = bool(curv_strict)
+                return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE,
+                                    recession=recession)
+            witness = ray_witness(Q, c, verts, recession)
+            if witness is not None:
+                return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED,
+                                    unbounded_witness=witness, recession=recession)
+            qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
+            certified = recession.min_curvature > recession.tolerance * qscale
 
     choices, total = _pattern_states(n, upper)
     if total > (1 << enum_cap(cap)):
@@ -425,7 +348,7 @@ def minimize_quad_over_polytope(
             break
 
     if not candidates:
-        return OracleResult(math.inf, (), False, faces, ORACLE_INFEASIBLE)
+        return OracleResult(math.inf, (), False, faces, ORACLE_INFEASIBLE, recession=recession)
 
     vmin = min(v for v, _ in candidates)
     vtol = 1e-9 * (1.0 + abs(vmin))
@@ -446,7 +369,71 @@ def minimize_quad_over_polytope(
         faces_explored=faces,
         status=ORACLE_OPTIMAL if exact else ORACLE_INCONCLUSIVE,
         certified=exact,
+        recession=recession,
     )
+
+
+# ---------------------------------------------------------------------------
+# recession analysis and the ray test
+
+
+def recession_analysis(Q, A, cap: Optional[int] = None, tol: float = _TOL_CURV) -> RecessionReport:
+    """Exact curvature analysis of the recession cone ``{A d = 0, d >= 0}``.
+
+    Nontriviality and the minimum of ``d^T Q d`` are decided over the
+    compact slice ``{A d = 0, e^T d = 1, d >= 0}`` by basic-solution and
+    face enumeration; curvatures are compared at ``tol * max(1, |Q|_max)``.
+    """
+    n = Q.shape[0]
+    aug = np.vstack([A, np.ones((1, n))])
+    rhs = np.concatenate([np.zeros(A.shape[0]), [1.0]])
+    rays = basic_feasible_points(aug, rhs, cap=cap)
+    if not rays:
+        return RecessionReport(False, math.inf, None, (), tol, ())
+    curv = minimize_quad_over_polytope(Q, np.zeros(n), aug, rhs, cap=cap)
+    qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
+    neg = curv.minimizers[0] if curv.value < -tol * qscale else None
+    zero_dirs = []
+    seen = set()
+    for d in rays + list(curv.minimizers):
+        if abs(float(d @ Q @ d)) <= tol * qscale:
+            key = tuple(np.round(d, _DEDUP_DECIMALS))
+            if key not in seen:
+                seen.add(key)
+                zero_dirs.append(d)
+    return RecessionReport(True, float(curv.value), neg, tuple(zero_dirs), tol, tuple(rays))
+
+
+def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[dict]:
+    """Witness that ``x^T Q x + 2 c^T x`` is unbounded below, or None.
+
+    ``verts`` are the basic feasible points and ``rec`` the recession
+    analysis of ``{A x = b, x >= 0}``.  Negative curvature gives
+    ``{"direction", "curvature"}``; a zero-curvature direction along which
+    the objective decreases from a feasible point (a vertex, or a point far
+    along an extreme ray) gives ``{"direction", "point"}``.  Rates are
+    compared at ``tol * (max(1, |Q|_max) + |c|_max)``.  Only enumerated
+    directions are tried, so None does not certify boundedness below.
+    """
+    if rec.neg_direction is not None:
+        return {"direction": rec.neg_direction, "curvature": rec.min_curvature}
+    scale = rec.tolerance * (
+        max(1.0, float(np.abs(Q).max(initial=0.0))) + float(np.abs(c).max(initial=0.0))
+    )
+    for d in rec.zero_directions:
+        grad = Q @ d
+        rates = [float(grad @ r) for r in rec.rays]
+        k = int(np.argmin(rates))
+        if rates[k] < -scale:
+            v0 = verts[0]
+            h0 = float((Q @ v0 + c) @ d)
+            t = (abs(h0) + 1.0) / max(-rates[k], 1e-12)
+            return {"direction": d, "point": v0 + t * rec.rays[k]}
+        values = [float((Q @ v + c) @ d) for v in verts]
+        k = int(np.argmin(values))
+        if values[k] < -scale:
+            return {"direction": d, "point": verts[k]}
+    return None
 
 
 def global_solve(inst: QpInstance, cap: Optional[int] = None) -> OracleResult:
@@ -468,15 +455,7 @@ def global_solve(inst: QpInstance, cap: Optional[int] = None) -> OracleResult:
             inst.Q, np.zeros(inst.n), np.ones((1, inst.n)), np.array([1.0]), cap=cap
         )
         if simplex.value >= -_TOL_CURV * max(1.0, float(np.abs(inst.Q).max())):
-            return OracleResult(
-                value=res.value,
-                minimizers=res.minimizers,
-                attained=True,
-                faces_explored=res.faces_explored,
-                status=ORACLE_OPTIMAL,
-                certified=True,
-                unbounded_witness=None,
-            )
+            return replace(res, attained=True, status=ORACLE_OPTIMAL, certified=True)
     return res
 
 

@@ -19,8 +19,6 @@ from . import conic
 from .analysis import (
     CopositivityCheck,
     NullspaceCurvatureReport,
-    RecessionReport,
-    analyze_recession_cone,
     check_copositivity_desk_scale,
     check_psd_on_nullspace,
 )
@@ -34,7 +32,7 @@ from .conic import (
 )
 from .core import DNN, PSD0, QpInstance
 from .errors import DeskScaleLimit
-from .oracle import OracleResult, enumerate_vertices, global_solve
+from .oracle import OracleResult, RecessionReport, enumerate_vertices, global_solve
 
 
 @dataclass(frozen=True)
@@ -221,12 +219,6 @@ def compare_report(
     except DeskScaleLimit as exc:
         notes.append(f"feasibility enumeration skipped: {exc}")
 
-    recession = None
-    try:
-        recession = analyze_recession_cone(inst, cap=cap)
-    except DeskScaleLimit as exc:
-        notes.append(f"recession analysis skipped: {exc}")
-
     nullspace = check_psd_on_nullspace(inst)
 
     copositivity = None
@@ -239,7 +231,8 @@ def compare_report(
     try:
         oracle = global_solve(inst, cap=cap)
     except DeskScaleLimit as exc:
-        notes.append(f"oracle skipped: {exc}")
+        notes.append(f"oracle and recession analysis skipped: {exc}")
+    recession = None if oracle is None else oracle.recession
 
     relaxations = {}
     for cone in (DNN, PSD0):

@@ -17,10 +17,19 @@ from qprelax.analysis import (
 from qprelax.conic import OPTIMAL, SolveOptions, UNBOUNDED, solve_relaxation
 from qprelax.core import DNN, PSD0
 from qprelax.errors import DeskScaleLimit, InfeasibleInstance, PointInfeasible
-from qprelax.generators import BOUNDED, CONVEX_ON_NULLSPACE, random_instance
-from qprelax.oracle import global_solve
+from qprelax.generators import (
+    BOUNDED,
+    CONVEX_ON_NULLSPACE,
+    UNBOUNDED_SAFE,
+    horn_instance,
+    random_instance,
+)
+from qprelax.oracle import ORACLE_UNBOUNDED, global_solve
 
 from conftest import make_qp
+
+
+RAY_Q = [[0, -1e-6, 0], [-1e-6, 1, 0], [0, 0, 0]]
 
 
 class TestPsdOnNullspace:
@@ -46,6 +55,12 @@ class TestPsdOnNullspace:
 
 
 class TestRecessionCone:
+    def test_one_report_type(self):
+        import qprelax.analysis
+        import qprelax.oracle
+
+        assert qprelax.analysis.RecessionReport is qprelax.oracle.RecessionReport
+
     def test_simplex_trivial(self):
         inst = make_qp(np.eye(2), [0, 0], [[1, 1]], [1])
         report = analyze_recession_cone(inst)
@@ -96,6 +111,19 @@ class TestDetectUnbounded:
 
         assert is_feasible(inst, x, tol=1e-7)
 
+    def test_case2_along_ray(self):
+        # d = e1 has zero curvature and d^T Q e2 = -1e-6 < 0; the curvature
+        # minimum -1e-12 is inside the tolerance, so only the ray test sees it
+        inst = make_qp(RAY_Q, [0, 0, 0], [[0, 0, 1]], [1])
+        verdict = detect_unbounded(inst)
+        assert verdict.status == CASE2
+        d, x = verdict.direction, verdict.point
+        assert np.allclose(d, [1, 0, 0])
+        assert float((inst.Q @ x + inst.c) @ d) < 0
+        from qprelax.core import is_feasible
+
+        assert is_feasible(inst, x, tol=1e-7)
+
     def test_bounded_not_detected(self, simplex_convex):
         assert detect_unbounded(simplex_convex).status == NOT_DETECTED
 
@@ -103,6 +131,25 @@ class TestDetectUnbounded:
         inst = make_qp(np.eye(2), [0, 0], [[1, 1]], [-1])
         with pytest.raises(InfeasibleInstance):
             detect_unbounded(inst)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            make_qp(-np.eye(2), [0, 0], [[1, -1]], [1]),
+            make_qp(np.zeros((2, 2)), [-1, -1], [[1, -1]], [0]),
+            make_qp(RAY_Q, [0, 0, 0], [[0, 0, 1]], [1]),
+            make_qp(np.eye(2), [0, 0], [[1, 1]], [1]),
+            horn_instance()[0],
+        ] + [random_instance(UNBOUNDED_SAFE, 4, 2, s) for s in range(3)],
+        ids=["case1", "case2", "case2-ray", "simplex-convex", "horn",
+             "unbounded-safe-s0", "unbounded-safe-s1", "unbounded-safe-s2"],
+    )
+    def test_agrees_with_global_solve(self, inst):
+        verdict = detect_unbounded(inst)
+        res = global_solve(inst)
+        assert (verdict.status == NOT_DETECTED) == (res.status != ORACLE_UNBOUNDED)
+        if verdict.status != NOT_DETECTED:
+            assert np.array_equal(verdict.direction, res.unbounded_witness["direction"])
 
 
 class TestCopositivity:

@@ -19,6 +19,16 @@ def horn_file(tmp_path):
     return tmp_path / "horn5.json"
 
 
+def run_script(name, *args):
+    """Run ``scripts/<name>`` in a subprocess against this source tree."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                       env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *args],
+                          check=True, env=env, capture_output=True, text=True)
+
+
 def write_vector(path, x):
     path.write_text(json.dumps({"x": list(x)}))
     return str(path)
@@ -46,13 +56,8 @@ class TestGenerate:
 
 
     def test_make_corpus_writes_what_generate_writes(self, tmp_path, capsys):
-        root = Path(__file__).resolve().parents[1]
         corpus = tmp_path / "corpus"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
-                                                           env.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, str(root / "scripts" / "make_corpus.py"),
-                        "--out", str(corpus)], check=True, env=env, capture_output=True)
+        run_script("make_corpus.py", "--out", str(corpus))
         metas = sorted(corpus.glob("*.meta.json"))
         assert len(metas) == 22
         assert len(list(corpus.glob("*.json"))) == 44
@@ -173,3 +178,10 @@ class TestExitCodes:
     def test_desk_scale_limit(self, horn_file, monkeypatch, capsys):
         monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
         assert main(["oracle", str(horn_file)]) == 3
+
+
+class TestScripts:
+    def test_horn_demo(self):
+        out = run_script("horn_demo.py").stdout
+        assert "exact optimum: 27" in out
+        assert "UNBOUNDED" in out

@@ -12,7 +12,6 @@ from qprelax.oracle import (
     enum_cap,
     enumerate_vertices,
     global_solve,
-    linear_min_over_polytope,
     minimize_quad_over_polytope,
     second_order_minimum,
     verify_local_minimizer,
@@ -87,6 +86,13 @@ class TestQuadMinimization:
         assert res.value == pytest.approx(-4.0)  # q = 2 c x at x = 2
         assert np.allclose(res.minimizers[0], [2.0])
 
+    def test_mixed_box_rejected(self):
+        with pytest.raises(ValueError):
+            minimize_quad_over_polytope(
+                np.zeros((2, 2)), np.array([-1.0, -1.0]), np.zeros((1, 2)), np.array([0.0]),
+                box=np.array([2.0, np.inf]),
+            )
+
 
 class TestGlobalSolve:
     def test_infeasible(self):
@@ -130,23 +136,6 @@ class TestGlobalSolve:
 
             for x in feasible_samples(inst, 1000, seed=seed):
                 assert res.value <= evaluate_objective(inst, x) + 1e-9 * (1 + abs(res.value))
-
-
-class TestLinearMin:
-    def test_vertex_minimum(self):
-        val, argmin, ray = linear_min_over_polytope(
-            np.array([1.0, 2.0]), np.ones((1, 2)), np.array([1.0])
-        )
-        assert val == pytest.approx(1.0)
-        assert np.allclose(argmin, [1, 0])
-        assert ray is None
-
-    def test_unbounded_ray(self):
-        val, argmin, ray = linear_min_over_polytope(
-            np.array([-1.0, -1.0]), np.array([[1.0, -1.0]]), np.array([0.0])
-        )
-        assert val == -math.inf
-        assert ray is not None and float(np.array([-1.0, -1.0]) @ ray) < 0
 
 
 class TestLocalMinimizer:

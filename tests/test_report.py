@@ -30,6 +30,7 @@ class TestCompareReport:
         inst, _ = horn
         report = compare_report(inst)
         assert failed_checks(report) == []
+        assert report.recession is report.oracle.recession  # one recession analysis
         assert report.relaxations[DNN].status == "UNBOUNDED"
         assert report.oracle.value == pytest.approx(27.0)
         by_name = {c.name: c for c in report.checks}
