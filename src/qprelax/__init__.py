@@ -36,13 +36,11 @@ from .core import (
 )
 from .numerics import (
     AffineProjector,
-    EigenDecomposition,
     FaceProjector,
     build_affine_projector,
     certificate_projector,
     nullspace_basis,
     project_cone,
-    sym_eigen,
 )
 from .oracle import (
     KktCertificate,

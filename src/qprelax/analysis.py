@@ -108,17 +108,26 @@ def analyze_recession_cone(
     return recession_analysis(inst.Q, inst.A, cap=cap, tol=tol)
 
 
-def detect_unbounded(inst: QpInstance, cap: Optional[int] = None, tol: float = 1e-9) -> UnboundednessVerdict:
+def detect_unbounded(
+    inst: QpInstance,
+    cap: Optional[int] = None,
+    tol: float = 1e-9,
+    recession: Optional[RecessionReport] = None,
+) -> UnboundednessVerdict:
     """Ray-based test for an objective unbounded below on the feasible set.
 
     Requires a nonempty feasible region.  The second case is checked only
     over extreme zero-curvature recession directions, so NOT_DETECTED does
-    not certify boundedness below.
+    not certify boundedness below.  ``recession`` is the instance's
+    ``analyze_recession_cone`` report when the caller already has it;
+    otherwise it is computed here with ``cap`` and ``tol``.
     """
     verts = enumerate_vertices(inst, cap=cap)
     if not verts:
         raise InfeasibleInstance("unboundedness test requires a feasible instance")
-    witness = ray_witness(inst.Q, inst.c, verts, analyze_recession_cone(inst, cap=cap, tol=tol))
+    if recession is None:
+        recession = analyze_recession_cone(inst, cap=cap, tol=tol)
+    witness = ray_witness(inst.Q, inst.c, verts, recession)
     if witness is None:
         return UnboundednessVerdict(NOT_DETECTED)
     if "curvature" in witness:

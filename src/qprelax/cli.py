@@ -132,7 +132,7 @@ def _cmd_analyze(args) -> int:
     lines.append(f"simplex minimum of x^T Q x: {cop.min_value:.10g}")
 
     if verts:
-        verdict = detect_unbounded(inst)
+        verdict = detect_unbounded(inst, recession=rec)
         payload["unboundedness"] = {
             "status": verdict.status,
             "direction": None if verdict.direction is None else verdict.direction.tolist(),

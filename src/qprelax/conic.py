@@ -10,9 +10,13 @@ The block copies and their scaled duals are kept as one ``(blocks, k, k)``
 stack.  Each iteration does one finiteness check of the stacked input
 ``Z - U``, one unchecked face projection (two ``k x k`` products and two
 products with the lifted face constraints), one ``k x k``
-eigendecomposition for the PSD factor, one clip for the sign factor, and a
-handful of whole-array updates and dot products for the averaging, the
-residuals and the divergence test.
+eigendecomposition for the PSD factor (LAPACK's driver called directly,
+the projection rebuilt with one symmetric product), one clip for the sign
+factor, and a handful of whole-array updates, most of them in place, and
+dot products for the averaging, the residuals and the divergence test.
+Everything derived from the options, and the objective shift ``step /
+rho``, is computed outside the iteration; the shift again only when the
+adaptive penalty changes.
 
 Plain splitting has a sublinear tail when the cone touches the affine slice
 tangentially (exactly the structurally exact instances), so the loop
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -183,20 +188,27 @@ class RelaxationResult:
 # active-face polishing
 
 
+@lru_cache(maxsize=None)
+def _strict_triu(r: int):
+    """``np.triu_indices(r, k=1)`` as read-only arrays, built once per order."""
+    rows, cols = np.triu_indices(r, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _pack_design(m: np.ndarray) -> np.ndarray:
     """Row of the reduced system for <m, S> with S in packed symmetric form."""
-    r = m.shape[0]
     diag = np.diag(m)
-    off = 2.0 * m[np.triu_indices(r, k=1)]
+    off = 2.0 * m[_strict_triu(m.shape[0])]
     return np.concatenate([diag, off])
 
 
 def _unpack_sym(v: np.ndarray, r: int) -> np.ndarray:
     s = np.zeros((r, r))
     s[np.diag_indices(r)] = v[:r]
-    iu = np.triu_indices(r, k=1)
-    s[iu] = v[r:]
-    s[(iu[1], iu[0])] = v[r:]
+    rows, cols = _strict_triu(r)
+    s[rows, cols] = v[r:]
+    s[cols, rows] = v[r:]
     return s
 
 
@@ -429,8 +441,20 @@ def _consensus(
     Y = np.empty((nb, k, k))
     rho = opts.penalty
     alpha = opts.over_relaxation
+    beta = 1.0 - alpha
     qscale = max(1.0, math.sqrt(np.vdot(qhat, qhat)))
     step = qhat / nb
+    shift = step / rho  # recomputed whenever rho changes
+    sqrt_nb = math.sqrt(nb)
+    tol_primal = opts.tol_primal
+    tol_dual = opts.tol_dual
+    diverge_below = opts.unbounded_threshold * qscale
+    polish_interval = opts.polish_interval if polisher is not None and opts.polish else 0
+    polish_gap_tol = opts.polish_gap_tol
+    stall_window = opts.stall_window
+    stall_factor = opts.stall_factor
+    stall_windows = opts.stall_windows
+    adapt_interval = opts.adapt_interval
 
     best_res = math.inf
     window_min = math.inf
@@ -445,48 +469,53 @@ def _consensus(
         W = Z - U
         if not np.isfinite(W).all():
             raise NonFinite(f"splitting iterate is non-finite at iteration {it}")
-        for i in range(nb):
-            Y[i] = blocks[i](W[i])
-        U += alpha * Y + (1.0 - alpha) * Zold  # completed after the Z update
-        Z = U.sum(axis=0) / nb - step / rho
+        for i, block in enumerate(blocks):
+            Y[i] = block(W[i])
+        U += alpha * Y + beta * Zold  # completed after the Z update
+        Z = U.sum(axis=0)
+        Z /= nb
+        Z -= shift
         U -= Z
 
-        res = Y - Z
+        res = Y
+        res -= Z  # Y is rewritten by the blocks next iteration
         dz = Z - Zold
         r = math.sqrt(np.vdot(res, res))
-        s = rho * math.sqrt(nb) * math.sqrt(np.vdot(dz, dz))
+        s = rho * sqrt_nb * math.sqrt(np.vdot(dz, dz))
         zscale = max(1.0, math.sqrt(np.vdot(Z, Z)))
         r_rel = r / zscale
         s_rel = s / qscale
-        if r_rel <= opts.tol_primal and s_rel <= opts.tol_dual:
+        if r_rel <= tol_primal and s_rel <= tol_dual:
             status = "CONVERGED"
             break
-        if np.vdot(qhat, Z) < opts.unbounded_threshold * qscale:
+        if np.vdot(qhat, Z) < diverge_below:
             status = "DIVERGING"
             break
-        if polisher is not None and opts.polish and it % opts.polish_interval == 0:
-            polish_hit = polisher.attempt(Z, opts.polish_gap_tol)
+        if polish_interval and it % polish_interval == 0:
+            polish_hit = polisher.attempt(Z, polish_gap_tol)
             if polish_hit is not None:
                 status = "POLISHED"
                 break
         if stall:
             window_min = min(window_min, r_rel)
-            if it % opts.stall_window == 0:
-                if window_min > opts.stall_factor * best_res:
+            if it % stall_window == 0:
+                if window_min > stall_factor * best_res:
                     bad_windows += 1
-                    if bad_windows >= opts.stall_windows:
+                    if bad_windows >= stall_windows:
                         status = "STALLED"
                         break
                 else:
                     bad_windows = 0
                 best_res = min(best_res, window_min)
                 window_min = math.inf
-        if it % opts.adapt_interval == 0:
+        if it % adapt_interval == 0:
             if r_rel > 10.0 * s_rel:
                 rho = min(rho * 2.0, 1e9)
+                shift = step / rho
                 U *= 0.5
             elif s_rel > 10.0 * r_rel:
                 rho = max(rho * 0.5, 1e-9)
+                shift = step / rho
                 U *= 2.0
 
     return _LoopOutcome(

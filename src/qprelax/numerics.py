@@ -1,24 +1,32 @@
-"""Dense symmetric linear algebra: eigendecomposition, nullspaces, projections.
+"""Dense symmetric linear algebra: nullspaces and projections.
 
-Everything here operates on small dense matrices; the eigensolver is the
-LAPACK symmetric driver behind ``numpy.linalg.eigh``, which meets the
-accuracy contract at the target sizes (order below ~200).
+Everything here operates on small dense matrices.  The PSD projection's
+eigensolver is LAPACK's symmetric driver, called through the gufunc
+``numpy.linalg._umath_linalg.eigh_lo`` that ``numpy.linalg.eigh`` wraps;
+it meets the accuracy contract at the target sizes (order below ~200).
+The kernel calls it directly because at order 5 numpy's wrapper (type
+dispatch, an ``errstate`` context and ``astype`` copies) costs as much as
+the decomposition.  Its input is already float64, square and finite, so
+the wrapper's checks are redundant; the one thing it adds, an error when
+LAPACK does not converge, shows up here as a NaN in the output.
 
 Public projections (``project_cone``, ``AffineProjector.apply``,
 ``FaceProjector.apply``) validate their input: shape, finiteness, and
-symmetrization.  The kernels they share with the splitting loop
-(``_psd``, ``_nonneg``, ``_row0nonneg`` and ``FaceProjector.affine``)
-assume finite, symmetric, correctly sized input and check nothing; the
-loop in ``conic._consensus`` checks finiteness once per iteration on its
-stacked input instead.
+symmetrization; ``project_cone`` also rejects a non-finite result.  The
+kernels they share with the splitting loop (``_psd``, ``_nonneg``,
+``_row0nonneg`` and ``FaceProjector.affine``) assume finite, symmetric,
+correctly sized input and check nothing; the loop in ``conic._consensus``
+checks finiteness once per iteration on its stacked input instead, which
+also catches a NaN from an unconverged eigensolve one iteration later,
+before any other eigendecomposition sees it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import DNN, PSD0, LiftedProblem
 from .errors import DegenerateConstraints, DimensionMismatch, NonFinite
@@ -32,16 +40,11 @@ PROJECTION_CONES = (PSD, NONNEG, ROW0NONNEG)
 #: Relative singular-value threshold deciding numerical rank.
 RANK_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition with ascending eigenvalues.
-
-    Columns of ``vectors`` are orthonormal eigenvectors matching ``values``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
+#: LAPACK's symmetric eigensolver on the lower triangle: called with
+#: ``signature="d->dd"`` it returns ascending eigenvalues and orthonormal
+#: eigenvector columns, the same arrays as ``numpy.linalg.eigh``, and NaNs
+#: where LAPACK does not converge.
+_eigh = _umath_linalg.eigh_lo
 
 
 def _check_symmetric(m, name="matrix") -> np.ndarray:
@@ -51,13 +54,6 @@ def _check_symmetric(m, name="matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFinite(f"{name} contains non-finite entries")
     return 0.5 * (m + m.T)
-
-
-def sym_eigen(m) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix, values ascending."""
-    m = _check_symmetric(m)
-    values, vectors = np.linalg.eigh(m)
-    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def nullspace_basis(a, tol: float = RANK_TOL) -> np.ndarray:
@@ -77,9 +73,12 @@ def nullspace_basis(a, tol: float = RANK_TOL) -> np.ndarray:
 
 
 def _psd(m: np.ndarray) -> np.ndarray:
-    values, vectors = np.linalg.eigh(m)
-    out = (vectors * np.maximum(values, 0.0)) @ vectors.T
-    return 0.5 * (out + out.T)
+    # V diag(max(w, 0)) V^T as F F^T with F = V diag(sqrt(max(w, 0))):
+    # numpy evaluates a @ a.T as a symmetric rank-k update, so the result
+    # is exactly symmetric without a final symmetrization
+    values, vectors = _eigh(m, signature="d->dd")
+    vectors *= np.sqrt(np.maximum(values, 0.0))
+    return vectors @ vectors.T
 
 
 def _nonneg(m: np.ndarray) -> np.ndarray:
@@ -101,11 +100,16 @@ def project_cone(m, cone: str) -> np.ndarray:
 
     PSD clips negative eigenvalues, NONNEG clips negative entries, and
     ROW0NONNEG clips negative entries of the 0th row and column only.
+    Raises ``NonFinite`` for a non-finite input, and for a non-finite
+    result, which is how an unconverged eigensolve shows.
     """
     m = _check_symmetric(m)
     if cone not in _CONE_KERNELS:
         raise ValueError(f"unknown projection cone {cone!r}")
-    return _CONE_KERNELS[cone](m)
+    out = _CONE_KERNELS[cone](m)
+    if not np.isfinite(out).all():
+        raise NonFinite(f"{cone} projection is non-finite: the eigensolver did not converge")
+    return out
 
 
 class AffineProjector:

@@ -436,7 +436,8 @@ def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[dict]:
     return None
 
 
-def global_solve(inst: QpInstance, cap: Optional[int] = None) -> OracleResult:
+def global_solve(inst: QpInstance, cap: Optional[int] = None,
+                 simplex_min: Optional[float] = None) -> OracleResult:
     """Exact optimal value of the instance, with unboundedness analysis.
 
     +inf for infeasible instances, -inf when a divergent ray is found.  For
@@ -445,16 +446,19 @@ def global_solve(inst: QpInstance, cap: Optional[int] = None) -> OracleResult:
     objective is bounded below; boundedness is certified when the quadratic
     part is copositive and the linear part nonnegative (the objective is
     then nonnegative on the whole orthant), otherwise the result is
-    INCONCLUSIVE.
+    INCONCLUSIVE.  Copositivity is decided by the minimum of ``x^T Q x``
+    over the standard simplex; a caller that has already computed it
+    passes it as ``simplex_min``.
     """
     if inst.n > enum_cap(cap):
         raise DeskScaleLimit(f"n={inst.n} exceeds the enumeration cap {enum_cap(cap)}")
     res = minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b, cap=cap)
     if res.status == ORACLE_INCONCLUSIVE and float(inst.c.min()) >= 0.0:
-        simplex = minimize_quad_over_polytope(
-            inst.Q, np.zeros(inst.n), np.ones((1, inst.n)), np.array([1.0]), cap=cap
-        )
-        if simplex.value >= -_TOL_CURV * max(1.0, float(np.abs(inst.Q).max())):
+        if simplex_min is None:
+            simplex_min = minimize_quad_over_polytope(
+                inst.Q, np.zeros(inst.n), np.ones((1, inst.n)), np.array([1.0]), cap=cap
+            ).value
+        if simplex_min >= -_TOL_CURV * max(1.0, float(np.abs(inst.Q).max())):
             return replace(res, attained=True, status=ORACLE_OPTIMAL, certified=True)
     return res
 

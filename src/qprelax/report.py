@@ -229,7 +229,8 @@ def compare_report(
 
     oracle = None
     try:
-        oracle = global_solve(inst, cap=cap)
+        simplex_min = None if copositivity is None else copositivity.min_value
+        oracle = global_solve(inst, cap=cap, simplex_min=simplex_min)
     except DeskScaleLimit as exc:
         notes.append(f"oracle and recession analysis skipped: {exc}")
     recession = None if oracle is None else oracle.recession

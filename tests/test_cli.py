@@ -93,6 +93,25 @@ class TestCommands:
         assert payload["feasible"] is True
         assert payload["psd_on_nullspace"]["holds"] is False
 
+    def test_analyze_runs_one_recession_analysis(self, horn_file, monkeypatch, capsys):
+        from qprelax import analysis, oracle
+
+        A = load_instance(horn_file).A
+        calls = []
+        original = oracle.recession_analysis
+
+        def counting(Q, A_, *args, **kwargs):
+            if np.array_equal(A_, A):
+                calls.append(1)
+            return original(Q, A_, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "recession_analysis", counting)
+        monkeypatch.setattr(analysis, "recession_analysis", counting)
+        assert main(["--json", "analyze", str(horn_file)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["unboundedness"]["status"] == "NOT_DETECTED"
+        assert len(calls) == 1
+
     def test_solve_unbounded(self, horn_file, capsys):
         assert main(["--json", "solve", "--cone", "dnn", str(horn_file)]) == 0
         payload = json.loads(capsys.readouterr().out)

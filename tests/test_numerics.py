@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qprelax import numerics
+from qprelax.conic import SolveOptions, _consensus, _strict_triu
 from qprelax.core import DNN, PSD0, lift_instance
 from qprelax.errors import DimensionMismatch, NonFinite
 from qprelax.generators import BOUNDED, UNBOUNDED_SAFE, random_instance
@@ -17,7 +19,6 @@ from qprelax.numerics import (
     cone_violation,
     nullspace_basis,
     project_cone,
-    sym_eigen,
 )
 
 from conftest import feasible_samples, make_qp
@@ -27,30 +28,111 @@ def sym_matrices(n, elements=st.floats(min_value=-5, max_value=5)):
     return arrays(np.float64, (n, n), elements=elements).map(lambda m: 0.5 * (m + m.T))
 
 
+def eigh(m):
+    """The eigensolver the PSD kernel calls: LAPACK's driver, lower triangle."""
+    return numerics._eigh(m, signature="d->dd")
+
+
+def reference_psd(m):
+    """PSD projection as an eigenvalue clip through ``numpy.linalg.eigh``."""
+    values, vectors = np.linalg.eigh(m)
+    out = (vectors * np.maximum(values, 0.0)) @ vectors.T
+    return 0.5 * (out + out.T)
+
+
+def nan_eigh(m, signature=None):
+    """What the gufunc returns when LAPACK does not converge."""
+    k = m.shape[0]
+    return np.full(k, np.nan), np.full((k, k), np.nan)
+
+
+orders = st.integers(min_value=1, max_value=13)
+
+
 class TestEigen:
+    """The private LAPACK gufunc behind the PSD kernel.
+
+    It is not public numpy API, so these tests pin what the kernel relies
+    on: a numpy upgrade that moves or changes it fails here.
+    """
+
     def test_identity(self):
-        dec = sym_eigen(np.eye(3))
-        assert np.allclose(dec.values, [1, 1, 1])
+        values, _ = eigh(np.eye(3))
+        assert np.allclose(values, [1, 1, 1])
 
     def test_diagonal(self):
-        dec = sym_eigen(np.diag([-2.0, 5.0]))
-        assert np.allclose(dec.values, [-2, 5])
+        values, _ = eigh(np.diag([-2.0, 5.0]))
+        assert np.allclose(values, [-2, 5])
 
     def test_off_diagonal(self):
-        dec = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(dec.values, [-1, 1])
+        values, _ = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.allclose(values, [-1, 1])
 
-    def test_nonfinite(self):
+    def test_nonfinite(self, monkeypatch):
         with pytest.raises(NonFinite):
-            sym_eigen(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+            project_cone(np.array([[np.inf, 0.0], [0.0, 1.0]]), PSD)
+        # an unconverged eigensolve returns NaN without raising
+        monkeypatch.setattr(numerics, "_eigh", nan_eigh)
+        with pytest.raises(NonFinite, match="did not converge"):
+            project_cone(np.eye(3), PSD)
 
     @given(sym_matrices(4))
     def test_invariants(self, m):
-        dec = sym_eigen(m)
+        values, vectors = eigh(m)
         scale = max(1.0, float(np.abs(m).max()))
-        for lam, v in zip(dec.values, dec.vectors.T):
+        for lam, v in zip(values, vectors.T):
             assert np.linalg.norm(m @ v - lam * v) <= 1e-9 * scale
-        assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(4), atol=1e-10)
+        assert np.allclose(vectors.T @ vectors, np.eye(4), atol=1e-10)
+
+    @given(orders.flatmap(sym_matrices))
+    def test_matches_numpy_eigh_bitwise(self, m):
+        values, vectors = eigh(m)
+        ref_values, ref_vectors = np.linalg.eigh(m)
+        assert values.dtype == vectors.dtype == np.float64
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(vectors, ref_vectors)
+
+
+class TestPsdKernel:
+    @given(orders.flatmap(sym_matrices))
+    def test_matches_eigenvalue_clip(self, m):
+        out = numerics._psd(m)
+        scale = max(1.0, float(np.abs(m).max()))
+        assert np.abs(out - reference_psd(m)).max() <= 1e-12 * scale
+        assert np.array_equal(out, out.T)
+
+    @given(orders.flatmap(sym_matrices))
+    def test_idempotent_on_psd_input(self, m):
+        psd = reference_psd(m)
+        scale = max(1.0, float(np.abs(m).max()))
+        assert np.abs(numerics._psd(psd) - psd).max() <= 1e-12 * scale
+
+    def test_loop_stops_before_eigensolver_sees_nonfinite(self, monkeypatch):
+        inst = random_instance(BOUNDED, 4, 2, 2)
+        lp = lift_instance(inst, DNN)
+        calls = []
+        lapack = numerics._eigh
+
+        def failing_eigh(m, signature=None):
+            assert np.isfinite(m).all(), "eigensolver got a non-finite entry"
+            calls.append(signature)
+            if len(calls) == 3:
+                return nan_eigh(m)
+            return lapack(m, signature=signature)
+
+        monkeypatch.setattr(numerics, "_eigh", failing_eigh)
+        with pytest.raises(NonFinite, match="iteration 4"):
+            _consensus(lp.qhat, build_affine_projector(lp), cone_projection_for(DNN),
+                       SolveOptions(polish=False))
+        assert calls == ["d->dd"] * 3
+
+
+@pytest.mark.parametrize("r", range(1, 14))
+def test_strict_triu_memo_matches_numpy(r):
+    rows, cols = _strict_triu(r)
+    ref_rows, ref_cols = np.triu_indices(r, k=1)
+    assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+    assert _strict_triu(r)[0] is rows and not rows.flags.writeable
 
 
 class TestNullspace:

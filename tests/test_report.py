@@ -37,6 +37,28 @@ class TestCompareReport:
         assert by_name["copositive objective stays bounded below"].passed
         assert by_name["unbounded verdicts carry verified certificates"].passed
 
+    def test_copositivity_fallback_reuses_simplex_minimum(self, horn, monkeypatch):
+        from qprelax import analysis, oracle
+
+        inst, _ = horn
+        simplex = np.ones((1, inst.n))
+        calls = []
+        original = oracle.minimize_quad_over_polytope
+
+        def counting(Q, c, A, *args, **kwargs):
+            if np.array_equal(A, simplex):
+                calls.append(1)
+            return original(Q, c, A, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "minimize_quad_over_polytope", counting)
+        monkeypatch.setattr(analysis, "minimize_quad_over_polytope", counting)
+        report = compare_report(inst, SolveOptions(max_iterations=300))
+        # the oracle's enumeration alone is INCONCLUSIVE here; the
+        # copositivity check's simplex minimum certifies it
+        assert report.oracle.status == "OPTIMAL" and report.oracle.certified
+        assert report.oracle.value == pytest.approx(27.0)
+        assert len(calls) == 1
+
     def test_exact_instance(self):
         inst = random_instance(CONVEX_ON_NULLSPACE, 3, 1, 2)
         report = compare_report(inst)
