@@ -18,11 +18,11 @@ import numpy as np
 
 from .conic import OPTIMAL, UNBOUNDED, SolveOptions, _pinned_solve
 from .core import QpInstance, evaluate_objective, is_feasible
-from .errors import DeskScaleLimit, InfeasibleInstance, PointInfeasible
+from .errors import InfeasibleInstance, PointInfeasible
 from .numerics import nullspace_basis
 from .oracle import (
     RecessionReport,
-    enum_cap,
+    _require_desk_scale,
     enumerate_vertices,
     minimize_quad_over_polytope,
     ray_witness,
@@ -103,8 +103,7 @@ def analyze_recession_cone(
     compact slice ``{A d = 0, e^T d = 1, d >= 0}`` by basic-solution and
     face enumeration (``oracle.recession_analysis``).
     """
-    if inst.n > enum_cap(cap):
-        raise DeskScaleLimit(f"n={inst.n} exceeds the enumeration cap {enum_cap(cap)}")
+    _require_desk_scale(inst.n, cap)
     return recession_analysis(inst.Q, inst.A, cap=cap, tol=tol)
 
 
@@ -113,16 +112,18 @@ def detect_unbounded(
     cap: Optional[int] = None,
     tol: float = 1e-9,
     recession: Optional[RecessionReport] = None,
+    vertices: Optional[list] = None,
 ) -> UnboundednessVerdict:
     """Ray-based test for an objective unbounded below on the feasible set.
 
     Requires a nonempty feasible region.  The second case is checked only
     over extreme zero-curvature recession directions, so NOT_DETECTED does
-    not certify boundedness below.  ``recession`` is the instance's
-    ``analyze_recession_cone`` report when the caller already has it;
-    otherwise it is computed here with ``cap`` and ``tol``.
+    not certify boundedness below.  ``recession`` and ``vertices`` are the
+    instance's ``analyze_recession_cone`` report and ``enumerate_vertices``
+    list when the caller already has them; otherwise they are computed here
+    with ``cap`` and ``tol``.
     """
-    verts = enumerate_vertices(inst, cap=cap)
+    verts = enumerate_vertices(inst, cap=cap) if vertices is None else vertices
     if not verts:
         raise InfeasibleInstance("unboundedness test requires a feasible instance")
     if recession is None:
@@ -143,8 +144,7 @@ def check_copositivity_desk_scale(Q, cap: Optional[int] = None) -> CopositivityC
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
-    if n > enum_cap(cap):
-        raise DeskScaleLimit(f"n={n} exceeds the enumeration cap {enum_cap(cap)}")
+    _require_desk_scale(n, cap)
     res = minimize_quad_over_polytope(
         Q, np.zeros(n), np.ones((1, n)), np.array([1.0]), cap=cap
     )

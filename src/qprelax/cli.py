@@ -31,7 +31,7 @@ from .analysis import (
     sample_envelope,
 )
 from .conic import SolveOptions
-from .core import DNN, PSD0, load_instance, load_vector
+from .core import DNN, PSD0, jsonable, load_instance, load_vector
 from .errors import (
     DeskScaleLimit,
     GenerationFailed,
@@ -45,28 +45,9 @@ from .report import compare_report
 _CONES = {"dnn": DNN, "psd0": PSD0}
 
 
-def _jsonable(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        print(json.dumps(_jsonable(payload), indent=2))
+        print(json.dumps(jsonable(payload), indent=2))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -132,7 +113,7 @@ def _cmd_analyze(args) -> int:
     lines.append(f"simplex minimum of x^T Q x: {cop.min_value:.10g}")
 
     if verts:
-        verdict = detect_unbounded(inst, recession=rec)
+        verdict = detect_unbounded(inst, recession=rec, vertices=verts)
         payload["unboundedness"] = {
             "status": verdict.status,
             "direction": None if verdict.direction is None else verdict.direction.tolist(),
@@ -292,7 +273,7 @@ def _cmd_envelope(args) -> int:
                     {"t": r.t, "q": r.q, "lK": r.lk, "status": r.status} for r in rows
                 ]
             }
-            print(json.dumps(_jsonable(payload), indent=2))
+            print(json.dumps(jsonable(payload), indent=2))
         else:
             print(csv, end="")
     return 0
@@ -318,7 +299,7 @@ def _cmd_compare(args) -> int:
             with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
                 reports = list(pool.map(compare, files))
         if args.json:
-            print(json.dumps([_jsonable(r.to_dict()) for r in reports], indent=2))
+            print(json.dumps([r.to_dict() for r in reports], indent=2))
         else:
             print("".join(r.to_text() for r in reports), end="")
         return 0

@@ -13,9 +13,8 @@ products with the lifted face constraints), one ``k x k``
 eigendecomposition for the PSD factor (LAPACK's driver called directly,
 the projection rebuilt with one symmetric product), one clip for the sign
 factor, and a handful of whole-array updates, most of them in place, and
-dot products for the averaging, the residuals and the divergence test.
-Everything derived from the options, and the objective shift ``step /
-rho``, is computed outside the iteration; the shift again only when the
+dot products for the averaging and the residuals.  The objective shift
+``step / rho`` is computed outside the iteration, and again only when the
 adaptive penalty changes.
 
 Plain splitting has a sublinear tail when the cone touches the affine slice
@@ -29,15 +28,15 @@ Unboundedness is decided by a certificate pre-pass rather than by watching
 the objective diverge: a nonzero cone matrix with zero corner, zero
 constraint value, and negative objective rate is an independently checkable
 proof that the relaxation value is minus infinity.  Pinning the 0th row
-does not change the recession cone, so the pinned solves keep the last
-pre-pass verdict and reuse it across consecutive calls with the same
-instance, cone and options.
+does not change the recession cone, so the plain and the pinned solves
+share one pre-pass, which keeps its last verdict and reuses it across
+consecutive calls with the same instance, cone and options.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -79,41 +78,41 @@ FOUND = "FOUND"
 NONE = "NONE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+#: Initial penalty, over-relaxation factor, and the iteration interval at
+#: which the penalty is rebalanced between the primal and dual residuals.
+PENALTY = 1.0
+OVER_RELAXATION = 1.6
+ADAPT_INTERVAL = 50
+
+#: An OBJECTIVE search reports FOUND only for rates below ``-TOL_CERTIFICATE``.
+TOL_CERTIFICATE = 1e-6
+
+#: Heuristic infeasibility detector of the certificate searches: a search
+#: gives up when the best scaled residual fails to improve by
+#: ``STALL_FACTOR`` over ``STALL_WINDOWS`` consecutive windows of
+#: ``STALL_WINDOW`` iterations.
+STALL_WINDOW = 5000
+STALL_FACTOR = 0.9
+STALL_WINDOWS = 3
+
+#: A loop given a polisher attempts an exact active-face solve every
+#: ``POLISH_INTERVAL`` iterations and accepts only candidates whose duality
+#: gap is within ``POLISH_GAP_TOL`` relative.
+POLISH_INTERVAL = 500
+POLISH_GAP_TOL = 1e-7
+
 
 @dataclass
 class SolveOptions:
-    """Tuning knobs of the splitting solver.
-
-    The stall parameters drive the heuristic infeasibility detector of the
-    certificate searches: a search gives up when the best scaled residual
-    fails to improve by ``stall_factor`` over ``stall_windows`` consecutive
-    windows of ``stall_window`` iterations.  Polishing attempts an exact
-    active-face solve every ``polish_interval`` iterations and accepts only
-    gap-certified candidates.
-    """
+    """Iteration budget and residual tolerances of the splitting solver."""
 
     max_iterations: int = 200_000
     tol_primal: float = 1e-7
     tol_dual: float = 1e-7
-    penalty: float = 1.0
-    unbounded_threshold: float = -1e12
-    over_relaxation: float = 1.6
-    tol_certificate: float = 1e-6
-    stall_window: int = 5000
-    stall_factor: float = 0.9
-    stall_windows: int = 3
-    adapt_interval: int = 50
-    polish: bool = True
-    polish_interval: int = 500
-    polish_gap_tol: float = 1e-7
 
     def __post_init__(self):
-        if min(self.max_iterations, self.tol_primal, self.tol_dual, self.penalty) <= 0:
+        if min(self.max_iterations, self.tol_primal, self.tol_dual) <= 0:
             raise ValueError("iteration and tolerance options must be positive")
-        if self.unbounded_threshold >= 0:
-            raise ValueError("unbounded_threshold must be negative")
-        if not 0 < self.over_relaxation < 2:
-            raise ValueError("over_relaxation must lie in (0, 2)")
 
 
 @dataclass(frozen=True)
@@ -410,7 +409,7 @@ class _Polisher:
 
 @dataclass
 class _LoopOutcome:
-    status: str  # CONVERGED, POLISHED, MAX_ITER, STALLED, DIVERGING
+    status: str  # CONVERGED, POLISHED, MAX_ITER, STALLED
     Z: np.ndarray
     U: np.ndarray  # (blocks, k, k) scaled duals
     iterations: int
@@ -439,22 +438,14 @@ def _consensus(
         Z = projector.apply(np.zeros((k, k)))
         U = np.zeros((nb, k, k))
     Y = np.empty((nb, k, k))
-    rho = opts.penalty
-    alpha = opts.over_relaxation
-    beta = 1.0 - alpha
+    rho = PENALTY
+    beta = 1.0 - OVER_RELAXATION
     qscale = max(1.0, math.sqrt(np.vdot(qhat, qhat)))
     step = qhat / nb
     shift = step / rho  # recomputed whenever rho changes
     sqrt_nb = math.sqrt(nb)
     tol_primal = opts.tol_primal
     tol_dual = opts.tol_dual
-    diverge_below = opts.unbounded_threshold * qscale
-    polish_interval = opts.polish_interval if polisher is not None and opts.polish else 0
-    polish_gap_tol = opts.polish_gap_tol
-    stall_window = opts.stall_window
-    stall_factor = opts.stall_factor
-    stall_windows = opts.stall_windows
-    adapt_interval = opts.adapt_interval
 
     best_res = math.inf
     window_min = math.inf
@@ -471,7 +462,7 @@ def _consensus(
             raise NonFinite(f"splitting iterate is non-finite at iteration {it}")
         for i, block in enumerate(blocks):
             Y[i] = block(W[i])
-        U += alpha * Y + beta * Zold  # completed after the Z update
+        U += OVER_RELAXATION * Y + beta * Zold  # completed after the Z update
         Z = U.sum(axis=0)
         Z /= nb
         Z -= shift
@@ -488,27 +479,24 @@ def _consensus(
         if r_rel <= tol_primal and s_rel <= tol_dual:
             status = "CONVERGED"
             break
-        if np.vdot(qhat, Z) < diverge_below:
-            status = "DIVERGING"
-            break
-        if polish_interval and it % polish_interval == 0:
-            polish_hit = polisher.attempt(Z, polish_gap_tol)
+        if polisher is not None and it % POLISH_INTERVAL == 0:
+            polish_hit = polisher.attempt(Z, POLISH_GAP_TOL)
             if polish_hit is not None:
                 status = "POLISHED"
                 break
         if stall:
             window_min = min(window_min, r_rel)
-            if it % stall_window == 0:
-                if window_min > stall_factor * best_res:
+            if it % STALL_WINDOW == 0:
+                if window_min > STALL_FACTOR * best_res:
                     bad_windows += 1
-                    if bad_windows >= stall_windows:
+                    if bad_windows >= STALL_WINDOWS:
                         status = "STALLED"
                         break
                 else:
                     bad_windows = 0
                 best_res = min(best_res, window_min)
                 window_min = math.inf
-        if it % adapt_interval == 0:
+        if it % ADAPT_INTERVAL == 0:
             if r_rel > 10.0 * s_rel:
                 rho = min(rho * 2.0, 1e9)
                 shift = step / rho
@@ -586,7 +574,7 @@ def recession_certificate_search(
     """Search the recession cone of the lifted feasible set.
 
     OBJECTIVE mode minimizes the objective rate over trace-normalized
-    candidates and reports FOUND only below ``-tol_certificate``.
+    candidates and reports FOUND only below ``-TOL_CERTIFICATE``.
     FEASIBILITY mode looks for any candidate at all; NONE after a residual
     stall is the heuristic verdict that no candidate exists.
     """
@@ -608,9 +596,9 @@ def recession_certificate_search(
     if out.status == "STALLED":
         return CertificateSearch(NONE, None, out.iterations, out.residual_primal,
                                  reason="residual stall")
-    if out.status in ("MAX_ITER", "DIVERGING"):
+    if out.status == MAX_ITER:
         return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
-                                 reason=out.status.lower())
+                                 reason="max_iter")
 
     if out.status == "POLISHED":
         d = 0.5 * (out.polish["y"] + out.polish["y"].T)
@@ -623,7 +611,7 @@ def recession_certificate_search(
     if not check.ok:
         return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
                                  reason="converged point failed verification")
-    if mode == OBJECTIVE and rate >= -opts.tol_certificate:
+    if mode == OBJECTIVE and rate >= -TOL_CERTIFICATE:
         return CertificateSearch(NONE, None, out.iterations, out.residual_primal,
                                  reason=f"optimal rate {rate:.3e} above threshold")
     return CertificateSearch(FOUND, cert, out.iterations, out.residual_primal)
@@ -674,49 +662,13 @@ def _unbounded_result(search: CertificateSearch) -> RelaxationResult:
     )
 
 
-def solve_relaxation(
-    inst: QpInstance, cone: str = DNN, opts: Optional[SolveOptions] = None
-) -> RelaxationResult:
-    """Solve the lifted relaxation over the selected cone.
-
-    Pipeline: decide feasibility exactly from the original polyhedron
-    (feasibility is preserved by the lifting, so an empty polyhedron means
-    an infeasible relaxation and no iterations are spent); search for a
-    negative-rate recession certificate; otherwise run the consensus
-    splitting to optimality.
-    """
-    opts = opts or SolveOptions()
-    lp = lift_instance(inst, cone)
-    if not enumerate_vertices(inst):
-        return RelaxationResult(INFEASIBLE, math.inf, None, 0.0, 0.0, 0)
-
-    if certificate_feasible_set_nonempty(inst, cone):
-        search = recession_certificate_search(inst, cone, OBJECTIVE, opts)
-        if search.status == FOUND:
-            return _unbounded_result(search)
-
-    projector = build_affine_projector(lp)
-    polisher = _Polisher(lp, projector, cone)
-    out = _consensus(lp.qhat, projector, cone_projection_for(cone), opts, polisher=polisher)
-    if out.status == "DIVERGING":
-        # backstop: divergence without a certificate from the pre-pass;
-        # retry the search with a larger budget before giving up
-        if certificate_feasible_set_nonempty(inst, cone):
-            retry_opts = replace(opts, max_iterations=2 * opts.max_iterations)
-            search = recession_certificate_search(inst, cone, OBJECTIVE, retry_opts)
-            if search.status == FOUND:
-                return _unbounded_result(search)
-    return _finish(lp, inst, projector, out, opts)
-
-
-#: The last pinned pre-pass: (instance, cone, options tuple, verdict).  The
-#: instance is matched by identity; holding it keeps its id from being reused.
+#: The last pre-pass: (instance, cone, options tuple, verdict).  The instance
+#: is matched by identity; holding it keeps its id from being reused.
 _last_prepass = None
 
 
-def _pinned_prepass(inst: QpInstance, cone: str,
-                    opts: SolveOptions) -> Optional[CertificateSearch]:
-    """The FOUND certificate search of the pinned pre-pass, or None.
+def _prepass(inst: QpInstance, cone: str, opts: SolveOptions) -> Optional[CertificateSearch]:
+    """The FOUND certificate search of the unboundedness pre-pass, or None.
 
     The verdict depends on the instance, the cone and the options only, so
     the last one is reused while consecutive calls share all three.
@@ -735,13 +687,37 @@ def _pinned_prepass(inst: QpInstance, cone: str,
     return verdict
 
 
+def solve_relaxation(
+    inst: QpInstance, cone: str = DNN, opts: Optional[SolveOptions] = None
+) -> RelaxationResult:
+    """Solve the lifted relaxation over the selected cone.
+
+    Pipeline: decide feasibility exactly from the original polyhedron
+    (feasibility is preserved by the lifting, so an empty polyhedron means
+    an infeasible relaxation and no iterations are spent); search for a
+    negative-rate recession certificate (``_prepass``); otherwise run the
+    consensus splitting to optimality.
+    """
+    opts = opts or SolveOptions()
+    lp = lift_instance(inst, cone)
+    if not enumerate_vertices(inst):
+        return RelaxationResult(INFEASIBLE, math.inf, None, 0.0, 0.0, 0)
+    search = _prepass(inst, cone, opts)
+    if search is not None:
+        return _unbounded_result(search)
+    projector = build_affine_projector(lp)
+    polisher = _Polisher(lp, projector, cone)
+    out = _consensus(lp.qhat, projector, cone_projection_for(cone), opts, polisher=polisher)
+    return _finish(lp, inst, projector, out, opts)
+
+
 def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions, warm=None):
     """Pinned relaxation solve; returns the result and reusable warm state."""
     x = np.asarray(x, dtype=float)
     resid = feasibility_residual(inst, x)
     if resid > max(FEAS_TOL, 10.0 * opts.tol_primal):
         raise PointInfeasible(f"anchor point violates the constraints (residual {resid:.3e})")
-    search = _pinned_prepass(inst, cone, opts)
+    search = _prepass(inst, cone, opts)
     if search is not None:
         return _unbounded_result(search), None
     lp = lift_instance(inst, cone)
@@ -763,8 +739,8 @@ def evaluate_underestimator(
     cone of the lifted feasible set, so one negative-rate certificate
     proves the underestimator is minus infinity everywhere.  The pre-pass
     verdict is therefore reused across consecutive calls with the same
-    instance, cone and options; only the anchor's feasibility is checked
-    on every call.
+    instance, cone and options, pinned or not; only the anchor's
+    feasibility is checked on every call.
     """
     opts = opts or SolveOptions()
     result, _ = _pinned_solve(inst, cone, x, opts)

@@ -11,6 +11,7 @@ to match that layout.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -257,6 +258,28 @@ def instance_to_dict(inst: QpInstance) -> dict:
         "A": inst.A.tolist(),
         "b": inst.b.tolist(),
     }
+
+
+def jsonable(x):
+    """``x`` made ready for ``json.dumps``: numpy arrays and scalars become
+    Python lists and numbers, tuples become lists, and non-finite floats
+    become the strings ``"inf"``, ``"-inf"`` and ``"nan"``."""
+    if isinstance(x, float):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        if math.isnan(x):
+            return "nan"
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, np.floating):
+        return float(x)
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    return x
 
 
 def save_instance(inst: QpInstance, path) -> None:

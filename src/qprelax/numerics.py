@@ -217,12 +217,6 @@ class FaceProjector:
         return self.affine(m)
 
 
-def _constraint_face_basis(lp: LiftedProblem) -> np.ndarray:
-    """Orthonormal basis of null(ahat), the face carrying all feasible Y."""
-    # ahat = stack stack^T, so null(ahat) = null(stack^T)
-    return nullspace_basis(lp.ahat)
-
-
 def build_affine_projector(lp: LiftedProblem, pin=None) -> FaceProjector:
     """Face-restricted projector for the lifted relaxation constraints.
 
@@ -232,8 +226,7 @@ def build_affine_projector(lp: LiftedProblem, pin=None) -> FaceProjector:
     independent system ``S v0 = V^T [1; x]`` over the face coordinates,
     which also implies the corner constraint.
     """
-    k = lp.n + 1
-    basis = _constraint_face_basis(lp)
+    basis = nullspace_basis(lp.ahat)  # the face null(ahat) carrying all feasible Y
     r = basis.shape[1]
     v0 = basis[0]
     mats = []

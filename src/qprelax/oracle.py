@@ -47,6 +47,12 @@ def enum_cap(cap: Optional[int] = None) -> int:
     return int(os.environ.get("QPRELAX_ENUM_CAP", DEFAULT_ENUM_CAP))
 
 
+def _require_desk_scale(n: int, cap: Optional[int] = None) -> None:
+    """Raise DeskScaleLimit when ``n`` variables exceed the enumeration cap."""
+    if n > enum_cap(cap):
+        raise DeskScaleLimit(f"n={n} exceeds the enumeration cap {enum_cap(cap)}")
+
+
 @dataclass(frozen=True)
 class RecessionReport:
     """Curvature analysis of the recession cone ``{A d = 0, d >= 0}``.
@@ -165,8 +171,7 @@ def basic_feasible_points(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ)
 
 def enumerate_vertices(inst: QpInstance, cap: Optional[int] = None):
     """Basic feasible solutions of the instance polyhedron."""
-    if inst.n > enum_cap(cap):
-        raise DeskScaleLimit(f"n={inst.n} exceeds the enumeration cap {enum_cap(cap)}")
+    _require_desk_scale(inst.n, cap)
     return basic_feasible_points(inst.A, inst.b, cap=cap)
 
 
@@ -218,7 +223,6 @@ def minimize_quad_over_polytope(
     b,
     box=None,
     cap: Optional[int] = None,
-    stop_below: Optional[float] = None,
 ) -> OracleResult:
     """Exact minimum of ``x^T Q x + 2 c^T x`` over ``{A x = b, 0 <= x <= box}``.
 
@@ -229,9 +233,7 @@ def minimize_quad_over_polytope(
     plus all vertices is exact.  Without a box the recession cone is
     analyzed first (``recession_analysis``, ``ray_witness``): a divergent
     ray gives UNBOUNDED_BELOW, and the finite value is certified only when
-    every recession direction has strictly positive curvature.  With
-    ``stop_below`` the scan aborts early once any candidate value falls
-    below the threshold (sign queries).
+    every recession direction has strictly positive curvature.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -276,7 +278,6 @@ def minimize_quad_over_polytope(
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
     candidates: list[tuple[float, np.ndarray]] = []
     faces = 0
-    stop = False
 
     for states in itertools.product(*choices):
         faces += 1
@@ -341,11 +342,7 @@ def minimize_quad_over_polytope(
             continue
         x = fixed_vals.copy()
         x[free_idx] = np.clip(xF, 0.0, None)
-        val = float(x @ Q @ x + 2 * c @ x)
-        candidates.append((val, x))
-        if stop_below is not None and val < stop_below:
-            stop = True
-            break
+        candidates.append((float(x @ Q @ x + 2 * c @ x), x))
 
     if not candidates:
         return OracleResult(math.inf, (), False, faces, ORACLE_INFEASIBLE, recession=recession)
@@ -360,15 +357,13 @@ def minimize_quad_over_polytope(
             if key not in seen:
                 seen.add(key)
                 mins.append(x)
-    # an early stop answers the sign query but leaves the scan incomplete
-    exact = certified and not stop
     return OracleResult(
         value=vmin,
         minimizers=tuple(mins),
-        attained=exact,
+        attained=certified,
         faces_explored=faces,
-        status=ORACLE_OPTIMAL if exact else ORACLE_INCONCLUSIVE,
-        certified=exact,
+        status=ORACLE_OPTIMAL if certified else ORACLE_INCONCLUSIVE,
+        certified=certified,
         recession=recession,
     )
 
@@ -450,8 +445,7 @@ def global_solve(inst: QpInstance, cap: Optional[int] = None,
     over the standard simplex; a caller that has already computed it
     passes it as ``simplex_min``.
     """
-    if inst.n > enum_cap(cap):
-        raise DeskScaleLimit(f"n={inst.n} exceeds the enumeration cap {enum_cap(cap)}")
+    _require_desk_scale(inst.n, cap)
     res = minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b, cap=cap)
     if res.status == ORACLE_INCONCLUSIVE and float(inst.c.min()) >= 0.0:
         if simplex_min is None:
@@ -531,7 +525,6 @@ def second_order_minimum(
     Z=None,
     cap: Optional[int] = None,
     box_radius: float = 1.0,
-    stop_below: Optional[float] = None,
 ) -> float:
     """Minimum of ``d^T Q d`` over the critical cone within a box.
 
@@ -566,6 +559,5 @@ def second_order_minimum(
         rhs,
         box=np.full(nsplit, float(box_radius)),
         cap=cap,
-        stop_below=stop_below,
     )
     return float(res.value)

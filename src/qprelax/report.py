@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-
 from . import conic
 from .analysis import (
     CopositivityCheck,
@@ -30,7 +29,7 @@ from .conic import (
     solve_relaxation,
     verify_certificate,
 )
-from .core import DNN, PSD0, QpInstance
+from .core import DNN, PSD0, QpInstance, jsonable
 from .errors import DeskScaleLimit
 from .oracle import OracleResult, RecessionReport, enumerate_vertices, global_solve
 
@@ -61,13 +60,7 @@ class Report:
     comparison_tolerance: float = 1e-6
 
     def to_dict(self) -> dict:
-        def num(x):
-            if x is None:
-                return None
-            if isinstance(x, float) and math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return x
-
+        """The report as JSON-ready data (``core.jsonable``)."""
         out = {
             "instance": {"name": self.instance_name, "n": self.n, "m": self.m},
             "feasibility": {"vertices": self.vertices},
@@ -77,33 +70,29 @@ class Report:
         if self.recession is not None:
             out["recession"] = {
                 "nontrivial": self.recession.l_nontrivial,
-                "min_curvature": num(
-                    None if math.isinf(self.recession.min_curvature)
-                    else self.recession.min_curvature
-                ),
+                "min_curvature": None if math.isinf(self.recession.min_curvature)
+                else self.recession.min_curvature,
                 "zero_directions": len(self.recession.zero_directions),
                 "tolerance": self.recession.tolerance,
             }
         if self.nullspace is not None:
             out["psd_on_nullspace"] = {
                 "holds": self.nullspace.holds,
-                "min_eigenvalue": num(
-                    None if math.isinf(self.nullspace.min_eigenvalue)
-                    else self.nullspace.min_eigenvalue
-                ),
+                "min_eigenvalue": None if math.isinf(self.nullspace.min_eigenvalue)
+                else self.nullspace.min_eigenvalue,
                 "tolerance": self.nullspace.tolerance,
             }
         if self.copositivity is not None:
             out["copositivity"] = {
                 "min_value": self.copositivity.min_value,
-                "minimizer": self.copositivity.minimizer.tolist(),
+                "minimizer": self.copositivity.minimizer,
             }
         out["c_nonnegative"] = self.c_nonnegative
         if self.oracle is not None:
             out["oracle"] = {
                 "status": self.oracle.status,
-                "value": num(self.oracle.value),
-                "minimizers": [m.tolist() for m in self.oracle.minimizers],
+                "value": self.oracle.value,
+                "minimizers": self.oracle.minimizers,
                 "certified": self.oracle.certified,
                 "faces_explored": self.oracle.faces_explored,
             }
@@ -111,7 +100,7 @@ class Report:
         for cone, res in self.relaxations.items():
             entry = {
                 "status": res.status,
-                "value": num(res.value),
+                "value": res.value,
                 "iterations": res.iterations,
                 "residual_primal": res.residual_primal,
                 "residual_dual": res.residual_dual,
@@ -120,10 +109,10 @@ class Report:
             if res.certificate is not None:
                 entry["certificate"] = {
                     "objective_rate": res.certificate.objective_rate,
-                    "matrix": res.certificate.d.tolist(),
+                    "matrix": res.certificate.d,
                 }
             if res.point is not None:
-                entry["point"] = res.point.y.tolist()
+                entry["point"] = res.point.y
             out["relaxations"][cone] = entry
         out["checks"] = [
             {
@@ -135,7 +124,7 @@ class Report:
             }
             for c in self.checks
         ]
-        return out
+        return jsonable(out)
 
     def to_text(self) -> str:
         lines = []

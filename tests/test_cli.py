@@ -94,7 +94,7 @@ class TestCommands:
         assert payload["psd_on_nullspace"]["holds"] is False
 
     def test_analyze_runs_one_recession_analysis(self, horn_file, monkeypatch, capsys):
-        from qprelax import analysis, oracle
+        from qprelax import analysis, cli, oracle
 
         A = load_instance(horn_file).A
         calls = []
@@ -105,12 +105,22 @@ class TestCommands:
                 calls.append(1)
             return original(Q, A_, *args, **kwargs)
 
+        enumerations = []
+        enumerate_vertices = oracle.enumerate_vertices
+
+        def counting_vertices(inst, *args, **kwargs):
+            enumerations.append(inst)
+            return enumerate_vertices(inst, *args, **kwargs)
+
         monkeypatch.setattr(oracle, "recession_analysis", counting)
         monkeypatch.setattr(analysis, "recession_analysis", counting)
+        monkeypatch.setattr(cli, "enumerate_vertices", counting_vertices)
+        monkeypatch.setattr(analysis, "enumerate_vertices", counting_vertices)
         assert main(["--json", "analyze", str(horn_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["unboundedness"]["status"] == "NOT_DETECTED"
         assert len(calls) == 1
+        assert len(enumerations) == 1
 
     def test_solve_unbounded(self, horn_file, capsys):
         assert main(["--json", "solve", "--cone", "dnn", str(horn_file)]) == 0

@@ -200,8 +200,8 @@ class TestPinnedPrepassReuse:
     def test_option_change_searches_again(self, searches):
         x = self.points()[0]
         evaluate_underestimator(self.inst, PSD0, x)
-        evaluate_underestimator(self.inst, PSD0, x, SolveOptions(tol_certificate=2e-6))
-        evaluate_underestimator(self.inst, PSD0, x, SolveOptions(tol_certificate=2e-6))
+        evaluate_underestimator(self.inst, PSD0, x, SolveOptions(max_iterations=100_000))
+        evaluate_underestimator(self.inst, PSD0, x, SolveOptions(max_iterations=100_000))
         assert len(searches) == 2
 
     def test_instance_change_searches_again(self, searches):
@@ -217,6 +217,13 @@ class TestPinnedPrepassReuse:
         evaluate_underestimator(self.inst, PSD0, self.points()[0])
         with pytest.raises(PointInfeasible):
             evaluate_underestimator(self.inst, PSD0, -self.points()[0])
+        assert len(searches) == 1
+
+    def test_plain_and_pinned_solves_share_the_prepass(self, searches):
+        plain = solve_relaxation(self.inst, PSD0)
+        pinned = evaluate_underestimator(self.inst, PSD0, self.points()[0])
+        assert plain.status == pinned.status == UNBOUNDED
+        assert pinned.certificate is plain.certificate
         assert len(searches) == 1
 
     def test_envelope_searches_once(self, searches):
@@ -289,10 +296,6 @@ class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(tol_primal=-1.0)
-        with pytest.raises(ValueError):
-            SolveOptions(unbounded_threshold=1.0)
-        with pytest.raises(ValueError):
-            SolveOptions(over_relaxation=2.5)
 
     def test_optimal_point_validates(self, simplex_bilinear):
         res = solve_relaxation(simplex_bilinear, DNN)

@@ -123,7 +123,7 @@ class TestPsdKernel:
         monkeypatch.setattr(numerics, "_eigh", failing_eigh)
         with pytest.raises(NonFinite, match="iteration 4"):
             _consensus(lp.qhat, build_affine_projector(lp), cone_projection_for(DNN),
-                       SolveOptions(polish=False))
+                       SolveOptions())
         assert calls == ["d->dd"] * 3
 
 
