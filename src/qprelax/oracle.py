@@ -125,6 +125,16 @@ def basic_feasible_points(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ)
     equivalent to feasibility of the system, and for bounded systems the
     result is the vertex set.
     """
+    return list(_basic_feasible_iter(A, b, cap, tol))
+
+
+def _basic_feasible_iter(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ):
+    """Generator behind ``basic_feasible_points``: one column subset at a time.
+
+    An emptiness test takes only the first point, so it stops at the first
+    feasible basis.  Input errors and ``DeskScaleLimit`` are raised when the
+    first point is requested, before any subset is examined.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
@@ -139,8 +149,8 @@ def basic_feasible_points(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ)
 
     if rank == 0:
         if float(np.abs(b).max(initial=0.0)) <= tol * scale:
-            return [np.zeros(n)]
-        return []
+            yield np.zeros(n)
+        return
 
     limit = 1 << enum_cap(cap)
     if math.comb(n, rank) > limit:
@@ -148,25 +158,31 @@ def basic_feasible_points(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ)
             f"{math.comb(n, rank)} column subsets exceed the enumeration cap"
         )
 
-    points = []
     seen = set()
     for cols in itertools.combinations(range(n), rank):
-        sub = A[:, cols]
-        sub_svals = np.linalg.svd(sub, compute_uv=False)
-        if sub_svals[-1] <= 1e-10 * max(smax, 1e-300):
-            continue  # linearly dependent basis
-        xb, *_ = np.linalg.lstsq(sub, b, rcond=None)
-        if float(np.abs(sub @ xb - b).max(initial=0.0)) > tol * scale:
+        x = _basic_solution(A, b, cols, smax, tol * scale)
+        if x is None:
             continue
-        if float(xb.min(initial=0.0)) < -tol * scale:
-            continue
-        x = np.zeros(n)
-        x[list(cols)] = np.clip(xb, 0.0, None)
         key = tuple(np.round(x, _DEDUP_DECIMALS))
         if key not in seen:
             seen.add(key)
-            points.append(x)
-    return points
+            yield x
+
+
+def _basic_solution(A, b, cols, smax, tol) -> Optional[np.ndarray]:
+    """The basic solution on columns ``cols`` if it is feasible, else None."""
+    sub = A[:, cols]
+    sub_svals = np.linalg.svd(sub, compute_uv=False)
+    if sub_svals[-1] <= 1e-10 * max(smax, 1e-300):
+        return None  # linearly dependent basis
+    xb, *_ = np.linalg.lstsq(sub, b, rcond=None)
+    if float(np.abs(sub @ xb - b).max(initial=0.0)) > tol:
+        return None
+    if float(xb.min(initial=0.0)) < -tol:
+        return None
+    x = np.zeros(A.shape[1])
+    x[list(cols)] = np.clip(xb, 0.0, None)
+    return x
 
 
 def enumerate_vertices(inst: QpInstance, cap: Optional[int] = None):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,9 @@ from qprelax.conic import (
     solve_relaxation,
     verify_certificate,
 )
+from qprelax import oracle
 from qprelax.core import DNN, PSD0, evaluate_objective, lift_instance, validate_lifted_point
-from qprelax.errors import NonFinite, PointInfeasible
+from qprelax.errors import DeskScaleLimit, NonFinite, PointInfeasible
 from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
@@ -29,7 +31,7 @@ from qprelax.generators import (
     random_instance,
 )
 from qprelax.numerics import build_affine_projector, cone_projection_for
-from qprelax.oracle import global_solve
+from qprelax.oracle import enumerate_vertices, global_solve
 
 from conftest import feasible_samples, make_qp
 
@@ -290,6 +292,108 @@ class TestConsensusLoop:
         with pytest.raises(NonFinite):
             conic._consensus(lp.qhat, projector, cone_projection_for(DNN), SolveOptions(),
                              warm=(z, u))
+
+    def test_repeated_solves_are_bitwise_equal(self):
+        inst = random_instance(UNBOUNDED_SAFE, 4, 2, 0)
+        first, second = (solve_relaxation(inst, DNN) for _ in range(2))
+        assert first.status == second.status == OPTIMAL
+        assert first.iterations == second.iterations
+        assert first.value == second.value
+        assert first.residual_primal == second.residual_primal
+        assert first.residual_dual == second.residual_dual
+        assert np.array_equal(first.point.y, second.point.y)
+
+    def test_penalty_change_clears_the_memory(self, monkeypatch):
+        events = []
+        adapted = conic._adapted_penalty
+        reset = conic._Anderson.reset
+
+        def counted_penalty(rho, r_rel, s_rel):
+            new = adapted(rho, r_rel, s_rel)
+            events.append("rho" if new != rho else "kept")
+            return new
+
+        def counted_reset(memory):
+            events.append("reset")
+            reset(memory)
+
+        monkeypatch.setattr(conic, "_adapted_penalty", counted_penalty)
+        monkeypatch.setattr(conic._Anderson, "reset", counted_reset)
+        solve_relaxation(random_instance(UNBOUNDED_SAFE, 4, 2, 0), DNN)
+        changes = [i for i, event in enumerate(events) if event == "rho"]
+        assert changes
+        assert all(events[i + 1] == "reset" for i in changes)
+
+    def test_accelerated_solve_matches_the_oracle(self):
+        inst = random_instance(UNBOUNDED_SAFE, 4, 2, 0)
+        res = solve_relaxation(inst, DNN)
+        ref = global_solve(inst).value
+        assert res.status == OPTIMAL
+        assert res.iterations < 3000
+        assert abs(res.value - ref) <= 1e-6 * abs(ref)
+
+    def test_same_point_warm_restart_converges_at_once(self):
+        inst = random_instance(BOUNDED, 4, 2, 2)
+        x = np.mean(enumerate_vertices(inst), axis=0)
+        opts = SolveOptions()
+        cold, warm = conic._pinned_solve(inst, DNN, x, opts)
+        again, _ = conic._pinned_solve(inst, DNN, x, opts, warm=warm)
+        assert cold.status == again.status == OPTIMAL
+        assert again.iterations <= 5
+
+
+class TestEmptinessScreens:
+    @pytest.fixture
+    def examined(self, monkeypatch):
+        """Column subsets whose basic solution was examined."""
+        subsets = []
+        basic = oracle._basic_solution
+
+        def counted(A, b, cols, *args):
+            subsets.append(cols)
+            return basic(A, b, cols, *args)
+
+        monkeypatch.setattr(oracle, "_basic_solution", counted)
+        return subsets
+
+    @staticmethod
+    def first_feasible(A, b):
+        """Position of the first feasible basis in enumeration order, from 1."""
+        rank = np.linalg.matrix_rank(A)
+        for pos, cols in enumerate(itertools.combinations(range(A.shape[1]), rank), 1):
+            xb, *_ = np.linalg.lstsq(A[:, cols], b, rcond=None)
+            if np.allclose(A[:, cols] @ xb, b) and xb.min() >= -1e-9:
+                return pos
+        return None
+
+    def test_relaxation_feasibility_stops_at_first_basis(self, examined):
+        # the PSD0 certificate screen enumerates nothing, so every subset
+        # examined belongs to the feasibility test
+        inst = random_instance(BOUNDED, 5, 2, 3)
+        examined.clear()  # generation checks feasibility too
+        solve_relaxation(inst, PSD0)
+        first = self.first_feasible(inst.A, inst.b)
+        assert len(examined) == first < math.comb(5, 2)
+
+    def test_certificate_screen_stops_at_first_basis(self, examined):
+        inst = random_instance(UNBOUNDED_SAFE, 5, 2, 1)
+        examined.clear()
+        aug = np.vstack([inst.A, np.ones((1, 5))])
+        rhs = np.concatenate([np.zeros(2), [1.0]])
+        assert conic.certificate_feasible_set_nonempty(inst, DNN)
+        first = self.first_feasible(aug, rhs)
+        assert len(examined) == first < math.comb(5, 3)
+
+    def test_empty_polyhedron_examines_every_subset(self, examined):
+        inst = random_instance(KIND_INFEASIBLE, 4, 2, 0)
+        examined.clear()
+        assert solve_relaxation(inst, DNN).status == INFEASIBLE
+        assert len(examined) == math.comb(4, 2)
+
+    def test_enumeration_cap_still_applies(self, monkeypatch):
+        monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
+        with pytest.raises(DeskScaleLimit):
+            solve_relaxation(random_instance(BOUNDED, 4, 2, 0), DNN)
 
 
 class TestOptions:

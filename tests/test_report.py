@@ -69,14 +69,14 @@ class TestCompareReport:
     @pytest.mark.parametrize(
         "inst, max_iterations, names",
         [
-            (horn_instance()[0], 300,
+            (horn_instance()[0], 24,
              (LOWER_BOUND, "weaker cone gives a weaker bound", BORDER_TRIVIAL)),
             (random_instance(CONVEX_ON_NULLSPACE, 3, 1, 2), 20,
              (LOWER_BOUND, "curvature condition makes relaxations exact")),
             (random_instance(BOUNDED, 3, 1, 4), 20,
              (LOWER_BOUND, "bounded feasible set keeps the bound finite", BORDER_TRIVIAL)),
             # x1 = x2 >= 0 with objective -x1^2: a negative-curvature ray
-            (make_qp(np.diag([-1.0, 0.0]), [0, 0], [[1, -1]], [0]), 20,
+            (make_qp(np.diag([-1.0, 0.0]), [0, 0], [[1, -1]], [0]), 3,
              (BORDER_TRIVIAL, "negative recession curvature collapses the bound")),
         ],
         ids=["horn", "exact", "bounded", "negative-ray"],
