@@ -90,7 +90,7 @@ from .numerics import (
     cone_violation,
     nullspace_basis,
 )
-from .oracle import _basic_feasible_iter, _require_desk_scale
+from .oracle import _nonempty, _require_desk_scale
 
 OPTIMAL = "OPTIMAL"
 UNBOUNDED = "UNBOUNDED"
@@ -731,12 +731,6 @@ def certificate_feasible_set_nonempty(inst: QpInstance, cone: str) -> bool:
         rhs = np.concatenate([np.zeros(inst.m), [1.0]])
         return _nonempty(aug, rhs)
     return nullspace_basis(inst.A).shape[1] > 0
-
-
-def _nonempty(A, b) -> bool:
-    """Whether ``{A x = b, x >= 0}`` has a point; stops at the first
-    feasible basis instead of enumerating them all."""
-    return next(_basic_feasible_iter(A, b), None) is not None
 
 
 def recession_certificate_search(

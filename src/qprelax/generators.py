@@ -25,7 +25,7 @@ from .analysis import analyze_recession_cone, check_psd_on_nullspace
 from .core import QpInstance, save_instance
 from .errors import GenerationFailed, InvalidDimension
 from .numerics import nullspace_basis
-from .oracle import enumerate_vertices
+from .oracle import _nonempty, _require_desk_scale
 
 BOUNDED = "BOUNDED"
 CONVEX_ON_NULLSPACE = "CONVEX_ON_NULLSPACE"
@@ -289,7 +289,8 @@ def random_instance(
                 b = y.copy()
                 inst = QpInstance(n=n, m=m, Q=_indefinite_q(rng, n),
                                   c=rng.uniform(-1.0, 1.0, size=n), A=A, b=b, name=name)
-                if enumerate_vertices(inst):
+                _require_desk_scale(inst.n)
+                if _nonempty(inst.A, inst.b):
                     raise GenerationFailed("instance unexpectedly feasible")
                 meta["farkas_certificate"] = y.tolist()
             return (inst, meta) if with_metadata else inst

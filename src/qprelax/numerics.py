@@ -8,7 +8,9 @@ The kernel calls it directly because at order 5 numpy's wrapper (type
 dispatch, an ``errstate`` context and ``astype`` copies) costs as much as
 the decomposition.  Its input is already float64, square and finite, so
 the wrapper's checks are redundant; the one thing it adds, an error when
-LAPACK does not converge, shows up here as a NaN in the output.
+LAPACK does not converge, shows up here as a NaN in the output.  The
+oracle's face engine calls the same gufunc, and the least-squares and SVD
+gufuncs beside it, on whole stacks of faces.
 
 Public projections (``project_cone``, ``AffineProjector.apply``,
 ``FaceProjector.apply``) validate their input: shape, finiteness, and
@@ -45,6 +47,16 @@ RANK_TOL = 1e-10
 #: eigenvector columns, the same arrays as ``numpy.linalg.eigh``, and NaNs
 #: where LAPACK does not converge.
 _eigh = _umath_linalg.eigh_lo
+
+#: LAPACK's least-squares and full SVD drivers behind ``numpy.linalg.lstsq``
+#: and ``numpy.linalg.svd(full_matrices=True)``.  ``_lstsq`` takes ``rcond``
+#: as its third input and, with ``signature="ddd->ddid"``, returns the
+#: solution, residuals, rank and singular values; ``_svd`` with
+#: ``signature="d->ddd"`` returns ``U``, the singular values and ``V^T``.
+#: Both work on stacks slice by slice.  Unlike ``numpy.linalg.lstsq``,
+#: ``_lstsq`` leaves the solution of a system without rows undefined.
+_lstsq = _umath_linalg.lstsq
+_svd = _umath_linalg.svd_f
 
 
 def _check_symmetric(m, name="matrix") -> np.ndarray:

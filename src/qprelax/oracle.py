@@ -8,6 +8,15 @@ analyzed first (``recession_analysis``, then the ray test ``ray_witness``)
 so that unbounded problems are flagged instead of silently returning a
 wrong finite value.
 
+The faces are solved in groups, not one by one (``_face_candidates``): the
+patterns are grouped by their number of free variables, and each group
+takes one stacked LAPACK call for the min-norm points and one for the
+null-space bases, then one stacked eigensolve of the reduced Hessians per
+null-space dimension.  The PSD, vanishing-gradient and bound tests run as
+masks over the whole group.  Every slice is the matrix that face alone
+would pass to LAPACK, so grouping changes no result; a LAPACK failure
+raises ``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
+
 All enumeration is capped (default 16 variables, override with the
 QPRELAX_ENUM_CAP environment variable).
 """
@@ -24,7 +33,7 @@ import numpy as np
 
 from .core import QpInstance, index_sets
 from .errors import DeskScaleLimit, DimensionMismatch, NonFinite, PointInfeasible
-from .numerics import nullspace_basis
+from .numerics import RANK_TOL, _eigh, _lstsq, _svd
 
 ORACLE_OPTIMAL = "OPTIMAL"
 ORACLE_INFEASIBLE = "INFEASIBLE"
@@ -131,7 +140,7 @@ def basic_feasible_points(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ)
 def _basic_feasible_iter(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ):
     """Generator behind ``basic_feasible_points``: one column subset at a time.
 
-    An emptiness test takes only the first point, so it stops at the first
+    ``_nonempty`` takes only the first point, so it stops at the first
     feasible basis.  Input errors and ``DeskScaleLimit`` are raised when the
     first point is requested, before any subset is examined.
     """
@@ -169,6 +178,16 @@ def _basic_feasible_iter(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ):
             yield x
 
 
+def _nonempty(A, b) -> bool:
+    """Whether ``{A x = b, x >= 0}`` has a point.
+
+    The one emptiness test of the package: it stops at the first feasible
+    basis instead of enumerating them all, so only an empty system costs
+    every column subset.
+    """
+    return next(_basic_feasible_iter(A, b), None) is not None
+
+
 def _basic_solution(A, b, cols, smax, tol) -> Optional[np.ndarray]:
     """The basic solution on columns ``cols`` if it is feasible, else None."""
     sub = A[:, cols]
@@ -195,13 +214,18 @@ def enumerate_vertices(inst: QpInstance, cap: Optional[int] = None):
 # face enumeration engine
 
 
-def _pattern_states(n: int, upper: np.ndarray):
-    """Per-variable active-set states: 0 at lower bound, 1 free, 2 at upper."""
-    choices = [(0, 1, 2) if np.isfinite(upper[j]) else (0, 1) for j in range(n)]
-    total = 1
-    for ch in choices:
-        total *= len(ch)
-    return choices, total
+def _split_by(keys: np.ndarray, size: int) -> list[np.ndarray]:
+    """Positions of ``keys`` grouped by value ``0 .. size-1``, ascending in each."""
+    return [np.flatnonzero(keys == v) for v in range(size)]
+
+
+def _in_bounds(xF: np.ndarray, uF: np.ndarray, tol: float) -> np.ndarray:
+    """Row mask of ``-tol <= xF <= uF + tol``."""
+    return (xF.min(axis=1, initial=0.0) >= -tol) & ((xF - uF).max(axis=1, initial=0.0) <= tol)
+
+
+def _lapack_failed(err, flag):
+    raise np.linalg.LinAlgError("LAPACK did not converge in the face enumeration")
 
 
 def _stationary_face_point(AF, rhs, NT_QFF, NT_cF, uF, cap):
@@ -230,6 +254,122 @@ def _stationary_face_point(AF, rhs, NT_QFF, NT_cF, uF, cap):
     if not pts:
         return None
     return pts[0][: AF.shape[1]]
+
+
+def _face_candidates(Q, c, A, b, upper, base, scale, cap) -> np.ndarray:
+    """Candidate minimizers of all faces, as rows in pattern order.
+
+    A face's candidate is its vertex (no free variable) or the stationary
+    point of the quadratic on its affine hull, kept when the reduced
+    Hessian is PSD, the reduced gradient can vanish and the point lies in
+    the bounds.  Faces are solved together per number of free variables
+    (``_group_candidates``).
+    """
+    n = A.shape[1]
+    # one row per face in itertools.product order; a variable's state is 0
+    # at its lower bound, 1 free, and 2 (base 3, with a box) at its upper one
+    states = np.indices((base,) * n, dtype=np.int8).reshape(n, base ** n).T
+    free = states == 1
+    # (pattern indices, candidate points); the f = 0 group always adds one
+    found = []
+    for f, idx in enumerate(_split_by(free.sum(axis=1), n + 1)):
+        if idx.size:
+            found += _group_candidates(Q, c, A, b, upper, idx, states[idx], f, scale, cap)
+    pattern = np.concatenate([faces for faces, _ in found])
+    return np.concatenate([x for _, x in found])[np.argsort(pattern)]
+
+
+def _group_candidates(Q, c, A, b, upper, idx, states, f, scale, cap):
+    """``(pattern indices, points)`` pairs of the faces ``idx`` with ``f`` free variables.
+
+    The group shares one stacked least-squares call for the min-norm
+    points and one stacked SVD for the null-space bases; the faces of one
+    null-space dimension then share one stacked eigensolve
+    (``_interior_points``).  Each slice is the matrix the face alone would
+    give LAPACK, so stacking changes no result.  Only a singular face whose
+    min-norm stationary point leaves the bounds is solved on its own
+    (``_stationary_face_point``).
+    """
+    m = A.shape[0]
+    tol_eq = _TOL_EQ * scale
+    tol_bound = _TOL_BOUND * scale
+    fixed = np.where(states == 2, upper, 0.0)
+    r = (b - fixed @ A.T)[:, :, None]
+    if f == 0:
+        vertex = np.abs(r).max(axis=(1, 2), initial=0.0) <= tol_eq
+        return [(idx[vertex], fixed[vertex])]
+    cols = np.nonzero(states == 1)[1].reshape(-1, f)
+    AF = A[:, cols].transpose(1, 0, 2).copy()
+    if m:
+        # numpy.linalg.lstsq's default rcond
+        x0 = _lstsq(AF, r, np.finfo(float).eps * max(m, f), signature="ddd->ddid")[0]
+    else:
+        x0 = np.zeros((idx.size, f, 1))
+    nonempty = np.abs(AF @ x0 - r).max(axis=(1, 2), initial=0.0) <= tol_eq
+    if not nonempty.any():
+        return []
+    idx, fixed, cols, AF, r, x0 = (v[nonempty] for v in (idx, fixed, cols, AF, r, x0))
+    _, s, vt = _svd(AF, signature="d->ddd")
+    rank = (s > RANK_TOL * s[:, :1]).sum(axis=1)
+
+    found = []
+
+    def keep(faces, points, cs, xF):
+        points[np.arange(faces.size)[:, None], cs] = np.clip(xF, 0.0, None)
+        found.append((faces, points))
+
+    for k, sub in enumerate(_split_by(rank, min(m, f) + 1)):
+        if sub.size == 0:
+            continue
+        faces, points, cs = idx[sub], fixed[sub], cols[sub]
+        uF = upper[cs]
+        if k == f:  # the face is the single point x0
+            xF = x0[sub][:, :, 0]
+            hit = _in_bounds(xF, uF, tol_bound)
+            keep(faces[hit], points[hit], cs[hit], xF[hit])
+            continue
+        xF, hit, outside = _interior_points(Q, c, vt[sub, k:], cs, x0[sub], uF, tol_bound)
+        keep(faces[hit], points[hit], cs[hit], xF[hit])
+        # the objective is constant on a singular face's stationary set;
+        # look for a representative inside the bounds
+        for i in np.flatnonzero(outside):
+            N, F = vt[sub[i], k:].T.copy(), cs[i]
+            alt = _stationary_face_point(
+                AF[sub[i]], r[sub[i], :, 0], N.T @ Q[np.ix_(F, F)], N.T @ c[F], uF[i], cap
+            )
+            if alt is not None and _in_bounds(alt[None], uF[i : i + 1], tol_bound)[0]:
+                keep(faces[i : i + 1], points[i : i + 1], cs[i : i + 1], alt[None])
+    return found
+
+
+def _interior_points(Q, c, null_rows, cs, x0, uF, tol):
+    """Stationary points of faces that share a null-space dimension.
+
+    ``null_rows`` stacks, per face, the rows of ``V^T`` from the SVD of its
+    constraint matrix that span the null space; ``cs`` holds the free
+    columns and ``x0`` the min-norm points.  Returns the stationary points,
+    the faces whose point is a candidate, and the singular faces whose
+    min-norm stationary point leaves the bounds.
+    """
+    N = null_rows.transpose(0, 2, 1).copy()
+    NT = N.transpose(0, 2, 1)
+    QFF = Q[cs[:, :, None], cs[:, None, :]]
+    H = NT @ QFF @ N
+    H = 0.5 * (H + H.transpose(0, 2, 1))
+    g = NT @ (QFF @ x0 + c[cs][:, :, None])
+    w, V = _eigh(H, signature="d->dd")
+    hscale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None]
+    gp = (V.transpose(0, 2, 1) @ g)[:, :, 0]
+    singular = np.abs(w) <= 1e-10 * hscale
+    gscale = np.maximum(1.0, np.abs(gp).max(axis=1))[:, None]
+    # PSD on the face, and the gradient can vanish on it
+    ok = (w[:, 0] >= -_TOL_PSD * hscale[:, 0]) & ~np.any(
+        singular & (np.abs(gp) > 1e-8 * gscale), axis=1
+    )
+    t = np.where(singular, 0.0, -gp / np.where(singular, 1.0, w))
+    xF = (x0 + N @ (V @ t[:, :, None]))[:, :, 0]
+    inside = _in_bounds(xF, uF, tol)
+    return xF, ok & inside, ok & ~inside & singular.any(axis=1)
 
 
 def minimize_quad_over_polytope(
@@ -287,92 +427,28 @@ def minimize_quad_over_polytope(
             qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
             certified = recession.min_curvature > recession.tolerance * qscale
 
-    choices, total = _pattern_states(n, upper)
-    if total > (1 << enum_cap(cap)):
-        raise DeskScaleLimit(f"{total} face patterns exceed the enumeration cap")
+    base = 2 if box is None else 3
+    faces = base ** n
+    if faces > (1 << enum_cap(cap)):
+        raise DeskScaleLimit(f"{faces} face patterns exceed the enumeration cap")
 
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
-    candidates: list[tuple[float, np.ndarray]] = []
-    faces = 0
-
-    for states in itertools.product(*choices):
-        faces += 1
-        fixed_vals = np.zeros(n)
-        free_idx = [j for j in range(n) if states[j] == 1]
-        for j in range(n):
-            if states[j] == 2:
-                fixed_vals[j] = upper[j]
-        fixed_idx = [j for j in range(n) if states[j] != 1]
-        rhs = b - A[:, fixed_idx] @ fixed_vals[fixed_idx] if fixed_idx else b.copy()
-
-        if not free_idx:
-            if float(np.abs(rhs).max(initial=0.0)) <= _TOL_EQ * scale:
-                x = fixed_vals.copy()
-                candidates.append((float(x @ Q @ x + 2 * c @ x), x))
-            continue
-
-        AF = A[:, free_idx]
-        x0, *_ = np.linalg.lstsq(AF, rhs, rcond=None)
-        if float(np.abs(AF @ x0 - rhs).max(initial=0.0)) > _TOL_EQ * scale:
-            continue  # empty face
-        N = nullspace_basis(AF)
-        QFF = Q[np.ix_(free_idx, free_idx)]
-        cF = c[free_idx]
-        uF = upper[free_idx]
-
-        if N.shape[1] == 0:
-            xF = x0
-        else:
-            H = N.T @ QFF @ N
-            H = 0.5 * (H + H.T)
-            g = N.T @ (QFF @ x0 + cF)
-            w, V = np.linalg.eigh(H)
-            hscale = max(1.0, float(np.abs(w).max(initial=0.0)))
-            if w[0] < -_TOL_PSD * hscale:
-                continue  # indefinite on this face: no interior minimum
-            gp = V.T @ g
-            singular = np.abs(w) <= 1e-10 * hscale
-            gscale = max(1.0, float(np.abs(gp).max(initial=0.0)))
-            if np.any(singular & (np.abs(gp) > 1e-8 * gscale)):
-                continue  # gradient cannot vanish on this face
-            t = np.where(singular, 0.0, -gp / np.where(singular, 1.0, w))
-            xF = x0 + N @ (V @ t)
-            inside = (
-                float(xF.min(initial=0.0)) >= -_TOL_BOUND * scale
-                and float((xF - uF).max(initial=0.0)) <= _TOL_BOUND * scale
-            )
-            if not inside and singular.any():
-                # objective is constant on the stationary set; look for a
-                # representative inside the face
-                alt = _stationary_face_point(AF, rhs, N.T @ QFF, N.T @ cF, uF, cap)
-                if alt is None:
-                    continue
-                xF = alt
-            elif not inside:
-                continue
-
-        if (
-            float(xF.min(initial=0.0)) < -_TOL_BOUND * scale
-            or float((xF - uF).max(initial=0.0)) > _TOL_BOUND * scale
-        ):
-            continue
-        x = fixed_vals.copy()
-        x[free_idx] = np.clip(xF, 0.0, None)
-        candidates.append((float(x @ Q @ x + 2 * c @ x), x))
-
-    if not candidates:
+    with np.errstate(call=_lapack_failed, invalid="call"):
+        X = _face_candidates(Q, c, A, b, upper, base, scale, cap)
+    if not len(X):
         return OracleResult(math.inf, (), False, faces, ORACLE_INFEASIBLE, recession=recession)
 
-    vmin = min(v for v, _ in candidates)
+    # x^T Q x + 2 c^T x per row; each slice makes the BLAS calls one point would
+    values = (X[:, None, :] @ Q @ X[:, :, None])[:, 0, 0] + ((2 * c) @ X[:, :, None])[:, 0]
+    vmin = float(values.min())
     vtol = 1e-9 * (1.0 + abs(vmin))
     mins = []
     seen = set()
-    for v, x in candidates:
-        if v <= vmin + vtol:
-            key = tuple(np.round(x, _DEDUP_DECIMALS))
-            if key not in seen:
-                seen.add(key)
-                mins.append(x)
+    for x in X[values <= vmin + vtol]:
+        key = tuple(np.round(x, _DEDUP_DECIMALS))
+        if key not in seen:
+            seen.add(key)
+            mins.append(x)
     return OracleResult(
         value=vmin,
         minimizers=tuple(mins),

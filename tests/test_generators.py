@@ -6,7 +6,7 @@ from qprelax.analysis import (
     check_copositivity_desk_scale,
     check_psd_on_nullspace,
 )
-from qprelax.errors import InvalidDimension
+from qprelax.errors import DeskScaleLimit, InvalidDimension
 from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
@@ -155,6 +155,12 @@ class TestRandomInstances:
         y = np.array(meta["farkas_certificate"])
         assert float((inst.A.T @ y).max()) <= 1e-9
         assert float(inst.b @ y) > 0
+
+    def test_infeasible_screen_keeps_enumeration_cap(self, monkeypatch):
+        monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
+        with pytest.raises(DeskScaleLimit):
+            random_instance(INFEASIBLE, 4, 2, 0)
+        random_instance(INFEASIBLE, 3, 2, 0)
 
     def test_deterministic(self):
         a = random_instance(BOUNDED, 3, 1, 42)

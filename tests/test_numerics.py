@@ -127,6 +127,54 @@ class TestPsdKernel:
         assert calls == ["d->dd"] * 3
 
 
+@st.composite
+def matrix_stacks(draw):
+    """A ``(k, m, f)`` stack of small matrices, with zero and repeated columns."""
+    k, m, f = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    stack = draw(arrays(np.float64, (k, m, f), elements=st.floats(min_value=-5, max_value=5)))
+    if f > 1 and draw(st.booleans()):
+        stack[:, :, -1] = stack[:, :, 0]
+    return stack
+
+
+class TestStackedGufuncs:
+    """The private least-squares and SVD gufuncs behind the oracle's face engine.
+
+    Each slice of a stack must give exactly what numpy's public wrapper
+    gives for that matrix alone, so a numpy upgrade that moves or changes
+    them fails here.
+    """
+
+    @given(matrix_stacks(), st.data())
+    def test_lstsq_matches_numpy_per_slice_bitwise(self, a, data):
+        k, m, f = a.shape
+        b = data.draw(arrays(np.float64, (k, m, 1), elements=st.floats(min_value=-5, max_value=5)))
+        x = numerics._lstsq(a, b, np.finfo(float).eps * max(m, f), signature="ddd->ddid")[0]
+        assert x.dtype == np.float64 and x.shape == (k, f, 1)
+        for i in range(k):
+            ref, *_ = np.linalg.lstsq(a[i], b[i, :, 0], rcond=None)
+            assert np.array_equal(x[i, :, 0], ref)
+
+    @given(matrix_stacks())
+    def test_svd_matches_numpy_per_slice_bitwise(self, a):
+        u, s, vt = numerics._svd(a, signature="d->ddd")
+        for i in range(a.shape[0]):
+            ref_u, ref_s, ref_vt = np.linalg.svd(a[i], full_matrices=True)
+            assert np.array_equal(u[i], ref_u)
+            assert np.array_equal(s[i], ref_s)
+            assert np.array_equal(vt[i], ref_vt)
+
+    def test_eigh_matches_numpy_per_slice_bitwise(self):
+        rng = np.random.default_rng(0)
+        m = rng.normal(size=(6, 4, 4))
+        stack = m + m.transpose(0, 2, 1)
+        values, vectors = numerics._eigh(stack, signature="d->dd")
+        for i in range(len(stack)):
+            ref_values, ref_vectors = np.linalg.eigh(stack[i])
+            assert np.array_equal(values[i], ref_values)
+            assert np.array_equal(vectors[i], ref_vectors)
+
+
 @pytest.mark.parametrize("r", range(1, 14))
 def test_strict_triu_memo_matches_numpy(r):
     rows, cols = _strict_triu(r)

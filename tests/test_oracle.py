@@ -1,13 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qprelax import oracle
 from qprelax.errors import DeskScaleLimit, PointInfeasible
+from qprelax.numerics import nullspace_basis
 from qprelax.oracle import (
+    ORACLE_INCONCLUSIVE,
     ORACLE_INFEASIBLE,
     ORACLE_OPTIMAL,
     ORACLE_UNBOUNDED,
+    OracleResult,
     basic_feasible_points,
     enum_cap,
     enumerate_vertices,
@@ -190,3 +196,221 @@ class TestBasicFeasiblePoints:
 
     def test_inconsistent_zero_system(self):
         assert basic_feasible_points(np.zeros((1, 3)), np.array([1.0])) == []
+
+
+def reference_minimize(Q, c, A, b, box=None):
+    """The per-face loop the stacked face engine replaced, as its reference.
+
+    One ``lstsq``, one SVD (``nullspace_basis``) and one ``eigh`` per face,
+    through numpy's public wrappers.  The recession analysis, the singular
+    fallback and the result assembly are the oracle's own.
+    """
+    Q, c, A, b = (np.asarray(v, dtype=float) for v in (Q, c, A, b))
+    n = Q.shape[0]
+    upper = np.full(n, np.inf) if box is None else np.asarray(box, dtype=float)
+    certified = True
+    recession = None
+    if box is None:
+        recession = oracle.recession_analysis(Q, A)
+        if recession.l_nontrivial:
+            verts = oracle.basic_feasible_points(A, b)
+            if not verts:
+                return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE)
+            if oracle.ray_witness(Q, c, verts, recession) is not None:
+                return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED)
+            qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
+            certified = recession.min_curvature > recession.tolerance * qscale
+
+    choices = [(0, 1, 2) if np.isfinite(upper[j]) else (0, 1) for j in range(n)]
+    scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
+    tol_eq = oracle._TOL_EQ * scale
+    tol_bound = oracle._TOL_BOUND * scale
+    candidates = []
+    faces = 0
+    for states in itertools.product(*choices):
+        faces += 1
+        fixed_vals = np.zeros(n)
+        free_idx = [j for j in range(n) if states[j] == 1]
+        for j in range(n):
+            if states[j] == 2:
+                fixed_vals[j] = upper[j]
+        fixed_idx = [j for j in range(n) if states[j] != 1]
+        rhs = b - A[:, fixed_idx] @ fixed_vals[fixed_idx] if fixed_idx else b.copy()
+
+        if not free_idx:
+            if float(np.abs(rhs).max(initial=0.0)) <= tol_eq:
+                x = fixed_vals.copy()
+                candidates.append((float(x @ Q @ x + 2 * c @ x), x))
+            continue
+
+        AF = A[:, free_idx]
+        x0, *_ = np.linalg.lstsq(AF, rhs, rcond=None)
+        if float(np.abs(AF @ x0 - rhs).max(initial=0.0)) > tol_eq:
+            continue
+        N = nullspace_basis(AF)
+        QFF = Q[np.ix_(free_idx, free_idx)]
+        cF = c[free_idx]
+        uF = upper[free_idx]
+
+        if N.shape[1] == 0:
+            xF = x0
+        else:
+            H = N.T @ QFF @ N
+            H = 0.5 * (H + H.T)
+            g = N.T @ (QFF @ x0 + cF)
+            w, V = np.linalg.eigh(H)
+            hscale = max(1.0, float(np.abs(w).max(initial=0.0)))
+            if w[0] < -oracle._TOL_PSD * hscale:
+                continue
+            gp = V.T @ g
+            singular = np.abs(w) <= 1e-10 * hscale
+            gscale = max(1.0, float(np.abs(gp).max(initial=0.0)))
+            if np.any(singular & (np.abs(gp) > 1e-8 * gscale)):
+                continue
+            t = np.where(singular, 0.0, -gp / np.where(singular, 1.0, w))
+            xF = x0 + N @ (V @ t)
+            inside = (
+                float(xF.min(initial=0.0)) >= -tol_bound
+                and float((xF - uF).max(initial=0.0)) <= tol_bound
+            )
+            if not inside and singular.any():
+                alt = oracle._stationary_face_point(AF, rhs, N.T @ QFF, N.T @ cF, uF, None)
+                if alt is None:
+                    continue
+                xF = alt
+            elif not inside:
+                continue
+
+        if (
+            float(xF.min(initial=0.0)) < -tol_bound
+            or float((xF - uF).max(initial=0.0)) > tol_bound
+        ):
+            continue
+        x = fixed_vals.copy()
+        x[free_idx] = np.clip(xF, 0.0, None)
+        candidates.append((float(x @ Q @ x + 2 * c @ x), x))
+
+    if not candidates:
+        return OracleResult(math.inf, (), False, faces, ORACLE_INFEASIBLE)
+    vmin = min(v for v, _ in candidates)
+    vtol = 1e-9 * (1.0 + abs(vmin))
+    mins = []
+    seen = set()
+    for v, x in candidates:
+        if v <= vmin + vtol:
+            key = tuple(np.round(x, oracle._DEDUP_DECIMALS))
+            if key not in seen:
+                seen.add(key)
+                mins.append(x)
+    status = ORACLE_OPTIMAL if certified else ORACLE_INCONCLUSIVE
+    return OracleResult(vmin, tuple(mins), certified, faces, status, certified)
+
+
+def assert_same_result(res, ref):
+    assert res.status == ref.status
+    assert res.faces_explored == ref.faces_explored
+    if math.isinf(ref.value):
+        assert res.value == ref.value
+    else:
+        assert abs(res.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
+    assert len(res.minimizers) == len(ref.minimizers)
+    for x, y in zip(res.minimizers, ref.minimizers):
+        assert np.allclose(x, y, rtol=0.0, atol=1e-9)
+
+
+#: Entries with exact sums and products, so that ties and degenerate faces
+#: are common.
+ENTRIES = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def face_problems(draw):
+    """Small QPs whose faces vary in emptiness, rank and curvature."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 3))
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols)),
+                        dtype=float).reshape(rows, cols)
+
+    kind = draw(st.sampled_from(["indefinite", "psd", "rank-deficient", "zero"]))
+    if kind == "zero":
+        Q = np.zeros((n, n))
+    elif kind == "indefinite":
+        B = matrix(n, n)
+        Q = B + B.T
+    else:
+        B = matrix(n, 1 if kind == "rank-deficient" else n)
+        Q = B @ B.T
+    A = matrix(m, n)
+    if n > 1 and m:
+        # a repeated or zero column lets the rank vary among faces with the
+        # same number of free variables
+        j, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        A[:, k] = draw(st.sampled_from([A[:, j], np.zeros(m), A[:, k]]))
+    if draw(st.booleans()):
+        b = A @ np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)))
+    else:
+        b = matrix(m, 1)[:, 0]
+    c = matrix(n, 1)[:, 0] if draw(st.booleans()) else np.zeros(n)
+    box = None
+    if draw(st.booleans()):
+        box = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+    return Q, c, A, b, box
+
+
+class TestStackedFaceEngine:
+    """The stacked face engine against the per-face loop it replaced."""
+
+    @settings(max_examples=300)
+    @given(face_problems())
+    def test_matches_per_face_loop(self, problem):
+        Q, c, A, b, box = problem
+        res = minimize_quad_over_polytope(Q, c, A, b, box=box)
+        assert_same_result(res, reference_minimize(Q, c, A, b, box=box))
+
+    def test_singular_face_fallback(self, monkeypatch):
+        # on the face where both variables are free the objective is flat
+        # and the min-norm point (0.25, -0.25) leaves the box, so only the
+        # singular fallback finds a representative
+        calls = []
+        fallback = oracle._stationary_face_point
+
+        def counted(*args):
+            calls.append(args)
+            return fallback(*args)
+
+        monkeypatch.setattr(oracle, "_stationary_face_point", counted)
+        problem = (np.zeros((2, 2)), np.zeros(2), np.array([[1.0, -1.0]]), np.array([0.5]),
+                   np.ones(2))
+        res = minimize_quad_over_polytope(*problem)
+        assert len(calls) == 1
+        assert res.value == 0.0 and res.status == ORACLE_OPTIMAL
+        assert_same_result(res, reference_minimize(*problem))
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_face_counts(self, n):
+        Q, c, A, b = -np.eye(n), np.zeros(n), np.ones((1, n)), np.array([1.0])
+        assert minimize_quad_over_polytope(Q, c, A, b).faces_explored == 2 ** n
+        boxed = minimize_quad_over_polytope(Q, c, A, b, box=np.ones(n))
+        assert boxed.faces_explored == 3 ** n
+
+    def test_zero_row_constraints(self):
+        A, b = np.zeros((0, 3)), np.zeros(0)
+        res = minimize_quad_over_polytope(-np.eye(3), np.zeros(3), A, b, box=np.ones(3))
+        assert res.value == -3.0 and res.faces_explored == 27
+        assert np.array_equal(res.minimizers[0], np.ones(3))
+        res = minimize_quad_over_polytope(np.eye(3), np.ones(3), A, b)
+        assert res.value == 0.0 and res.faces_explored == 8
+        assert res.status == ORACLE_OPTIMAL
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def unconverged(a, *args, signature=None):
+            # what the gufunc does when LAPACK fails: NaN output and the
+            # floating-point invalid flag
+            nan = np.divide(np.zeros(a.shape[:-2] + (a.shape[-1], 1)), 0.0)
+            return nan, None, None, None
+
+        monkeypatch.setattr(oracle, "_lstsq", unconverged)
+        with pytest.raises(np.linalg.LinAlgError):
+            minimize_quad_over_polytope(np.eye(2), np.zeros(2), np.ones((1, 2)), np.array([1.0]))
