@@ -6,7 +6,8 @@ outcome: kinds BOUNDED, CONVEX_ON_NULLSPACE and UNBOUNDED_SAFE, sizes
 (n, m) in (3, 1), (4, 2), (5, 2), (6, 3), seeds 0-19.  For every instance
 with a failed applicable cross-check or a MAX_ITER relaxation, the JSON
 output lists the failed checks and the MAX_ITER cones, followed by the
-wall time and the iterations summed over all returned relaxations.
+wall time and the iterations summed over all returned relaxations.  The
+exit status is 1 when any instance fails, 0 otherwise.
 
 Usage, from the repository root:
 
@@ -55,7 +56,8 @@ def main():
     }
     json.dump(out, sys.stdout, indent=1)
     print()
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import OPTIMAL, UNBOUNDED, SolveOptions, _pinned_solve
+from .conic import OPTIMAL, TOL_CURVATURE, UNBOUNDED, SolveOptions, _pinned_solve
 from .core import QpInstance, evaluate_objective, is_feasible
 from .errors import InfeasibleInstance, PointInfeasible
 from .numerics import nullspace_basis
@@ -72,7 +72,9 @@ class CopositivityCheck:
     minimizer: np.ndarray
 
 
-def check_psd_on_nullspace(inst: QpInstance, tol: float = 1e-9) -> NullspaceCurvatureReport:
+def check_psd_on_nullspace(
+    inst: QpInstance, tol: float = TOL_CURVATURE
+) -> NullspaceCurvatureReport:
     """Decide whether Q is positive semidefinite on null(A).
 
     The reduced matrix ``N^T Q N`` over an orthonormal null-space basis is

@@ -36,11 +36,13 @@ adaptation all read the plain image ``T(x)``.
 
 Stopped at the requested tolerances, the accelerated loop left values up
 to 2.5e-6 relative off the exact optimum (``scripts/value_sweep.py``), so
-it stops only when both relative residuals are below ``STOP_MARGIN`` times
-the requested tolerances.  Some instances have a residual floor between
-the two; a loop that met the requested tolerances first at iteration j and
-has not met the tighter ones by iteration 2j stops with the last image
-that met them.
+a solve loop stops only when both relative residuals are below
+``STOP_MARGIN`` times the requested tolerances.  Some instances have a
+residual floor between the two; a loop that met the requested tolerances
+first at iteration j and has not met the tighter ones by iteration 2j
+stops with the last image that met them.  A certificate search's loop
+stops at the requested tolerances: its point is not a value but a
+candidate, re-verified from raw data and graded by the sign of its rate.
 
 Plain splitting has a sublinear tail when the cone touches the affine slice
 tangentially (exactly the structurally exact instances), so the loop
@@ -52,10 +54,17 @@ dual certificate closes the duality gap.
 Unboundedness is decided by a certificate pre-pass rather than by watching
 the objective diverge: a nonzero cone matrix with zero corner, zero
 constraint value, and negative objective rate is an independently checkable
-proof that the relaxation value is minus infinity.  Pinning the 0th row
-does not change the recession cone, so the plain and the pinned solves
-share one pre-pass, which keeps its last verdict and reuses it across
-consecutive calls with the same instance, cone and options.
+proof that the relaxation value is minus infinity.  Every such matrix is
+``B S B^T`` with ``S`` positive semidefinite, where ``B`` spans null(A) in
+the trailing coordinates, so for PSD0 the minimum rate is the least
+eigenvalue of ``B^T qhat B``: PSD0 is unbounded exactly when Q fails the
+curvature condition on null(A) (Burer, Math. Prog. 2009), and its pre-pass
+is one eigendecomposition with no loop.  DNN certificates are a subset, so
+the same eigenvalue screens the DNN search; only a DNN search it does not
+settle runs the loop.  Pinning the 0th row does not change the recession
+cone, so the plain and the pinned solves share one pre-pass, which keeps
+its last verdict and reuses it across consecutive calls with the same
+instance, cone and options.
 """
 
 from __future__ import annotations
@@ -72,6 +81,7 @@ from .core import (
     CONES,
     DNN,
     FEAS_TOL,
+    PSD0,
     LiftedPoint,
     LiftedProblem,
     QpInstance,
@@ -110,8 +120,11 @@ PENALTY = 1.0
 OVER_RELAXATION = 1.6
 ADAPT_INTERVAL = 50
 
-#: An OBJECTIVE search reports FOUND only for rates below ``-TOL_CERTIFICATE``.
+#: An OBJECTIVE search reports FOUND only for rates below ``-TOL_CERTIFICATE``
+#: (DNN), or below ``-TOL_CURVATURE * max(1, |Q|_max)`` (PSD0, whose rate is
+#: an exact eigenvalue; the tolerance of ``analysis.check_psd_on_nullspace``).
 TOL_CERTIFICATE = 1e-6
+TOL_CURVATURE = 1e-9
 
 #: Heuristic infeasibility detector of the certificate searches: a search
 #: gives up when the best scaled residual fails to improve by
@@ -135,9 +148,10 @@ ANDERSON_MEMORY = 10
 ANDERSON_REGULARIZATION = 1e-10
 ANDERSON_MAX_JUMP = 1e3
 
-#: The loop stops once both relative residuals are below ``STOP_MARGIN``
+#: A solve loop stops once both relative residuals are below ``STOP_MARGIN``
 #: times the requested tolerances, or at iteration 2j with the last image
-#: that met the requested ones, when it first met them at iteration j.
+#: that met the requested ones, when it first met them at iteration j.  A
+#: certificate search's loop (``stall=True``) stops at the requested ones.
 STOP_MARGIN = 0.01
 
 #: LAPACK's general solver (``numpy.linalg.solve`` without its wrapper);
@@ -575,6 +589,7 @@ def _consensus(
     sqrt_nb = math.sqrt(nb)
     tol_primal = opts.tol_primal
     tol_dual = opts.tol_dual
+    margin = 1.0 if stall else STOP_MARGIN
 
     best_res = math.inf
     window_min = math.inf
@@ -615,7 +630,7 @@ def _consensus(
         r_rel = r / zscale
         s_rel = s / qscale
         if r_rel <= tol_primal and s_rel <= tol_dual:
-            if r_rel <= STOP_MARGIN * tol_primal and s_rel <= STOP_MARGIN * tol_dual:
+            if r_rel <= margin * tol_primal and s_rel <= margin * tol_dual:
                 status = "CONVERGED"
                 break
             first = it if met is None else met[0]
@@ -741,10 +756,18 @@ def recession_certificate_search(
 ) -> CertificateSearch:
     """Search the recession cone of the lifted feasible set.
 
-    OBJECTIVE mode minimizes the objective rate over trace-normalized
-    candidates and reports FOUND only below ``-TOL_CERTIFICATE``.
-    FEASIBILITY mode looks for any candidate at all; NONE after a residual
-    stall is the heuristic verdict that no candidate exists.
+    Candidates are ``B S B^T`` with ``S`` positive semidefinite of unit
+    trace, over the orthonormal basis ``B`` of ``certificate_projector``.
+    For PSD0 these are all the candidates, so no loop runs: OBJECTIVE mode
+    takes the least eigenpair of ``B^T qhat B`` (certificate ``u u^T`` with
+    ``u = B v_min``) and reports FOUND below ``-TOL_CURVATURE *
+    max(1, |Q|_max)``; FEASIBILITY mode returns ``B B^T / r``.  For DNN the
+    same eigenvalue bounds the rate from below, so a DNN OBJECTIVE search
+    reports NONE without a loop when it is at or above ``-TOL_CERTIFICATE``;
+    otherwise the loop runs, and FOUND needs a rate below
+    ``-TOL_CERTIFICATE``.  In FEASIBILITY mode, NONE after a residual stall
+    is the heuristic verdict that no candidate exists.  Every certificate
+    is re-verified from raw data.
     """
     if cone not in CONES:
         raise ValueError(f"unknown cone selector {cone!r}")
@@ -753,8 +776,21 @@ def recession_certificate_search(
     opts = opts or SolveOptions()
     lp = lift_instance(inst, cone)
     projector = certificate_projector(lp)
-    if projector.rank == 0:
+    basis = projector.basis
+    r = projector.rank
+    if r == 0:
         return CertificateSearch(NONE, None, 0, 0.0, reason="certificate face is trivial")
+    if mode == OBJECTIVE:
+        values, vectors = np.linalg.eigh(basis.T @ lp.qhat @ basis)
+        if cone == PSD0:
+            u = basis @ vectors[:, 0]
+            return _graded(inst, lp, np.outer(u, u), mode, opts)
+        if values[0] >= -TOL_CERTIFICATE:
+            return CertificateSearch(NONE, None, 0, 0.0,
+                                     reason=f"border-cone rate {values[0]:.3e} above threshold")
+    elif cone == PSD0:
+        return _graded(inst, lp, basis @ basis.T / r, mode, opts)
+
     k = lp.n + 1
     qhat = lp.qhat if mode == OBJECTIVE else np.zeros((k, k))
     polisher = _Polisher(lp, projector, cone) if mode == OBJECTIVE else None
@@ -772,17 +808,29 @@ def recession_certificate_search(
         d = 0.5 * (out.polish["y"] + out.polish["y"].T)
     else:
         d = projector.apply(out.Z)
+    return _graded(inst, lp, d, mode, opts, out.iterations, out.residual_primal)
+
+
+def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
+            opts: SolveOptions, iterations: int = 0, residual: float = 0.0
+            ) -> CertificateSearch:
+    """The verdict on a candidate: FOUND when it verifies and, in OBJECTIVE
+    mode, its rate is below the cone's threshold (see ``TOL_CERTIFICATE``)."""
+    if lp.cone == PSD0:
+        threshold = TOL_CURVATURE * max(1.0, float(np.abs(inst.Q).max()))
+    else:
+        threshold = TOL_CERTIFICATE
     rate = float(np.tensordot(lp.qhat, d))
     cert = RecessionCertificate(d=d, objective_rate=rate, trace_norm=float(np.trace(d)),
-                                cone=cone)
+                                cone=lp.cone)
     check = verify_certificate(inst, cert, tol=max(10.0 * opts.tol_primal, 1e-9))
     if not check.ok:
-        return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
-                                 reason="converged point failed verification")
-    if mode == OBJECTIVE and rate >= -TOL_CERTIFICATE:
-        return CertificateSearch(NONE, None, out.iterations, out.residual_primal,
+        return CertificateSearch(INCONCLUSIVE, None, iterations, residual,
+                                 reason="candidate failed verification")
+    if mode == OBJECTIVE and rate >= -threshold:
+        return CertificateSearch(NONE, None, iterations, residual,
                                  reason=f"optimal rate {rate:.3e} above threshold")
-    return CertificateSearch(FOUND, cert, out.iterations, out.residual_primal)
+    return CertificateSearch(FOUND, cert, iterations, residual)
 
 
 # ---------------------------------------------------------------------------

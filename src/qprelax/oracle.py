@@ -470,8 +470,12 @@ def recession_analysis(Q, A, cap: Optional[int] = None, tol: float = _TOL_CURV) 
     Nontriviality and the minimum of ``d^T Q d`` are decided over the
     compact slice ``{A d = 0, e^T d = 1, d >= 0}`` by basic-solution and
     face enumeration; curvatures are compared at ``tol * max(1, |Q|_max)``.
+    A strictly positive row of A leaves only ``d = 0`` (the slices this
+    module builds itself have one), and enumerates nothing.
     """
     n = Q.shape[0]
+    if (np.asarray(A) > 0).all(axis=1).any():
+        return RecessionReport(False, math.inf, None, (), tol, ())
     aug = np.vstack([A, np.ones((1, n))])
     rhs = np.concatenate([np.zeros(A.shape[0]), [1.0]])
     rays = basic_feasible_points(aug, rhs, cap=cap)

@@ -1,11 +1,13 @@
 import itertools
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qprelax import conic
-from qprelax.analysis import sample_envelope
+from qprelax.analysis import check_psd_on_nullspace, sample_envelope
 from qprelax.conic import (
     FEASIBILITY,
     FOUND,
@@ -30,7 +32,7 @@ from qprelax.generators import (
     UNBOUNDED_SAFE,
     random_instance,
 )
-from qprelax.numerics import build_affine_projector, cone_projection_for
+from qprelax.numerics import build_affine_projector, cone_projection_for, nullspace_basis
 from qprelax.oracle import enumerate_vertices, global_solve
 
 from conftest import feasible_samples, make_qp
@@ -276,6 +278,99 @@ class TestCertificateSearch:
     def test_bad_mode(self, simplex_convex):
         with pytest.raises(ValueError):
             recession_certificate_search(simplex_convex, DNN, "SIDEWAYS")
+
+
+@pytest.fixture
+def loops(monkeypatch):
+    """Consensus loops run, one entry per call."""
+    calls = []
+    consensus = conic._consensus
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return consensus(*args, **kwargs)
+
+    monkeypatch.setattr(conic, "_consensus", counted)
+    return calls
+
+
+@st.composite
+def small_certificate_problems(draw):
+    """Q and A of a small instance whose DNN certificate set is nonempty."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, n - 1))
+    q = np.array(draw(st.lists(st.integers(-4, 4), min_size=n * n, max_size=n * n)),
+                 dtype=float).reshape(n, n)
+    a = draw(st.lists(st.integers(-2, 2), min_size=m * n, max_size=m * n))
+    inst = make_qp(q + q.T, np.zeros(n), np.reshape(a, (m, n)), np.zeros(m))
+    hypothesis.assume(conic.certificate_feasible_set_nonempty(inst, DNN))
+    return inst
+
+
+class TestClosedFormBorderSearch:
+    """PSD0 certificates are ``u u^T`` mixtures over null(A): no loop runs."""
+
+    @pytest.mark.parametrize("kind", ["horn", "unbounded-safe"])
+    def test_objective_rate_is_the_nullspace_eigenvalue(self, kind, horn, loops):
+        inst = horn[0] if kind == "horn" else random_instance(UNBOUNDED_SAFE, 4, 2, 0)
+        N = nullspace_basis(inst.A)
+        least = float(np.linalg.eigvalsh(N.T @ inst.Q @ N)[0])
+        res = recession_certificate_search(inst, PSD0, OBJECTIVE)
+        assert loops == [] and res.iterations == 0
+        if least < 0:
+            assert res.status == FOUND
+            assert abs(res.certificate.objective_rate - least) <= 1e-10
+            check = verify_certificate(inst, res.certificate)
+            assert check.ok and abs(check.objective_rate - least) <= 1e-10
+        else:
+            assert res.status == NONE
+
+    @pytest.mark.parametrize("kind", ["horn", "unbounded-safe"])
+    def test_feasibility_certificate_has_unit_trace(self, kind, horn, loops):
+        inst = horn[0] if kind == "horn" else random_instance(UNBOUNDED_SAFE, 4, 2, 0)
+        res = recession_certificate_search(inst, PSD0, FEASIBILITY)
+        assert loops == [] and res.iterations == 0
+        assert res.status == FOUND
+        assert abs(np.trace(res.certificate.d) - 1.0) <= 1e-12
+        assert verify_certificate(inst, res.certificate).ok
+
+    def test_border_rate_screens_the_dnn_search(self, loops):
+        # Q is PSD on null(A), so no DNN certificate can have a negative rate
+        inst = random_instance(UNBOUNDED_SAFE, 4, 2, 0)
+        assert conic.certificate_feasible_set_nonempty(inst, DNN)
+        res = recession_certificate_search(inst, DNN, OBJECTIVE)
+        assert res.status == NONE
+        assert loops == [] and res.iterations == 0
+
+    def test_dnn_search_still_loops_past_the_screen(self, horn, loops):
+        res = recession_certificate_search(horn[0], DNN, OBJECTIVE)
+        assert res.status == FOUND and len(loops) == 1
+
+    @given(small_certificate_problems())
+    def test_dnn_rate_never_beats_the_border_minimum(self, inst):
+        opts = SolveOptions(max_iterations=5000)
+        border = recession_certificate_search(inst, PSD0, OBJECTIVE, opts)
+        dnn = recession_certificate_search(inst, DNN, OBJECTIVE, opts)
+        N = nullspace_basis(inst.A)
+        least = float(np.linalg.eigvalsh(N.T @ inst.Q @ N)[0])
+        for res in (border, dnn):
+            if res.status == FOUND:
+                assert verify_certificate(inst, res.certificate).ok
+        if border.status == FOUND:
+            assert border.certificate.objective_rate <= least + 1e-10
+        if dnn.status == FOUND:
+            assert border.status == FOUND
+            assert dnn.certificate.objective_rate >= least - 1e-6
+
+    def test_border_verdict_at_the_curvature_tolerance(self):
+        # x1 = x2 >= 0 with objective -1e-7 x1^2: Q fails the curvature
+        # condition on null(A) by -5e-8, below the old absolute 1e-6 threshold
+        inst = make_qp(np.diag([-1e-7, 0.0]), [0, 0], [[1, -1]], [0])
+        assert not check_psd_on_nullspace(inst).holds
+        res = solve_relaxation(inst, PSD0)
+        assert res.status == UNBOUNDED
+        check = verify_certificate(inst, res.certificate)
+        assert check.ok and check.objective_rate == pytest.approx(-5e-8, rel=1e-6)
 
 
 class TestConsensusLoop:

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qprelax.conic import MAX_ITER, SolveOptions
+from qprelax import conic
+from qprelax.conic import MAX_ITER, UNBOUNDED, SolveOptions, solve_relaxation, verify_certificate
 from qprelax.core import DNN, PSD0
 from qprelax.generators import (
     BOUNDED,
@@ -12,7 +14,7 @@ from qprelax.generators import (
     horn_instance,
     random_instance,
 )
-from qprelax.report import compare_report
+from qprelax.report import _grade, compare_report
 
 from conftest import make_qp
 
@@ -81,12 +83,30 @@ class TestCompareReport:
         ],
         ids=["horn", "exact", "bounded", "negative-ray"],
     )
-    def test_max_iter_values_are_not_bounds(self, inst, max_iterations, names):
-        report = compare_report(inst, SolveOptions(max_iterations=max_iterations))
+    def test_max_iter_values_are_not_bounds(self, inst, max_iterations, names, monkeypatch):
+        opts = SolveOptions(max_iterations=max_iterations)
+        report = compare_report(inst, opts)
         assert report.relaxations[DNN].status == MAX_ITER
-        assert report.relaxations[PSD0].status == MAX_ITER
-        by_name = {c.name: c for c in report.checks}
+        border_report = report  # the report that grades BORDER_TRIVIAL
+        psd0 = report.relaxations[PSD0]
+        if report.nullspace.holds:
+            assert psd0.status == MAX_ITER
+        else:
+            # curvature failure is decided exactly, whatever the budget
+            assert psd0.status == UNBOUNDED
+            check = verify_certificate(inst, psd0.certificate)
+            assert check.ok and check.objective_rate < 0
+            # so the border check meets a MAX_ITER entry only from the loop
+            # alone: grade one directly
+            monkeypatch.setattr(conic, "_prepass", lambda *args: None)
+            loop_only = solve_relaxation(inst, PSD0, opts)
+            assert loop_only.status == MAX_ITER
+            border_report = replace(report, checks=[],
+                                    relaxations={**report.relaxations, PSD0: loop_only})
+            _grade(inst, border_report)
         for name in names:
+            graded = border_report if name == BORDER_TRIVIAL else report
+            by_name = {c.name: c for c in graded.checks}
             check = by_name[name]
             assert not check.applicable and check.passed is None, name
             assert check.detail == "MAX_ITER relaxation is inconclusive"
