@@ -38,6 +38,7 @@ from .numerics import (
     AffineProjector,
     FaceProjector,
     build_affine_projector,
+    certificate_basis,
     certificate_projector,
     nullspace_basis,
     project_cone,

@@ -60,11 +60,27 @@ the trailing coordinates, so for PSD0 the minimum rate is the least
 eigenvalue of ``B^T qhat B``: PSD0 is unbounded exactly when Q fails the
 curvature condition on null(A) (Burer, Math. Prog. 2009), and its pre-pass
 is one eigendecomposition with no loop.  DNN certificates are a subset, so
-the same eigenvalue screens the DNN search; only a DNN search it does not
-settle runs the loop.  Pinning the 0th row does not change the recession
-cone, so the plain and the pinned solves share one pre-pass, which keeps
-its last verdict and reuses it across consecutive calls with the same
+the same eigenvalue screens the DNN search, and so does the exact test for
+a recession direction of the polyhedron, without which the DNN certificate
+set is empty; only a DNN search neither settles runs the loop.  Pinning
+the 0th row does not change the recession cone, so the plain and the
+pinned solves share one pre-pass, which keeps its last verdict and the
+curvature and reuses them across consecutive calls with the same
 instance, cone and options.
+
+The pinned solves have a closed form on convex anchors.  For a feasible
+anchor ``x`` and ``z = [1; x]``, the pinned feasible set of both lifts is
+``{z z^T + [0 0; 0 N S N^T] : S positive semidefinite}`` intersected with
+the cone, where ``N`` spans null(A) (``X - x x^T`` is positive
+semidefinite with columns in null(A)), and on it the objective is
+``q(x) + <N^T Q N, S>``.  When the least eigenvalue of ``N^T Q N`` is at
+or above ``-TOL_CURVATURE * max(1, |Q|_max)``, the pinned value of both
+cones is ``q(x)``, attained at ``z z^T``, which lies in both cones; it is
+returned with no loop and 0 iterations.  A PSD0 pinned solve has no other
+case: below that threshold its pre-pass finds a certificate and the value
+is minus infinity, so it loops only when that certificate fails
+verification.  A DNN anchor loops when Q has negative curvature on
+null(A) and the pre-pass finds no DNN certificate.
 """
 
 from __future__ import annotations
@@ -95,6 +111,7 @@ from .errors import NonFinite, PointInfeasible
 from .numerics import (
     FaceProjector,
     build_affine_projector,
+    certificate_basis,
     certificate_projector,
     cone_projection_for,
     cone_violation,
@@ -757,17 +774,19 @@ def recession_certificate_search(
     """Search the recession cone of the lifted feasible set.
 
     Candidates are ``B S B^T`` with ``S`` positive semidefinite of unit
-    trace, over the orthonormal basis ``B`` of ``certificate_projector``.
-    For PSD0 these are all the candidates, so no loop runs: OBJECTIVE mode
+    trace, over the orthonormal basis ``B`` of ``certificate_basis``.  For
+    PSD0 these are all the candidates, so no loop runs: OBJECTIVE mode
     takes the least eigenpair of ``B^T qhat B`` (certificate ``u u^T`` with
     ``u = B v_min``) and reports FOUND below ``-TOL_CURVATURE *
     max(1, |Q|_max)``; FEASIBILITY mode returns ``B B^T / r``.  For DNN the
     same eigenvalue bounds the rate from below, so a DNN OBJECTIVE search
-    reports NONE without a loop when it is at or above ``-TOL_CERTIFICATE``;
-    otherwise the loop runs, and FOUND needs a rate below
-    ``-TOL_CERTIFICATE``.  In FEASIBILITY mode, NONE after a residual stall
-    is the heuristic verdict that no candidate exists.  Every certificate
-    is re-verified from raw data.
+    reports NONE without a loop when it is at or above ``-TOL_CERTIFICATE``.
+    A DNN search then runs the exact emptiness screen
+    (``certificate_feasible_set_nonempty``) and reports NONE without a loop
+    when no candidate exists; otherwise the loop runs, and FOUND needs a
+    rate below ``-TOL_CERTIFICATE``.  In FEASIBILITY mode, NONE after a
+    residual stall is the heuristic verdict that the loop found no
+    candidate.  Every certificate is re-verified from raw data.
     """
     if cone not in CONES:
         raise ValueError(f"unknown cone selector {cone!r}")
@@ -775,13 +794,12 @@ def recession_certificate_search(
         raise ValueError(f"unknown search mode {mode!r}")
     opts = opts or SolveOptions()
     lp = lift_instance(inst, cone)
-    projector = certificate_projector(lp)
-    basis = projector.basis
-    r = projector.rank
+    basis = certificate_basis(lp)
+    r = basis.shape[1]
     if r == 0:
         return CertificateSearch(NONE, None, 0, 0.0, reason="certificate face is trivial")
     if mode == OBJECTIVE:
-        values, vectors = np.linalg.eigh(basis.T @ lp.qhat @ basis)
+        values, vectors = _face_spectrum(lp, basis)
         if cone == PSD0:
             u = basis @ vectors[:, 0]
             return _graded(inst, lp, np.outer(u, u), mode, opts)
@@ -790,8 +808,12 @@ def recession_certificate_search(
                                      reason=f"border-cone rate {values[0]:.3e} above threshold")
     elif cone == PSD0:
         return _graded(inst, lp, basis @ basis.T / r, mode, opts)
+    if not certificate_feasible_set_nonempty(inst, DNN):
+        return CertificateSearch(NONE, None, 0, 0.0,
+                                 reason="no recession direction: certificate set is empty")
 
     k = lp.n + 1
+    projector = certificate_projector(lp, basis)
     qhat = lp.qhat if mode == OBJECTIVE else np.zeros((k, k))
     polisher = _Polisher(lp, projector, cone) if mode == OBJECTIVE else None
     out = _consensus(qhat, projector, cone_projection_for(cone), opts, stall=True,
@@ -811,15 +833,24 @@ def recession_certificate_search(
     return _graded(inst, lp, d, mode, opts, out.iterations, out.residual_primal)
 
 
+def _face_spectrum(lp: LiftedProblem, basis: np.ndarray):
+    """Ascending eigenvalues and eigenvectors of ``B^T qhat B``: the
+    objective on the certificate face, ``N^T Q N`` in the basis ``B``."""
+    return np.linalg.eigh(basis.T @ lp.qhat @ basis)
+
+
+def _rate_threshold(inst: QpInstance, cone: str) -> float:
+    """The least rate magnitude graded FOUND (see ``TOL_CERTIFICATE``)."""
+    if cone == PSD0:
+        return TOL_CURVATURE * max(1.0, float(np.abs(inst.Q).max()))
+    return TOL_CERTIFICATE
+
+
 def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
             opts: SolveOptions, iterations: int = 0, residual: float = 0.0
             ) -> CertificateSearch:
     """The verdict on a candidate: FOUND when it verifies and, in OBJECTIVE
-    mode, its rate is below the cone's threshold (see ``TOL_CERTIFICATE``)."""
-    if lp.cone == PSD0:
-        threshold = TOL_CURVATURE * max(1.0, float(np.abs(inst.Q).max()))
-    else:
-        threshold = TOL_CERTIFICATE
+    mode, its rate is below the cone's threshold (``_rate_threshold``)."""
     rate = float(np.tensordot(lp.qhat, d))
     cert = RecessionCertificate(d=d, objective_rate=rate, trace_norm=float(np.trace(d)),
                                 cone=lp.cone)
@@ -827,7 +858,7 @@ def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
     if not check.ok:
         return CertificateSearch(INCONCLUSIVE, None, iterations, residual,
                                  reason="candidate failed verification")
-    if mode == OBJECTIVE and rate >= -threshold:
+    if mode == OBJECTIVE and rate >= -_rate_threshold(inst, lp.cone):
         return CertificateSearch(NONE, None, iterations, residual,
                                  reason=f"optimal rate {rate:.3e} above threshold")
     return CertificateSearch(FOUND, cert, iterations, residual)
@@ -853,20 +884,29 @@ def _finish(lp: LiftedProblem, inst: QpInstance, projector: FaceProjector,
             polished=True,
         )
     y = projector.apply(out.Z)
+    if out.status == "CONVERGED":
+        return _validated(lp, inst, y, opts, out.residual_primal, out.residual_dual,
+                          out.iterations)
     point = LiftedPoint(y)
     value = float(np.tensordot(lp.qhat, point.y))
-    if out.status == "CONVERGED":
-        report = validate_lifted_point(inst, point, tol=10.0 * opts.tol_primal, cone=lp.cone)
-        status = OPTIMAL if report.ok else MAX_ITER
-        return RelaxationResult(
-            status=status, value=value, point=point,
-            residual_primal=out.residual_primal, residual_dual=out.residual_dual,
-            iterations=out.iterations, validation=report,
-        )
     return RelaxationResult(
         status=MAX_ITER, value=value, point=point,
         residual_primal=out.residual_primal, residual_dual=out.residual_dual,
         iterations=out.iterations,
+    )
+
+
+def _validated(lp: LiftedProblem, inst: QpInstance, y: np.ndarray, opts: SolveOptions,
+               residual_primal: float, residual_dual: float, iterations: int
+               ) -> RelaxationResult:
+    """OPTIMAL at the point ``y``, or MAX_ITER when ``y`` fails validation."""
+    point = LiftedPoint(y)
+    report = validate_lifted_point(inst, point, tol=10.0 * opts.tol_primal, cone=lp.cone)
+    return RelaxationResult(
+        status=OPTIMAL if report.ok else MAX_ITER,
+        value=float(np.tensordot(lp.qhat, point.y)), point=point,
+        residual_primal=residual_primal, residual_dual=residual_dual,
+        iterations=iterations, validation=report,
     )
 
 
@@ -878,28 +918,38 @@ def _unbounded_result(search: CertificateSearch) -> RelaxationResult:
     )
 
 
-#: The last pre-pass: (instance, cone, options tuple, verdict).  The instance
-#: is matched by identity; holding it keeps its id from being reused.
+#: The last pre-pass: (instance, cone, options tuple, verdict, curvature).
+#: The instance is matched by identity; holding it keeps its id from being
+#: reused.
 _last_prepass = None
 
 
 def _prepass(inst: QpInstance, cone: str, opts: SolveOptions) -> Optional[CertificateSearch]:
     """The FOUND certificate search of the unboundedness pre-pass, or None.
 
-    The verdict depends on the instance, the cone and the options only, so
-    the last one is reused while consecutive calls share all three.
+    The pre-pass first takes the curvature of Q on null(A), the least
+    eigenvalue of ``B^T qhat B`` (``+inf`` when null(A) is trivial).  Every
+    certificate rate is at least that eigenvalue, so the search runs only
+    when it is below the cone's threshold and, for DNN, the certificate set
+    is nonempty.  The verdict and the curvature depend on the instance, the
+    cone and the options only; both are kept in ``_last_prepass`` and
+    reused while consecutive calls share all three.  ``_pinned_solve``
+    reads the curvature there.
     """
     global _last_prepass
     key = astuple(opts)
     last = _last_prepass
     if last is not None and last[0] is inst and last[1] == cone and last[2] == key:
         return last[3]
+    lp = lift_instance(inst, cone)
+    basis = certificate_basis(lp)
+    curvature = float(_face_spectrum(lp, basis)[0][0]) if basis.shape[1] else math.inf
     verdict = None
-    if certificate_feasible_set_nonempty(inst, cone):
+    if curvature < -_rate_threshold(inst, cone) and certificate_feasible_set_nonempty(inst, cone):
         search = recession_certificate_search(inst, cone, OBJECTIVE, opts)
         if search.status == FOUND:
             verdict = search
-    _last_prepass = (inst, cone, key, verdict)
+    _last_prepass = (inst, cone, key, verdict, curvature)
     return verdict
 
 
@@ -929,7 +979,10 @@ def solve_relaxation(
 
 
 def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions, warm=None):
-    """Pinned relaxation solve; returns the result and reusable warm state."""
+    """Pinned relaxation solve; returns the result and reusable warm state.
+
+    The closed form (see the module docstring) returns no warm state.
+    """
     x = np.asarray(x, dtype=float)
     resid = feasibility_residual(inst, x)
     if resid > max(FEAS_TOL, 10.0 * opts.tol_primal):
@@ -938,6 +991,12 @@ def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions, warm=None)
     if search is not None:
         return _unbounded_result(search), None
     lp = lift_instance(inst, cone)
+    curvature = _last_prepass[4]  # of this (instance, cone, options), just set
+    # at PSD0's scaled tolerance, at which its pre-pass reads "not unbounded",
+    # q is convex on the pinned set {z z^T + N S N^T}: its minimum is z z^T
+    if curvature >= -_rate_threshold(inst, PSD0):
+        z = np.concatenate(([1.0], x))
+        return _validated(lp, inst, np.outer(z, z), opts, 0.0, 0.0, 0), None
     projector = build_affine_projector(lp, pin=x)
     polisher = _Polisher(lp, projector, cone)
     out = _consensus(lp.qhat, projector, cone_projection_for(cone), opts,
@@ -957,7 +1016,10 @@ def evaluate_underestimator(
     proves the underestimator is minus infinity everywhere.  The pre-pass
     verdict is therefore reused across consecutive calls with the same
     instance, cone and options, pinned or not; only the anchor's
-    feasibility is checked on every call.
+    feasibility is checked on every call.  Where Q is positive semidefinite
+    on null(A), up to the pre-pass's scaled curvature tolerance, the
+    underestimator is q itself: the value is ``q(x)`` at the point
+    ``z z^T``, returned with 0 iterations and no loop.
     """
     opts = opts or SolveOptions()
     result, _ = _pinned_solve(inst, cone, x, opts)

@@ -260,20 +260,30 @@ def build_affine_projector(lp: LiftedProblem, pin=None) -> FaceProjector:
     return FaceProjector(basis, mats, rhs)
 
 
-def certificate_projector(lp: LiftedProblem) -> FaceProjector:
-    """Face-restricted projector for the recession-certificate constraints.
+def certificate_basis(lp: LiftedProblem) -> np.ndarray:
+    """Orthonormal basis of the face carrying every recession certificate.
 
     A positive semidefinite certificate with zero corner entry has a zero
     0th row, so the carrying face is range(D) in null(ahat) intersected
-    with the complement of the 0th coordinate; the only remaining
-    constraint is the trace normalization making candidates comparable.
+    with the complement of the 0th coordinate: null(A) in the trailing
+    coordinates.
     """
     k = lp.n + 1
     e0 = np.zeros((1, k))
     e0[0, 0] = 1.0
-    basis = nullspace_basis(np.vstack([lp.ahat, e0]))
-    r = basis.shape[1]
-    return FaceProjector(basis, [np.eye(r)], [1.0])
+    return nullspace_basis(np.vstack([lp.ahat, e0]))
+
+
+def certificate_projector(lp: LiftedProblem, basis=None) -> FaceProjector:
+    """Face-restricted projector for the recession-certificate constraints.
+
+    The face is that of ``certificate_basis`` (pass ``basis`` when it is
+    already at hand); the only remaining constraint is the trace
+    normalization making candidates comparable.
+    """
+    if basis is None:
+        basis = certificate_basis(lp)
+    return FaceProjector(basis, [np.eye(basis.shape[1])], [1.0])
 
 
 def cone_projection_for(cone: str):

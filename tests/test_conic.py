@@ -373,6 +373,73 @@ class TestClosedFormBorderSearch:
         assert check.ok and check.objective_rate == pytest.approx(-5e-8, rel=1e-6)
 
 
+class TestPinnedClosedForm:
+    """Where Q is PSD on null(A) the pinned value is q(x) at z z^T, no loop."""
+
+    convex = random_instance(CONVEX_ON_NULLSPACE, 4, 2, 5)
+    # the pinned-batch members: bounded polytopes, convex on null(A) or not
+    members = [
+        random_instance(BOUNDED, 3, 1, 0),
+        random_instance(BOUNDED, 3, 2, 1),
+        random_instance(BOUNDED, 4, 2, 2),
+        random_instance(CONVEX_ON_NULLSPACE, 3, 1, 0),
+        random_instance(CONVEX_ON_NULLSPACE, 4, 2, 1),
+    ]
+
+    @pytest.mark.parametrize("cone", [DNN, PSD0])
+    def test_convex_anchor_is_exact_without_a_loop(self, cone, loops):
+        for x in feasible_samples(self.convex, 4, seed=3):
+            res = evaluate_underestimator(self.convex, cone, x, TIGHT)
+            z = np.concatenate(([1.0], x))
+            assert res.status == OPTIMAL and res.iterations == 0
+            assert res.validation.ok
+            assert np.array_equal(res.point.y, np.outer(z, z))
+            assert abs(res.value - evaluate_objective(self.convex, x)) <= 1e-12
+        assert loops == []
+
+    @pytest.mark.parametrize("cone", [DNN, PSD0])
+    def test_closed_form_matches_the_pinned_loop(self, cone):
+        lp = lift_instance(self.convex, cone)
+        for x in feasible_samples(self.convex, 3, seed=4):
+            projector = build_affine_projector(lp, pin=x)
+            out = conic._consensus(lp.qhat, projector, cone_projection_for(cone), TIGHT)
+            assert out.status == "CONVERGED"
+            looped = float(np.tensordot(lp.qhat, projector.apply(out.Z)))
+            closed = evaluate_underestimator(self.convex, cone, x, TIGHT).value
+            assert abs(looped - closed) <= 1e-7 * (1.0 + abs(closed))
+
+    def test_negative_curvature_dnn_anchor_still_loops(self, loops):
+        inst = self.members[0]  # bounded; Q fails the curvature condition
+        res = evaluate_underestimator(inst, DNN, feasible_samples(inst, 1, seed=2)[0])
+        assert res.status == OPTIMAL and res.iterations > 0
+        assert len(loops) == 1
+
+    def test_border_cone_pinned_solves_never_loop(self, loops):
+        statuses = set()
+        for inst in self.members:
+            for x in feasible_samples(inst, 3, seed=6):
+                res = evaluate_underestimator(inst, PSD0, x)
+                assert res.iterations == 0
+                statuses.add(res.status)
+        assert statuses == {OPTIMAL, UNBOUNDED}
+        assert loops == []
+
+    @pytest.mark.parametrize("curvature", [0.0, -5e-10])
+    def test_zero_curvature_gives_the_objective(self, curvature, loops):
+        # x1 = 1, x2, x3 >= 0: Q on null(A) is diag(1, curvature) exactly;
+        # -5e-10 lies inside the scaled tolerance 2e-9, where PSD0 reads
+        # "not unbounded"
+        inst = make_qp(np.diag([-2.0, 1.0, curvature]), [0, -1, 1], [[1, 0, 0]], [1])
+        N = nullspace_basis(inst.A)
+        assert float(np.linalg.eigvalsh(N.T @ inst.Q @ N)[0]) == curvature
+        x = np.array([1.0, 0.5, 2.0])
+        for cone in (DNN, PSD0):
+            res = evaluate_underestimator(inst, cone, x)
+            assert res.status == OPTIMAL and res.iterations == 0
+            assert res.value == pytest.approx(evaluate_objective(inst, x), abs=1e-12)
+        assert loops == []
+
+
 class TestConsensusLoop:
     @pytest.mark.parametrize("block", [None, 0, 1, 2])
     def test_nonfinite_warm_state_raises(self, simplex_convex, block):
@@ -484,6 +551,13 @@ class TestEmptinessScreens:
         examined.clear()
         assert solve_relaxation(inst, DNN).status == INFEASIBLE
         assert len(examined) == math.comb(4, 2)
+
+    def test_empty_certificate_set_runs_no_loop(self, loops):
+        inst = random_instance(BOUNDED, 3, 1, 100)
+        assert not conic.certificate_feasible_set_nonempty(inst, DNN)
+        res = recession_certificate_search(inst, DNN, FEASIBILITY)
+        assert res.status == NONE and res.iterations == 0
+        assert loops == []
 
     def test_enumeration_cap_still_applies(self, monkeypatch):
         monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
