@@ -40,7 +40,7 @@ from .errors import (
 )
 from .generators import KINDS, TARGETS, write_generated
 from .oracle import enumerate_vertices, global_solve, verify_local_minimizer
-from .report import compare_report
+from .report import compare_report, relaxation_to_dict
 
 _CONES = {"dnn": DNN, "psd0": PSD0}
 
@@ -124,25 +124,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _relaxation_payload(res) -> dict:
-    payload = {
-        "status": res.status,
-        "value": res.value,
-        "iterations": res.iterations,
-        "residual_primal": res.residual_primal,
-        "residual_dual": res.residual_dual,
-        "polished": res.polished,
-    }
-    if res.point is not None:
-        payload["Y"] = res.point.y.tolist()
-    if res.certificate is not None:
-        payload["certificate"] = {
-            "objective_rate": res.certificate.objective_rate,
-            "matrix": res.certificate.d.tolist(),
-        }
-    return payload
-
-
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance, symmetrize=args.symmetrize)
     cone = _CONES[args.cone]
@@ -154,7 +135,7 @@ def _cmd_solve(args) -> int:
     else:
         res = conic.solve_relaxation(inst, cone, opts)
         what = "relaxation"
-    payload = {"instance": inst.name, "cone": args.cone, **_relaxation_payload(res)}
+    payload = {"instance": inst.name, "cone": args.cone, **relaxation_to_dict(res)}
     lines = [
         f"{what} over {args.cone}: {res.status}",
         f"value: {_fmt_value(res.value)}",

@@ -31,8 +31,8 @@ safeguard keeps an extrapolated point only if its own ``|T(x) - x|`` is no
 larger than that of the point it was built from; otherwise the loop
 reverts to the plain image it replaced and clears the memory.  A penalty
 change rescales ``U`` and clears the memory too.  The finiteness check,
-the stopping test, the stall windows, the polish schedule and the penalty
-adaptation all read the plain image ``T(x)``.
+the stopping test, a solve's polish schedule and the penalty adaptation all
+read the plain image ``T(x)``.
 
 Stopped at the requested tolerances, the accelerated loop left values up
 to 2.5e-6 relative off the exact optimum (``scripts/value_sweep.py``), so
@@ -43,13 +43,15 @@ first at iteration j and has not met the tighter ones by iteration 2j
 stops with the last image that met them.  A certificate search's loop
 stops at the requested tolerances: its point is not a value but a
 candidate, re-verified from raw data and graded by the sign of its rate.
+It ends in one of two ways, converged or out of iterations.
 
 Plain splitting has a sublinear tail when the cone touches the affine slice
-tangentially (exactly the structurally exact instances), so the loop
+tangentially (exactly the structurally exact instances), so a solve's loop
 periodically attempts an active-face polish: predict the optimal face from
 the iterate's eigenstructure and zero pattern, solve the reduced linear
 system, and accept only when the polished point is feasible and a fitted
-dual certificate closes the duality gap.
+dual certificate closes the duality gap.  A certificate search does not
+polish.
 
 Unboundedness is decided by a certificate pre-pass rather than by watching
 the objective diverge: a nonzero cone matrix with zero corner, zero
@@ -61,12 +63,14 @@ eigenvalue of ``B^T qhat B``: PSD0 is unbounded exactly when Q fails the
 curvature condition on null(A) (Burer, Math. Prog. 2009), and its pre-pass
 is one eigendecomposition with no loop.  DNN certificates are a subset, so
 the same eigenvalue screens the DNN search, and so does the exact test for
-a recession direction of the polyhedron, without which the DNN certificate
-set is empty; only a DNN search neither settles runs the loop.  Pinning
-the 0th row does not change the recession cone, so the plain and the
-pinned solves share one pre-pass, which keeps its last verdict and the
-curvature and reuses them across consecutive calls with the same
-instance, cone and options.
+a recession direction ``d >= 0``, ``A d = 0``, ``d != 0`` of the
+polyhedron, without which the DNN certificate set is empty.  Given one,
+``[0; d] [0; d]^T / |d|^2`` is a DNN certificate, so a feasibility search
+never loops; only a DNN objective search neither settles runs the loop.
+Pinning the 0th row does not change the recession cone, so the plain and
+the pinned solves share one pre-pass, which keeps its last verdict and the
+curvature and reuses them across consecutive calls with the same instance,
+cone and options.
 
 The pinned solves have a closed form on convex anchors.  For a feasible
 anchor ``x`` and ``z = [1; x]``, the pinned feasible set of both lifts is
@@ -117,7 +121,7 @@ from .numerics import (
     cone_violation,
     nullspace_basis,
 )
-from .oracle import _nonempty, _require_desk_scale
+from .oracle import _feasible_point, _require_desk_scale
 
 OPTIMAL = "OPTIMAL"
 UNBOUNDED = "UNBOUNDED"
@@ -143,14 +147,6 @@ ADAPT_INTERVAL = 50
 TOL_CERTIFICATE = 1e-6
 TOL_CURVATURE = 1e-9
 
-#: Heuristic infeasibility detector of the certificate searches: a search
-#: gives up when the best scaled residual fails to improve by
-#: ``STALL_FACTOR`` over ``STALL_WINDOWS`` consecutive windows of
-#: ``STALL_WINDOW`` iterations.
-STALL_WINDOW = 5000
-STALL_FACTOR = 0.9
-STALL_WINDOWS = 3
-
 #: A loop given a polisher attempts an exact active-face solve every
 #: ``POLISH_INTERVAL`` iterations and accepts only candidates whose duality
 #: gap is within ``POLISH_GAP_TOL`` relative.
@@ -168,7 +164,7 @@ ANDERSON_MAX_JUMP = 1e3
 #: A solve loop stops once both relative residuals are below ``STOP_MARGIN``
 #: times the requested tolerances, or at iteration 2j with the last image
 #: that met the requested ones, when it first met them at iteration j.  A
-#: certificate search's loop (``stall=True``) stops at the requested ones.
+#: certificate search's loop (``margin=1.0``) stops at the requested ones.
 STOP_MARGIN = 0.01
 
 #: LAPACK's general solver (``numpy.linalg.solve`` without its wrapper);
@@ -225,9 +221,10 @@ class CertificateCheck:
 class CertificateSearch:
     """Outcome of a recession-certificate search.
 
-    ``status`` is FOUND, NONE (no certificate: converged above the rate
-    threshold, or residual stall on an empty certificate set), or
-    INCONCLUSIVE (no verdict within the iteration budget).
+    ``status`` is FOUND, NONE (no certificate: the certificate set is
+    empty, or the best rate is above the threshold), or INCONCLUSIVE (no
+    verdict within the iteration budget, or a candidate that failed
+    verification).
     """
 
     status: str
@@ -483,7 +480,7 @@ class _Polisher:
 
 @dataclass
 class _LoopOutcome:
-    status: str  # CONVERGED, POLISHED, MAX_ITER, STALLED
+    status: str  # CONVERGED, MAX_ITER, or POLISHED (given a polisher)
     Z: np.ndarray
     U: np.ndarray  # (blocks, k, k) scaled duals
     rho: float  # the penalty U is scaled for
@@ -566,7 +563,7 @@ def _consensus(
     projector: FaceProjector,
     factors,
     opts: SolveOptions,
-    stall: bool = False,
+    margin: float = STOP_MARGIN,
     polisher: Optional[_Polisher] = None,
     warm=None,
 ) -> _LoopOutcome:
@@ -577,7 +574,8 @@ def _consensus(
     that image, and moves on to the safeguarded Anderson point built from
     it (see the module docstring).  ``warm`` restarts from a ``(Z, U, rho)``
     state returned by an earlier loop; without ``rho`` it starts at
-    ``PENALTY``.
+    ``PENALTY``.  ``margin`` scales the tolerances of the stopping test
+    (see ``STOP_MARGIN``).
     """
     k = qhat.shape[0]
     blocks = (projector.affine,) + tuple(factors)
@@ -606,11 +604,7 @@ def _consensus(
     sqrt_nb = math.sqrt(nb)
     tol_primal = opts.tol_primal
     tol_dual = opts.tol_dual
-    margin = 1.0 if stall else STOP_MARGIN
 
-    best_res = math.inf
-    window_min = math.inf
-    bad_windows = 0
     r = s = math.inf
     status = MAX_ITER
     polish_hit = None
@@ -661,18 +655,6 @@ def _consensus(
             if polish_hit is not None:
                 status = "POLISHED"
                 break
-        if stall:
-            window_min = min(window_min, r_rel)
-            if it % STALL_WINDOW == 0:
-                if window_min > STALL_FACTOR * best_res:
-                    bad_windows += 1
-                    if bad_windows >= STALL_WINDOWS:
-                        status = "STALLED"
-                        break
-                else:
-                    bad_windows = 0
-                best_res = min(best_res, window_min)
-                window_min = math.inf
 
         rescale = 1.0
         if it % ADAPT_INTERVAL == 0:
@@ -758,11 +740,15 @@ def certificate_feasible_set_nonempty(inst: QpInstance, cone: str) -> bool:
     only a nonzero null space of A is needed.
     """
     if cone == DNN:
-        n = inst.n
-        aug = np.vstack([inst.A, np.ones((1, n))])
-        rhs = np.concatenate([np.zeros(inst.m), [1.0]])
-        return _nonempty(aug, rhs)
+        return _recession_direction(inst) is not None
     return nullspace_basis(inst.A).shape[1] > 0
+
+
+def _recession_direction(inst: QpInstance) -> Optional[np.ndarray]:
+    """The first basic point of ``{A d = 0, e^T d = 1, d >= 0}``, or None."""
+    aug = np.vstack([inst.A, np.ones((1, inst.n))])
+    rhs = np.concatenate([np.zeros(inst.m), [1.0]])
+    return _feasible_point(aug, rhs)
 
 
 def recession_certificate_search(
@@ -781,12 +767,14 @@ def recession_certificate_search(
     max(1, |Q|_max)``; FEASIBILITY mode returns ``B B^T / r``.  For DNN the
     same eigenvalue bounds the rate from below, so a DNN OBJECTIVE search
     reports NONE without a loop when it is at or above ``-TOL_CERTIFICATE``.
-    A DNN search then runs the exact emptiness screen
-    (``certificate_feasible_set_nonempty``) and reports NONE without a loop
-    when no candidate exists; otherwise the loop runs, and FOUND needs a
-    rate below ``-TOL_CERTIFICATE``.  In FEASIBILITY mode, NONE after a
-    residual stall is the heuristic verdict that the loop found no
-    candidate.  Every certificate is re-verified from raw data.
+    A DNN search then takes the first basic point ``d`` of
+    ``{A d = 0, e^T d = 1, d >= 0}`` (the exact screen of
+    ``certificate_feasible_set_nonempty``) and reports NONE without a loop
+    when there is none.  FEASIBILITY mode returns ``[0; d] [0; d]^T /
+    |d|^2`` with no loop.  OBJECTIVE mode runs the loop, which either
+    converges, and FOUND needs a rate below ``-TOL_CERTIFICATE``, or runs
+    out of iterations: INCONCLUSIVE.  Every certificate is re-verified from
+    raw data.
     """
     if cone not in CONES:
         raise ValueError(f"unknown cone selector {cone!r}")
@@ -808,29 +796,21 @@ def recession_certificate_search(
                                      reason=f"border-cone rate {values[0]:.3e} above threshold")
     elif cone == PSD0:
         return _graded(inst, lp, basis @ basis.T / r, mode, opts)
-    if not certificate_feasible_set_nonempty(inst, DNN):
+    d = _recession_direction(inst)
+    if d is None:
         return CertificateSearch(NONE, None, 0, 0.0,
                                  reason="no recession direction: certificate set is empty")
+    if mode == FEASIBILITY:
+        z = np.concatenate(([0.0], d))
+        return _graded(inst, lp, np.outer(z, z) / np.dot(d, d), mode, opts)
 
-    k = lp.n + 1
     projector = certificate_projector(lp, basis)
-    qhat = lp.qhat if mode == OBJECTIVE else np.zeros((k, k))
-    polisher = _Polisher(lp, projector, cone) if mode == OBJECTIVE else None
-    out = _consensus(qhat, projector, cone_projection_for(cone), opts, stall=True,
-                     polisher=polisher)
-
-    if out.status == "STALLED":
-        return CertificateSearch(NONE, None, out.iterations, out.residual_primal,
-                                 reason="residual stall")
+    out = _consensus(lp.qhat, projector, cone_projection_for(cone), opts, margin=1.0)
     if out.status == MAX_ITER:
         return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
                                  reason="max_iter")
-
-    if out.status == "POLISHED":
-        d = 0.5 * (out.polish["y"] + out.polish["y"].T)
-    else:
-        d = projector.apply(out.Z)
-    return _graded(inst, lp, d, mode, opts, out.iterations, out.residual_primal)
+    return _graded(inst, lp, projector.apply(out.Z), mode, opts, out.iterations,
+                   out.residual_primal)
 
 
 def _face_spectrum(lp: LiftedProblem, basis: np.ndarray):
@@ -967,7 +947,7 @@ def solve_relaxation(
     opts = opts or SolveOptions()
     lp = lift_instance(inst, cone)
     _require_desk_scale(inst.n)
-    if not _nonempty(inst.A, inst.b):
+    if _feasible_point(inst.A, inst.b) is None:
         return RelaxationResult(INFEASIBLE, math.inf, None, 0.0, 0.0, 0)
     search = _prepass(inst, cone, opts)
     if search is not None:

@@ -140,7 +140,7 @@ def basic_feasible_points(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ)
 def _basic_feasible_iter(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ):
     """Generator behind ``basic_feasible_points``: one column subset at a time.
 
-    ``_nonempty`` takes only the first point, so it stops at the first
+    ``_feasible_point`` takes only the first point, so it stops at the first
     feasible basis.  Input errors and ``DeskScaleLimit`` are raised when the
     first point is requested, before any subset is examined.
     """
@@ -178,14 +178,14 @@ def _basic_feasible_iter(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ):
             yield x
 
 
-def _nonempty(A, b) -> bool:
-    """Whether ``{A x = b, x >= 0}`` has a point.
+def _feasible_point(A, b) -> Optional[np.ndarray]:
+    """The first basic feasible point of ``{A x = b, x >= 0}``, or None.
 
     The one emptiness test of the package: it stops at the first feasible
     basis instead of enumerating them all, so only an empty system costs
     every column subset.
     """
-    return next(_basic_feasible_iter(A, b), None) is not None
+    return next(_basic_feasible_iter(A, b), None)
 
 
 def _basic_solution(A, b, cols, smax, tol) -> Optional[np.ndarray]:

@@ -43,6 +43,27 @@ class CrossCheck:
     tolerance: float
 
 
+def relaxation_to_dict(res: conic.RelaxationResult) -> dict:
+    """A relaxation result as data for ``core.jsonable``: the one layout of
+    ``solve --json`` and of each relaxation in the report."""
+    entry = {
+        "status": res.status,
+        "value": res.value,
+        "iterations": res.iterations,
+        "residual_primal": res.residual_primal,
+        "residual_dual": res.residual_dual,
+        "polished": res.polished,
+    }
+    if res.certificate is not None:
+        entry["certificate"] = {
+            "objective_rate": res.certificate.objective_rate,
+            "matrix": res.certificate.d,
+        }
+    if res.point is not None:
+        entry["point"] = res.point.y
+    return entry
+
+
 @dataclass
 class Report:
     instance_name: str
@@ -96,24 +117,9 @@ class Report:
                 "certified": self.oracle.certified,
                 "faces_explored": self.oracle.faces_explored,
             }
-        out["relaxations"] = {}
-        for cone, res in self.relaxations.items():
-            entry = {
-                "status": res.status,
-                "value": res.value,
-                "iterations": res.iterations,
-                "residual_primal": res.residual_primal,
-                "residual_dual": res.residual_dual,
-                "polished": res.polished,
-            }
-            if res.certificate is not None:
-                entry["certificate"] = {
-                    "objective_rate": res.certificate.objective_rate,
-                    "matrix": res.certificate.d,
-                }
-            if res.point is not None:
-                entry["point"] = res.point.y
-            out["relaxations"][cone] = entry
+        out["relaxations"] = {
+            cone: relaxation_to_dict(res) for cone, res in self.relaxations.items()
+        }
         out["checks"] = [
             {
                 "name": c.name,

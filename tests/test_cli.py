@@ -129,6 +129,14 @@ class TestCommands:
         assert payload["value"] == "-inf"
         assert payload["certificate"]["objective_rate"] <= -0.1
 
+    def test_solve_json_is_the_report_entry(self, horn_file, capsys):
+        assert main(["--json", "solve", "--cone", "dnn", str(horn_file)]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert main(["--json", "compare", str(horn_file)]) == 0
+        reported = json.loads(capsys.readouterr().out)
+        del solved["instance"], solved["cone"]
+        assert list(solved.items()) == list(reported["relaxations"]["DNN"].items())
+
     def test_solve_at_point(self, horn_file, tmp_path, capsys):
         xfile = write_vector(tmp_path / "x.json", [0, 1, 0, 0, 4])
         assert main(["--json", "solve", "--cone", "dnn", "--at", xfile,

@@ -11,6 +11,7 @@ from qprelax.analysis import check_psd_on_nullspace, sample_envelope
 from qprelax.conic import (
     FEASIBILITY,
     FOUND,
+    INCONCLUSIVE,
     INFEASIBLE,
     NONE,
     OBJECTIVE,
@@ -275,6 +276,12 @@ class TestCertificateSearch:
         assert res.status == NONE
         assert res.iterations == 0
 
+    def test_budget_exhaustion_is_inconclusive(self, horn):
+        res = recession_certificate_search(horn[0], DNN, OBJECTIVE,
+                                           SolveOptions(max_iterations=5))
+        assert res.status == INCONCLUSIVE and res.reason == "max_iter"
+        assert res.iterations == 5 and res.certificate is None
+
     def test_bad_mode(self, simplex_convex):
         with pytest.raises(ValueError):
             recession_certificate_search(simplex_convex, DNN, "SIDEWAYS")
@@ -308,7 +315,8 @@ def small_certificate_problems(draw):
 
 
 class TestClosedFormBorderSearch:
-    """PSD0 certificates are ``u u^T`` mixtures over null(A): no loop runs."""
+    """PSD0 certificates are ``u u^T`` mixtures over null(A), and a DNN
+    feasibility certificate is one recession direction: no loop runs."""
 
     @pytest.mark.parametrize("kind", ["horn", "unbounded-safe"])
     def test_objective_rate_is_the_nullspace_eigenvalue(self, kind, horn, loops):
@@ -325,14 +333,24 @@ class TestClosedFormBorderSearch:
         else:
             assert res.status == NONE
 
-    @pytest.mark.parametrize("kind", ["horn", "unbounded-safe"])
-    def test_feasibility_certificate_has_unit_trace(self, kind, horn, loops):
+    @pytest.mark.parametrize("kind, cone", [
+        pytest.param("horn", PSD0, id="horn"),
+        pytest.param("unbounded-safe", PSD0, id="unbounded-safe"),
+        pytest.param("horn", DNN, id="horn-dnn"),
+        pytest.param("unbounded-safe", DNN, id="unbounded-safe-dnn"),
+    ])
+    def test_feasibility_certificate_has_unit_trace(self, kind, cone, horn, loops):
         inst = horn[0] if kind == "horn" else random_instance(UNBOUNDED_SAFE, 4, 2, 0)
-        res = recession_certificate_search(inst, PSD0, FEASIBILITY)
+        res = recession_certificate_search(inst, cone, FEASIBILITY)
         assert loops == [] and res.iterations == 0
         assert res.status == FOUND
-        assert abs(np.trace(res.certificate.d) - 1.0) <= 1e-12
+        D = res.certificate.d
+        assert abs(np.trace(D) - 1.0) <= 1e-12
         assert verify_certificate(inst, res.certificate).ok
+        if cone == DNN:
+            # [0; d][0; d]^T / |d|^2 for a recession direction d
+            assert np.linalg.matrix_rank(D) == 1 and D.min() >= 0.0
+            assert np.abs(inst.A @ D[1:, 1:]).max() <= 1e-10
 
     def test_border_rate_screens_the_dnn_search(self, loops):
         # Q is PSD on null(A), so no DNN certificate can have a negative rate
