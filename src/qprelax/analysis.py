@@ -72,47 +72,42 @@ class CopositivityCheck:
     minimizer: np.ndarray
 
 
-def check_psd_on_nullspace(
-    inst: QpInstance, tol: float = TOL_CURVATURE
-) -> NullspaceCurvatureReport:
+def check_psd_on_nullspace(inst: QpInstance) -> NullspaceCurvatureReport:
     """Decide whether Q is positive semidefinite on null(A).
 
     The reduced matrix ``N^T Q N`` over an orthonormal null-space basis is
     eigendecomposed; failure produces the most negative direction mapped
-    back to the original coordinates.
+    back to the original coordinates.  Eigenvalues are compared at
+    ``TOL_CURVATURE * max(1, |Q|_max)``.
     """
     N = nullspace_basis(inst.A)
     qscale = max(1.0, float(np.abs(inst.Q).max()))
     if N.shape[1] == 0:
-        return NullspaceCurvatureReport(True, None, math.inf, tol)
+        return NullspaceCurvatureReport(True, None, math.inf, TOL_CURVATURE)
     H = N.T @ inst.Q @ N
     H = 0.5 * (H + H.T)
     values, vectors = np.linalg.eigh(H)
-    holds = values[0] >= -tol * qscale
+    holds = values[0] >= -TOL_CURVATURE * qscale
     witness = None
     if not holds:
         witness = N @ vectors[:, 0]
         witness = witness / float(np.abs(witness).max())
-    return NullspaceCurvatureReport(bool(holds), witness, float(values[0]), tol)
+    return NullspaceCurvatureReport(bool(holds), witness, float(values[0]), TOL_CURVATURE)
 
 
-def analyze_recession_cone(
-    inst: QpInstance, cap: Optional[int] = None, tol: float = 1e-9
-) -> RecessionReport:
+def analyze_recession_cone(inst: QpInstance) -> RecessionReport:
     """Exact curvature analysis of the recession cone.
 
     Nontriviality and the minimum of ``d^T Q d`` are decided over the
     compact slice ``{A d = 0, e^T d = 1, d >= 0}`` by basic-solution and
     face enumeration (``oracle.recession_analysis``).
     """
-    _require_desk_scale(inst.n, cap)
-    return recession_analysis(inst.Q, inst.A, cap=cap, tol=tol)
+    _require_desk_scale(inst.n)
+    return recession_analysis(inst.Q, inst.A)
 
 
 def detect_unbounded(
     inst: QpInstance,
-    cap: Optional[int] = None,
-    tol: float = 1e-9,
     recession: Optional[RecessionReport] = None,
     vertices: Optional[list] = None,
 ) -> UnboundednessVerdict:
@@ -122,14 +117,13 @@ def detect_unbounded(
     over extreme zero-curvature recession directions, so NOT_DETECTED does
     not certify boundedness below.  ``recession`` and ``vertices`` are the
     instance's ``analyze_recession_cone`` report and ``enumerate_vertices``
-    list when the caller already has them; otherwise they are computed here
-    with ``cap`` and ``tol``.
+    list when the caller already has them; otherwise they are computed here.
     """
-    verts = enumerate_vertices(inst, cap=cap) if vertices is None else vertices
+    verts = enumerate_vertices(inst) if vertices is None else vertices
     if not verts:
         raise InfeasibleInstance("unboundedness test requires a feasible instance")
     if recession is None:
-        recession = analyze_recession_cone(inst, cap=cap, tol=tol)
+        recession = analyze_recession_cone(inst)
     witness = ray_witness(inst.Q, inst.c, verts, recession)
     if witness is None:
         return UnboundednessVerdict(NOT_DETECTED)
@@ -138,7 +132,7 @@ def detect_unbounded(
     return UnboundednessVerdict(CASE2, direction=witness["direction"], point=witness["point"])
 
 
-def check_copositivity_desk_scale(Q, cap: Optional[int] = None) -> CopositivityCheck:
+def check_copositivity_desk_scale(Q) -> CopositivityCheck:
     """Exact minimum of ``x^T Q x`` over the standard simplex.
 
     Q is copositive exactly when the minimum is nonnegative; the check is
@@ -146,10 +140,8 @@ def check_copositivity_desk_scale(Q, cap: Optional[int] = None) -> CopositivityC
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
-    _require_desk_scale(n, cap)
-    res = minimize_quad_over_polytope(
-        Q, np.zeros(n), np.ones((1, n)), np.array([1.0]), cap=cap
-    )
+    _require_desk_scale(n)
+    res = minimize_quad_over_polytope(Q, np.zeros(n), np.ones((1, n)), np.array([1.0]))
     return CopositivityCheck(min_value=float(res.value), minimizer=res.minimizers[0])
 
 

@@ -4,8 +4,8 @@ Subcommands: analyze, solve, certificate, oracle, localmin, generate,
 envelope, compare.  Plain-text reports by default, identical content as
 JSON with --json.  Exit codes: 0 command completed (pass/fail verdicts are
 report content), 2 input error, 3 desk-scale enumeration limit, 4 internal
-numeric failure.  The environment variable QPRELAX_ENUM_CAP overrides the
-exact-enumeration cap.
+numeric failure.  The environment variable QPRELAX_ENUM_CAP (a nonnegative
+integer, default 16) sets the exact-enumeration cap.
 """
 
 from __future__ import annotations

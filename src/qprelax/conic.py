@@ -573,7 +573,7 @@ def _consensus(
     plain image; each iteration evaluates ``T`` once, runs every test on
     that image, and moves on to the safeguarded Anderson point built from
     it (see the module docstring).  ``warm`` restarts from a ``(Z, U, rho)``
-    state returned by an earlier loop; without ``rho`` it starts at
+    state returned by an earlier loop; without it the loop starts at
     ``PENALTY``.  ``margin`` scales the tolerances of the stopping test
     (see ``STOP_MARGIN``).
     """
@@ -586,7 +586,7 @@ def _consensus(
     if warm is not None:
         x[0] = warm[0]
         x[1:] = warm[1]
-        rho = float(warm[2]) if len(warm) > 2 else PENALTY
+        rho = float(warm[2])
     else:
         x[0] = projector.apply(np.zeros((k, k)))
         x[1:] = 0.0

@@ -41,8 +41,8 @@ PSD0 = "PSD0"
 CONES = (DNN, PSD0)
 
 
-def _frozen_array(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _frozen_array(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -286,9 +286,9 @@ def save_instance(inst: QpInstance, path) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n")
 
 
-def save_lifted_point(point: LiftedPoint, path, name: str = "lifted_point") -> None:
+def save_lifted_point(point: LiftedPoint, path) -> None:
     """Write a lifted point in the instance-like JSON format with field Y."""
-    payload = {"name": name, "n": point.n, "Y": point.y.tolist()}
+    payload = {"name": "lifted_point", "n": point.n, "Y": point.y.tolist()}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -347,14 +347,14 @@ def is_feasible(inst: QpInstance, x, tol: float = FEAS_TOL) -> bool:
     return feasibility_residual(inst, x) <= tol
 
 
-def in_recession_cone(inst: QpInstance, d, tol: float = FEAS_TOL) -> bool:
+def in_recession_cone(inst: QpInstance, d) -> bool:
     """Membership of d in ``{d : A d = 0, d >= 0}`` at the scaled tolerance."""
     d = _check_point(inst, d)
     dscale = 1.0 + float(np.abs(d).max())
     ascale = 1.0 + float(np.abs(inst.A).max())
-    if float(np.abs(inst.A @ d).max()) > tol * dscale * ascale:
+    if float(np.abs(inst.A @ d).max()) > FEAS_TOL * dscale * ascale:
         return False
-    return float(d.min()) >= -tol * dscale
+    return float(d.min()) >= -FEAS_TOL * dscale
 
 
 def lift_instance(inst: QpInstance, cone: str = DNN) -> LiftedProblem:
@@ -463,9 +463,7 @@ def validate_lifted_point(
     )
 
 
-def construct_lifted_from_mixture(
-    inst: QpInstance, mix: MixtureCertificate, tol: float = FEAS_TOL
-) -> LiftedPoint:
+def construct_lifted_from_mixture(inst: QpInstance, mix: MixtureCertificate) -> LiftedPoint:
     """Assemble the lifted point encoded by a mixture certificate.
 
     Validates the certificate: weights on the unit simplex, every point
@@ -476,18 +474,19 @@ def construct_lifted_from_mixture(
         raise DimensionMismatch("one weight per mixture point is required")
     if w.size == 0:
         raise WeightsNotSimplex("a mixture needs at least one point")
-    if float(w.min()) < -tol or abs(float(w.sum()) - 1.0) > tol * max(1.0, float(np.abs(w).sum())):
+    wscale = max(1.0, float(np.abs(w).sum()))
+    if float(w.min()) < -FEAS_TOL or abs(float(w.sum()) - 1.0) > FEAS_TOL * wscale:
         raise WeightsNotSimplex(f"weights {w.tolist()} are not a convex combination")
     for k, p in enumerate(mix.points):
         p = _check_point(inst, p)
-        if not is_feasible(inst, p, tol):
+        if not is_feasible(inst, p):
             raise InfeasibleMixturePoint(
                 f"mixture point {k} violates the constraints "
                 f"(residual {feasibility_residual(inst, p):.3e})"
             )
     for k, d in enumerate(mix.rays):
         d = _check_point(inst, d)
-        if not in_recession_cone(inst, d, tol):
+        if not in_recession_cone(inst, d):
             raise RayNotInRecessionCone(f"ray {k} is not a recession direction")
     y = np.zeros((inst.n + 1, inst.n + 1))
     for wk, p in zip(w, mix.points):

@@ -68,10 +68,10 @@ def _check_symmetric(m, name="matrix") -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def nullspace_basis(a, tol: float = RANK_TOL) -> np.ndarray:
+def nullspace_basis(a) -> np.ndarray:
     """Orthonormal basis of null(a) as an ``n x r`` matrix.
 
-    Rank is decided by singular values above ``tol`` times the largest one.
+    Rank is decided by singular values above ``RANK_TOL`` times the largest one.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -80,7 +80,7 @@ def nullspace_basis(a, tol: float = RANK_TOL) -> np.ndarray:
         raise NonFinite("matrix contains non-finite entries")
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
     return vt[rank:].T.copy()
 
 

@@ -17,8 +17,8 @@ masks over the whole group.  Every slice is the matrix that face alone
 would pass to LAPACK, so grouping changes no result; a LAPACK failure
 raises ``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
 
-All enumeration is capped (default 16 variables, override with the
-QPRELAX_ENUM_CAP environment variable).
+All enumeration is capped at ``enum_cap()`` variables (default 16, set
+with the QPRELAX_ENUM_CAP environment variable).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import QpInstance, index_sets
+from .core import QpInstance, feasibility_residual, index_sets
 from .errors import DeskScaleLimit, DimensionMismatch, NonFinite, PointInfeasible
 from .numerics import RANK_TOL, _eigh, _lstsq, _svd
 
@@ -49,17 +49,30 @@ _TOL_CURV = 1e-9
 _DEDUP_DECIMALS = 8
 
 
-def enum_cap(cap: Optional[int] = None) -> int:
-    """Resolve the enumeration cap, honoring QPRELAX_ENUM_CAP."""
-    if cap is not None:
-        return int(cap)
-    return int(os.environ.get("QPRELAX_ENUM_CAP", DEFAULT_ENUM_CAP))
+def enum_cap() -> int:
+    """The enumeration cap: QPRELAX_ENUM_CAP, else ``DEFAULT_ENUM_CAP``.
+
+    The one place the cap is read.  Raises ValueError unless the variable
+    is unset or a nonnegative integer.
+    """
+    raw = os.environ.get("QPRELAX_ENUM_CAP")
+    if raw is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        value = int(raw)
+    except ValueError:
+        pass
+    else:
+        if value >= 0:
+            return value
+    raise ValueError(f"QPRELAX_ENUM_CAP must be a nonnegative integer, got {raw!r}")
 
 
-def _require_desk_scale(n: int, cap: Optional[int] = None) -> None:
+def _require_desk_scale(n: int) -> None:
     """Raise DeskScaleLimit when ``n`` variables exceed the enumeration cap."""
-    if n > enum_cap(cap):
-        raise DeskScaleLimit(f"n={n} exceeds the enumeration cap {enum_cap(cap)}")
+    limit = enum_cap()
+    if n > limit:
+        raise DeskScaleLimit(f"n={n} exceeds the enumeration cap {limit}")
 
 
 @dataclass(frozen=True)
@@ -127,17 +140,17 @@ class LocalMinVerdict:
 # basic feasible point enumeration
 
 
-def basic_feasible_points(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ):
+def basic_feasible_points(A, b):
     """All basic feasible solutions of ``{A x = b, x >= 0}``, deduplicated.
 
     Enumerates column subsets of size rank(A); a nonempty result is
     equivalent to feasibility of the system, and for bounded systems the
     result is the vertex set.
     """
-    return list(_basic_feasible_iter(A, b, cap, tol))
+    return list(_basic_feasible_iter(A, b))
 
 
-def _basic_feasible_iter(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ):
+def _basic_feasible_iter(A, b):
     """Generator behind ``basic_feasible_points``: one column subset at a time.
 
     ``_feasible_point`` takes only the first point, so it stops at the first
@@ -157,11 +170,11 @@ def _basic_feasible_iter(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ):
     rank = int(np.sum(svals > 1e-10 * smax)) if smax > 0 else 0
 
     if rank == 0:
-        if float(np.abs(b).max(initial=0.0)) <= tol * scale:
+        if float(np.abs(b).max(initial=0.0)) <= _TOL_EQ * scale:
             yield np.zeros(n)
         return
 
-    limit = 1 << enum_cap(cap)
+    limit = 1 << enum_cap()
     if math.comb(n, rank) > limit:
         raise DeskScaleLimit(
             f"{math.comb(n, rank)} column subsets exceed the enumeration cap"
@@ -169,7 +182,7 @@ def _basic_feasible_iter(A, b, cap: Optional[int] = None, tol: float = _TOL_EQ):
 
     seen = set()
     for cols in itertools.combinations(range(n), rank):
-        x = _basic_solution(A, b, cols, smax, tol * scale)
+        x = _basic_solution(A, b, cols, smax, _TOL_EQ * scale)
         if x is None:
             continue
         key = tuple(np.round(x, _DEDUP_DECIMALS))
@@ -204,10 +217,10 @@ def _basic_solution(A, b, cols, smax, tol) -> Optional[np.ndarray]:
     return x
 
 
-def enumerate_vertices(inst: QpInstance, cap: Optional[int] = None):
+def enumerate_vertices(inst: QpInstance):
     """Basic feasible solutions of the instance polyhedron."""
-    _require_desk_scale(inst.n, cap)
-    return basic_feasible_points(inst.A, inst.b, cap=cap)
+    _require_desk_scale(inst.n)
+    return basic_feasible_points(inst.A, inst.b)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +241,7 @@ def _lapack_failed(err, flag):
     raise np.linalg.LinAlgError("LAPACK did not converge in the face enumeration")
 
 
-def _stationary_face_point(AF, rhs, NT_QFF, NT_cF, uF, cap):
+def _stationary_face_point(AF, rhs, NT_QFF, NT_cF, uF):
     """Feasible point of a singular-Hessian stationary set, if one exists.
 
     The stationary set of the reduced quadratic is the affine set
@@ -248,7 +261,7 @@ def _stationary_face_point(AF, rhs, NT_QFF, NT_cF, uF, cap):
         M = np.vstack([M, slack_rows])
         r = np.concatenate([r, uF[finite]])
     try:
-        pts = basic_feasible_points(M, r, cap=cap)
+        pts = basic_feasible_points(M, r)
     except DeskScaleLimit:
         return None
     if not pts:
@@ -256,7 +269,7 @@ def _stationary_face_point(AF, rhs, NT_QFF, NT_cF, uF, cap):
     return pts[0][: AF.shape[1]]
 
 
-def _face_candidates(Q, c, A, b, upper, base, scale, cap) -> np.ndarray:
+def _face_candidates(Q, c, A, b, upper, base, scale) -> np.ndarray:
     """Candidate minimizers of all faces, as rows in pattern order.
 
     A face's candidate is its vertex (no free variable) or the stationary
@@ -274,12 +287,12 @@ def _face_candidates(Q, c, A, b, upper, base, scale, cap) -> np.ndarray:
     found = []
     for f, idx in enumerate(_split_by(free.sum(axis=1), n + 1)):
         if idx.size:
-            found += _group_candidates(Q, c, A, b, upper, idx, states[idx], f, scale, cap)
+            found += _group_candidates(Q, c, A, b, upper, idx, states[idx], f, scale)
     pattern = np.concatenate([faces for faces, _ in found])
     return np.concatenate([x for _, x in found])[np.argsort(pattern)]
 
 
-def _group_candidates(Q, c, A, b, upper, idx, states, f, scale, cap):
+def _group_candidates(Q, c, A, b, upper, idx, states, f, scale):
     """``(pattern indices, points)`` pairs of the faces ``idx`` with ``f`` free variables.
 
     The group shares one stacked least-squares call for the min-norm
@@ -335,7 +348,7 @@ def _group_candidates(Q, c, A, b, upper, idx, states, f, scale, cap):
         for i in np.flatnonzero(outside):
             N, F = vt[sub[i], k:].T.copy(), cs[i]
             alt = _stationary_face_point(
-                AF[sub[i]], r[sub[i], :, 0], N.T @ Q[np.ix_(F, F)], N.T @ c[F], uF[i], cap
+                AF[sub[i]], r[sub[i], :, 0], N.T @ Q[np.ix_(F, F)], N.T @ c[F], uF[i]
             )
             if alt is not None and _in_bounds(alt[None], uF[i : i + 1], tol_bound)[0]:
                 keep(faces[i : i + 1], points[i : i + 1], cs[i : i + 1], alt[None])
@@ -372,14 +385,7 @@ def _interior_points(Q, c, null_rows, cs, x0, uF, tol):
     return xF, ok & inside, ok & ~inside & singular.any(axis=1)
 
 
-def minimize_quad_over_polytope(
-    Q,
-    c,
-    A,
-    b,
-    box=None,
-    cap: Optional[int] = None,
-) -> OracleResult:
+def minimize_quad_over_polytope(Q, c, A, b, box=None) -> OracleResult:
     """Exact minimum of ``x^T Q x + 2 c^T x`` over ``{A x = b, 0 <= x <= box}``.
 
     ``box`` is None (no upper bounds) or gives a finite upper bound for every
@@ -414,9 +420,9 @@ def minimize_quad_over_polytope(
     certified = True
     recession = None
     if box is None:
-        recession = recession_analysis(Q, A, cap=cap)
+        recession = recession_analysis(Q, A)
         if recession.l_nontrivial:
-            verts = basic_feasible_points(A, b, cap=cap)
+            verts = basic_feasible_points(A, b)
             if not verts:
                 return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE,
                                     recession=recession)
@@ -429,12 +435,12 @@ def minimize_quad_over_polytope(
 
     base = 2 if box is None else 3
     faces = base ** n
-    if faces > (1 << enum_cap(cap)):
+    if faces > (1 << enum_cap()):
         raise DeskScaleLimit(f"{faces} face patterns exceed the enumeration cap")
 
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
     with np.errstate(call=_lapack_failed, invalid="call"):
-        X = _face_candidates(Q, c, A, b, upper, base, scale, cap)
+        X = _face_candidates(Q, c, A, b, upper, base, scale)
     if not len(X):
         return OracleResult(math.inf, (), False, faces, ORACLE_INFEASIBLE, recession=recession)
 
@@ -464,35 +470,35 @@ def minimize_quad_over_polytope(
 # recession analysis and the ray test
 
 
-def recession_analysis(Q, A, cap: Optional[int] = None, tol: float = _TOL_CURV) -> RecessionReport:
+def recession_analysis(Q, A) -> RecessionReport:
     """Exact curvature analysis of the recession cone ``{A d = 0, d >= 0}``.
 
     Nontriviality and the minimum of ``d^T Q d`` are decided over the
     compact slice ``{A d = 0, e^T d = 1, d >= 0}`` by basic-solution and
-    face enumeration; curvatures are compared at ``tol * max(1, |Q|_max)``.
+    face enumeration; curvatures are compared at ``_TOL_CURV * max(1, |Q|_max)``.
     A strictly positive row of A leaves only ``d = 0`` (the slices this
     module builds itself have one), and enumerates nothing.
     """
     n = Q.shape[0]
     if (np.asarray(A) > 0).all(axis=1).any():
-        return RecessionReport(False, math.inf, None, (), tol, ())
+        return RecessionReport(False, math.inf, None, (), _TOL_CURV, ())
     aug = np.vstack([A, np.ones((1, n))])
     rhs = np.concatenate([np.zeros(A.shape[0]), [1.0]])
-    rays = basic_feasible_points(aug, rhs, cap=cap)
+    rays = basic_feasible_points(aug, rhs)
     if not rays:
-        return RecessionReport(False, math.inf, None, (), tol, ())
-    curv = minimize_quad_over_polytope(Q, np.zeros(n), aug, rhs, cap=cap)
+        return RecessionReport(False, math.inf, None, (), _TOL_CURV, ())
+    curv = minimize_quad_over_polytope(Q, np.zeros(n), aug, rhs)
     qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-    neg = curv.minimizers[0] if curv.value < -tol * qscale else None
+    neg = curv.minimizers[0] if curv.value < -_TOL_CURV * qscale else None
     zero_dirs = []
     seen = set()
     for d in rays + list(curv.minimizers):
-        if abs(float(d @ Q @ d)) <= tol * qscale:
+        if abs(float(d @ Q @ d)) <= _TOL_CURV * qscale:
             key = tuple(np.round(d, _DEDUP_DECIMALS))
             if key not in seen:
                 seen.add(key)
                 zero_dirs.append(d)
-    return RecessionReport(True, float(curv.value), neg, tuple(zero_dirs), tol, tuple(rays))
+    return RecessionReport(True, float(curv.value), neg, tuple(zero_dirs), _TOL_CURV, tuple(rays))
 
 
 def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[dict]:
@@ -503,8 +509,9 @@ def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[dict]:
     ``{"direction", "curvature"}``; a zero-curvature direction along which
     the objective decreases from a feasible point (a vertex, or a point far
     along an extreme ray) gives ``{"direction", "point"}``.  Rates are
-    compared at ``tol * (max(1, |Q|_max) + |c|_max)``.  Only enumerated
-    directions are tried, so None does not certify boundedness below.
+    compared at ``rec.tolerance * (max(1, |Q|_max) + |c|_max)``.  Only
+    enumerated directions are tried, so None does not certify boundedness
+    below.
     """
     if rec.neg_direction is not None:
         return {"direction": rec.neg_direction, "curvature": rec.min_curvature}
@@ -527,8 +534,7 @@ def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[dict]:
     return None
 
 
-def global_solve(inst: QpInstance, cap: Optional[int] = None,
-                 simplex_min: Optional[float] = None) -> OracleResult:
+def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> OracleResult:
     """Exact optimal value of the instance, with unboundedness analysis.
 
     +inf for infeasible instances, -inf when a divergent ray is found.  For
@@ -541,12 +547,12 @@ def global_solve(inst: QpInstance, cap: Optional[int] = None,
     over the standard simplex; a caller that has already computed it
     passes it as ``simplex_min``.
     """
-    _require_desk_scale(inst.n, cap)
-    res = minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b, cap=cap)
+    _require_desk_scale(inst.n)
+    res = minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b)
     if res.status == ORACLE_INCONCLUSIVE and float(inst.c.min()) >= 0.0:
         if simplex_min is None:
             simplex_min = minimize_quad_over_polytope(
-                inst.Q, np.zeros(inst.n), np.ones((1, inst.n)), np.array([1.0]), cap=cap
+                inst.Q, np.zeros(inst.n), np.ones((1, inst.n)), np.array([1.0])
             ).value
         if simplex_min >= -_TOL_CURV * max(1.0, float(np.abs(inst.Q).max())):
             return replace(res, attained=True, status=ORACLE_OPTIMAL, certified=True)
@@ -557,13 +563,7 @@ def global_solve(inst: QpInstance, cap: Optional[int] = None,
 # local minimizer verification
 
 
-def verify_local_minimizer(
-    inst: QpInstance,
-    x,
-    tol: float = 1e-8,
-    cap: Optional[int] = None,
-    index_tol: float = 1e-9,
-) -> LocalMinVerdict:
+def verify_local_minimizer(inst: QpInstance, x) -> LocalMinVerdict:
     """Decide whether a feasible point is a local minimizer.
 
     Runs the first-order multiplier recovery (multipliers forced to zero on
@@ -572,12 +572,11 @@ def verify_local_minimizer(
     parts; the point is a local minimizer exactly when both tests pass.
     """
     x = np.asarray(x, dtype=float)
-    from .core import feasibility_residual  # local import to avoid cycle at module load
+    residual = feasibility_residual(inst, x)
+    if residual > 1e-8:
+        raise PointInfeasible(f"point is not feasible (residual {residual:.3e})")
 
-    if feasibility_residual(inst, x) > max(tol, 1e-8):
-        raise PointInfeasible(f"point is not feasible (residual {feasibility_residual(inst, x):.3e})")
-
-    sets = index_sets(np.clip(x, 0.0, None), tol=index_tol)
+    sets = index_sets(np.clip(x, 0.0, None), tol=1e-9)
     P = [j - 1 for j in sets.positive]
     Z = [j - 1 for j in sets.zero]
     grad = inst.Q @ x + inst.c
@@ -594,7 +593,7 @@ def verify_local_minimizer(
     s[P] = 0.0
     min_mult = float(s[Z].min(initial=0.0)) if Z else 0.0
     compl = float(np.abs(x * s).max(initial=0.0))
-    kkt_ok = stat_res <= tol * gscale and min_mult >= -tol * gscale
+    kkt_ok = stat_res <= 1e-8 * gscale and min_mult >= -1e-8 * gscale
 
     kkt = KktCertificate(
         y=y,
@@ -607,9 +606,9 @@ def verify_local_minimizer(
     if not kkt_ok:
         return LocalMinVerdict(is_local_min=False, kkt=None, second_order_min=math.nan)
 
-    second_min = second_order_minimum(inst, x, grad, P, Z, cap=cap)
+    second_min = second_order_minimum(inst, x, grad, P, Z)
     qscale = 1.0 + float(np.abs(inst.Q).max(initial=0.0))
-    is_min = second_min >= -tol * qscale
+    is_min = second_min >= -1e-8 * qscale
     return LocalMinVerdict(is_local_min=bool(is_min), kkt=kkt, second_order_min=second_min)
 
 
@@ -619,7 +618,6 @@ def second_order_minimum(
     grad=None,
     P=None,
     Z=None,
-    cap: Optional[int] = None,
     box_radius: float = 1.0,
 ) -> float:
     """Minimum of ``d^T Q d`` over the critical cone within a box.
@@ -649,11 +647,6 @@ def second_order_minimum(
     rhs = np.zeros(M.shape[0])
     Qz = T.T @ inst.Q @ T
     res = minimize_quad_over_polytope(
-        Qz,
-        np.zeros(nsplit),
-        M,
-        rhs,
-        box=np.full(nsplit, float(box_radius)),
-        cap=cap,
+        Qz, np.zeros(nsplit), M, rhs, box=np.full(nsplit, float(box_radius))
     )
     return float(res.value)

@@ -199,18 +199,14 @@ def _conclusive(*results) -> bool:
     return all(res.status in _VERDICTS for res in results)
 
 
-def compare_report(
-    inst: QpInstance,
-    opts: Optional[SolveOptions] = None,
-    cap: Optional[int] = None,
-) -> Report:
+def compare_report(inst: QpInstance, opts: Optional[SolveOptions] = None) -> Report:
     """Run all analyses and both relaxations, then grade the cross-checks."""
     opts = opts or SolveOptions()
     notes = []
 
     vertices = None
     try:
-        vertices = len(enumerate_vertices(inst, cap=cap))
+        vertices = len(enumerate_vertices(inst))
     except DeskScaleLimit as exc:
         notes.append(f"feasibility enumeration skipped: {exc}")
 
@@ -218,14 +214,14 @@ def compare_report(
 
     copositivity = None
     try:
-        copositivity = check_copositivity_desk_scale(inst.Q, cap=cap)
+        copositivity = check_copositivity_desk_scale(inst.Q)
     except DeskScaleLimit as exc:
         notes.append(f"copositivity check skipped: {exc}")
 
     oracle = None
     try:
         simplex_min = None if copositivity is None else copositivity.min_value
-        oracle = global_solve(inst, cap=cap, simplex_min=simplex_min)
+        oracle = global_solve(inst, simplex_min=simplex_min)
     except DeskScaleLimit as exc:
         notes.append(f"oracle and recession analysis skipped: {exc}")
     recession = None if oracle is None else oracle.recession

@@ -216,6 +216,12 @@ class TestExitCodes:
         monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
         assert main(["oracle", str(horn_file)]) == 3
 
+    @pytest.mark.parametrize("raw", ["abc", "-1"])
+    def test_malformed_cap(self, horn_file, monkeypatch, capsys, raw):
+        monkeypatch.setenv("QPRELAX_ENUM_CAP", raw)
+        assert main(["oracle", str(horn_file)]) == 2
+        assert "QPRELAX_ENUM_CAP must be a nonnegative integer" in capsys.readouterr().err
+
 
 class TestScripts:
     def test_horn_demo(self):

@@ -471,7 +471,7 @@ class TestConsensusLoop:
             u[block, 1, 1] = -np.inf
         with pytest.raises(NonFinite):
             conic._consensus(lp.qhat, projector, cone_projection_for(DNN), SolveOptions(),
-                             warm=(z, u))
+                             warm=(z, u, conic.PENALTY))
 
     def test_repeated_solves_are_bitwise_equal(self):
         inst = random_instance(UNBOUNDED_SAFE, 4, 2, 0)

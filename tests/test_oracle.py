@@ -57,6 +57,15 @@ class TestVertexEnumeration:
         monkeypatch.delenv("QPRELAX_ENUM_CAP")
         assert enum_cap() == 16
 
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "-1"])
+    def test_malformed_cap_is_rejected(self, monkeypatch, raw):
+        inst = make_qp(np.eye(2), np.zeros(2), [np.ones(2)], [1])
+        monkeypatch.setenv("QPRELAX_ENUM_CAP", raw)
+        with pytest.raises(ValueError, match="QPRELAX_ENUM_CAP"):
+            enum_cap()
+        with pytest.raises(ValueError, match="QPRELAX_ENUM_CAP"):
+            enumerate_vertices(inst)
+
 
 class TestQuadMinimization:
     def test_convex_simplex(self):
@@ -274,7 +283,7 @@ def reference_minimize(Q, c, A, b, box=None):
                 and float((xF - uF).max(initial=0.0)) <= tol_bound
             )
             if not inside and singular.any():
-                alt = oracle._stationary_face_point(AF, rhs, N.T @ QFF, N.T @ cF, uF, None)
+                alt = oracle._stationary_face_point(AF, rhs, N.T @ QFF, N.T @ cF, uF)
                 if alt is None:
                     continue
                 xF = alt

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from qprelax import conic
+from qprelax.cli import main
 from qprelax.conic import MAX_ITER, UNBOUNDED, SolveOptions, solve_relaxation, verify_certificate
-from qprelax.core import DNN, PSD0
+from qprelax.core import DNN, PSD0, save_instance
 from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
@@ -110,6 +111,26 @@ class TestCompareReport:
             check = by_name[name]
             assert not check.applicable and check.passed is None, name
             assert check.detail == "MAX_ITER relaxation is inconclusive"
+
+    def test_desk_scale_notes(self, monkeypatch, tmp_path, capsys):
+        inst = random_instance(BOUNDED, 4, 2, 0)
+        monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
+        report = compare_report(inst)
+        skipped = [
+            "feasibility enumeration", "copositivity check", "oracle and recession analysis",
+            "relaxation DNN", "relaxation PSD0",
+        ]
+        assert report.notes == [
+            f"{what} skipped: n=4 exceeds the enumeration cap 3" for what in skipped
+        ]
+        assert report.vertices is None and report.relaxations == {}
+        assert report.checks and not any(check.applicable for check in report.checks)
+        assert json.loads(json.dumps(report.to_dict()))["notes"] == report.notes
+        assert "feasibility: skipped (desk-scale cap)" in report.to_text()
+        path = tmp_path / "bounded.json"
+        save_instance(inst, path)
+        assert main(["compare", str(path)]) == 0
+        assert "skipped" in capsys.readouterr().out
 
     def test_infeasible_instance(self):
         inst = random_instance(INFEASIBLE, 3, 2, 0)
