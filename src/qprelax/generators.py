@@ -64,30 +64,27 @@ HORN_RHS = 9
 HORN_FEASIBLE_POINT = (0, 1, 0, 0, 4)
 
 
+#: Inclusive integer ranges of the Horn family's tail blocks: the coupling
+#: block B (entrywise nonnegative), the factor W and the nonnegative shift of
+#: the tail matrix ``W^T W + shift + shift^T`` (copositive by construction),
+#: the tail linear term f (nonnegative) and the tail constraint entries F.
+HORN_B_BLOCK_RANGE = (0, 3)
+HORN_TAIL_FACTOR_RANGE = (-2, 2)
+HORN_TAIL_SHIFT_RANGE = (0, 2)
+HORN_F_RANGE = (0, 3)
+HORN_COUPLING_RANGE = (-3, 3)
+
+
 @dataclass(frozen=True)
 class HornFamilyParams:
-    """Parameters of the block-embedded Horn family.
-
-    The tail coupling block B is entrywise nonnegative, the tail matrix is
-    certified copositive as ``W^T W`` plus a nonnegative matrix, the tail
-    linear term is nonnegative, and the tail constraint entries are free;
-    all entries are integers drawn from the stated inclusive ranges.
-    """
+    """Dimension and seed of a block-embedded Horn instance."""
 
     n: int
     seed: int = 0
-    copositive_tail_mode: str = "PSD_PLUS_NONNEG"
-    b_block_range: tuple[int, int] = (0, 3)
-    tail_factor_range: tuple[int, int] = (-2, 2)
-    tail_shift_range: tuple[int, int] = (0, 2)
-    f_range: tuple[int, int] = (0, 3)
-    coupling_range: tuple[int, int] = (-3, 3)
 
     def __post_init__(self):
         if self.n < 5:
             raise InvalidDimension(f"the Horn family needs n >= 5, got n={self.n}")
-        if self.copositive_tail_mode != "PSD_PLUS_NONNEG":
-            raise ValueError(f"unknown tail mode {self.copositive_tail_mode!r}")
 
 
 def horn_certificate() -> np.ndarray:
@@ -141,12 +138,16 @@ def horn_family(params: HornFamilyParams) -> QpInstance:
         )
     k = n - 5
     rng = np.random.default_rng([_KIND_CODE_FAMILY, n, 1, params.seed])
-    B = rng.integers(params.b_block_range[0], params.b_block_range[1] + 1, size=(5, k))
-    W = rng.integers(params.tail_factor_range[0], params.tail_factor_range[1] + 1, size=(k, k))
-    Nshift = rng.integers(params.tail_shift_range[0], params.tail_shift_range[1] + 1, size=(k, k))
+
+    def draw(bounds, size):
+        return rng.integers(bounds[0], bounds[1] + 1, size=size)
+
+    B = draw(HORN_B_BLOCK_RANGE, (5, k))
+    W = draw(HORN_TAIL_FACTOR_RANGE, (k, k))
+    Nshift = draw(HORN_TAIL_SHIFT_RANGE, (k, k))
     M = W.T @ W + (Nshift + Nshift.T)
-    f = rng.integers(params.f_range[0], params.f_range[1] + 1, size=k)
-    F = rng.integers(params.coupling_range[0], params.coupling_range[1] + 1, size=(1, k))
+    f = draw(HORN_F_RANGE, k)
+    F = draw(HORN_COUPLING_RANGE, (1, k))
 
     Q = np.zeros((n, n))
     Q[:5, :5] = head.Q

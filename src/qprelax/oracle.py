@@ -534,6 +534,13 @@ def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[dict]:
     return None
 
 
+def certifies_copositive(Q, simplex_min: float) -> bool:
+    """Whether ``simplex_min``, the minimum of ``x^T Q x`` over the standard
+    simplex, decides Q copositive: it must be at least
+    ``-_TOL_CURV * max(1, |Q|_max)``, the tolerance of the curvature tests."""
+    return simplex_min >= -_TOL_CURV * max(1.0, float(np.abs(Q).max()))
+
+
 def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> OracleResult:
     """Exact optimal value of the instance, with unboundedness analysis.
 
@@ -544,8 +551,8 @@ def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> Oracl
     part is copositive and the linear part nonnegative (the objective is
     then nonnegative on the whole orthant), otherwise the result is
     INCONCLUSIVE.  Copositivity is decided by the minimum of ``x^T Q x``
-    over the standard simplex; a caller that has already computed it
-    passes it as ``simplex_min``.
+    over the standard simplex (``certifies_copositive``); a caller that has
+    already computed it passes it as ``simplex_min``.
     """
     _require_desk_scale(inst.n)
     res = minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b)
@@ -554,7 +561,7 @@ def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> Oracl
             simplex_min = minimize_quad_over_polytope(
                 inst.Q, np.zeros(inst.n), np.ones((1, inst.n)), np.array([1.0])
             ).value
-        if simplex_min >= -_TOL_CURV * max(1.0, float(np.abs(inst.Q).max())):
+        if certifies_copositive(inst.Q, simplex_min):
             return replace(res, attained=True, status=ORACLE_OPTIMAL, certified=True)
     return res
 

@@ -31,7 +31,18 @@ from .conic import (
 )
 from .core import DNN, PSD0, QpInstance, jsonable
 from .errors import DeskScaleLimit
-from .oracle import OracleResult, RecessionReport, enumerate_vertices, global_solve
+from .oracle import (
+    OracleResult,
+    RecessionReport,
+    certifies_copositive,
+    enumerate_vertices,
+    global_solve,
+)
+
+
+#: Relative tolerance of every value comparison between the relaxations and
+#: the oracle; each cross-check records it.
+COMPARISON_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,7 +89,6 @@ class Report:
     relaxations: dict
     checks: list[CrossCheck] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    comparison_tolerance: float = 1e-6
 
     def to_dict(self) -> dict:
         """The report as JSON-ready data (``core.jsonable``)."""
@@ -86,7 +96,7 @@ class Report:
             "instance": {"name": self.instance_name, "n": self.n, "m": self.m},
             "feasibility": {"vertices": self.vertices},
             "notes": list(self.notes),
-            "comparison_tolerance": self.comparison_tolerance,
+            "comparison_tolerance": COMPARISON_TOLERANCE,
         }
         if self.recession is not None:
             out["recession"] = {
@@ -174,7 +184,7 @@ class Report:
                 f"  relaxation {cone}: {res.status} value {res.value:.10g}"
                 f" ({res.iterations} iterations{extra})"
             )
-        lines.append(f"  cross-checks (comparison tol {self.comparison_tolerance:g}):")
+        lines.append(f"  cross-checks (comparison tol {COMPARISON_TOLERANCE:g}):")
         for c in self.checks:
             if not c.applicable:
                 mark = "SKIP"
@@ -184,10 +194,6 @@ class Report:
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines) + "\n"
-
-
-def _finite(x: float) -> bool:
-    return not math.isinf(x) and not math.isnan(x)
 
 
 #: Relaxation statuses whose values a value-based check may treat as bounds.
@@ -204,41 +210,33 @@ def compare_report(inst: QpInstance, opts: Optional[SolveOptions] = None) -> Rep
     opts = opts or SolveOptions()
     notes = []
 
-    vertices = None
-    try:
-        vertices = len(enumerate_vertices(inst))
-    except DeskScaleLimit as exc:
-        notes.append(f"feasibility enumeration skipped: {exc}")
+    def desk_scale(what, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, or None with a note past the desk-scale cap."""
+        try:
+            return fn(*args, **kwargs)
+        except DeskScaleLimit as exc:
+            notes.append(f"{what} skipped: {exc}")
+            return None
 
+    verts = desk_scale("feasibility enumeration", enumerate_vertices, inst)
     nullspace = check_psd_on_nullspace(inst)
-
-    copositivity = None
-    try:
-        copositivity = check_copositivity_desk_scale(inst.Q)
-    except DeskScaleLimit as exc:
-        notes.append(f"copositivity check skipped: {exc}")
-
-    oracle = None
-    try:
-        simplex_min = None if copositivity is None else copositivity.min_value
-        oracle = global_solve(inst, simplex_min=simplex_min)
-    except DeskScaleLimit as exc:
-        notes.append(f"oracle and recession analysis skipped: {exc}")
-    recession = None if oracle is None else oracle.recession
-
+    copositivity = desk_scale("copositivity check", check_copositivity_desk_scale, inst.Q)
+    simplex_min = None if copositivity is None else copositivity.min_value
+    oracle = desk_scale(
+        "oracle and recession analysis", global_solve, inst, simplex_min=simplex_min
+    )
     relaxations = {}
     for cone in (DNN, PSD0):
-        try:
-            relaxations[cone] = solve_relaxation(inst, cone, opts)
-        except DeskScaleLimit as exc:
-            notes.append(f"relaxation {cone} skipped: {exc}")
+        res = desk_scale(f"relaxation {cone}", solve_relaxation, inst, cone, opts)
+        if res is not None:
+            relaxations[cone] = res
 
     report = Report(
         instance_name=inst.name,
         n=inst.n,
         m=inst.m,
-        vertices=vertices,
-        recession=recession,
+        vertices=None if verts is None else len(verts),
+        recession=None if oracle is None else oracle.recession,
         nullspace=nullspace,
         copositivity=copositivity,
         c_nonnegative=bool(float(inst.c.min()) >= 0.0),
@@ -251,145 +249,115 @@ def compare_report(inst: QpInstance, opts: Optional[SolveOptions] = None) -> Rep
 
 
 def _grade(inst: QpInstance, report: Report) -> None:
-    checks = report.checks
-    tol = report.comparison_tolerance
+    """Append the nine cross-checks to ``report.checks``, in a fixed order."""
+    tol = COMPARISON_TOLERANCE
     oracle = report.oracle
-    dnn = report.relaxations.get(DNN)
-    psd0 = report.relaxations.get(PSD0)
+    recession = report.recession
+    nullspace = report.nullspace
+    relaxations = report.relaxations
+    dnn = relaxations.get(DNN)
+    psd0 = relaxations.get(PSD0)
     feasible = report.vertices is not None and report.vertices > 0
 
-    # lower bound: each relaxation value stays below the exact optimum
-    applicable = oracle is not None and dnn is not None and _finite(oracle.value)
-    if applicable and not _conclusive(*report.relaxations.values()):
-        applicable, passed, detail = False, None, _INCONCLUSIVE
-    elif applicable:
-        results = []
-        for cone, res in report.relaxations.items():
-            bound = res.value <= oracle.value + tol * (1.0 + abs(oracle.value))
-            results.append((cone, bound))
-        passed = all(b for _, b in results)
+    def check(name, applies, reads, grade, otherwise):
+        """Record one cross-check.  A check that does not apply says
+        ``otherwise``; one that reads a relaxation with no verdict is
+        inconclusive; any other is graded by ``grade() -> (passed, detail)``."""
+        if not applies:
+            passed, detail = None, otherwise
+        elif not _conclusive(*reads):
+            applies, passed, detail = False, None, _INCONCLUSIVE
+        else:
+            passed, detail = grade()
+        report.checks.append(CrossCheck(name, applies, passed, detail, tol))
+
+    def lower_bound():
+        bound = oracle.value + tol * (1.0 + abs(oracle.value))
         detail = ", ".join(
-            f"{cone} {report.relaxations[cone].value:.8g} <= {oracle.value:.8g}"
-            for cone, _ in results
+            f"{cone} {res.value:.8g} <= {oracle.value:.8g}" for cone, res in relaxations.items()
         )
-    else:
-        passed, detail = None, "needs a finite oracle value"
-    checks.append(CrossCheck("relaxations lower-bound the optimum", applicable, passed, detail, tol))
+        return all(res.value <= bound for res in relaxations.values()), detail
 
-    # cone ordering: the border cone is the weaker relaxation
-    applicable = dnn is not None and psd0 is not None and dnn.status != INFEASIBLE
-    if applicable and not _conclusive(dnn, psd0):
-        applicable, passed, detail = False, None, _INCONCLUSIVE
-    elif applicable:
-        passed = psd0.value <= dnn.value + tol * (1.0 + abs(dnn.value) if _finite(dnn.value) else 1.0)
-        detail = f"border-cone {psd0.value:.8g} <= doubly-nonnegative {dnn.value:.8g}"
-    else:
-        passed, detail = None, "needs both relaxations"
-    checks.append(CrossCheck("weaker cone gives a weaker bound", applicable, passed, detail, tol))
-
-    # exactness: psd on null(A) makes every relaxation exact
-    applicable = (
-        report.nullspace is not None
-        and report.nullspace.holds
-        and feasible
-        and oracle is not None
-        and _finite(oracle.value)
-        and dnn is not None
-        and psd0 is not None
+    check(
+        "relaxations lower-bound the optimum",
+        oracle is not None and dnn is not None and math.isfinite(oracle.value),
+        relaxations.values(), lower_bound, "needs a finite oracle value",
     )
-    if applicable and not _conclusive(dnn, psd0):
-        applicable, passed, detail = False, None, _INCONCLUSIVE
-    elif applicable:
-        ok = True
-        for res in (dnn, psd0):
-            ok = ok and res.status == OPTIMAL
-            ok = ok and abs(res.value - oracle.value) <= tol * (1.0 + abs(oracle.value))
-        passed = ok
+
+    def weaker():
+        slack = tol * (1.0 + abs(dnn.value) if math.isfinite(dnn.value) else 1.0)
+        detail = f"border-cone {psd0.value:.8g} <= doubly-nonnegative {dnn.value:.8g}"
+        return psd0.value <= dnn.value + slack, detail
+
+    check(
+        "weaker cone gives a weaker bound",
+        dnn is not None and psd0 is not None and dnn.status != INFEASIBLE,
+        (dnn, psd0), weaker, "needs both relaxations",
+    )
+
+    def exact():
+        gap = tol * (1.0 + abs(oracle.value))
         detail = (
             f"|{dnn.value:.8g} - {oracle.value:.8g}| and |{psd0.value:.8g} - {oracle.value:.8g}|"
             f" within {tol:g} relative"
         )
-    else:
-        passed, detail = None, "condition fails or data unavailable"
-    checks.append(
-        CrossCheck("curvature condition makes relaxations exact", applicable, passed, detail, tol)
+        return all(
+            res.status == OPTIMAL and abs(res.value - oracle.value) <= gap for res in (dnn, psd0)
+        ), detail
+
+    check(
+        "curvature condition makes relaxations exact",
+        nullspace is not None and nullspace.holds and feasible and oracle is not None
+        and math.isfinite(oracle.value) and dnn is not None and psd0 is not None,
+        (dnn, psd0), exact, "condition fails or data unavailable",
     )
 
-    # triviality: curvature failure collapses the border-cone relaxation
-    applicable = (
-        report.nullspace is not None and not report.nullspace.holds and feasible
-        and psd0 is not None
-    )
-    if applicable and not _conclusive(psd0):
-        applicable, passed, detail = False, None, _INCONCLUSIVE
-    elif applicable:
-        passed = psd0.status == UNBOUNDED
-        detail = f"border-cone status {psd0.status}"
-    else:
-        passed, detail = None, "condition holds or data unavailable"
-    checks.append(
-        CrossCheck("curvature failure trivializes the border cone", applicable, passed, detail, tol)
+    check(
+        "curvature failure trivializes the border cone",
+        nullspace is not None and not nullspace.holds and feasible and psd0 is not None,
+        (psd0,), lambda: (psd0.status == UNBOUNDED, f"border-cone status {psd0.status}"),
+        "condition holds or data unavailable",
     )
 
-    # negative recession curvature collapses everything
-    applicable = (
-        report.recession is not None
-        and report.recession.neg_direction is not None
-        and feasible
-        and dnn is not None
-    )
-    if applicable and not _conclusive(dnn):
-        applicable, passed, detail = False, None, _INCONCLUSIVE
-    elif applicable:
-        passed = dnn.status == UNBOUNDED
-        detail = f"doubly-nonnegative status {dnn.status}"
-    else:
-        passed, detail = None, "no negative-curvature recession direction"
-    checks.append(
-        CrossCheck("negative recession curvature collapses the bound", applicable, passed, detail, tol)
+    check(
+        "negative recession curvature collapses the bound",
+        recession is not None and recession.neg_direction is not None and feasible
+        and dnn is not None,
+        (dnn,), lambda: (dnn.status == UNBOUNDED, f"doubly-nonnegative status {dnn.status}"),
+        "no negative-curvature recession direction",
     )
 
-    # feasibility preservation
-    applicable = report.vertices is not None and dnn is not None and psd0 is not None
-    if applicable:
+    def preserved():
         if report.vertices == 0:
-            passed = (
-                dnn.status == INFEASIBLE
-                and psd0.status == INFEASIBLE
-                and (oracle is None or oracle.value == math.inf)
+            empty = oracle is None or oracle.value == math.inf
+            return (
+                dnn.status == INFEASIBLE and psd0.status == INFEASIBLE and empty,
+                "empty polyhedron: both relaxations infeasible",
             )
-            detail = "empty polyhedron: both relaxations infeasible"
-        else:
-            passed = dnn.status != INFEASIBLE and psd0.status != INFEASIBLE
-            detail = "nonempty polyhedron: both relaxations feasible"
-    else:
-        passed, detail = None, "feasibility undecided"
-    checks.append(CrossCheck("feasibility is preserved", applicable, passed, detail, tol))
+        return (
+            dnn.status != INFEASIBLE and psd0.status != INFEASIBLE,
+            "nonempty polyhedron: both relaxations feasible",
+        )
 
-    # boundedness preservation: bounded polyhedron keeps the bound finite
-    applicable = (
-        report.recession is not None
-        and not report.recession.l_nontrivial
-        and feasible
-        and dnn is not None
-    )
-    if applicable and not _conclusive(dnn):
-        applicable, passed, detail = False, None, _INCONCLUSIVE
-    elif applicable:
-        passed = dnn.status != UNBOUNDED and _finite(dnn.value)
-        detail = f"doubly-nonnegative value {dnn.value:.8g}"
-    else:
-        passed, detail = None, "polyhedron unbounded or data unavailable"
-    checks.append(
-        CrossCheck("bounded feasible set keeps the bound finite", applicable, passed, detail, tol)
+    check(
+        "feasibility is preserved",
+        report.vertices is not None and dnn is not None and psd0 is not None,
+        (), preserved, "feasibility undecided",
     )
 
-    # unbounded verdicts ship verified certificates
-    unbounded = [
-        (cone, res) for cone, res in report.relaxations.items() if res.status == UNBOUNDED
-    ]
-    applicable = bool(unbounded)
-    if applicable:
+    check(
+        "bounded feasible set keeps the bound finite",
+        recession is not None and not recession.l_nontrivial and feasible and dnn is not None,
+        (dnn,), lambda: (
+            dnn.status != UNBOUNDED and math.isfinite(dnn.value),
+            f"doubly-nonnegative value {dnn.value:.8g}",
+        ),
+        "polyhedron unbounded or data unavailable",
+    )
+
+    unbounded = [(cone, res) for cone, res in relaxations.items() if res.status == UNBOUNDED]
+
+    def certified():
         ok = True
         details = []
         for cone, res in unbounded:
@@ -400,27 +368,22 @@ def _grade(inst: QpInstance, report: Report) -> None:
             chk = verify_certificate(inst, res.certificate)
             ok = ok and chk.ok and chk.objective_rate < 0
             details.append(f"{cone}: rate {chk.objective_rate:.8g}, verified {chk.ok}")
-        passed = ok
-        detail = "; ".join(details)
-    else:
-        passed, detail = None, "no unbounded verdicts"
-    checks.append(
-        CrossCheck("unbounded verdicts carry verified certificates", applicable, passed, detail, 1e-6)
+        return ok, "; ".join(details)
+
+    check(
+        "unbounded verdicts carry verified certificates",
+        bool(unbounded), (), certified, "no unbounded verdicts",
     )
 
-    # finiteness certification from copositivity
-    applicable = (
+    # a copositive Q and a nonnegative c make the objective nonnegative on the orthant
+    check(
+        "copositive objective stays bounded below",
         report.copositivity is not None
-        and report.copositivity.min_value >= -tol
-        and report.c_nonnegative
-        and feasible
-        and oracle is not None
-    )
-    if applicable:
-        passed = _finite(oracle.value) and oracle.value >= -tol
-        detail = f"objective nonnegative on the orthant; oracle value {oracle.value:.8g}"
-    else:
-        passed, detail = None, "objective not certified nonnegative"
-    checks.append(
-        CrossCheck("copositive objective stays bounded below", applicable, passed, detail, tol)
+        and certifies_copositive(inst.Q, report.copositivity.min_value)
+        and report.c_nonnegative and feasible and oracle is not None,
+        (), lambda: (
+            math.isfinite(oracle.value) and oracle.value >= -tol,
+            f"objective nonnegative on the orthant; oracle value {oracle.value:.8g}",
+        ),
+        "objective not certified nonnegative",
     )

@@ -151,6 +151,15 @@ class TestCommands:
         assert payload["status"] == "FOUND"
         assert payload["certificate"]["verified"] is True
 
+    def test_certificate_budget_is_inconclusive(self, horn_file, capsys):
+        assert main(["--json", "--max-iter", "5", "certificate", "--cone", "dnn",
+                     "--mode", "objective", str(horn_file)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "INCONCLUSIVE"
+        assert payload["iterations"] == 5
+        assert payload["reason"] == "max_iter"
+        assert "certificate" not in payload
+
     def test_oracle(self, horn_file, capsys):
         assert main(["--json", "oracle", str(horn_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -162,6 +171,13 @@ class TestCommands:
         assert main(["--json", "localmin", "--at", xfile, str(horn_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "is_local_min" in payload
+
+    def test_localmin_at_oracle_minimizer(self, horn_file, tmp_path, capsys):
+        xfile = write_vector(tmp_path / "x.json", [0, 0, 0, 3, 6])
+        assert main(["--json", "localmin", "--at", xfile, str(horn_file)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["is_local_min"] is True
+        assert payload["kkt"]["y"] == pytest.approx([2.0])
 
     def test_envelope_csv(self, horn_file, tmp_path, capsys):
         a = write_vector(tmp_path / "a.json", [0, 9, 0, 0, 0])
@@ -183,6 +199,15 @@ class TestCommands:
         capsys.readouterr()
         assert out.read_text().startswith("t,q,lK,status\n")
 
+    def test_envelope_json(self, horn_file, tmp_path, capsys):
+        a = write_vector(tmp_path / "a.json", [0, 9, 0, 0, 0])
+        b = write_vector(tmp_path / "b.json", [0, 0, 0, 0, 4.5])
+        assert main(["--json", "envelope", "--from", a, "--to", b, "--samples", "3",
+                     str(horn_file)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["t"] for row in rows] == [0.0, 0.5, 1.0]
+        assert all(row["status"] == "UNBOUNDED" and row["lK"] == "-inf" for row in rows)
+
     def test_compare(self, horn_file, capsys):
         assert main(["compare", str(horn_file)]) == 0
         out = capsys.readouterr().out
@@ -200,6 +225,18 @@ class TestCommands:
         assert len(payload) == 2
 
 
+    def test_compare_directory_text(self, tmp_path, capsys):
+        main(["generate", "random", "--kind", "BOUNDED", "--n", "3", "--m", "1",
+              "--seed", "0", "--out", str(tmp_path)])
+        main(["generate", "random", "--kind", "INFEASIBLE", "--n", "3", "--m", "2",
+              "--seed", "0", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert main(["compare", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("cross-checks") == 2
+        assert "[FAIL]" not in out
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/instance.json"]) == 2
@@ -211,6 +248,12 @@ class TestExitCodes:
             "Q": [[0, 1], [0, 0]], "c": [0, 0], "A": [[1, 1]], "b": [1],
         }))
         assert main(["analyze", str(path)]) == 2
+
+    @pytest.mark.parametrize("option", [["--tol", "-1"], ["--max-iter", "0"]],
+                             ids=["tol", "max-iter"])
+    def test_nonpositive_options(self, horn_file, capsys, option):
+        assert main([*option, "solve", str(horn_file)]) == 2
+        assert "must be positive" in capsys.readouterr().err
 
     def test_desk_scale_limit(self, horn_file, monkeypatch, capsys):
         monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")

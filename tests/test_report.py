@@ -22,6 +22,19 @@ from conftest import make_qp
 
 LOWER_BOUND = "relaxations lower-bound the optimum"
 BORDER_TRIVIAL = "curvature failure trivializes the border cone"
+NEGATIVE_RAY = "negative recession curvature collapses the bound"
+COPOSITIVE = "copositive objective stays bounded below"
+CHECK_NAMES = [
+    LOWER_BOUND,
+    "weaker cone gives a weaker bound",
+    "curvature condition makes relaxations exact",
+    BORDER_TRIVIAL,
+    NEGATIVE_RAY,
+    "feasibility is preserved",
+    "bounded feasible set keeps the bound finite",
+    "unbounded verdicts carry verified certificates",
+    COPOSITIVE,
+]
 
 
 def failed_checks(report):
@@ -111,6 +124,26 @@ class TestCompareReport:
             check = by_name[name]
             assert not check.applicable and check.passed is None, name
             assert check.detail == "MAX_ITER relaxation is inconclusive"
+
+    def test_negative_ray_collapses_both_relaxations(self):
+        # x1 = x2 >= 0 with objective -x1^2
+        report = compare_report(make_qp(np.diag([-1.0, 0.0]), [0, 0], [[1, -1]], [0]))
+        assert report.relaxations[DNN].status == UNBOUNDED
+        assert report.relaxations[PSD0].status == UNBOUNDED
+        check = {c.name: c for c in report.checks}[NEGATIVE_RAY]
+        assert check.applicable and check.passed
+        assert failed_checks(report) == []
+        assert [c.name for c in report.checks] == CHECK_NAMES
+
+    def test_copositivity_decided_at_oracle_tolerance(self):
+        # the simplex minimum -1e-7 is below -1e-9 * max(1, |Q|_max): Q is not
+        # copositive, so the oracle's -inf does not contradict the check
+        report = compare_report(make_qp(np.diag([-1e-7, 0.0]), [0, 0], [[1, -1]], [0]))
+        assert report.copositivity.min_value == pytest.approx(-1e-7)
+        assert report.oracle.value == -np.inf
+        check = {c.name: c for c in report.checks}[COPOSITIVE]
+        assert not check.applicable and check.passed is None
+        assert check.detail == "objective not certified nonnegative"
 
     def test_desk_scale_notes(self, monkeypatch, tmp_path, capsys):
         inst = random_instance(BOUNDED, 4, 2, 0)
