@@ -12,7 +12,7 @@ The faces are solved in groups, not one by one (``_face_candidates``): the
 patterns are grouped by their number of free variables, and each group
 takes one stacked LAPACK call for the min-norm points and one for the
 null-space bases, then one stacked eigensolve of the reduced Hessians per
-null-space dimension.  The PSD, vanishing-gradient and bound tests run as
+null-space dimension.  The PSD, vanishing-gradient and sign tests run as
 masks over the whole group.  Every slice is the matrix that face alone
 would pass to LAPACK, so grouping changes no result; a LAPACK failure
 raises ``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
@@ -101,7 +101,7 @@ class OracleResult:
     and unbounded problems; ``minimizers`` samples the optimal set; the
     ``certified`` flag records whether boundedness below was proved (it is
     always True for compact feasible regions).  ``recession`` is the
-    recession analysis of a call without a box.
+    analysis of the recession cone ``{A d = 0, d >= 0}``.
     """
 
     value: float
@@ -232,67 +232,52 @@ def _split_by(keys: np.ndarray, size: int) -> list[np.ndarray]:
     return [np.flatnonzero(keys == v) for v in range(size)]
 
 
-def _in_bounds(xF: np.ndarray, uF: np.ndarray, tol: float) -> np.ndarray:
-    """Row mask of ``-tol <= xF <= uF + tol``."""
-    return (xF.min(axis=1, initial=0.0) >= -tol) & ((xF - uF).max(axis=1, initial=0.0) <= tol)
+def _nonnegative(xF: np.ndarray, tol: float) -> np.ndarray:
+    """Row mask of ``xF >= -tol``."""
+    return xF.min(axis=1, initial=0.0) >= -tol
 
 
 def _lapack_failed(err, flag):
     raise np.linalg.LinAlgError("LAPACK did not converge in the face enumeration")
 
 
-def _stationary_face_point(AF, rhs, NT_QFF, NT_cF, uF):
-    """Feasible point of a singular-Hessian stationary set, if one exists.
+def _stationary_face_point(AF, rhs, NT_QFF, NT_cF):
+    """Nonnegative point of a singular-Hessian stationary set, if one exists.
 
     The stationary set of the reduced quadratic is the affine set
     ``{AF x = rhs, N^T (QFF x + cF) = 0}``; the objective is constant on it,
-    so any point inside the bounds certifies the face's candidate value.
+    so any nonnegative point certifies the face's candidate value.
     """
-    M = np.vstack([AF, NT_QFF])
-    r = np.concatenate([rhs, -NT_cF])
-    finite = np.isfinite(uF)
-    if finite.any():
-        nf = AF.shape[1]
-        k = int(finite.sum())
-        slack_rows = np.zeros((k, nf + k))
-        slack_rows[np.arange(k), np.flatnonzero(finite)] = 1.0
-        slack_rows[np.arange(k), nf + np.arange(k)] = 1.0
-        M = np.hstack([M, np.zeros((M.shape[0], k))])
-        M = np.vstack([M, slack_rows])
-        r = np.concatenate([r, uF[finite]])
     try:
-        pts = basic_feasible_points(M, r)
+        pts = basic_feasible_points(np.vstack([AF, NT_QFF]), np.concatenate([rhs, -NT_cF]))
     except DeskScaleLimit:
         return None
-    if not pts:
-        return None
-    return pts[0][: AF.shape[1]]
+    return pts[0] if pts else None
 
 
-def _face_candidates(Q, c, A, b, upper, base, scale) -> np.ndarray:
+def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
     """Candidate minimizers of all faces, as rows in pattern order.
 
     A face's candidate is its vertex (no free variable) or the stationary
     point of the quadratic on its affine hull, kept when the reduced
-    Hessian is PSD, the reduced gradient can vanish and the point lies in
-    the bounds.  Faces are solved together per number of free variables
+    Hessian is PSD, the reduced gradient can vanish and the point is
+    nonnegative.  Faces are solved together per number of free variables
     (``_group_candidates``).
     """
     n = A.shape[1]
-    # one row per face in itertools.product order; a variable's state is 0
-    # at its lower bound, 1 free, and 2 (base 3, with a box) at its upper one
-    states = np.indices((base,) * n, dtype=np.int8).reshape(n, base ** n).T
-    free = states == 1
+    # one row per face in itertools.product order; True marks a free
+    # variable, False one fixed at zero
+    free = np.indices((2,) * n, dtype=np.int8).reshape(n, 2 ** n).T == 1
     # (pattern indices, candidate points); the f = 0 group always adds one
     found = []
     for f, idx in enumerate(_split_by(free.sum(axis=1), n + 1)):
         if idx.size:
-            found += _group_candidates(Q, c, A, b, upper, idx, states[idx], f, scale)
+            found += _group_candidates(Q, c, A, b, idx, free[idx], f, scale)
     pattern = np.concatenate([faces for faces, _ in found])
     return np.concatenate([x for _, x in found])[np.argsort(pattern)]
 
 
-def _group_candidates(Q, c, A, b, upper, idx, states, f, scale):
+def _group_candidates(Q, c, A, b, idx, free, f, scale):
     """``(pattern indices, points)`` pairs of the faces ``idx`` with ``f`` free variables.
 
     The group shares one stacked least-squares call for the min-norm
@@ -300,18 +285,17 @@ def _group_candidates(Q, c, A, b, upper, idx, states, f, scale):
     null-space dimension then share one stacked eigensolve
     (``_interior_points``).  Each slice is the matrix the face alone would
     give LAPACK, so stacking changes no result.  Only a singular face whose
-    min-norm stationary point leaves the bounds is solved on its own
+    min-norm stationary point has a negative entry is solved on its own
     (``_stationary_face_point``).
     """
-    m = A.shape[0]
+    m, n = A.shape
     tol_eq = _TOL_EQ * scale
     tol_bound = _TOL_BOUND * scale
-    fixed = np.where(states == 2, upper, 0.0)
-    r = (b - fixed @ A.T)[:, :, None]
-    if f == 0:
-        vertex = np.abs(r).max(axis=(1, 2), initial=0.0) <= tol_eq
-        return [(idx[vertex], fixed[vertex])]
-    cols = np.nonzero(states == 1)[1].reshape(-1, f)
+    if f == 0:  # the one pattern with every variable at zero
+        hit = idx[: int(float(np.abs(b).max(initial=0.0)) <= tol_eq)]
+        return [(hit, np.zeros((hit.size, n)))]
+    r = np.repeat(b[None, :, None], idx.size, axis=0)
+    cols = np.nonzero(free)[1].reshape(-1, f)
     AF = A[:, cols].transpose(1, 0, 2).copy()
     if m:
         # numpy.linalg.lstsq's default rcond
@@ -321,48 +305,48 @@ def _group_candidates(Q, c, A, b, upper, idx, states, f, scale):
     nonempty = np.abs(AF @ x0 - r).max(axis=(1, 2), initial=0.0) <= tol_eq
     if not nonempty.any():
         return []
-    idx, fixed, cols, AF, r, x0 = (v[nonempty] for v in (idx, fixed, cols, AF, r, x0))
+    idx, cols, AF, r, x0 = (v[nonempty] for v in (idx, cols, AF, r, x0))
     _, s, vt = _svd(AF, signature="d->ddd")
     rank = (s > RANK_TOL * s[:, :1]).sum(axis=1)
 
     found = []
 
-    def keep(faces, points, cs, xF):
+    def keep(faces, cs, xF):
+        points = np.zeros((faces.size, n))
         points[np.arange(faces.size)[:, None], cs] = np.clip(xF, 0.0, None)
         found.append((faces, points))
 
     for k, sub in enumerate(_split_by(rank, min(m, f) + 1)):
         if sub.size == 0:
             continue
-        faces, points, cs = idx[sub], fixed[sub], cols[sub]
-        uF = upper[cs]
+        faces, cs = idx[sub], cols[sub]
         if k == f:  # the face is the single point x0
             xF = x0[sub][:, :, 0]
-            hit = _in_bounds(xF, uF, tol_bound)
-            keep(faces[hit], points[hit], cs[hit], xF[hit])
+            hit = _nonnegative(xF, tol_bound)
+            keep(faces[hit], cs[hit], xF[hit])
             continue
-        xF, hit, outside = _interior_points(Q, c, vt[sub, k:], cs, x0[sub], uF, tol_bound)
-        keep(faces[hit], points[hit], cs[hit], xF[hit])
+        xF, hit, outside = _interior_points(Q, c, vt[sub, k:], cs, x0[sub], tol_bound)
+        keep(faces[hit], cs[hit], xF[hit])
         # the objective is constant on a singular face's stationary set;
-        # look for a representative inside the bounds
+        # look for a nonnegative representative
         for i in np.flatnonzero(outside):
             N, F = vt[sub[i], k:].T.copy(), cs[i]
             alt = _stationary_face_point(
-                AF[sub[i]], r[sub[i], :, 0], N.T @ Q[np.ix_(F, F)], N.T @ c[F], uF[i]
+                AF[sub[i]], r[sub[i], :, 0], N.T @ Q[np.ix_(F, F)], N.T @ c[F]
             )
-            if alt is not None and _in_bounds(alt[None], uF[i : i + 1], tol_bound)[0]:
-                keep(faces[i : i + 1], points[i : i + 1], cs[i : i + 1], alt[None])
+            if alt is not None:
+                keep(faces[i : i + 1], cs[i : i + 1], alt[None])
     return found
 
 
-def _interior_points(Q, c, null_rows, cs, x0, uF, tol):
+def _interior_points(Q, c, null_rows, cs, x0, tol):
     """Stationary points of faces that share a null-space dimension.
 
     ``null_rows`` stacks, per face, the rows of ``V^T`` from the SVD of its
     constraint matrix that span the null space; ``cs`` holds the free
     columns and ``x0`` the min-norm points.  Returns the stationary points,
     the faces whose point is a candidate, and the singular faces whose
-    min-norm stationary point leaves the bounds.
+    min-norm stationary point has a negative entry.
     """
     N = null_rows.transpose(0, 2, 1).copy()
     NT = N.transpose(0, 2, 1)
@@ -381,21 +365,20 @@ def _interior_points(Q, c, null_rows, cs, x0, uF, tol):
     )
     t = np.where(singular, 0.0, -gp / np.where(singular, 1.0, w))
     xF = (x0 + N @ (V @ t[:, :, None]))[:, :, 0]
-    inside = _in_bounds(xF, uF, tol)
+    inside = _nonnegative(xF, tol)
     return xF, ok & inside, ok & ~inside & singular.any(axis=1)
 
 
-def minimize_quad_over_polytope(Q, c, A, b, box=None) -> OracleResult:
-    """Exact minimum of ``x^T Q x + 2 c^T x`` over ``{A x = b, 0 <= x <= box}``.
+def minimize_quad_over_polytope(Q, c, A, b) -> OracleResult:
+    """Exact minimum of ``x^T Q x + 2 c^T x`` over ``{A x = b, x >= 0}``.
 
-    ``box`` is None (no upper bounds) or gives a finite upper bound for every
-    variable.  The global minimizer of a quadratic lies in the relative
-    interior of some face, where the reduced gradient vanishes and the
-    reduced Hessian is positive semidefinite; enumerating those candidates
-    plus all vertices is exact.  Without a box the recession cone is
-    analyzed first (``recession_analysis``, ``ray_witness``): a divergent
-    ray gives UNBOUNDED_BELOW, and the finite value is certified only when
-    every recession direction has strictly positive curvature.
+    The global minimizer of a quadratic lies in the relative interior of
+    some face, where the reduced gradient vanishes and the reduced Hessian
+    is positive semidefinite; enumerating those candidates plus all
+    vertices is exact.  The recession cone is analyzed first
+    (``recession_analysis``, ``ray_witness``): a divergent ray gives
+    UNBOUNDED_BELOW, and the finite value is certified only when every
+    recession direction has strictly positive curvature.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -409,38 +392,28 @@ def minimize_quad_over_polytope(Q, c, A, b, box=None) -> OracleResult:
     for arr in (Q, c, A, b):
         if not np.isfinite(arr).all():
             raise NonFinite("non-finite problem data")
-    upper = np.full(n, np.inf) if box is None else np.asarray(box, dtype=float).copy()
-    if upper.shape != (n,):
-        raise DimensionMismatch("box must give one upper bound per variable")
-    if box is not None and not np.isfinite(upper).all():
-        raise ValueError("box must give a finite upper bound for every variable")
-    if np.any(upper < 0):
-        raise ValueError("upper bounds must be nonnegative")
 
     certified = True
-    recession = None
-    if box is None:
-        recession = recession_analysis(Q, A)
-        if recession.l_nontrivial:
-            verts = basic_feasible_points(A, b)
-            if not verts:
-                return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE,
-                                    recession=recession)
-            witness = ray_witness(Q, c, verts, recession)
-            if witness is not None:
-                return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED,
-                                    unbounded_witness=witness, recession=recession)
-            qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-            certified = recession.min_curvature > recession.tolerance * qscale
+    recession = recession_analysis(Q, A)
+    if recession.l_nontrivial:
+        verts = basic_feasible_points(A, b)
+        if not verts:
+            return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE,
+                                recession=recession)
+        witness = ray_witness(Q, c, verts, recession)
+        if witness is not None:
+            return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED,
+                                unbounded_witness=witness, recession=recession)
+        qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
+        certified = recession.min_curvature > recession.tolerance * qscale
 
-    base = 2 if box is None else 3
-    faces = base ** n
+    faces = 2 ** n
     if faces > (1 << enum_cap()):
         raise DeskScaleLimit(f"{faces} face patterns exceed the enumeration cap")
 
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
     with np.errstate(call=_lapack_failed, invalid="call"):
-        X = _face_candidates(Q, c, A, b, upper, base, scale)
+        X = _face_candidates(Q, c, A, b, scale)
     if not len(X):
         return OracleResult(math.inf, (), False, faces, ORACLE_INFEASIBLE, recession=recession)
 
@@ -574,9 +547,9 @@ def verify_local_minimizer(inst: QpInstance, x) -> LocalMinVerdict:
     """Decide whether a feasible point is a local minimizer.
 
     Runs the first-order multiplier recovery (multipliers forced to zero on
-    the positive support) and then minimizes the quadratic form over the
-    critical cone intersected with the unit box, split into nonnegative
-    parts; the point is a local minimizer exactly when both tests pass.
+    the positive support) and then the second-order test
+    (``second_order_minimum``); the point is a local minimizer exactly when
+    both tests pass.
     """
     x = np.asarray(x, dtype=float)
     residual = feasibility_residual(inst, x)
@@ -619,20 +592,15 @@ def verify_local_minimizer(inst: QpInstance, x) -> LocalMinVerdict:
     return LocalMinVerdict(is_local_min=bool(is_min), kkt=kkt, second_order_min=second_min)
 
 
-def second_order_minimum(
-    inst: QpInstance,
-    x,
-    grad=None,
-    P=None,
-    Z=None,
-    box_radius: float = 1.0,
-) -> float:
-    """Minimum of ``d^T Q d`` over the critical cone within a box.
+def second_order_minimum(inst: QpInstance, x, grad=None, P=None, Z=None) -> float:
+    """Minimum of ``d^T Q d`` over the critical cone, or 0 when none is negative.
 
     The cone is ``{d : A d = 0, (Qx + c)^T d = 0, d_j >= 0 on the zero
-    support}``; free components are split into differences of nonnegative
-    parts and every part is capped at ``box_radius``.  By homogeneity the
-    sign of the result does not depend on the radius.
+    support}``.  Free components are split into differences of nonnegative
+    parts ``z``, and the cone is cut by the slice ``e^T z = 1``, as in
+    ``recession_analysis``.  Every nonzero ``z`` of the cone scales onto the
+    slice, so the result is negative exactly when Q is not copositive on
+    the cone; an empty slice (+inf) reports 0.
     """
     x = np.asarray(x, dtype=float)
     if grad is None:
@@ -650,10 +618,8 @@ def second_order_minimum(
         T[j, len(P) + k] = -1.0
     for k, j in enumerate(Z):
         T[j, 2 * len(P) + k] = 1.0
-    M = np.vstack([inst.A @ T, (grad @ T).reshape(1, -1)])
+    M = np.vstack([inst.A @ T, (grad @ T).reshape(1, -1), np.ones((1, nsplit))])
     rhs = np.zeros(M.shape[0])
-    Qz = T.T @ inst.Q @ T
-    res = minimize_quad_over_polytope(
-        Qz, np.zeros(nsplit), M, rhs, box=np.full(nsplit, float(box_radius))
-    )
-    return float(res.value)
+    rhs[-1] = 1.0
+    res = minimize_quad_over_polytope(T.T @ inst.Q @ T, np.zeros(nsplit), M, rhs)
+    return min(0.0, float(res.value))

@@ -92,22 +92,6 @@ class TestQuadMinimization:
         mins = sorted(tuple(np.round(m, 8)) for m in res.minimizers)
         assert mins == [(0, 1), (1, 0)]
 
-    def test_box_restricts(self):
-        # linear decrease stopped by the upper bound
-        res = minimize_quad_over_polytope(
-            np.zeros((1, 1)), np.array([-1.0]), np.zeros((1, 1)), np.array([0.0]),
-            box=np.array([2.0]),
-        )
-        assert res.value == pytest.approx(-4.0)  # q = 2 c x at x = 2
-        assert np.allclose(res.minimizers[0], [2.0])
-
-    def test_mixed_box_rejected(self):
-        with pytest.raises(ValueError):
-            minimize_quad_over_polytope(
-                np.zeros((2, 2)), np.array([-1.0, -1.0]), np.zeros((1, 2)), np.array([0.0]),
-                box=np.array([2.0, np.inf]),
-            )
-
 
 class TestGlobalSolve:
     def test_infeasible(self):
@@ -171,22 +155,35 @@ class TestLocalMinimizer:
         assert not verdict.is_local_min
         assert verdict.kkt is not None  # first-order holds with y = -1/2
         assert np.allclose(verdict.kkt.y, [-0.5], atol=1e-9)
-        assert verdict.second_order_min == pytest.approx(-2.0, abs=1e-6)
+        # d = (1/2, -1/2) on the slice e^T z = 1 of the split cone
+        assert verdict.second_order_min == pytest.approx(-0.5, abs=1e-6)
 
     def test_infeasible_point(self, simplex_convex):
         with pytest.raises(PointInfeasible):
             verify_local_minimizer(simplex_convex, np.array([2.0, 2.0]))
 
-    def test_box_doubling_keeps_sign(self):
-        inst = make_qp(-np.eye(2), [0, 0], [[1, 1]], [1])
+    def test_second_order_sign(self):
         x = np.array([0.5, 0.5])
-        m1 = second_order_minimum(inst, x, box_radius=1.0)
-        m2 = second_order_minimum(inst, x, box_radius=2.0)
-        assert m1 < 0 and m2 < 0
-        inst2 = make_qp(np.eye(2), [0, 0], [[1, 1]], [1])
-        p1 = second_order_minimum(inst2, np.array([0.5, 0.5]), box_radius=1.0)
-        p2 = second_order_minimum(inst2, np.array([0.5, 0.5]), box_radius=2.0)
-        assert p1 >= -1e-12 and p2 >= -1e-12
+        assert second_order_minimum(make_qp(-np.eye(2), [0, 0], [[1, 1]], [1]), x) < 0
+        assert second_order_minimum(make_qp(np.eye(2), [0, 0], [[1, 1]], [1]), x) == 0.0
+
+    @pytest.mark.parametrize("b, is_min, second", [(1.0, True, 0.0), (-1.0, False, -0.125)])
+    def test_degenerate_complementarity(self, b, is_min, second):
+        # at x = e1 the multiplier s vanishes on the zero support, so the
+        # critical cone keeps d2, d3 >= 0: Q is copositive on it for b = 1
+        # without being PSD on its span; for b = -1, d = (-1/2, 1/4, 1/4)
+        inst = make_qp([[0, 0, 0], [0, 0, b], [0, b, 0]], [0, 0, 0], [[1, 1, 1]], [1])
+        verdict = verify_local_minimizer(inst, np.array([1.0, 0.0, 0.0]))
+        assert np.array_equal(verdict.kkt.s, np.zeros(3))
+        assert verdict.is_local_min == is_min
+        assert verdict.second_order_min == pytest.approx(second, abs=1e-12)
+
+    def test_interior_minimizer_beyond_box_face_count(self):
+        # all six entries positive: 12 split variables, 2^12 slice faces
+        n = 6
+        inst = make_qp(np.eye(n), -2 * np.ones(n), [np.ones(n)], [n])
+        verdict = verify_local_minimizer(inst, np.ones(n))
+        assert verdict.is_local_min and verdict.second_order_min == 0.0
 
     def test_oracle_minimizers_are_local_minimizers(self):
         from qprelax.generators import random_instance
@@ -207,7 +204,7 @@ class TestBasicFeasiblePoints:
         assert basic_feasible_points(np.zeros((1, 3)), np.array([1.0])) == []
 
 
-def reference_minimize(Q, c, A, b, box=None):
+def reference_minimize(Q, c, A, b):
     """The per-face loop the stacked face engine replaced, as its reference.
 
     One ``lstsq``, one SVD (``nullspace_basis``) and one ``eigh`` per face,
@@ -216,39 +213,30 @@ def reference_minimize(Q, c, A, b, box=None):
     """
     Q, c, A, b = (np.asarray(v, dtype=float) for v in (Q, c, A, b))
     n = Q.shape[0]
-    upper = np.full(n, np.inf) if box is None else np.asarray(box, dtype=float)
     certified = True
-    recession = None
-    if box is None:
-        recession = oracle.recession_analysis(Q, A)
-        if recession.l_nontrivial:
-            verts = oracle.basic_feasible_points(A, b)
-            if not verts:
-                return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE)
-            if oracle.ray_witness(Q, c, verts, recession) is not None:
-                return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED)
-            qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-            certified = recession.min_curvature > recession.tolerance * qscale
+    recession = oracle.recession_analysis(Q, A)
+    if recession.l_nontrivial:
+        verts = oracle.basic_feasible_points(A, b)
+        if not verts:
+            return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE)
+        if oracle.ray_witness(Q, c, verts, recession) is not None:
+            return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED)
+        qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
+        certified = recession.min_curvature > recession.tolerance * qscale
 
-    choices = [(0, 1, 2) if np.isfinite(upper[j]) else (0, 1) for j in range(n)]
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
     tol_eq = oracle._TOL_EQ * scale
     tol_bound = oracle._TOL_BOUND * scale
     candidates = []
     faces = 0
-    for states in itertools.product(*choices):
+    for states in itertools.product((0, 1), repeat=n):
         faces += 1
-        fixed_vals = np.zeros(n)
         free_idx = [j for j in range(n) if states[j] == 1]
-        for j in range(n):
-            if states[j] == 2:
-                fixed_vals[j] = upper[j]
-        fixed_idx = [j for j in range(n) if states[j] != 1]
-        rhs = b - A[:, fixed_idx] @ fixed_vals[fixed_idx] if fixed_idx else b.copy()
+        rhs = b.copy()
 
         if not free_idx:
             if float(np.abs(rhs).max(initial=0.0)) <= tol_eq:
-                x = fixed_vals.copy()
+                x = np.zeros(n)
                 candidates.append((float(x @ Q @ x + 2 * c @ x), x))
             continue
 
@@ -259,7 +247,6 @@ def reference_minimize(Q, c, A, b, box=None):
         N = nullspace_basis(AF)
         QFF = Q[np.ix_(free_idx, free_idx)]
         cF = c[free_idx]
-        uF = upper[free_idx]
 
         if N.shape[1] == 0:
             xF = x0
@@ -278,24 +265,18 @@ def reference_minimize(Q, c, A, b, box=None):
                 continue
             t = np.where(singular, 0.0, -gp / np.where(singular, 1.0, w))
             xF = x0 + N @ (V @ t)
-            inside = (
-                float(xF.min(initial=0.0)) >= -tol_bound
-                and float((xF - uF).max(initial=0.0)) <= tol_bound
-            )
+            inside = float(xF.min(initial=0.0)) >= -tol_bound
             if not inside and singular.any():
-                alt = oracle._stationary_face_point(AF, rhs, N.T @ QFF, N.T @ cF, uF)
+                alt = oracle._stationary_face_point(AF, rhs, N.T @ QFF, N.T @ cF)
                 if alt is None:
                     continue
                 xF = alt
             elif not inside:
                 continue
 
-        if (
-            float(xF.min(initial=0.0)) < -tol_bound
-            or float((xF - uF).max(initial=0.0)) > tol_bound
-        ):
+        if float(xF.min(initial=0.0)) < -tol_bound:
             continue
-        x = fixed_vals.copy()
+        x = np.zeros(n)
         x[free_idx] = np.clip(xF, 0.0, None)
         candidates.append((float(x @ Q @ x + 2 * c @ x), x))
 
@@ -362,10 +343,7 @@ def face_problems(draw):
     else:
         b = matrix(m, 1)[:, 0]
     c = matrix(n, 1)[:, 0] if draw(st.booleans()) else np.zeros(n)
-    box = None
-    if draw(st.booleans()):
-        box = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n)))
-    return Q, c, A, b, box
+    return Q, c, A, b
 
 
 class TestStackedFaceEngine:
@@ -374,14 +352,13 @@ class TestStackedFaceEngine:
     @settings(max_examples=300)
     @given(face_problems())
     def test_matches_per_face_loop(self, problem):
-        Q, c, A, b, box = problem
-        res = minimize_quad_over_polytope(Q, c, A, b, box=box)
-        assert_same_result(res, reference_minimize(Q, c, A, b, box=box))
+        res = minimize_quad_over_polytope(*problem)
+        assert_same_result(res, reference_minimize(*problem))
 
     def test_singular_face_fallback(self, monkeypatch):
-        # on the face where both variables are free the objective is flat
-        # and the min-norm point (0.25, -0.25) leaves the box, so only the
-        # singular fallback finds a representative
+        # the objective is flat; on the faces with three or four free
+        # variables the min-norm point has a negative entry, so only the
+        # singular fallback finds a nonnegative representative
         calls = []
         fallback = oracle._stationary_face_point
 
@@ -390,10 +367,10 @@ class TestStackedFaceEngine:
             return fallback(*args)
 
         monkeypatch.setattr(oracle, "_stationary_face_point", counted)
-        problem = (np.zeros((2, 2)), np.zeros(2), np.array([[1.0, -1.0]]), np.array([0.5]),
-                   np.ones(2))
+        problem = (np.zeros((4, 4)), np.zeros(4), np.array([[1.0, 1, 1, 1], [3, -1, 0, 0]]),
+                   np.array([1.0, -0.5]))
         res = minimize_quad_over_polytope(*problem)
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert res.value == 0.0 and res.status == ORACLE_OPTIMAL
         assert_same_result(res, reference_minimize(*problem))
 
@@ -401,14 +378,9 @@ class TestStackedFaceEngine:
     def test_face_counts(self, n):
         Q, c, A, b = -np.eye(n), np.zeros(n), np.ones((1, n)), np.array([1.0])
         assert minimize_quad_over_polytope(Q, c, A, b).faces_explored == 2 ** n
-        boxed = minimize_quad_over_polytope(Q, c, A, b, box=np.ones(n))
-        assert boxed.faces_explored == 3 ** n
 
     def test_zero_row_constraints(self):
         A, b = np.zeros((0, 3)), np.zeros(0)
-        res = minimize_quad_over_polytope(-np.eye(3), np.zeros(3), A, b, box=np.ones(3))
-        assert res.value == -3.0 and res.faces_explored == 27
-        assert np.array_equal(res.minimizers[0], np.ones(3))
         res = minimize_quad_over_polytope(np.eye(3), np.ones(3), A, b)
         assert res.value == 0.0 and res.faces_explored == 8
         assert res.status == ORACLE_OPTIMAL
