@@ -715,7 +715,8 @@ def verify_certificate(
     d = np.asarray(cert.d, dtype=float)
     viol = cone_violation(d, cert.cone)
     corner = abs(float(d[0, 0]))
-    affine = abs(float(np.tensordot(lp.ahat, d))) / max(1.0, float(np.abs(lp.ahat).max()))
+    affine = float(np.abs(lp.rows @ d).max(initial=0.0)) / max(
+        1.0, float(np.abs(lp.rows).max(initial=0.0)))
     trace_err = abs(float(np.trace(d)) - 1.0)
     rate = float(np.tensordot(lp.qhat, d))
     ok = viol <= tol and corner <= tol and affine <= tol and trace_err <= tol

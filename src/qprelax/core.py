@@ -98,22 +98,23 @@ class QpInstance:
 class LiftedProblem:
     """Objective and constraint data of the lifted conic relaxation.
 
-    ``qhat`` carries the quadratic objective, ``ahat`` is the single
-    rank-structured equality constraint matrix; both are symmetric of order
-    ``n + 1``.  ``ahat`` is positive semidefinite by construction.
+    ``qhat`` carries the quadratic objective, symmetric of order ``n + 1``.
+    ``rows`` is the ``m x (n + 1)`` matrix ``[b, -A]``: a positive
+    semidefinite Y satisfies the lifted constraint ``<rows^T rows, Y> = 0``
+    exactly when ``rows Y = 0``.
     """
 
     qhat: np.ndarray
-    ahat: np.ndarray
+    rows: np.ndarray
     cone: str
     n: int
 
     def __post_init__(self):
         object.__setattr__(self, "qhat", _frozen_array(self.qhat))
-        object.__setattr__(self, "ahat", _frozen_array(self.ahat))
+        object.__setattr__(self, "rows", _frozen_array(self.rows))
         k = self.n + 1
-        if self.qhat.shape != (k, k) or self.ahat.shape != (k, k):
-            raise DimensionMismatch("lifted matrices must be (n+1) x (n+1)")
+        if self.qhat.shape != (k, k) or self.rows.ndim != 2 or self.rows.shape[1] != k:
+            raise DimensionMismatch("qhat must be (n+1) x (n+1) and rows have n+1 columns")
         if self.cone not in CONES:
             raise ValueError(f"unknown cone selector {self.cone!r}")
 
@@ -360,8 +361,8 @@ def in_recession_cone(inst: QpInstance, d) -> bool:
 def lift_instance(inst: QpInstance, cone: str = DNN) -> LiftedProblem:
     """Assemble the lifted objective and constraint of the conic relaxation.
 
-    ``qhat`` has zero corner, c on the borders and Q inside; ``ahat`` is the
-    Gram matrix of ``[b^T; -A^T]`` and is therefore positive semidefinite.
+    ``qhat`` has zero corner, c on the borders and Q inside; ``rows`` is
+    ``[b, -A]``.
     """
     if cone not in CONES:
         raise ValueError(f"unknown cone selector {cone!r}")
@@ -370,13 +371,8 @@ def lift_instance(inst: QpInstance, cone: str = DNN) -> LiftedProblem:
     qhat[0, 1:] = inst.c
     qhat[1:, 0] = inst.c
     qhat[1:, 1:] = inst.Q
-    stack = np.vstack([inst.b.reshape(1, inst.m), -inst.A.T])  # (n+1) x m
-    ahat = stack @ stack.T
-    ahat = 0.5 * (ahat + ahat.T)
-    min_eig = float(np.linalg.eigvalsh(ahat).min())
-    if min_eig < -1e-10 * max(1.0, float(np.abs(ahat).max())):
-        raise NonFinite(f"constraint matrix lost positive semidefiniteness ({min_eig})")
-    return LiftedProblem(qhat=qhat, ahat=ahat, cone=cone, n=n)
+    rows = np.hstack([inst.b.reshape(inst.m, 1), -inst.A])
+    return LiftedProblem(qhat=qhat, rows=rows, cone=cone, n=n)
 
 
 def index_sets(x, tol: float = 1e-9) -> IndexSets:

@@ -171,10 +171,10 @@ class AffineProjector:
 class FaceProjector:
     """Projector onto an affine slice of the face ``{V S V^T}``.
 
-    For a positive semidefinite Y the constraint ``<ahat, Y> = 0`` with
-    positive semidefinite ``ahat`` is equivalent to range(Y) lying in
-    null(ahat); restricting to that face removes the constraint that would
-    otherwise destroy strict feasibility.  The projection of M is
+    For a positive semidefinite Y the lifted constraint ``rows Y = 0`` is
+    equivalent to range(Y) lying in null(rows); restricting to that face
+    removes the constraint that would otherwise destroy strict
+    feasibility.  The projection of M is
     ``V P(V^T M V) V^T`` where P is the affine projection in the reduced
     space: for an orthonormal V this is the Frobenius-nearest point of the
     sliced face.
@@ -232,13 +232,13 @@ class FaceProjector:
 def build_affine_projector(lp: LiftedProblem, pin=None) -> FaceProjector:
     """Face-restricted projector for the lifted relaxation constraints.
 
-    Enforces range(Y) in null(ahat) (equivalent to ``<ahat, Y> = 0`` for
+    Enforces range(Y) in null(rows) (equivalent to ``rows Y = 0`` for
     positive semidefinite Y), ``Y[0,0] = 1``, and optionally a pinned 0th
     row.  Pinning the full 0th row of ``Y = V S V^T`` reduces to the
     independent system ``S v0 = V^T [1; x]`` over the face coordinates,
     which also implies the corner constraint.
     """
-    basis = nullspace_basis(lp.ahat)  # the face null(ahat) carrying all feasible Y
+    basis = nullspace_basis(lp.rows)  # the face null(rows) carrying all feasible Y
     r = basis.shape[1]
     v0 = basis[0]
     mats = []
@@ -264,14 +264,14 @@ def certificate_basis(lp: LiftedProblem) -> np.ndarray:
     """Orthonormal basis of the face carrying every recession certificate.
 
     A positive semidefinite certificate with zero corner entry has a zero
-    0th row, so the carrying face is range(D) in null(ahat) intersected
+    0th row, so the carrying face is range(D) in null(rows) intersected
     with the complement of the 0th coordinate: null(A) in the trailing
     coordinates.
     """
     k = lp.n + 1
     e0 = np.zeros((1, k))
     e0[0, 0] = 1.0
-    return nullspace_basis(np.vstack([lp.ahat, e0]))
+    return nullspace_basis(np.vstack([lp.rows, e0]))
 
 
 def certificate_projector(lp: LiftedProblem, basis=None) -> FaceProjector:

@@ -131,13 +131,13 @@ class TestLifting:
         assert lp.qhat[0, 0] == 0.0
         assert lp.qhat[0, 1:].tolist() == [1.0] * 5
         assert np.array_equal(lp.qhat[1:, 1:], inst.Q)
-        assert lp.ahat[0, 0] == pytest.approx(81.0)  # b^T b
-        assert np.linalg.eigvalsh(lp.ahat).min() >= -1e-10 * np.abs(lp.ahat).max()
+        assert lp.rows[0, 0] == 9.0  # b
+        assert np.array_equal(lp.rows[:, 1:], -inst.A)
 
     def test_zero_rhs_zero_row(self):
         inst = make_qp(np.eye(2), [0, 0], [[1, -1]], [0])
         lp = lift_instance(inst, PSD0)
-        assert np.all(lp.ahat[0] == 0.0)
+        assert np.all(lp.rows[:, 0] == 0.0)
 
     def test_bad_cone(self, simplex_convex):
         with pytest.raises(ValueError):

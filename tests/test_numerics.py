@@ -257,7 +257,7 @@ class TestAffineProjector:
         proj = build_affine_projector(lp)
         out = proj.apply(np.zeros((6, 6)))
         assert out[0, 0] == pytest.approx(1.0, abs=1e-10)
-        assert abs(float(np.tensordot(lp.ahat, out))) <= 1e-8
+        assert np.abs(lp.rows @ out).max() <= 1e-8
 
     def test_feasible_point_unchanged(self, horn):
         inst, _ = horn

@@ -15,7 +15,7 @@ from qprelax.generators import (
     horn_instance,
     random_instance,
 )
-from qprelax.report import _grade, compare_report
+from qprelax.report import COMPARISON_TOLERANCE, _grade, compare_report
 
 from conftest import make_qp
 
@@ -81,6 +81,20 @@ class TestCompareReport:
         assert failed_checks(report) == []
         by_name = {c.name: c for c in report.checks}
         assert by_name["curvature condition makes relaxations exact"].passed
+
+    def test_ill_conditioned_row_keeps_its_face(self):
+        # the second row's singular value is ~1e-6 of the first; squared in a
+        # Gram matrix it fell below the rank cut, and PSD0 reported a false
+        # UNBOUNDED with rate -1 while DNN reported -1.21
+        inst = make_qp(np.diag([1.0, -1.0, -1.0]), [0, 0, 0],
+                       [[1, 1, 1], [0, 1e-6, -1e-6]], [1.1, 0])
+        report = compare_report(inst)
+        assert failed_checks(report) == []
+        assert report.oracle.value == pytest.approx(-0.605, rel=1e-12)
+        for cone in (DNN, PSD0):
+            res = report.relaxations[cone]
+            assert res.status == "OPTIMAL", cone
+            assert abs(res.value + 0.605) <= COMPARISON_TOLERANCE * 0.605, cone
 
     @pytest.mark.parametrize(
         "inst, max_iterations, names",
