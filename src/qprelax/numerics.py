@@ -266,12 +266,10 @@ def certificate_basis(lp: LiftedProblem) -> np.ndarray:
     A positive semidefinite certificate with zero corner entry has a zero
     0th row, so the carrying face is range(D) in null(rows) intersected
     with the complement of the 0th coordinate: null(A) in the trailing
-    coordinates.
+    coordinates.  The basis has an exactly zero 0th row.
     """
-    k = lp.n + 1
-    e0 = np.zeros((1, k))
-    e0[0, 0] = 1.0
-    return nullspace_basis(np.vstack([lp.rows, e0]))
+    null_a = nullspace_basis(lp.rows[:, 1:])
+    return np.vstack([np.zeros((1, null_a.shape[1])), null_a])
 
 
 def certificate_projector(lp: LiftedProblem, basis=None) -> FaceProjector:
