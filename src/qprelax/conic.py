@@ -224,7 +224,8 @@ class CertificateSearch:
     ``status`` is FOUND, NONE (no certificate: the certificate set is
     empty, or the best rate is above the threshold), or INCONCLUSIVE (no
     verdict within the iteration budget, or a candidate that failed
-    verification).
+    verification).  ``check`` is the verification of the graded candidate,
+    None when no candidate was graded.
     """
 
     status: str
@@ -232,6 +233,7 @@ class CertificateSearch:
     iterations: int
     residual: float
     reason: str = ""
+    check: Optional[CertificateCheck] = None
 
 
 @dataclass(frozen=True)
@@ -838,11 +840,11 @@ def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
     check = verify_certificate(inst, cert, tol=max(10.0 * opts.tol_primal, 1e-9))
     if not check.ok:
         return CertificateSearch(INCONCLUSIVE, None, iterations, residual,
-                                 reason="candidate failed verification")
+                                 reason="candidate failed verification", check=check)
     if mode == OBJECTIVE and rate >= -_rate_threshold(inst, lp.cone):
         return CertificateSearch(NONE, None, iterations, residual,
-                                 reason=f"optimal rate {rate:.3e} above threshold")
-    return CertificateSearch(FOUND, cert, iterations, residual)
+                                 reason=f"optimal rate {rate:.3e} above threshold", check=check)
+    return CertificateSearch(FOUND, cert, iterations, residual, check=check)
 
 
 # ---------------------------------------------------------------------------

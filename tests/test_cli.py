@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qprelax import conic
 from qprelax.cli import main
 from qprelax.core import load_instance
 from qprelax.generators import horn_instance
@@ -150,6 +151,22 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "FOUND"
         assert payload["certificate"]["verified"] is True
+
+    def test_certificate_verified_once(self, horn_file, capsys, monkeypatch):
+        calls = []
+        original = conic.verify_certificate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(conic, "verify_certificate", counted)
+        assert main(["--json", "certificate", "--cone", "dnn", "--mode", "feasibility",
+                     str(horn_file)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "FOUND"
+        assert payload["certificate"]["verified"] is True
+        assert len(calls) == 1
 
     def test_certificate_budget_is_inconclusive(self, horn_file, capsys):
         assert main(["--json", "--max-iter", "5", "certificate", "--cone", "dnn",
