@@ -83,16 +83,6 @@ class QpInstance:
         if not np.array_equal(self.Q, self.Q.T):
             raise AsymmetricQ("Q must equal its transpose entrywise as stored")
 
-    def scale(self) -> float:
-        """A rough magnitude of the instance data, used for scaled tolerances."""
-        return max(
-            1.0,
-            float(np.abs(self.Q).max()),
-            float(np.abs(self.c).max()) if self.n else 1.0,
-            float(np.abs(self.A).max()),
-            float(np.abs(self.b).max()) if self.m else 1.0,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class LiftedProblem:
