@@ -83,9 +83,9 @@ class TestCompareReport:
         assert by_name["curvature condition makes relaxations exact"].passed
 
     def test_ill_conditioned_row_keeps_its_face(self):
-        # the second row's singular value is ~1e-6 of the first; squared in a
-        # Gram matrix it fell below the rank cut, and PSD0 reported a false
-        # UNBOUNDED with rate -1 while DNN reported -1.21
+        # the second row is ~1e-6 the size of the first: a face built from
+        # their Gram matrix squares that ratio below the rank cut and loses
+        # the row, giving PSD0 a false UNBOUNDED and DNN -1.21
         inst = make_qp(np.diag([1.0, -1.0, -1.0]), [0, 0, 0],
                        [[1, 1, 1], [0, 1e-6, -1e-6]], [1.1, 0])
         report = compare_report(inst)
