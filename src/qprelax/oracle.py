@@ -294,18 +294,19 @@ def _group_candidates(Q, c, A, b, idx, free, f, scale):
     if f == 0:  # the one pattern with every variable at zero
         hit = idx[: int(float(np.abs(b).max(initial=0.0)) <= tol_eq)]
         return [(hit, np.zeros((hit.size, n)))]
-    r = np.repeat(b[None, :, None], idx.size, axis=0)
+    r = b[:, None]  # every face has the right-hand side b
     cols = np.nonzero(free)[1].reshape(-1, f)
     AF = A[:, cols].transpose(1, 0, 2).copy()
     if m:
         # numpy.linalg.lstsq's default rcond
-        x0 = _lstsq(AF, r, np.finfo(float).eps * max(m, f), signature="ddd->ddid")[0]
+        x0 = _lstsq(AF, np.broadcast_to(r, (idx.size, m, 1)), np.finfo(float).eps * max(m, f),
+                    signature="ddd->ddid")[0]
     else:
         x0 = np.zeros((idx.size, f, 1))
     nonempty = np.abs(AF @ x0 - r).max(axis=(1, 2), initial=0.0) <= tol_eq
     if not nonempty.any():
         return []
-    idx, cols, AF, r, x0 = (v[nonempty] for v in (idx, cols, AF, r, x0))
+    idx, cols, AF, x0 = (v[nonempty] for v in (idx, cols, AF, x0))
     _, s, vt = _svd(AF, signature="d->ddd")
     rank = (s > RANK_TOL * s[:, :1]).sum(axis=1)
 
@@ -332,7 +333,7 @@ def _group_candidates(Q, c, A, b, idx, free, f, scale):
         for i in np.flatnonzero(outside):
             N, F = vt[sub[i], k:].T.copy(), cs[i]
             alt = _stationary_face_point(
-                AF[sub[i]], r[sub[i], :, 0], N.T @ Q[np.ix_(F, F)], N.T @ c[F]
+                AF[sub[i]], b, N.T @ Q[np.ix_(F, F)], N.T @ c[F]
             )
             if alt is not None:
                 keep(faces[i : i + 1], cs[i : i + 1], alt[None])

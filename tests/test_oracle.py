@@ -178,7 +178,7 @@ class TestLocalMinimizer:
         assert verdict.is_local_min == is_min
         assert verdict.second_order_min == pytest.approx(second, abs=1e-12)
 
-    def test_interior_minimizer_beyond_box_face_count(self):
+    def test_interior_minimizer_with_six_positive_entries(self):
         # all six entries positive: 12 split variables, 2^12 slice faces
         n = 6
         inst = make_qp(np.eye(n), -2 * np.ones(n), [np.ones(n)], [n])
@@ -232,17 +232,16 @@ def reference_minimize(Q, c, A, b):
     for states in itertools.product((0, 1), repeat=n):
         faces += 1
         free_idx = [j for j in range(n) if states[j] == 1]
-        rhs = b.copy()
 
         if not free_idx:
-            if float(np.abs(rhs).max(initial=0.0)) <= tol_eq:
+            if float(np.abs(b).max(initial=0.0)) <= tol_eq:
                 x = np.zeros(n)
                 candidates.append((float(x @ Q @ x + 2 * c @ x), x))
             continue
 
         AF = A[:, free_idx]
-        x0, *_ = np.linalg.lstsq(AF, rhs, rcond=None)
-        if float(np.abs(AF @ x0 - rhs).max(initial=0.0)) > tol_eq:
+        x0, *_ = np.linalg.lstsq(AF, b, rcond=None)
+        if float(np.abs(AF @ x0 - b).max(initial=0.0)) > tol_eq:
             continue
         N = nullspace_basis(AF)
         QFF = Q[np.ix_(free_idx, free_idx)]
@@ -267,7 +266,7 @@ def reference_minimize(Q, c, A, b):
             xF = x0 + N @ (V @ t)
             inside = float(xF.min(initial=0.0)) >= -tol_bound
             if not inside and singular.any():
-                alt = oracle._stationary_face_point(AF, rhs, N.T @ QFF, N.T @ cF)
+                alt = oracle._stationary_face_point(AF, b, N.T @ QFF, N.T @ cF)
                 if alt is None:
                     continue
                 xF = alt
