@@ -47,11 +47,15 @@ from .oracle import (
     KktCertificate,
     LocalMinVerdict,
     OracleResult,
+    RayCertificate,
+    RayCheck,
     basic_feasible_points,
     enumerate_vertices,
+    first_order_certificate,
     global_solve,
     minimize_quad_over_polytope,
     verify_local_minimizer,
+    verify_ray_certificate,
 )
 from .conic import (
     CertificateSearch,

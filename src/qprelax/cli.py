@@ -40,7 +40,7 @@ from .errors import (
 )
 from .generators import KINDS, TARGETS, write_generated
 from .oracle import enumerate_vertices, global_solve, verify_local_minimizer
-from .report import compare_report, relaxation_to_dict
+from .report import compare_report, kkt_to_dict, relaxation_to_dict
 
 _CONES = {"dnn": DNN, "psd0": PSD0}
 
@@ -144,6 +144,16 @@ def _cmd_solve(args) -> int:
     ]
     if res.certificate is not None:
         lines.append(f"certificate objective rate: {res.certificate.objective_rate:.10g}")
+    if res.kkt is not None:
+        lines.append(f"first-order multipliers: stationarity residual"
+                     f" {res.kkt.stationarity_residual:.3g},"
+                     f" least multiplier {res.kkt.min_multiplier:.3g}")
+    if res.ray is not None:
+        lines.append(f"ray: from {np.round(res.ray.x0, 10).tolist()}"
+                     f" along {np.round(res.ray.d, 10).tolist()}")
+        lines.append(f"ray slope {res.ray_check.slope:.10g},"
+                     f" curvature {res.ray_check.curvature:.10g},"
+                     f" independently verified: {res.ray_check.ok}")
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -212,13 +222,7 @@ def _cmd_localmin(args) -> int:
     }
     lines = [f"local minimizer: {verdict.is_local_min}"]
     if verdict.kkt is not None:
-        payload["kkt"] = {
-            "y": verdict.kkt.y.tolist(),
-            "s": verdict.kkt.s.tolist(),
-            "stationarity_residual": verdict.kkt.stationarity_residual,
-            "min_multiplier": verdict.kkt.min_multiplier,
-            "complementarity_residual": verdict.kkt.complementarity_residual,
-        }
+        payload["kkt"] = kkt_to_dict(verdict.kkt)
         lines.append(f"multipliers y: {np.round(verdict.kkt.y, 10).tolist()}")
         lines.append(f"multipliers s: {np.round(verdict.kkt.s, 10).tolist()}")
     else:

@@ -46,12 +46,12 @@ candidate, re-verified from raw data and graded by the sign of its rate.
 It ends in one of two ways, converged or out of iterations.
 
 Plain splitting has a sublinear tail when the cone touches the affine slice
-tangentially (exactly the structurally exact instances), so a solve's loop
-periodically attempts an active-face polish: predict the optimal face from
-the iterate's eigenstructure and zero pattern, solve the reduced linear
-system, and accept only when the polished point is feasible and a fitted
-dual certificate closes the duality gap.  A certificate search does not
-polish.
+tangentially, so a solve's loop periodically attempts an active-face
+polish: predict the optimal face from the iterate's eigenstructure and zero
+pattern, solve the reduced linear system, and accept only when the polished
+point is feasible and a fitted dual certificate closes the duality gap.  A
+certificate search does not polish.  The structurally exact instances, Q
+positive semidefinite on null(A), no longer reach the loop (below).
 
 Unboundedness is decided by a certificate pre-pass rather than by watching
 the objective diverge: a nonzero cone matrix with zero corner, zero
@@ -85,12 +85,31 @@ case: below that threshold its pre-pass finds a certificate and the value
 is minus infinity, so it loops only when that certificate fails
 verification.  A DNN anchor loops when Q has negative curvature on
 null(A) and the pre-pass finds no DNN certificate.
+
+The unpinned solves have the same closed form.  Every feasible point of
+either lift has ``X - x x^T = N S N^T`` with ``S`` positive semidefinite, so
+its objective is ``q(x) + <N^T Q N, S>``, at least ``q(x)`` at the same
+threshold.  Both relaxations then equal the minimum of q over the
+polyhedron (Burer, Math. Prog. 2009), attained at ``z z^T`` with
+``z = [1; x*]``.  ``solve_relaxation`` finds ``x*`` with a primal
+active-set method (``_convex_qp``) started at the basic feasible point of
+its emptiness test, and returns ``z z^T`` as OPTIMAL with 0 iterations
+once ``x*`` passes the raw-data first-order check
+(``oracle.first_order_certificate``, whose multipliers prove a global
+minimum of a q convex on the affine hull) and ``validate_lifted_point``.
+The result carries the multipliers as ``kkt``.  When the method instead
+meets a descent direction of zero curvature that no bound blocks, q and
+both relaxations are unbounded below: the solve returns UNBOUNDED with 0
+iterations and the ray ``(x0, d)`` as ``ray``, once
+``oracle.verify_ray_certificate`` accepts it.  No lifted recession
+certificate exists there, since the rate ``d^T Q d`` is 0.  Where a check
+fails, or the method reaches ``ACTIVE_SET_STEPS``, the solve loops.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -121,7 +140,15 @@ from .numerics import (
     cone_violation,
     nullspace_basis,
 )
-from .oracle import _feasible_point, _require_desk_scale
+from .oracle import (
+    KktCertificate,
+    RayCertificate,
+    RayCheck,
+    _feasible_point,
+    _require_desk_scale,
+    first_order_certificate,
+    verify_ray_certificate,
+)
 
 OPTIMAL = "OPTIMAL"
 UNBOUNDED = "UNBOUNDED"
@@ -166,6 +193,10 @@ ANDERSON_MAX_JUMP = 1e3
 #: that met the requested ones, when it first met them at iteration j.  A
 #: certificate search's loop (``margin=1.0``) stops at the requested ones.
 STOP_MARGIN = 0.01
+
+#: Working-set changes a closed-form convex solve may make before it gives
+#: way to the loop (``_convex_qp``).
+ACTIVE_SET_STEPS = 200
 
 #: LAPACK's general solver (``numpy.linalg.solve`` without its wrapper);
 #: called with ``signature="dd->d"`` on a regularized Gram matrix.
@@ -242,7 +273,10 @@ class RelaxationResult:
 
     ``value`` uses +inf / -inf sentinels for INFEASIBLE and UNBOUNDED; an
     OPTIMAL result carries the lifted point and its validation report, an
-    UNBOUNDED result carries the verified certificate.
+    UNBOUNDED result carries the verified certificate.  The closed-form
+    convex solve fills ``kkt`` (the multipliers of its OPTIMAL point) or
+    ``ray`` and ``ray_check`` (its UNBOUNDED ray of the original QP, in
+    place of a lifted ``certificate``).
     """
 
     status: str
@@ -254,6 +288,9 @@ class RelaxationResult:
     certificate: Optional[RecessionCertificate] = None
     validation: Optional[ValidationReport] = None
     polished: bool = False
+    kkt: Optional[KktCertificate] = None
+    ray: Optional[RayCertificate] = None
+    ray_check: Optional[RayCheck] = None
 
 
 # ---------------------------------------------------------------------------
@@ -936,6 +973,75 @@ def _prepass(inst: QpInstance, cone: str, opts: SolveOptions) -> Optional[Certif
     return verdict
 
 
+def _convex_qp(inst: QpInstance, x: np.ndarray):
+    """Minimize q over the polyhedron from the basic feasible point ``x``.
+
+    A primal active-set method for Q positive semidefinite on null(A)
+    (Nocedal & Wright, *Numerical Optimization*, 2nd ed., Alg. 16.3).  The
+    working set holds the variables fixed at zero.  Each step takes the
+    eigendecomposition of the reduced Hessian on ``null(A[:, free])``.  A
+    reduced gradient along a flat eigenvector (eigenvalue at most PSD0's
+    curvature threshold) gives a zero-curvature descent direction;
+    otherwise the step is the Newton step on the curved part.  The step is
+    ratio-tested against ``x >= 0``, and the blocking variable joins the
+    working set.  Where q is stationary on the face, a working-set variable
+    with a negative multiplier leaves it.  Drops and ratio-test ties both
+    take the smallest index (Bland's rule).
+
+    Returns ``(x, None)`` at a candidate minimizer, or ``(x, d)`` for an
+    unblocked zero-curvature descent direction ``d >= 0`` with
+    ``e^T d = 1``.  Returns None on negative reduced curvature or after
+    ``ACTIVE_SET_STEPS`` steps.  Neither outcome is checked here.
+    """
+    Q, c, A = inst.Q, inst.c, inst.A
+    flat_tol = _rate_threshold(inst, PSD0)
+    x = np.array(x, dtype=float)
+    fixed = x == 0.0
+    stationary = False  # x minimizes q on the face of the working set
+    for _ in range(ACTIVE_SET_STEPS):
+        free = np.flatnonzero(~fixed)
+        g = Q @ x + c
+        gtol = 1e-10 * (1.0 + float(np.abs(g).max()))
+        N = nullspace_basis(A[:, free]) if free.size and not stationary else None
+        if N is not None and N.shape[1]:
+            w, V = np.linalg.eigh(N.T @ Q[np.ix_(free, free)] @ N)
+            if w[0] < -flat_tol:
+                return None
+            r = V.T @ (N.T @ g[free])
+            flat = w <= flat_tol
+            ray = bool(np.abs(r[flat]).max(initial=0.0) > gtol)
+            if ray or np.abs(r).max() > gtol:
+                p = np.zeros(inst.n)
+                if ray:
+                    p[free] = N @ (V[:, flat] @ -r[flat])
+                else:
+                    p[free] = N @ (V[:, ~flat] @ (-r[~flat] / w[~flat]))
+                p[np.abs(p) <= 1e-12 * np.abs(p).max()] = 0.0
+                block = np.flatnonzero(p < 0.0)
+                if ray and not block.size:
+                    return x, p / p.sum()
+                ratios = -x[block] / p[block]
+                t = float(ratios.min(initial=math.inf))
+                if not ray and t >= 1.0:
+                    x += p
+                    stationary = True
+                else:
+                    x += t * p
+                    j = block[ratios == t][0]
+                    x[j] = 0.0
+                    fixed[j] = True
+                np.clip(x, 0.0, None, out=x)
+                continue
+        y = np.linalg.lstsq(A[:, free].T, g[free], rcond=None)[0] if free.size \
+            else np.zeros(inst.m)
+        drop = np.flatnonzero(fixed & (g - A.T @ y < -10.0 * gtol))
+        if not drop.size:
+            return x, None
+        fixed[drop[0]] = False
+        stationary = False
+    return None
+
+
 def solve_relaxation(
     inst: QpInstance, cone: str = DNN, opts: Optional[SolveOptions] = None
 ) -> RelaxationResult:
@@ -944,17 +1050,44 @@ def solve_relaxation(
     Pipeline: decide feasibility exactly from the original polyhedron
     (feasibility is preserved by the lifting, so an empty polyhedron means
     an infeasible relaxation and no iterations are spent); search for a
-    negative-rate recession certificate (``_prepass``); otherwise run the
-    consensus splitting to optimality.
+    negative-rate recession certificate (``_prepass``).  Where the
+    pre-pass curvature is at or above PSD0's threshold, solve the convex
+    QP by the active-set method ``_convex_qp`` from the basic feasible
+    point the feasibility test found (see the module docstring): OPTIMAL
+    at ``z z^T`` when the point passes ``oracle.first_order_certificate``
+    and ``validate_lifted_point``, UNBOUNDED when its ray passes
+    ``oracle.verify_ray_certificate``, both with 0 iterations.  Otherwise,
+    or when a check fails, run the consensus splitting to optimality.
     """
     opts = opts or SolveOptions()
     lp = lift_instance(inst, cone)
     _require_desk_scale(inst.n)
-    if _feasible_point(inst.A, inst.b) is None:
+    vertex = _feasible_point(inst.A, inst.b)
+    if vertex is None:
         return RelaxationResult(INFEASIBLE, math.inf, None, 0.0, 0.0, 0)
     search = _prepass(inst, cone, opts)
     if search is not None:
         return _unbounded_result(search)
+    curvature = _last_prepass[4]  # of this (instance, cone, options), just set
+    found = _convex_qp(inst, vertex) if curvature >= -_rate_threshold(inst, PSD0) else None
+    if found is not None:
+        x, d = found
+        if d is not None:
+            ray = RayCertificate(x, d)
+            check = verify_ray_certificate(inst, ray)
+            if check.ok:
+                return RelaxationResult(UNBOUNDED, -math.inf, None, 0.0, 0.0, 0,
+                                        ray=ray, ray_check=check)
+        else:
+            try:
+                kkt = first_order_certificate(inst, x)
+            except PointInfeasible:
+                kkt = None
+            if kkt is not None:
+                z = np.concatenate(([1.0], x))
+                result = _validated(lp, inst, np.outer(z, z), opts, 0.0, 0.0, 0)
+                if result.status == OPTIMAL:
+                    return replace(result, kkt=kkt)
     projector = build_affine_projector(lp)
     polisher = _Polisher(lp, projector, cone)
     out = _consensus(lp.qhat, projector, cone_projection_for(cone), opts, polisher=polisher)

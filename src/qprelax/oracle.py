@@ -9,13 +9,15 @@ so that unbounded problems are flagged instead of silently returning a
 wrong finite value.
 
 The faces are solved in groups, not one by one (``_face_candidates``): the
-patterns are grouped by their number of free variables, and each group
-takes one stacked LAPACK call for the min-norm points and one for the
-null-space bases, then one stacked eigensolve of the reduced Hessians per
-null-space dimension.  The PSD, vanishing-gradient and sign tests run as
-masks over the whole group.  Every slice is the matrix that face alone
-would pass to LAPACK, so grouping changes no result; a LAPACK failure
-raises ``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
+patterns are grouped by their number of free variables, and each group is
+cut into slices of at most ``FACE_SLICE`` faces.  A slice takes one stacked
+LAPACK call for the min-norm points and one for the null-space bases, then
+one stacked eigensolve of the reduced Hessians per null-space dimension.
+The PSD, vanishing-gradient and sign tests run as masks over the whole
+slice.  Every member of a stack is the matrix that face alone would pass
+to LAPACK, so neither grouping nor slicing changes a result; the slices
+bound the engine's memory at the cap.  A LAPACK failure raises
+``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
 
 All enumeration is capped at ``enum_cap()`` variables (default 16, set
 with the QPRELAX_ENUM_CAP environment variable).
@@ -31,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import QpInstance, feasibility_residual, index_sets
+from .core import FEAS_TOL, QpInstance, feasibility_residual, in_recession_cone, index_sets
 from .errors import DeskScaleLimit, DimensionMismatch, NonFinite, PointInfeasible
 from .numerics import RANK_TOL, _eigh, _lstsq, _svd
 
@@ -47,6 +49,10 @@ _TOL_PSD = 1e-9
 _TOL_BOUND = 1e-9
 _TOL_CURV = 1e-9
 _DEDUP_DECIMALS = 8
+
+#: Faces of one free-set group solved per stacked call.  The corpus (n <= 8)
+#: never reaches it; at the n = 16 cap the largest group has 12 870 faces.
+FACE_SLICE = 2048
 
 
 def enum_cap() -> int:
@@ -127,6 +133,29 @@ class KktCertificate:
     stationarity_residual: float
     min_multiplier: float
     complementarity_residual: float
+
+
+@dataclass(frozen=True)
+class RayCertificate:
+    """A feasible point ``x0`` and a direction ``d`` along which q decreases
+    without bound: ``d`` is a recession direction with ``e^T d = 1``, zero
+    curvature ``d^T Q d`` and a negative slope ``(Q x0 + c)^T d``."""
+
+    x0: np.ndarray
+    d: np.ndarray
+
+
+@dataclass(frozen=True)
+class RayCheck:
+    """Re-verification of a ``RayCertificate`` from raw instance data."""
+
+    ok: bool
+    feasibility_residual: float
+    recession_direction: bool
+    normalization_error: float
+    curvature: float
+    slope: float
+    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -261,8 +290,8 @@ def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
     A face's candidate is its vertex (no free variable) or the stationary
     point of the quadratic on its affine hull, kept when the reduced
     Hessian is PSD, the reduced gradient can vanish and the point is
-    nonnegative.  Faces are solved together per number of free variables
-    (``_group_candidates``).
+    nonnegative.  Faces are solved together per number of free variables,
+    in slices of at most ``FACE_SLICE`` faces (``_group_candidates``).
     """
     n = A.shape[1]
     # one row per face in itertools.product order; True marks a free
@@ -271,8 +300,9 @@ def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
     # (pattern indices, candidate points); the f = 0 group always adds one
     found = []
     for f, idx in enumerate(_split_by(free.sum(axis=1), n + 1)):
-        if idx.size:
-            found += _group_candidates(Q, c, A, b, idx, free[idx], f, scale)
+        for start in range(0, idx.size, FACE_SLICE):
+            part = idx[start : start + FACE_SLICE]
+            found += _group_candidates(Q, c, A, b, part, free[part], f, scale)
     pattern = np.concatenate([faces for faces, _ in found])
     return np.concatenate([x for _, x in found])[np.argsort(pattern)]
 
@@ -544,13 +574,16 @@ def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> Oracl
 # local minimizer verification
 
 
-def verify_local_minimizer(inst: QpInstance, x) -> LocalMinVerdict:
-    """Decide whether a feasible point is a local minimizer.
+def first_order_certificate(inst: QpInstance, x) -> Optional[KktCertificate]:
+    """Multipliers proving a feasible point first-order stationary, or None.
 
-    Runs the first-order multiplier recovery (multipliers forced to zero on
-    the positive support) and then the second-order test
-    (``second_order_minimum``); the point is a local minimizer exactly when
-    both tests pass.
+    Recovers ``y`` by least squares on the positive support (entries above
+    ``1e-9``) and ``s = Qx + c - A^T y`` with ``s`` forced to zero there.  The
+    point passes when the stationarity residual and the most negative
+    multiplier are within ``1e-8 * (1 + |Qx + c|_max)``.  Where q is convex
+    on the affine hull of the polyhedron, a pass proves ``x`` a global
+    minimizer.  Raises ``PointInfeasible`` unless ``x`` is feasible within
+    ``1e-8``.
     """
     x = np.asarray(x, dtype=float)
     residual = feasibility_residual(inst, x)
@@ -573,27 +606,68 @@ def verify_local_minimizer(inst: QpInstance, x) -> LocalMinVerdict:
     s = grad - inst.A.T @ y
     s[P] = 0.0
     min_mult = float(s[Z].min(initial=0.0)) if Z else 0.0
-    compl = float(np.abs(x * s).max(initial=0.0))
-    kkt_ok = stat_res <= 1e-8 * gscale and min_mult >= -1e-8 * gscale
-
-    kkt = KktCertificate(
+    if not (stat_res <= 1e-8 * gscale and min_mult >= -1e-8 * gscale):
+        return None
+    return KktCertificate(
         y=y,
         s=s,
         stationarity_residual=stat_res,
         min_multiplier=min_mult,
-        complementarity_residual=compl,
-    ) if kkt_ok else None
+        complementarity_residual=float(np.abs(x * s).max(initial=0.0)),
+    )
 
-    if not kkt_ok:
+
+def verify_local_minimizer(inst: QpInstance, x) -> LocalMinVerdict:
+    """Decide whether a feasible point is a local minimizer.
+
+    Runs the first-order multiplier recovery (``first_order_certificate``)
+    and then the second-order test (``second_order_minimum``); the point is
+    a local minimizer exactly when both tests pass.
+    """
+    x = np.asarray(x, dtype=float)
+    kkt = first_order_certificate(inst, x)
+    if kkt is None:
         return LocalMinVerdict(is_local_min=False, kkt=None, second_order_min=math.nan)
 
-    second_min = second_order_minimum(inst, x, grad, P, Z)
+    second_min = second_order_minimum(inst, x)
     qscale = 1.0 + float(np.abs(inst.Q).max(initial=0.0))
     is_min = second_min >= -1e-8 * qscale
     return LocalMinVerdict(is_local_min=bool(is_min), kkt=kkt, second_order_min=second_min)
 
 
-def second_order_minimum(inst: QpInstance, x, grad=None, P=None, Z=None) -> float:
+def verify_ray_certificate(inst: QpInstance, ray: RayCertificate) -> RayCheck:
+    """Re-check a ray of unbounded descent against raw instance data.
+
+    ``x0`` must be feasible within ``FEAS_TOL`` and ``d`` a recession
+    direction (``core.in_recession_cone``) with ``|e^T d - 1| <= FEAS_TOL``.
+    The curvature ``d^T Q d`` must be at most, and the slope
+    ``(Q x0 + c)^T d`` below minus, the tolerances of ``ray_witness``:
+    ``_TOL_CURV * max(1, |Q|_max)`` and ``_TOL_CURV * (max(1, |Q|_max) +
+    |c|_max)``.  Then q decreases without bound along ``x0 + t d``.
+    """
+    x0 = np.asarray(ray.x0, dtype=float)
+    d = np.asarray(ray.d, dtype=float)
+    qscale = max(1.0, float(np.abs(inst.Q).max()))
+    feas = feasibility_residual(inst, x0)
+    recession = in_recession_cone(inst, d)
+    norm_err = abs(float(d.sum()) - 1.0)
+    curvature = float(d @ inst.Q @ d)
+    slope = float((inst.Q @ x0 + inst.c) @ d)
+    ok = (feas <= FEAS_TOL and recession and norm_err <= FEAS_TOL
+          and curvature <= _TOL_CURV * qscale
+          and slope < -_TOL_CURV * (qscale + float(np.abs(inst.c).max())))
+    return RayCheck(
+        ok=bool(ok),
+        feasibility_residual=feas,
+        recession_direction=recession,
+        normalization_error=norm_err,
+        curvature=curvature,
+        slope=slope,
+        tolerance=_TOL_CURV,
+    )
+
+
+def second_order_minimum(inst: QpInstance, x) -> float:
     """Minimum of ``d^T Q d`` over the critical cone, or 0 when none is negative.
 
     The cone is ``{d : A d = 0, (Qx + c)^T d = 0, d_j >= 0 on the zero
@@ -604,12 +678,10 @@ def second_order_minimum(inst: QpInstance, x, grad=None, P=None, Z=None) -> floa
     the cone; an empty slice (+inf) reports 0.
     """
     x = np.asarray(x, dtype=float)
-    if grad is None:
-        grad = inst.Q @ x + inst.c
-    if P is None or Z is None:
-        sets = index_sets(np.clip(x, 0.0, None), tol=1e-9)
-        P = [j - 1 for j in sets.positive]
-        Z = [j - 1 for j in sets.zero]
+    grad = inst.Q @ x + inst.c
+    sets = index_sets(np.clip(x, 0.0, None), tol=1e-9)
+    P = [j - 1 for j in sets.positive]
+    Z = [j - 1 for j in sets.zero]
     n = inst.n
     nsplit = 2 * len(P) + len(Z)
     # expansion matrix: d = T z with z >= 0

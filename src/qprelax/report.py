@@ -32,11 +32,13 @@ from .conic import (
 from .core import DNN, PSD0, QpInstance, jsonable
 from .errors import DeskScaleLimit
 from .oracle import (
+    KktCertificate,
     OracleResult,
     RecessionReport,
     certifies_copositive,
     enumerate_vertices,
     global_solve,
+    verify_ray_certificate,
 )
 
 
@@ -52,6 +54,18 @@ class CrossCheck:
     passed: Optional[bool]
     detail: str
     tolerance: float
+
+
+def kkt_to_dict(kkt: KktCertificate) -> dict:
+    """First-order multipliers as data for ``core.jsonable``: the layout of
+    ``localmin --json`` and of a closed-form OPTIMAL relaxation."""
+    return {
+        "y": kkt.y,
+        "s": kkt.s,
+        "stationarity_residual": kkt.stationarity_residual,
+        "min_multiplier": kkt.min_multiplier,
+        "complementarity_residual": kkt.complementarity_residual,
+    }
 
 
 def relaxation_to_dict(res: conic.RelaxationResult) -> dict:
@@ -70,6 +84,16 @@ def relaxation_to_dict(res: conic.RelaxationResult) -> dict:
             "objective_rate": res.certificate.objective_rate,
             "matrix": res.certificate.d,
         }
+    if res.ray is not None:
+        entry["ray"] = {
+            "point": res.ray.x0,
+            "direction": res.ray.d,
+            "slope": res.ray_check.slope,
+            "curvature": res.ray_check.curvature,
+            "verified": res.ray_check.ok,
+        }
+    if res.kkt is not None:
+        entry["kkt"] = kkt_to_dict(res.kkt)
     if res.point is not None:
         entry["point"] = res.point.y
     return entry
@@ -180,6 +204,8 @@ class Report:
             extra = ""
             if res.certificate is not None:
                 extra = f", certificate rate {res.certificate.objective_rate:.10g}"
+            elif res.ray is not None:
+                extra = f", ray slope {res.ray_check.slope:.10g}"
             lines.append(
                 f"  relaxation {cone}: {res.status} value {res.value:.10g}"
                 f" ({res.iterations} iterations{extra})"
@@ -361,13 +387,17 @@ def _grade(inst: QpInstance, report: Report) -> None:
         ok = True
         details = []
         for cone, res in unbounded:
-            if res.certificate is None:
+            if res.certificate is not None:
+                chk = verify_certificate(inst, res.certificate)
+                ok = ok and chk.ok and chk.objective_rate < 0
+                details.append(f"{cone}: rate {chk.objective_rate:.8g}, verified {chk.ok}")
+            elif res.ray is not None:
+                ray = verify_ray_certificate(inst, res.ray)
+                ok = ok and ray.ok
+                details.append(f"{cone}: ray slope {ray.slope:.8g}, verified {ray.ok}")
+            else:
                 ok = False
                 details.append(f"{cone}: missing certificate")
-                continue
-            chk = verify_certificate(inst, res.certificate)
-            ok = ok and chk.ok and chk.objective_rate < 0
-            details.append(f"{cone}: rate {chk.objective_rate:.8g}, verified {chk.ok}")
         return ok, "; ".join(details)
 
     check(

@@ -138,6 +138,22 @@ class TestCommands:
         del solved["instance"], solved["cone"]
         assert list(solved.items()) == list(reported["relaxations"]["DNN"].items())
 
+    @pytest.mark.parametrize("cone", ["dnn", "psd0"])
+    def test_solve_zero_curvature_ray(self, cone, tmp_path, capsys):
+        # x1 = x2 >= 0 with objective -2 x1: unbounded along d = (1, 1)
+        path = tmp_path / "ray.json"
+        path.write_text(json.dumps({"name": "ray", "n": 2, "m": 1, "Q": [[0, 0], [0, 0]],
+                                    "c": [-1, 0], "A": [[1, -1]], "b": [0]}))
+        assert main(["--json", "solve", "--cone", cone, str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "UNBOUNDED" and payload["iterations"] == 0
+        assert "certificate" not in payload
+        assert payload["ray"]["verified"] is True
+        assert payload["ray"]["point"] == [0.0, 0.0]
+        assert payload["ray"]["direction"] == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert main(["solve", "--cone", cone, str(path)]) == 0
+        assert "independently verified: True" in capsys.readouterr().out
+
     def test_solve_at_point(self, horn_file, tmp_path, capsys):
         xfile = write_vector(tmp_path / "x.json", [0, 1, 0, 0, 4])
         assert main(["--json", "solve", "--cone", "dnn", "--at", xfile,

@@ -35,6 +35,7 @@ from qprelax.generators import (
 )
 from qprelax.numerics import build_affine_projector, cone_projection_for, nullspace_basis
 from qprelax.oracle import enumerate_vertices, global_solve
+from qprelax.report import compare_report
 
 from conftest import feasible_samples, make_qp
 
@@ -458,6 +459,129 @@ class TestPinnedClosedForm:
         assert loops == []
 
 
+#: x1 = x2 >= 0 with objective -2 x1: q is unbounded along d = (1, 1),
+#: where d^T Q d = 0, and no lifted recession certificate exists
+ZERO_CURVATURE_RAY = make_qp(np.zeros((2, 2)), [-1, 0], [[1, -1]], [0])
+
+
+class TestConvexClosedForm:
+    """Where Q is PSD on null(A) an unpinned solve is the convex QP, solved
+    by the active-set method with no loop and checked from raw data."""
+
+    # the corpus instances with Q PSD on null(A)
+    convex = [random_instance(BOUNDED, 4, 2, 0)] + [
+        random_instance(kind, 4, 2, seed)
+        for kind in (CONVEX_ON_NULLSPACE, UNBOUNDED_SAFE) for seed in range(3)
+    ]
+
+    @pytest.mark.parametrize("cone", [DNN, PSD0])
+    def test_convex_solves_run_no_loop(self, cone, loops):
+        for inst in self.convex:
+            assert check_psd_on_nullspace(inst).holds, inst.name
+            res = solve_relaxation(inst, cone)
+            assert res.status == OPTIMAL and res.iterations == 0, inst.name
+            x = res.point.x
+            z = np.concatenate(([1.0], x))
+            assert np.array_equal(res.point.y, np.outer(z, z))
+            assert res.validation.ok and res.kkt is not None
+            assert res.kkt.min_multiplier >= -1e-8
+            ref = global_solve(inst).value
+            assert abs(res.value - ref) <= 1e-6 * (1.0 + abs(ref)), inst.name
+            assert abs(res.value - evaluate_objective(inst, x)) <= 1e-12 * (1.0 + abs(ref))
+        assert loops == []
+
+    @pytest.mark.parametrize("cone", [DNN, PSD0])
+    def test_closed_form_matches_the_loop(self, cone, monkeypatch):
+        closed = [solve_relaxation(inst, cone, TIGHT) for inst in self.convex]
+        monkeypatch.setattr(conic, "_convex_qp", lambda *args: None)
+        for inst, res in zip(self.convex, closed):
+            looped = solve_relaxation(inst, cone, TIGHT)
+            assert looped.status == OPTIMAL and looped.iterations > 0
+            assert abs(looped.value - res.value) <= 1e-6 * (1.0 + abs(res.value)), inst.name
+
+    def test_first_order_check_rejects_a_moved_point(self):
+        # one feasible step from the optimum toward the worst vertex
+        for inst in self.convex:
+            x = solve_relaxation(inst, DNN).point.x
+            assert oracle.first_order_certificate(inst, x) is not None
+            worst = max(enumerate_vertices(inst), key=lambda v: evaluate_objective(inst, v))
+            moved = x + 0.1 * (worst - x)
+            assert evaluate_objective(inst, moved) > evaluate_objective(inst, x) + 1e-6
+            assert oracle.first_order_certificate(inst, moved) is None, inst.name
+
+    def test_failed_check_falls_back_to_the_loop(self, monkeypatch, loops):
+        inst = self.convex[1]
+        monkeypatch.setattr(conic, "first_order_certificate", lambda *args: None)
+        res = solve_relaxation(inst, DNN)
+        assert res.status == OPTIMAL and res.iterations > 0 and res.kkt is None
+        assert len(loops) == 1
+
+    def test_step_cap_falls_back_to_the_loop(self, monkeypatch, loops):
+        monkeypatch.setattr(conic, "ACTIVE_SET_STEPS", 0)
+        res = solve_relaxation(self.convex[1], PSD0)
+        assert res.status == OPTIMAL and res.iterations > 0
+        assert len(loops) == 1
+
+    def test_nonconvex_solves_still_loop(self, loops):
+        inst = random_instance(BOUNDED, 4, 2, 2)
+        assert not check_psd_on_nullspace(inst).holds
+        res = solve_relaxation(inst, DNN)
+        assert res.status == OPTIMAL and res.iterations > 0 and res.kkt is None
+        assert len(loops) == 1
+
+    def test_interior_minimizer(self):
+        # the minimum of |x - 1|^2 over e^T x = 3 is the interior point x = 1
+        inst = make_qp(np.eye(3), -np.ones(3), np.ones((1, 3)), [3])
+        for cone in (DNN, PSD0):
+            res = solve_relaxation(inst, cone)
+            assert res.status == OPTIMAL and res.iterations == 0
+            assert np.abs(res.point.x - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("cone", [DNN, PSD0])
+    def test_zero_curvature_ray_is_unbounded(self, cone, loops):
+        inst = ZERO_CURVATURE_RAY
+        res = solve_relaxation(inst, cone)
+        assert res.status == UNBOUNDED and res.value == -math.inf
+        assert res.iterations == 0 and loops == []
+        assert res.certificate is None
+        assert np.abs(res.ray.d - 0.5).max() <= 1e-15
+        check = oracle.verify_ray_certificate(inst, res.ray)
+        assert check.ok and check.curvature == 0.0 and check.slope == pytest.approx(-0.5)
+        assert res.ray_check == check
+
+    @pytest.mark.parametrize("Q, c, x0, d, ok", [
+        pytest.param(np.zeros((2, 2)), [-1, 0], [1, 1], [0.5, 0.5], True, id="valid"),
+        pytest.param(np.zeros((2, 2)), [-1, 0], [1, 0], [0.5, 0.5], False,
+                     id="infeasible-point"),
+        pytest.param(np.zeros((2, 2)), [-1, 0], [1, 1], [1, 0], False,
+                     id="not-a-recession-direction"),
+        pytest.param(np.zeros((2, 2)), [-1, 0], [1, 1], [1, 1], False, id="not-normalized"),
+        pytest.param(np.zeros((2, 2)), [-1, 0], [1, 1], [-0.5, -0.5], False,
+                     id="not-nonnegative"),
+        pytest.param(np.diag([1.0, 0.0]), [-1, 0], [1, 1], [0.5, 0.5], False, id="curved"),
+        pytest.param(np.zeros((2, 2)), [1, 0], [1, 1], [0.5, 0.5], False, id="ascent"),
+    ])
+    def test_ray_check_rejects_mutations(self, Q, c, x0, d, ok):
+        inst = make_qp(Q, c, [[1, -1]], [0])
+        ray = oracle.RayCertificate(np.array(x0, dtype=float), np.array(d, dtype=float))
+        assert oracle.verify_ray_certificate(inst, ray).ok is ok
+
+    def test_zero_curvature_ray_report(self):
+        report = compare_report(ZERO_CURVATURE_RAY)
+        assert report.oracle.value == -math.inf
+        assert [c.name for c in report.checks if c.applicable and not c.passed] == []
+        by_name = {c.name: c for c in report.checks}
+        check = by_name["unbounded verdicts carry verified certificates"]
+        assert check.applicable and check.passed
+        assert check.detail == ("DNN: ray slope -0.5, verified True; "
+                                "PSD0: ray slope -0.5, verified True")
+        for entry in report.to_dict()["relaxations"].values():
+            assert entry["status"] == UNBOUNDED and entry["iterations"] == 0
+            assert entry["ray"]["direction"] == pytest.approx([0.5, 0.5], abs=1e-15)
+            assert entry["ray"]["verified"] is True
+        assert "ray slope -0.5" in report.to_text()
+
+
 class TestConsensusLoop:
     @pytest.mark.parametrize("block", [None, 0, 1, 2])
     def test_nonfinite_warm_state_raises(self, simplex_convex, block):
@@ -473,9 +597,12 @@ class TestConsensusLoop:
             conic._consensus(lp.qhat, projector, cone_projection_for(DNN), SolveOptions(),
                              warm=(z, u, conic.PENALTY))
 
+    # Q fails the curvature condition on null(A), so the DNN solve loops
+    # (213 iterations with one penalty change)
+    looped = random_instance(BOUNDED, 4, 2, 2)
+
     def test_repeated_solves_are_bitwise_equal(self):
-        inst = random_instance(UNBOUNDED_SAFE, 4, 2, 0)
-        first, second = (solve_relaxation(inst, DNN) for _ in range(2))
+        first, second = (solve_relaxation(self.looped, DNN) for _ in range(2))
         assert first.status == second.status == OPTIMAL
         assert first.iterations == second.iterations
         assert first.value == second.value
@@ -499,21 +626,20 @@ class TestConsensusLoop:
 
         monkeypatch.setattr(conic, "_adapted_penalty", counted_penalty)
         monkeypatch.setattr(conic._Anderson, "reset", counted_reset)
-        solve_relaxation(random_instance(UNBOUNDED_SAFE, 4, 2, 0), DNN)
+        solve_relaxation(self.looped, DNN)
         changes = [i for i, event in enumerate(events) if event == "rho"]
         assert changes
         assert all(events[i + 1] == "reset" for i in changes)
 
     def test_accelerated_solve_matches_the_oracle(self):
-        inst = random_instance(UNBOUNDED_SAFE, 4, 2, 0)
-        res = solve_relaxation(inst, DNN)
-        ref = global_solve(inst).value
+        res = solve_relaxation(self.looped, DNN)
+        ref = global_solve(self.looped).value
         assert res.status == OPTIMAL
         assert res.iterations < 3000
         assert abs(res.value - ref) <= 1e-6 * abs(ref)
 
     def test_same_point_warm_restart_converges_at_once(self):
-        inst = random_instance(BOUNDED, 4, 2, 2)
+        inst = self.looped
         x = np.mean(enumerate_vertices(inst), axis=0)
         opts = SolveOptions()
         cold, warm = conic._pinned_solve(inst, DNN, x, opts)

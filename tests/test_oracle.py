@@ -384,6 +384,23 @@ class TestStackedFaceEngine:
         assert res.value == 0.0 and res.faces_explored == 8
         assert res.status == ORACLE_OPTIMAL
 
+    def test_slices_change_no_bit(self, monkeypatch):
+        # slices of 7 cut every group with more than 7 faces at n = 6
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(6, 6))
+        Q, c = g + g.T, rng.normal(size=6)
+        A = np.vstack([np.ones(6), rng.normal(size=6)])
+        b = A @ rng.uniform(0.0, 1.0, size=6)
+        whole = oracle._face_candidates(Q, c, A, b, 3.0)
+        res = minimize_quad_over_polytope(Q, c, A, b)
+        monkeypatch.setattr(oracle, "FACE_SLICE", 7)
+        sliced = oracle._face_candidates(Q, c, A, b, 3.0)
+        assert len(whole) > 7 and np.array_equal(sliced, whole)
+        again = minimize_quad_over_polytope(Q, c, A, b)
+        assert again.value == res.value and again.status == res.status
+        assert len(again.minimizers) == len(res.minimizers)
+        assert all(np.array_equal(u, v) for u, v in zip(again.minimizers, res.minimizers))
+
     def test_lapack_failure_raises(self, monkeypatch):
         def unconverged(a, *args, signature=None):
             # what the gufunc does when LAPACK fails: NaN output and the

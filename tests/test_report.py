@@ -6,7 +6,15 @@ import pytest
 
 from qprelax import conic
 from qprelax.cli import main
-from qprelax.conic import MAX_ITER, UNBOUNDED, SolveOptions, solve_relaxation, verify_certificate
+from qprelax.analysis import check_psd_on_nullspace
+from qprelax.conic import (
+    MAX_ITER,
+    OPTIMAL,
+    UNBOUNDED,
+    SolveOptions,
+    solve_relaxation,
+    verify_certificate,
+)
 from qprelax.core import DNN, PSD0, save_instance
 from qprelax.generators import (
     BOUNDED,
@@ -113,6 +121,12 @@ class TestCompareReport:
     )
     def test_max_iter_values_are_not_bounds(self, inst, max_iterations, names, monkeypatch):
         opts = SolveOptions(max_iterations=max_iterations)
+        if check_psd_on_nullspace(inst).holds:
+            # the closed-form convex solve needs no budget at all, so the
+            # loop alone reaches MAX_ITER here
+            closed = solve_relaxation(inst, DNN, opts)
+            assert closed.status == OPTIMAL and closed.iterations == 0
+            monkeypatch.setattr(conic, "_convex_qp", lambda *args: None)
         report = compare_report(inst, opts)
         assert report.relaxations[DNN].status == MAX_ITER
         border_report = report  # the report that grades BORDER_TRIVIAL
