@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import OPTIMAL, TOL_CURVATURE, UNBOUNDED, SolveOptions, _pinned_solve
-from .core import QpInstance, evaluate_objective, is_feasible
+from .conic import OPTIMAL, UNBOUNDED, SolveOptions, _pinned_solve
+from .core import TOL_CURVATURE, QpInstance, evaluate_objective, is_feasible
 from .errors import InfeasibleInstance, PointInfeasible
 from .numerics import nullspace_basis
 from .oracle import (

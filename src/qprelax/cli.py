@@ -270,6 +270,8 @@ def _compare_one(path, opts):
 
 
 def _cmd_compare(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be positive")
     target = Path(args.instance)
     opts = _options(args)
     if target.is_dir():

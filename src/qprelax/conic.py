@@ -53,24 +53,26 @@ point is feasible and a fitted dual certificate closes the duality gap.  A
 certificate search does not polish.  The structurally exact instances, Q
 positive semidefinite on null(A), no longer reach the loop (below).
 
-Unboundedness is decided by a certificate pre-pass rather than by watching
-the objective diverge: a nonzero cone matrix with zero corner, zero
-constraint value, and negative objective rate is an independently checkable
-proof that the relaxation value is minus infinity.  Every such matrix is
+Unboundedness is decided by a certificate pre-pass, the OBJECTIVE
+certificate search, rather than by watching the objective diverge: a
+nonzero cone matrix with zero corner, zero constraint value, and negative
+objective rate is an independently checkable proof that the relaxation
+value is minus infinity.  Every such matrix is
 ``B S B^T`` with ``S`` positive semidefinite, where ``B`` spans null(A) in
 the trailing coordinates, so for PSD0 the minimum rate is the least
 eigenvalue of ``B^T qhat B``: PSD0 is unbounded exactly when Q fails the
-curvature condition on null(A) (Burer, Math. Prog. 2009), and its pre-pass
+curvature condition on null(A) (Burer, Math. Prog. 2009), and its search
 is one eigendecomposition with no loop.  DNN certificates are a subset, so
 the same eigenvalue screens the DNN search, and so does the exact test for
 a recession direction ``d >= 0``, ``A d = 0``, ``d != 0`` of the
 polyhedron, without which the DNN certificate set is empty.  Given one,
 ``[0; d] [0; d]^T / |d|^2`` is a DNN certificate, so a feasibility search
 never loops; only a DNN objective search neither settles runs the loop.
-Pinning the 0th row does not change the recession cone, so the plain and
-the pinned solves share one pre-pass, which keeps its last verdict and the
-curvature and reuses them across consecutive calls with the same instance,
-cone and options.
+The search keeps that eigenvalue, the curvature of Q on null(A), which also
+decides the closed forms below.  Pinning the 0th row does not change the
+recession cone, so the plain and the pinned solves share one pre-pass,
+kept and reused across consecutive calls with the same instance, cone and
+options.
 
 The pinned solves have a closed form on convex anchors.  For a feasible
 anchor ``x`` and ``z = [1; x]``, the pinned feasible set of both lifts is
@@ -121,6 +123,7 @@ from .core import (
     DNN,
     FEAS_TOL,
     PSD0,
+    TOL_CURVATURE,
     LiftedPoint,
     LiftedProblem,
     QpInstance,
@@ -170,9 +173,9 @@ ADAPT_INTERVAL = 50
 
 #: An OBJECTIVE search reports FOUND only for rates below ``-TOL_CERTIFICATE``
 #: (DNN), or below ``-TOL_CURVATURE * max(1, |Q|_max)`` (PSD0, whose rate is
-#: an exact eigenvalue; the tolerance of ``analysis.check_psd_on_nullspace``).
+#: an exact eigenvalue; ``core.TOL_CURVATURE``, the tolerance of
+#: ``analysis.check_psd_on_nullspace``).
 TOL_CERTIFICATE = 1e-6
-TOL_CURVATURE = 1e-9
 
 #: A loop given a polisher attempts an exact active-face solve every
 #: ``POLISH_INTERVAL`` iterations and accepts only candidates whose duality
@@ -256,7 +259,8 @@ class CertificateSearch:
     empty, or the best rate is above the threshold), or INCONCLUSIVE (no
     verdict within the iteration budget, or a candidate that failed
     verification).  ``check`` is the verification of the graded candidate,
-    None when no candidate was graded.
+    None when no candidate was graded.  ``curvature`` is the curvature of Q
+    on null(A), ``+inf`` on a trivial face and NaN in FEASIBILITY mode.
     """
 
     status: str
@@ -265,6 +269,7 @@ class CertificateSearch:
     residual: float
     reason: str = ""
     check: Optional[CertificateCheck] = None
+    curvature: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -770,20 +775,6 @@ def verify_certificate(
     )
 
 
-def certificate_feasible_set_nonempty(inst: QpInstance, cone: str) -> bool:
-    """Exact screen for existence of any certificate candidate.
-
-    For the doubly nonnegative cone the certificate block has nonnegative
-    entries and columns in null(A); its row sums then form a nonzero
-    recession direction of the original polyhedron, and conversely any such
-    direction yields a candidate.  For the PSD-with-nonnegative-border cone
-    only a nonzero null space of A is needed.
-    """
-    if cone == DNN:
-        return _recession_direction(inst) is not None
-    return nullspace_basis(inst.A).shape[1] > 0
-
-
 def _recession_direction(inst: QpInstance) -> Optional[np.ndarray]:
     """The first basic point of ``{A d = 0, e^T d = 1, d >= 0}``, or None."""
     aug = np.vstack([inst.A, np.ones((1, inst.n))])
@@ -800,21 +791,21 @@ def recession_certificate_search(
     """Search the recession cone of the lifted feasible set.
 
     Candidates are ``B S B^T`` with ``S`` positive semidefinite of unit
-    trace, over the orthonormal basis ``B`` of ``certificate_basis``.  For
-    PSD0 these are all the candidates, so no loop runs: OBJECTIVE mode
-    takes the least eigenpair of ``B^T qhat B`` (certificate ``u u^T`` with
-    ``u = B v_min``) and reports FOUND below ``-TOL_CURVATURE *
+    trace, over the orthonormal basis ``B`` of ``certificate_basis``.
+    OBJECTIVE mode takes the least eigenpair of ``B^T qhat B`` and keeps the
+    eigenvalue, the curvature of Q on null(A), as ``curvature``.  For PSD0
+    these are all the candidates, so no loop runs: OBJECTIVE mode grades
+    ``u u^T`` with ``u = B v_min`` and reports FOUND below ``-TOL_CURVATURE *
     max(1, |Q|_max)``; FEASIBILITY mode returns ``B B^T / r``.  For DNN the
     same eigenvalue bounds the rate from below, so a DNN OBJECTIVE search
     reports NONE without a loop when it is at or above ``-TOL_CERTIFICATE``.
     A DNN search then takes the first basic point ``d`` of
-    ``{A d = 0, e^T d = 1, d >= 0}`` (the exact screen of
-    ``certificate_feasible_set_nonempty``) and reports NONE without a loop
-    when there is none.  FEASIBILITY mode returns ``[0; d] [0; d]^T /
-    |d|^2`` with no loop.  OBJECTIVE mode runs the loop, which either
-    converges, and FOUND needs a rate below ``-TOL_CERTIFICATE``, or runs
-    out of iterations: INCONCLUSIVE.  Every certificate is re-verified from
-    raw data.
+    ``{A d = 0, e^T d = 1, d >= 0}``, the exact emptiness screen of its
+    certificate set, and reports NONE without a loop when there is none.
+    FEASIBILITY mode returns ``[0; d] [0; d]^T / |d|^2`` with no loop.
+    OBJECTIVE mode runs the loop, which either converges, and FOUND needs a
+    rate below ``-TOL_CERTIFICATE``, or runs out of iterations:
+    INCONCLUSIVE.  Every certificate is re-verified from raw data.
     """
     if cone not in CONES:
         raise ValueError(f"unknown cone selector {cone!r}")
@@ -825,38 +816,35 @@ def recession_certificate_search(
     basis = certificate_basis(lp)
     r = basis.shape[1]
     if r == 0:
-        return CertificateSearch(NONE, None, 0, 0.0, reason="certificate face is trivial")
+        return CertificateSearch(NONE, None, 0, 0.0, reason="certificate face is trivial",
+                                 curvature=math.inf)
+    curvature = math.nan
     if mode == OBJECTIVE:
-        values, vectors = _face_spectrum(lp, basis)
+        values, vectors = np.linalg.eigh(basis.T @ lp.qhat @ basis)
+        curvature = float(values[0])
         if cone == PSD0:
             u = basis @ vectors[:, 0]
-            return _graded(inst, lp, np.outer(u, u), mode, opts)
-        if values[0] >= -TOL_CERTIFICATE:
-            return CertificateSearch(NONE, None, 0, 0.0,
-                                     reason=f"border-cone rate {values[0]:.3e} above threshold")
+            return _graded(inst, lp, np.outer(u, u), mode, opts, curvature)
+        if curvature >= -TOL_CERTIFICATE:
+            return CertificateSearch(NONE, None, 0, 0.0, curvature=curvature,
+                                     reason=f"border-cone rate {curvature:.3e} above threshold")
     elif cone == PSD0:
-        return _graded(inst, lp, basis @ basis.T / r, mode, opts)
+        return _graded(inst, lp, basis @ basis.T / r, mode, opts, curvature)
     d = _recession_direction(inst)
     if d is None:
-        return CertificateSearch(NONE, None, 0, 0.0,
+        return CertificateSearch(NONE, None, 0, 0.0, curvature=curvature,
                                  reason="no recession direction: certificate set is empty")
     if mode == FEASIBILITY:
         z = np.concatenate(([0.0], d))
-        return _graded(inst, lp, np.outer(z, z) / np.dot(d, d), mode, opts)
+        return _graded(inst, lp, np.outer(z, z) / np.dot(d, d), mode, opts, curvature)
 
     projector = certificate_projector(lp, basis)
     out = _consensus(lp.qhat, projector, cone_projection_for(cone), opts, margin=1.0)
     if out.status == MAX_ITER:
         return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
-                                 reason="max_iter")
-    return _graded(inst, lp, projector.apply(out.Z), mode, opts, out.iterations,
+                                 reason="max_iter", curvature=curvature)
+    return _graded(inst, lp, projector.apply(out.Z), mode, opts, curvature, out.iterations,
                    out.residual_primal)
-
-
-def _face_spectrum(lp: LiftedProblem, basis: np.ndarray):
-    """Ascending eigenvalues and eigenvectors of ``B^T qhat B``: the
-    objective on the certificate face, ``N^T Q N`` in the basis ``B``."""
-    return np.linalg.eigh(basis.T @ lp.qhat @ basis)
 
 
 def _rate_threshold(inst: QpInstance, cone: str) -> float:
@@ -867,21 +855,21 @@ def _rate_threshold(inst: QpInstance, cone: str) -> float:
 
 
 def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
-            opts: SolveOptions, iterations: int = 0, residual: float = 0.0
-            ) -> CertificateSearch:
+            opts: SolveOptions, curvature: float, iterations: int = 0,
+            residual: float = 0.0) -> CertificateSearch:
     """The verdict on a candidate: FOUND when it verifies and, in OBJECTIVE
     mode, its rate is below the cone's threshold (``_rate_threshold``)."""
     rate = float(np.tensordot(lp.qhat, d))
     cert = RecessionCertificate(d=d, objective_rate=rate, trace_norm=float(np.trace(d)),
                                 cone=lp.cone)
     check = verify_certificate(inst, cert, tol=max(10.0 * opts.tol_primal, 1e-9))
+    status, reason = FOUND, ""
     if not check.ok:
-        return CertificateSearch(INCONCLUSIVE, None, iterations, residual,
-                                 reason="candidate failed verification", check=check)
-    if mode == OBJECTIVE and rate >= -_rate_threshold(inst, lp.cone):
-        return CertificateSearch(NONE, None, iterations, residual,
-                                 reason=f"optimal rate {rate:.3e} above threshold", check=check)
-    return CertificateSearch(FOUND, cert, iterations, residual, check=check)
+        status, cert, reason = INCONCLUSIVE, None, "candidate failed verification"
+    elif mode == OBJECTIVE and rate >= -_rate_threshold(inst, lp.cone):
+        status, cert, reason = NONE, None, f"optimal rate {rate:.3e} above threshold"
+    return CertificateSearch(status, cert, iterations, residual, reason=reason, check=check,
+                             curvature=curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -938,39 +926,27 @@ def _unbounded_result(search: CertificateSearch) -> RelaxationResult:
     )
 
 
-#: The last pre-pass: (instance, cone, options tuple, verdict, curvature).
-#: The instance is matched by identity; holding it keeps its id from being
-#: reused.
+#: The last pre-pass: (instance, cone, options tuple, search).  The instance
+#: is matched by identity; holding it keeps its id from being reused.
 _last_prepass = None
 
 
-def _prepass(inst: QpInstance, cone: str, opts: SolveOptions) -> Optional[CertificateSearch]:
-    """The FOUND certificate search of the unboundedness pre-pass, or None.
+def _prepass(inst: QpInstance, cone: str, opts: SolveOptions) -> CertificateSearch:
+    """The unboundedness pre-pass: the OBJECTIVE certificate search.
 
-    The pre-pass first takes the curvature of Q on null(A), the least
-    eigenvalue of ``B^T qhat B`` (``+inf`` when null(A) is trivial).  Every
-    certificate rate is at least that eigenvalue, so the search runs only
-    when it is below the cone's threshold and, for DNN, the certificate set
-    is nonempty.  The verdict and the curvature depend on the instance, the
-    cone and the options only; both are kept in ``_last_prepass`` and
-    reused while consecutive calls share all three.  ``_pinned_solve``
-    reads the curvature there.
+    A FOUND search proves the relaxation unbounded; its ``curvature``
+    decides the closed forms either way.  The search depends on the
+    instance, the cone and the options only; it is kept in
+    ``_last_prepass`` and reused while consecutive calls share all three.
     """
     global _last_prepass
     key = astuple(opts)
     last = _last_prepass
     if last is not None and last[0] is inst and last[1] == cone and last[2] == key:
         return last[3]
-    lp = lift_instance(inst, cone)
-    basis = certificate_basis(lp)
-    curvature = float(_face_spectrum(lp, basis)[0][0]) if basis.shape[1] else math.inf
-    verdict = None
-    if curvature < -_rate_threshold(inst, cone) and certificate_feasible_set_nonempty(inst, cone):
-        search = recession_certificate_search(inst, cone, OBJECTIVE, opts)
-        if search.status == FOUND:
-            verdict = search
-    _last_prepass = (inst, cone, key, verdict, curvature)
-    return verdict
+    search = recession_certificate_search(inst, cone, OBJECTIVE, opts)
+    _last_prepass = (inst, cone, key, search)
+    return search
 
 
 def _convex_qp(inst: QpInstance, x: np.ndarray):
@@ -1066,10 +1042,10 @@ def solve_relaxation(
     if vertex is None:
         return RelaxationResult(INFEASIBLE, math.inf, None, 0.0, 0.0, 0)
     search = _prepass(inst, cone, opts)
-    if search is not None:
+    if search.status == FOUND:
         return _unbounded_result(search)
-    curvature = _last_prepass[4]  # of this (instance, cone, options), just set
-    found = _convex_qp(inst, vertex) if curvature >= -_rate_threshold(inst, PSD0) else None
+    convex = search.curvature >= -_rate_threshold(inst, PSD0)
+    found = _convex_qp(inst, vertex) if convex else None
     if found is not None:
         x, d = found
         if d is not None:
@@ -1104,13 +1080,12 @@ def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions, warm=None)
     if resid > max(FEAS_TOL, 10.0 * opts.tol_primal):
         raise PointInfeasible(f"anchor point violates the constraints (residual {resid:.3e})")
     search = _prepass(inst, cone, opts)
-    if search is not None:
+    if search.status == FOUND:
         return _unbounded_result(search), None
     lp = lift_instance(inst, cone)
-    curvature = _last_prepass[4]  # of this (instance, cone, options), just set
     # at PSD0's scaled tolerance, at which its pre-pass reads "not unbounded",
     # q is convex on the pinned set {z z^T + N S N^T}: its minimum is z z^T
-    if curvature >= -_rate_threshold(inst, PSD0):
+    if search.curvature >= -_rate_threshold(inst, PSD0):
         z = np.concatenate(([1.0], x))
         return _validated(lp, inst, np.outer(z, z), opts, 0.0, 0.0, 0), None
     projector = build_affine_projector(lp, pin=x)

@@ -33,6 +33,11 @@ from .errors import (
 #: ``|A x - b|_inf <= FEAS_TOL * (1 + |b|_inf)`` and ``x >= -FEAS_TOL``.
 FEAS_TOL = 1e-8
 
+#: Scaled curvature tolerance: Q counts as positive semidefinite on a
+#: subspace (null(A), a recession ray, a face) when its least curvature
+#: there is at least ``-TOL_CURVATURE * max(1, |Q|_max)``.
+TOL_CURVATURE = 1e-9
+
 #: Cone selectors for the lifted relaxations.  DNN is the doubly nonnegative
 #: cone (positive semidefinite and entrywise nonnegative); PSD0 is the cone
 #: of positive semidefinite matrices with a nonnegative 0th row and column.

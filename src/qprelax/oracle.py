@@ -33,7 +33,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FEAS_TOL, QpInstance, feasibility_residual, in_recession_cone, index_sets
+from .core import (
+    FEAS_TOL,
+    TOL_CURVATURE,
+    QpInstance,
+    feasibility_residual,
+    in_recession_cone,
+    index_sets,
+)
 from .errors import DeskScaleLimit, DimensionMismatch, NonFinite, PointInfeasible
 from .numerics import RANK_TOL, _eigh, _lstsq, _svd
 
@@ -47,7 +54,6 @@ DEFAULT_ENUM_CAP = 16
 _TOL_EQ = 1e-8
 _TOL_PSD = 1e-9
 _TOL_BOUND = 1e-9
-_TOL_CURV = 1e-9
 _DEDUP_DECIMALS = 8
 
 #: Faces of one free-set group solved per stacked call.  The corpus (n <= 8)
@@ -479,30 +485,32 @@ def recession_analysis(Q, A) -> RecessionReport:
 
     Nontriviality and the minimum of ``d^T Q d`` are decided over the
     compact slice ``{A d = 0, e^T d = 1, d >= 0}`` by basic-solution and
-    face enumeration; curvatures are compared at ``_TOL_CURV * max(1, |Q|_max)``.
+    face enumeration; curvatures are compared at
+    ``TOL_CURVATURE * max(1, |Q|_max)``.
     A strictly positive row of A leaves only ``d = 0`` (the slices this
     module builds itself have one), and enumerates nothing.
     """
     n = Q.shape[0]
     if (np.asarray(A) > 0).all(axis=1).any():
-        return RecessionReport(False, math.inf, None, (), _TOL_CURV, ())
+        return RecessionReport(False, math.inf, None, (), TOL_CURVATURE, ())
     aug = np.vstack([A, np.ones((1, n))])
     rhs = np.concatenate([np.zeros(A.shape[0]), [1.0]])
     rays = basic_feasible_points(aug, rhs)
     if not rays:
-        return RecessionReport(False, math.inf, None, (), _TOL_CURV, ())
+        return RecessionReport(False, math.inf, None, (), TOL_CURVATURE, ())
     curv = minimize_quad_over_polytope(Q, np.zeros(n), aug, rhs)
     qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-    neg = curv.minimizers[0] if curv.value < -_TOL_CURV * qscale else None
+    neg = curv.minimizers[0] if curv.value < -TOL_CURVATURE * qscale else None
     zero_dirs = []
     seen = set()
     for d in rays + list(curv.minimizers):
-        if abs(float(d @ Q @ d)) <= _TOL_CURV * qscale:
+        if abs(float(d @ Q @ d)) <= TOL_CURVATURE * qscale:
             key = tuple(np.round(d, _DEDUP_DECIMALS))
             if key not in seen:
                 seen.add(key)
                 zero_dirs.append(d)
-    return RecessionReport(True, float(curv.value), neg, tuple(zero_dirs), _TOL_CURV, tuple(rays))
+    return RecessionReport(True, float(curv.value), neg, tuple(zero_dirs), TOL_CURVATURE,
+                           tuple(rays))
 
 
 def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[dict]:
@@ -541,8 +549,8 @@ def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[dict]:
 def certifies_copositive(Q, simplex_min: float) -> bool:
     """Whether ``simplex_min``, the minimum of ``x^T Q x`` over the standard
     simplex, decides Q copositive: it must be at least
-    ``-_TOL_CURV * max(1, |Q|_max)``, the tolerance of the curvature tests."""
-    return simplex_min >= -_TOL_CURV * max(1.0, float(np.abs(Q).max()))
+    ``-TOL_CURVATURE * max(1, |Q|_max)``, the tolerance of the curvature tests."""
+    return simplex_min >= -TOL_CURVATURE * max(1.0, float(np.abs(Q).max()))
 
 
 def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> OracleResult:
@@ -642,8 +650,9 @@ def verify_ray_certificate(inst: QpInstance, ray: RayCertificate) -> RayCheck:
     direction (``core.in_recession_cone``) with ``|e^T d - 1| <= FEAS_TOL``.
     The curvature ``d^T Q d`` must be at most, and the slope
     ``(Q x0 + c)^T d`` below minus, the tolerances of ``ray_witness``:
-    ``_TOL_CURV * max(1, |Q|_max)`` and ``_TOL_CURV * (max(1, |Q|_max) +
-    |c|_max)``.  Then q decreases without bound along ``x0 + t d``.
+    ``TOL_CURVATURE * max(1, |Q|_max)`` and
+    ``TOL_CURVATURE * (max(1, |Q|_max) + |c|_max)``.  Then q decreases
+    without bound along ``x0 + t d``.
     """
     x0 = np.asarray(ray.x0, dtype=float)
     d = np.asarray(ray.d, dtype=float)
@@ -654,8 +663,8 @@ def verify_ray_certificate(inst: QpInstance, ray: RayCertificate) -> RayCheck:
     curvature = float(d @ inst.Q @ d)
     slope = float((inst.Q @ x0 + inst.c) @ d)
     ok = (feas <= FEAS_TOL and recession and norm_err <= FEAS_TOL
-          and curvature <= _TOL_CURV * qscale
-          and slope < -_TOL_CURV * (qscale + float(np.abs(inst.c).max())))
+          and curvature <= TOL_CURVATURE * qscale
+          and slope < -TOL_CURVATURE * (qscale + float(np.abs(inst.c).max())))
     return RayCheck(
         ok=bool(ok),
         feasibility_residual=feas,
@@ -663,7 +672,7 @@ def verify_ray_certificate(inst: QpInstance, ray: RayCertificate) -> RayCheck:
         normalization_error=norm_err,
         curvature=curvature,
         slope=slope,
-        tolerance=_TOL_CURV,
+        tolerance=TOL_CURVATURE,
     )
 
 

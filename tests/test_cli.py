@@ -288,6 +288,15 @@ class TestExitCodes:
         assert main([*option, "solve", str(horn_file)]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs(self, horn_file, capsys, jobs):
+        # refused for a single file and for a directory alike, before any work
+        capsys.readouterr()
+        for target in (horn_file, horn_file.parent):
+            assert main(["compare", "--jobs", jobs, str(target)]) == 2
+            captured = capsys.readouterr()
+            assert "must be positive" in captured.err and captured.out == ""
+
     def test_desk_scale_limit(self, horn_file, monkeypatch, capsys):
         monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
         assert main(["oracle", str(horn_file)]) == 3

@@ -201,7 +201,8 @@ class TestPinnedPrepassReuse:
         x = self.points()[0]
         for cone in (PSD0, DNN, PSD0):
             evaluate_underestimator(self.inst, cone, x)
-        assert searches == [(self.inst, PSD0), (self.inst, PSD0)]
+        # the DNN pre-pass is the search, which stops at its own screen
+        assert searches == [(self.inst, PSD0), (self.inst, DNN), (self.inst, PSD0)]
 
     def test_option_change_searches_again(self, searches):
         x = self.points()[0]
@@ -231,6 +232,19 @@ class TestPinnedPrepassReuse:
         assert plain.status == pinned.status == UNBOUNDED
         assert pinned.certificate is plain.certificate
         assert len(searches) == 1
+
+    def test_solve_builds_one_certificate_basis(self, searches, horn, monkeypatch):
+        # the pre-pass and its search share one certificate face
+        bases = []
+        basis = conic.certificate_basis
+
+        def counted(*args, **kwargs):
+            bases.append(1)
+            return basis(*args, **kwargs)
+
+        monkeypatch.setattr(conic, "certificate_basis", counted)
+        assert solve_relaxation(horn[0], DNN).status == UNBOUNDED
+        assert len(bases) == 1 and searches == [(horn[0], DNN)]
 
     def test_envelope_searches_once(self, searches):
         start, end = self.points(2)
@@ -311,7 +325,7 @@ def small_certificate_problems(draw):
                  dtype=float).reshape(n, n)
     a = draw(st.lists(st.integers(-2, 2), min_size=m * n, max_size=m * n))
     inst = make_qp(q + q.T, np.zeros(n), np.reshape(a, (m, n)), np.zeros(m))
-    hypothesis.assume(conic.certificate_feasible_set_nonempty(inst, DNN))
+    hypothesis.assume(recession_certificate_search(inst, DNN, FEASIBILITY).status != NONE)
     return inst
 
 
@@ -333,6 +347,9 @@ class TestClosedFormBorderSearch:
             assert check.ok and abs(check.objective_rate - least) <= 1e-10
         else:
             assert res.status == NONE
+        assert abs(res.curvature - least) <= 1e-10
+        # the DNN search keeps the same eigenvalue of the same face
+        assert abs(recession_certificate_search(inst, DNN, OBJECTIVE).curvature - least) <= 1e-10
 
     @pytest.mark.parametrize("kind, cone", [
         pytest.param("horn", PSD0, id="horn"),
@@ -356,7 +373,7 @@ class TestClosedFormBorderSearch:
     def test_border_rate_screens_the_dnn_search(self, loops):
         # Q is PSD on null(A), so no DNN certificate can have a negative rate
         inst = random_instance(UNBOUNDED_SAFE, 4, 2, 0)
-        assert conic.certificate_feasible_set_nonempty(inst, DNN)
+        assert recession_certificate_search(inst, DNN, FEASIBILITY).status == FOUND
         res = recession_certificate_search(inst, DNN, OBJECTIVE)
         assert res.status == NONE
         assert loops == [] and res.iterations == 0
@@ -686,7 +703,7 @@ class TestEmptinessScreens:
         examined.clear()
         aug = np.vstack([inst.A, np.ones((1, 5))])
         rhs = np.concatenate([np.zeros(2), [1.0]])
-        assert conic.certificate_feasible_set_nonempty(inst, DNN)
+        assert recession_certificate_search(inst, DNN, FEASIBILITY).status == FOUND
         first = self.first_feasible(aug, rhs)
         assert len(examined) == first < math.comb(5, 3)
 
@@ -698,9 +715,9 @@ class TestEmptinessScreens:
 
     def test_empty_certificate_set_runs_no_loop(self, loops):
         inst = random_instance(BOUNDED, 3, 1, 100)
-        assert not conic.certificate_feasible_set_nonempty(inst, DNN)
         res = recession_certificate_search(inst, DNN, FEASIBILITY)
         assert res.status == NONE and res.iterations == 0
+        assert res.reason == "no recession direction: certificate set is empty"
         assert loops == []
 
     def test_enumeration_cap_still_applies(self, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,10 @@ from qprelax.cli import main
 from qprelax.analysis import check_psd_on_nullspace
 from qprelax.conic import (
     MAX_ITER,
+    NONE,
     OPTIMAL,
     UNBOUNDED,
+    CertificateSearch,
     SolveOptions,
     solve_relaxation,
     verify_certificate,
@@ -140,7 +143,8 @@ class TestCompareReport:
             assert check.ok and check.objective_rate < 0
             # so the border check meets a MAX_ITER entry only from the loop
             # alone: grade one directly
-            monkeypatch.setattr(conic, "_prepass", lambda *args: None)
+            unsettled = CertificateSearch(NONE, None, 0, 0.0, curvature=-math.inf)
+            monkeypatch.setattr(conic, "_prepass", lambda *args: unsettled)
             loop_only = solve_relaxation(inst, PSD0, opts)
             assert loop_only.status == MAX_ITER
             border_report = replace(report, checks=[],
