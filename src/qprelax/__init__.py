@@ -28,10 +28,8 @@ from .core import (
     is_feasible,
     lift_instance,
     load_instance,
-    load_lifted_point,
     load_vector,
     save_instance,
-    save_lifted_point,
     validate_lifted_point,
 )
 from .numerics import (

@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands: analyze, solve, certificate, oracle, localmin, generate,
-envelope, compare.  Plain-text reports by default, identical content as
-JSON with --json.  Exit codes: 0 command completed (pass/fail verdicts are
-report content), 2 input error, 3 desk-scale enumeration limit, 4 internal
-numeric failure.  The environment variable QPRELAX_ENUM_CAP (a nonnegative
-integer, default 16) sets the exact-enumeration cap.
+envelope, compare.  Plain-text reports by default.  With --json a command
+prints its own header fields (instance, cone, mode, point, written) and the
+fields of its result objects, named as the dataclass fields and converted
+by ``core.jsonable``; the plain text is a summary of the same objects.
+Exit codes: 0 command completed (pass/fail verdicts are report content),
+1 output pipe closed by the reader, 2 input error, 3 desk-scale
+enumeration limit, 4 internal numeric failure.  The environment variable
+QPRELAX_ENUM_CAP (a nonnegative integer, default 16) sets the
+exact-enumeration cap.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import json
 import math
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -40,12 +45,12 @@ from .errors import (
 )
 from .generators import KINDS, TARGETS, write_generated
 from .oracle import enumerate_vertices, global_solve, verify_local_minimizer
-from .report import compare_report, kkt_to_dict, relaxation_to_dict
+from .report import compare_report
 
 _CONES = {"dnn": DNN, "psd0": PSD0}
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload, text: str) -> None:
     if args.json:
         print(json.dumps(jsonable(payload), indent=2))
     else:
@@ -74,51 +79,25 @@ def _fmt_value(v: float) -> str:
 
 def _cmd_analyze(args) -> int:
     inst = load_instance(args.instance, symmetrize=args.symmetrize)
-    payload = {"instance": inst.name, "n": inst.n, "m": inst.m}
-    lines = [f"instance {inst.name} (n={inst.n}, m={inst.m})"]
-
     verts = enumerate_vertices(inst)
-    payload["feasible"] = bool(verts)
-    payload["basic_feasible_points"] = [v.tolist() for v in verts]
-    lines.append(f"feasible: {bool(verts)} ({len(verts)} basic feasible points)")
-
     rec = analyze_recession_cone(inst)
-    payload["recession"] = {
-        "nontrivial": rec.l_nontrivial,
-        "min_curvature": None if math.isinf(rec.min_curvature) else rec.min_curvature,
-        "negative_direction": None if rec.neg_direction is None else rec.neg_direction.tolist(),
-        "zero_directions": [d.tolist() for d in rec.zero_directions],
-        "tolerance": rec.tolerance,
-    }
-    mc = "n/a" if math.isinf(rec.min_curvature) else f"{rec.min_curvature:.10g}"
-    lines.append(
-        f"recession cone: {'nontrivial' if rec.l_nontrivial else 'trivial'},"
-        f" min curvature {mc} (tol {rec.tolerance:g})"
-    )
-
     ns = check_psd_on_nullspace(inst)
-    payload["psd_on_nullspace"] = {
-        "holds": ns.holds,
-        "min_eigenvalue": None if math.isinf(ns.min_eigenvalue) else ns.min_eigenvalue,
-        "witness": None if ns.witness is None else ns.witness.tolist(),
-        "tolerance": ns.tolerance,
-    }
-    lines.append(f"objective psd on null(A): {ns.holds} (tol {ns.tolerance:g})")
-
     cop = check_copositivity_desk_scale(inst.Q)
-    payload["copositivity"] = {
-        "min_value": cop.min_value,
-        "minimizer": cop.minimizer.tolist(),
-    }
-    lines.append(f"simplex minimum of x^T Q x: {cop.min_value:.10g}")
-
-    if verts:
-        verdict = detect_unbounded(inst, recession=rec, vertices=verts)
-        payload["unboundedness"] = {
-            "status": verdict.status,
-            "direction": None if verdict.direction is None else verdict.direction.tolist(),
-            "point": None if verdict.point is None else verdict.point.tolist(),
-        }
+    verdict = detect_unbounded(inst, recession=rec, vertices=verts) if verts else None
+    # sections named as the report's fields, so both commands print one layout
+    payload = {"instance": inst.name, "n": inst.n, "m": inst.m, "feasible": bool(verts),
+               "basic_feasible_points": verts, "recession": rec, "nullspace": ns,
+               "copositivity": cop, "unboundedness": verdict}
+    mc = "n/a" if math.isinf(rec.min_curvature) else f"{rec.min_curvature:.10g}"
+    lines = [
+        f"instance {inst.name} (n={inst.n}, m={inst.m})",
+        f"feasible: {bool(verts)} ({len(verts)} basic feasible points)",
+        f"recession cone: {'nontrivial' if rec.l_nontrivial else 'trivial'},"
+        f" min curvature {mc} (tol {rec.tolerance:g})",
+        f"objective psd on null(A): {ns.holds} (tol {ns.tolerance:g})",
+        f"simplex minimum of x^T Q x: {cop.min_value:.10g}",
+    ]
+    if verdict is not None:
         lines.append(f"unboundedness test: {verdict.status}")
     _emit(args, payload, "\n".join(lines))
     return 0
@@ -135,7 +114,7 @@ def _cmd_solve(args) -> int:
     else:
         res = conic.solve_relaxation(inst, cone, opts)
         what = "relaxation"
-    payload = {"instance": inst.name, "cone": args.cone, **relaxation_to_dict(res)}
+    payload = {"instance": inst.name, "cone": args.cone, **jsonable(res)}
     lines = [
         f"{what} over {args.cone}: {res.status}",
         f"value: {_fmt_value(res.value)}",
@@ -163,24 +142,12 @@ def _cmd_certificate(args) -> int:
     cone = _CONES[args.cone]
     mode = conic.OBJECTIVE if args.mode == "objective" else conic.FEASIBILITY
     res = conic.recession_certificate_search(inst, cone, mode, _options(args))
-    payload = {
-        "instance": inst.name,
-        "cone": args.cone,
-        "mode": args.mode,
-        "status": res.status,
-        "iterations": res.iterations,
-        "reason": res.reason,
-    }
+    payload = {"instance": inst.name, "cone": args.cone, "mode": args.mode, **jsonable(res)}
     lines = [f"certificate search ({args.mode}, {args.cone}): {res.status}"]
     if res.reason:
         lines.append(f"reason: {res.reason}")
     if res.certificate is not None:
         # the search verified its certificate from raw data before grading it
-        payload["certificate"] = {
-            "objective_rate": res.certificate.objective_rate,
-            "matrix": res.certificate.d.tolist(),
-            "verified": res.check.ok,
-        }
         lines.append(f"objective rate: {res.certificate.objective_rate:.10g}")
         lines.append(f"independently verified: {res.check.ok}")
     _emit(args, payload, "\n".join(lines))
@@ -190,15 +157,7 @@ def _cmd_certificate(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = load_instance(args.instance, symmetrize=args.symmetrize)
     res = global_solve(inst)
-    payload = {
-        "instance": inst.name,
-        "status": res.status,
-        "value": res.value,
-        "attained": res.attained,
-        "certified": res.certified,
-        "faces_explored": res.faces_explored,
-        "minimizers": [m.tolist() for m in res.minimizers],
-    }
+    payload = {"instance": inst.name, **jsonable(res)}
     lines = [
         f"oracle: {res.status}",
         f"value: {_fmt_value(res.value)} (certified: {res.certified})",
@@ -214,15 +173,9 @@ def _cmd_localmin(args) -> int:
     inst = load_instance(args.instance, symmetrize=args.symmetrize)
     x = load_vector(args.at)
     verdict = verify_local_minimizer(inst, x)
-    payload = {
-        "instance": inst.name,
-        "point": x.tolist(),
-        "is_local_min": verdict.is_local_min,
-        "second_order_min": verdict.second_order_min,
-    }
+    payload = {"instance": inst.name, "point": x, **jsonable(verdict)}
     lines = [f"local minimizer: {verdict.is_local_min}"]
     if verdict.kkt is not None:
-        payload["kkt"] = kkt_to_dict(verdict.kkt)
         lines.append(f"multipliers y: {np.round(verdict.kkt.y, 10).tolist()}")
         lines.append(f"multipliers s: {np.round(verdict.kkt.s, 10).tolist()}")
     else:
@@ -252,15 +205,7 @@ def _cmd_envelope(args) -> int:
         Path(args.out).write_text(csv)
         _emit(args, {"written": args.out, "rows": len(rows)}, f"wrote {args.out}")
     else:
-        if args.json:
-            payload = {
-                "rows": [
-                    {"t": r.t, "q": r.q, "lK": r.lk, "status": r.status} for r in rows
-                ]
-            }
-            print(json.dumps(jsonable(payload), indent=2))
-        else:
-            print(csv, end="")
+        _emit(args, {"rows": rows}, csv)
     return 0
 
 
@@ -285,13 +230,10 @@ def _cmd_compare(args) -> int:
             spawn = multiprocessing.get_context("spawn")
             with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
                 reports = list(pool.map(compare, files))
-        if args.json:
-            print(json.dumps([r.to_dict() for r in reports], indent=2))
-        else:
-            print("".join(r.to_text() for r in reports), end="")
+        _emit(args, reports, "".join(r.to_text() for r in reports))
         return 0
     report = _compare_one(target, opts)
-    _emit(args, report.to_dict(), report.to_text())
+    _emit(args, report, report.to_text())
     return 0
 
 
@@ -369,7 +311,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is left to devnull so that
+        # the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DeskScaleLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

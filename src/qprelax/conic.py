@@ -793,12 +793,13 @@ def recession_certificate_search(
     Candidates are ``B S B^T`` with ``S`` positive semidefinite of unit
     trace, over the orthonormal basis ``B`` of ``certificate_basis``.
     OBJECTIVE mode takes the least eigenpair of ``B^T qhat B`` and keeps the
-    eigenvalue, the curvature of Q on null(A), as ``curvature``.  For PSD0
-    these are all the candidates, so no loop runs: OBJECTIVE mode grades
-    ``u u^T`` with ``u = B v_min`` and reports FOUND below ``-TOL_CURVATURE *
-    max(1, |Q|_max)``; FEASIBILITY mode returns ``B B^T / r``.  For DNN the
-    same eigenvalue bounds the rate from below, so a DNN OBJECTIVE search
-    reports NONE without a loop when it is at or above ``-TOL_CERTIFICATE``.
+    eigenvalue, the curvature of Q on null(A), as ``curvature``.  It is the
+    least PSD0 rate and a lower bound on the DNN rate, so an OBJECTIVE
+    search of either cone reports NONE without grading a candidate when it
+    is at or above minus the cone's threshold (``_rate_threshold``:
+    ``TOL_CURVATURE * max(1, |Q|_max)`` for PSD0, ``TOL_CERTIFICATE`` for
+    DNN).  For PSD0 no loop runs: OBJECTIVE mode otherwise grades ``u u^T``
+    with ``u = B v_min``; FEASIBILITY mode returns ``B B^T / r``.
     A DNN search then takes the first basic point ``d`` of
     ``{A d = 0, e^T d = 1, d >= 0}``, the exact emptiness screen of its
     certificate set, and reports NONE without a loop when there is none.
@@ -822,12 +823,12 @@ def recession_certificate_search(
     if mode == OBJECTIVE:
         values, vectors = np.linalg.eigh(basis.T @ lp.qhat @ basis)
         curvature = float(values[0])
+        if curvature >= -_rate_threshold(inst, cone):
+            return CertificateSearch(NONE, None, 0, 0.0, curvature=curvature,
+                                     reason=f"border-cone rate {curvature:.3e} above threshold")
         if cone == PSD0:
             u = basis @ vectors[:, 0]
             return _graded(inst, lp, np.outer(u, u), mode, opts, curvature)
-        if curvature >= -TOL_CERTIFICATE:
-            return CertificateSearch(NONE, None, 0, 0.0, curvature=curvature,
-                                     reason=f"border-cone rate {curvature:.3e} above threshold")
     elif cone == PSD0:
         return _graded(inst, lp, basis @ basis.T / r, mode, opts, curvature)
     d = _recession_direction(inst)

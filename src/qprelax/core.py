@@ -10,6 +10,7 @@ to match that layout.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
@@ -257,20 +258,24 @@ def instance_to_dict(inst: QpInstance) -> dict:
 
 
 def jsonable(x):
-    """``x`` made ready for ``json.dumps``: numpy arrays and scalars become
-    Python lists and numbers, tuples become lists, and non-finite floats
-    become the strings ``"inf"``, ``"-inf"`` and ``"nan"``."""
-    if isinstance(x, float):
+    """``x`` made ready for ``json.dumps``: a dataclass instance becomes the
+    object of its fields, numpy arrays and scalars become Python lists,
+    numbers and bools, tuples become lists, and non-finite floats become the
+    strings ``"inf"``, ``"-inf"`` and ``"nan"``, recursively."""
+    if isinstance(x, (float, np.floating)):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         if math.isnan(x):
             return "nan"
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, np.floating):
         return float(x)
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, np.ndarray):
+        return jsonable(x.tolist())
     if isinstance(x, np.integer):
         return int(x)
+    if isinstance(x, np.bool_):
+        return bool(x)
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -280,21 +285,6 @@ def jsonable(x):
 
 def save_instance(inst: QpInstance, path) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n")
-
-
-def save_lifted_point(point: LiftedPoint, path) -> None:
-    """Write a lifted point in the instance-like JSON format with field Y."""
-    payload = {"name": "lifted_point", "n": point.n, "Y": point.y.tolist()}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_lifted_point(path) -> LiftedPoint:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-        return LiftedPoint(np.array(raw["Y"], dtype=float))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"cannot parse lifted point file {path}: {exc}") from exc
 
 
 def load_vector(path) -> np.ndarray:

@@ -283,10 +283,7 @@ def _stationary_face_point(AF, rhs, NT_QFF, NT_cF):
     ``{AF x = rhs, N^T (QFF x + cF) = 0}``; the objective is constant on it,
     so any nonnegative point certifies the face's candidate value.
     """
-    try:
-        pts = basic_feasible_points(np.vstack([AF, NT_QFF]), np.concatenate([rhs, -NT_cF]))
-    except DeskScaleLimit:
-        return None
+    pts = basic_feasible_points(np.vstack([AF, NT_QFF]), np.concatenate([rhs, -NT_cF]))
     return pts[0] if pts else None
 
 

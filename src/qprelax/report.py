@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import conic
 from .analysis import (
     CopositivityCheck,
     NullspaceCurvatureReport,
@@ -32,9 +31,7 @@ from .conic import (
 from .core import DNN, PSD0, QpInstance, jsonable
 from .errors import DeskScaleLimit
 from .oracle import (
-    KktCertificate,
     OracleResult,
-    RecessionReport,
     certifies_copositive,
     enumerate_vertices,
     global_solve,
@@ -56,56 +53,12 @@ class CrossCheck:
     tolerance: float
 
 
-def kkt_to_dict(kkt: KktCertificate) -> dict:
-    """First-order multipliers as data for ``core.jsonable``: the layout of
-    ``localmin --json`` and of a closed-form OPTIMAL relaxation."""
-    return {
-        "y": kkt.y,
-        "s": kkt.s,
-        "stationarity_residual": kkt.stationarity_residual,
-        "min_multiplier": kkt.min_multiplier,
-        "complementarity_residual": kkt.complementarity_residual,
-    }
-
-
-def relaxation_to_dict(res: conic.RelaxationResult) -> dict:
-    """A relaxation result as data for ``core.jsonable``: the one layout of
-    ``solve --json`` and of each relaxation in the report."""
-    entry = {
-        "status": res.status,
-        "value": res.value,
-        "iterations": res.iterations,
-        "residual_primal": res.residual_primal,
-        "residual_dual": res.residual_dual,
-        "polished": res.polished,
-    }
-    if res.certificate is not None:
-        entry["certificate"] = {
-            "objective_rate": res.certificate.objective_rate,
-            "matrix": res.certificate.d,
-        }
-    if res.ray is not None:
-        entry["ray"] = {
-            "point": res.ray.x0,
-            "direction": res.ray.d,
-            "slope": res.ray_check.slope,
-            "curvature": res.ray_check.curvature,
-            "verified": res.ray_check.ok,
-        }
-    if res.kkt is not None:
-        entry["kkt"] = kkt_to_dict(res.kkt)
-    if res.point is not None:
-        entry["point"] = res.point.y
-    return entry
-
-
 @dataclass
 class Report:
     instance_name: str
     n: int
     m: int
     vertices: Optional[int]
-    recession: Optional[RecessionReport]
     nullspace: Optional[NullspaceCurvatureReport]
     copositivity: Optional[CopositivityCheck]
     c_nonnegative: bool
@@ -115,56 +68,8 @@ class Report:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The report as JSON-ready data (``core.jsonable``)."""
-        out = {
-            "instance": {"name": self.instance_name, "n": self.n, "m": self.m},
-            "feasibility": {"vertices": self.vertices},
-            "notes": list(self.notes),
-            "comparison_tolerance": COMPARISON_TOLERANCE,
-        }
-        if self.recession is not None:
-            out["recession"] = {
-                "nontrivial": self.recession.l_nontrivial,
-                "min_curvature": None if math.isinf(self.recession.min_curvature)
-                else self.recession.min_curvature,
-                "zero_directions": len(self.recession.zero_directions),
-                "tolerance": self.recession.tolerance,
-            }
-        if self.nullspace is not None:
-            out["psd_on_nullspace"] = {
-                "holds": self.nullspace.holds,
-                "min_eigenvalue": None if math.isinf(self.nullspace.min_eigenvalue)
-                else self.nullspace.min_eigenvalue,
-                "tolerance": self.nullspace.tolerance,
-            }
-        if self.copositivity is not None:
-            out["copositivity"] = {
-                "min_value": self.copositivity.min_value,
-                "minimizer": self.copositivity.minimizer,
-            }
-        out["c_nonnegative"] = self.c_nonnegative
-        if self.oracle is not None:
-            out["oracle"] = {
-                "status": self.oracle.status,
-                "value": self.oracle.value,
-                "minimizers": self.oracle.minimizers,
-                "certified": self.oracle.certified,
-                "faces_explored": self.oracle.faces_explored,
-            }
-        out["relaxations"] = {
-            cone: relaxation_to_dict(res) for cone, res in self.relaxations.items()
-        }
-        out["checks"] = [
-            {
-                "name": c.name,
-                "applicable": c.applicable,
-                "passed": c.passed,
-                "detail": c.detail,
-                "tolerance": c.tolerance,
-            }
-            for c in self.checks
-        ]
-        return jsonable(out)
+        """The report as JSON-ready data: the object of its fields."""
+        return jsonable(self)
 
     def to_text(self) -> str:
         lines = []
@@ -176,12 +81,13 @@ class Report:
                 f"  feasibility: {'EMPTY' if self.vertices == 0 else 'nonempty'}"
                 f" ({self.vertices} basic feasible points)"
             )
-        if self.recession is not None:
-            mc = self.recession.min_curvature
+        recession = None if self.oracle is None else self.oracle.recession
+        if recession is not None:
+            mc = recession.min_curvature
             mc_txt = "n/a (trivial cone)" if math.isinf(mc) else f"{mc:.10g}"
             lines.append(
-                f"  recession cone: {'nontrivial' if self.recession.l_nontrivial else 'trivial'},"
-                f" min curvature {mc_txt} (tol {self.recession.tolerance:g})"
+                f"  recession cone: {'nontrivial' if recession.l_nontrivial else 'trivial'},"
+                f" min curvature {mc_txt} (tol {recession.tolerance:g})"
             )
         if self.nullspace is not None:
             lines.append(
@@ -262,7 +168,6 @@ def compare_report(inst: QpInstance, opts: Optional[SolveOptions] = None) -> Rep
         n=inst.n,
         m=inst.m,
         vertices=None if verts is None else len(verts),
-        recession=None if oracle is None else oracle.recession,
         nullspace=nullspace,
         copositivity=copositivity,
         c_nonnegative=bool(float(inst.c.min()) >= 0.0),
@@ -278,7 +183,7 @@ def _grade(inst: QpInstance, report: Report) -> None:
     """Append the nine cross-checks to ``report.checks``, in a fixed order."""
     tol = COMPARISON_TOLERANCE
     oracle = report.oracle
-    recession = report.recession
+    recession = None if oracle is None else oracle.recession
     nullspace = report.nullspace
     relaxations = report.relaxations
     dnn = relaxations.get(DNN)

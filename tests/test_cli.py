@@ -20,14 +20,29 @@ def horn_file(tmp_path):
     return tmp_path / "horn5.json"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def source_env():
+    """The environment of a subprocess that imports this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       env.get("PYTHONPATH")]))
+    return env
+
+
 def run_script(name, *args):
     """Run ``scripts/<name>`` in a subprocess against this source tree."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
-                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(root / "scripts" / name), *args],
-                          check=True, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          check=True, env=source_env(), capture_output=True, text=True)
+
+
+def strict_loads(text):
+    """``json.loads`` that refuses the ``NaN`` and ``Infinity`` literals."""
+    def refuse(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def write_vector(path, x):
@@ -92,7 +107,7 @@ class TestCommands:
         assert main(["--json", "analyze", str(horn_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["feasible"] is True
-        assert payload["psd_on_nullspace"]["holds"] is False
+        assert payload["nullspace"]["holds"] is False
 
     def test_analyze_runs_one_recession_analysis(self, horn_file, monkeypatch, capsys):
         from qprelax import analysis, cli, oracle
@@ -130,13 +145,41 @@ class TestCommands:
         assert payload["value"] == "-inf"
         assert payload["certificate"]["objective_rate"] <= -0.1
 
-    def test_solve_json_is_the_report_entry(self, horn_file, capsys):
-        assert main(["--json", "solve", "--cone", "dnn", str(horn_file)]) == 0
-        solved = json.loads(capsys.readouterr().out)
+    @pytest.mark.parametrize("command", ["solve", "oracle", "analyze"])
+    def test_solve_json_is_the_report_entry(self, command, horn_file, capsys):
+        # each section shared with compare has one layout: the result's fields
+        args = ["solve", "--cone", "dnn"] if command == "solve" else [command]
+        assert main(["--json", *args, str(horn_file)]) == 0
+        printed = strict_loads(capsys.readouterr().out)
         assert main(["--json", "compare", str(horn_file)]) == 0
-        reported = json.loads(capsys.readouterr().out)
-        del solved["instance"], solved["cone"]
-        assert list(solved.items()) == list(reported["relaxations"]["DNN"].items())
+        reported = strict_loads(capsys.readouterr().out)
+        if command == "solve":
+            del printed["instance"], printed["cone"]
+            pairs = [(printed, reported["relaxations"]["DNN"])]
+        elif command == "oracle":
+            del printed["instance"]
+            pairs = [(printed, reported["oracle"])]
+        else:
+            pairs = [(printed["recession"], reported["oracle"]["recession"]),
+                     (printed["nullspace"], reported["nullspace"]),
+                     (printed["copositivity"], reported["copositivity"])]
+        for section, entry in pairs:
+            assert list(section.items()) == list(entry.items())
+
+    @pytest.mark.parametrize("args", [
+        "analyze", "solve --cone dnn", "solve --cone psd0", "solve --at x.json",
+        "certificate --cone dnn --mode objective", "certificate --cone dnn --mode feasibility",
+        "certificate --cone psd0 --mode objective", "certificate --cone psd0 --mode feasibility",
+        "oracle", "localmin --at v.json", "envelope --from x.json --to v.json --samples 3",
+        "compare",
+    ])
+    def test_json_is_standard(self, args, horn_file, tmp_path, monkeypatch, capsys):
+        # no NaN or Infinity literal: non-finite numbers are printed as strings
+        monkeypatch.chdir(tmp_path)
+        write_vector(tmp_path / "x.json", [0, 1, 0, 0, 4])
+        write_vector(tmp_path / "v.json", [0, 0, 0, 0, 4.5])
+        assert main(["--json", *args.split(), str(horn_file)]) == 0
+        assert strict_loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize("cone", ["dnn", "psd0"])
     def test_solve_zero_curvature_ray(self, cone, tmp_path, capsys):
@@ -147,10 +190,10 @@ class TestCommands:
         assert main(["--json", "solve", "--cone", cone, str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "UNBOUNDED" and payload["iterations"] == 0
-        assert "certificate" not in payload
-        assert payload["ray"]["verified"] is True
-        assert payload["ray"]["point"] == [0.0, 0.0]
-        assert payload["ray"]["direction"] == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert payload["certificate"] is None
+        assert payload["ray_check"]["ok"] is True
+        assert payload["ray"]["x0"] == [0.0, 0.0]
+        assert payload["ray"]["d"] == pytest.approx([0.5, 0.5], abs=1e-15)
         assert main(["solve", "--cone", cone, str(path)]) == 0
         assert "independently verified: True" in capsys.readouterr().out
 
@@ -166,7 +209,8 @@ class TestCommands:
                      str(horn_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "FOUND"
-        assert payload["certificate"]["verified"] is True
+        assert payload["check"]["ok"] is True
+        assert payload["certificate"]["objective_rate"] == payload["check"]["objective_rate"]
 
     def test_certificate_verified_once(self, horn_file, capsys, monkeypatch):
         calls = []
@@ -181,7 +225,7 @@ class TestCommands:
                      str(horn_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "FOUND"
-        assert payload["certificate"]["verified"] is True
+        assert payload["check"]["ok"] is True
         assert len(calls) == 1
 
     def test_certificate_budget_is_inconclusive(self, horn_file, capsys):
@@ -191,7 +235,7 @@ class TestCommands:
         assert payload["status"] == "INCONCLUSIVE"
         assert payload["iterations"] == 5
         assert payload["reason"] == "max_iter"
-        assert "certificate" not in payload
+        assert payload["certificate"] is None and payload["check"] is None
 
     def test_oracle(self, horn_file, capsys):
         assert main(["--json", "oracle", str(horn_file)]) == 0
@@ -239,7 +283,7 @@ class TestCommands:
                      str(horn_file)]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [row["t"] for row in rows] == [0.0, 0.5, 1.0]
-        assert all(row["status"] == "UNBOUNDED" and row["lK"] == "-inf" for row in rows)
+        assert all(row["status"] == "UNBOUNDED" and row["lk"] == "-inf" for row in rows)
 
     def test_compare(self, horn_file, capsys):
         assert main(["compare", str(horn_file)]) == 0
@@ -296,6 +340,17 @@ class TestExitCodes:
             assert main(["compare", "--jobs", jobs, str(target)]) == 2
             captured = capsys.readouterr()
             assert "must be positive" in captured.err and captured.out == ""
+
+    def test_closed_pipe(self, horn_file):
+        # the reader closes the pipe before the command writes: exit 1, no traceback
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qprelax.cli", "--json", "certificate", "--cone", "psd0",
+             "--mode", "objective", str(horn_file)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env())
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert "BrokenPipeError" not in err
 
     def test_desk_scale_limit(self, horn_file, monkeypatch, capsys):
         monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")

@@ -370,13 +370,21 @@ class TestClosedFormBorderSearch:
             assert np.linalg.matrix_rank(D) == 1 and D.min() >= 0.0
             assert np.abs(inst.A @ D[1:, 1:]).max() <= 1e-10
 
-    def test_border_rate_screens_the_dnn_search(self, loops):
+    def test_border_rate_screens_the_dnn_search(self, loops, monkeypatch):
         # Q is PSD on null(A), so no DNN certificate can have a negative rate
         inst = random_instance(UNBOUNDED_SAFE, 4, 2, 0)
         assert recession_certificate_search(inst, DNN, FEASIBILITY).status == FOUND
         res = recession_certificate_search(inst, DNN, OBJECTIVE)
         assert res.status == NONE
         assert loops == [] and res.iterations == 0
+        # the same screen decides a PSD0 search without grading a candidate
+        graded = []
+        verify = conic.verify_certificate
+        monkeypatch.setattr(conic, "verify_certificate",
+                            lambda *args, **kwargs: graded.append(1) or verify(*args, **kwargs))
+        res = recession_certificate_search(random_instance(CONVEX_ON_NULLSPACE, 4, 2, 5),
+                                           PSD0, OBJECTIVE)
+        assert res.status == NONE and res.check is None and graded == []
 
     def test_dnn_search_still_loops_past_the_screen(self, horn, loops):
         res = recession_certificate_search(horn[0], DNN, OBJECTIVE)
@@ -594,8 +602,8 @@ class TestConvexClosedForm:
                                 "PSD0: ray slope -0.5, verified True")
         for entry in report.to_dict()["relaxations"].values():
             assert entry["status"] == UNBOUNDED and entry["iterations"] == 0
-            assert entry["ray"]["direction"] == pytest.approx([0.5, 0.5], abs=1e-15)
-            assert entry["ray"]["verified"] is True
+            assert entry["ray"]["d"] == pytest.approx([0.5, 0.5], abs=1e-15)
+            assert entry["ray_check"]["ok"] is True
         assert "ray slope -0.5" in report.to_text()
 
 

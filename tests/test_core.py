@@ -7,16 +7,13 @@ from hypothesis import given, strategies as st
 from qprelax.core import (
     DNN,
     PSD0,
-    LiftedPoint,
     MixtureCertificate,
     construct_lifted_from_mixture,
     evaluate_objective,
     index_sets,
     lift_instance,
     load_instance,
-    load_lifted_point,
     save_instance,
-    save_lifted_point,
     validate_lifted_point,
 )
 from qprelax.errors import (
@@ -86,13 +83,6 @@ class TestInstanceModel:
         inst, _ = horn
         with pytest.raises(ValueError):
             inst.Q[0, 0] = 5.0
-
-    def test_lifted_point_export(self, tmp_path):
-        y = np.outer([1.0, 0.5, 0.5], [1.0, 0.5, 0.5])
-        path = tmp_path / "point.json"
-        save_lifted_point(LiftedPoint(y), path)
-        loaded = load_lifted_point(path)
-        assert np.allclose(loaded.y, y)
 
 
 class TestObjective:

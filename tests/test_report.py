@@ -57,7 +57,8 @@ class TestCompareReport:
         inst, _ = horn
         report = compare_report(inst)
         assert failed_checks(report) == []
-        assert report.recession is report.oracle.recession  # one recession analysis
+        # one recession analysis, carried by the oracle result only
+        assert "recession" not in report.to_dict() and report.oracle.recession.l_nontrivial
         assert report.relaxations[DNN].status == "UNBOUNDED"
         assert report.oracle.value == pytest.approx(27.0)
         by_name = {c.name: c for c in report.checks}
@@ -211,8 +212,9 @@ class TestCompareReport:
         payload = report.to_dict()
         text = json.dumps(payload)
         back = json.loads(text)
-        assert back["instance"]["name"] == inst.name
+        assert back["instance_name"] == inst.name
         assert "checks" in back and len(back["checks"]) == len(report.checks)
+        assert back["checks"][0]["tolerance"] == COMPARISON_TOLERANCE
 
     def test_text_mentions_tolerances(self):
         inst = random_instance(BOUNDED, 3, 1, 4)
