@@ -69,11 +69,9 @@ from .analysis import (
     CopositivityCheck,
     NullspaceCurvatureReport,
     RecessionReport,
-    UnboundednessVerdict,
     analyze_recession_cone,
     check_copositivity_desk_scale,
     check_psd_on_nullspace,
-    detect_unbounded,
     sample_envelope,
 )
 from .generators import (

@@ -1,11 +1,10 @@
 """Structural condition checkers for the relaxation theory.
 
 Covers the dichotomy between exact and trivial relaxations (positive
-semidefiniteness of Q on null(A)), recession-cone curvature analysis and
-the classical ray-based unboundedness test on instances (both run the
-exact oracle's ``recession_analysis`` and ``ray_witness``), desk-scale
-copositivity by exact enumeration, and sampling of the induced
-underestimator along segments.
+semidefiniteness of Q on null(A)), recession-cone curvature analysis (the
+exact oracle's ``recession_analysis``; its rays of unbounded descent are
+``oracle.ray_witness``), desk-scale copositivity by exact enumeration, and
+sampling of the induced underestimator along segments.
 """
 
 from __future__ import annotations
@@ -16,22 +15,16 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import OPTIMAL, UNBOUNDED, SolveOptions, _pinned_solve
-from .core import TOL_CURVATURE, QpInstance, evaluate_objective, is_feasible
-from .errors import InfeasibleInstance, PointInfeasible
-from .numerics import nullspace_basis
+from .conic import OPTIMAL, SolveOptions, _pinned_solve
+from .core import TOL_CURVATURE, QpInstance, evaluate_objective, is_feasible, lift_instance
+from .errors import PointInfeasible
+from .numerics import certificate_basis
 from .oracle import (
     RecessionReport,
     _require_desk_scale,
-    enumerate_vertices,
     minimize_quad_over_polytope,
-    ray_witness,
     recession_analysis,
 )
-
-CASE1 = "UNBOUNDED_CASE1"
-CASE2 = "UNBOUNDED_CASE2"
-NOT_DETECTED = "NOT_DETECTED"
 
 
 @dataclass(frozen=True)
@@ -49,22 +42,6 @@ class NullspaceCurvatureReport:
 
 
 @dataclass(frozen=True)
-class UnboundednessVerdict:
-    """Outcome of the ray-based unboundedness test.
-
-    CASE1: a recession direction of negative curvature exists.  CASE2: a
-    zero-curvature recession direction along which the objective decreases
-    from some feasible point.  NOT_DETECTED is sound but incomplete: the
-    second case is only checked over enumerated extreme zero-curvature
-    directions.
-    """
-
-    status: str
-    direction: Optional[np.ndarray] = None
-    point: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class CopositivityCheck:
     """Exact minimum of the quadratic form over the standard simplex."""
 
@@ -75,23 +52,21 @@ class CopositivityCheck:
 def check_psd_on_nullspace(inst: QpInstance) -> NullspaceCurvatureReport:
     """Decide whether Q is positive semidefinite on null(A).
 
-    The reduced matrix ``N^T Q N`` over an orthonormal null-space basis is
-    eigendecomposed; failure produces the most negative direction mapped
-    back to the original coordinates.  Eigenvalues are compared at
-    ``TOL_CURVATURE * max(1, |Q|_max)``.
+    ``B^T qhat B`` is eigendecomposed over the basis ``B`` of
+    ``certificate_basis``, whose rows past the 0th span null(A), exactly as
+    ``conic.recession_certificate_search`` does, so both read the same
+    curvature; failure produces the most negative direction in the original
+    coordinates.  Eigenvalues are compared at ``TOL_CURVATURE * max(1, |Q|_max)``.
     """
-    N = nullspace_basis(inst.A)
+    lp = lift_instance(inst)
+    basis = certificate_basis(lp)
     qscale = max(1.0, float(np.abs(inst.Q).max()))
-    if N.shape[1] == 0:
+    if basis.shape[1] == 0:
         return NullspaceCurvatureReport(True, None, math.inf, TOL_CURVATURE)
-    H = N.T @ inst.Q @ N
-    H = 0.5 * (H + H.T)
-    values, vectors = np.linalg.eigh(H)
+    values, vectors = np.linalg.eigh(basis.T @ lp.qhat @ basis)
     holds = values[0] >= -TOL_CURVATURE * qscale
-    witness = None
-    if not holds:
-        witness = N @ vectors[:, 0]
-        witness = witness / float(np.abs(witness).max())
+    u = basis[1:] @ vectors[:, 0]
+    witness = None if holds else u / float(np.abs(u).max())
     return NullspaceCurvatureReport(bool(holds), witness, float(values[0]), TOL_CURVATURE)
 
 
@@ -104,32 +79,6 @@ def analyze_recession_cone(inst: QpInstance) -> RecessionReport:
     """
     _require_desk_scale(inst.n)
     return recession_analysis(inst.Q, inst.A)
-
-
-def detect_unbounded(
-    inst: QpInstance,
-    recession: Optional[RecessionReport] = None,
-    vertices: Optional[list] = None,
-) -> UnboundednessVerdict:
-    """Ray-based test for an objective unbounded below on the feasible set.
-
-    Requires a nonempty feasible region.  The second case is checked only
-    over extreme zero-curvature recession directions, so NOT_DETECTED does
-    not certify boundedness below.  ``recession`` and ``vertices`` are the
-    instance's ``analyze_recession_cone`` report and ``enumerate_vertices``
-    list when the caller already has them; otherwise they are computed here.
-    """
-    verts = enumerate_vertices(inst) if vertices is None else vertices
-    if not verts:
-        raise InfeasibleInstance("unboundedness test requires a feasible instance")
-    if recession is None:
-        recession = analyze_recession_cone(inst)
-    witness = ray_witness(inst.Q, inst.c, verts, recession)
-    if witness is None:
-        return UnboundednessVerdict(NOT_DETECTED)
-    if "curvature" in witness:
-        return UnboundednessVerdict(CASE1, direction=witness["direction"])
-    return UnboundednessVerdict(CASE2, direction=witness["direction"], point=witness["point"])
 
 
 def check_copositivity_desk_scale(Q) -> CopositivityCheck:

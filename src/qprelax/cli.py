@@ -31,7 +31,6 @@ from .analysis import (
     analyze_recession_cone,
     check_copositivity_desk_scale,
     check_psd_on_nullspace,
-    detect_unbounded,
     envelope_csv,
     sample_envelope,
 )
@@ -44,7 +43,13 @@ from .errors import (
     QpRelaxError,
 )
 from .generators import KINDS, TARGETS, write_generated
-from .oracle import enumerate_vertices, global_solve, verify_local_minimizer
+from .oracle import (
+    enumerate_vertices,
+    global_solve,
+    ray_witness,
+    verify_local_minimizer,
+    verify_ray_certificate,
+)
 from .report import compare_report
 
 _CONES = {"dnn": DNN, "psd0": PSD0}
@@ -73,6 +78,17 @@ def _fmt_value(v: float) -> str:
     return f"{v:.10g}"
 
 
+def _ray_lines(ray, check, missing=()) -> list[str]:
+    """The two lines of a ray of unbounded descent and its check, else ``missing``."""
+    if ray is None:
+        return list(missing)
+    return [
+        f"ray: from {np.round(ray.x0, 10).tolist()} along {np.round(ray.d, 10).tolist()}",
+        f"ray slope {check.slope:.10g}, curvature {check.curvature:.10g},"
+        f" independently verified: {check.ok}",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -83,11 +99,12 @@ def _cmd_analyze(args) -> int:
     rec = analyze_recession_cone(inst)
     ns = check_psd_on_nullspace(inst)
     cop = check_copositivity_desk_scale(inst.Q)
-    verdict = detect_unbounded(inst, recession=rec, vertices=verts) if verts else None
+    ray = ray_witness(inst.Q, inst.c, verts, rec) if verts else None
+    ray_check = None if ray is None else verify_ray_certificate(inst, ray)
     # sections named as the report's fields, so both commands print one layout
     payload = {"instance": inst.name, "n": inst.n, "m": inst.m, "feasible": bool(verts),
                "basic_feasible_points": verts, "recession": rec, "nullspace": ns,
-               "copositivity": cop, "unboundedness": verdict}
+               "copositivity": cop, "ray": ray, "ray_check": ray_check}
     mc = "n/a" if math.isinf(rec.min_curvature) else f"{rec.min_curvature:.10g}"
     lines = [
         f"instance {inst.name} (n={inst.n}, m={inst.m})",
@@ -97,8 +114,7 @@ def _cmd_analyze(args) -> int:
         f"objective psd on null(A): {ns.holds} (tol {ns.tolerance:g})",
         f"simplex minimum of x^T Q x: {cop.min_value:.10g}",
     ]
-    if verdict is not None:
-        lines.append(f"unboundedness test: {verdict.status}")
+    lines += _ray_lines(ray, ray_check, missing=["ray: none found"])
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -127,12 +143,7 @@ def _cmd_solve(args) -> int:
         lines.append(f"first-order multipliers: stationarity residual"
                      f" {res.kkt.stationarity_residual:.3g},"
                      f" least multiplier {res.kkt.min_multiplier:.3g}")
-    if res.ray is not None:
-        lines.append(f"ray: from {np.round(res.ray.x0, 10).tolist()}"
-                     f" along {np.round(res.ray.d, 10).tolist()}")
-        lines.append(f"ray slope {res.ray_check.slope:.10g},"
-                     f" curvature {res.ray_check.curvature:.10g},"
-                     f" independently verified: {res.ray_check.ok}")
+    lines += _ray_lines(res.ray, res.ray_check)
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -165,6 +176,7 @@ def _cmd_oracle(args) -> int:
     ]
     for m in res.minimizers:
         lines.append(f"minimizer: {np.round(m, 10).tolist()}")
+    lines += _ray_lines(res.ray, res.ray_check)
     _emit(args, payload, "\n".join(lines))
     return 0
 

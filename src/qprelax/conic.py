@@ -148,6 +148,7 @@ from .oracle import (
     RayCertificate,
     RayCheck,
     _feasible_point,
+    _recession_slice,
     _require_desk_scale,
     first_order_certificate,
     verify_ray_certificate,
@@ -777,9 +778,8 @@ def verify_certificate(
 
 def _recession_direction(inst: QpInstance) -> Optional[np.ndarray]:
     """The first basic point of ``{A d = 0, e^T d = 1, d >= 0}``, or None."""
-    aug = np.vstack([inst.A, np.ones((1, inst.n))])
-    rhs = np.concatenate([np.zeros(inst.m), [1.0]])
-    return _feasible_point(aug, rhs)
+    cut = _recession_slice(inst.A)
+    return None if cut is None else _feasible_point(*cut)
 
 
 def recession_certificate_search(

@@ -25,10 +25,6 @@ class NegativeComponent(QpRelaxError):
     """A vector required to be nonnegative has a negative entry."""
 
 
-class InfeasibleInstance(QpRelaxError):
-    """Operation requires a nonempty feasible region."""
-
-
 class InfeasibleMixturePoint(QpRelaxError):
     """A mixture point violates the instance constraints."""
 

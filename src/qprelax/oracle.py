@@ -6,7 +6,8 @@ positive semidefinite reduced Hessian, together with all vertices, cover
 every possible location of the global minimum.  The recession cone is
 analyzed first (``recession_analysis``, then the ray test ``ray_witness``)
 so that unbounded problems are flagged instead of silently returning a
-wrong finite value.
+wrong finite value.  The flag is a ``RayCertificate``, and ``global_solve``
+reads UNBOUNDED_BELOW only when ``verify_ray_certificate`` accepts it.
 
 The faces are solved in groups, not one by one (``_face_candidates``): the
 patterns are grouped by their number of free variables, and each group is
@@ -112,8 +113,9 @@ class OracleResult:
     ``value`` is the optimal value with +inf / -inf sentinels for infeasible
     and unbounded problems; ``minimizers`` samples the optimal set; the
     ``certified`` flag records whether boundedness below was proved (it is
-    always True for compact feasible regions).  ``recession`` is the
-    analysis of the recession cone ``{A d = 0, d >= 0}``.
+    always True for compact feasible regions).  A -inf value carries its
+    ``ray`` of descent, and ``global_solve`` adds its raw-data ``ray_check``.
+    ``recession`` is the analysis of the recession cone ``{A d = 0, d >= 0}``.
     """
 
     value: float
@@ -122,7 +124,8 @@ class OracleResult:
     faces_explored: int
     status: str
     certified: bool = True
-    unbounded_witness: Optional[dict] = None
+    ray: Optional[RayCertificate] = None
+    ray_check: Optional[RayCheck] = None
     recession: Optional[RecessionReport] = None
 
 
@@ -143,9 +146,9 @@ class KktCertificate:
 
 @dataclass(frozen=True)
 class RayCertificate:
-    """A feasible point ``x0`` and a direction ``d`` along which q decreases
-    without bound: ``d`` is a recession direction with ``e^T d = 1``, zero
-    curvature ``d^T Q d`` and a negative slope ``(Q x0 + c)^T d``."""
+    """A feasible point ``x0`` and a recession direction ``d``, ``e^T d = 1``,
+    along which q decreases without bound: ``d^T Q d < 0``, or
+    ``d^T Q d = 0`` and a negative slope ``(Q x0 + c)^T d``."""
 
     x0: np.ndarray
     d: np.ndarray
@@ -411,8 +414,9 @@ def minimize_quad_over_polytope(Q, c, A, b) -> OracleResult:
     is positive semidefinite; enumerating those candidates plus all
     vertices is exact.  The recession cone is analyzed first
     (``recession_analysis``, ``ray_witness``): a divergent ray gives
-    UNBOUNDED_BELOW, and the finite value is certified only when every
-    recession direction has strictly positive curvature.
+    UNBOUNDED_BELOW with the ray, unchecked, and the finite value is
+    certified only when every recession direction has strictly positive
+    curvature.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -434,10 +438,10 @@ def minimize_quad_over_polytope(Q, c, A, b) -> OracleResult:
         if not verts:
             return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE,
                                 recession=recession)
-        witness = ray_witness(Q, c, verts, recession)
-        if witness is not None:
-            return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED,
-                                unbounded_witness=witness, recession=recession)
+        ray = ray_witness(Q, c, verts, recession)
+        if ray is not None:
+            return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED, ray=ray,
+                                recession=recession)
         qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
         certified = recession.min_curvature > recession.tolerance * qscale
 
@@ -477,6 +481,16 @@ def minimize_quad_over_polytope(Q, c, A, b) -> OracleResult:
 # recession analysis and the ray test
 
 
+def _recession_slice(A):
+    """``(M, r)`` with ``{M d = r, d >= 0}`` the slice ``e^T d = 1`` of the cone
+    ``{A d = 0, d >= 0}``, or None when a row of A of one strict sign leaves
+    the cone ``{0}`` and the slice empty."""
+    A = np.asarray(A, dtype=float)
+    if (A > 0).all(axis=1).any() or (A < 0).all(axis=1).any():
+        return None
+    return np.vstack([A, np.ones((1, A.shape[1]))]), np.concatenate([np.zeros(A.shape[0]), [1.0]])
+
+
 def recession_analysis(Q, A) -> RecessionReport:
     """Exact curvature analysis of the recession cone ``{A d = 0, d >= 0}``.
 
@@ -484,18 +498,15 @@ def recession_analysis(Q, A) -> RecessionReport:
     compact slice ``{A d = 0, e^T d = 1, d >= 0}`` by basic-solution and
     face enumeration; curvatures are compared at
     ``TOL_CURVATURE * max(1, |Q|_max)``.
-    A strictly positive row of A leaves only ``d = 0`` (the slices this
+    A row of A of one strict sign leaves only ``d = 0`` (the slices this
     module builds itself have one), and enumerates nothing.
     """
     n = Q.shape[0]
-    if (np.asarray(A) > 0).all(axis=1).any():
-        return RecessionReport(False, math.inf, None, (), TOL_CURVATURE, ())
-    aug = np.vstack([A, np.ones((1, n))])
-    rhs = np.concatenate([np.zeros(A.shape[0]), [1.0]])
-    rays = basic_feasible_points(aug, rhs)
+    cut = _recession_slice(A)
+    rays = [] if cut is None else basic_feasible_points(*cut)
     if not rays:
         return RecessionReport(False, math.inf, None, (), TOL_CURVATURE, ())
-    curv = minimize_quad_over_polytope(Q, np.zeros(n), aug, rhs)
+    curv = minimize_quad_over_polytope(Q, np.zeros(n), *cut)
     qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
     neg = curv.minimizers[0] if curv.value < -TOL_CURVATURE * qscale else None
     zero_dirs = []
@@ -510,20 +521,20 @@ def recession_analysis(Q, A) -> RecessionReport:
                            tuple(rays))
 
 
-def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[dict]:
-    """Witness that ``x^T Q x + 2 c^T x`` is unbounded below, or None.
+def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[RayCertificate]:
+    """A ray along which ``x^T Q x + 2 c^T x`` is unbounded below, or None.
 
     ``verts`` are the basic feasible points and ``rec`` the recession
-    analysis of ``{A x = b, x >= 0}``.  Negative curvature gives
-    ``{"direction", "curvature"}``; a zero-curvature direction along which
-    the objective decreases from a feasible point (a vertex, or a point far
-    along an extreme ray) gives ``{"direction", "point"}``.  Rates are
+    analysis of ``{A x = b, x >= 0}``.  A direction of negative curvature
+    starts at the first vertex; a zero-curvature direction starts at a
+    feasible point from which the objective decreases along it (a vertex,
+    or a point far along an extreme ray).  Rates are
     compared at ``rec.tolerance * (max(1, |Q|_max) + |c|_max)``.  Only
     enumerated directions are tried, so None does not certify boundedness
     below.
     """
     if rec.neg_direction is not None:
-        return {"direction": rec.neg_direction, "curvature": rec.min_curvature}
+        return RayCertificate(verts[0], rec.neg_direction)
     scale = rec.tolerance * (
         max(1.0, float(np.abs(Q).max(initial=0.0))) + float(np.abs(c).max(initial=0.0))
     )
@@ -535,11 +546,11 @@ def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[dict]:
             v0 = verts[0]
             h0 = float((Q @ v0 + c) @ d)
             t = (abs(h0) + 1.0) / max(-rates[k], 1e-12)
-            return {"direction": d, "point": v0 + t * rec.rays[k]}
+            return RayCertificate(v0 + t * rec.rays[k], d)
         values = [float((Q @ v + c) @ d) for v in verts]
         k = int(np.argmin(values))
         if values[k] < -scale:
-            return {"direction": d, "point": verts[k]}
+            return RayCertificate(verts[k], d)
     return None
 
 
@@ -553,18 +564,24 @@ def certifies_copositive(Q, simplex_min: float) -> bool:
 def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> OracleResult:
     """Exact optimal value of the instance, with unboundedness analysis.
 
-    +inf for infeasible instances, -inf when a divergent ray is found.  For
-    unbounded feasible regions where no divergence is found but zero
-    curvature rays exist, the enumeration value is still exact provided the
-    objective is bounded below; boundedness is certified when the quadratic
-    part is copositive and the linear part nonnegative (the objective is
-    then nonnegative on the whole orthant), otherwise the result is
-    INCONCLUSIVE.  Copositivity is decided by the minimum of ``x^T Q x``
-    over the standard simplex (``certifies_copositive``); a caller that has
-    already computed it passes it as ``simplex_min``.
+    +inf for infeasible instances, -inf when a divergent ray is found and
+    passes ``verify_ray_certificate`` (``ray_check``; a failed check leaves
+    -inf INCONCLUSIVE and uncertified).  For unbounded feasible regions
+    where no divergence is found but zero curvature rays exist, the
+    enumeration value is still exact provided the objective is bounded
+    below; boundedness is certified when the quadratic part is copositive
+    and the linear part nonnegative (the objective is then nonnegative on
+    the whole orthant), otherwise the result is INCONCLUSIVE.  Copositivity
+    is decided by the minimum of ``x^T Q x`` over the standard simplex
+    (``certifies_copositive``); a caller that has already computed it
+    passes it as ``simplex_min``.
     """
     _require_desk_scale(inst.n)
     res = minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b)
+    if res.status == ORACLE_UNBOUNDED:
+        check = verify_ray_certificate(inst, res.ray)
+        status = ORACLE_UNBOUNDED if check.ok else ORACLE_INCONCLUSIVE
+        return replace(res, status=status, certified=check.ok, ray_check=check)
     if res.status == ORACLE_INCONCLUSIVE and float(inst.c.min()) >= 0.0:
         if simplex_min is None:
             simplex_min = minimize_quad_over_polytope(
@@ -645,11 +662,12 @@ def verify_ray_certificate(inst: QpInstance, ray: RayCertificate) -> RayCheck:
 
     ``x0`` must be feasible within ``FEAS_TOL`` and ``d`` a recession
     direction (``core.in_recession_cone``) with ``|e^T d - 1| <= FEAS_TOL``.
-    The curvature ``d^T Q d`` must be at most, and the slope
-    ``(Q x0 + c)^T d`` below minus, the tolerances of ``ray_witness``:
-    ``TOL_CURVATURE * max(1, |Q|_max)`` and
-    ``TOL_CURVATURE * (max(1, |Q|_max) + |c|_max)``.  Then q decreases
-    without bound along ``x0 + t d``.
+    Then q decreases without bound along ``x0 + t d`` when the curvature
+    ``d^T Q d`` is below ``-TOL_CURVATURE * max(1, |Q|_max)``, whatever the
+    slope ``(Q x0 + c)^T d``, or when the curvature is at most
+    ``TOL_CURVATURE * max(1, |Q|_max)`` and the slope below
+    ``-TOL_CURVATURE * (max(1, |Q|_max) + |c|_max)``: the tolerances of
+    ``ray_witness``.
     """
     x0 = np.asarray(ray.x0, dtype=float)
     d = np.asarray(ray.d, dtype=float)
@@ -659,9 +677,10 @@ def verify_ray_certificate(inst: QpInstance, ray: RayCertificate) -> RayCheck:
     norm_err = abs(float(d.sum()) - 1.0)
     curvature = float(d @ inst.Q @ d)
     slope = float((inst.Q @ x0 + inst.c) @ d)
-    ok = (feas <= FEAS_TOL and recession and norm_err <= FEAS_TOL
-          and curvature <= TOL_CURVATURE * qscale
-          and slope < -TOL_CURVATURE * (qscale + float(np.abs(inst.c).max())))
+    descent = curvature < -TOL_CURVATURE * qscale or (
+        curvature <= TOL_CURVATURE * qscale
+        and slope < -TOL_CURVATURE * (qscale + float(np.abs(inst.c).max())))
+    ok = feas <= FEAS_TOL and recession and norm_err <= FEAS_TOL and descent
     return RayCheck(
         ok=bool(ok),
         feasibility_residual=feas,

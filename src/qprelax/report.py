@@ -31,6 +31,7 @@ from .conic import (
 from .core import DNN, PSD0, QpInstance, jsonable
 from .errors import DeskScaleLimit
 from .oracle import (
+    ORACLE_UNBOUNDED,
     OracleResult,
     certifies_copositive,
     enumerate_vertices,
@@ -286,23 +287,27 @@ def _grade(inst: QpInstance, report: Report) -> None:
         "polyhedron unbounded or data unavailable",
     )
 
-    unbounded = [(cone, res) for cone, res in relaxations.items() if res.status == UNBOUNDED]
+    # (who, lifted certificate, ray) of every unbounded verdict
+    unbounded = [(cone, res.certificate, res.ray) for cone, res in relaxations.items()
+                 if res.status == UNBOUNDED]
+    if oracle is not None and oracle.status == ORACLE_UNBOUNDED:
+        unbounded.append(("oracle", None, oracle.ray))
 
     def certified():
         ok = True
         details = []
-        for cone, res in unbounded:
-            if res.certificate is not None:
-                chk = verify_certificate(inst, res.certificate)
+        for who, certificate, ray in unbounded:
+            if certificate is not None:
+                chk = verify_certificate(inst, certificate)
                 ok = ok and chk.ok and chk.objective_rate < 0
-                details.append(f"{cone}: rate {chk.objective_rate:.8g}, verified {chk.ok}")
-            elif res.ray is not None:
-                ray = verify_ray_certificate(inst, res.ray)
-                ok = ok and ray.ok
-                details.append(f"{cone}: ray slope {ray.slope:.8g}, verified {ray.ok}")
+                details.append(f"{who}: rate {chk.objective_rate:.8g}, verified {chk.ok}")
+            elif ray is not None:
+                chk = verify_ray_certificate(inst, ray)
+                ok = ok and chk.ok
+                details.append(f"{who}: ray slope {chk.slope:.8g}, verified {chk.ok}")
             else:
                 ok = False
-                details.append(f"{cone}: missing certificate")
+                details.append(f"{who}: missing certificate")
         return ok, "; ".join(details)
 
     check(

@@ -1,26 +1,33 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from qprelax.analysis import (
-    CASE1,
-    CASE2,
-    NOT_DETECTED,
     analyze_recession_cone,
     check_copositivity_desk_scale,
     check_psd_on_nullspace,
-    detect_unbounded,
     envelope_csv,
     sample_envelope,
 )
-from qprelax.conic import OPTIMAL, SolveOptions, UNBOUNDED, solve_relaxation
-from qprelax.core import DNN, PSD0
-from qprelax.errors import DeskScaleLimit, InfeasibleInstance, PointInfeasible
+from qprelax.cli import main
+from qprelax.conic import (
+    OPTIMAL,
+    SolveOptions,
+    UNBOUNDED,
+    recession_certificate_search,
+    solve_relaxation,
+)
+from qprelax.core import DNN, PSD0, is_feasible, jsonable, save_instance
+from qprelax.errors import DeskScaleLimit, PointInfeasible
 from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
+    KINDS,
     UNBOUNDED_SAFE,
+    HornFamilyParams,
+    horn_family,
     horn_instance,
     random_instance,
 )
@@ -52,6 +59,17 @@ class TestPsdOnNullspace:
         report = check_psd_on_nullspace(inst)
         assert report.holds
         assert math.isinf(report.min_eigenvalue)
+
+    def test_reads_the_certificate_search_curvature(self):
+        # one computation: over the make_corpus.py corpus the check and the
+        # PSD0 search agree to the last bit
+        corpus = [horn_instance()[0]]
+        corpus += [horn_family(HornFamilyParams(n=n, seed=s)) for n in (6, 7, 8)
+                   for s in range(3)]
+        corpus += [random_instance(kind, 4, 2, s) for kind in KINDS for s in range(3)]
+        for inst in corpus:
+            expected = recession_certificate_search(inst, PSD0).curvature
+            assert check_psd_on_nullspace(inst).min_eigenvalue == expected, inst.name
 
 
 class TestRecessionCone:
@@ -93,44 +111,42 @@ class TestRecessionCone:
 
 
 class TestDetectUnbounded:
+    """The oracle's ray of unbounded descent and its raw-data check."""
+
     def test_case1(self):
         inst = make_qp(-np.eye(2), [0, 0], [[1, -1]], [1])
-        verdict = detect_unbounded(inst)
-        assert verdict.status == CASE1
-        d = verdict.direction
+        res = global_solve(inst)
+        assert res.status == ORACLE_UNBOUNDED
+        d = res.ray.d
         assert float(d @ inst.Q @ d) < 0 and d.min() >= -1e-9
+        assert res.ray_check.ok and res.ray_check.curvature < 0
 
     def test_case2(self):
         inst = make_qp(np.zeros((2, 2)), [-1, -1], [[1, -1]], [0])
-        verdict = detect_unbounded(inst)
-        assert verdict.status == CASE2
-        d, x = verdict.direction, verdict.point
+        res = global_solve(inst)
+        assert res.status == ORACLE_UNBOUNDED
+        d, x = res.ray.d, res.ray.x0
         assert abs(float(d @ inst.Q @ d)) <= 1e-9
         assert float((inst.Q @ x + inst.c) @ d) < 0
-        from qprelax.core import is_feasible
-
         assert is_feasible(inst, x, tol=1e-7)
+        assert res.ray_check.ok and res.ray_check.slope < 0
 
     def test_case2_along_ray(self):
         # d = e1 has zero curvature and d^T Q e2 = -1e-6 < 0; the curvature
         # minimum -1e-12 is inside the tolerance, so only the ray test sees it
         inst = make_qp(RAY_Q, [0, 0, 0], [[0, 0, 1]], [1])
-        verdict = detect_unbounded(inst)
-        assert verdict.status == CASE2
-        d, x = verdict.direction, verdict.point
+        res = global_solve(inst)
+        assert res.status == ORACLE_UNBOUNDED
+        d, x = res.ray.d, res.ray.x0
         assert np.allclose(d, [1, 0, 0])
         assert float((inst.Q @ x + inst.c) @ d) < 0
-        from qprelax.core import is_feasible
-
         assert is_feasible(inst, x, tol=1e-7)
+        assert res.ray_check.ok
 
     def test_bounded_not_detected(self, simplex_convex):
-        assert detect_unbounded(simplex_convex).status == NOT_DETECTED
-
-    def test_requires_feasible(self):
-        inst = make_qp(np.eye(2), [0, 0], [[1, 1]], [-1])
-        with pytest.raises(InfeasibleInstance):
-            detect_unbounded(inst)
+        res = global_solve(simplex_convex)
+        assert res.status != ORACLE_UNBOUNDED
+        assert res.ray is None and res.ray_check is None
 
     @pytest.mark.parametrize(
         "inst",
@@ -144,12 +160,16 @@ class TestDetectUnbounded:
         ids=["case1", "case2", "case2-ray", "simplex-convex", "horn",
              "unbounded-safe-s0", "unbounded-safe-s1", "unbounded-safe-s2"],
     )
-    def test_agrees_with_global_solve(self, inst):
-        verdict = detect_unbounded(inst)
+    def test_agrees_with_global_solve(self, inst, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        assert main(["--json", "analyze", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
         res = global_solve(inst)
-        assert (verdict.status == NOT_DETECTED) == (res.status != ORACLE_UNBOUNDED)
-        if verdict.status != NOT_DETECTED:
-            assert np.array_equal(verdict.direction, res.unbounded_witness["direction"])
+        assert (payload["ray"] is None) == (res.status != ORACLE_UNBOUNDED)
+        assert payload["ray"] == json.loads(json.dumps(jsonable(res.ray)))
+        if res.ray is not None:
+            assert payload["ray_check"]["ok"] is res.ray_check.ok is True
 
 
 class TestCopositivity:

@@ -102,6 +102,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "feasible: True" in out
         assert "recession cone: nontrivial" in out
+        assert "ray: none found" in out
 
     def test_analyze_json(self, horn_file, capsys):
         assert main(["--json", "analyze", str(horn_file)]) == 0
@@ -131,10 +132,9 @@ class TestCommands:
         monkeypatch.setattr(oracle, "recession_analysis", counting)
         monkeypatch.setattr(analysis, "recession_analysis", counting)
         monkeypatch.setattr(cli, "enumerate_vertices", counting_vertices)
-        monkeypatch.setattr(analysis, "enumerate_vertices", counting_vertices)
         assert main(["--json", "analyze", str(horn_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["unboundedness"]["status"] == "NOT_DETECTED"
+        assert payload["ray"] is None and payload["ray_check"] is None
         assert len(calls) == 1
         assert len(enumerations) == 1
 
@@ -242,6 +242,22 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "OPTIMAL"
         assert payload["value"] == pytest.approx(27.0)
+
+    def test_oracle_and_analyze_print_the_ray(self, tmp_path, capsys):
+        # -I has negative curvature along d = (0.5, 0.5) from the vertex (1, 0)
+        path = tmp_path / "concave.json"
+        path.write_text(json.dumps({"name": "concave", "n": 2, "m": 1,
+                                    "Q": [[-1.0, 0.0], [0.0, -1.0]], "c": [2.0, 2.0],
+                                    "A": [[1.0, -1.0]], "b": [1.0]}))
+        lines = ["ray: from [1.0, 0.0] along [0.5, 0.5]",
+                 "ray slope 1.5, curvature -0.5, independently verified: True"]
+        for command in ("oracle", "analyze"):
+            assert main([command, str(path)]) == 0
+            assert capsys.readouterr().out.splitlines()[-2:] == lines
+        assert main(["--json", "oracle", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "UNBOUNDED_BELOW"
+        assert payload["ray"]["x0"] == [1.0, 0.0] and payload["ray_check"]["ok"] is True
 
     def test_localmin(self, horn_file, tmp_path, capsys):
         xfile = write_vector(tmp_path / "v.json", [0, 0, 0, 0, 4.5])

@@ -585,6 +585,13 @@ class TestConvexClosedForm:
                      id="not-nonnegative"),
         pytest.param(np.diag([1.0, 0.0]), [-1, 0], [1, 1], [0.5, 0.5], False, id="curved"),
         pytest.param(np.zeros((2, 2)), [1, 0], [1, 1], [0.5, 0.5], False, id="ascent"),
+        # negative curvature makes q unbounded below whatever the slope
+        pytest.param(-np.eye(2), [3, 3], [1, 1], [0.5, 0.5], True, id="concave-ascent"),
+        pytest.param(-np.eye(2), [3, 3], [1, 0], [0.5, 0.5], False,
+                     id="concave-infeasible-point"),
+        pytest.param(-np.eye(2), [3, 3], [1, 1], [1, 0], False,
+                     id="concave-not-a-recession-direction"),
+        pytest.param(-np.eye(2), [3, 3], [1, 1], [1, 1], False, id="concave-not-normalized"),
     ])
     def test_ray_check_rejects_mutations(self, Q, c, x0, d, ok):
         inst = make_qp(Q, c, [[1, -1]], [0])
@@ -599,7 +606,8 @@ class TestConvexClosedForm:
         check = by_name["unbounded verdicts carry verified certificates"]
         assert check.applicable and check.passed
         assert check.detail == ("DNN: ray slope -0.5, verified True; "
-                                "PSD0: ray slope -0.5, verified True")
+                                "PSD0: ray slope -0.5, verified True; "
+                                "oracle: ray slope -0.5, verified True")
         for entry in report.to_dict()["relaxations"].values():
             assert entry["status"] == UNBOUNDED and entry["iterations"] == 0
             assert entry["ray"]["d"] == pytest.approx([0.5, 0.5], abs=1e-15)
@@ -714,6 +722,20 @@ class TestEmptinessScreens:
         assert recession_certificate_search(inst, DNN, FEASIBILITY).status == FOUND
         first = self.first_feasible(aug, rhs)
         assert len(examined) == first < math.comb(5, 3)
+
+    def test_bounded_polytope_certificate_screen_examines_nothing(self, examined):
+        # a row of A of one strict sign leaves the recession cone {0}; the
+        # DNN pre-pass enumerated 10 empty column subsets before the screen
+        inst = random_instance(BOUNDED, 5, 2, 3)
+        assert (inst.A > 0).all(axis=1).any() or (inst.A < 0).all(axis=1).any()
+        examined.clear()
+        res = recession_certificate_search(inst, DNN)
+        assert res.status == NONE and examined == []
+
+    def test_negative_row_recession_analysis_examines_nothing(self, examined):
+        # 3 empty column subsets before the screen took negative rows too
+        report = oracle.recession_analysis(np.eye(3), np.array([[-1.0, -2.0, -1.0]]))
+        assert not report.l_nontrivial and examined == []
 
     def test_empty_polyhedron_examines_every_subset(self, examined):
         inst = random_instance(KIND_INFEASIBLE, 4, 2, 0)

@@ -109,9 +109,59 @@ class TestGlobalSolve:
         res = global_solve(inst)
         assert res.value == -math.inf
         assert res.status == ORACLE_UNBOUNDED
-        d = res.unbounded_witness["direction"]
+        d = res.ray.d
         assert float(d @ inst.Q @ d) < 0
         assert np.abs(inst.A @ d).max() <= 1e-8
+
+    def test_negative_curvature_ray_with_ascent(self):
+        # the direction of negative curvature starts at the first vertex,
+        # where q first rises along it: the check accepts any slope then
+        inst = make_qp(-np.eye(2), [2, 2], [[1, -1]], [1])
+        res = global_solve(inst)
+        assert res.status == ORACLE_UNBOUNDED and res.value == -math.inf
+        assert np.array_equal(res.ray.x0, [1.0, 0.0])
+        assert res.ray.d == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert res.ray_check.curvature == pytest.approx(-0.5, abs=1e-15)
+        assert res.ray_check.slope == pytest.approx(1.5, abs=1e-15)
+        assert res.ray_check.ok
+
+    def test_failed_ray_is_inconclusive(self, monkeypatch):
+        inst = make_qp(-np.eye(2), [2, 2], [[1, -1]], [1])
+        off = oracle.RayCertificate(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
+        monkeypatch.setattr(oracle, "ray_witness", lambda *args: off)
+        res = global_solve(inst)
+        assert res.status == ORACLE_INCONCLUSIVE and not res.certified
+        assert res.ray is off and not res.ray_check.ok
+        assert res.ray_check.feasibility_residual > 0
+
+    @staticmethod
+    def unbounded_candidate(seed):
+        """A feasible instance with a nonnegative recession direction ``d0``
+        and an indefinite Q: rows of A projected off ``d0``, ``b = A x0``."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 5))
+        m = int(rng.integers(1, n))
+        d0 = rng.random(n) * (rng.random(n) < 0.7)
+        d0[rng.integers(n)] += 0.5
+        A = rng.normal(size=(m, n))
+        A -= np.outer(A @ d0, d0) / (d0 @ d0)
+        x0 = rng.random(n) + 0.1
+        G = rng.normal(size=(n, n))
+        Q = G @ np.diag(rng.normal(size=n)) @ G.T
+        return make_qp(0.5 * (Q + Q.T), rng.normal(size=n), A, A @ x0, f"scan{seed}")
+
+    def test_seeded_scan_rays_verify(self):
+        unbounded = 0
+        for seed in range(30):
+            inst = self.unbounded_candidate(seed)
+            res = global_solve(inst)
+            if res.status != ORACLE_UNBOUNDED:
+                assert res.ray_check is None or not res.ray_check.ok
+                continue
+            unbounded += 1
+            assert res.ray_check.ok
+            assert oracle.verify_ray_certificate(inst, res.ray) == res.ray_check
+        assert unbounded >= 10
 
     def test_zero_curvature_linear_decrease(self):
         inst = make_qp(np.zeros((2, 2)), [-1, -1], [[1, -1]], [0])
