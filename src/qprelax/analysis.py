@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import OPTIMAL, SolveOptions, _pinned_solve
+from .conic import SolveOptions, evaluate_underestimator
 from .core import TOL_CURVATURE, QpInstance, evaluate_objective, is_feasible, lift_instance
 from .errors import PointInfeasible
 from .numerics import certificate_basis
@@ -127,17 +127,12 @@ def sample_envelope(
     for label, pt in (("start", start), ("end", end)):
         if not is_feasible(inst, pt, tol=1e-7):
             raise PointInfeasible(f"{label} point of the segment is infeasible")
-    opts = opts or SolveOptions()
     rows = []
-    warm = None
     for t in np.linspace(0.0, 1.0, samples):
         x = (1.0 - t) * start + t * end
-        qval = evaluate_objective(inst, x)
-        result, state = _pinned_solve(inst, cone, x, opts, warm=warm)
-        if result.status == OPTIMAL:
-            warm = state
-        lk = result.value
-        rows.append(EnvelopeRow(t=float(t), q=qval, lk=lk, status=result.status))
+        result = evaluate_underestimator(inst, cone, x, opts)
+        rows.append(EnvelopeRow(t=float(t), q=evaluate_objective(inst, x), lk=result.value,
+                                status=result.status))
     return rows
 
 

@@ -1,7 +1,8 @@
-"""Operator-splitting solver for the lifted conic relaxations.
+"""Operator-splitting and interior-point solvers for the lifted conic relaxations.
 
 The lifted problems minimize a linear objective over the intersection of an
-affine slice with a matrix cone.  They are solved in consensus form: one
+affine slice with a matrix cone.  An unpinned solve that no closed form
+decides (below) runs in consensus form: one
 copy of the matrix variable per cone factor (the PSD cone plus an entrywise
 sign cone) and one copy for the affine slice, coupled through averaging
 with scaled dual variables, over-relaxation, and an adaptive penalty.
@@ -74,19 +75,30 @@ recession cone, so the plain and the pinned solves share one pre-pass,
 kept and reused across consecutive calls with the same instance, cone and
 options.
 
-The pinned solves have a closed form on convex anchors.  For a feasible
-anchor ``x`` and ``z = [1; x]``, the pinned feasible set of both lifts is
+The pinned solves never run the loop.  For a feasible anchor ``x`` and
+``z = [1; x]``, the pinned feasible set of both lifts is
 ``{z z^T + [0 0; 0 N S N^T] : S positive semidefinite}`` intersected with
-the cone, where ``N`` spans null(A) (``X - x x^T`` is positive
-semidefinite with columns in null(A)), and on it the objective is
+the cone, where ``N`` is the orthonormal basis of null(A) (``X - x x^T`` is
+positive semidefinite with columns in null(A)), and on it the objective is
 ``q(x) + <N^T Q N, S>``.  When the least eigenvalue of ``N^T Q N`` is at
 or above ``-TOL_CURVATURE * max(1, |Q|_max)``, the pinned value of both
 cones is ``q(x)``, attained at ``z z^T``, which lies in both cones; it is
-returned with no loop and 0 iterations.  A PSD0 pinned solve has no other
-case: below that threshold its pre-pass finds a certificate and the value
-is minus infinity, so it loops only when that certificate fails
-verification.  A DNN anchor loops when Q has negative curvature on
-null(A) and the pre-pass finds no DNN certificate.
+returned with 0 iterations.  Below that threshold PSD0's value is minus
+infinity, along ``S = t u u^T`` for the least eigenvector ``u``: its
+pre-pass certificate says so, and where that certificate fails
+verification the solve returns MAX_ITER with 0 iterations, since the
+value has no checked proof.  A DNN anchor below the threshold with no DNN
+certificate from the pre-pass keeps its sign rows: it minimizes
+``<N^T Q N, S>`` over ``S`` positive semidefinite with
+``(x x^T + N S N^T)_ij >= 0`` for ``i < j``, an ``r x r`` LMI with
+``r = dim null(A)`` and no equality constraint left.  The diagonal rows
+follow from ``S`` PSD, and a row that is identically zero is dropped
+(``_sign_rows``).  A primal-dual interior-point method solves it
+(``_face_ipm``); the result's ``iterations`` and residuals are its own,
+and its point ``z z^T + [0 0; 0 N S N^T]`` is gated by
+``validate_lifted_point`` like every OPTIMAL point.  The method's dual
+``(Z, lam)`` bounds the pinned value below by
+``q(x) - sum_ij lam_ij x_i x_j``, up to its dual residual.
 
 The unpinned solves have the same closed form.  Every feasible point of
 either lift has ``X - x x^T = N S N^T`` with ``S`` positive semidefinite, so
@@ -135,7 +147,11 @@ from .core import (
 )
 from .errors import NonFinite, PointInfeasible
 from .numerics import (
+    RANK_TOL,
     FaceProjector,
+    _eigh,
+    _eigvalsh,
+    _lstsq,
     build_affine_projector,
     certificate_basis,
     certificate_projector,
@@ -202,6 +218,10 @@ STOP_MARGIN = 0.01
 #: way to the loop (``_convex_qp``).
 ACTIVE_SET_STEPS = 200
 
+#: Iterations a pinned interior-point solve may take before it returns
+#: MAX_ITER (``_face_ipm``).
+IPM_ITERATIONS = 50
+
 #: LAPACK's general solver (``numpy.linalg.solve`` without its wrapper);
 #: called with ``signature="dd->d"`` on a regularized Gram matrix.
 _solve = _umath_linalg.solve1
@@ -209,7 +229,9 @@ _solve = _umath_linalg.solve1
 
 @dataclass
 class SolveOptions:
-    """Iteration budget and residual tolerances of the splitting solver."""
+    """Iteration budget and residual tolerances of the splitting solver and
+    of the pinned interior-point method (which also stops at
+    ``IPM_ITERATIONS``)."""
 
     max_iterations: int = 200_000
     tol_primal: float = 1e-7
@@ -527,8 +549,6 @@ class _Polisher:
 class _LoopOutcome:
     status: str  # CONVERGED, MAX_ITER, or POLISHED (given a polisher)
     Z: np.ndarray
-    U: np.ndarray  # (blocks, k, k) scaled duals
-    rho: float  # the penalty U is scaled for
     iterations: int
     residual_primal: float
     residual_dual: float
@@ -610,17 +630,15 @@ def _consensus(
     opts: SolveOptions,
     margin: float = STOP_MARGIN,
     polisher: Optional[_Polisher] = None,
-    warm=None,
 ) -> _LoopOutcome:
     """Consensus splitting over the affine slice and the cone factors.
 
     The splitting map ``T`` takes the stacked state ``x = (Z, U)`` to its
     plain image; each iteration evaluates ``T`` once, runs every test on
     that image, and moves on to the safeguarded Anderson point built from
-    it (see the module docstring).  ``warm`` restarts from a ``(Z, U, rho)``
-    state returned by an earlier loop; without it the loop starts at
-    ``PENALTY``.  ``margin`` scales the tolerances of the stopping test
-    (see ``STOP_MARGIN``).
+    it (see the module docstring).  The loop starts at ``PENALTY``.
+    ``margin`` scales the tolerances of the stopping test (see
+    ``STOP_MARGIN``).
     """
     k = qhat.shape[0]
     blocks = (projector.affine,) + tuple(factors)
@@ -628,14 +646,9 @@ def _consensus(
     # x is the point mapped next and g its plain image, each stacked as
     # (Z, U_1, ..., U_nb)
     x = np.empty((nb + 1, k, k))
-    if warm is not None:
-        x[0] = warm[0]
-        x[1:] = warm[1]
-        rho = float(warm[2])
-    else:
-        x[0] = projector.apply(np.zeros((k, k)))
-        x[1:] = 0.0
-        rho = PENALTY
+    x[0] = projector.apply(np.zeros((k, k)))
+    x[1:] = 0.0
+    rho = PENALTY
     g = np.empty_like(x)
     f = np.empty_like(x)
     xv, gv, fv = x.reshape(-1), g.reshape(-1), f.reshape(-1)  # flat views
@@ -653,8 +666,8 @@ def _consensus(
     r = s = math.inf
     status = MAX_ITER
     polish_hit = None
-    # (first iteration meeting the tolerances, then the last image meeting
-    # them with its rho, r and s)
+    # (first iteration meeting the tolerances, then the last image of Z
+    # meeting them with its r and s)
     met = None
     it = 0
 
@@ -666,7 +679,6 @@ def _consensus(
             raise NonFinite(f"splitting iterate is non-finite at iteration {it}")
         for i, block in enumerate(blocks):
             Y[i] = block(W[i])
-        image = g
         Zg = g[0]
         Ug = g[1:]
         np.multiply(Y, OVER_RELAXATION, out=Ug)
@@ -690,10 +702,10 @@ def _consensus(
                 status = "CONVERGED"
                 break
             first = it if met is None else met[0]
-            met = (first, image.copy(), rho, r, s)
+            met = (first, Zg.copy(), r, s)
         if met is not None and it >= 2 * met[0]:
             status = "CONVERGED"
-            _, image, rho, r, s = met
+            _, Zg, r, s = met
             break
         if polisher is not None and it % POLISH_INTERVAL == 0:
             polish_hit = polisher.attempt(Zg, POLISH_GAP_TOL)
@@ -734,14 +746,149 @@ def _consensus(
 
     return _LoopOutcome(
         status=status,
-        Z=image[0].copy(),
-        U=image[1:].copy(),
-        rho=rho,
+        Z=Zg.copy(),
         iterations=it,
         residual_primal=r,
         residual_dual=s,
         polish=polish_hit,
     )
+
+
+# ---------------------------------------------------------------------------
+# interior-point method on a reduced face
+
+
+@dataclass
+class _IpmOutcome:
+    status: str  # CONVERGED or MAX_ITER
+    S: np.ndarray  # the last iterate
+    lam: np.ndarray  # the multipliers of the rows, >= 0
+    iterations: int
+    residual_primal: float
+    residual_dual: float
+
+
+def _steps_to_boundary(roots: np.ndarray, dS, dZ, w, dw, lam, dlam):
+    """The largest primal and dual steps, each at most 1, keeping ``S + t dS``
+    and ``Z + t dZ`` PSD and ``w + t dw`` and ``lam + t dlam`` nonnegative,
+    given the inverse square-root factors ``roots`` of ``S`` and ``Z``."""
+    least = _eigvalsh(roots @ np.stack((dS, dZ)) @ roots.transpose(0, 2, 1),
+                      signature="d->d")[:, 0]
+    steps = []
+    for low, v, dv in zip(least, (w, lam), (dw, dlam)):
+        step = 1.0 if low >= -1.0 else -1.0 / low
+        falling = dv < 0.0
+        if falling.any():
+            step = min(step, float((-v[falling] / dv[falling]).min()))
+        steps.append(step)
+    return steps
+
+
+def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions) -> _IpmOutcome:
+    """Minimize ``<C, S>`` over ``S`` PSD with ``<G_k, S> >= h_k`` for each row k.
+
+    An infeasible-start primal-dual interior-point method: the HKM direction
+    (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) with
+    Mehrotra's predictor-corrector (SIAM J. Optim. 1992).  The rows take
+    slacks ``w >= 0``; the dual is ``max h^T lam`` over ``lam >= 0`` with
+    ``Z = C - sum_k lam_k G_k`` PSD.  Each iteration solves one Schur system
+    ``M dlam = rhs`` with ``M_kl = <G_k, S G_l Z^-1> + delta_kl w_k / lam_k``
+    by least squares, which stays defined where rows that are active at the
+    optimum are linearly dependent.  The predictor's steps to the boundary,
+    primal and dual apart, set Mehrotra's centering; the corrector takes
+    one step length for both sides, 0.99 of the way to the boundary.  It
+    stops when the primal residual relative to ``1 + |h|`` is at most
+    ``opts.tol_primal`` and both the dual residual relative to ``1 + |C|``
+    and the duality gap relative to ``1 + |<C, S>| + |h^T lam|`` are at
+    most ``opts.tol_dual``.  After ``IPM_ITERATIONS`` iterations (or
+    ``opts.max_iterations``, if fewer), or when an iterate stops being
+    positive definite, the Schur matrix is not finite, a step is not
+    positive, or an entry grows past ``1 / eps`` (a problem with no optimum
+    diverges this way), it returns MAX_ITER with the last iterate it took.
+    Nothing here raises.
+    """
+    r, p = C.shape[0], h.size
+    S, Z = np.eye(r), np.eye(r)
+    w, lam = np.ones(p), np.ones(p)
+    Gf = G.reshape(p, r * r)
+    hscale = 1.0 + math.sqrt(h @ h)
+    cscale = 1.0 + math.sqrt(np.vdot(C, C))
+    cap = min(IPM_ITERATIONS, opts.max_iterations)
+    status = MAX_ITER
+    it = 0
+    while True:
+        rp = h - Gf @ S.ravel() + w
+        Rd = C - (lam @ Gf).reshape(r, r) - Z
+        pobj, dobj = float(np.vdot(C, S)), float(h @ lam)
+        res_p = math.sqrt(rp @ rp) / hscale
+        res_d = math.sqrt(np.vdot(Rd, Rd)) / cscale
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        if res_p <= opts.tol_primal and res_d <= opts.tol_dual and gap <= opts.tol_dual:
+            status = "CONVERGED"
+            break
+        if it == cap:
+            break
+        step = _ipm_step(G, Gf, S, Z, w, lam, rp, Rd)
+        if step is None:
+            break
+        S, Z, w, lam = step
+        it += 1
+    return _IpmOutcome(status, S, lam, it, res_p, res_d)
+
+
+def _ipm_step(G, Gf, S, Z, w, lam, rp, Rd):
+    """One predictor-corrector step from ``(S, Z, w, lam)``, or None."""
+    r, p = S.shape[0], w.size
+    values, vectors = _eigh(np.stack((S, Z)), signature="d->dd")
+    if not values[:, 0].min() > 0.0:
+        return None
+    # F^-1 with F F^T = S and with F F^T = Z, one eigenvector per row
+    roots = (vectors / np.sqrt(values)[:, None, :]).transpose(0, 2, 1)
+    Zi = roots[1].T @ roots[1]
+    ratio = w / lam
+    M = (G @ S).reshape(p, r * r) @ (G @ Zi).transpose(0, 2, 1).reshape(p, r * r).T
+    M[np.diag_indices(p)] += ratio
+    if not np.isfinite(M).all():
+        return None
+    # numpy.linalg.lstsq's default rcond
+    rcond = np.finfo(float).eps * p
+    M_inv = _lstsq(M, np.eye(p), rcond, signature="ddd->ddid")[0] if p else M
+
+    def direction(T, t):
+        # the HKM direction for the complementarity targets S Z = T, w lam = t
+        base, slack = T @ Zi - S, t / lam - w
+
+        def completed(dlam):
+            dZ = Rd - (dlam @ Gf).reshape(r, r)
+            return base - S @ dZ @ Zi, dZ, slack - ratio * dlam
+
+        # dlam solves M dlam = rp - G(dS) + dw at dlam = 0; one step of
+        # iterative refinement recomputes that residual through S dZ Z^-1
+        # rather than through M, whose entries grow like 1/mu
+        dlam = np.zeros(p)
+        for _ in range(2):
+            dS, dZ, dw = completed(dlam)
+            dlam = dlam + M_inv @ (rp - Gf @ dS.ravel() + dw)
+        dS, dZ, dw = completed(dlam)
+        return 0.5 * (dS + dS.T), dZ, dw, dlam
+
+    mu = (float(np.vdot(S, Z)) + float(w @ lam)) / (r + p)
+    dS, dZ, dw, dlam = direction(np.zeros((r, r)), np.zeros(p))
+    a_p, a_d = _steps_to_boundary(roots, dS, dZ, w, dw, lam, dlam)
+    mu_aff = (float(np.vdot(S + a_p * dS, Z + a_d * dZ))
+              + float((w + a_p * dw) @ (lam + a_d * dlam))) / (r + p)
+    sigma = (mu_aff / mu) ** 3 if mu > 0.0 else 0.0
+    dS, dZ, dw, dlam = direction(sigma * mu * np.eye(r) - dS @ dZ, sigma * mu - dw * dlam)
+    # one step length for both sides keeps the primal residual falling with mu
+    step = 0.99 * min(_steps_to_boundary(roots, dS, dZ, w, dw, lam, dlam))
+    if not step > 0.0:
+        return None
+    new = (S + step * dS, Z + step * dZ, w + step * dw, lam + step * dlam)
+    # without an optimum the iterates run off to infinity: stop them long
+    # before they overflow (a NaN fails the test too)
+    if not max(np.abs(v).max(initial=0.0) for v in new) < 1.0 / np.finfo(float).eps:
+        return None
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -896,12 +1043,15 @@ def _finish(lp: LiftedProblem, inst: QpInstance, projector: FaceProjector,
     if out.status == "CONVERGED":
         return _validated(lp, inst, y, opts, out.residual_primal, out.residual_dual,
                           out.iterations)
-    point = LiftedPoint(y)
-    value = float(np.tensordot(lp.qhat, point.y))
+    return _unfinished(lp, y, out.residual_primal, out.residual_dual, out.iterations)
+
+
+def _unfinished(lp: LiftedProblem, y: np.ndarray, residual_primal: float,
+                residual_dual: float, iterations: int) -> RelaxationResult:
+    """MAX_ITER at the last point ``y`` of a solve that did not finish."""
     return RelaxationResult(
-        status=MAX_ITER, value=value, point=point,
-        residual_primal=out.residual_primal, residual_dual=out.residual_dual,
-        iterations=out.iterations,
+        status=MAX_ITER, value=float(np.tensordot(lp.qhat, y)), point=LiftedPoint(y),
+        residual_primal=residual_primal, residual_dual=residual_dual, iterations=iterations,
     )
 
 
@@ -1071,30 +1221,49 @@ def solve_relaxation(
     return _finish(lp, inst, projector, out, opts)
 
 
-def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions, warm=None):
-    """Pinned relaxation solve; returns the result and reusable warm state.
+def _sign_rows(N: np.ndarray, x: np.ndarray):
+    """The DNN sign rows ``(x x^T + N S N^T)_ij >= 0``, ``i < j``, of a pinned
+    solve as ``<G_k, S> >= h_k``: the stack ``G`` and the vector ``h``.
 
-    The closed form (see the module docstring) returns no warm state.
+    The diagonal rows follow from ``S`` PSD.  A row whose ``G`` is zero (to
+    ``RANK_TOL``; a variable that is zero on the whole polyhedron has a zero
+    row in ``N``) reads ``0 >= -x_i x_j`` and is dropped.
     """
+    i, j = np.triu_indices(N.shape[0], k=1)
+    G = N[i, :, None] * N[j, None, :]
+    G = 0.5 * (G + G.transpose(0, 2, 1))
+    rows = np.abs(G).max(axis=(1, 2), initial=0.0) > RANK_TOL
+    return G[rows], -(x[i] * x[j])[rows]
+
+
+def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> RelaxationResult:
+    """Pinned relaxation solve: the closed form, or the interior-point method
+    on ``S`` (see the module docstring)."""
     x = np.asarray(x, dtype=float)
     resid = feasibility_residual(inst, x)
     if resid > max(FEAS_TOL, 10.0 * opts.tol_primal):
         raise PointInfeasible(f"anchor point violates the constraints (residual {resid:.3e})")
     search = _prepass(inst, cone, opts)
     if search.status == FOUND:
-        return _unbounded_result(search), None
+        return _unbounded_result(search)
     lp = lift_instance(inst, cone)
+    z = np.concatenate(([1.0], x))
+    y = np.outer(z, z)
     # at PSD0's scaled tolerance, at which its pre-pass reads "not unbounded",
     # q is convex on the pinned set {z z^T + N S N^T}: its minimum is z z^T
     if search.curvature >= -_rate_threshold(inst, PSD0):
-        z = np.concatenate(([1.0], x))
-        return _validated(lp, inst, np.outer(z, z), opts, 0.0, 0.0, 0), None
-    projector = build_affine_projector(lp, pin=x)
-    polisher = _Polisher(lp, projector, cone)
-    out = _consensus(lp.qhat, projector, cone_projection_for(cone), opts,
-                     polisher=polisher, warm=warm)
-    result = _finish(lp, inst, projector, out, opts)
-    return result, (out.Z, out.U, out.rho)
+        return _validated(lp, inst, y, opts, 0.0, 0.0, 0)
+    if cone == PSD0:
+        # minus infinity along S = t u u^T, but the certificate that says so
+        # failed verification
+        return RelaxationResult(MAX_ITER, -math.inf, None, math.inf, math.inf, 0)
+    N = nullspace_basis(inst.A)
+    out = _face_ipm(N.T @ inst.Q @ N, *_sign_rows(N, x), opts)
+    y[1:, 1:] += N @ out.S @ N.T
+    if out.status == MAX_ITER:
+        return _unfinished(lp, y, out.residual_primal, out.residual_dual, out.iterations)
+    return _validated(lp, inst, y, opts, out.residual_primal, out.residual_dual,
+                      out.iterations)
 
 
 def evaluate_underestimator(
@@ -1111,8 +1280,9 @@ def evaluate_underestimator(
     feasibility is checked on every call.  Where Q is positive semidefinite
     on null(A), up to the pre-pass's scaled curvature tolerance, the
     underestimator is q itself: the value is ``q(x)`` at the point
-    ``z z^T``, returned with 0 iterations and no loop.
+    ``z z^T``, returned with 0 iterations.  Elsewhere a DNN value comes from
+    the interior-point method on ``S``, whose iterations the result counts,
+    and a PSD0 value is minus infinity (see the module docstring).
     """
     opts = opts or SolveOptions()
-    result, _ = _pinned_solve(inst, cone, x, opts)
-    return result
+    return _pinned_solve(inst, cone, x, opts)

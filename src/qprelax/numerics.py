@@ -45,8 +45,10 @@ RANK_TOL = 1e-10
 #: LAPACK's symmetric eigensolver on the lower triangle: called with
 #: ``signature="d->dd"`` it returns ascending eigenvalues and orthonormal
 #: eigenvector columns, the same arrays as ``numpy.linalg.eigh``, and NaNs
-#: where LAPACK does not converge.
+#: where LAPACK does not converge; ``_eigvalsh`` with ``signature="d->d"``
+#: returns the eigenvalues alone.
 _eigh = _umath_linalg.eigh_lo
+_eigvalsh = _umath_linalg.eigvalsh_lo
 
 #: LAPACK's least-squares and full SVD drivers behind ``numpy.linalg.lstsq``
 #: and ``numpy.linalg.svd(full_matrices=True)``.  ``_lstsq`` takes ``rcond``
@@ -229,35 +231,15 @@ class FaceProjector:
         return self.affine(m)
 
 
-def build_affine_projector(lp: LiftedProblem, pin=None) -> FaceProjector:
+def build_affine_projector(lp: LiftedProblem) -> FaceProjector:
     """Face-restricted projector for the lifted relaxation constraints.
 
     Enforces range(Y) in null(rows) (equivalent to ``rows Y = 0`` for
-    positive semidefinite Y), ``Y[0,0] = 1``, and optionally a pinned 0th
-    row.  Pinning the full 0th row of ``Y = V S V^T`` reduces to the
-    independent system ``S v0 = V^T [1; x]`` over the face coordinates,
-    which also implies the corner constraint.
+    positive semidefinite Y) and ``Y[0,0] = 1``.
     """
     basis = nullspace_basis(lp.rows)  # the face null(rows) carrying all feasible Y
-    r = basis.shape[1]
     v0 = basis[0]
-    mats = []
-    rhs = []
-    if pin is not None:
-        pin = np.asarray(pin, dtype=float)
-        if pin.shape != (lp.n,):
-            raise DimensionMismatch(f"pin has shape {pin.shape}, expected {(lp.n,)}")
-        if not np.isfinite(pin).all():
-            raise NonFinite("pin contains non-finite entries")
-        target = basis.T @ np.concatenate(([1.0], pin))
-        for a in range(r):
-            g = 0.5 * (np.outer(v0, np.eye(r)[a]) + np.outer(np.eye(r)[a], v0))
-            mats.append(g)
-            rhs.append(float(target[a]))
-    else:
-        mats.append(np.outer(v0, v0))
-        rhs.append(1.0)
-    return FaceProjector(basis, mats, rhs)
+    return FaceProjector(basis, [np.outer(v0, v0)], [1.0])
 
 
 def certificate_basis(lp: LiftedProblem) -> np.ndarray:

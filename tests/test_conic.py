@@ -1,5 +1,8 @@
 import itertools
 import math
+import warnings
+from dataclasses import replace
+from types import SimpleNamespace
 
 import hypothesis
 import numpy as np
@@ -13,6 +16,7 @@ from qprelax.conic import (
     FOUND,
     INCONCLUSIVE,
     INFEASIBLE,
+    MAX_ITER,
     NONE,
     OBJECTIVE,
     OPTIMAL,
@@ -443,20 +447,35 @@ class TestPinnedClosedForm:
 
     @pytest.mark.parametrize("cone", [DNN, PSD0])
     def test_closed_form_matches_the_pinned_loop(self, cone):
-        lp = lift_instance(self.convex, cone)
+        # the interior-point method on S, run where the closed form applies:
+        # DNN with its sign rows, PSD0 with none
+        N = nullspace_basis(self.convex.A)
+        C = N.T @ self.convex.Q @ N
+        r = C.shape[0]
         for x in feasible_samples(self.convex, 3, seed=4):
-            projector = build_affine_projector(lp, pin=x)
-            out = conic._consensus(lp.qhat, projector, cone_projection_for(cone), TIGHT)
-            assert out.status == "CONVERGED"
-            looped = float(np.tensordot(lp.qhat, projector.apply(out.Z)))
+            rows = conic._sign_rows(N, x) if cone == DNN else (np.zeros((0, r, r)), np.zeros(0))
+            out = conic._face_ipm(C, *rows, TIGHT)
+            assert out.status == "CONVERGED" and out.iterations > 0
+            solved = evaluate_objective(self.convex, x) + float(np.vdot(C, out.S))
             closed = evaluate_underestimator(self.convex, cone, x, TIGHT).value
-            assert abs(looped - closed) <= 1e-7 * (1.0 + abs(closed))
+            assert abs(solved - closed) <= 1e-7 * (1.0 + abs(closed))
 
     def test_negative_curvature_dnn_anchor_still_loops(self, loops):
+        # the anchor is solved by the interior-point method, not the loop
         inst = self.members[0]  # bounded; Q fails the curvature condition
         res = evaluate_underestimator(inst, DNN, feasible_samples(inst, 1, seed=2)[0])
         assert res.status == OPTIMAL and res.iterations > 0
-        assert len(loops) == 1
+        assert res.validation.ok
+        assert loops == []
+
+    @pytest.mark.parametrize("cone", [DNN, PSD0])
+    def test_criterion_9_members_never_loop(self, cone, loops):
+        # with criterion 9's sixth member, which is convex on null(A)
+        for inst in self.members + [random_instance(UNBOUNDED_SAFE, 3, 1, 0)]:
+            for x in feasible_samples(inst, 4, seed=77):
+                res = evaluate_underestimator(inst, cone, x, TIGHT)
+                assert res.status in (OPTIMAL, UNBOUNDED), inst.name
+        assert loops == []
 
     def test_border_cone_pinned_solves_never_loop(self, loops):
         statuses = set()
@@ -481,6 +500,95 @@ class TestPinnedClosedForm:
             res = evaluate_underestimator(inst, cone, x)
             assert res.status == OPTIMAL and res.iterations == 0
             assert res.value == pytest.approx(evaluate_objective(inst, x), abs=1e-12)
+        assert loops == []
+
+
+#: x3 = 0 on the whole polyhedron, so the third row of N is zero; Q has
+#: curvature -2 on null(A) = span((1, -1, 0)), and the pinned DNN value is
+#: q(x) - 4 x1 x2
+IMPLICIT_ZERO = make_qp([[1, 2, 0.5], [2, -1, 0.3], [0.5, 0.3, 2]], [0.5, -1, 0.25],
+                        [[1, 1, 1], [0, 0, 1]], [1, 0], "implicit-zero")
+
+
+def _bounded_vertex(n, m, seed, index):
+    inst = random_instance(BOUNDED, n, m, seed)
+    return inst, enumerate_vertices(inst)[index]
+
+
+class TestPinnedInteriorPoint:
+    """DNN anchors where Q has negative curvature on null(A) and the pre-pass
+    finds no certificate: the interior-point method on S decides them."""
+
+    # values from the consensus loop this method replaced, at TIGHT
+    @pytest.mark.parametrize("inst, x, looped", [
+        pytest.param(IMPLICIT_ZERO, [1, 0, 0], 1.9999999999913347, id="implicit-zero-vertex-1"),
+        pytest.param(IMPLICIT_ZERO, [0, 1, 0], -3.0000000000090488, id="implicit-zero-vertex-2"),
+        pytest.param(IMPLICIT_ZERO, [0.5, 0.5, 0], -0.5000000000100036, id="implicit-zero-mid"),
+        pytest.param(IMPLICIT_ZERO, [0.25, 0.75, 0], -1.7499999999894287,
+                     id="implicit-zero-interior"),
+        *[pytest.param(*_bounded_vertex(3, 1, 0, k), v, id=f"bounded-n3-m1-s0-vertex-{k}")
+          for k, v in enumerate([-10.417466427139324, 10.365467813236204, 4.637967178750397])],
+        *[pytest.param(*_bounded_vertex(4, 2, 2, k), v, id=f"bounded-n4-m2-s2-vertex-{k}")
+          for k, v in enumerate([-9.602279054712577, -0.7152976918937253, 2.6265832066304915])],
+    ])
+    def test_matches_the_loop(self, inst, x, looped, loops):
+        res = evaluate_underestimator(inst, DNN, np.array(x, dtype=float), TIGHT)
+        assert res.status == OPTIMAL and res.iterations > 0
+        assert res.validation.ok
+        assert abs(res.value - looped) <= 1e-7 * (1.0 + abs(looped))
+        assert loops == []
+
+    def test_dual_bound_closes_the_gap(self):
+        # (Z, lam) is dual feasible up to the dual residual, and
+        # q(x) + h^T lam = q(x) - sum lam_ij x_i x_j meets the value
+        inst = TestPinnedClosedForm.members[0]
+        anchors = [(IMPLICIT_ZERO, np.array([0.25, 0.75, 0.0])), _bounded_vertex(4, 2, 2, 1),
+                   (inst, feasible_samples(inst, 1, seed=2)[0])]
+        for inst, x in anchors:
+            N = nullspace_basis(inst.A)
+            C = N.T @ inst.Q @ N
+            G, h = conic._sign_rows(N, np.asarray(x))
+            out = conic._face_ipm(C, G, h, TIGHT)
+            assert out.status == "CONVERGED" and out.lam.min() >= 0.0
+            Z = C - np.tensordot(out.lam, G, axes=1)
+            assert np.linalg.eigvalsh(Z)[0] >= -1e-8 * (1.0 + np.abs(C).max())
+            value = evaluate_underestimator(inst, DNN, x, TIGHT).value
+            bound = evaluate_objective(inst, np.asarray(x)) + float(h @ out.lam)
+            assert abs(value - bound) <= 1e-8 * (1.0 + abs(value)), inst.name
+
+    def test_zero_rows_are_dropped(self):
+        N = nullspace_basis(IMPLICIT_ZERO.A)
+        G, h = conic._sign_rows(N, np.array([0.5, 0.5, 0.0]))
+        # only the pair (1, 2) is left: 0.5 * 0.5 - s / 2 >= 0
+        assert G.shape == (1, 1, 1) and abs(G[0, 0, 0] + 0.5) <= 1e-12
+        assert h == pytest.approx([-0.25])
+
+    def test_dual_infeasible_anchor_stops_within_the_cap(self, loops):
+        # the pre-pass reads NONE (rate -5e-8 is above TOL_CERTIFICATE), but
+        # <C, S> falls without bound along S = t: the pinned problem has no
+        # optimum, and its iterates diverge
+        inst = make_qp(np.diag([-1e-7, 0.0]), [0, 0], [[1, -1]], [0])
+        assert recession_certificate_search(inst, DNN).status == NONE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = evaluate_underestimator(inst, DNN, np.array([1.0, 1.0]))
+        assert res.status == MAX_ITER
+        assert 0 < res.iterations <= conic.IPM_ITERATIONS
+        assert loops == []
+
+    def test_unverified_psd0_certificate_gives_max_iter(self, monkeypatch, loops):
+        # negative curvature with no verified certificate: the PSD0 value is
+        # minus infinity, unproven
+        inst = TestPinnedClosedForm.members[0]
+        search = recession_certificate_search(inst, PSD0)
+        assert search.status == FOUND and search.curvature < 0
+        unverified = replace(search, status=INCONCLUSIVE, certificate=None,
+                             reason="candidate failed verification")
+        monkeypatch.setattr(conic, "_last_prepass", None)
+        monkeypatch.setattr(conic, "recession_certificate_search", lambda *args: unverified)
+        res = evaluate_underestimator(inst, PSD0, feasible_samples(inst, 1, seed=2)[0])
+        assert res.status == MAX_ITER and res.iterations == 0
+        assert res.value == -math.inf and res.point is None
         assert loops == []
 
 
@@ -618,17 +726,25 @@ class TestConvexClosedForm:
 class TestConsensusLoop:
     @pytest.mark.parametrize("block", [None, 0, 1, 2])
     def test_nonfinite_warm_state_raises(self, simplex_convex, block):
+        # a non-finite entry of the loop's state, in Z (block None) or in the
+        # scaled dual U of one block, stops the loop with NonFinite
         lp = lift_instance(simplex_convex, DNN)
         projector = build_affine_projector(lp)
-        z = projector.apply(np.zeros((3, 3)))
-        u = np.zeros((3, 3, 3))
+        kernels = [projector.affine, *cone_projection_for(DNN)]
+
+        def poisoned(m):
+            out = m.copy()
+            out[1, 1] = np.nan
+            return out
+
+        start = projector.apply
         if block is None:
-            z[1, 2] = z[2, 1] = np.inf
+            start = lambda m: poisoned(projector.apply(m))  # noqa: E731
         else:
-            u[block, 1, 1] = -np.inf
+            kernels[block] = poisoned
+        stub = SimpleNamespace(apply=start, affine=kernels[0])
         with pytest.raises(NonFinite):
-            conic._consensus(lp.qhat, projector, cone_projection_for(DNN), SolveOptions(),
-                             warm=(z, u, conic.PENALTY))
+            conic._consensus(lp.qhat, stub, kernels[1:], SolveOptions())
 
     # Q fails the curvature condition on null(A), so the DNN solve loops
     # (213 iterations with one penalty change)
@@ -670,15 +786,6 @@ class TestConsensusLoop:
         assert res.status == OPTIMAL
         assert res.iterations < 3000
         assert abs(res.value - ref) <= 1e-6 * abs(ref)
-
-    def test_same_point_warm_restart_converges_at_once(self):
-        inst = self.looped
-        x = np.mean(enumerate_vertices(inst), axis=0)
-        opts = SolveOptions()
-        cold, warm = conic._pinned_solve(inst, DNN, x, opts)
-        again, _ = conic._pinned_solve(inst, DNN, x, opts, warm=warm)
-        assert cold.status == again.status == OPTIMAL
-        assert again.iterations <= 5
 
 
 class TestEmptinessScreens:

@@ -21,7 +21,7 @@ from qprelax.numerics import (
     project_cone,
 )
 
-from conftest import feasible_samples, make_qp
+from conftest import make_qp
 
 
 def sym_matrices(n, elements=st.floats(min_value=-5, max_value=5)):
@@ -267,22 +267,6 @@ class TestAffineProjector:
         y = np.outer(v, v)
         assert np.abs(proj.apply(y) - y).max() <= 1e-9
 
-    def test_pinned_row(self, horn):
-        inst, _ = horn
-        lp = lift_instance(inst, DNN)
-        xt = np.array([0, 1, 0, 0, 4.0])
-        proj = build_affine_projector(lp, pin=xt)
-        out = proj.apply(np.zeros((6, 6)))
-        assert np.allclose(out[0], np.concatenate(([1.0], xt)), atol=1e-9)
-        again = proj.apply(out)
-        assert np.abs(again - out).max() <= 1e-10
-
-    def test_pin_dimension_check(self, horn):
-        inst, _ = horn
-        lp = lift_instance(inst, DNN)
-        with pytest.raises(DimensionMismatch):
-            build_affine_projector(lp, pin=np.ones(3))
-
     def test_certificate_slice(self, horn):
         inst, dtilde = horn
         lp = lift_instance(inst, DNN)
@@ -308,11 +292,10 @@ def _structured_apply(proj, m):
 def _face_projectors():
     unbounded = random_instance(UNBOUNDED_SAFE, 5, 2, 0)
     box = random_instance(BOUNDED, 4, 2, 2)
-    pin = feasible_samples(box, 1, seed=3)[0]
     point = make_qp(np.eye(2), [0, 0], [[1, 0], [0, 1]], [1, 1], "point")
     return {
         "unpinned": build_affine_projector(lift_instance(unbounded, DNN)),
-        "pinned": build_affine_projector(lift_instance(box, PSD0), pin=pin),
+        "bounded": build_affine_projector(lift_instance(box, PSD0)),
         "certificate": certificate_projector(lift_instance(unbounded, DNN)),
         "rank-0 certificate": certificate_projector(lift_instance(point, DNN)),
     }
