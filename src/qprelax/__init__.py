@@ -3,7 +3,9 @@
 The package models quadratic programs ``min x^T Q x + 2 c^T x`` over
 ``{A x = b, x >= 0}``, lifts them to conic problems over the doubly
 nonnegative cone or the PSD-with-nonnegative-border cone, solves the lifted
-problems with an operator-splitting method, evaluates the induced convex
+problems by closed forms or by a primal-dual interior-point method on a face
+of the PSD cone, searches their recession cones for certificates of
+unboundedness the same way, evaluates the induced convex
 underestimators, checks the structural exactness and unboundedness
 conditions, and generates the Horn-matrix family of instances whose doubly
 nonnegative relaxation is unbounded despite a finite optimum.
@@ -37,7 +39,6 @@ from .numerics import (
     FaceProjector,
     build_affine_projector,
     certificate_basis,
-    certificate_projector,
     nullspace_basis,
     project_cone,
 )

@@ -1,58 +1,26 @@
-"""Operator-splitting and interior-point solvers for the lifted conic relaxations.
+"""Interior-point solvers for the lifted conic relaxations.
 
 The lifted problems minimize a linear objective over the intersection of an
-affine slice with a matrix cone.  An unpinned solve that no closed form
-decides (below) runs in consensus form: one
-copy of the matrix variable per cone factor (the PSD cone plus an entrywise
-sign cone) and one copy for the affine slice, coupled through averaging
-with scaled dual variables, over-relaxation, and an adaptive penalty.
+affine slice with a matrix cone.  Every feasible ``Y`` of either lift lies
+on a face ``{V S V^T : S positive semidefinite}`` of the PSD cone, so each
+problem that no closed form decides (below) is solved on such a face by one
+primal-dual interior-point method, ``_face_ipm``: minimize ``<C, S>`` over
+``S`` PSD with rows ``<G_k, S> >= h_k``, by the HKM direction (Helmberg,
+Rendl, Vanderbei & Wolkowicz 1996) with Mehrotra's predictor-corrector
+(1992).  It stops at the requested tolerances, or returns MAX_ITER after
+``IPM_ITERATIONS`` iterations.  Three problems run it:
 
-The block copies and their scaled duals are kept as one ``(blocks, k, k)``
-stack.  Each iteration does one finiteness check of the stacked input
-``Z - U``, one unchecked face projection (two ``k x k`` products and two
-products with the lifted face constraints), one ``k x k``
-eigendecomposition for the PSD factor (LAPACK's driver called directly,
-the projection rebuilt with one symmetric product), one clip for the sign
-factor, and a handful of whole-array updates, most of them in place, and
-dot products for the averaging and the residuals.  The objective shift
-``step / rho`` is computed outside the iteration, and again only when the
-adaptive penalty changes.
+- the unpinned solve: ``V`` spans null(rows), ``C = V^T qhat V``, the rows
+  are the sign rows ``(V S V^T)_ij >= 0`` (every pair ``i < j`` for DNN,
+  the pairs ``(0, j)`` for PSD0), and ``Y_00 = 1`` is the row pair
+  ``<v0 v0^T, S> >= 1``, ``<-v0 v0^T, S> >= -1``;
+- the pinned DNN solve (below);
+- the DNN OBJECTIVE certificate search (below).
 
-The splitting map ``T`` takes the stacked state ``x = (Z, U)`` to its
-plain image, and the loop accelerates it with a safeguarded type-II
-Anderson step (Walker & Ni 2011; the safeguard as in SCS, Zhang,
-O'Donoghue & Boyd 2020).  The last ``ANDERSON_MEMORY`` differences of
-``f = T(x) - x`` and of ``T(x)`` are kept with their Gram matrix; the next
-point is ``T(x) - dG gamma``, where ``gamma`` minimizes ``|f - dF gamma|``
-with the Gram diagonal scaled by ``1 + ANDERSON_REGULARIZATION`` (a
-Tikhonov term), solved by LAPACK's ``solve1`` gufunc.  An extrapolation longer than
-``ANDERSON_MAX_JUMP`` times ``|f|`` is not taken, which keeps a diverging
-iteration (an empty certificate set) from being flung to overflow.  The
-safeguard keeps an extrapolated point only if its own ``|T(x) - x|`` is no
-larger than that of the point it was built from; otherwise the loop
-reverts to the plain image it replaced and clears the memory.  A penalty
-change rescales ``U`` and clears the memory too.  The finiteness check,
-the stopping test, a solve's polish schedule and the penalty adaptation all
-read the plain image ``T(x)``.
-
-Stopped at the requested tolerances, the accelerated loop left values up
-to 2.5e-6 relative off the exact optimum (``scripts/value_sweep.py``), so
-a solve loop stops only when both relative residuals are below
-``STOP_MARGIN`` times the requested tolerances.  Some instances have a
-residual floor between the two; a loop that met the requested tolerances
-first at iteration j and has not met the tighter ones by iteration 2j
-stops with the last image that met them.  A certificate search's loop
-stops at the requested tolerances: its point is not a value but a
-candidate, re-verified from raw data and graded by the sign of its rate.
-It ends in one of two ways, converged or out of iterations.
-
-Plain splitting has a sublinear tail when the cone touches the affine slice
-tangentially, so a solve's loop periodically attempts an active-face
-polish: predict the optimal face from the iterate's eigenstructure and zero
-pattern, solve the reduced linear system, and accept only when the polished
-point is feasible and a fitted dual certificate closes the duality gap.  A
-certificate search does not polish.  The structurally exact instances, Q
-positive semidefinite on null(A), no longer reach the loop (below).
+The consensus splitting loop ``_consensus`` (with its Anderson
+acceleration, adaptive penalty and active-face polisher ``_Polisher``) is
+still defined here with its constants, but no solve runs it; the benchmark
+harness under ``perfbench/`` wraps and calls it.
 
 Unboundedness is decided by a certificate pre-pass, the OBJECTIVE
 certificate search, rather than by watching the objective diverge: a
@@ -68,16 +36,23 @@ the same eigenvalue screens the DNN search, and so does the exact test for
 a recession direction ``d >= 0``, ``A d = 0``, ``d != 0`` of the
 polyhedron, without which the DNN certificate set is empty.  Given one,
 ``[0; d] [0; d]^T / |d|^2`` is a DNN certificate, so a feasibility search
-never loops; only a DNN objective search neither settles runs the loop.
-The search keeps that eigenvalue, the curvature of Q on null(A), which also
-decides the closed forms below.  Pinning the 0th row does not change the
-recession cone, so the plain and the pinned solves share one pre-pass,
-kept and reused across consecutive calls with the same instance, cone and
-options.
+needs no solve.  A DNN objective search that neither screen settles runs
+the interior-point method with ``C = B^T qhat B``, the sign rows
+``(B S B^T)_ij >= 0`` and ``tr S <= 1`` as the row ``<-I, S> >= -1``.  The
+rate is linear in ``S``, so that minimum is exactly the least unit-trace
+rate when it is negative, and 0 otherwise.  A rate below the threshold
+puts every optimum at trace 1, so a converged ``S`` of trace below 1/2
+reads NONE without dividing by its trace; any other is graded as the
+candidate ``B S B^T / tr S``.  The search keeps the least eigenvalue of
+``B^T qhat B``, the curvature of Q on null(A), which also decides the
+closed forms below.
+Pinning the 0th row does not change the recession cone, so the plain and
+the pinned solves share one pre-pass, kept and reused across consecutive
+calls with the same instance, cone and options.
 
-The pinned solves never run the loop.  For a feasible anchor ``x`` and
-``z = [1; x]``, the pinned feasible set of both lifts is
-``{z z^T + [0 0; 0 N S N^T] : S positive semidefinite}`` intersected with
+For a feasible anchor ``x`` and ``z = [1; x]``, the pinned feasible set of
+both lifts is ``{z z^T + [0 0; 0 N S N^T] : S positive semidefinite}``
+intersected with
 the cone, where ``N`` is the orthonormal basis of null(A) (``X - x x^T`` is
 positive semidefinite with columns in null(A)), and on it the objective is
 ``q(x) + <N^T Q N, S>``.  When the least eigenvalue of ``N^T Q N`` is at
@@ -93,8 +68,8 @@ certificate from the pre-pass keeps its sign rows: it minimizes
 ``(x x^T + N S N^T)_ij >= 0`` for ``i < j``, an ``r x r`` LMI with
 ``r = dim null(A)`` and no equality constraint left.  The diagonal rows
 follow from ``S`` PSD, and a row that is identically zero is dropped
-(``_sign_rows``).  A primal-dual interior-point method solves it
-(``_face_ipm``); the result's ``iterations`` and residuals are its own,
+(``_sign_rows``).  The interior-point method solves it; the result's
+``iterations`` and residuals are its own,
 and its point ``z z^T + [0 0; 0 N S N^T]`` is gated by
 ``validate_lifted_point`` like every OPTIMAL point.  The method's dual
 ``(Z, lam)`` bounds the pinned value below by
@@ -117,7 +92,8 @@ both relaxations are unbounded below: the solve returns UNBOUNDED with 0
 iterations and the ray ``(x0, d)`` as ``ray``, once
 ``oracle.verify_ray_certificate`` accepts it.  No lifted recession
 certificate exists there, since the rate ``d^T Q d`` is 0.  Where a check
-fails, or the method reaches ``ACTIVE_SET_STEPS``, the solve loops.
+fails, or the method reaches ``ACTIVE_SET_STEPS``, the solve runs the
+interior-point method, whose point is gated like the pinned one.
 """
 
 from __future__ import annotations
@@ -152,10 +128,7 @@ from .numerics import (
     _eigh,
     _eigvalsh,
     _lstsq,
-    build_affine_projector,
     certificate_basis,
-    certificate_projector,
-    cone_projection_for,
     cone_violation,
     nullspace_basis,
 )
@@ -182,17 +155,29 @@ FOUND = "FOUND"
 NONE = "NONE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-#: Initial penalty, over-relaxation factor, and the iteration interval at
-#: which the penalty is rebalanced between the primal and dual residuals.
-PENALTY = 1.0
-OVER_RELAXATION = 1.6
-ADAPT_INTERVAL = 50
-
 #: An OBJECTIVE search reports FOUND only for rates below ``-TOL_CERTIFICATE``
 #: (DNN), or below ``-TOL_CURVATURE * max(1, |Q|_max)`` (PSD0, whose rate is
 #: an exact eigenvalue; ``core.TOL_CURVATURE``, the tolerance of
 #: ``analysis.check_psd_on_nullspace``).
 TOL_CERTIFICATE = 1e-6
+
+#: Working-set changes a closed-form convex solve may make before it gives
+#: way to the interior-point method (``_convex_qp``).
+ACTIVE_SET_STEPS = 200
+
+#: Iterations an interior-point solve or DNN search may take before it
+#: returns MAX_ITER (``_face_ipm``), or ``SolveOptions.max_iterations`` if
+#: fewer.
+IPM_ITERATIONS = 50
+
+# The constants below belong to the consensus loop ``_consensus``, which no
+# solve runs any more (see the module docstring).
+
+#: Initial penalty, over-relaxation factor, and the iteration interval at
+#: which the penalty is rebalanced between the primal and dual residuals.
+PENALTY = 1.0
+OVER_RELAXATION = 1.6
+ADAPT_INTERVAL = 50
 
 #: A loop given a polisher attempts an exact active-face solve every
 #: ``POLISH_INTERVAL`` iterations and accepts only candidates whose duality
@@ -214,14 +199,6 @@ ANDERSON_MAX_JUMP = 1e3
 #: certificate search's loop (``margin=1.0``) stops at the requested ones.
 STOP_MARGIN = 0.01
 
-#: Working-set changes a closed-form convex solve may make before it gives
-#: way to the loop (``_convex_qp``).
-ACTIVE_SET_STEPS = 200
-
-#: Iterations a pinned interior-point solve may take before it returns
-#: MAX_ITER (``_face_ipm``).
-IPM_ITERATIONS = 50
-
 #: LAPACK's general solver (``numpy.linalg.solve`` without its wrapper);
 #: called with ``signature="dd->d"`` on a regularized Gram matrix.
 _solve = _umath_linalg.solve1
@@ -229,9 +206,9 @@ _solve = _umath_linalg.solve1
 
 @dataclass
 class SolveOptions:
-    """Iteration budget and residual tolerances of the splitting solver and
-    of the pinned interior-point method (which also stops at
-    ``IPM_ITERATIONS``)."""
+    """Iteration budget and residual tolerances of the interior-point method,
+    which stops at ``IPM_ITERATIONS`` when ``max_iterations`` is larger.  The
+    consensus loop, which no solve runs, reads the same fields."""
 
     max_iterations: int = 200_000
     tol_primal: float = 1e-7
@@ -322,7 +299,7 @@ class RelaxationResult:
 
 
 # ---------------------------------------------------------------------------
-# active-face polishing
+# active-face polishing of the consensus loop
 
 
 @lru_cache(maxsize=None)
@@ -542,7 +519,7 @@ class _Polisher:
 
 
 # ---------------------------------------------------------------------------
-# consensus loop
+# consensus loop (no solve runs it; see the module docstring)
 
 
 @dataclass
@@ -633,12 +610,20 @@ def _consensus(
 ) -> _LoopOutcome:
     """Consensus splitting over the affine slice and the cone factors.
 
-    The splitting map ``T`` takes the stacked state ``x = (Z, U)`` to its
-    plain image; each iteration evaluates ``T`` once, runs every test on
-    that image, and moves on to the safeguarded Anderson point built from
-    it (see the module docstring).  The loop starts at ``PENALTY``.
+    No solve calls it any more (see the module docstring).  One copy of
+    the matrix variable per block (the face projection, then the cone
+    factors) is coupled to the others through averaging with scaled dual
+    variables, over-relaxation (``OVER_RELAXATION``) and a penalty that
+    starts at ``PENALTY`` and is rebalanced every ``ADAPT_INTERVAL``
+    iterations.  The splitting map ``T`` takes the stacked state
+    ``x = (Z, U)`` to its plain image; each iteration evaluates ``T`` once,
+    runs every test on that image, and moves on to a safeguarded type-II
+    Anderson point built from it (Walker & Ni 2011; the safeguard as in
+    SCS, Zhang, O'Donoghue & Boyd 2020): the point is kept only if its own
+    ``|T(x) - x|`` is no larger than that of the point it was built from.
     ``margin`` scales the tolerances of the stopping test (see
-    ``STOP_MARGIN``).
+    ``STOP_MARGIN``); a given ``polisher`` is tried every
+    ``POLISH_INTERVAL`` iterations.
     """
     k = qhat.shape[0]
     blocks = (projector.affine,) + tuple(factors)
@@ -794,7 +779,8 @@ def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions) -
     ``Z = C - sum_k lam_k G_k`` PSD.  Each iteration solves one Schur system
     ``M dlam = rhs`` with ``M_kl = <G_k, S G_l Z^-1> + delta_kl w_k / lam_k``
     by least squares, which stays defined where rows that are active at the
-    optimum are linearly dependent.  The predictor's steps to the boundary,
+    optimum are linearly dependent, as an equality written as a row pair
+    is.  The predictor's steps to the boundary,
     primal and dual apart, set Mehrotra's centering; the corrector takes
     one step length for both sides, 0.99 of the way to the boundary.  It
     stops when the primal residual relative to ``1 + |h|`` is at most
@@ -945,15 +931,16 @@ def recession_certificate_search(
     search of either cone reports NONE without grading a candidate when it
     is at or above minus the cone's threshold (``_rate_threshold``:
     ``TOL_CURVATURE * max(1, |Q|_max)`` for PSD0, ``TOL_CERTIFICATE`` for
-    DNN).  For PSD0 no loop runs: OBJECTIVE mode otherwise grades ``u u^T``
-    with ``u = B v_min``; FEASIBILITY mode returns ``B B^T / r``.
+    DNN).  For PSD0 nothing iterates: OBJECTIVE mode otherwise grades
+    ``u u^T`` with ``u = B v_min``; FEASIBILITY mode returns ``B B^T / r``.
     A DNN search then takes the first basic point ``d`` of
     ``{A d = 0, e^T d = 1, d >= 0}``, the exact emptiness screen of its
-    certificate set, and reports NONE without a loop when there is none.
-    FEASIBILITY mode returns ``[0; d] [0; d]^T / |d|^2`` with no loop.
-    OBJECTIVE mode runs the loop, which either converges, and FOUND needs a
-    rate below ``-TOL_CERTIFICATE``, or runs out of iterations:
-    INCONCLUSIVE.  Every certificate is re-verified from raw data.
+    certificate set, and reports NONE with 0 iterations when there is none.
+    FEASIBILITY mode returns ``[0; d] [0; d]^T / |d|^2`` with 0 iterations.
+    OBJECTIVE mode runs the interior-point method over ``tr S <= 1`` (see
+    the module docstring), which either converges, and FOUND needs a rate
+    below ``-TOL_CERTIFICATE``, or stops unconverged: INCONCLUSIVE.  Every
+    certificate is re-verified from raw data.
     """
     if cone not in CONES:
         raise ValueError(f"unknown cone selector {cone!r}")
@@ -968,7 +955,8 @@ def recession_certificate_search(
                                  curvature=math.inf)
     curvature = math.nan
     if mode == OBJECTIVE:
-        values, vectors = np.linalg.eigh(basis.T @ lp.qhat @ basis)
+        C = basis.T @ lp.qhat @ basis
+        values, vectors = np.linalg.eigh(C)
         curvature = float(values[0])
         if curvature >= -_rate_threshold(inst, cone):
             return CertificateSearch(NONE, None, 0, 0.0, curvature=curvature,
@@ -986,13 +974,20 @@ def recession_certificate_search(
         z = np.concatenate(([0.0], d))
         return _graded(inst, lp, np.outer(z, z) / np.dot(d, d), mode, opts, curvature)
 
-    projector = certificate_projector(lp, basis)
-    out = _consensus(lp.qhat, projector, cone_projection_for(cone), opts, margin=1.0)
+    # the sign rows with h = 0, and tr S <= 1 as <-I, S> >= -1
+    G, h = _sign_rows(basis, np.zeros(basis.shape[0]))
+    out = _face_ipm(C, np.concatenate((G, [-np.eye(r)])), np.append(h, -1.0), opts)
     if out.status == MAX_ITER:
         return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
                                  reason="max_iter", curvature=curvature)
-    return _graded(inst, lp, projector.apply(out.Z), mode, opts, curvature, out.iterations,
-                   out.residual_primal)
+    trace = float(np.trace(out.S))
+    if trace < 0.5:
+        # a rate below the threshold puts every optimum at trace 1
+        return CertificateSearch(NONE, None, out.iterations, out.residual_primal,
+                                 reason=f"optimum at trace {trace:.1e}: no rate below "
+                                        "threshold", curvature=curvature)
+    return _graded(inst, lp, basis @ out.S @ basis.T / trace, mode, opts, curvature,
+                   out.iterations, out.residual_primal)
 
 
 def _rate_threshold(inst: QpInstance, cone: str) -> float:
@@ -1022,28 +1017,6 @@ def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
 
 # ---------------------------------------------------------------------------
 # relaxation solves
-
-
-def _finish(lp: LiftedProblem, inst: QpInstance, projector: FaceProjector,
-            out: _LoopOutcome, opts: SolveOptions) -> RelaxationResult:
-    if out.status == "POLISHED":
-        point = LiftedPoint(out.polish["y"])
-        report = validate_lifted_point(inst, point, tol=10.0 * opts.tol_primal, cone=lp.cone)
-        return RelaxationResult(
-            status=OPTIMAL if report.ok else MAX_ITER,
-            value=out.polish["value"],
-            point=point,
-            residual_primal=out.polish["primal_residual"],
-            residual_dual=out.polish["dual_residual"],
-            iterations=out.iterations,
-            validation=report,
-            polished=True,
-        )
-    y = projector.apply(out.Z)
-    if out.status == "CONVERGED":
-        return _validated(lp, inst, y, opts, out.residual_primal, out.residual_dual,
-                          out.iterations)
-    return _unfinished(lp, y, out.residual_primal, out.residual_dual, out.iterations)
 
 
 def _unfinished(lp: LiftedProblem, y: np.ndarray, residual_primal: float,
@@ -1184,7 +1157,8 @@ def solve_relaxation(
     at ``z z^T`` when the point passes ``oracle.first_order_certificate``
     and ``validate_lifted_point``, UNBOUNDED when its ray passes
     ``oracle.verify_ray_certificate``, both with 0 iterations.  Otherwise,
-    or when a check fails, run the consensus splitting to optimality.
+    or when a check fails, run the interior-point method on the face
+    ``V S V^T`` to optimality.
     """
     opts = opts or SolveOptions()
     lp = lift_instance(inst, cone)
@@ -1215,21 +1189,31 @@ def solve_relaxation(
                 result = _validated(lp, inst, np.outer(z, z), opts, 0.0, 0.0, 0)
                 if result.status == OPTIMAL:
                     return replace(result, kkt=kkt)
-    projector = build_affine_projector(lp)
-    polisher = _Polisher(lp, projector, cone)
-    out = _consensus(lp.qhat, projector, cone_projection_for(cone), opts, polisher=polisher)
-    return _finish(lp, inst, projector, out, opts)
+    # Y = V S V^T; Y_00 = 1 is the row pair <v0 v0^T, S> >= 1, <-v0 v0^T, S> >= -1
+    V = nullspace_basis(lp.rows)
+    G, h = _sign_rows(V, np.zeros(lp.n + 1), cone)
+    corner = np.outer(V[0], V[0])
+    out = _face_ipm(V.T @ lp.qhat @ V, np.concatenate((G, [corner, -corner])),
+                    np.append(h, [1.0, -1.0]), opts)
+    y = V @ out.S @ V.T
+    if out.status == MAX_ITER:
+        return _unfinished(lp, y, out.residual_primal, out.residual_dual, out.iterations)
+    return _validated(lp, inst, y, opts, out.residual_primal, out.residual_dual,
+                      out.iterations)
 
 
-def _sign_rows(N: np.ndarray, x: np.ndarray):
-    """The DNN sign rows ``(x x^T + N S N^T)_ij >= 0``, ``i < j``, of a pinned
-    solve as ``<G_k, S> >= h_k``: the stack ``G`` and the vector ``h``.
+def _sign_rows(N: np.ndarray, x: np.ndarray, cone: str = DNN):
+    """The sign rows ``(x x^T + N S N^T)_ij >= 0`` of the cone as
+    ``<G_k, S> >= h_k``: the stack ``G`` and the vector ``h``.
 
-    The diagonal rows follow from ``S`` PSD.  A row whose ``G`` is zero (to
-    ``RANK_TOL``; a variable that is zero on the whole polyhedron has a zero
-    row in ``N``) reads ``0 >= -x_i x_j`` and is dropped.
+    DNN has a row for every pair ``i < j``, PSD0 for the pairs ``(0, j)``
+    only.  The diagonal rows follow from ``S`` PSD.  A row whose ``G`` is
+    zero (to ``RANK_TOL``; a variable that is zero on the whole polyhedron
+    has a zero row in ``N``) reads ``0 >= -x_i x_j`` and is dropped.
     """
     i, j = np.triu_indices(N.shape[0], k=1)
+    if cone == PSD0:
+        i, j = i[i == 0], j[i == 0]
     G = N[i, :, None] * N[j, None, :]
     G = 0.5 * (G + G.transpose(0, 2, 1))
     rows = np.abs(G).max(axis=(1, 2), initial=0.0) > RANK_TOL

@@ -18,9 +18,10 @@ symmetrization; ``project_cone`` also rejects a non-finite result.  The
 kernels they share with the splitting loop (``_psd``, ``_nonneg``,
 ``_row0nonneg`` and ``FaceProjector.affine``) assume finite, symmetric,
 correctly sized input and check nothing; the loop in ``conic._consensus``
-checks finiteness once per iteration on its stacked input instead, which
-also catches a NaN from an unconverged eigensolve one iteration later,
-before any other eigendecomposition sees it.
+(which no solve runs any more) checks finiteness once per iteration on its
+stacked input instead, which also catches a NaN from an unconverged
+eigensolve one iteration later, before any other eigendecomposition sees
+it.
 """
 
 from __future__ import annotations
@@ -252,18 +253,6 @@ def certificate_basis(lp: LiftedProblem) -> np.ndarray:
     """
     null_a = nullspace_basis(lp.rows[:, 1:])
     return np.vstack([np.zeros((1, null_a.shape[1])), null_a])
-
-
-def certificate_projector(lp: LiftedProblem, basis=None) -> FaceProjector:
-    """Face-restricted projector for the recession-certificate constraints.
-
-    The face is that of ``certificate_basis`` (pass ``basis`` when it is
-    already at hand); the only remaining constraint is the trace
-    normalization making candidates comparable.
-    """
-    if basis is None:
-        basis = certificate_basis(lp)
-    return FaceProjector(basis, [np.eye(basis.shape[1])], [1.0])
 
 
 def cone_projection_for(cone: str):

@@ -295,6 +295,30 @@ class TestCertificateSearch:
         assert res.status == NONE
         assert res.iterations == 0
 
+    @pytest.mark.parametrize("Q, best", [
+        # null(A) = span(e1, e2), where Q reads [[0, 1], [1, 0]] (curvature
+        # -1): the DNN rate 2 D_12 is at least 0, attained on a whole face
+        pytest.param([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 0.0, id="zero-rate"),
+        # [[1, 2], [2, 1]] there: the rate tr D + 4 D_12 is at least 1, so
+        # the optimum over tr S <= 1 is S = 0, whose trace is not divided by
+        pytest.param([[1, 2, 0], [2, 1, 0], [0, 0, 1]], 1.0, id="positive-rate"),
+    ])
+    def test_copositive_face_reads_none(self, Q, best, ipms):
+        # Q is copositive but not PSD on null(A): the curvature screen passes
+        # the search to the interior-point method, which finds no certificate
+        inst = make_qp(Q, [0, 0, 0], [[0, 0, 1]], [1])
+        res = recession_certificate_search(inst, DNN, OBJECTIVE)
+        assert res.curvature == pytest.approx(-1.0, abs=1e-12)
+        assert res.status == NONE and res.certificate is None
+        assert 0 < res.iterations <= conic.IPM_ITERATIONS and len(ipms) == 1
+        if best == 0.0:
+            assert res.check is not None and res.check.ok
+            assert abs(res.check.objective_rate) <= 1e-6
+        # min 2 x1 x2 + x3^2 with x3 = 1: both the optimum and the DNN value are 1
+        sol = solve_relaxation(inst, DNN)
+        assert sol.status == OPTIMAL and abs(sol.value - 1.0) <= 1e-6
+        assert sol.validation.ok
+
     def test_budget_exhaustion_is_inconclusive(self, horn):
         res = recession_certificate_search(horn[0], DNN, OBJECTIVE,
                                            SolveOptions(max_iterations=5))
@@ -306,18 +330,29 @@ class TestCertificateSearch:
             recession_certificate_search(simplex_convex, DNN, "SIDEWAYS")
 
 
-@pytest.fixture
-def loops(monkeypatch):
-    """Consensus loops run, one entry per call."""
+def _counted(monkeypatch, name):
+    """Calls of ``conic.<name>``, one entry per call."""
     calls = []
-    consensus = conic._consensus
+    original = getattr(conic, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return consensus(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(conic, "_consensus", counted)
+    monkeypatch.setattr(conic, name, counted)
     return calls
+
+
+@pytest.fixture
+def loops(monkeypatch):
+    """Consensus loops run, one entry per call."""
+    return _counted(monkeypatch, "_consensus")
+
+
+@pytest.fixture
+def ipms(monkeypatch):
+    """Interior-point solves on a reduced face, one entry per call."""
+    return _counted(monkeypatch, "_face_ipm")
 
 
 @st.composite
@@ -390,9 +425,11 @@ class TestClosedFormBorderSearch:
                                            PSD0, OBJECTIVE)
         assert res.status == NONE and res.check is None and graded == []
 
-    def test_dnn_search_still_loops_past_the_screen(self, horn, loops):
+    def test_dnn_search_still_loops_past_the_screen(self, horn, loops, ipms):
+        # past the screens the DNN search is one interior-point solve
         res = recession_certificate_search(horn[0], DNN, OBJECTIVE)
-        assert res.status == FOUND and len(loops) == 1
+        assert res.status == FOUND and len(ipms) == 1 and loops == []
+        assert 0 < res.iterations <= conic.IPM_ITERATIONS
 
     @given(small_certificate_problems())
     def test_dnn_rate_never_beats_the_border_minimum(self, inst):
@@ -642,25 +679,28 @@ class TestConvexClosedForm:
             assert evaluate_objective(inst, moved) > evaluate_objective(inst, x) + 1e-6
             assert oracle.first_order_certificate(inst, moved) is None, inst.name
 
-    def test_failed_check_falls_back_to_the_loop(self, monkeypatch, loops):
+    # the fallback is the interior-point method on the face, not the loop
+
+    def test_failed_check_falls_back_to_the_loop(self, monkeypatch, loops, ipms):
         inst = self.convex[1]
         monkeypatch.setattr(conic, "first_order_certificate", lambda *args: None)
         res = solve_relaxation(inst, DNN)
         assert res.status == OPTIMAL and res.iterations > 0 and res.kkt is None
-        assert len(loops) == 1
+        assert len(ipms) == 1 and loops == []
 
-    def test_step_cap_falls_back_to_the_loop(self, monkeypatch, loops):
+    def test_step_cap_falls_back_to_the_loop(self, monkeypatch, loops, ipms):
         monkeypatch.setattr(conic, "ACTIVE_SET_STEPS", 0)
         res = solve_relaxation(self.convex[1], PSD0)
         assert res.status == OPTIMAL and res.iterations > 0
-        assert len(loops) == 1
+        assert len(ipms) == 1 and loops == []
 
-    def test_nonconvex_solves_still_loop(self, loops):
+    def test_nonconvex_solves_still_loop(self, loops, ipms):
         inst = random_instance(BOUNDED, 4, 2, 2)
         assert not check_psd_on_nullspace(inst).holds
         res = solve_relaxation(inst, DNN)
         assert res.status == OPTIMAL and res.iterations > 0 and res.kkt is None
-        assert len(loops) == 1
+        assert 0 < res.iterations <= conic.IPM_ITERATIONS
+        assert len(ipms) == 1 and loops == []
 
     def test_interior_minimizer(self):
         # the minimum of |x - 1|^2 over e^T x = 3 is the interior point x = 1
@@ -746,9 +786,18 @@ class TestConsensusLoop:
         with pytest.raises(NonFinite):
             conic._consensus(lp.qhat, stub, kernels[1:], SolveOptions())
 
-    # Q fails the curvature condition on null(A), so the DNN solve loops
-    # (213 iterations with one penalty change)
+    # Q fails the curvature condition on null(A): the loop on its unpinned
+    # DNN solve takes 213 iterations with one penalty change
     looped = random_instance(BOUNDED, 4, 2, 2)
+
+    def loop(self):
+        """The loop on the unpinned DNN solve of ``looped``, with its
+        polisher: the lifted problem, the face projector and the outcome."""
+        lp = lift_instance(self.looped, DNN)
+        projector = build_affine_projector(lp)
+        out = conic._consensus(lp.qhat, projector, cone_projection_for(DNN), SolveOptions(),
+                               polisher=conic._Polisher(lp, projector, DNN))
+        return lp, projector, out
 
     def test_repeated_solves_are_bitwise_equal(self):
         first, second = (solve_relaxation(self.looped, DNN) for _ in range(2))
@@ -775,17 +824,20 @@ class TestConsensusLoop:
 
         monkeypatch.setattr(conic, "_adapted_penalty", counted_penalty)
         monkeypatch.setattr(conic._Anderson, "reset", counted_reset)
-        solve_relaxation(self.looped, DNN)
+        self.loop()
         changes = [i for i, event in enumerate(events) if event == "rho"]
         assert changes
         assert all(events[i + 1] == "reset" for i in changes)
 
     def test_accelerated_solve_matches_the_oracle(self):
-        res = solve_relaxation(self.looped, DNN)
+        lp, projector, out = self.loop()
         ref = global_solve(self.looped).value
-        assert res.status == OPTIMAL
-        assert res.iterations < 3000
-        assert abs(res.value - ref) <= 1e-6 * abs(ref)
+        assert out.status == "CONVERGED"
+        assert out.iterations < 3000
+        value = float(np.tensordot(lp.qhat, projector.apply(out.Z)))
+        assert abs(value - ref) <= 1e-6 * abs(ref)
+        # the interior-point method that replaced it on this solve agrees
+        assert abs(solve_relaxation(self.looped, DNN).value - value) <= 1e-6 * abs(ref)
 
 
 class TestEmptinessScreens:

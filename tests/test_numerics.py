@@ -13,8 +13,9 @@ from qprelax.numerics import (
     PSD,
     ROW0NONNEG,
     AffineProjector,
+    FaceProjector,
     build_affine_projector,
-    certificate_projector,
+    certificate_basis,
     cone_projection_for,
     cone_violation,
     nullspace_basis,
@@ -267,18 +268,6 @@ class TestAffineProjector:
         y = np.outer(v, v)
         assert np.abs(proj.apply(y) - y).max() <= 1e-9
 
-    def test_certificate_slice(self, horn):
-        inst, dtilde = horn
-        lp = lift_instance(inst, DNN)
-        proj = certificate_projector(lp)
-        d = np.zeros((6, 6))
-        d[1:, 1:] = dtilde / np.trace(dtilde)
-        out = proj.apply(d)
-        # the certificate block already satisfies every constraint
-        assert np.abs(out - d).max() <= 1e-9
-        assert abs(np.trace(out) - 1.0) <= 1e-10
-        assert abs(out[0, 0]) <= 1e-12
-
 
 def _structured_apply(proj, m):
     """Face projection through the checked reduced ``AffineProjector.apply``."""
@@ -289,6 +278,12 @@ def _structured_apply(proj, m):
     return 0.5 * (out + out.T)
 
 
+def _trace_projector(inst):
+    """Projector onto the unit-trace slice of the recession-certificate face."""
+    basis = certificate_basis(lift_instance(inst, DNN))
+    return FaceProjector(basis, [np.eye(basis.shape[1])], [1.0])
+
+
 def _face_projectors():
     unbounded = random_instance(UNBOUNDED_SAFE, 5, 2, 0)
     box = random_instance(BOUNDED, 4, 2, 2)
@@ -296,8 +291,8 @@ def _face_projectors():
     return {
         "unpinned": build_affine_projector(lift_instance(unbounded, DNN)),
         "bounded": build_affine_projector(lift_instance(box, PSD0)),
-        "certificate": certificate_projector(lift_instance(unbounded, DNN)),
-        "rank-0 certificate": certificate_projector(lift_instance(point, DNN)),
+        "certificate": _trace_projector(unbounded),
+        "rank-0 certificate": _trace_projector(point),
     }
 
 

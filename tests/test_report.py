@@ -108,14 +108,16 @@ class TestCompareReport:
             assert res.status == "OPTIMAL", cone
             assert abs(res.value + 0.605) <= COMPARISON_TOLERANCE * 0.605, cone
 
+    # each budget is below the interior-point iterations the instance needs
+    # (8 for horn's search, 11 and 8 for the solves, 5 for the ray's search)
     @pytest.mark.parametrize(
         "inst, max_iterations, names",
         [
-            (horn_instance()[0], 24,
+            (horn_instance()[0], 4,
              (LOWER_BOUND, "weaker cone gives a weaker bound", BORDER_TRIVIAL)),
-            (random_instance(CONVEX_ON_NULLSPACE, 3, 1, 2), 20,
+            (random_instance(CONVEX_ON_NULLSPACE, 3, 1, 2), 4,
              (LOWER_BOUND, "curvature condition makes relaxations exact")),
-            (random_instance(BOUNDED, 3, 1, 4), 20,
+            (random_instance(BOUNDED, 3, 1, 4), 4,
              (LOWER_BOUND, "bounded feasible set keeps the bound finite", BORDER_TRIVIAL)),
             # x1 = x2 >= 0 with objective -x1^2: a negative-curvature ray
             (make_qp(np.diag([-1.0, 0.0]), [0, 0], [[1, -1]], [0]), 3,
@@ -127,7 +129,7 @@ class TestCompareReport:
         opts = SolveOptions(max_iterations=max_iterations)
         if check_psd_on_nullspace(inst).holds:
             # the closed-form convex solve needs no budget at all, so the
-            # loop alone reaches MAX_ITER here
+            # interior-point fallback alone reaches MAX_ITER here
             closed = solve_relaxation(inst, DNN, opts)
             assert closed.status == OPTIMAL and closed.iterations == 0
             monkeypatch.setattr(conic, "_convex_qp", lambda *args: None)
@@ -142,14 +144,14 @@ class TestCompareReport:
             assert psd0.status == UNBOUNDED
             check = verify_certificate(inst, psd0.certificate)
             assert check.ok and check.objective_rate < 0
-            # so the border check meets a MAX_ITER entry only from the loop
-            # alone: grade one directly
+            # so the border check meets a MAX_ITER entry only from the
+            # interior-point solve alone: grade one directly
             unsettled = CertificateSearch(NONE, None, 0, 0.0, curvature=-math.inf)
             monkeypatch.setattr(conic, "_prepass", lambda *args: unsettled)
-            loop_only = solve_relaxation(inst, PSD0, opts)
-            assert loop_only.status == MAX_ITER
+            ipm_only = solve_relaxation(inst, PSD0, opts)
+            assert ipm_only.status == MAX_ITER
             border_report = replace(report, checks=[],
-                                    relaxations={**report.relaxations, PSD0: loop_only})
+                                    relaxations={**report.relaxations, PSD0: ipm_only})
             _grade(inst, border_report)
         for name in names:
             graded = border_report if name == BORDER_TRIVIAL else report
@@ -177,6 +179,17 @@ class TestCompareReport:
         check = {c.name: c for c in report.checks}[COPOSITIVE]
         assert not check.applicable and check.passed is None
         assert check.detail == "objective not certified nonnegative"
+
+    def test_tiny_negative_curvature_is_not_a_zero_bound(self):
+        # x1 = x2 >= 0 with objective -1e-7 x1^2: u u^T with u = (0, 1, 1)/sqrt(2)
+        # is a DNN certificate of rate -5e-8, above TOL_CERTIFICATE, so the
+        # search reads NONE; the relaxation is still unbounded, and a DNN
+        # OPTIMAL near 0 would fail the negative-ray check
+        inst = make_qp(np.diag([-1e-7, 0.0]), [0, 0], [[1, -1]], [0])
+        report = compare_report(inst)
+        assert failed_checks(report) == []
+        assert report.relaxations[DNN].status != OPTIMAL
+        assert report.relaxations[PSD0].status == UNBOUNDED
 
     def test_desk_scale_notes(self, monkeypatch, tmp_path, capsys):
         inst = random_instance(BOUNDED, 4, 2, 0)
