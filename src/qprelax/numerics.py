@@ -10,7 +10,9 @@ the decomposition.  Its input is already float64, square and finite, so
 the wrapper's checks are redundant; the one thing it adds, an error when
 LAPACK does not converge, shows up here as a NaN in the output.  The
 oracle's face engine calls the same gufunc, and the least-squares and SVD
-gufuncs beside it, on whole stacks of faces.
+gufuncs beside it, on whole stacks of faces; its basic-solution enumeration
+calls the least-squares and singular-value gufuncs on stacks of column
+subsets.
 
 Public projections (``project_cone``, ``AffineProjector.apply``,
 ``FaceProjector.apply``) validate their input: shape, finiteness, and
@@ -60,6 +62,11 @@ _eigvalsh = _umath_linalg.eigvalsh_lo
 #: ``_lstsq`` leaves the solution of a system without rows undefined.
 _lstsq = _umath_linalg.lstsq
 _svd = _umath_linalg.svd_f
+#: The singular values alone, descending, behind
+#: ``numpy.linalg.svd(compute_uv=False)``: called with ``signature="d->d"``
+#: on a stack it returns one row per slice, and NaNs where LAPACK does not
+#: converge.
+_svdvals = _umath_linalg.svd
 
 
 def _check_symmetric(m, name="matrix") -> np.ndarray:

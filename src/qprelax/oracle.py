@@ -17,8 +17,26 @@ one stacked eigensolve of the reduced Hessians per null-space dimension.
 The PSD, vanishing-gradient and sign tests run as masks over the whole
 slice.  Every member of a stack is the matrix that face alone would pass
 to LAPACK, so neither grouping nor slicing changes a result; the slices
-bound the engine's memory at the cap.  A LAPACK failure raises
-``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
+bound the engine's memory at the cap.
+
+A face whose reduced Hessian has an eigenvalue below
+``-_TOL_PSD * max(1, |Q|_F)`` is flagged indefinite, and so is, without a
+solve, every face that contains a flagged face: the groups run by
+increasing number of free variables, so all subfaces are decided first.
+The skip is exact.  If the free set of F lies in that of G, null(A_F),
+padded with zeros, lies in null(A_G), so by Cauchy interlacing the least
+reduced eigenvalue of G is at most that of F.  Each face's PSD test is
+relative to its own Hessian scale, which is at most
+``max(1, |Q|_2) <= max(1, |Q|_F)``, so G fails its own test and could not
+give a candidate.  The flag uses the common scale ``|Q|_F``, not F's own:
+a superset with a larger scale can pass its own test within the 1e-9 band.
+
+Basic feasible points are found the same way: the column subsets of size
+rank(A) are solved in stacks, one singular-value call and one
+least-squares call per stack (``_basic_solutions``), each member the matrix
+``numpy.linalg`` would receive for that subset.  A LAPACK failure, in the
+faces or in the bases, raises ``numpy.linalg.LinAlgError`` as numpy's own
+wrappers do.
 
 All enumeration is capped at ``enum_cap()`` variables (default 16, set
 with the QPRELAX_ENUM_CAP environment variable).
@@ -43,7 +61,7 @@ from .core import (
     index_sets,
 )
 from .errors import DeskScaleLimit, DimensionMismatch, NonFinite, PointInfeasible
-from .numerics import RANK_TOL, _eigh, _lstsq, _svd
+from .numerics import RANK_TOL, _eigh, _lstsq, _svd, _svdvals
 
 ORACLE_OPTIMAL = "OPTIMAL"
 ORACLE_INFEASIBLE = "INFEASIBLE"
@@ -57,8 +75,10 @@ _TOL_PSD = 1e-9
 _TOL_BOUND = 1e-9
 _DEDUP_DECIMALS = 8
 
-#: Faces of one free-set group solved per stacked call.  The corpus (n <= 8)
-#: never reaches it; at the n = 16 cap the largest group has 12 870 faces.
+#: Faces of one free-set group, and column subsets of one basic-solution
+#: stack, solved per stacked call; the cap bounds the memory of one call.
+#: The corpus (n <= 8) never reaches it; at the n = 16 cap the largest
+#: group has 12 870 faces before the indefinite ones are skipped.
 FACE_SLICE = 2048
 
 
@@ -185,15 +205,21 @@ def basic_feasible_points(A, b):
     equivalent to feasibility of the system, and for bounded systems the
     result is the vertex set.
     """
-    return list(_basic_feasible_iter(A, b))
+    return list(_basic_feasible_iter(A, b, FACE_SLICE))
 
 
-def _basic_feasible_iter(A, b):
-    """Generator behind ``basic_feasible_points``: one column subset at a time.
+def _basic_feasible_iter(A, b, stack: int):
+    """Generator behind ``basic_feasible_points``: one stack of column subsets at a time.
 
-    ``_feasible_point`` takes only the first point, so it stops at the first
-    feasible basis.  Input errors and ``DeskScaleLimit`` are raised when the
-    first point is requested, before any subset is examined.
+    The subsets are taken in ``itertools.combinations`` order, ``stack`` of
+    them first, then twice as many per stack up to ``FACE_SLICE``; each
+    stack is solved in one call of ``_basic_solutions``.  A point is yielded
+    once its stack is solved, so ``_feasible_point``, which starts at one
+    subset and takes only the first point, examines
+    ``(1 << p.bit_length()) - 1`` subsets, capped at their number, when the
+    first feasible basis is the ``p``-th.  Input errors and
+    ``DeskScaleLimit`` are raised when the first point is requested, before
+    any subset is examined.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -219,44 +245,56 @@ def _basic_feasible_iter(A, b):
         )
 
     seen = set()
-    for cols in itertools.combinations(range(n), rank):
-        x = _basic_solution(A, b, cols, smax, _TOL_EQ * scale)
-        if x is None:
-            continue
-        key = tuple(np.round(x, _DEDUP_DECIMALS))
-        if key not in seen:
-            seen.add(key)
-            yield x
+    subsets = itertools.combinations(range(n), rank)
+    while part := list(itertools.islice(subsets, stack)):
+        with np.errstate(call=_lapack_failed, invalid="call"):
+            points = _basic_solutions(A, b, np.array(part), smax, _TOL_EQ * scale)
+        for x in points:
+            key = tuple(np.round(x, _DEDUP_DECIMALS))
+            if key not in seen:
+                seen.add(key)
+                yield x
+        stack = min(2 * stack, FACE_SLICE)
 
 
 def _feasible_point(A, b) -> Optional[np.ndarray]:
     """The first basic feasible point of ``{A x = b, x >= 0}``, or None.
 
-    The one emptiness test of the package: it stops at the first feasible
-    basis instead of enumerating them all, so only an empty system costs
-    every column subset.
+    The one emptiness test of the package: its stacks of column subsets
+    start at one and double, so it stops within twice the position of the
+    first feasible basis instead of enumerating them all, and only an empty
+    system costs every column subset.
     """
-    return next(_basic_feasible_iter(A, b), None)
+    return next(_basic_feasible_iter(A, b, 1), None)
 
 
-def _basic_solution(A, b, cols, smax, tol) -> Optional[np.ndarray]:
-    """The basic solution on columns ``cols`` if it is feasible, else None."""
-    sub = A[:, cols]
-    sub_svals = np.linalg.svd(sub, compute_uv=False)
-    if sub_svals[-1] <= 1e-10 * max(smax, 1e-300):
-        return None  # linearly dependent basis
-    xb, *_ = np.linalg.lstsq(sub, b, rcond=None)
-    if float(np.abs(sub @ xb - b).max(initial=0.0)) > tol:
-        return None
-    if float(xb.min(initial=0.0)) < -tol:
-        return None
-    x = np.zeros(A.shape[1])
-    x[list(cols)] = np.clip(xb, 0.0, None)
-    return x
+def _basic_solutions(A, b, subsets, smax, tol) -> np.ndarray:
+    """The feasible basic solutions on the column subsets, as rows in subset order.
+
+    ``subsets`` is a ``(k, rank)`` stack of column indices.  One stacked
+    singular-value call drops the linearly dependent bases and one stacked
+    least-squares call, at ``numpy.linalg.lstsq``'s default rcond, solves
+    them all; each slice is the matrix ``numpy.linalg`` would receive for
+    that subset alone.  A LAPACK failure shows as a NaN with the invalid
+    flag set, which the caller's ``numpy.errstate`` turns into an error.
+    """
+    m, n = A.shape
+    k, rank = subsets.shape
+    sub = A[:, subsets].transpose(1, 0, 2)
+    r = b[:, None]
+    # the gufunc broadcasts the one right-hand side over the stack
+    xb = _lstsq(sub, r, np.finfo(float).eps * max(m, rank), signature="ddd->ddid")[0]
+    ok = ((_svdvals(sub, signature="d->d")[:, -1] > 1e-10 * max(smax, 1e-300))
+          & (np.abs(sub @ xb - r).max(axis=(1, 2)) <= tol)
+          & (xb.min(axis=(1, 2)) >= -tol))
+    x = np.zeros((k, n))
+    x[np.arange(k)[:, None], subsets] = xb[:, :, 0]
+    return np.clip(x[ok], 0.0, None)
 
 
 def enumerate_vertices(inst: QpInstance):
-    """Basic feasible solutions of the instance polyhedron."""
+    """Basic feasible solutions of the instance polyhedron, in stacks of
+    ``FACE_SLICE`` column subsets (``basic_feasible_points``)."""
     _require_desk_scale(inst.n)
     return basic_feasible_points(inst.A, inst.b)
 
@@ -276,7 +314,7 @@ def _nonnegative(xF: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _lapack_failed(err, flag):
-    raise np.linalg.LinAlgError("LAPACK did not converge in the face enumeration")
+    raise np.linalg.LinAlgError("LAPACK did not converge in the exact oracle")
 
 
 def _stationary_face_point(AF, rhs, NT_QFF, NT_cF):
@@ -286,8 +324,7 @@ def _stationary_face_point(AF, rhs, NT_QFF, NT_cF):
     ``{AF x = rhs, N^T (QFF x + cF) = 0}``; the objective is constant on it,
     so any nonnegative point certifies the face's candidate value.
     """
-    pts = basic_feasible_points(np.vstack([AF, NT_QFF]), np.concatenate([rhs, -NT_cF]))
-    return pts[0] if pts else None
+    return _feasible_point(np.vstack([AF, NT_QFF]), np.concatenate([rhs, -NT_cF]))
 
 
 def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
@@ -298,22 +335,32 @@ def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
     Hessian is PSD, the reduced gradient can vanish and the point is
     nonnegative.  Faces are solved together per number of free variables,
     in slices of at most ``FACE_SLICE`` faces (``_group_candidates``).
+    A face that contains a face flagged indefinite is flagged in turn and
+    skipped: its own PSD test would fail (see the module docstring).
     """
     n = A.shape[1]
     # one row per face in itertools.product order; True marks a free
     # variable, False one fixed at zero
     free = np.indices((2,) * n, dtype=np.int8).reshape(n, 2 ** n).T == 1
+    # pattern p ^ bits[j] toggles variable j
+    bits = 1 << np.arange(n - 1, -1, -1)
+    indefinite = np.zeros(2 ** n, dtype=bool)
+    floor = -_TOL_PSD * max(1.0, float(np.linalg.norm(Q)))
     # (pattern indices, candidate points); the f = 0 group always adds one
     found = []
     for f, idx in enumerate(_split_by(free.sum(axis=1), n + 1)):
+        # every subface with one free variable fewer sits in group f - 1
+        skip = (indefinite[idx[:, None] ^ bits] & free[idx]).any(axis=1)
+        indefinite[idx[skip]] = True
+        idx = idx[~skip]
         for start in range(0, idx.size, FACE_SLICE):
             part = idx[start : start + FACE_SLICE]
-            found += _group_candidates(Q, c, A, b, part, free[part], f, scale)
+            found += _group_candidates(Q, c, A, b, part, free[part], f, scale, floor, indefinite)
     pattern = np.concatenate([faces for faces, _ in found])
     return np.concatenate([x for _, x in found])[np.argsort(pattern)]
 
 
-def _group_candidates(Q, c, A, b, idx, free, f, scale):
+def _group_candidates(Q, c, A, b, idx, free, f, scale, floor, indefinite):
     """``(pattern indices, points)`` pairs of the faces ``idx`` with ``f`` free variables.
 
     The group shares one stacked least-squares call for the min-norm
@@ -322,7 +369,8 @@ def _group_candidates(Q, c, A, b, idx, free, f, scale):
     (``_interior_points``).  Each slice is the matrix the face alone would
     give LAPACK, so stacking changes no result.  Only a singular face whose
     min-norm stationary point has a negative entry is solved on its own
-    (``_stationary_face_point``).
+    (``_stationary_face_point``).  Sets ``indefinite`` at the faces whose
+    reduced Hessian has an eigenvalue below ``floor``.
     """
     m, n = A.shape
     tol_eq = _TOL_EQ * scale
@@ -362,8 +410,9 @@ def _group_candidates(Q, c, A, b, idx, free, f, scale):
             hit = _nonnegative(xF, tol_bound)
             keep(faces[hit], cs[hit], xF[hit])
             continue
-        xF, hit, outside = _interior_points(Q, c, vt[sub, k:], cs, x0[sub], tol_bound)
+        xF, hit, outside, wmin = _interior_points(Q, c, vt[sub, k:], cs, x0[sub], tol_bound)
         keep(faces[hit], cs[hit], xF[hit])
+        indefinite[faces[wmin < floor]] = True
         # the objective is constant on a singular face's stationary set;
         # look for a nonnegative representative
         for i in np.flatnonzero(outside):
@@ -382,8 +431,9 @@ def _interior_points(Q, c, null_rows, cs, x0, tol):
     ``null_rows`` stacks, per face, the rows of ``V^T`` from the SVD of its
     constraint matrix that span the null space; ``cs`` holds the free
     columns and ``x0`` the min-norm points.  Returns the stationary points,
-    the faces whose point is a candidate, and the singular faces whose
-    min-norm stationary point has a negative entry.
+    the faces whose point is a candidate, the singular faces whose min-norm
+    stationary point has a negative entry, and each face's least
+    reduced-Hessian eigenvalue.
     """
     N = null_rows.transpose(0, 2, 1).copy()
     NT = N.transpose(0, 2, 1)
@@ -403,7 +453,7 @@ def _interior_points(Q, c, null_rows, cs, x0, tol):
     t = np.where(singular, 0.0, -gp / np.where(singular, 1.0, w))
     xF = (x0 + N @ (V @ t[:, :, None]))[:, :, 0]
     inside = _nonnegative(xF, tol)
-    return xF, ok & inside, ok & ~inside & singular.any(axis=1)
+    return xF, ok & inside, ok & ~inside & singular.any(axis=1), w[:, 0]
 
 
 def minimize_quad_over_polytope(Q, c, A, b) -> OracleResult:

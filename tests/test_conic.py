@@ -843,15 +843,15 @@ class TestConsensusLoop:
 class TestEmptinessScreens:
     @pytest.fixture
     def examined(self, monkeypatch):
-        """Column subsets whose basic solution was examined."""
+        """Column subsets whose basic solution was examined, one per stack row."""
         subsets = []
-        basic = oracle._basic_solution
+        basic = oracle._basic_solutions
 
-        def counted(A, b, cols, *args):
-            subsets.append(cols)
-            return basic(A, b, cols, *args)
+        def counted(A, b, stack, *args):
+            subsets.extend(map(tuple, stack))
+            return basic(A, b, stack, *args)
 
-        monkeypatch.setattr(oracle, "_basic_solution", counted)
+        monkeypatch.setattr(oracle, "_basic_solutions", counted)
         return subsets
 
     @staticmethod
@@ -871,7 +871,8 @@ class TestEmptinessScreens:
         examined.clear()  # generation checks feasibility too
         solve_relaxation(inst, PSD0)
         first = self.first_feasible(inst.A, inst.b)
-        assert len(examined) == first < math.comb(5, 2)
+        # stacks of 1, 2, 4, ... subsets: the second stack holds the first basis
+        assert len(examined) == (1 << first.bit_length()) - 1 == 3 < math.comb(5, 2)
 
     def test_certificate_screen_stops_at_first_basis(self, examined):
         inst = random_instance(UNBOUNDED_SAFE, 5, 2, 1)
@@ -880,7 +881,7 @@ class TestEmptinessScreens:
         rhs = np.concatenate([np.zeros(2), [1.0]])
         assert recession_certificate_search(inst, DNN, FEASIBILITY).status == FOUND
         first = self.first_feasible(aug, rhs)
-        assert len(examined) == first < math.comb(5, 3)
+        assert len(examined) == (1 << first.bit_length()) - 1 == 1 < math.comb(5, 3)
 
     def test_bounded_polytope_certificate_screen_examines_nothing(self, examined):
         # a row of A of one strict sign leaves the recession cone {0}; the

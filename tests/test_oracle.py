@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qprelax import oracle
 from qprelax.errors import DeskScaleLimit, PointInfeasible
+from qprelax.generators import HornFamilyParams, horn_family
 from qprelax.numerics import nullspace_basis
 from qprelax.oracle import (
     ORACLE_INCONCLUSIVE,
@@ -441,23 +442,88 @@ class TestStackedFaceEngine:
         Q, c = g + g.T, rng.normal(size=6)
         A = np.vstack([np.ones(6), rng.normal(size=6)])
         b = A @ rng.uniform(0.0, 1.0, size=6)
-        whole = oracle._face_candidates(Q, c, A, b, 3.0)
-        res = minimize_quad_over_polytope(Q, c, A, b)
-        monkeypatch.setattr(oracle, "FACE_SLICE", 7)
-        sliced = oracle._face_candidates(Q, c, A, b, 3.0)
-        assert len(whole) > 7 and np.array_equal(sliced, whole)
-        again = minimize_quad_over_polytope(Q, c, A, b)
-        assert again.value == res.value and again.status == res.status
-        assert len(again.minimizers) == len(res.minimizers)
-        assert all(np.array_equal(u, v) for u, v in zip(again.minimizers, res.minimizers))
+        assert_slices_change_no_bit(monkeypatch, Q, c, A, b)
 
     def test_lapack_failure_raises(self, monkeypatch):
-        def unconverged(a, *args, signature=None):
-            # what the gufunc does when LAPACK fails: NaN output and the
-            # floating-point invalid flag
-            nan = np.divide(np.zeros(a.shape[:-2] + (a.shape[-1], 1)), 0.0)
-            return nan, None, None, None
-
         monkeypatch.setattr(oracle, "_lstsq", unconverged)
         with pytest.raises(np.linalg.LinAlgError):
             minimize_quad_over_polytope(np.eye(2), np.zeros(2), np.ones((1, 2)), np.array([1.0]))
+
+    @pytest.mark.parametrize("solve", [basic_feasible_points, oracle._feasible_point],
+                             ids=["basic_feasible_points", "feasible_point"])
+    def test_lapack_failure_raises_in_basic_solutions(self, monkeypatch, solve):
+        monkeypatch.setattr(oracle, "_lstsq", unconverged)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(np.ones((1, 2)), np.array([1.0]))
+
+
+def unconverged(a, *args, signature=None):
+    """What the least-squares gufunc does when LAPACK fails: NaN output and
+    the floating-point invalid flag."""
+    nan = np.divide(np.zeros(a.shape[:-2] + (a.shape[-1], 1)), 0.0)
+    return nan, None, None, None
+
+
+def assert_slices_change_no_bit(monkeypatch, Q, c, A, b):
+    """Slices of 7 faces give the candidates and the result of whole groups."""
+    whole = oracle._face_candidates(Q, c, A, b, 3.0)
+    res = minimize_quad_over_polytope(Q, c, A, b)
+    monkeypatch.setattr(oracle, "FACE_SLICE", 7)
+    sliced = oracle._face_candidates(Q, c, A, b, 3.0)
+    assert len(whole) > 7 and np.array_equal(sliced, whole)
+    again = minimize_quad_over_polytope(Q, c, A, b)
+    assert again.value == res.value and again.status == res.status
+    assert len(again.minimizers) == len(res.minimizers)
+    assert all(np.array_equal(u, v) for u, v in zip(again.minimizers, res.minimizers))
+
+
+def horn_problems(n):
+    """The Horn family instance's own problem, its recession slice and the
+    copositivity problem over the simplex, as ``(Q, c, A, b)``."""
+    inst = horn_family(HornFamilyParams(n=n, seed=0))
+    zero = np.zeros(n)
+    return [(inst.Q, inst.c, inst.A, inst.b),
+            (inst.Q, zero, *oracle._recession_slice(inst.A)),
+            (inst.Q, zero, np.ones((1, n)), np.array([1.0]))]
+
+
+class TestIndefiniteSkip:
+    """Faces containing an indefinite face are skipped without a solve."""
+
+    def test_band_keeps_every_minimizer(self):
+        # the edge x3 = 0 curves by -1.5e-9: below -1e-9 times its own
+        # Hessian scale 1, above -1e-9 |Q|_F.  The whole simplex, of scale
+        # 2.5, passes its own PSD test and gives the minimizer (1/3, 1/3,
+        # 1/3), which flagging the edge against its own scale would skip.
+        u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
+        v = np.array([1.0, 1.0, -2.0]) / np.sqrt(6)
+        Q = -1.5e-9 * np.outer(u, u) + 2.5 * np.outer(v, v)
+        problem = (Q, np.zeros(3), np.ones((1, 3)), np.array([1.0]))
+        res = minimize_quad_over_polytope(*problem)
+        assert len(res.minimizers) == 3
+        assert any(np.allclose(x, 1.0 / 3.0, rtol=0.0, atol=1e-12) for x in res.minimizers)
+        assert_same_result(res, reference_minimize(*problem))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_horn_family_matches_per_face_loop(self, n):
+        for problem in horn_problems(n):
+            assert_same_result(minimize_quad_over_polytope(*problem), reference_minimize(*problem))
+
+    def test_slices_change_no_bit_across_skips(self, monkeypatch):
+        # faces flagged in one slice skip faces that the next group puts in
+        # other slices
+        assert_slices_change_no_bit(monkeypatch, *horn_problems(7)[2])
+
+    def test_horn_simplex_solves_fewer_faces(self, monkeypatch):
+        rows = []
+        interior = oracle._interior_points
+
+        def counted(Q, c, null_rows, *args):
+            rows.append(len(null_rows))
+            return interior(Q, c, null_rows, *args)
+
+        monkeypatch.setattr(oracle, "_interior_points", counted)
+        res = minimize_quad_over_polytope(*horn_problems(8)[2])
+        # 247 faces were eigensolved before faces containing an indefinite
+        # face were skipped
+        assert sum(rows) == 102 and res.faces_explored == 256
