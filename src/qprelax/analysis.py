@@ -3,8 +3,9 @@
 Covers the dichotomy between exact and trivial relaxations (positive
 semidefiniteness of Q on null(A)), recession-cone curvature analysis (the
 exact oracle's ``recession_analysis``; its rays of unbounded descent are
-``oracle.ray_witness``), desk-scale copositivity by exact enumeration, and
-sampling of the induced underestimator along segments.
+``oracle.ray_witness``), copositivity by exact enumeration, and sampling
+of the induced underestimator along segments.  The enumerating checks
+refuse what would exceed the oracle's enumeration cap (``DeskScaleLimit``).
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from .conic import SolveOptions, evaluate_underestimator
 from .core import TOL_CURVATURE, QpInstance, evaluate_objective, is_feasible, lift_instance
 from .errors import PointInfeasible
 from .numerics import certificate_basis
-from .oracle import (
-    RecessionReport,
-    _require_desk_scale,
-    minimize_quad_over_polytope,
-    recession_analysis,
-)
+from .oracle import RecessionReport, minimize_quad_over_polytope, recession_analysis
 
 
 @dataclass(frozen=True)
@@ -75,9 +71,9 @@ def analyze_recession_cone(inst: QpInstance) -> RecessionReport:
 
     Nontriviality and the minimum of ``d^T Q d`` are decided over the
     compact slice ``{A d = 0, e^T d = 1, d >= 0}`` by basic-solution and
-    face enumeration (``oracle.recession_analysis``).
+    face enumeration (``oracle.recession_analysis``), each refused past the
+    enumeration cap.
     """
-    _require_desk_scale(inst.n)
     return recession_analysis(inst.Q, inst.A)
 
 
@@ -85,11 +81,10 @@ def check_copositivity_desk_scale(Q) -> CopositivityCheck:
     """Exact minimum of ``x^T Q x`` over the standard simplex.
 
     Q is copositive exactly when the minimum is nonnegative; the check is
-    by exhaustive face enumeration and is limited to desk-scale orders.
+    by exhaustive face enumeration, refused past ``n = enum_cap()``.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
-    _require_desk_scale(n)
     res = minimize_quad_over_polytope(Q, np.zeros(n), np.ones((1, n)), np.array([1.0]))
     return CopositivityCheck(min_value=float(res.value), minimizer=res.minimizers[0])
 

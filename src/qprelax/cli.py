@@ -6,10 +6,12 @@ prints its own header fields (instance, cone, mode, point, written) and the
 fields of its result objects, named as the dataclass fields and converted
 by ``core.jsonable``; the plain text is a summary of the same objects.
 Exit codes: 0 command completed (pass/fail verdicts are report content),
-1 output pipe closed by the reader, 2 input error, 3 desk-scale
-enumeration limit, 4 internal numeric failure.  The environment variable
-QPRELAX_ENUM_CAP (a nonnegative integer, default 16) sets the
-exact-enumeration cap.
+1 output pipe closed by the reader, 2 input error, 3 enumeration past
+the cap, 4 internal numeric failure.  The environment variable
+QPRELAX_ENUM_CAP (a nonnegative integer, default 16) is the base-2
+logarithm of the largest enumeration, of column subsets or of faces, that
+the exact routines run; ``solve`` and ``certificate`` enumerate only in
+their emptiness screens.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ interior-point method, whose point is gated like the pinned one.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -117,6 +117,7 @@ from .core import (
     QpInstance,
     ValidationReport,
     _frozen_array,
+    cone_violation,
     feasibility_residual,
     lift_instance,
     validate_lifted_point,
@@ -129,7 +130,6 @@ from .numerics import (
     _eigvalsh,
     _lstsq,
     certificate_basis,
-    cone_violation,
     nullspace_basis,
 )
 from .oracle import (
@@ -138,7 +138,6 @@ from .oracle import (
     RayCheck,
     _feasible_point,
     _recession_slice,
-    _require_desk_scale,
     first_order_certificate,
     verify_ray_certificate,
 )
@@ -204,7 +203,7 @@ STOP_MARGIN = 0.01
 _solve = _umath_linalg.solve1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
     """Iteration budget and residual tolerances of the interior-point method,
     which stops at ``IPM_ITERATIONS`` when ``max_iterations`` is larger.  The
@@ -1050,27 +1049,16 @@ def _unbounded_result(search: CertificateSearch) -> RelaxationResult:
     )
 
 
-#: The last pre-pass: (instance, cone, options tuple, search).  The instance
-#: is matched by identity; holding it keeps its id from being reused.
-_last_prepass = None
-
-
+@lru_cache(maxsize=1)
 def _prepass(inst: QpInstance, cone: str, opts: SolveOptions) -> CertificateSearch:
     """The unboundedness pre-pass: the OBJECTIVE certificate search.
 
     A FOUND search proves the relaxation unbounded; its ``curvature``
     decides the closed forms either way.  The search depends on the
-    instance, the cone and the options only; it is kept in
-    ``_last_prepass`` and reused while consecutive calls share all three.
+    instance (matched by identity), the cone and the options only; the last
+    one is kept and reused while consecutive calls share all three.
     """
-    global _last_prepass
-    key = astuple(opts)
-    last = _last_prepass
-    if last is not None and last[0] is inst and last[1] == cone and last[2] == key:
-        return last[3]
-    search = recession_certificate_search(inst, cone, OBJECTIVE, opts)
-    _last_prepass = (inst, cone, key, search)
-    return search
+    return recession_certificate_search(inst, cone, OBJECTIVE, opts)
 
 
 def _convex_qp(inst: QpInstance, x: np.ndarray):
@@ -1162,7 +1150,6 @@ def solve_relaxation(
     """
     opts = opts or SolveOptions()
     lp = lift_instance(inst, cone)
-    _require_desk_scale(inst.n)
     vertex = _feasible_point(inst.A, inst.b)
     if vertex is None:
         return RelaxationResult(INFEASIBLE, math.inf, None, 0.0, 0.0, 0)

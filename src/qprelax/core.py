@@ -378,6 +378,20 @@ def index_sets(x, tol: float = 1e-9) -> IndexSets:
     return IndexSets(positive=positive, zero=zero, tolerance=tol)
 
 
+def cone_violation(point: LiftedPoint | np.ndarray, cone: str) -> float:
+    """Worst violation of cone membership, in absolute terms: the negative
+    parts of the least eigenvalue and of the entries the cone signs (every
+    entry for DNN, the 0th row for PSD0)."""
+    if cone not in CONES:
+        raise ValueError(f"unknown cone selector {cone!r}")
+    if not isinstance(point, LiftedPoint):
+        point = LiftedPoint(point)
+    y = point.y
+    psd = max(0.0, -float(np.linalg.eigvalsh(y).min()))
+    sign = max(0.0, -float((y if cone == DNN else y[0]).min()))
+    return max(psd, sign)
+
+
 def validate_lifted_point(
     inst: QpInstance,
     point: LiftedPoint | np.ndarray,
@@ -420,13 +434,8 @@ def validate_lifted_point(
     )
     delta_nullspace = ns_resid <= tol
 
-    psd_violation = max(0.0, -float(np.linalg.eigvalsh(y).min()))
-    if cone == DNN:
-        sign_violation = max(0.0, -float(y.min()))
-    else:
-        sign_violation = max(0.0, -float(y[0].min()))
-    cone_violation = max(psd_violation, sign_violation)
-    cone_ok = cone_violation <= tol * yscale
+    violation = cone_violation(point, cone)
+    cone_ok = violation <= tol * yscale
 
     return ValidationReport(
         corner_ok=corner_ok,
@@ -438,7 +447,7 @@ def validate_lifted_point(
         feasibility_error=feas_err,
         delta_min_eigenvalue=delta_min_eig,
         nullspace_residual=ns_resid,
-        cone_violation=cone_violation,
+        cone_violation=violation,
         tolerance=tol,
         cone=cone,
     )

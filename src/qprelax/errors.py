@@ -42,7 +42,7 @@ class PointInfeasible(QpRelaxError):
 
 
 class DeskScaleLimit(QpRelaxError):
-    """Problem size exceeds the exact-enumeration cap."""
+    """An enumeration of column subsets or faces would exceed ``2^enum_cap()``."""
 
 
 class InvalidDimension(QpRelaxError):

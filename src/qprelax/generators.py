@@ -25,7 +25,7 @@ from .analysis import analyze_recession_cone, check_psd_on_nullspace
 from .core import QpInstance, save_instance
 from .errors import GenerationFailed, InvalidDimension
 from .numerics import nullspace_basis
-from .oracle import _feasible_point, _require_desk_scale
+from .oracle import _feasible_point
 
 BOUNDED = "BOUNDED"
 CONVEX_ON_NULLSPACE = "CONVEX_ON_NULLSPACE"
@@ -290,7 +290,6 @@ def random_instance(
                 b = y.copy()
                 inst = QpInstance(n=n, m=m, Q=_indefinite_q(rng, n),
                                   c=rng.uniform(-1.0, 1.0, size=n), A=A, b=b, name=name)
-                _require_desk_scale(inst.n)
                 if _feasible_point(inst.A, inst.b) is not None:
                     raise GenerationFailed("instance unexpectedly feasible")
                 meta["farkas_certificate"] = y.tolist()

@@ -33,7 +33,7 @@ import warnings
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import DNN, PSD0, LiftedProblem
+from .core import DNN, PSD0, LiftedProblem, cone_violation  # noqa: F401 (re-exported)
 from .errors import DegenerateConstraints, DimensionMismatch, NonFinite
 
 #: Cone selectors for matrix projections.
@@ -272,16 +272,3 @@ def cone_projection_for(cone: str):
     if cone == PSD0:
         return (_psd, _row0nonneg)
     raise ValueError(f"unknown cone selector {cone!r}")
-
-
-def cone_violation(m, cone: str) -> float:
-    """Worst violation of cone membership, in absolute terms."""
-    m = _check_symmetric(m)
-    psd = max(0.0, -float(np.linalg.eigvalsh(m).min()))
-    if cone == DNN:
-        sign = max(0.0, -float(m.min()))
-    elif cone == PSD0:
-        sign = max(0.0, -float(m[0].min()))
-    else:
-        raise ValueError(f"unknown cone selector {cone!r}")
-    return max(psd, sign)

@@ -38,8 +38,11 @@ least-squares call per stack (``_basic_solutions``), each member the matrix
 faces or in the bases, raises ``numpy.linalg.LinAlgError`` as numpy's own
 wrappers do.
 
-All enumeration is capped at ``enum_cap()`` variables (default 16, set
-with the QPRELAX_ENUM_CAP environment variable).
+Every enumeration is capped at ``2 ** enum_cap()`` members (``enum_cap()``
+is 16 unless the QPRELAX_ENUM_CAP environment variable says otherwise),
+checked before the work it bounds: ``_basic_feasible_iter`` refuses more
+column subsets, and ``minimize_quad_over_polytope`` more face patterns,
+that is ``n > enum_cap()`` variables.  Both raise ``DeskScaleLimit``.
 """
 
 from __future__ import annotations
@@ -85,8 +88,10 @@ FACE_SLICE = 2048
 def enum_cap() -> int:
     """The enumeration cap: QPRELAX_ENUM_CAP, else ``DEFAULT_ENUM_CAP``.
 
-    The one place the cap is read.  Raises ValueError unless the variable
-    is unset or a nonnegative integer.
+    The base-2 logarithm of the largest enumeration allowed, of column
+    subsets or of face patterns; not a limit on ``n`` itself.  The one
+    place the variable is read.  Raises ValueError unless it is unset or a
+    nonnegative integer.
     """
     raw = os.environ.get("QPRELAX_ENUM_CAP")
     if raw is None:
@@ -99,13 +104,6 @@ def enum_cap() -> int:
         if value >= 0:
             return value
     raise ValueError(f"QPRELAX_ENUM_CAP must be a nonnegative integer, got {raw!r}")
-
-
-def _require_desk_scale(n: int) -> None:
-    """Raise DeskScaleLimit when ``n`` variables exceed the enumeration cap."""
-    limit = enum_cap()
-    if n > limit:
-        raise DeskScaleLimit(f"n={n} exceeds the enumeration cap {limit}")
 
 
 @dataclass(frozen=True)
@@ -238,11 +236,10 @@ def _basic_feasible_iter(A, b, stack: int):
             yield np.zeros(n)
         return
 
-    limit = 1 << enum_cap()
-    if math.comb(n, rank) > limit:
+    count, cap = math.comb(n, rank), enum_cap()
+    if count > 1 << cap:
         raise DeskScaleLimit(
-            f"{math.comb(n, rank)} column subsets exceed the enumeration cap"
-        )
+            f"{count} column subsets exceed the enumeration cap 2^{cap} (QPRELAX_ENUM_CAP)")
 
     seen = set()
     subsets = itertools.combinations(range(n), rank)
@@ -295,7 +292,6 @@ def _basic_solutions(A, b, subsets, smax, tol) -> np.ndarray:
 def enumerate_vertices(inst: QpInstance):
     """Basic feasible solutions of the instance polyhedron, in stacks of
     ``FACE_SLICE`` column subsets (``basic_feasible_points``)."""
-    _require_desk_scale(inst.n)
     return basic_feasible_points(inst.A, inst.b)
 
 
@@ -495,9 +491,10 @@ def minimize_quad_over_polytope(Q, c, A, b) -> OracleResult:
         qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
         certified = recession.min_curvature > recession.tolerance * qscale
 
-    faces = 2 ** n
-    if faces > (1 << enum_cap()):
-        raise DeskScaleLimit(f"{faces} face patterns exceed the enumeration cap")
+    faces, cap = 2 ** n, enum_cap()
+    if faces > 1 << cap:
+        raise DeskScaleLimit(
+            f"{faces} face patterns exceed the enumeration cap 2^{cap} (QPRELAX_ENUM_CAP)")
 
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
     with np.errstate(call=_lapack_failed, invalid="call"):
@@ -626,7 +623,6 @@ def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> Oracl
     (``certifies_copositive``); a caller that has already computed it
     passes it as ``simplex_min``.
     """
-    _require_desk_scale(inst.n)
     res = minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b)
     if res.status == ORACLE_UNBOUNDED:
         check = verify_ray_certificate(inst, res.ray)

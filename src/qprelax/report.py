@@ -1,11 +1,12 @@
 """Combined structural / relaxation / oracle report with cross-checks.
 
 The report runs every applicable analysis on an instance, solves both
-lifted relaxations, computes the exact optimum when the instance is desk
-scale, and grades the results against the structural theory (lower bound,
-cone ordering, exactness and triviality conditions, feasibility and
-boundedness preservation, certificate verification).  Every numeric claim
-records the tolerance it was checked at.
+lifted relaxations, computes the exact optimum, and grades the results
+against the structural theory (lower bound, cone ordering, exactness and
+triviality conditions, feasibility and boundedness preservation,
+certificate verification).  Every numeric claim records the tolerance it
+was checked at.  A step whose enumeration would exceed the oracle's cap
+is skipped with a note carrying the refusal.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def compare_report(inst: QpInstance, opts: Optional[SolveOptions] = None) -> Rep
     notes = []
 
     def desk_scale(what, fn, *args, **kwargs):
-        """``fn(*args, **kwargs)``, or None with a note past the desk-scale cap."""
+        """``fn(*args, **kwargs)``, or None with a note past the enumeration cap."""
         try:
             return fn(*args, **kwargs)
         except DeskScaleLimit as exc:

@@ -35,6 +35,8 @@ from qprelax.generators import (
     CONVEX_ON_NULLSPACE,
     INFEASIBLE as KIND_INFEASIBLE,
     UNBOUNDED_SAFE,
+    HornFamilyParams,
+    horn_family,
     random_instance,
 )
 from qprelax.numerics import build_affine_projector, cone_projection_for, nullspace_basis
@@ -160,7 +162,16 @@ class TestUnderestimator:
 
 
 @pytest.fixture
-def searches(monkeypatch):
+def fresh_prepass():
+    """An empty pre-pass memo, emptied again at teardown so that no search
+    a test faked stays cached for the next one."""
+    conic._prepass.cache_clear()
+    yield
+    conic._prepass.cache_clear()
+
+
+@pytest.fixture
+def searches(monkeypatch, fresh_prepass):
     """Instances and cones of the certificate searches run, from an empty memo."""
     calls = []
     search = conic.recession_certificate_search
@@ -170,7 +181,6 @@ def searches(monkeypatch):
         return search(inst, cone, *args, **kwargs)
 
     monkeypatch.setattr(conic, "recession_certificate_search", counted)
-    monkeypatch.setattr(conic, "_last_prepass", None)
     return calls
 
 
@@ -184,7 +194,7 @@ class TestPinnedPrepassReuse:
     def test_repeated_calls_search_once(self, searches):
         results = [evaluate_underestimator(self.inst, PSD0, x) for x in self.points()]
         assert len(searches) == 1
-        conic._last_prepass = None
+        conic._prepass.cache_clear()
         fresh = evaluate_underestimator(self.inst, PSD0, self.points()[0])
         assert len(searches) == 2
         for res in results:
@@ -613,7 +623,8 @@ class TestPinnedInteriorPoint:
         assert 0 < res.iterations <= conic.IPM_ITERATIONS
         assert loops == []
 
-    def test_unverified_psd0_certificate_gives_max_iter(self, monkeypatch, loops):
+    def test_unverified_psd0_certificate_gives_max_iter(self, monkeypatch, loops,
+                                                        fresh_prepass):
         # negative curvature with no verified certificate: the PSD0 value is
         # minus infinity, unproven
         inst = TestPinnedClosedForm.members[0]
@@ -621,7 +632,6 @@ class TestPinnedInteriorPoint:
         assert search.status == FOUND and search.curvature < 0
         unverified = replace(search, status=INCONCLUSIVE, certificate=None,
                              reason="candidate failed verification")
-        monkeypatch.setattr(conic, "_last_prepass", None)
         monkeypatch.setattr(conic, "recession_certificate_search", lambda *args: unverified)
         res = evaluate_underestimator(inst, PSD0, feasible_samples(inst, 1, seed=2)[0])
         assert res.status == MAX_ITER and res.iterations == 0
@@ -911,9 +921,36 @@ class TestEmptinessScreens:
         assert loops == []
 
     def test_enumeration_cap_still_applies(self, monkeypatch):
-        monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
-        with pytest.raises(DeskScaleLimit):
+        # the emptiness screen's 6 column subsets exceed 2^2
+        monkeypatch.setenv("QPRELAX_ENUM_CAP", "2")
+        with pytest.raises(DeskScaleLimit,
+                           match=r"6 column subsets exceed the enumeration cap 2\^2"):
             solve_relaxation(random_instance(BOUNDED, 4, 2, 0), DNN)
+
+    def test_cap_bounds_subsets_not_variables(self, monkeypatch):
+        # n = 4 exceeds a cap of 3, but the 6 column subsets fit in 2^3
+        monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
+        assert solve_relaxation(random_instance(BOUNDED, 4, 2, 0), DNN).status == OPTIMAL
+
+
+class TestPastTheFaceCap:
+    """At n = 17 the exact oracle refuses its 2^17 faces, but the conic
+    relaxations enumerate nothing beyond their emptiness screens."""
+
+    inst = horn_family(HornFamilyParams(n=17, seed=0))
+
+    @pytest.mark.parametrize("cone", [DNN, PSD0])
+    def test_horn_family_relaxation_is_unbounded(self, cone):
+        res = solve_relaxation(self.inst, cone)
+        assert res.status == UNBOUNDED
+        check = verify_certificate(self.inst, res.certificate)
+        assert check.ok and check.objective_rate < 0
+        if cone == DNN:
+            assert 0 < res.iterations <= conic.IPM_ITERATIONS
+
+    def test_oracle_still_refuses(self):
+        with pytest.raises(DeskScaleLimit, match="131072 face patterns exceed"):
+            global_solve(self.inst)
 
 
 class TestOptions:

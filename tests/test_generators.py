@@ -157,8 +157,9 @@ class TestRandomInstances:
         assert float(inst.b @ y) > 0
 
     def test_infeasible_screen_keeps_enumeration_cap(self, monkeypatch):
-        monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
-        with pytest.raises(DeskScaleLimit):
+        # 6 column subsets of size 2 exceed 2^2; 3 do not
+        monkeypatch.setenv("QPRELAX_ENUM_CAP", "2")
+        with pytest.raises(DeskScaleLimit, match="6 column subsets"):
             random_instance(INFEASIBLE, 4, 2, 0)
         random_instance(INFEASIBLE, 3, 2, 0)
 

@@ -51,9 +51,10 @@ class TestVertexEnumeration:
         assert len(verts) == 1
 
     def test_cap(self, monkeypatch):
+        # 5 column subsets of size 1 exceed 2^2
         inst = make_qp(np.eye(5), np.zeros(5), [np.ones(5)], [1])
-        monkeypatch.setenv("QPRELAX_ENUM_CAP", "4")
-        with pytest.raises(DeskScaleLimit):
+        monkeypatch.setenv("QPRELAX_ENUM_CAP", "2")
+        with pytest.raises(DeskScaleLimit, match="5 column subsets"):
             enumerate_vertices(inst)
         monkeypatch.delenv("QPRELAX_ENUM_CAP")
         assert enum_cap() == 16

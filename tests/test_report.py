@@ -23,6 +23,8 @@ from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
     INFEASIBLE,
+    HornFamilyParams,
+    horn_family,
     horn_instance,
     random_instance,
 )
@@ -192,15 +194,18 @@ class TestCompareReport:
         assert report.relaxations[PSD0].status == UNBOUNDED
 
     def test_desk_scale_notes(self, monkeypatch, tmp_path, capsys):
+        # at 2^2 neither the 6 column subsets of size 2 nor the 16 faces fit
         inst = random_instance(BOUNDED, 4, 2, 0)
-        monkeypatch.setenv("QPRELAX_ENUM_CAP", "3")
+        monkeypatch.setenv("QPRELAX_ENUM_CAP", "2")
         report = compare_report(inst)
-        skipped = [
-            "feasibility enumeration", "copositivity check", "oracle and recession analysis",
-            "relaxation DNN", "relaxation PSD0",
-        ]
+        subsets = "6 column subsets exceed the enumeration cap 2^2 (QPRELAX_ENUM_CAP)"
+        faces = "16 face patterns exceed the enumeration cap 2^2 (QPRELAX_ENUM_CAP)"
         assert report.notes == [
-            f"{what} skipped: n=4 exceeds the enumeration cap 3" for what in skipped
+            f"feasibility enumeration skipped: {subsets}",
+            f"copositivity check skipped: {faces}",
+            f"oracle and recession analysis skipped: {faces}",
+            f"relaxation DNN skipped: {subsets}",
+            f"relaxation PSD0 skipped: {subsets}",
         ]
         assert report.vertices is None and report.relaxations == {}
         assert report.checks and not any(check.applicable for check in report.checks)
@@ -210,6 +215,20 @@ class TestCompareReport:
         save_instance(inst, path)
         assert main(["compare", str(path)]) == 0
         assert "skipped" in capsys.readouterr().out
+
+    def test_horn_family_past_the_face_cap(self):
+        # n = 17: 2^17 faces are past the cap, the 17 column subsets are not
+        report = compare_report(horn_family(HornFamilyParams(n=17, seed=0)))
+        assert report.vertices is not None and report.vertices > 0
+        assert sorted(report.relaxations) == [DNN, PSD0]
+        assert all(res.status == UNBOUNDED for res in report.relaxations.values())
+        faces = "131072 face patterns exceed the enumeration cap 2^16 (QPRELAX_ENUM_CAP)"
+        assert report.notes == [
+            f"copositivity check skipped: {faces}",
+            f"oracle and recession analysis skipped: {faces}",
+        ]
+        assert failed_checks(report) == []
+        assert any(check.passed for check in report.checks)
 
     def test_infeasible_instance(self):
         inst = random_instance(INFEASIBLE, 3, 2, 0)
