@@ -11,7 +11,9 @@ the cap, 4 internal numeric failure.  The environment variable
 QPRELAX_ENUM_CAP (a nonnegative integer, default 16) is the base-2
 logarithm of the largest enumeration, of column subsets or of faces, that
 the exact routines run; ``solve`` and ``certificate`` enumerate only in
-their emptiness screens.
+their emptiness screens, and ``generate`` enumerates nothing.  ``analyze``,
+like ``compare``, skips an over-cap step with a note, so exit 3 is left to
+the single-step commands.
 """
 
 from __future__ import annotations
@@ -19,11 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +51,7 @@ from .oracle import (
     verify_local_minimizer,
     verify_ray_certificate,
 )
-from .report import compare_report
+from .report import compare_report, desk_scale
 
 _CONES = {"dnn": DNN, "psd0": PSD0}
 
@@ -97,26 +96,37 @@ def _ray_lines(ray, check, missing=()) -> list[str]:
 
 def _cmd_analyze(args) -> int:
     inst = load_instance(args.instance, symmetrize=args.symmetrize)
-    verts = enumerate_vertices(inst)
-    rec = analyze_recession_cone(inst)
+    # an over-cap step is skipped with a note, as in compare, and prints as skipped
+    notes = []
+    verts = desk_scale(notes, "feasibility enumeration", enumerate_vertices, inst)
+    rec = desk_scale(notes, "recession analysis", analyze_recession_cone, inst)
     ns = check_psd_on_nullspace(inst)
-    cop = check_copositivity_desk_scale(inst.Q)
-    ray = ray_witness(inst.Q, inst.c, verts, rec) if verts else None
+    cop = desk_scale(notes, "copositivity check", check_copositivity_desk_scale, inst.Q)
+    ray = ray_witness(inst.Q, inst.c, verts, rec) if verts and rec is not None else None
     ray_check = None if ray is None else verify_ray_certificate(inst, ray)
     # sections named as the report's fields, so both commands print one layout
-    payload = {"instance": inst.name, "n": inst.n, "m": inst.m, "feasible": bool(verts),
+    payload = {"instance": inst.name, "n": inst.n, "m": inst.m,
+               "feasible": None if verts is None else bool(verts),
                "basic_feasible_points": verts, "recession": rec, "nullspace": ns,
-               "copositivity": cop, "ray": ray, "ray_check": ray_check}
-    mc = "n/a" if math.isinf(rec.min_curvature) else f"{rec.min_curvature:.10g}"
+               "copositivity": cop, "ray": ray, "ray_check": ray_check, "notes": notes}
+    skipped = "skipped (desk-scale cap)"
+    feasible = skipped if verts is None else f"{bool(verts)} ({len(verts)} basic feasible points)"
+    recession = skipped
+    if rec is not None:
+        mc = "n/a" if math.isinf(rec.min_curvature) else f"{rec.min_curvature:.10g}"
+        recession = (f"{'nontrivial' if rec.l_nontrivial else 'trivial'},"
+                     f" min curvature {mc} (tol {rec.tolerance:g})")
     lines = [
         f"instance {inst.name} (n={inst.n}, m={inst.m})",
-        f"feasible: {bool(verts)} ({len(verts)} basic feasible points)",
-        f"recession cone: {'nontrivial' if rec.l_nontrivial else 'trivial'},"
-        f" min curvature {mc} (tol {rec.tolerance:g})",
+        f"feasible: {feasible}",
+        f"recession cone: {recession}",
         f"objective psd on null(A): {ns.holds} (tol {ns.tolerance:g})",
-        f"simplex minimum of x^T Q x: {cop.min_value:.10g}",
+        f"simplex minimum of x^T Q x: {skipped if cop is None else format(cop.min_value, '.10g')}",
     ]
-    lines += _ray_lines(ray, ray_check, missing=["ray: none found"])
+    # an empty set has no ray; otherwise the search needs the vertices and the cone
+    searched = verts is not None and (not verts or rec is not None)
+    lines += _ray_lines(ray, ray_check, missing=[f"ray: {'none found' if searched else skipped}"])
+    lines += [f"note: {note}" for note in notes]
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -223,30 +233,17 @@ def _cmd_envelope(args) -> int:
     return 0
 
 
-def _compare_one(path, opts):
-    inst = load_instance(path)
-    return compare_report(inst, opts)
-
-
 def _cmd_compare(args) -> int:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be positive")
     target = Path(args.instance)
     opts = _options(args)
     if target.is_dir():
         files = sorted(p for p in target.glob("*.json") if not p.name.endswith(".meta.json"))
         if not files:
             raise QpRelaxError(f"no instance files in {target}")
-        compare = partial(_compare_one, opts=opts)
-        if args.jobs <= 1:
-            reports = [compare(p) for p in files]
-        else:
-            spawn = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
-                reports = list(pool.map(compare, files))
+        reports = [compare_report(load_instance(p), opts) for p in files]
         _emit(args, reports, "".join(r.to_text() for r in reports))
         return 0
-    report = _compare_one(target, opts)
+    report = compare_report(load_instance(target), opts)
     _emit(args, report, report.to_text())
     return 0
 
@@ -314,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_envelope)
 
     p = sub.add_parser("compare", help="full report with theory cross-checks")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for directories")
     p.add_argument("instance", help="instance file or directory of instances")
     p.set_defaults(handler=_cmd_compare)
 

@@ -19,8 +19,9 @@ Rendl, Vanderbei & Wolkowicz 1996) with Mehrotra's predictor-corrector
 
 The consensus splitting loop ``_consensus`` (with its Anderson
 acceleration, adaptive penalty and active-face polisher ``_Polisher``) is
-still defined here with its constants, but no solve runs it; the benchmark
-harness under ``perfbench/`` wraps and calls it.
+still defined here with its constants, but nothing calls it: the tracer
+under ``perfbench/`` wraps ``_consensus`` and ``_Polisher.attempt`` by
+name, and its kernel baseline calls only the ``numerics`` projections.
 
 Unboundedness is decided by a certificate pre-pass, the OBJECTIVE
 certificate search, rather than by watching the objective diverge: a

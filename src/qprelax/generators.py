@@ -21,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import analyze_recession_cone, check_psd_on_nullspace
-from .core import QpInstance, save_instance
+from .analysis import check_psd_on_nullspace
+from .core import QpInstance, in_recession_cone, save_instance
 from .errors import GenerationFailed, InvalidDimension
 from .numerics import nullspace_basis
-from .oracle import _feasible_point
 
 BOUNDED = "BOUNDED"
 CONVEX_ON_NULLSPACE = "CONVEX_ON_NULLSPACE"
@@ -232,9 +231,11 @@ def random_instance(
     indefinite objective.  CONVEX_ON_NULLSPACE: bounded and feasible with Q
     positive semidefinite on null(A) but indefinite overall.
     UNBOUNDED_SAFE: unbounded feasible set whose recession directions all
-    have nonnegative curvature (verified by the recession analysis).
+    have nonnegative curvature, verified by the drawn direction ``d0`` and Q
+    positive semidefinite on null(A), which holds the recession cone.
     INFEASIBLE: constraints made inconsistent with the nonnegative orthant,
-    certified by a stored dual row combination.
+    certified by a stored dual row combination ``y`` checked from raw data
+    (``A^T y < 0``, ``b^T y > 0``).  Generation enumerates nothing.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
@@ -272,8 +273,7 @@ def random_instance(
                 Q = _psd_on_nullspace_q(rng, A)
                 inst = QpInstance(n=n, m=m, Q=Q, c=rng.uniform(-1.0, 1.0, size=n),
                                   A=A, b=b, name=name)
-                report = analyze_recession_cone(inst)
-                if not report.l_nontrivial or report.min_curvature < -1e-9:
+                if not in_recession_cone(inst, d0) or not check_psd_on_nullspace(inst).holds:
                     raise GenerationFailed("recession structure not as advertised")
                 meta["recession_direction"] = d0.tolist()
                 meta["interior_point"] = x0.tolist()
@@ -290,8 +290,8 @@ def random_instance(
                 b = y.copy()
                 inst = QpInstance(n=n, m=m, Q=_indefinite_q(rng, n),
                                   c=rng.uniform(-1.0, 1.0, size=n), A=A, b=b, name=name)
-                if _feasible_point(inst.A, inst.b) is not None:
-                    raise GenerationFailed("instance unexpectedly feasible")
+                if float((inst.A.T @ y).max()) >= 0.0 or float(inst.b @ y) <= 0.0:
+                    raise GenerationFailed("Farkas certificate failed its check")
                 meta["farkas_certificate"] = y.tolist()
             return (inst, meta) if with_metadata else inst
         except GenerationFailed as exc:

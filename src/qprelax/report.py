@@ -139,29 +139,29 @@ def _conclusive(*results) -> bool:
     return all(res.status in _VERDICTS for res in results)
 
 
+def desk_scale(notes, what, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or None with a note in ``notes`` past the enumeration cap."""
+    try:
+        return fn(*args, **kwargs)
+    except DeskScaleLimit as exc:
+        notes.append(f"{what} skipped: {exc}")
+        return None
+
+
 def compare_report(inst: QpInstance, opts: Optional[SolveOptions] = None) -> Report:
     """Run all analyses and both relaxations, then grade the cross-checks."""
     opts = opts or SolveOptions()
     notes = []
-
-    def desk_scale(what, fn, *args, **kwargs):
-        """``fn(*args, **kwargs)``, or None with a note past the enumeration cap."""
-        try:
-            return fn(*args, **kwargs)
-        except DeskScaleLimit as exc:
-            notes.append(f"{what} skipped: {exc}")
-            return None
-
-    verts = desk_scale("feasibility enumeration", enumerate_vertices, inst)
+    verts = desk_scale(notes, "feasibility enumeration", enumerate_vertices, inst)
     nullspace = check_psd_on_nullspace(inst)
-    copositivity = desk_scale("copositivity check", check_copositivity_desk_scale, inst.Q)
+    copositivity = desk_scale(notes, "copositivity check", check_copositivity_desk_scale, inst.Q)
     simplex_min = None if copositivity is None else copositivity.min_value
     oracle = desk_scale(
-        "oracle and recession analysis", global_solve, inst, simplex_min=simplex_min
+        notes, "oracle and recession analysis", global_solve, inst, simplex_min=simplex_min
     )
     relaxations = {}
     for cone in (DNN, PSD0):
-        res = desk_scale(f"relaxation {cone}", solve_relaxation, inst, cone, opts)
+        res = desk_scale(notes, f"relaxation {cone}", solve_relaxation, inst, cone, opts)
         if res is not None:
             relaxations[cone] = res
 

@@ -138,6 +138,29 @@ class TestCommands:
         assert len(calls) == 1
         assert len(enumerations) == 1
 
+    def test_analyze_skips_only_the_over_cap_steps(self, tmp_path, capsys):
+        # n = 20: the 20 column subsets fit the cap, the 2^20 faces do not
+        assert main(["generate", "horn-family", "--n", "20", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        path = str(tmp_path / "horn-family-n20-s0.json")
+        capsys.readouterr()
+        assert main(["--json", "analyze", path]) == 0
+        payload = strict_loads(capsys.readouterr().out)
+        assert payload["feasible"] is True and len(payload["basic_feasible_points"]) == 9
+        assert payload["nullspace"]["holds"] is False
+        assert payload["recession"] is None and payload["copositivity"] is None
+        assert payload["ray"] is None and payload["ray_check"] is None
+        faces = "1048576 face patterns exceed the enumeration cap 2^16 (QPRELAX_ENUM_CAP)"
+        assert payload["notes"] == [f"recession analysis skipped: {faces}",
+                                    f"copositivity check skipped: {faces}"]
+        assert main(["analyze", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "feasible: True (9 basic feasible points)" in out
+        assert "recession cone: skipped (desk-scale cap)" in out
+        assert "simplex minimum of x^T Q x: skipped (desk-scale cap)" in out
+        assert "ray: skipped (desk-scale cap)" in out
+        assert out[-2:] == [f"note: {note}" for note in payload["notes"]]
+
     def test_solve_unbounded(self, horn_file, capsys):
         assert main(["--json", "solve", "--cone", "dnn", str(horn_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -313,7 +336,7 @@ class TestCommands:
         main(["generate", "random", "--kind", "INFEASIBLE", "--n", "3", "--m", "2",
               "--seed", "0", "--out", str(tmp_path)])
         capsys.readouterr()
-        assert main(["--json", "compare", "--jobs", "2", str(tmp_path)]) == 0
+        assert main(["--json", "compare", str(tmp_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 2
 
@@ -350,12 +373,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs(self, horn_file, capsys, jobs):
-        # refused for a single file and for a directory alike, before any work
+        # compare runs in one process: --jobs is no option at any value
         capsys.readouterr()
         for target in (horn_file, horn_file.parent):
-            assert main(["compare", "--jobs", jobs, str(target)]) == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["compare", "--jobs", jobs, str(target)])
+            assert exc.value.code == 2
             captured = capsys.readouterr()
-            assert "must be positive" in captured.err and captured.out == ""
+            assert "unrecognized arguments: --jobs" in captured.err and captured.out == ""
 
     def test_closed_pipe(self, horn_file):
         # the reader closes the pipe before the command writes: exit 1, no traceback

@@ -6,6 +6,8 @@ from qprelax.analysis import (
     check_copositivity_desk_scale,
     check_psd_on_nullspace,
 )
+from qprelax.conic import solve_relaxation
+from qprelax.core import DNN
 from qprelax.errors import DeskScaleLimit, InvalidDimension
 from qprelax.generators import (
     BOUNDED,
@@ -157,11 +159,29 @@ class TestRandomInstances:
         assert float(inst.b @ y) > 0
 
     def test_infeasible_screen_keeps_enumeration_cap(self, monkeypatch):
-        # 6 column subsets of size 2 exceed 2^2; 3 do not
+        # generation checks its Farkas vector and enumerates nothing; the
+        # relaxation's emptiness screen still refuses 6 column subsets at 2^2
         monkeypatch.setenv("QPRELAX_ENUM_CAP", "2")
-        with pytest.raises(DeskScaleLimit, match="6 column subsets"):
-            random_instance(INFEASIBLE, 4, 2, 0)
-        random_instance(INFEASIBLE, 3, 2, 0)
+        inst = random_instance(INFEASIBLE, 4, 2, 0)
+        with pytest.raises(DeskScaleLimit,
+                           match=r"6 column subsets exceed the enumeration cap 2\^2"):
+            solve_relaxation(inst, DNN)
+
+    def test_infeasible_past_the_subset_cap(self):
+        # comb(20, 10) column subsets exceed 2^16; the stored Farkas vector decides
+        inst, meta = random_instance(INFEASIBLE, 20, 10, 0, with_metadata=True)
+        y = np.array(meta["farkas_certificate"])
+        assert float((inst.A.T @ y).max()) < 0 and float(inst.b @ y) > 0
+
+    def test_unbounded_safe_past_the_face_cap(self):
+        # 2^17 faces exceed 2^16; d0 and the curvature on null(A) decide
+        inst, meta = random_instance(UNBOUNDED_SAFE, 17, 3, 0, with_metadata=True)
+        d = np.array(meta["recession_direction"])
+        assert d.min() >= 0 and d.max() > 0
+        assert np.abs(inst.A @ d).max() <= 1e-8 * max(1, np.abs(inst.A).max())
+        assert check_psd_on_nullspace(inst).holds
+        x0 = np.array(meta["interior_point"])
+        assert x0.min() > 0 and np.allclose(inst.A @ x0, inst.b)
 
     def test_deterministic(self):
         a = random_instance(BOUNDED, 3, 1, 42)
