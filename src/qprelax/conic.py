@@ -100,6 +100,7 @@ interior-point method, whose point is gated like the pinned one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -117,6 +118,7 @@ from .core import (
     LiftedProblem,
     QpInstance,
     ValidationReport,
+    _eigvalsh,
     _frozen_array,
     cone_violation,
     feasibility_residual,
@@ -128,7 +130,6 @@ from .numerics import (
     RANK_TOL,
     FaceProjector,
     _eigh,
-    _eigvalsh,
     _lstsq,
     certificate_basis,
     nullspace_basis,
@@ -438,7 +439,7 @@ class _Polisher:
 
         yscale = max(1.0, float(np.abs(y_pol).max()))
         afeas = max(
-            abs(float(np.tensordot(g, s_pol)) - b) for g, b in zip(self.mats, self.rhs)
+            abs(float(np.vdot(g, s_pol)) - b) for g, b in zip(self.mats, self.rhs)
         )
         if afeas > 1e-9 * yscale:
             return None
@@ -448,7 +449,7 @@ class _Polisher:
             entry_viol = max(0.0, -float(y_pol[0].min()))
         if entry_viol > 1e-9 * yscale:
             return None
-        value = float(np.tensordot(self.qred, s_pol))
+        value = float(np.vdot(self.qred, s_pol))
 
         # complementarity support for the dual: exact zeros of the polished
         # point, not of the unconverged iterate
@@ -753,20 +754,16 @@ class _IpmOutcome:
     residual_dual: float
 
 
-def _steps_to_boundary(roots: np.ndarray, dS, dZ, w, dw, lam, dlam):
+def _steps_to_boundary(roots: np.ndarray, dS, dZ, w, dw, lam, dlam) -> np.ndarray:
     """The largest primal and dual steps, each at most 1, keeping ``S + t dS``
     and ``Z + t dZ`` PSD and ``w + t dw`` and ``lam + t dlam`` nonnegative,
-    given the inverse square-root factors ``roots`` of ``S`` and ``Z``."""
-    least = _eigvalsh(roots @ np.stack((dS, dZ)) @ roots.transpose(0, 2, 1),
+    from the least relative changes: the eigenvalues of ``roots dS roots^T``
+    (``roots`` the inverse square-root factors of ``S`` and ``Z``) and ``dw / w``."""
+    least = _eigvalsh(roots @ np.array((dS, dZ)) @ roots.transpose(0, 2, 1),
                       signature="d->d")[:, 0]
-    steps = []
-    for low, v, dv in zip(least, (w, lam), (dw, dlam)):
-        step = 1.0 if low >= -1.0 else -1.0 / low
-        falling = dv < 0.0
-        if falling.any():
-            step = min(step, float((-v[falling] / dv[falling]).min()))
-        steps.append(step)
-    return steps
+    least = np.minimum(least, (np.array((dw, dlam)) / np.array((w, lam))).min(
+        axis=1, initial=np.inf))
+    return 1.0 / np.maximum(-least, 1.0)
 
 
 def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions) -> _IpmOutcome:
@@ -776,17 +773,22 @@ def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions) -
     (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) with
     Mehrotra's predictor-corrector (SIAM J. Optim. 1992).  The rows take
     slacks ``w >= 0``; the dual is ``max h^T lam`` over ``lam >= 0`` with
-    ``Z = C - sum_k lam_k G_k`` PSD.  Each iteration solves one Schur system
-    ``M dlam = rhs`` with ``M_kl = <G_k, S G_l Z^-1> + delta_kl w_k / lam_k``
-    by least squares, which stays defined where rows that are active at the
-    optimum are linearly dependent, as an equality written as a row pair
-    is.  The predictor's steps to the boundary,
-    primal and dual apart, set Mehrotra's centering; the corrector takes
-    one step length for both sides, 0.99 of the way to the boundary.  It
-    stops when the primal residual relative to ``1 + |h|`` is at most
-    ``opts.tol_primal`` and both the dual residual relative to ``1 + |C|``
-    and the duality gap relative to ``1 + |<C, S>| + |h^T lam|`` are at
-    most ``opts.tol_dual``.  After ``IPM_ITERATIONS`` iterations (or
+    ``Z = C - sum_k lam_k G_k`` PSD.  Each iteration forms ``H_l = S G_l Z^-1``
+    and the Schur matrix ``M_kl = <G_k, H_l> + delta_kl w_k / lam_k`` once,
+    and inverts ``M`` by least squares, which stays defined where rows active
+    at the optimum are linearly dependent (an equality as a row pair).  For
+    targets ``S Z = T``, ``w lam = t`` the direction is affine in ``dlam``,
+    ``dS = E + T Z^-1 + sum_l dlam_l H_l`` with ``E = -S - S R_d Z^-1`` (``R_d``
+    the dual residual) shared by predictor and corrector; ``dlam`` solves
+    ``M dlam = r_p - G(dS) + dw`` (``r_p`` the primal residual) at
+    ``dlam = 0``, and one refinement step recomputes that residual through
+    ``dS``, not ``M``, whose entries grow like ``1 / mu``.  The predictor's
+    steps to the boundary, primal and dual apart, set Mehrotra's centering;
+    the corrector takes one step length for both sides, 0.99 of the way to
+    the boundary.  It stops when the primal residual relative to ``1 + |h|``
+    is at most ``opts.tol_primal`` and both the dual residual relative to
+    ``1 + |C|`` and the duality gap relative to ``1 + |<C, S>| + |h^T lam|``
+    are at most ``opts.tol_dual``.  After ``IPM_ITERATIONS`` iterations (or
     ``opts.max_iterations``, if fewer), or when an iterate stops being
     positive definite, the Schur matrix is not finite, a step is not
     positive, or an entry grows past ``1 / eps`` (a problem with no optimum
@@ -825,56 +827,50 @@ def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions) -
 def _ipm_step(G, Gf, S, Z, w, lam, rp, Rd):
     """One predictor-corrector step from ``(S, Z, w, lam)``, or None."""
     r, p = S.shape[0], w.size
-    values, vectors = _eigh(np.stack((S, Z)), signature="d->dd")
+    eps = sys.float_info.epsilon
+    values, vectors = _eigh(np.array((S, Z)), signature="d->dd")
     if not values[:, 0].min() > 0.0:
         return None
     # F^-1 with F F^T = S and with F F^T = Z, one eigenvector per row
     roots = (vectors / np.sqrt(values)[:, None, :]).transpose(0, 2, 1)
     Zi = roots[1].T @ roots[1]
     ratio = w / lam
-    M = (G @ S).reshape(p, r * r) @ (G @ Zi).transpose(0, 2, 1).reshape(p, r * r).T
-    M[np.diag_indices(p)] += ratio
+    H = (S @ G @ Zi).reshape(p, r * r)
+    M = Gf @ H.T
+    M.flat[::p + 1] += ratio
     if not np.isfinite(M).all():
         return None
     # numpy.linalg.lstsq's default rcond
-    rcond = np.finfo(float).eps * p
-    M_inv = _lstsq(M, np.eye(p), rcond, signature="ddd->ddid")[0] if p else M
+    M_inv = _lstsq(M, np.eye(p), eps * p, signature="ddd->ddid")[0] if p else M
+    E = (-S - S @ Rd @ Zi).ravel()
 
-    def direction(T, t):
-        # the HKM direction for the complementarity targets S Z = T, w lam = t
-        base, slack = T @ Zi - S, t / lam - w
-
-        def completed(dlam):
-            dZ = Rd - (dlam @ Gf).reshape(r, r)
-            return base - S @ dZ @ Zi, dZ, slack - ratio * dlam
-
-        # dlam solves M dlam = rp - G(dS) + dw at dlam = 0; one step of
-        # iterative refinement recomputes that residual through S dZ Z^-1
-        # rather than through M, whose entries grow like 1/mu
-        dlam = np.zeros(p)
-        for _ in range(2):
-            dS, dZ, dw = completed(dlam)
-            dlam = dlam + M_inv @ (rp - Gf @ dS.ravel() + dw)
-        dS, dZ, dw = completed(dlam)
-        return 0.5 * (dS + dS.T), dZ, dw, dlam
+    def direction(base, slack):
+        # base = E + T Z^-1 and slack = t / lam - w (see _face_ipm)
+        dlam = M_inv @ (rp - Gf @ base + slack)
+        dlam = dlam + M_inv @ (rp - Gf @ (base + dlam @ H) + slack - ratio * dlam)
+        dS = (base + dlam @ H).reshape(r, r)
+        return 0.5 * (dS + dS.T), Rd - (dlam @ Gf).reshape(r, r), slack - ratio * dlam, dlam
 
     mu = (float(np.vdot(S, Z)) + float(w @ lam)) / (r + p)
-    dS, dZ, dw, dlam = direction(np.zeros((r, r)), np.zeros(p))
+    dS, dZ, dw, dlam = direction(E, -w)
     a_p, a_d = _steps_to_boundary(roots, dS, dZ, w, dw, lam, dlam)
     mu_aff = (float(np.vdot(S + a_p * dS, Z + a_d * dZ))
               + float((w + a_p * dw) @ (lam + a_d * dlam))) / (r + p)
     sigma = (mu_aff / mu) ** 3 if mu > 0.0 else 0.0
-    dS, dZ, dw, dlam = direction(sigma * mu * np.eye(r) - dS @ dZ, sigma * mu - dw * dlam)
+    T = sigma * mu * np.eye(r) - dS @ dZ
+    dS, dZ, dw, dlam = direction(E + (T @ Zi).ravel(), (sigma * mu - dw * dlam) / lam - w)
     # one step length for both sides keeps the primal residual falling with mu
-    step = 0.99 * min(_steps_to_boundary(roots, dS, dZ, w, dw, lam, dlam))
+    step = 0.99 * _steps_to_boundary(roots, dS, dZ, w, dw, lam, dlam).min()
     if not step > 0.0:
         return None
-    new = (S + step * dS, Z + step * dZ, w + step * dw, lam + step * dlam)
+    new = np.concatenate((S.ravel(), Z.ravel(), w, lam)) + step * np.concatenate(
+        (dS.ravel(), dZ.ravel(), dw, dlam))
     # without an optimum the iterates run off to infinity: stop them long
     # before they overflow (a NaN fails the test too)
-    if not max(np.abs(v).max(initial=0.0) for v in new) < 1.0 / np.finfo(float).eps:
+    if not np.abs(new).max() < 1.0 / eps:
         return None
-    return new
+    k = 2 * r * r
+    return (*new[:k].reshape(2, r, r), new[k:k + p], new[k + p:])
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +892,7 @@ def verify_certificate(
     affine = float(np.abs(lp.rows @ d).max(initial=0.0)) / max(
         1.0, float(np.abs(lp.rows).max(initial=0.0)))
     trace_err = abs(float(np.trace(d)) - 1.0)
-    rate = float(np.tensordot(lp.qhat, d))
+    rate = float(np.vdot(lp.qhat, d))
     ok = viol <= tol and corner <= tol and affine <= tol and trace_err <= tol
     return CertificateCheck(
         ok=bool(ok),
@@ -1002,7 +998,7 @@ def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
             residual: float = 0.0) -> CertificateSearch:
     """The verdict on a candidate: FOUND when it verifies and, in OBJECTIVE
     mode, its rate is below the cone's threshold (``_rate_threshold``)."""
-    rate = float(np.tensordot(lp.qhat, d))
+    rate = float(np.vdot(lp.qhat, d))
     cert = RecessionCertificate(d=d, objective_rate=rate, trace_norm=float(np.trace(d)),
                                 cone=lp.cone)
     check = verify_certificate(inst, cert, tol=max(10.0 * opts.tol_primal, 1e-9))
@@ -1023,7 +1019,7 @@ def _unfinished(lp: LiftedProblem, y: np.ndarray, residual_primal: float,
                 residual_dual: float, iterations: int) -> RelaxationResult:
     """MAX_ITER at the last point ``y`` of a solve that did not finish."""
     return RelaxationResult(
-        status=MAX_ITER, value=float(np.tensordot(lp.qhat, y)), point=LiftedPoint(y),
+        status=MAX_ITER, value=float(np.vdot(lp.qhat, y)), point=LiftedPoint(y),
         residual_primal=residual_primal, residual_dual=residual_dual, iterations=iterations,
     )
 
@@ -1036,7 +1032,7 @@ def _validated(lp: LiftedProblem, inst: QpInstance, y: np.ndarray, opts: SolveOp
     report = validate_lifted_point(inst, point, tol=10.0 * opts.tol_primal, cone=lp.cone)
     return RelaxationResult(
         status=OPTIMAL if report.ok else MAX_ITER,
-        value=float(np.tensordot(lp.qhat, point.y)), point=point,
+        value=float(np.vdot(lp.qhat, point.y)), point=point,
         residual_primal=residual_primal, residual_dual=residual_dual,
         iterations=iterations, validation=report,
     )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     AsymmetricQ,
@@ -45,6 +46,9 @@ TOL_CURVATURE = 1e-9
 DNN = "DNN"
 PSD0 = "PSD0"
 CONES = (DNN, PSD0)
+
+#: The LAPACK gufunc of ``numpy.linalg.eigvalsh`` (``signature="d->d"``): NaN where that raises
+_eigvalsh = _umath_linalg.eigvalsh_lo
 
 
 def _frozen_array(a) -> np.ndarray:
@@ -356,7 +360,7 @@ def lift_instance(inst: QpInstance, cone: str = DNN) -> LiftedProblem:
     qhat[0, 1:] = inst.c
     qhat[1:, 0] = inst.c
     qhat[1:, 1:] = inst.Q
-    rows = np.hstack([inst.b.reshape(inst.m, 1), -inst.A])
+    rows = np.concatenate((inst.b[:, None], -inst.A), axis=1)
     return LiftedProblem(qhat=qhat, rows=rows, cone=cone, n=n)
 
 
@@ -381,15 +385,16 @@ def index_sets(x, tol: float = 1e-9) -> IndexSets:
 def cone_violation(point: LiftedPoint | np.ndarray, cone: str) -> float:
     """Worst violation of cone membership, in absolute terms: the negative
     parts of the least eigenvalue and of the entries the cone signs (every
-    entry for DNN, the 0th row for PSD0)."""
+    entry for DNN, the 0th row for PSD0); NaN if the eigensolve fails."""
     if cone not in CONES:
         raise ValueError(f"unknown cone selector {cone!r}")
     if not isinstance(point, LiftedPoint):
         point = LiftedPoint(point)
     y = point.y
-    psd = max(0.0, -float(np.linalg.eigvalsh(y).min()))
-    sign = max(0.0, -float((y if cone == DNN else y[0]).min()))
-    return max(psd, sign)
+    least = float(_eigvalsh(y, signature="d->d")[0])
+    if math.isnan(least):
+        return math.nan
+    return max(0.0, -least, -float((y if cone == DNN else y[0]).min()))
 
 
 def validate_lifted_point(
@@ -424,14 +429,14 @@ def validate_lifted_point(
     delta = point.X - np.outer(x, x)
     delta = 0.5 * (delta + delta.T)
     dscale = max(1.0, float(np.abs(delta).max()))
-    delta_min_eig = float(np.linalg.eigvalsh(delta).min())
+    delta_min_eig = float(_eigvalsh(delta, signature="d->d")[0])
     # a cone violation of eps on Y can push the Schur block down by
     # eps * (1 + |x|^2), so the PSD threshold carries that factor
     delta_psd = delta_min_eig >= -tol * max(dscale, 1.0 + float(x @ x))
 
-    ns_resid = float(np.linalg.norm(inst.A @ delta)) / (
-        (1.0 + float(np.linalg.norm(inst.A))) * dscale
-    )
+    resid = inst.A @ delta
+    ns_resid = math.sqrt(np.vdot(resid, resid)) / (
+        (1.0 + math.sqrt(np.vdot(inst.A, inst.A))) * dscale)
     delta_nullspace = ns_resid <= tol
 
     violation = cone_violation(point, cone)

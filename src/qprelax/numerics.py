@@ -10,20 +10,20 @@ the decomposition.  Its input is already float64, square and finite, so
 the wrapper's checks are redundant; the one thing it adds, an error when
 LAPACK does not converge, shows up here as a NaN in the output.  The
 oracle's face engine calls the same gufunc, and the least-squares and SVD
-gufuncs beside it, on whole stacks of faces; its basic-solution enumeration
-calls the least-squares and singular-value gufuncs on stacks of column
-subsets.
+gufuncs beside it, on stacks of faces and of column subsets.  The
+interior-point method in ``conic`` calls the eigen and least-squares
+gufuncs once or twice per step, and lifted-point validation
+(``core.validate_lifted_point``, ``core.cone_violation``) calls the
+eigenvalue gufunc ``core._eigvalsh``: an unconverged eigensolve reads NaN
+there, and a NaN fails every check.
 
 Public projections (``project_cone``, ``AffineProjector.apply``,
 ``FaceProjector.apply``) validate their input: shape, finiteness, and
 symmetrization; ``project_cone`` also rejects a non-finite result.  The
 kernels they share with the splitting loop (``_psd``, ``_nonneg``,
 ``_row0nonneg`` and ``FaceProjector.affine``) assume finite, symmetric,
-correctly sized input and check nothing; the loop in ``conic._consensus``
-(which no solve runs any more) checks finiteness once per iteration on its
-stacked input instead, which also catches a NaN from an unconverged
-eigensolve one iteration later, before any other eigendecomposition sees
-it.
+correctly sized input and check nothing; the loop (which no solve runs any
+more) checks finiteness once per iteration.
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ RANK_TOL = 1e-10
 #: LAPACK's symmetric eigensolver on the lower triangle: called with
 #: ``signature="d->dd"`` it returns ascending eigenvalues and orthonormal
 #: eigenvector columns, the same arrays as ``numpy.linalg.eigh``, and NaNs
-#: where LAPACK does not converge; ``_eigvalsh`` with ``signature="d->d"``
-#: returns the eigenvalues alone.
+#: where LAPACK does not converge; ``core._eigvalsh`` returns the eigenvalues
+#: alone.
 _eigh = _umath_linalg.eigh_lo
-_eigvalsh = _umath_linalg.eigvalsh_lo
 
 #: LAPACK's least-squares and full SVD drivers behind ``numpy.linalg.lstsq``
 #: and ``numpy.linalg.svd(full_matrices=True)``.  ``_lstsq`` takes ``rcond``

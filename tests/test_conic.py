@@ -585,6 +585,17 @@ class TestPinnedInteriorPoint:
         assert abs(res.value - looped) <= 1e-7 * (1.0 + abs(looped))
         assert loops == []
 
+    def test_criterion_9_anchors_converge_within_8_iterations(self, ipms):
+        # criterion 9's first 12 anchors at each bounded member, where Q
+        # fails the curvature condition: each runs the interior-point method
+        # and takes 6 to 8 iterations at the pinned-batch tolerance
+        opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
+        for inst in TestPinnedClosedForm.members[:3]:
+            for x in feasible_samples(inst, 12, seed=77):
+                res = evaluate_underestimator(inst, DNN, x, opts)
+                assert res.status == OPTIMAL and 0 < res.iterations <= 8, inst.name
+        assert len(ipms) == 36
+
     def test_dual_bound_closes_the_gap(self):
         # (Z, lam) is dual feasible up to the dual residual, and
         # q(x) + h^T lam = q(x) - sum lam_ij x_i x_j meets the value
@@ -602,6 +613,31 @@ class TestPinnedInteriorPoint:
             value = evaluate_underestimator(inst, DNN, x, TIGHT).value
             bound = evaluate_objective(inst, np.asarray(x)) + float(h @ out.lam)
             assert abs(value - bound) <= 1e-8 * (1.0 + abs(value)), inst.name
+
+    def test_steps_to_boundary_match_the_masked_ratio_test(self):
+        # the loop form it replaced: per side, the eigenvalue bound and the
+        # least -v / dv over the falling entries
+        def reference(roots, dS, dZ, w, dw, lam, dlam):
+            least = np.linalg.eigvalsh(roots @ np.stack((dS, dZ)) @ roots.transpose(0, 2, 1))
+            steps = []
+            for low, v, dv in zip(least[:, 0], (w, lam), (dw, dlam)):
+                step = 1.0 if low >= -1.0 else -1.0 / low
+                falling = dv < 0.0
+                if falling.any():
+                    step = min(step, float((-v[falling] / dv[falling]).min()))
+                steps.append(step)
+            return steps
+
+        rng = np.random.default_rng(5)
+        for k in range(300):
+            r, p = 1 + k % 3, k % 5
+            roots = rng.normal(size=(2, r, r))
+            dS, dZ = (0.5 * (a + a.T) for a in rng.normal(size=(2, r, r)) * rng.uniform(0, 3))
+            w, lam = rng.uniform(0.01, 2.0, size=(2, p))
+            dw, dlam = rng.normal(size=(2, p)) * rng.uniform(0, 3)
+            args = (roots, dS, dZ, w, dw, lam, dlam)
+            np.testing.assert_allclose(conic._steps_to_boundary(*args), reference(*args),
+                                       rtol=1e-14)
 
     def test_zero_rows_are_dropped(self):
         N = nullspace_basis(IMPLICIT_ZERO.A)

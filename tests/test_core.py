@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qprelax import core
+from qprelax.conic import FEASIBILITY, recession_certificate_search, verify_certificate
 from qprelax.core import (
     DNN,
     PSD0,
@@ -197,6 +200,23 @@ class TestValidation:
         v = np.concatenate(([2.0], xt))
         report = validate_lifted_point(inst, np.outer(v, v), tol=1e-9, cone=DNN)
         assert not report.corner_ok
+
+    def test_unconverged_eigensolve_fails_both_checks(self, horn, monkeypatch):
+        # where LAPACK does not converge the eigenvalue gufunc returns NaN
+        # (numpy.linalg.eigvalsh would raise): no cone check may pass it
+        inst, _ = horn
+        v = np.array([1, 0, 1, 0, 0, 4.0])
+        cert = recession_certificate_search(inst, DNN, FEASIBILITY).certificate
+        assert validate_lifted_point(inst, np.outer(v, v), tol=1e-9).ok
+        assert verify_certificate(inst, cert).ok
+        monkeypatch.setattr(core, "_eigvalsh",
+                            lambda a, signature: np.full(a.shape[:-1], np.nan))
+        for cone in (DNN, PSD0):
+            report = validate_lifted_point(inst, np.outer(v, v), tol=1e-9, cone=cone)
+            assert not (report.ok or report.delta_psd or report.cone_ok)
+            assert math.isnan(report.cone_violation)
+        check = verify_certificate(inst, cert)
+        assert not check.ok and math.isnan(check.cone_violation)
 
 
 class TestMixture:
