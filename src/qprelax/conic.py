@@ -7,8 +7,10 @@ problem that no closed form decides (below) is solved on such a face by one
 primal-dual interior-point method, ``_face_ipm``: minimize ``<C, S>`` over
 ``S`` PSD with rows ``<G_k, S> >= h_k``, by the HKM direction (Helmberg,
 Rendl, Vanderbei & Wolkowicz 1996) with Mehrotra's predictor-corrector
-(1992).  It stops at the requested tolerances, or returns MAX_ITER after
-``IPM_ITERATIONS`` iterations.  Three problems run it:
+(1992), whose Schur matrix is inverted by an eigh pseudo-inverse.  It
+stops at the requested tolerances, at an iterate its caller accepts, or
+returns MAX_ITER after ``IPM_ITERATIONS`` iterations.  Three problems run
+it:
 
 - the unpinned solve: ``V`` spans null(rows), ``C = V^T qhat V``, the rows
   are the sign rows ``(V S V^T)_ij >= 0`` (every pair ``i < j`` for DNN,
@@ -41,10 +43,16 @@ needs no solve.  A DNN objective search that neither screen settles runs
 the interior-point method with ``C = B^T qhat B``, the sign rows
 ``(B S B^T)_ij >= 0`` and ``tr S <= 1`` as the row ``<-I, S> >= -1``.  The
 rate is linear in ``S``, so that minimum is exactly the least unit-trace
-rate when it is negative, and 0 otherwise.  A rate below the threshold
-puts every optimum at trace 1, so a converged ``S`` of trace below 1/2
-reads NONE without dividing by its trace; any other is graded as the
-candidate ``B S B^T / tr S``.  The search keeps the least eigenvalue of
+rate when it is negative, and 0 otherwise.  The search needs one
+certificate, not the least rate: it stops at the first iterate whose
+candidate ``B S B^T / tr S`` has no entry below minus the verification
+tolerance and a rate below the threshold, and grades that candidate, so
+a FOUND rate is in general above the least one.  The other checks of
+the grading hold to rounding for every positive definite ``S``.  Where no
+iterate is accepted, a rate below the threshold puts every optimum at
+trace 1, so a converged ``S`` of trace below 1/2 reads NONE without
+dividing by its trace; any other is graded as the candidate
+``B S B^T / tr S``.  The search keeps the least eigenvalue of
 ``B^T qhat B``, the curvature of Q on null(A), which also decides the
 closed forms below.
 Pinning the 0th row does not change the recession cone, so the plain and
@@ -103,7 +111,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -130,7 +138,6 @@ from .numerics import (
     RANK_TOL,
     FaceProjector,
     _eigh,
-    _lstsq,
     certificate_basis,
     nullspace_basis,
 )
@@ -746,7 +753,7 @@ def _consensus(
 
 @dataclass
 class _IpmOutcome:
-    status: str  # CONVERGED or MAX_ITER
+    status: str  # CONVERGED, ACCEPTED or MAX_ITER
     S: np.ndarray  # the last iterate
     lam: np.ndarray  # the multipliers of the rows, >= 0
     iterations: int
@@ -766,7 +773,8 @@ def _steps_to_boundary(roots: np.ndarray, dS, dZ, w, dw, lam, dlam) -> np.ndarra
     return 1.0 / np.maximum(-least, 1.0)
 
 
-def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions) -> _IpmOutcome:
+def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
+              accept: Optional[Callable[[np.ndarray], bool]] = None) -> _IpmOutcome:
     """Minimize ``<C, S>`` over ``S`` PSD with ``<G_k, S> >= h_k`` for each row k.
 
     An infeasible-start primal-dual interior-point method: the HKM direction
@@ -775,8 +783,12 @@ def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions) -
     slacks ``w >= 0``; the dual is ``max h^T lam`` over ``lam >= 0`` with
     ``Z = C - sum_k lam_k G_k`` PSD.  Each iteration forms ``H_l = S G_l Z^-1``
     and the Schur matrix ``M_kl = <G_k, H_l> + delta_kl w_k / lam_k`` once,
-    and inverts ``M`` by least squares, which stays defined where rows active
-    at the optimum are linearly dependent (an equality as a row pair).  For
+    and inverts ``M``, symmetric positive definite in exact arithmetic, by
+    one eigendecomposition: the pseudo-inverse drops the eigenvalues of
+    magnitude at most ``eps p max|lambda|``, the singular values
+    ``numpy.linalg.lstsq`` drops by default, so it stays defined where rows
+    active at the optimum are linearly dependent (an equality as a row
+    pair; a plain inverse stalls there).  For
     targets ``S Z = T``, ``w lam = t`` the direction is affine in ``dlam``,
     ``dS = E + T Z^-1 + sum_l dlam_l H_l`` with ``E = -S - S R_d Z^-1`` (``R_d``
     the dual residual) shared by predictor and corrector; ``dlam`` solves
@@ -788,7 +800,10 @@ def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions) -
     the boundary.  It stops when the primal residual relative to ``1 + |h|``
     is at most ``opts.tol_primal`` and both the dual residual relative to
     ``1 + |C|`` and the duality gap relative to ``1 + |<C, S>| + |h^T lam|``
-    are at most ``opts.tol_dual``.  After ``IPM_ITERATIONS`` iterations (or
+    are at most ``opts.tol_dual``.  Given ``accept``, it also stops, with
+    status ACCEPTED, at the first iterate ``S`` it would step on from for
+    which ``accept(S)`` is true: the starting point and the iterate at the
+    budget are not offered.  After ``IPM_ITERATIONS`` iterations (or
     ``opts.max_iterations``, if fewer), or when an iterate stops being
     positive definite, the Schur matrix is not finite, a step is not
     positive, or an entry grows past ``1 / eps`` (a problem with no optimum
@@ -816,6 +831,9 @@ def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions) -
             break
         if it == cap:
             break
+        if it and accept is not None and accept(S):
+            status = "ACCEPTED"
+            break
         step = _ipm_step(G, Gf, S, Z, w, lam, rp, Rd)
         if step is None:
             break
@@ -825,7 +843,10 @@ def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions) -
 
 
 def _ipm_step(G, Gf, S, Z, w, lam, rp, Rd):
-    """One predictor-corrector step from ``(S, Z, w, lam)``, or None."""
+    """One predictor-corrector step from ``(S, Z, w, lam)``, or None.
+
+    The Schur matrix is inverted by the eigh pseudo-inverse of ``_face_ipm``:
+    one ``_eigh`` call, then one scaled product of its eigenvectors."""
     r, p = S.shape[0], w.size
     eps = sys.float_info.epsilon
     values, vectors = _eigh(np.array((S, Z)), signature="d->dd")
@@ -840,8 +861,13 @@ def _ipm_step(G, Gf, S, Z, w, lam, rp, Rd):
     M.flat[::p + 1] += ratio
     if not np.isfinite(M).all():
         return None
-    # numpy.linalg.lstsq's default rcond
-    M_inv = _lstsq(M, np.eye(p), eps * p, signature="ddd->ddid")[0] if p else M
+    if p:
+        values, vectors = _eigh(M, signature="d->dd")
+        cut = eps * p * max(-values[0], values[-1])
+        M_inv = (vectors * np.divide(1.0, values, out=np.zeros(p),
+                                     where=np.abs(values) > cut)) @ vectors.T
+    else:
+        M_inv = M
     E = (-S - S @ Rd @ Zi).ravel()
 
     def direction(base, slack):
@@ -934,9 +960,13 @@ def recession_certificate_search(
     certificate set, and reports NONE with 0 iterations when there is none.
     FEASIBILITY mode returns ``[0; d] [0; d]^T / |d|^2`` with 0 iterations.
     OBJECTIVE mode runs the interior-point method over ``tr S <= 1`` (see
-    the module docstring), which either converges, and FOUND needs a rate
-    below ``-TOL_CERTIFICATE``, or stops unconverged: INCONCLUSIVE.  Every
-    certificate is re-verified from raw data.
+    the module docstring) until an iterate's candidate passes a pre-check
+    (no entry below minus the verification tolerance, a rate below
+    ``-TOL_CERTIFICATE``) and is graded, until it converges, and FOUND
+    needs a rate below ``-TOL_CERTIFICATE``, or until it stops unconverged:
+    INCONCLUSIVE.  So the search stops at its first verified certificate,
+    and a FOUND rate is not in general the least rate.  Every certificate
+    is re-verified from raw data.
     """
     if cone not in CONES:
         raise ValueError(f"unknown cone selector {cone!r}")
@@ -970,20 +1000,31 @@ def recession_certificate_search(
         z = np.concatenate(([0.0], d))
         return _graded(inst, lp, np.outer(z, z) / np.dot(d, d), mode, opts, curvature)
 
+    def candidate(S):
+        return basis @ S @ basis.T / float(np.trace(S))
+
+    tol, threshold = _certificate_tol(opts), _rate_threshold(inst, cone)
+
+    def verifiable(S):
+        # the checks of _graded that an iterate can fail: the other ones
+        # hold to rounding for every positive definite S
+        d = candidate(S)
+        return float(d.min()) >= -tol and float(np.vdot(lp.qhat, d)) < -threshold
+
     # the sign rows with h = 0, and tr S <= 1 as <-I, S> >= -1
     G, h = _sign_rows(basis, np.zeros(basis.shape[0]))
-    out = _face_ipm(C, np.concatenate((G, [-np.eye(r)])), np.append(h, -1.0), opts)
+    out = _face_ipm(C, np.concatenate((G, [-np.eye(r)])), np.append(h, -1.0), opts, verifiable)
     if out.status == MAX_ITER:
         return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
                                  reason="max_iter", curvature=curvature)
     trace = float(np.trace(out.S))
-    if trace < 0.5:
+    if out.status == "CONVERGED" and trace < 0.5:
         # a rate below the threshold puts every optimum at trace 1
         return CertificateSearch(NONE, None, out.iterations, out.residual_primal,
                                  reason=f"optimum at trace {trace:.1e}: no rate below "
                                         "threshold", curvature=curvature)
-    return _graded(inst, lp, basis @ out.S @ basis.T / trace, mode, opts, curvature,
-                   out.iterations, out.residual_primal)
+    return _graded(inst, lp, candidate(out.S), mode, opts, curvature, out.iterations,
+                   out.residual_primal)
 
 
 def _rate_threshold(inst: QpInstance, cone: str) -> float:
@@ -991,6 +1032,11 @@ def _rate_threshold(inst: QpInstance, cone: str) -> float:
     if cone == PSD0:
         return TOL_CURVATURE * max(1.0, float(np.abs(inst.Q).max()))
     return TOL_CERTIFICATE
+
+
+def _certificate_tol(opts: SolveOptions) -> float:
+    """The tolerance ``_graded`` verifies candidates at."""
+    return max(10.0 * opts.tol_primal, 1e-9)
 
 
 def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
@@ -1001,7 +1047,7 @@ def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
     rate = float(np.vdot(lp.qhat, d))
     cert = RecessionCertificate(d=d, objective_rate=rate, trace_norm=float(np.trace(d)),
                                 cone=lp.cone)
-    check = verify_certificate(inst, cert, tol=max(10.0 * opts.tol_primal, 1e-9))
+    check = verify_certificate(inst, cert, tol=_certificate_tol(opts))
     status, reason = FOUND, ""
     if not check.ok:
         status, cert, reason = INCONCLUSIVE, None, "candidate failed verification"

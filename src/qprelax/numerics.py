@@ -9,11 +9,13 @@ dispatch, an ``errstate`` context and ``astype`` copies) costs as much as
 the decomposition.  Its input is already float64, square and finite, so
 the wrapper's checks are redundant; the one thing it adds, an error when
 LAPACK does not converge, shows up here as a NaN in the output.  The
-oracle's face engine calls the same gufunc, and the least-squares and SVD
-gufuncs beside it, on stacks of faces and of column subsets.  The
-interior-point method in ``conic`` calls the eigen and least-squares
-gufuncs once or twice per step, and lifted-point validation
-(``core.validate_lifted_point``, ``core.cone_violation``) calls the
+oracle's face engine calls the same gufunc, and the SVD gufuncs beside
+it, on stacks of faces and of column subsets; its min-norm points and
+basic solutions come from those SVDs, so the engine calls no
+least-squares driver.  The interior-point method in ``conic`` calls the
+eigen gufunc twice per step, once for ``S`` and ``Z`` and once to invert
+its Schur matrix.  It and lifted-point validation
+(``core.validate_lifted_point``, ``core.cone_violation``) call the
 eigenvalue gufunc ``core._eigvalsh``: an unconverged eigensolve reads NaN
 there, and a NaN fails every check.
 
@@ -52,14 +54,10 @@ RANK_TOL = 1e-10
 #: alone.
 _eigh = _umath_linalg.eigh_lo
 
-#: LAPACK's least-squares and full SVD drivers behind ``numpy.linalg.lstsq``
-#: and ``numpy.linalg.svd(full_matrices=True)``.  ``_lstsq`` takes ``rcond``
-#: as its third input and, with ``signature="ddd->ddid"``, returns the
-#: solution, residuals, rank and singular values; ``_svd`` with
-#: ``signature="d->ddd"`` returns ``U``, the singular values and ``V^T``.
-#: Both work on stacks slice by slice.  Unlike ``numpy.linalg.lstsq``,
-#: ``_lstsq`` leaves the solution of a system without rows undefined.
-_lstsq = _umath_linalg.lstsq
+#: LAPACK's full SVD driver behind ``numpy.linalg.svd(full_matrices=True)``:
+#: with ``signature="d->ddd"`` it returns ``U``, the singular values and
+#: ``V^T``, on stacks slice by slice, and NaNs where LAPACK does not
+#: converge.
 _svd = _umath_linalg.svd_f
 #: The singular values alone, descending, behind
 #: ``numpy.linalg.svd(compute_uv=False)``: called with ``signature="d->d"``

@@ -12,11 +12,14 @@ reads UNBOUNDED_BELOW only when ``verify_ray_certificate`` accepts it.
 The faces are solved in groups, not one by one (``_face_candidates``): the
 patterns are grouped by their number of free variables, and each group is
 cut into slices of at most ``FACE_SLICE`` faces.  A slice takes one stacked
-LAPACK call for the min-norm points and one for the null-space bases, then
+SVD, which gives both the min-norm points and the null-space bases, then
 one stacked eigensolve of the reduced Hessians per null-space dimension.
 The PSD, vanishing-gradient and sign tests run as masks over the whole
-slice.  Every member of a stack is the matrix that face alone would pass
-to LAPACK, so neither grouping nor slicing changes a result; the slices
+slice.  The singular faces of one null-space dimension whose min-norm
+stationary point has a negative entry share the stacked search
+``_feasible_points`` for a nonnegative point of their stationary sets.
+Every member of a stack is the matrix that face alone would pass to
+LAPACK, so neither grouping nor slicing changes a result; the slices
 bound the engine's memory at the cap.
 
 A face whose reduced Hessian has an eigenvalue below
@@ -32,11 +35,10 @@ give a candidate.  The flag uses the common scale ``|Q|_F``, not F's own:
 a superset with a larger scale can pass its own test within the 1e-9 band.
 
 Basic feasible points are found the same way: the column subsets of size
-rank(A) are solved in stacks, one singular-value call and one
-least-squares call per stack (``_basic_solutions``), each member the matrix
-``numpy.linalg`` would receive for that subset.  A LAPACK failure, in the
-faces or in the bases, raises ``numpy.linalg.LinAlgError`` as numpy's own
-wrappers do.
+rank(A) are solved in stacks, one SVD per stack (``_basic_solutions``),
+each member the matrix ``numpy.linalg`` would receive for that subset.
+A LAPACK failure, in the faces or in the bases, raises
+``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
 
 Every enumeration is capped at ``2 ** enum_cap()`` members (``enum_cap()``
 is 16 unless the QPRELAX_ENUM_CAP environment variable says otherwise),
@@ -64,7 +66,7 @@ from .core import (
     index_sets,
 )
 from .errors import DeskScaleLimit, DimensionMismatch, NonFinite, PointInfeasible
-from .numerics import RANK_TOL, _eigh, _lstsq, _svd, _svdvals
+from .numerics import RANK_TOL, _eigh, _svd, _svdvals
 
 ORACLE_OPTIMAL = "OPTIMAL"
 ORACLE_INFEASIBLE = "INFEASIBLE"
@@ -226,13 +228,13 @@ def _basic_feasible_iter(A, b, stack: int):
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise NonFinite("non-finite constraint data")
     m, n = A.shape
-    scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
-    svals = np.linalg.svd(A, compute_uv=False)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > 1e-10 * smax)) if smax > 0 else 0
+    A, b = A[None], b[None]
+    with np.errstate(call=_lapack_failed, invalid="call"):
+        tol, smax, rank = _system_ranks(A, b)
+    rank = int(rank[0])
 
     if rank == 0:
-        if float(np.abs(b).max(initial=0.0)) <= _TOL_EQ * scale:
+        if float(np.abs(b).max(initial=0.0)) <= tol[0]:
             yield np.zeros(n)
         return
 
@@ -245,8 +247,9 @@ def _basic_feasible_iter(A, b, stack: int):
     subsets = itertools.combinations(range(n), rank)
     while part := list(itertools.islice(subsets, stack)):
         with np.errstate(call=_lapack_failed, invalid="call"):
-            points = _basic_solutions(A, b, np.array(part), smax, _TOL_EQ * scale)
-        for x in points:
+            points, ok = _basic_solutions(A, b, np.array(part),
+                                          np.zeros(len(part), dtype=np.intp), smax, tol)
+        for x in points[ok]:
             key = tuple(np.round(x, _DEDUP_DECIMALS))
             if key not in seen:
                 seen.add(key)
@@ -260,33 +263,93 @@ def _feasible_point(A, b) -> Optional[np.ndarray]:
     The one emptiness test of the package: its stacks of column subsets
     start at one and double, so it stops within twice the position of the
     first feasible basis instead of enumerating them all, and only an empty
-    system costs every column subset.
+    system costs every column subset.  ``_feasible_points`` gives the same
+    point for each system of a stack.
     """
     return next(_basic_feasible_iter(A, b, 1), None)
 
 
-def _basic_solutions(A, b, subsets, smax, tol) -> np.ndarray:
-    """The feasible basic solutions on the column subsets, as rows in subset order.
+def _system_ranks(A, b):
+    """Per system ``{A_s x = b_s}`` of a stack: the feasibility tolerance
+    ``_TOL_EQ * (1 + |b_s|_max + |A_s|_max)``, the largest singular value
+    and the numerical rank (singular values above ``1e-10`` times the
+    largest), from one stacked singular-value call."""
+    scale = 1.0 + np.abs(b).max(axis=1, initial=0.0) + np.abs(A).max(axis=(1, 2), initial=0.0)
+    svals = _svdvals(A, signature="d->d")
+    smax = svals[:, 0] if svals.shape[1] else np.zeros(len(A))
+    return _TOL_EQ * scale, smax, (svals > 1e-10 * smax[:, None]).sum(axis=1)
 
-    ``subsets`` is a ``(k, rank)`` stack of column indices.  One stacked
-    singular-value call drops the linearly dependent bases and one stacked
-    least-squares call, at ``numpy.linalg.lstsq``'s default rcond, solves
-    them all; each slice is the matrix ``numpy.linalg`` would receive for
-    that subset alone.  A LAPACK failure shows as a NaN with the invalid
-    flag set, which the caller's ``numpy.errstate`` turns into an error.
+
+def _basic_solutions(A, b, subsets, systems, smax, tol):
+    """The basic solutions of a stack of systems on column subsets, and the
+    mask of the feasible ones.
+
+    Row ``i`` solves ``{A_s x = b_s}`` with ``s = systems[i]`` on the
+    columns ``subsets[i]``; ``smax`` and ``tol`` hold each system's largest
+    singular value and feasibility tolerance.  One stacked SVD drops the
+    linearly dependent bases and gives the solutions of the others; a
+    solution is feasible when it solves its system and is nonnegative, both
+    within ``tol``.  Every slice is built and solved the same way whatever
+    the stack, so stacking changes no bit.  A LAPACK failure shows as a NaN
+    with the invalid flag set, which the caller's ``numpy.errstate`` turns
+    into an error.
     """
-    m, n = A.shape
     k, rank = subsets.shape
-    sub = A[:, subsets].transpose(1, 0, 2)
-    r = b[:, None]
-    # the gufunc broadcasts the one right-hand side over the stack
-    xb = _lstsq(sub, r, np.finfo(float).eps * max(m, rank), signature="ddd->ddid")[0]
-    ok = ((_svdvals(sub, signature="d->d")[:, -1] > 1e-10 * max(smax, 1e-300))
-          & (np.abs(sub @ xb - r).max(axis=(1, 2)) <= tol)
-          & (xb.min(axis=(1, 2)) >= -tol))
-    x = np.zeros((k, n))
-    x[np.arange(k)[:, None], subsets] = xb[:, :, 0]
-    return np.clip(x[ok], 0.0, None)
+    sub = A[systems[:, None], :, subsets].transpose(0, 2, 1)
+    r = b[systems][:, :, None]
+    u, s, vt = _svd(sub, signature="d->ddd")
+    ok = s[:, -1] > 1e-10 * np.maximum(smax[systems], 1e-300)
+    coef = np.divide(u[:, :, :rank].transpose(0, 2, 1) @ r, s[:, :, None],
+                     out=np.zeros((k, rank, 1)), where=ok[:, None, None])
+    xb = vt.transpose(0, 2, 1) @ coef
+    tol = tol[systems]
+    ok &= (np.abs(sub @ xb - r).max(axis=(1, 2)) <= tol) & (xb.min(axis=(1, 2)) >= -tol)
+    x = np.zeros((k, A.shape[2]))
+    x[np.arange(k)[:, None], subsets] = np.clip(xb[:, :, 0], 0.0, None)
+    return x, ok
+
+
+def _feasible_points(A, b):
+    """``_feasible_point`` of every system ``{A_s x = b_s, x >= 0}`` of a
+    ``(k, m, n)`` stack: the points as rows, zero where the mask of found
+    points is False.
+
+    The systems of one rank take their column subsets in
+    ``itertools.combinations`` order, in rounds of one ``_basic_solutions``
+    call: each round gives every system left as many next subsets as fit in
+    ``FACE_SLICE`` rows (at least one), and a system leaves at its first
+    feasible basis.  Every basic solution is what ``_feasible_point`` would
+    compute for it, so the point found is that function's.  No enumeration
+    cap is checked: the caller bounds ``n``.  Call it under
+    ``_lapack_failed``.
+    """
+    k, m, n = A.shape
+    tol, smax, rank = _system_ranks(A, b)
+    points = np.zeros((k, n))
+    found = (rank == 0) & (np.abs(b).max(axis=1, initial=0.0) <= tol)
+    for rho, todo in enumerate(_split_by(rank, min(m, n) + 1)):
+        if rho == 0:
+            continue
+        subsets = np.array(list(itertools.combinations(range(n), rho)))
+        start = 0
+        while todo.size and start < len(subsets):
+            part = subsets[start : start + max(1, FACE_SLICE // todo.size)]
+            hit = np.zeros(todo.size, dtype=bool)
+            # more than one call only when FACE_SLICE systems take one subset each
+            per_call = FACE_SLICE // len(part)
+            for lo in range(0, todo.size, per_call):
+                some = todo[lo : lo + per_call]
+                x, ok = _basic_solutions(A, b, np.tile(part, (some.size, 1)),
+                                         np.repeat(some, len(part)), smax, tol)
+                ok = ok.reshape(some.size, len(part))
+                first = ok.argmax(axis=1)
+                got = ok[np.arange(some.size), first]
+                points[some[got]] = x.reshape(some.size, len(part), n)[got, first[got]]
+                hit[lo : lo + per_call] = got
+            found[todo[hit]] = True
+            todo = todo[~hit]
+            start += len(part)
+    return points, found
 
 
 def enumerate_vertices(inst: QpInstance):
@@ -311,16 +374,6 @@ def _nonnegative(xF: np.ndarray, tol: float) -> np.ndarray:
 
 def _lapack_failed(err, flag):
     raise np.linalg.LinAlgError("LAPACK did not converge in the exact oracle")
-
-
-def _stationary_face_point(AF, rhs, NT_QFF, NT_cF):
-    """Nonnegative point of a singular-Hessian stationary set, if one exists.
-
-    The stationary set of the reduced quadratic is the affine set
-    ``{AF x = rhs, N^T (QFF x + cF) = 0}``; the objective is constant on it,
-    so any nonnegative point certifies the face's candidate value.
-    """
-    return _feasible_point(np.vstack([AF, NT_QFF]), np.concatenate([rhs, -NT_cF]))
 
 
 def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
@@ -359,14 +412,16 @@ def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
 def _group_candidates(Q, c, A, b, idx, free, f, scale, floor, indefinite):
     """``(pattern indices, points)`` pairs of the faces ``idx`` with ``f`` free variables.
 
-    The group shares one stacked least-squares call for the min-norm
-    points and one stacked SVD for the null-space bases; the faces of one
-    null-space dimension then share one stacked eigensolve
-    (``_interior_points``).  Each slice is the matrix the face alone would
-    give LAPACK, so stacking changes no result.  Only a singular face whose
-    min-norm stationary point has a negative entry is solved on its own
-    (``_stationary_face_point``).  Sets ``indefinite`` at the faces whose
-    reduced Hessian has an eigenvalue below ``floor``.
+    The group shares one stacked SVD, which gives both the min-norm points
+    (singular values above ``RANK_TOL`` times the largest) and the
+    null-space bases; the faces of one null-space dimension then share one
+    stacked eigensolve (``_interior_points``).  Each slice is the matrix the
+    face alone would give LAPACK, so stacking changes no result.  The
+    singular faces of one null-space dimension whose min-norm stationary
+    point has a negative entry share one stacked search for a nonnegative
+    point of their stationary sets (``_feasible_points``).  Sets
+    ``indefinite`` at the faces whose reduced Hessian has an eigenvalue
+    below ``floor``.
     """
     m, n = A.shape
     tol_eq = _TOL_EQ * scale
@@ -377,18 +432,18 @@ def _group_candidates(Q, c, A, b, idx, free, f, scale, floor, indefinite):
     r = b[:, None]  # every face has the right-hand side b
     cols = np.nonzero(free)[1].reshape(-1, f)
     AF = A[:, cols].transpose(1, 0, 2).copy()
-    if m:
-        # numpy.linalg.lstsq's default rcond
-        x0 = _lstsq(AF, np.broadcast_to(r, (idx.size, m, 1)), np.finfo(float).eps * max(m, f),
-                    signature="ddd->ddid")[0]
-    else:
-        x0 = np.zeros((idx.size, f, 1))
+    u, s, vt = _svd(AF, signature="d->ddd")
+    kept = s > RANK_TOL * s[:, :1]
+    rank = kept.sum(axis=1)
+    # x0 = V diag(1/s) U^T b over the kept singular values
+    q = s.shape[1]
+    coef = np.divide(u[:, :, :q].transpose(0, 2, 1) @ r, s[:, :, None],
+                     out=np.zeros((idx.size, q, 1)), where=kept[:, :, None])
+    x0 = vt[:, :q].transpose(0, 2, 1) @ coef
     nonempty = np.abs(AF @ x0 - r).max(axis=(1, 2), initial=0.0) <= tol_eq
     if not nonempty.any():
         return []
-    idx, cols, AF, x0 = (v[nonempty] for v in (idx, cols, AF, x0))
-    _, s, vt = _svd(AF, signature="d->ddd")
-    rank = (s > RANK_TOL * s[:, :1]).sum(axis=1)
+    idx, cols, AF, x0, vt, rank = (v[nonempty] for v in (idx, cols, AF, x0, vt, rank))
 
     found = []
 
@@ -409,15 +464,16 @@ def _group_candidates(Q, c, A, b, idx, free, f, scale, floor, indefinite):
         xF, hit, outside, wmin = _interior_points(Q, c, vt[sub, k:], cs, x0[sub], tol_bound)
         keep(faces[hit], cs[hit], xF[hit])
         indefinite[faces[wmin < floor]] = True
-        # the objective is constant on a singular face's stationary set;
-        # look for a nonnegative representative
-        for i in np.flatnonzero(outside):
-            N, F = vt[sub[i], k:].T.copy(), cs[i]
-            alt = _stationary_face_point(
-                AF[sub[i]], b, N.T @ Q[np.ix_(F, F)], N.T @ c[F]
-            )
-            if alt is not None:
-                keep(faces[i : i + 1], cs[i : i + 1], alt[None])
+        if outside.any():
+            # the objective is constant on a singular face's stationary set
+            # {AF x = b, N^T (QFF x + cF) = 0}: look for a nonnegative point
+            NT, F = vt[sub[outside], k:], cs[outside]
+            QFF = Q[F[:, :, None], F[:, None, :]]
+            system = np.concatenate((AF[sub[outside]], NT @ QFF), axis=1)
+            rhs = np.concatenate((np.broadcast_to(b, (F.shape[0], m)),
+                                  -(NT @ c[F][:, :, None])[:, :, 0]), axis=1)
+            alt, hit = _feasible_points(system, rhs)
+            keep(faces[outside][hit], F[hit], alt[hit])
     return found
 
 

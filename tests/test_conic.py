@@ -39,9 +39,14 @@ from qprelax.generators import (
     horn_family,
     random_instance,
 )
-from qprelax.numerics import build_affine_projector, cone_projection_for, nullspace_basis
+from qprelax.numerics import (
+    build_affine_projector,
+    certificate_basis,
+    cone_projection_for,
+    nullspace_basis,
+)
 from qprelax.oracle import enumerate_vertices, global_solve
-from qprelax.report import compare_report
+from qprelax.report import COMPARISON_TOLERANCE, compare_report
 
 from conftest import feasible_samples, make_qp
 
@@ -338,6 +343,47 @@ class TestCertificateSearch:
     def test_bad_mode(self, simplex_convex):
         with pytest.raises(ValueError):
             recession_certificate_search(simplex_convex, DNN, "SIDEWAYS")
+
+    def test_stops_at_the_first_accepted_iterate(self, horn, monkeypatch):
+        # the search grades the first iterate its pre-check accepts, before
+        # the interior-point method converges
+        inst = horn[0]
+        seen, rows = [], []
+        face_ipm = conic._face_ipm
+
+        def recorded(C, G, h, opts, accept):
+            rows.append((C, G, h))
+
+            def logged(S):
+                seen.append((S.copy(), accept(S)))
+                return seen[-1][1]
+
+            return face_ipm(C, G, h, opts, logged)
+
+        monkeypatch.setattr(conic, "_face_ipm", recorded)
+        res = recession_certificate_search(inst, DNN, OBJECTIVE)
+        k = len(seen)
+        assert [ok for _, ok in seen] == [False] * (k - 1) + [True]
+        assert res.status == FOUND and res.iterations == k
+        lp = lift_instance(inst, DNN)
+        basis = certificate_basis(lp)
+        S = seen[-1][0]
+        graded = conic._graded(inst, lp, basis @ S @ basis.T / np.trace(S), OBJECTIVE,
+                               SolveOptions(), res.curvature, k, res.residual)
+        assert graded.status == FOUND and graded.check == res.check
+        assert np.array_equal(graded.certificate.d, res.certificate.d)
+        assert graded.certificate.objective_rate == res.certificate.objective_rate
+        converged = face_ipm(*rows[0], SolveOptions())
+        assert converged.status == "CONVERGED" and converged.iterations > k
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_horn_family_search_stops_within_20_iterations(self, n):
+        # 23 and 27 iterations when the search ran to convergence
+        inst = horn_family(HornFamilyParams(n=n, seed=0))
+        res = recession_certificate_search(inst, DNN, OBJECTIVE)
+        assert res.status == FOUND and 0 < res.iterations <= 20
+        check = verify_certificate(inst, res.certificate)
+        assert check.ok and check.objective_rate < -conic.TOL_CERTIFICATE
 
 
 def _counted(monkeypatch, name):
@@ -987,6 +1033,26 @@ class TestPastTheFaceCap:
     def test_oracle_still_refuses(self):
         with pytest.raises(DeskScaleLimit, match="131072 face patterns exceed"):
             global_solve(self.inst)
+
+
+class TestSchurInverse:
+    """The Schur matrix of the unpinned solves is singular where ``Y_00 = 1``
+    enters as a row pair; its eigh pseudo-inverse keeps the method converging
+    where a plain inverse ends MAX_ITER on every instance below."""
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    def test_odd_cycle_standard_qp(self, n):
+        # min x^T (I + A_G) x over the simplex is 1 / alpha(C_n); its DNN
+        # relaxation is 1 / theta(C_n) = (1 + cos(pi/n)) / (n cos(pi/n))
+        i = np.arange(n)
+        adjacency = np.zeros((n, n))
+        adjacency[i, (i + 1) % n] = adjacency[(i + 1) % n, i] = 1.0
+        inst = make_qp(np.eye(n) + adjacency, np.zeros(n), np.ones((1, n)), [1.0])
+        res = solve_relaxation(inst, DNN)
+        cos = math.cos(math.pi / n)
+        ref = (1.0 + cos) / (n * cos)
+        assert res.status == OPTIMAL and 0 < res.iterations <= 8
+        assert abs(res.value - ref) <= COMPARISON_TOLERANCE * ref
 
 
 class TestOptions:

@@ -318,7 +318,10 @@ def reference_minimize(Q, c, A, b):
             xF = x0 + N @ (V @ t)
             inside = float(xF.min(initial=0.0)) >= -tol_bound
             if not inside and singular.any():
-                alt = oracle._stationary_face_point(AF, b, N.T @ QFF, N.T @ cF)
+                # the objective is constant on the stationary set
+                # {AF x = b, N^T (QFF x + cF) = 0}: its first basic point
+                alt = oracle._feasible_point(np.vstack([AF, N.T @ QFF]),
+                                             np.concatenate([b, -N.T @ cF]))
                 if alt is None:
                     continue
                 xF = alt
@@ -410,18 +413,18 @@ class TestStackedFaceEngine:
         # the objective is flat; on the faces with three or four free
         # variables the min-norm point has a negative entry, so only the
         # singular fallback finds a nonnegative representative
-        calls = []
-        fallback = oracle._stationary_face_point
+        faces = []
+        fallback = oracle._feasible_points
 
-        def counted(*args):
-            calls.append(args)
-            return fallback(*args)
+        def counted(A, b):
+            faces.extend(A)
+            return fallback(A, b)
 
-        monkeypatch.setattr(oracle, "_stationary_face_point", counted)
+        monkeypatch.setattr(oracle, "_feasible_points", counted)
         problem = (np.zeros((4, 4)), np.zeros(4), np.array([[1.0, 1, 1, 1], [3, -1, 0, 0]]),
                    np.array([1.0, -0.5]))
         res = minimize_quad_over_polytope(*problem)
-        assert len(calls) == 2
+        assert len(faces) == 2
         assert res.value == 0.0 and res.status == ORACLE_OPTIMAL
         assert_same_result(res, reference_minimize(*problem))
 
@@ -446,23 +449,24 @@ class TestStackedFaceEngine:
         assert_slices_change_no_bit(monkeypatch, Q, c, A, b)
 
     def test_lapack_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_lstsq", unconverged)
+        monkeypatch.setattr(oracle, "_svd", unconverged)
         with pytest.raises(np.linalg.LinAlgError):
             minimize_quad_over_polytope(np.eye(2), np.zeros(2), np.ones((1, 2)), np.array([1.0]))
 
     @pytest.mark.parametrize("solve", [basic_feasible_points, oracle._feasible_point],
                              ids=["basic_feasible_points", "feasible_point"])
     def test_lapack_failure_raises_in_basic_solutions(self, monkeypatch, solve):
-        monkeypatch.setattr(oracle, "_lstsq", unconverged)
+        monkeypatch.setattr(oracle, "_svd", unconverged)
         with pytest.raises(np.linalg.LinAlgError):
             solve(np.ones((1, 2)), np.array([1.0]))
 
 
-def unconverged(a, *args, signature=None):
-    """What the least-squares gufunc does when LAPACK fails: NaN output and
-    the floating-point invalid flag."""
-    nan = np.divide(np.zeros(a.shape[:-2] + (a.shape[-1], 1)), 0.0)
-    return nan, None, None, None
+def unconverged(a, signature=None):
+    """What the SVD gufunc does when LAPACK fails: NaN outputs and the
+    floating-point invalid flag."""
+    m, n = a.shape[-2:]
+    nan = np.divide(np.zeros(a.shape[:-2] + (1, 1)), 0.0)
+    return nan + np.zeros((m, m)), nan[..., 0] + np.zeros(min(m, n)), nan + np.zeros((n, n))
 
 
 def assert_slices_change_no_bit(monkeypatch, Q, c, A, b):
@@ -528,3 +532,65 @@ class TestIndefiniteSkip:
         # 247 faces were eigensolved before faces containing an indefinite
         # face were skipped
         assert sum(rows) == 102 and res.faces_explored == 256
+
+
+@st.composite
+def degenerate_systems(draw):
+    """A ``(k, m, n)`` stack of systems ``{A x = b, x >= 0}`` with repeated
+    rows and columns, so that ranks differ within the stack and the first
+    feasible basis is often not the first column subset."""
+    k, m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    A = np.array(draw(st.lists(ENTRIES, min_size=k * m * n, max_size=k * m * n)),
+                 dtype=float).reshape(k, m, n)
+    for i in range(k):
+        if n > 1 and draw(st.booleans()):
+            j, l = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            A[i, :, l] = draw(st.sampled_from([A[i, :, j], np.zeros(m), -A[i, :, j]]))
+        if m > 1 and draw(st.booleans()):
+            A[i, -1] = draw(st.sampled_from([A[i, 0], np.zeros(n), 2.0 * A[i, 0]]))
+    b = np.array(draw(st.lists(ENTRIES, min_size=k * m, max_size=k * m))).reshape(k, m)
+    for i in range(k):
+        if draw(st.booleans()):
+            b[i] = A[i] @ np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                                 min_size=n, max_size=n)))
+    return A, b
+
+
+class TestStackedFallback:
+    """The stacked search for nonnegative stationary points of singular faces."""
+
+    @settings(max_examples=300)
+    @given(degenerate_systems())
+    def test_matches_feasible_point_bitwise(self, systems):
+        A, b = systems
+        with np.errstate(call=oracle._lapack_failed, invalid="call"):
+            points, found = oracle._feasible_points(A, b)
+        for i in range(len(A)):
+            ref = oracle._feasible_point(A[i], b[i])
+            assert found[i] == (ref is not None)
+            if ref is not None:
+                assert np.array_equal(points[i], ref)
+
+    def test_small_slices_change_no_point(self, monkeypatch):
+        # only the last of the six column pairs of the rank-2 system is
+        # feasible; at FACE_SLICE = 2 its three copies try one subset per
+        # round, split over two calls, and the rank-1 system takes its
+        # first two subsets in one call
+        A = np.array([[[2.0, 1, -1, 1], [0, 0, -1, 2]]] * 3 + [[[1.0, 1, 1, 1], [2, 2, 2, 2]]])
+        b = np.array([[0.0, 1]] * 3 + [[1.0, 2]])
+        expected = [oracle._feasible_point(a, r) for a, r in zip(A, b)]
+        rows = []
+        basic = oracle._basic_solutions
+
+        def counted(A, b, subsets, *args):
+            rows.append(len(subsets))
+            return basic(A, b, subsets, *args)
+
+        monkeypatch.setattr(oracle, "_basic_solutions", counted)
+        monkeypatch.setattr(oracle, "FACE_SLICE", 2)
+        points, found = oracle._feasible_points(A, b)
+        assert rows == [2] + [2, 1] * 6
+        assert found.all()
+        for x, ref in zip(points, expected):
+            assert np.array_equal(x, ref)
+        assert np.allclose(points, [[0, 0, 1, 1]] * 3 + [[1, 0, 0, 0]])
