@@ -7,7 +7,8 @@ at each, every vertex and then 4 Dirichlet mixtures of the vertices drawn
 with ``numpy.random.default_rng(s)``.  Every anchor is evaluated on the DNN
 cone at ``tol_primal = tol_dual`` = 1e-7, 1e-8 and 1e-9.  For each
 tolerance the JSON output gives the anchors, those the interior-point
-method decided (iterations > 0), their iterations summed, and the MAX_ITER
+method iterated on (iterations > 0; an anchor whose face has order 1 is
+solved exactly and reads 0), their iterations summed, and the MAX_ITER
 anchors by instance name and anchor index (vertices first), followed by
 the wall time.  The exit status is 1 when any anchor ends MAX_ITER at 1e-7
 or 1e-8, 0 otherwise; 1e-9 sits at the method's residual floor on the

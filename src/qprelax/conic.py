@@ -9,8 +9,10 @@ primal-dual interior-point method, ``_face_ipm``: minimize ``<C, S>`` over
 Rendl, Vanderbei & Wolkowicz 1996) with Mehrotra's predictor-corrector
 (1992), whose Schur matrix is inverted by an eigh pseudo-inverse.  It
 stops at the requested tolerances, at an iterate its caller accepts, or
-returns MAX_ITER after ``IPM_ITERATIONS`` iterations.  Three problems run
-it:
+returns MAX_ITER after ``IPM_ITERATIONS`` iterations.  A problem of order
+1 is not iterated: it is the interval LP min ``c s`` over ``s >= 0`` with
+``g_k s >= h_k``, solved exactly with 0 iterations (``_interval_lp``), and
+MAX_ITER where it has no optimum.  Three problems run it:
 
 - the unpinned solve: ``V`` spans null(rows), ``C = V^T qhat V``, the rows
   are the sign rows ``(V S V^T)_ij >= 0`` (every pair ``i < j`` for DNN,
@@ -77,12 +79,19 @@ certificate from the pre-pass keeps its sign rows: it minimizes
 ``(x x^T + N S N^T)_ij >= 0`` for ``i < j``, an ``r x r`` LMI with
 ``r = dim null(A)`` and no equality constraint left.  The diagonal rows
 follow from ``S`` PSD, and a row that is identically zero is dropped
-(``_sign_rows``).  The interior-point method solves it; the result's
+(``_sign_rows``).  Only ``h = -x_i x_j`` depends on the anchor: ``N``,
+``N^T Q N`` and the sign-row stack are built once per instance
+(``_pinned_face``).  The interior-point method solves it; the result's
 ``iterations`` and residuals are its own,
 and its point ``z z^T + [0 0; 0 N S N^T]`` is gated by
 ``validate_lifted_point`` like every OPTIMAL point.  The method's dual
 ``(Z, lam)`` bounds the pinned value below by
-``q(x) - sum_ij lam_ij x_i x_j``, up to its dual residual.
+``q(x) - sum_ij lam_ij x_i x_j``, up to its dual residual.  On a
+polytope that is a segment ``[a, b]`` (``r = 1``) the problem is the
+interval LP in one scalar ``s >= 0``, solved exactly with 0 iterations;
+``N^T Q N < 0`` there makes q concave along the segment, and the value at
+``x = (1 - t) a + t b`` is the chord ``(1 - t) q(a) + t q(b)``, the convex
+envelope of q on it.
 
 The unpinned solves have the same closed form.  Every feasible point of
 either lift has ``X - x x^T = N S N^T`` with ``S`` positive semidefinite, so
@@ -809,8 +818,14 @@ def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
     positive, or an entry grows past ``1 / eps`` (a problem with no optimum
     diverges this way), it returns MAX_ITER with the last iterate it took.
     Nothing here raises.
+
+    A 1 x 1 problem is not iterated: it is the interval LP of
+    ``_interval_lp``, solved exactly with 0 iterations, CONVERGED at its
+    optimum and MAX_ITER where it has none; ``accept`` is not consulted.
     """
     r, p = C.shape[0], h.size
+    if r == 1:
+        return _interval_lp(float(C[0, 0]), G.reshape(p), h)
     S, Z = np.eye(r), np.eye(r)
     w, lam = np.ones(p), np.ones(p)
     Gf = G.reshape(p, r * r)
@@ -840,6 +855,40 @@ def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
         S, Z, w, lam = step
         it += 1
     return _IpmOutcome(status, S, lam, it, res_p, res_d)
+
+
+def _interval_lp(c: float, g: np.ndarray, h: np.ndarray) -> _IpmOutcome:
+    """Minimize ``c s`` over ``s >= 0`` with ``g_k s >= h_k``: ``_face_ipm``
+    at order 1, solved exactly.
+
+    The feasible set is the interval from ``max(0, h_k / g_k)`` over the
+    rows with ``g_k > 0`` to ``min h_k / g_k`` over those with ``g_k < 0``;
+    a row with ``g_k = 0`` holds only when ``h_k <= 0``.  ``s`` is the lower
+    end for ``c >= 0`` and the upper end for ``c < 0``, with status
+    CONVERGED, 0 iterations and zero residuals; the binding row's multiplier
+    is ``c / g_k`` and every other one 0 (all 0 when ``s = 0`` is bound by
+    ``s >= 0`` alone), so ``Z = c - sum_k lam_k g_k >= 0`` and the gap
+    ``c s - h^T lam`` is 0.  An empty interval, or ``c < 0`` with no upper
+    end, has no optimum: it returns MAX_ITER, as the iterated method does,
+    at that method's starting point ``s = 1`` with infinite residuals.
+    """
+    lam = np.zeros(h.size)
+    ratio = np.divide(h, g, out=np.zeros(h.size), where=g != 0.0)
+    low = np.where(g > 0.0, ratio, 0.0)
+    high = np.where(g < 0.0, ratio, math.inf)
+    lower, upper = float(low.max(initial=0.0)), float(high.min(initial=math.inf))
+    if lower > upper or (h[g == 0.0] > 0.0).any() or (c < 0.0 and upper == math.inf):
+        return _IpmOutcome(MAX_ITER, np.ones((1, 1)), lam, 0, math.inf, math.inf)
+    if c < 0.0:
+        k = int(high.argmin())
+    elif c > 0.0 and lower > 0.0:
+        k = int(low.argmax())
+    else:
+        k = None
+    if k is not None:
+        lam[k] = c / g[k]
+    s = upper if c < 0.0 else lower
+    return _IpmOutcome("CONVERGED", np.full((1, 1), s), lam, 0, 0.0, 0.0)
 
 
 def _ipm_step(G, Gf, S, Z, w, lam, rp, Rd):
@@ -1104,6 +1153,22 @@ def _prepass(inst: QpInstance, cone: str, opts: SolveOptions) -> CertificateSear
     return recession_certificate_search(inst, cone, OBJECTIVE, opts)
 
 
+@lru_cache(maxsize=1)
+def _pinned_face(inst: QpInstance):
+    """The anchor-free data of the pinned DNN solve: ``N``, ``N^T Q N``, and
+    the sign-row stack with its pairs (``_sign_stack``), as read-only arrays.
+
+    Only ``h = -x_i x_j`` depends on the anchor.  The face of the last
+    instance (matched by identity) is kept and reused while consecutive
+    pinned solves share it.
+    """
+    N = nullspace_basis(inst.A)
+    face = (N, N.T @ inst.Q @ N, *_sign_stack(N))
+    for a in face:
+        a.flags.writeable = False
+    return face
+
+
 def _convex_qp(inst: QpInstance, x: np.ndarray):
     """Minimize q over the polyhedron from the basic feasible point ``x``.
 
@@ -1232,6 +1297,18 @@ def solve_relaxation(
                       out.iterations)
 
 
+def _sign_stack(N: np.ndarray, cone: str = DNN):
+    """The stack ``G`` of the sign rows of ``_sign_rows`` and the pairs
+    ``(i, j)`` of its rows, whose ``h_k`` is ``-x_i x_j``."""
+    i, j = np.triu_indices(N.shape[0], k=1)
+    if cone == PSD0:
+        i, j = i[i == 0], j[i == 0]
+    G = N[i, :, None] * N[j, None, :]
+    G = 0.5 * (G + G.transpose(0, 2, 1))
+    rows = np.abs(G).max(axis=(1, 2), initial=0.0) > RANK_TOL
+    return G[rows], i[rows], j[rows]
+
+
 def _sign_rows(N: np.ndarray, x: np.ndarray, cone: str = DNN):
     """The sign rows ``(x x^T + N S N^T)_ij >= 0`` of the cone as
     ``<G_k, S> >= h_k``: the stack ``G`` and the vector ``h``.
@@ -1241,13 +1318,8 @@ def _sign_rows(N: np.ndarray, x: np.ndarray, cone: str = DNN):
     zero (to ``RANK_TOL``; a variable that is zero on the whole polyhedron
     has a zero row in ``N``) reads ``0 >= -x_i x_j`` and is dropped.
     """
-    i, j = np.triu_indices(N.shape[0], k=1)
-    if cone == PSD0:
-        i, j = i[i == 0], j[i == 0]
-    G = N[i, :, None] * N[j, None, :]
-    G = 0.5 * (G + G.transpose(0, 2, 1))
-    rows = np.abs(G).max(axis=(1, 2), initial=0.0) > RANK_TOL
-    return G[rows], -(x[i] * x[j])[rows]
+    G, i, j = _sign_stack(N, cone)
+    return G, -(x[i] * x[j])
 
 
 def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> RelaxationResult:
@@ -1271,8 +1343,8 @@ def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> Relaxat
         # minus infinity along S = t u u^T, but the certificate that says so
         # failed verification
         return RelaxationResult(MAX_ITER, -math.inf, None, math.inf, math.inf, 0)
-    N = nullspace_basis(inst.A)
-    out = _face_ipm(N.T @ inst.Q @ N, *_sign_rows(N, x), opts)
+    N, C, G, i, j = _pinned_face(inst)
+    out = _face_ipm(C, G, -(x[i] * x[j]), opts)
     y[1:, 1:] += N @ out.S @ N.T
     if out.status == MAX_ITER:
         return _unfinished(lp, y, out.residual_primal, out.residual_dual, out.iterations)
@@ -1295,8 +1367,9 @@ def evaluate_underestimator(
     on null(A), up to the pre-pass's scaled curvature tolerance, the
     underestimator is q itself: the value is ``q(x)`` at the point
     ``z z^T``, returned with 0 iterations.  Elsewhere a DNN value comes from
-    the interior-point method on ``S``, whose iterations the result counts,
-    and a PSD0 value is minus infinity (see the module docstring).
+    the interior-point method on ``S``, whose iterations the result counts
+    (0 where ``S`` is a scalar, solved exactly), and a PSD0 value is minus
+    infinity (see the module docstring).
     """
     opts = opts or SolveOptions()
     return _pinned_solve(inst, cone, x, opts)

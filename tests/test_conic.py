@@ -168,11 +168,16 @@ class TestUnderestimator:
 
 @pytest.fixture
 def fresh_prepass():
-    """An empty pre-pass memo, emptied again at teardown so that no search
-    a test faked stays cached for the next one."""
-    conic._prepass.cache_clear()
+    """Empty pre-pass and pinned-face memos, emptied again at teardown so
+    that nothing a test faked stays cached for the next one."""
+    _clear_memos()
     yield
+    _clear_memos()
+
+
+def _clear_memos():
     conic._prepass.cache_clear()
+    conic._pinned_face.cache_clear()
 
 
 @pytest.fixture
@@ -199,7 +204,7 @@ class TestPinnedPrepassReuse:
     def test_repeated_calls_search_once(self, searches):
         results = [evaluate_underestimator(self.inst, PSD0, x) for x in self.points()]
         assert len(searches) == 1
-        conic._prepass.cache_clear()
+        _clear_memos()
         fresh = evaluate_underestimator(self.inst, PSD0, self.points()[0])
         assert len(searches) == 2
         for res in results:
@@ -271,6 +276,68 @@ class TestPinnedPrepassReuse:
         assert len(rows) == 11
         assert all(row.status == UNBOUNDED for row in rows)
         assert len(searches) == 1
+
+
+class TestPinnedFaceReuse:
+    """The pinned DNN face (``N``, ``N^T Q N`` and the sign-row stack) is
+    built once per instance; only ``h = -x_i x_j`` is built per anchor."""
+
+    # bounded, and Q fails curvature on null(A): DNN anchors reach the solve
+    inst = TestPinnedPrepassReuse.inst
+
+    @pytest.fixture
+    def faces(self, monkeypatch, fresh_prepass):
+        """Instances whose face was built, from empty memos."""
+        built = []
+        basis = conic.nullspace_basis
+
+        def counted(a):
+            built.append(a)
+            return basis(a)
+
+        monkeypatch.setattr(conic, "nullspace_basis", counted)
+        return built
+
+    def points(self, count=4):
+        return feasible_samples(self.inst, count, seed=5)
+
+    def test_repeated_anchors_build_the_face_once(self, faces):
+        results = [evaluate_underestimator(self.inst, DNN, x) for x in self.points()]
+        assert all(res.status == OPTIMAL and res.iterations > 0 for res in results)
+        assert len(faces) == 1
+
+    def test_instance_change_builds_again(self, faces):
+        x = self.points()[0]
+        inst = self.inst
+        twin = make_qp(inst.Q, inst.c, inst.A, inst.b, inst.name)
+        for target in (inst, twin, twin, inst):
+            evaluate_underestimator(target, DNN, x)
+        assert len(faces) == 3
+
+    def test_cleared_memo_gives_bitwise_equal_results(self, faces):
+        cached = [evaluate_underestimator(self.inst, DNN, x) for x in self.points()]
+        for x, res in zip(self.points(), cached):
+            _clear_memos()
+            fresh = evaluate_underestimator(self.inst, DNN, x)
+            assert fresh.status == res.status and fresh.value == res.value
+            assert fresh.iterations == res.iterations
+            assert np.array_equal(fresh.point.y, res.point.y)
+        assert len(faces) == 1 + len(cached)
+
+    def test_face_is_read_only(self, faces):
+        evaluate_underestimator(self.inst, DNN, self.points()[0])
+        assert not any(a.flags.writeable for a in conic._pinned_face(self.inst))
+
+    def test_other_paths_build_no_face(self, fresh_prepass):
+        # PSD0 and the closed forms never reach the pinned solve, and an
+        # unpinned solve builds its own face
+        convex = TestPinnedClosedForm.convex
+        for x in feasible_samples(convex, 2, seed=1):
+            for cone in (DNN, PSD0):
+                assert evaluate_underestimator(convex, cone, x).iterations == 0
+        evaluate_underestimator(self.inst, PSD0, self.points()[0])
+        solve_relaxation(self.inst, DNN)
+        assert conic._pinned_face.cache_info().misses == 0
 
 
 class TestCertificateSearch:
@@ -626,20 +693,28 @@ class TestPinnedInteriorPoint:
     ])
     def test_matches_the_loop(self, inst, x, looped, loops):
         res = evaluate_underestimator(inst, DNN, np.array(x, dtype=float), TIGHT)
-        assert res.status == OPTIMAL and res.iterations > 0
+        # implicit-zero's face has order 1, which is solved without iterating
+        iterated = nullspace_basis(inst.A).shape[1] > 1
+        assert res.status == OPTIMAL and (res.iterations > 0) == iterated
         assert res.validation.ok
         assert abs(res.value - looped) <= 1e-7 * (1.0 + abs(looped))
         assert loops == []
 
     def test_criterion_9_anchors_converge_within_8_iterations(self, ipms):
         # criterion 9's first 12 anchors at each bounded member, where Q
-        # fails the curvature condition: each runs the interior-point method
-        # and takes 6 to 8 iterations at the pinned-batch tolerance
+        # fails the curvature condition: each runs the interior-point method,
+        # which takes 6 to 8 iterations at the pinned-batch tolerance on the
+        # two members of order 2 and solves the member of order 1 exactly
         opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
         for inst in TestPinnedClosedForm.members[:3]:
+            order = nullspace_basis(inst.A).shape[1]
             for x in feasible_samples(inst, 12, seed=77):
                 res = evaluate_underestimator(inst, DNN, x, opts)
-                assert res.status == OPTIMAL and 0 < res.iterations <= 8, inst.name
+                assert res.status == OPTIMAL, inst.name
+                if order == 1:
+                    assert res.iterations == 0, inst.name
+                else:
+                    assert 0 < res.iterations <= 8, inst.name
         assert len(ipms) == 36
 
     def test_dual_bound_closes_the_gap(self):
@@ -692,16 +767,29 @@ class TestPinnedInteriorPoint:
         assert G.shape == (1, 1, 1) and abs(G[0, 0, 0] + 0.5) <= 1e-12
         assert h == pytest.approx([-0.25])
 
-    def test_dual_infeasible_anchor_stops_within_the_cap(self, loops):
-        # the pre-pass reads NONE (rate -5e-8 is above TOL_CERTIFICATE), but
-        # <C, S> falls without bound along S = t: the pinned problem has no
-        # optimum, and its iterates diverge
-        inst = make_qp(np.diag([-1e-7, 0.0]), [0, 0], [[1, -1]], [0])
+    @staticmethod
+    def _dual_infeasible(inst, x):
+        # the pre-pass reads NONE (rates of order -1e-7 are above
+        # TOL_CERTIFICATE), but <C, S> falls without bound along a ray of
+        # PSD S: the pinned problem has no optimum
         assert recession_certificate_search(inst, DNN).status == NONE
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = evaluate_underestimator(inst, DNN, np.array([1.0, 1.0]))
+            res = evaluate_underestimator(inst, DNN, np.array(x))
         assert res.status == MAX_ITER
+        return res
+
+    def test_dual_infeasible_anchor_stops_within_the_cap(self, loops):
+        # a face of order 1: the interval s >= 0 has no upper end, which the
+        # exact solve reads without iterating
+        inst = make_qp(np.diag([-1e-7, 0.0]), [0, 0], [[1, -1]], [0])
+        assert self._dual_infeasible(inst, [1.0, 1.0]).iterations == 0
+        assert loops == []
+
+    def test_dual_infeasible_anchor_diverges_within_the_cap(self, loops):
+        # a face of order 2, where the iterates diverge along S = t d d^T
+        inst = make_qp(np.diag([-1e-7, 0.0, 0.0]), [0, 0, 0], [[1, -1, -1]], [0])
+        res = self._dual_infeasible(inst, [2.0, 1.0, 1.0])
         assert 0 < res.iterations <= conic.IPM_ITERATIONS
         assert loops == []
 
@@ -719,6 +807,111 @@ class TestPinnedInteriorPoint:
         assert res.status == MAX_ITER and res.iterations == 0
         assert res.value == -math.inf and res.point is None
         assert loops == []
+
+
+#: Anchor parameters of the segment test: the ends, points 1e-9 from
+#: them, and interior points.
+SEGMENT_POINTS = (0.0, 1e-9, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-9, 1.0)
+
+
+class TestSegmentEnvelope:
+    """On a polytope that is a segment ``[a, b]`` the pinned DNN value is
+    the convex envelope of q there: the chord where q is concave along the
+    segment, solved exactly on the face of order 1, and q where it is
+    convex, by the closed form."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_value_is_the_envelope(self, n, ipms):
+        concave = 0
+        for seed in range(10):
+            inst = random_instance(BOUNDED, n, n - 1, seed)
+            a, b = enumerate_vertices(inst)
+            qa, qb = evaluate_objective(inst, a), evaluate_objective(inst, b)
+            bends = float((b - a) @ inst.Q @ (b - a)) < 0.0
+            concave += bends
+            for t in SEGMENT_POINTS:
+                x = (1.0 - t) * a + t * b
+                res = evaluate_underestimator(inst, DNN, x)
+                envelope = (1.0 - t) * qa + t * qb if bends else evaluate_objective(inst, x)
+                assert res.status == OPTIMAL and res.iterations == 0, (inst.name, t)
+                assert abs(res.value - envelope) <= 1e-12 * abs(envelope), (inst.name, t)
+        assert 0 < concave < 10 and len(ipms) == concave * len(SEGMENT_POINTS)
+
+
+def _brute_interval_lp(c, g, h):
+    """``(s, value)`` of min ``c s`` over ``s >= 0``, ``g s >= h`` from every
+    candidate end, None when empty, ``-inf`` value when unbounded below."""
+    ends = [0.0] + [hk / gk for gk, hk in zip(g, h) if gk != 0.0]
+    feasible = [s for s in ends if s >= 0.0 and np.all(g * s >= h - 1e-12 * (1.0 + abs(h)))]
+    if not feasible:
+        return None
+    far = max(ends) + 1.0
+    if c < 0.0 and np.all(g * far >= h):
+        return far, -math.inf
+    best = min(feasible, key=lambda s: c * s)
+    return best, c * best
+
+
+class TestIntervalLp:
+    """``_face_ipm`` at order 1: the interval LP min ``c s`` over ``s >= 0``
+    with ``g_k s >= h_k``, solved exactly with 0 iterations."""
+
+    @staticmethod
+    def solve(c, g, h):
+        g, h = np.asarray(g, dtype=float), np.asarray(h, dtype=float)
+        return conic._face_ipm(np.array([[c]], dtype=float), g.reshape(-1, 1, 1), h,
+                               SolveOptions(max_iterations=1))
+
+    @staticmethod
+    def assert_optimal(out, c, g, h, value):
+        g, h = np.asarray(g, dtype=float), np.asarray(h, dtype=float)
+        s = float(out.S[0, 0])
+        assert out.status == "CONVERGED" and out.iterations == 0
+        assert out.residual_primal == out.residual_dual == 0.0
+        assert s >= 0.0 and np.all(g * s >= h - 1e-12 * (1.0 + np.abs(h)))
+        assert abs(c * s - value) <= 1e-12 * (1.0 + abs(value))
+        assert out.lam.shape == h.shape and out.lam.min(initial=0.0) >= 0.0
+        assert np.count_nonzero(out.lam) <= 1
+        assert c - out.lam @ g >= -1e-12 * (1.0 + abs(c))
+        assert abs(c * s - h @ out.lam) <= 1e-12 * (1.0 + abs(value))
+
+    @pytest.mark.parametrize("c, g, h, s", [
+        pytest.param(2.0, [1.0, -1.0], [0.5, -3.0], 0.5, id="lower-row"),
+        pytest.param(-2.0, [1.0, -1.0], [0.5, -3.0], 3.0, id="upper-row"),
+        pytest.param(2.0, [1.0], [-1.0], 0.0, id="lower-zero"),
+        pytest.param(0.0, [2.0, -1.0], [1.0, -3.0], 0.5, id="zero-cost"),
+        pytest.param(-1.0, [0.0, -2.0], [-1.0, -4.0], 2.0, id="zero-row-holds"),
+        pytest.param(1.0, [], [], 0.0, id="no-rows"),
+    ])
+    def test_optimum(self, c, g, h, s):
+        out = self.solve(c, g, h)
+        assert out.S[0, 0] == s
+        self.assert_optimal(out, c, g, h, c * s)
+
+    @pytest.mark.parametrize("c, g, h", [
+        pytest.param(1.0, [1.0, -1.0], [2.0, -1.0], id="empty"),
+        pytest.param(1.0, [-1.0], [1.0], id="below-zero"),
+        pytest.param(1.0, [0.0, 1.0], [1e-300, 1.0], id="zero-row-fails"),
+        pytest.param(-1.0, [1.0], [1.0], id="unbounded-ray"),
+        pytest.param(-1.0, [], [], id="no-rows-unbounded"),
+    ])
+    def test_no_optimum_is_max_iter(self, c, g, h):
+        out = self.solve(c, g, h)
+        assert out.status == MAX_ITER and out.iterations == 0
+        assert out.residual_primal == out.residual_dual == math.inf
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @given(st.integers(-3, 3), st.lists(st.tuples(st.integers(-3, 3), st.integers(-6, 6)),
+                                        max_size=6))
+    def test_matches_brute_force(self, c, rows):
+        g = np.array([gk for gk, _ in rows], dtype=float)
+        h = np.array([hk for _, hk in rows], dtype=float)
+        out = self.solve(float(c), g, h)
+        brute = _brute_interval_lp(float(c), g, h)
+        if brute is None or brute[1] == -math.inf:
+            assert out.status == MAX_ITER and out.iterations == 0
+        else:
+            self.assert_optimal(out, float(c), g, h, brute[1])
 
 
 #: x1 = x2 >= 0 with objective -2 x1: q is unbounded along d = (1, 1),

@@ -112,7 +112,8 @@ class TestCompareReport:
 
     # each budget is below the interior-point iterations the instance needs
     # (6 for horn's search, 11 and 8 for the solves; the ray's search stops
-    # at its first iterate, which a budget of 1 leaves unchecked)
+    # at its first iterate, which a budget of 1 leaves unchecked, on a face
+    # of order 2: one of order 1 is solved exactly, whatever the budget)
     @pytest.mark.parametrize(
         "inst, max_iterations, names",
         [
@@ -122,8 +123,8 @@ class TestCompareReport:
              (LOWER_BOUND, "curvature condition makes relaxations exact")),
             (random_instance(BOUNDED, 3, 1, 4), 4,
              (LOWER_BOUND, "bounded feasible set keeps the bound finite", BORDER_TRIVIAL)),
-            # x1 = x2 >= 0 with objective -x1^2: a negative-curvature ray
-            (make_qp(np.diag([-1.0, 0.0]), [0, 0], [[1, -1]], [0]), 1,
+            # x1 = x2 >= 0, x3 >= 0 with objective -x1^2: a negative-curvature ray
+            (make_qp(np.diag([-1.0, 0.0, 0.0]), [0, 0, 0], [[1, -1, 0]], [0]), 1,
              (BORDER_TRIVIAL, "negative recession curvature collapses the bound")),
         ],
         ids=["horn", "exact", "bounded", "negative-ray"],
