@@ -38,7 +38,6 @@ from .numerics import (
     AffineProjector,
     FaceProjector,
     build_affine_projector,
-    certificate_basis,
     nullspace_basis,
     project_cone,
 )

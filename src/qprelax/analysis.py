@@ -16,10 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import SolveOptions, evaluate_underestimator
-from .core import TOL_CURVATURE, QpInstance, evaluate_objective, is_feasible, lift_instance
+from .conic import SolveOptions, _face, evaluate_underestimator
+from .core import TOL_CURVATURE, QpInstance, curvature_tolerance, evaluate_objective, is_feasible
 from .errors import PointInfeasible
-from .numerics import certificate_basis
 from .oracle import RecessionReport, minimize_quad_over_polytope, recession_analysis
 
 
@@ -48,22 +47,20 @@ class CopositivityCheck:
 def check_psd_on_nullspace(inst: QpInstance) -> NullspaceCurvatureReport:
     """Decide whether Q is positive semidefinite on null(A).
 
-    ``B^T qhat B`` is eigendecomposed over the basis ``B`` of
-    ``certificate_basis``, whose rows past the 0th span null(A), exactly as
-    ``conic.recession_certificate_search`` does, so both read the same
-    curvature; failure produces the most negative direction in the original
-    coordinates.  Eigenvalues are compared at ``TOL_CURVATURE * max(1, |Q|_max)``.
+    Reads the least eigenpair ``(lambda, v)`` of ``N^T Q N`` from the
+    instance's face (``conic._face``), which the certificate searches and
+    the closed forms read too, so all of them see the same curvature.  The
+    condition holds when ``lambda >= -core.curvature_tolerance(Q)``; failure
+    produces the most negative direction ``N v`` in the original
+    coordinates, scaled to unit max-norm.
     """
-    lp = lift_instance(inst)
-    basis = certificate_basis(lp)
-    qscale = max(1.0, float(np.abs(inst.Q).max()))
-    if basis.shape[1] == 0:
+    face = _face(inst)
+    if face.v is None:
         return NullspaceCurvatureReport(True, None, math.inf, TOL_CURVATURE)
-    values, vectors = np.linalg.eigh(basis.T @ lp.qhat @ basis)
-    holds = values[0] >= -TOL_CURVATURE * qscale
-    u = basis[1:] @ vectors[:, 0]
+    holds = face.curvature >= -curvature_tolerance(inst.Q)
+    u = face.N @ face.v
     witness = None if holds else u / float(np.abs(u).max())
-    return NullspaceCurvatureReport(bool(holds), witness, float(values[0]), TOL_CURVATURE)
+    return NullspaceCurvatureReport(bool(holds), witness, face.curvature, TOL_CURVATURE)
 
 
 def analyze_recession_cone(inst: QpInstance) -> RecessionReport:

@@ -19,7 +19,8 @@ MAX_ITER where it has no optimum.  Three problems run it:
   the pairs ``(0, j)`` for PSD0), and ``Y_00 = 1`` is the row pair
   ``<v0 v0^T, S> >= 1``, ``<-v0 v0^T, S> >= -1``;
 - the pinned DNN solve (below);
-- the DNN OBJECTIVE certificate search (below).
+- the DNN OBJECTIVE certificate search, the pinned DNN problem at
+  ``x = 0`` with ``tr S <= 1`` (below).
 
 The consensus splitting loop ``_consensus`` (with its Anderson
 acceleration, adaptive penalty and active-face polisher ``_Polisher``) is
@@ -27,69 +28,70 @@ still defined here with its constants, but nothing calls it: the tracer
 under ``perfbench/`` wraps ``_consensus`` and ``_Polisher.attempt`` by
 name, and its kernel baseline calls only the ``numerics`` projections.
 
+Both the pinned solves and the certificate search live on one face per
+instance, ``_face``: the orthonormal basis ``N`` of null(A), ``C = N^T Q N``
+with its least eigenpair, and the DNN sign-row stack, built the first time
+a DNN solve reads it.  For a feasible anchor ``x`` and ``z = [1; x]``, the
+pinned feasible set of both lifts is
+``{z z^T + [0 0; 0 N S N^T] : S positive semidefinite}`` intersected with
+the cone (``X - x x^T`` is positive semidefinite with columns in null(A)),
+and on it the objective is ``q(x) + <C, S>``.  DNN adds the sign rows
+``(x x^T + N S N^T)_ij >= 0`` for ``i < j`` (``_sign_stack``), as
+``<G_k, S> >= h_k`` with ``h_k = -x_i x_j``: only ``h`` depends on the
+anchor.  The diagonal rows follow from ``S`` PSD, and a row that is
+identically zero is dropped.  The least eigenvalue of ``C`` is the
+curvature of Q on null(A), which decides the closed forms below.
+
 Unboundedness is decided by a certificate pre-pass, the OBJECTIVE
 certificate search, rather than by watching the objective diverge: a
 nonzero cone matrix with zero corner, zero constraint value, and negative
 objective rate is an independently checkable proof that the relaxation
-value is minus infinity.  Every such matrix is
-``B S B^T`` with ``S`` positive semidefinite, where ``B`` spans null(A) in
-the trailing coordinates, so for PSD0 the minimum rate is the least
-eigenvalue of ``B^T qhat B``: PSD0 is unbounded exactly when Q fails the
-curvature condition on null(A) (Burer, Math. Prog. 2009), and its search
-is one eigendecomposition with no loop.  DNN certificates are a subset, so
-the same eigenvalue screens the DNN search, and so does the exact test for
-a recession direction ``d >= 0``, ``A d = 0``, ``d != 0`` of the
+value is minus infinity.  Every such matrix is ``B S B^T`` with ``S``
+positive semidefinite and ``B = [0; N]``: pinning the 0th row does not
+change the recession cone, and the search is the pinned face at ``x = 0``
+with ``tr S <= 1``.  For PSD0 the least rate is therefore the least
+eigenvalue of ``C``: PSD0 is unbounded exactly when Q fails the curvature
+condition on null(A) (Burer, Math. Prog. 2009), and its search is that
+eigenpair, with no loop.  DNN certificates are a subset, so the same
+eigenvalue screens the DNN search, and so does the exact test for a
+recession direction ``d >= 0``, ``A d = 0``, ``d != 0`` of the
 polyhedron, without which the DNN certificate set is empty.  Given one,
 ``[0; d] [0; d]^T / |d|^2`` is a DNN certificate, so a feasibility search
 needs no solve.  A DNN objective search that neither screen settles runs
-the interior-point method with ``C = B^T qhat B``, the sign rows
-``(B S B^T)_ij >= 0`` and ``tr S <= 1`` as the row ``<-I, S> >= -1``.  The
-rate is linear in ``S``, so that minimum is exactly the least unit-trace
-rate when it is negative, and 0 otherwise.  The search needs one
-certificate, not the least rate: it stops at the first iterate whose
-candidate ``B S B^T / tr S`` has no entry below minus the verification
-tolerance and a rate below the threshold, and grades that candidate, so
-a FOUND rate is in general above the least one.  The other checks of
-the grading hold to rounding for every positive definite ``S``.  Where no
-iterate is accepted, a rate below the threshold puts every optimum at
-trace 1, so a converged ``S`` of trace below 1/2 reads NONE without
-dividing by its trace; any other is graded as the candidate
-``B S B^T / tr S``.  The search keeps the least eigenvalue of
-``B^T qhat B``, the curvature of Q on null(A), which also decides the
-closed forms below.
-Pinning the 0th row does not change the recession cone, so the plain and
-the pinned solves share one pre-pass, kept and reused across consecutive
-calls with the same instance, cone and options.
+the interior-point method on ``C`` with the sign rows at ``h = 0`` and
+``tr S <= 1`` as the row ``<-I, S> >= -1``.  The rate is linear in ``S``,
+so that minimum is exactly the least unit-trace rate when it is negative,
+and 0 otherwise.  The search needs one certificate, not the least rate:
+it stops at the first iterate whose candidate ``B S B^T / tr S`` has no
+entry below minus the verification tolerance and a rate below the
+threshold, and grades that candidate, so a FOUND rate is in general above
+the least one.  The other checks of the grading hold to rounding for
+every positive definite ``S``.  Where no iterate is accepted, a rate below
+the threshold puts every optimum at trace 1, so a converged ``S`` of trace
+below 1/2 reads NONE without dividing by its trace; any other is graded as
+the candidate ``B S B^T / tr S``.  The plain and the pinned solves share
+one pre-pass, kept and reused across consecutive calls with the same
+instance, cone and options.
 
-For a feasible anchor ``x`` and ``z = [1; x]``, the pinned feasible set of
-both lifts is ``{z z^T + [0 0; 0 N S N^T] : S positive semidefinite}``
-intersected with
-the cone, where ``N`` is the orthonormal basis of null(A) (``X - x x^T`` is
-positive semidefinite with columns in null(A)), and on it the objective is
-``q(x) + <N^T Q N, S>``.  When the least eigenvalue of ``N^T Q N`` is at
-or above ``-TOL_CURVATURE * max(1, |Q|_max)``, the pinned value of both
-cones is ``q(x)``, attained at ``z z^T``, which lies in both cones; it is
-returned with 0 iterations.  Below that threshold PSD0's value is minus
-infinity, along ``S = t u u^T`` for the least eigenvector ``u``: its
-pre-pass certificate says so, and where that certificate fails
-verification the solve returns MAX_ITER with 0 iterations, since the
-value has no checked proof.  A DNN anchor below the threshold with no DNN
-certificate from the pre-pass keeps its sign rows: it minimizes
-``<N^T Q N, S>`` over ``S`` positive semidefinite with
-``(x x^T + N S N^T)_ij >= 0`` for ``i < j``, an ``r x r`` LMI with
-``r = dim null(A)`` and no equality constraint left.  The diagonal rows
-follow from ``S`` PSD, and a row that is identically zero is dropped
-(``_sign_rows``).  Only ``h = -x_i x_j`` depends on the anchor: ``N``,
-``N^T Q N`` and the sign-row stack are built once per instance
-(``_pinned_face``).  The interior-point method solves it; the result's
-``iterations`` and residuals are its own,
+When the least eigenvalue of ``C`` is at or above
+``-core.curvature_tolerance(Q)``, the pinned value of both cones is
+``q(x)``, attained at ``z z^T``, which lies in both cones; it is returned
+with 0 iterations.  Below that threshold PSD0's value is minus infinity,
+along ``S = t u u^T`` for the least eigenvector ``u``: its pre-pass
+certificate says so, and where that certificate fails verification the
+solve returns MAX_ITER with 0 iterations, since the value has no checked
+proof.  A DNN anchor below the threshold with no DNN certificate from the
+pre-pass keeps its sign rows: it minimizes ``<C, S>`` over ``S`` positive
+semidefinite with the sign rows at ``h = -x_i x_j``, an ``r x r`` LMI with
+``r = dim null(A)`` and no equality constraint left.  The interior-point
+method solves it; the result's ``iterations`` and residuals are its own,
 and its point ``z z^T + [0 0; 0 N S N^T]`` is gated by
 ``validate_lifted_point`` like every OPTIMAL point.  The method's dual
 ``(Z, lam)`` bounds the pinned value below by
 ``q(x) - sum_ij lam_ij x_i x_j``, up to its dual residual.  On a
 polytope that is a segment ``[a, b]`` (``r = 1``) the problem is the
 interval LP in one scalar ``s >= 0``, solved exactly with 0 iterations;
-``N^T Q N < 0`` there makes q concave along the segment, and the value at
+``C < 0`` there makes q concave along the segment, and the value at
 ``x = (1 - t) a + t b`` is the chord ``(1 - t) q(a) + t q(b)``, the convex
 envelope of q on it.
 
@@ -119,7 +121,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -130,7 +132,6 @@ from .core import (
     DNN,
     FEAS_TOL,
     PSD0,
-    TOL_CURVATURE,
     LiftedPoint,
     LiftedProblem,
     QpInstance,
@@ -138,6 +139,7 @@ from .core import (
     _eigvalsh,
     _frozen_array,
     cone_violation,
+    curvature_tolerance,
     feasibility_residual,
     lift_instance,
     validate_lifted_point,
@@ -147,7 +149,6 @@ from .numerics import (
     RANK_TOL,
     FaceProjector,
     _eigh,
-    certificate_basis,
     nullspace_basis,
 )
 from .oracle import (
@@ -173,9 +174,8 @@ NONE = "NONE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 #: An OBJECTIVE search reports FOUND only for rates below ``-TOL_CERTIFICATE``
-#: (DNN), or below ``-TOL_CURVATURE * max(1, |Q|_max)`` (PSD0, whose rate is
-#: an exact eigenvalue; ``core.TOL_CURVATURE``, the tolerance of
-#: ``analysis.check_psd_on_nullspace``).
+#: (DNN), or below ``-core.curvature_tolerance(Q)`` (PSD0, whose rate is an
+#: exact eigenvalue; the tolerance of ``analysis.check_psd_on_nullspace``).
 TOL_CERTIFICATE = 1e-6
 
 #: Working-set changes a closed-form convex solve may make before it gives
@@ -980,6 +980,58 @@ def verify_certificate(
     )
 
 
+class _Face:
+    """The face null(A) of one instance, which the curvature check, both
+    cones' certificate searches and the pinned solves read.
+
+    ``N`` is the orthonormal basis of null(A) and ``C = N^T Q N``;
+    ``curvature`` is the least eigenvalue of ``C``, the curvature of Q on
+    null(A), and ``v`` its eigenvector (``+inf`` and None when null(A) is
+    ``{0}``).  ``signs`` is the DNN sign-row stack of ``N`` (``_sign_stack``),
+    built the first time a DNN solve reads it.  All arrays are read-only.
+    ``_face`` keeps the face of the last instance (matched by identity) and
+    reuses it while consecutive calls share that instance.
+    """
+
+    def __init__(self, inst: QpInstance):
+        N = nullspace_basis(inst.A)
+        self.N, self.C, self.curvature, self.v = N, N.T @ inst.Q @ N, math.inf, None
+        if N.shape[1]:
+            values, vectors = np.linalg.eigh(self.C)
+            self.curvature, self.v = float(values[0]), vectors[:, 0]
+            self.v.flags.writeable = False
+        N.flags.writeable = self.C.flags.writeable = False
+
+    @cached_property
+    def signs(self):
+        stack = _sign_stack(self.N)
+        for a in stack:
+            a.flags.writeable = False
+        return stack
+
+
+_face = lru_cache(maxsize=1)(_Face)
+
+
+def _sign_stack(N: np.ndarray, cone: str = DNN):
+    """The sign rows ``(x x^T + N S N^T)_ij >= 0`` of the cone as
+    ``<G_k, S> >= h_k`` with ``h_k = -x_i x_j``: the stack ``G`` and the
+    pairs ``(i, j)`` of its rows.
+
+    DNN has a row for every pair ``i < j``, PSD0 for the pairs ``(0, j)``
+    only.  The diagonal rows follow from ``S`` PSD.  A row whose ``G`` is
+    zero (to ``RANK_TOL``; a variable that is zero on the whole polyhedron
+    has a zero row in ``N``) reads ``0 >= -x_i x_j`` and is dropped.
+    """
+    i, j = np.triu_indices(N.shape[0], k=1)
+    if cone == PSD0:
+        i, j = i[i == 0], j[i == 0]
+    G = N[i, :, None] * N[j, None, :]
+    G = 0.5 * (G + G.transpose(0, 2, 1))
+    rows = np.abs(G).max(axis=(1, 2), initial=0.0) > RANK_TOL
+    return G[rows], i[rows], j[rows]
+
+
 def _recession_direction(inst: QpInstance) -> Optional[np.ndarray]:
     """The first basic point of ``{A d = 0, e^T d = 1, d >= 0}``, or None."""
     cut = _recession_slice(inst.A)
@@ -995,21 +1047,22 @@ def recession_certificate_search(
     """Search the recession cone of the lifted feasible set.
 
     Candidates are ``B S B^T`` with ``S`` positive semidefinite of unit
-    trace, over the orthonormal basis ``B`` of ``certificate_basis``.
-    OBJECTIVE mode takes the least eigenpair of ``B^T qhat B`` and keeps the
-    eigenvalue, the curvature of Q on null(A), as ``curvature``.  It is the
-    least PSD0 rate and a lower bound on the DNN rate, so an OBJECTIVE
-    search of either cone reports NONE without grading a candidate when it
-    is at or above minus the cone's threshold (``_rate_threshold``:
-    ``TOL_CURVATURE * max(1, |Q|_max)`` for PSD0, ``TOL_CERTIFICATE`` for
-    DNN).  For PSD0 nothing iterates: OBJECTIVE mode otherwise grades
-    ``u u^T`` with ``u = B v_min``; FEASIBILITY mode returns ``B B^T / r``.
+    trace, over the basis ``B = [0; N]`` of the instance's face (``_face``).
+    OBJECTIVE mode keeps the face's least eigenvalue of ``C = N^T Q N``, the
+    curvature of Q on null(A), as ``curvature``.  It is the least PSD0 rate
+    and a lower bound on the DNN rate, so an OBJECTIVE search of either cone
+    reports NONE without grading a candidate when it is at or above minus
+    the cone's threshold (``_rate_threshold``: ``core.curvature_tolerance(Q)``
+    for PSD0, ``TOL_CERTIFICATE`` for DNN).  For PSD0 nothing iterates:
+    OBJECTIVE mode otherwise grades ``[0; N v] [0; N v]^T`` for the least
+    eigenvector ``v``; FEASIBILITY mode returns ``B B^T / r``.
     A DNN search then takes the first basic point ``d`` of
     ``{A d = 0, e^T d = 1, d >= 0}``, the exact emptiness screen of its
     certificate set, and reports NONE with 0 iterations when there is none.
     FEASIBILITY mode returns ``[0; d] [0; d]^T / |d|^2`` with 0 iterations.
-    OBJECTIVE mode runs the interior-point method over ``tr S <= 1`` (see
-    the module docstring) until an iterate's candidate passes a pre-check
+    OBJECTIVE mode runs the interior-point method on ``C`` with the sign
+    rows at ``h = 0`` and ``tr S <= 1`` (see the module docstring) until an
+    iterate's candidate passes a pre-check
     (no entry below minus the verification tolerance, a rate below
     ``-TOL_CERTIFICATE``) and is graded, until it converges, and FOUND
     needs a rate below ``-TOL_CERTIFICATE``, or until it stops unconverged:
@@ -1023,21 +1076,21 @@ def recession_certificate_search(
         raise ValueError(f"unknown search mode {mode!r}")
     opts = opts or SolveOptions()
     lp = lift_instance(inst, cone)
-    basis = certificate_basis(lp)
-    r = basis.shape[1]
+    face = _face(inst)
+    r = face.N.shape[1]
     if r == 0:
         return CertificateSearch(NONE, None, 0, 0.0, reason="certificate face is trivial",
                                  curvature=math.inf)
+    # a PSD certificate with zero corner has a zero 0th row
+    basis = np.vstack([np.zeros((1, r)), face.N])
     curvature = math.nan
     if mode == OBJECTIVE:
-        C = basis.T @ lp.qhat @ basis
-        values, vectors = np.linalg.eigh(C)
-        curvature = float(values[0])
+        curvature = face.curvature
         if curvature >= -_rate_threshold(inst, cone):
             return CertificateSearch(NONE, None, 0, 0.0, curvature=curvature,
                                      reason=f"border-cone rate {curvature:.3e} above threshold")
         if cone == PSD0:
-            u = basis @ vectors[:, 0]
+            u = basis @ face.v
             return _graded(inst, lp, np.outer(u, u), mode, opts, curvature)
     elif cone == PSD0:
         return _graded(inst, lp, basis @ basis.T / r, mode, opts, curvature)
@@ -1060,9 +1113,10 @@ def recession_certificate_search(
         d = candidate(S)
         return float(d.min()) >= -tol and float(np.vdot(lp.qhat, d)) < -threshold
 
-    # the sign rows with h = 0, and tr S <= 1 as <-I, S> >= -1
-    G, h = _sign_rows(basis, np.zeros(basis.shape[0]))
-    out = _face_ipm(C, np.concatenate((G, [-np.eye(r)])), np.append(h, -1.0), opts, verifiable)
+    # the sign rows at h = 0, and tr S <= 1 as <-I, S> >= -1
+    G = face.signs[0]
+    out = _face_ipm(face.C, np.concatenate((G, [-np.eye(r)])), np.append(np.zeros(len(G)), -1.0),
+                    opts, verifiable)
     if out.status == MAX_ITER:
         return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
                                  reason="max_iter", curvature=curvature)
@@ -1078,9 +1132,7 @@ def recession_certificate_search(
 
 def _rate_threshold(inst: QpInstance, cone: str) -> float:
     """The least rate magnitude graded FOUND (see ``TOL_CERTIFICATE``)."""
-    if cone == PSD0:
-        return TOL_CURVATURE * max(1.0, float(np.abs(inst.Q).max()))
-    return TOL_CERTIFICATE
+    return curvature_tolerance(inst.Q) if cone == PSD0 else TOL_CERTIFICATE
 
 
 def _certificate_tol(opts: SolveOptions) -> float:
@@ -1153,22 +1205,6 @@ def _prepass(inst: QpInstance, cone: str, opts: SolveOptions) -> CertificateSear
     return recession_certificate_search(inst, cone, OBJECTIVE, opts)
 
 
-@lru_cache(maxsize=1)
-def _pinned_face(inst: QpInstance):
-    """The anchor-free data of the pinned DNN solve: ``N``, ``N^T Q N``, and
-    the sign-row stack with its pairs (``_sign_stack``), as read-only arrays.
-
-    Only ``h = -x_i x_j`` depends on the anchor.  The face of the last
-    instance (matched by identity) is kept and reused while consecutive
-    pinned solves share it.
-    """
-    N = nullspace_basis(inst.A)
-    face = (N, N.T @ inst.Q @ N, *_sign_stack(N))
-    for a in face:
-        a.flags.writeable = False
-    return face
-
-
 def _convex_qp(inst: QpInstance, x: np.ndarray):
     """Minimize q over the polyhedron from the basic feasible point ``x``.
 
@@ -1190,7 +1226,7 @@ def _convex_qp(inst: QpInstance, x: np.ndarray):
     ``ACTIVE_SET_STEPS`` steps.  Neither outcome is checked here.
     """
     Q, c, A = inst.Q, inst.c, inst.A
-    flat_tol = _rate_threshold(inst, PSD0)
+    flat_tol = curvature_tolerance(Q)
     x = np.array(x, dtype=float)
     fixed = x == 0.0
     stationary = False  # x minimizes q on the face of the working set
@@ -1264,7 +1300,7 @@ def solve_relaxation(
     search = _prepass(inst, cone, opts)
     if search.status == FOUND:
         return _unbounded_result(search)
-    convex = search.curvature >= -_rate_threshold(inst, PSD0)
+    convex = search.curvature >= -curvature_tolerance(inst.Q)
     found = _convex_qp(inst, vertex) if convex else None
     if found is not None:
         x, d = found
@@ -1286,40 +1322,15 @@ def solve_relaxation(
                     return replace(result, kkt=kkt)
     # Y = V S V^T; Y_00 = 1 is the row pair <v0 v0^T, S> >= 1, <-v0 v0^T, S> >= -1
     V = nullspace_basis(lp.rows)
-    G, h = _sign_rows(V, np.zeros(lp.n + 1), cone)
+    G = _sign_stack(V, cone)[0]
     corner = np.outer(V[0], V[0])
     out = _face_ipm(V.T @ lp.qhat @ V, np.concatenate((G, [corner, -corner])),
-                    np.append(h, [1.0, -1.0]), opts)
+                    np.append(np.zeros(len(G)), [1.0, -1.0]), opts)
     y = V @ out.S @ V.T
     if out.status == MAX_ITER:
         return _unfinished(lp, y, out.residual_primal, out.residual_dual, out.iterations)
     return _validated(lp, inst, y, opts, out.residual_primal, out.residual_dual,
                       out.iterations)
-
-
-def _sign_stack(N: np.ndarray, cone: str = DNN):
-    """The stack ``G`` of the sign rows of ``_sign_rows`` and the pairs
-    ``(i, j)`` of its rows, whose ``h_k`` is ``-x_i x_j``."""
-    i, j = np.triu_indices(N.shape[0], k=1)
-    if cone == PSD0:
-        i, j = i[i == 0], j[i == 0]
-    G = N[i, :, None] * N[j, None, :]
-    G = 0.5 * (G + G.transpose(0, 2, 1))
-    rows = np.abs(G).max(axis=(1, 2), initial=0.0) > RANK_TOL
-    return G[rows], i[rows], j[rows]
-
-
-def _sign_rows(N: np.ndarray, x: np.ndarray, cone: str = DNN):
-    """The sign rows ``(x x^T + N S N^T)_ij >= 0`` of the cone as
-    ``<G_k, S> >= h_k``: the stack ``G`` and the vector ``h``.
-
-    DNN has a row for every pair ``i < j``, PSD0 for the pairs ``(0, j)``
-    only.  The diagonal rows follow from ``S`` PSD.  A row whose ``G`` is
-    zero (to ``RANK_TOL``; a variable that is zero on the whole polyhedron
-    has a zero row in ``N``) reads ``0 >= -x_i x_j`` and is dropped.
-    """
-    G, i, j = _sign_stack(N, cone)
-    return G, -(x[i] * x[j])
 
 
 def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> RelaxationResult:
@@ -1337,15 +1348,16 @@ def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> Relaxat
     y = np.outer(z, z)
     # at PSD0's scaled tolerance, at which its pre-pass reads "not unbounded",
     # q is convex on the pinned set {z z^T + N S N^T}: its minimum is z z^T
-    if search.curvature >= -_rate_threshold(inst, PSD0):
+    if search.curvature >= -curvature_tolerance(inst.Q):
         return _validated(lp, inst, y, opts, 0.0, 0.0, 0)
     if cone == PSD0:
         # minus infinity along S = t u u^T, but the certificate that says so
         # failed verification
         return RelaxationResult(MAX_ITER, -math.inf, None, math.inf, math.inf, 0)
-    N, C, G, i, j = _pinned_face(inst)
-    out = _face_ipm(C, G, -(x[i] * x[j]), opts)
-    y[1:, 1:] += N @ out.S @ N.T
+    face = _face(inst)
+    G, i, j = face.signs
+    out = _face_ipm(face.C, G, -(x[i] * x[j]), opts)
+    y[1:, 1:] += face.N @ out.S @ face.N.T
     if out.status == MAX_ITER:
         return _unfinished(lp, y, out.residual_primal, out.residual_dual, out.iterations)
     return _validated(lp, inst, y, opts, out.residual_primal, out.residual_dual,

@@ -37,7 +37,7 @@ FEAS_TOL = 1e-8
 
 #: Scaled curvature tolerance: Q counts as positive semidefinite on a
 #: subspace (null(A), a recession ray, a face) when its least curvature
-#: there is at least ``-TOL_CURVATURE * max(1, |Q|_max)``.
+#: there is at least ``-curvature_tolerance(Q)``.
 TOL_CURVATURE = 1e-9
 
 #: Cone selectors for the lifted relaxations.  DNN is the doubly nonnegative
@@ -249,18 +249,6 @@ def load_instance(path, symmetrize: bool = False) -> QpInstance:
     return QpInstance(n=int(raw["n"]), m=int(raw["m"]), Q=Q, c=c, A=A, b=b, name=str(raw["name"]))
 
 
-def instance_to_dict(inst: QpInstance) -> dict:
-    return {
-        "name": inst.name,
-        "n": inst.n,
-        "m": inst.m,
-        "Q": inst.Q.tolist(),
-        "c": inst.c.tolist(),
-        "A": inst.A.tolist(),
-        "b": inst.b.tolist(),
-    }
-
-
 def jsonable(x):
     """``x`` made ready for ``json.dumps``: a dataclass instance becomes the
     object of its fields, numpy arrays and scalars become Python lists,
@@ -288,7 +276,8 @@ def jsonable(x):
 
 
 def save_instance(inst: QpInstance, path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n")
+    """Write ``inst`` in the schema of ``load_instance``, as ``jsonable`` renders it."""
+    Path(path).write_text(json.dumps(jsonable(inst), indent=2) + "\n")
 
 
 def load_vector(path) -> np.ndarray:
@@ -303,6 +292,20 @@ def load_vector(path) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # basic operations
+
+
+def curvature_tolerance(Q) -> float:
+    """``TOL_CURVATURE * max(1, |Q|_max)``: every curvature test counts a
+    curvature of Q at or above minus this as nonnegative, and one of
+    magnitude at most this as zero."""
+    return TOL_CURVATURE * max(1.0, float(np.abs(Q).max(initial=0.0)))
+
+
+def slope_tolerance(Q, c) -> float:
+    """``TOL_CURVATURE * (max(1, |Q|_max) + |c|_max)``: a ray of zero
+    curvature descends when the slope of q along it is below minus this."""
+    return TOL_CURVATURE * (max(1.0, float(np.abs(Q).max(initial=0.0)))
+                            + float(np.abs(c).max(initial=0.0)))
 
 
 def _check_point(inst: QpInstance, x) -> np.ndarray:

@@ -42,7 +42,6 @@ from .errors import DegenerateConstraints, DimensionMismatch, NonFinite
 PSD = "PSD"
 NONNEG = "NONNEG"
 ROW0NONNEG = "ROW0NONNEG"
-PROJECTION_CONES = (PSD, NONNEG, ROW0NONNEG)
 
 #: Relative singular-value threshold deciding numerical rank.
 RANK_TOL = 1e-10
@@ -245,18 +244,6 @@ def build_affine_projector(lp: LiftedProblem) -> FaceProjector:
     basis = nullspace_basis(lp.rows)  # the face null(rows) carrying all feasible Y
     v0 = basis[0]
     return FaceProjector(basis, [np.outer(v0, v0)], [1.0])
-
-
-def certificate_basis(lp: LiftedProblem) -> np.ndarray:
-    """Orthonormal basis of the face carrying every recession certificate.
-
-    A positive semidefinite certificate with zero corner entry has a zero
-    0th row, so the carrying face is range(D) in null(rows) intersected
-    with the complement of the 0th coordinate: null(A) in the trailing
-    coordinates.  The basis has an exactly zero 0th row.
-    """
-    null_a = nullspace_basis(lp.rows[:, 1:])
-    return np.vstack([np.zeros((1, null_a.shape[1])), null_a])
 
 
 def cone_projection_for(cone: str):

@@ -61,9 +61,11 @@ from .core import (
     FEAS_TOL,
     TOL_CURVATURE,
     QpInstance,
+    curvature_tolerance,
     feasibility_residual,
     in_recession_cone,
     index_sets,
+    slope_tolerance,
 )
 from .errors import DeskScaleLimit, DimensionMismatch, NonFinite, PointInfeasible
 from .numerics import RANK_TOL, _eigh, _svd, _svdvals
@@ -544,8 +546,7 @@ def minimize_quad_over_polytope(Q, c, A, b) -> OracleResult:
         if ray is not None:
             return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED, ray=ray,
                                 recession=recession)
-        qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-        certified = recession.min_curvature > recession.tolerance * qscale
+        certified = recession.min_curvature > curvature_tolerance(Q)
 
     faces, cap = 2 ** n, enum_cap()
     if faces > 1 << cap:
@@ -599,8 +600,7 @@ def recession_analysis(Q, A) -> RecessionReport:
 
     Nontriviality and the minimum of ``d^T Q d`` are decided over the
     compact slice ``{A d = 0, e^T d = 1, d >= 0}`` by basic-solution and
-    face enumeration; curvatures are compared at
-    ``TOL_CURVATURE * max(1, |Q|_max)``.
+    face enumeration; curvatures are compared at ``core.curvature_tolerance(Q)``.
     A row of A of one strict sign leaves only ``d = 0`` (the slices this
     module builds itself have one), and enumerates nothing.
     """
@@ -610,12 +610,12 @@ def recession_analysis(Q, A) -> RecessionReport:
     if not rays:
         return RecessionReport(False, math.inf, None, (), TOL_CURVATURE, ())
     curv = minimize_quad_over_polytope(Q, np.zeros(n), *cut)
-    qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-    neg = curv.minimizers[0] if curv.value < -TOL_CURVATURE * qscale else None
+    tol = curvature_tolerance(Q)
+    neg = curv.minimizers[0] if curv.value < -tol else None
     zero_dirs = []
     seen = set()
     for d in rays + list(curv.minimizers):
-        if abs(float(d @ Q @ d)) <= TOL_CURVATURE * qscale:
+        if abs(float(d @ Q @ d)) <= tol:
             key = tuple(np.round(d, _DEDUP_DECIMALS))
             if key not in seen:
                 seen.add(key)
@@ -631,16 +631,14 @@ def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[RayCertificate]:
     analysis of ``{A x = b, x >= 0}``.  A direction of negative curvature
     starts at the first vertex; a zero-curvature direction starts at a
     feasible point from which the objective decreases along it (a vertex,
-    or a point far along an extreme ray).  Rates are
-    compared at ``rec.tolerance * (max(1, |Q|_max) + |c|_max)``.  Only
-    enumerated directions are tried, so None does not certify boundedness
-    below.
+    or a point far along an extreme ray).  Slopes are compared at
+    ``core.slope_tolerance``, as ``verify_ray_certificate`` compares them,
+    so that check accepts every ray returned here.  Only enumerated
+    directions are tried, so None does not certify boundedness below.
     """
     if rec.neg_direction is not None:
         return RayCertificate(verts[0], rec.neg_direction)
-    scale = rec.tolerance * (
-        max(1.0, float(np.abs(Q).max(initial=0.0))) + float(np.abs(c).max(initial=0.0))
-    )
+    scale = slope_tolerance(Q, c)
     for d in rec.zero_directions:
         grad = Q @ d
         rates = [float(grad @ r) for r in rec.rays]
@@ -660,8 +658,8 @@ def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[RayCertificate]:
 def certifies_copositive(Q, simplex_min: float) -> bool:
     """Whether ``simplex_min``, the minimum of ``x^T Q x`` over the standard
     simplex, decides Q copositive: it must be at least
-    ``-TOL_CURVATURE * max(1, |Q|_max)``, the tolerance of the curvature tests."""
-    return simplex_min >= -TOL_CURVATURE * max(1.0, float(np.abs(Q).max()))
+    ``-core.curvature_tolerance(Q)``, the tolerance of the curvature tests."""
+    return simplex_min >= -curvature_tolerance(Q)
 
 
 def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> OracleResult:
@@ -765,23 +763,21 @@ def verify_ray_certificate(inst: QpInstance, ray: RayCertificate) -> RayCheck:
     ``x0`` must be feasible within ``FEAS_TOL`` and ``d`` a recession
     direction (``core.in_recession_cone``) with ``|e^T d - 1| <= FEAS_TOL``.
     Then q decreases without bound along ``x0 + t d`` when the curvature
-    ``d^T Q d`` is below ``-TOL_CURVATURE * max(1, |Q|_max)``, whatever the
+    ``d^T Q d`` is below ``-core.curvature_tolerance(Q)``, whatever the
     slope ``(Q x0 + c)^T d``, or when the curvature is at most
-    ``TOL_CURVATURE * max(1, |Q|_max)`` and the slope below
-    ``-TOL_CURVATURE * (max(1, |Q|_max) + |c|_max)``: the tolerances of
-    ``ray_witness``.
+    ``core.curvature_tolerance(Q)`` and the slope below
+    ``-core.slope_tolerance(Q, c)``: the tolerances of ``ray_witness``.
     """
     x0 = np.asarray(ray.x0, dtype=float)
     d = np.asarray(ray.d, dtype=float)
-    qscale = max(1.0, float(np.abs(inst.Q).max()))
+    curvature_tol = curvature_tolerance(inst.Q)
     feas = feasibility_residual(inst, x0)
     recession = in_recession_cone(inst, d)
     norm_err = abs(float(d.sum()) - 1.0)
     curvature = float(d @ inst.Q @ d)
     slope = float((inst.Q @ x0 + inst.c) @ d)
-    descent = curvature < -TOL_CURVATURE * qscale or (
-        curvature <= TOL_CURVATURE * qscale
-        and slope < -TOL_CURVATURE * (qscale + float(np.abs(inst.c).max())))
+    descent = curvature < -curvature_tol or (
+        curvature <= curvature_tol and slope < -slope_tolerance(inst.Q, inst.c))
     ok = feas <= FEAS_TOL and recession and norm_err <= FEAS_TOL and descent
     return RayCheck(
         ok=bool(ok),

@@ -34,6 +34,7 @@ from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
     INFEASIBLE as KIND_INFEASIBLE,
+    KINDS,
     UNBOUNDED_SAFE,
     HornFamilyParams,
     horn_family,
@@ -41,7 +42,6 @@ from qprelax.generators import (
 )
 from qprelax.numerics import (
     build_affine_projector,
-    certificate_basis,
     cone_projection_for,
     nullspace_basis,
 )
@@ -168,8 +168,8 @@ class TestUnderestimator:
 
 @pytest.fixture
 def fresh_prepass():
-    """Empty pre-pass and pinned-face memos, emptied again at teardown so
-    that nothing a test faked stays cached for the next one."""
+    """Empty pre-pass and face memos, emptied again at teardown so that
+    nothing a test faked stays cached for the next one."""
     _clear_memos()
     yield
     _clear_memos()
@@ -177,7 +177,7 @@ def fresh_prepass():
 
 def _clear_memos():
     conic._prepass.cache_clear()
-    conic._pinned_face.cache_clear()
+    conic._face.cache_clear()
 
 
 @pytest.fixture
@@ -258,17 +258,21 @@ class TestPinnedPrepassReuse:
         assert len(searches) == 1
 
     def test_solve_builds_one_certificate_basis(self, searches, horn, monkeypatch):
-        # the pre-pass and its search share one certificate face
+        # the pre-pass and its search read the instance's one face null(A),
+        # and so do the other cone's pre-pass and the curvature check
         bases = []
-        basis = conic.certificate_basis
+        basis = conic.nullspace_basis
 
-        def counted(*args, **kwargs):
-            bases.append(1)
-            return basis(*args, **kwargs)
+        def counted(a):
+            bases.append(a)
+            return basis(a)
 
-        monkeypatch.setattr(conic, "certificate_basis", counted)
+        monkeypatch.setattr(conic, "nullspace_basis", counted)
         assert solve_relaxation(horn[0], DNN).status == UNBOUNDED
         assert len(bases) == 1 and searches == [(horn[0], DNN)]
+        assert solve_relaxation(horn[0], PSD0).status == UNBOUNDED
+        assert not check_psd_on_nullspace(horn[0]).holds
+        assert len(bases) == 1 and searches == [(horn[0], DNN), (horn[0], PSD0)]
 
     def test_envelope_searches_once(self, searches):
         start, end = self.points(2)
@@ -279,8 +283,8 @@ class TestPinnedPrepassReuse:
 
 
 class TestPinnedFaceReuse:
-    """The pinned DNN face (``N``, ``N^T Q N`` and the sign-row stack) is
-    built once per instance; only ``h = -x_i x_j`` is built per anchor."""
+    """The face (``N``, ``N^T Q N`` and the sign-row stack) is built once
+    per instance; only ``h = -x_i x_j`` is built per anchor."""
 
     # bounded, and Q fails curvature on null(A): DNN anchors reach the solve
     inst = TestPinnedPrepassReuse.inst
@@ -324,20 +328,78 @@ class TestPinnedFaceReuse:
             assert np.array_equal(fresh.point.y, res.point.y)
         assert len(faces) == 1 + len(cached)
 
+    @pytest.fixture
+    def stacks(self, monkeypatch, fresh_prepass):
+        """Bases whose sign-row stack was built, from empty memos."""
+        built = []
+        stack = conic._sign_stack
+
+        def counted(N, *args):
+            built.append(N)
+            return stack(N, *args)
+
+        monkeypatch.setattr(conic, "_sign_stack", counted)
+        return built
+
     def test_face_is_read_only(self, faces):
         evaluate_underestimator(self.inst, DNN, self.points()[0])
-        assert not any(a.flags.writeable for a in conic._pinned_face(self.inst))
+        face = conic._face(self.inst)
+        assert not any(a.flags.writeable for a in (face.N, face.C, face.v, *face.signs))
 
-    def test_other_paths_build_no_face(self, fresh_prepass):
-        # PSD0 and the closed forms never reach the pinned solve, and an
-        # unpinned solve builds its own face
+    def test_other_paths_build_no_sign_rows(self, stacks):
+        # the curvature check, PSD0 and FEASIBILITY searches, DNN searches a
+        # screen stops, and the closed forms read the face but not its rows
         convex = TestPinnedClosedForm.convex
         for x in feasible_samples(convex, 2, seed=1):
             for cone in (DNN, PSD0):
                 assert evaluate_underestimator(convex, cone, x).iterations == 0
+        for inst in (convex, self.inst, random_instance(UNBOUNDED_SAFE, 4, 2, 2)):
+            check_psd_on_nullspace(inst)
+            for cone in (DNN, PSD0):
+                for mode in (OBJECTIVE, FEASIBILITY):
+                    assert recession_certificate_search(inst, cone, mode).iterations == 0
         evaluate_underestimator(self.inst, PSD0, self.points()[0])
-        solve_relaxation(self.inst, DNN)
-        assert conic._pinned_face.cache_info().misses == 0
+        random_instance(CONVEX_ON_NULLSPACE, 30, 3, 0)
+        assert stacks == []
+
+    def test_dnn_solves_build_the_sign_rows_once(self, stacks, horn):
+        results = [evaluate_underestimator(self.inst, DNN, x) for x in self.points()]
+        assert all(res.iterations > 0 for res in results)
+        assert len(stacks) == 1
+        search = recession_certificate_search(horn[0], DNN)
+        assert search.status == FOUND and search.iterations > 0
+        assert len(stacks) == 2
+
+
+@st.composite
+def relabeled_instances(draw):
+    """A ``random_instance`` of any kind at n <= 8, and its variable order."""
+    n = draw(st.integers(2, 8))
+    inst = random_instance(draw(st.sampled_from(KINDS)), n, draw(st.integers(1, n - 1)),
+                           draw(st.integers(0, 3)))
+    return inst, np.array(draw(st.permutations(range(n))))
+
+
+class TestFaceRelabeling:
+    """The face's basis depends on the variable order; Burer's condition and
+    the certificate searches' verdicts do not."""
+
+    @given(relabeled_instances())
+    def test_relabeling_keeps_the_verdicts(self, drawn):
+        inst, p = drawn
+        twin = make_qp(inst.Q[np.ix_(p, p)], inst.c[p], inst.A[:, p], inst.b, inst.name)
+        before, after = check_psd_on_nullspace(inst), check_psd_on_nullspace(twin)
+        assert before.holds == after.holds
+        least = before.min_eigenvalue
+        assert abs(after.min_eigenvalue - least) <= 1e-12 * max(1.0, abs(least))
+        lifted = np.concatenate(([0], p + 1))
+        for cone in (DNN, PSD0):
+            old, new = (recession_certificate_search(x, cone, OBJECTIVE) for x in (inst, twin))
+            assert old.status == new.status
+            if new.status == FOUND:
+                assert verify_certificate(twin, new.certificate).ok
+                moved = replace(old.certificate, d=old.certificate.d[np.ix_(lifted, lifted)])
+                assert verify_certificate(twin, moved).ok
 
 
 class TestCertificateSearch:
@@ -433,7 +495,8 @@ class TestCertificateSearch:
         assert [ok for _, ok in seen] == [False] * (k - 1) + [True]
         assert res.status == FOUND and res.iterations == k
         lp = lift_instance(inst, DNN)
-        basis = certificate_basis(lp)
+        N = nullspace_basis(inst.A)
+        basis = np.vstack([np.zeros((1, N.shape[1])), N])
         S = seen[-1][0]
         graded = conic._graded(inst, lp, basis @ S @ basis.T / np.trace(S), OBJECTIVE,
                                SolveOptions(), res.curvature, k, res.residual)
@@ -611,10 +674,11 @@ class TestPinnedClosedForm:
         # DNN with its sign rows, PSD0 with none
         N = nullspace_basis(self.convex.A)
         C = N.T @ self.convex.Q @ N
-        r = C.shape[0]
         for x in feasible_samples(self.convex, 3, seed=4):
-            rows = conic._sign_rows(N, x) if cone == DNN else (np.zeros((0, r, r)), np.zeros(0))
-            out = conic._face_ipm(C, *rows, TIGHT)
+            G, i, j = conic._sign_stack(N)
+            if cone == PSD0:  # no sign rows
+                G, i, j = G[:0], i[:0], j[:0]
+            out = conic._face_ipm(C, G, -(x[i] * x[j]), TIGHT)
             assert out.status == "CONVERGED" and out.iterations > 0
             solved = evaluate_objective(self.convex, x) + float(np.vdot(C, out.S))
             closed = evaluate_underestimator(self.convex, cone, x, TIGHT).value
@@ -726,7 +790,8 @@ class TestPinnedInteriorPoint:
         for inst, x in anchors:
             N = nullspace_basis(inst.A)
             C = N.T @ inst.Q @ N
-            G, h = conic._sign_rows(N, np.asarray(x))
+            G, i, j = conic._sign_stack(N)
+            h = -(x[i] * x[j])
             out = conic._face_ipm(C, G, h, TIGHT)
             assert out.status == "CONVERGED" and out.lam.min() >= 0.0
             Z = C - np.tensordot(out.lam, G, axes=1)
@@ -762,10 +827,11 @@ class TestPinnedInteriorPoint:
 
     def test_zero_rows_are_dropped(self):
         N = nullspace_basis(IMPLICIT_ZERO.A)
-        G, h = conic._sign_rows(N, np.array([0.5, 0.5, 0.0]))
+        G, i, j = conic._sign_stack(N)
+        x = np.array([0.5, 0.5, 0.0])
         # only the pair (1, 2) is left: 0.5 * 0.5 - s / 2 >= 0
         assert G.shape == (1, 1, 1) and abs(G[0, 0, 0] + 0.5) <= 1e-12
-        assert h == pytest.approx([-0.25])
+        assert -(x[i] * x[j]) == pytest.approx([-0.25])
 
     @staticmethod
     def _dual_infeasible(inst, x):

@@ -15,7 +15,6 @@ from qprelax.numerics import (
     AffineProjector,
     FaceProjector,
     build_affine_projector,
-    certificate_basis,
     cone_projection_for,
     cone_violation,
     nullspace_basis,
@@ -276,8 +275,10 @@ def _structured_apply(proj, m):
 
 
 def _trace_projector(inst):
-    """Projector onto the unit-trace slice of the recession-certificate face."""
-    basis = certificate_basis(lift_instance(inst, DNN))
+    """Projector onto the unit-trace slice of the recession-certificate face
+    ``[0; N]``, ``N`` the basis of null(A)."""
+    N = nullspace_basis(inst.A)
+    basis = np.vstack([np.zeros((1, N.shape[1])), N])
     return FaceProjector(basis, [np.eye(basis.shape[1])], [1.0])
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qprelax import oracle
+from qprelax.core import TOL_CURVATURE, slope_tolerance
 from qprelax.errors import DeskScaleLimit, PointInfeasible
 from qprelax.generators import HornFamilyParams, horn_family
 from qprelax.numerics import nullspace_basis
@@ -169,6 +170,23 @@ class TestGlobalSolve:
         inst = make_qp(np.zeros((2, 2)), [-1, -1], [[1, -1]], [0])
         res = global_solve(inst)
         assert res.value == -math.inf
+
+    @pytest.mark.parametrize("ratio", [1.01, 0.99])
+    def test_ray_witness_and_check_share_the_slope_tolerance(self, ratio):
+        # q = 2 c^T x on {x1 = x2 >= 0}: the ray d = (1/2, 1/2) from the
+        # vertex 0 has zero curvature and slope c^T d = -k, which is ratio
+        # times the slope tolerance 1e-9 (1 + k): 1% past it, or 1% inside
+        t = ratio * TOL_CURVATURE
+        k = t / (1.0 - t)
+        inst = make_qp(np.zeros((2, 2)), [-k, -k], [[1, -1]], [0])
+        assert k == pytest.approx(ratio * slope_tolerance(inst.Q, inst.c), rel=1e-12)
+        verts = basic_feasible_points(inst.A, inst.b)
+        recession = oracle.recession_analysis(inst.Q, inst.A)
+        ray = oracle.ray_witness(inst.Q, inst.c, verts, recession)
+        candidate = oracle.RayCertificate(verts[0], np.array([0.5, 0.5]))
+        check = oracle.verify_ray_certificate(inst, candidate if ray is None else ray)
+        assert check.curvature == 0.0 and check.slope == -k
+        assert (ray is not None) == check.ok == (ratio > 1.0)
 
     def test_horn_certified_finite(self, horn):
         inst, _ = horn

@@ -23,6 +23,7 @@ from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
     INFEASIBLE,
+    KINDS,
     HornFamilyParams,
     horn_family,
     horn_instance,
@@ -255,6 +256,45 @@ class TestCompareReport:
         text = compare_report(inst).to_text()
         assert "tol" in text
         assert "cross-checks" in text
+
+    def test_builds_the_face_once(self, monkeypatch):
+        # on each instance of the make_corpus.py corpus, the curvature check
+        # and both cones' pre-passes share one basis of null(A) and one
+        # eigendecomposition of N^T Q N; the convex solve's faces are its own
+        corpus = [horn_instance()[0]]
+        corpus += [horn_family(HornFamilyParams(n=n, seed=s)) for n in (6, 7, 8)
+                   for s in range(3)]
+        corpus += [random_instance(kind, 4, 2, s) for kind in KINDS for s in range(3)]
+        svd, eigh, convex_qp = np.linalg.svd, np.linalg.eigh, conic._convex_qp
+        inside, bases, eigensolves = [], [], []
+
+        def counted_svd(a, *args, **kwargs):
+            if not inside and a.shape == inst.A.shape and (
+                    np.array_equal(a, inst.A) or np.array_equal(a, -inst.A)):
+                bases.append(inst.name)
+            return svd(a, *args, **kwargs)
+
+        def counted_eigh(a, *args, **kwargs):
+            if not inside:
+                eigensolves.append(inst.name)
+            return eigh(a, *args, **kwargs)
+
+        def counted_convex_qp(*args):
+            inside.append(True)
+            try:
+                return convex_qp(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(conic, "_convex_qp", counted_convex_qp)
+        assert len(corpus) == 22
+        for inst in corpus:
+            conic._face.cache_clear()
+            report = compare_report(inst)
+            assert failed_checks(report) == [], inst.name
+            assert bases.count(inst.name) == eigensolves.count(inst.name) == 1, inst.name
 
     def test_deterministic(self):
         inst = random_instance(BOUNDED, 3, 1, 6)
