@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import SolveOptions, _face, evaluate_underestimator
+from .conic import SolveOptions, _prepared, evaluate_underestimator
 from .core import TOL_CURVATURE, QpInstance, curvature_tolerance, evaluate_objective, is_feasible
 from .errors import PointInfeasible
 from .oracle import RecessionReport, minimize_quad_over_polytope, recession_analysis
@@ -48,13 +48,13 @@ def check_psd_on_nullspace(inst: QpInstance) -> NullspaceCurvatureReport:
     """Decide whether Q is positive semidefinite on null(A).
 
     Reads the least eigenpair ``(lambda, v)`` of ``N^T Q N`` from the
-    instance's face (``conic._face``), which the certificate searches and
-    the closed forms read too, so all of them see the same curvature.  The
+    instance's record (``conic._prepared``), which the certificate searches
+    and the closed forms read too, so all of them see the same curvature.  The
     condition holds when ``lambda >= -core.curvature_tolerance(Q)``; failure
     produces the most negative direction ``N v`` in the original
     coordinates, scaled to unit max-norm.
     """
-    face = _face(inst)
+    face = _prepared(inst)
     if face.v is None:
         return NullspaceCurvatureReport(True, None, math.inf, TOL_CURVATURE)
     holds = face.curvature >= -curvature_tolerance(inst.Q)

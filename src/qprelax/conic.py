@@ -14,10 +14,12 @@ returns MAX_ITER after ``IPM_ITERATIONS`` iterations.  A problem of order
 ``g_k s >= h_k``, solved exactly with 0 iterations (``_interval_lp``), and
 MAX_ITER where it has no optimum.  Three problems run it:
 
-- the unpinned solve: ``V`` spans null(rows), ``C = V^T qhat V``, the rows
-  are the sign rows ``(V S V^T)_ij >= 0`` (every pair ``i < j`` for DNN,
-  the pairs ``(0, j)`` for PSD0), and ``Y_00 = 1`` is the row pair
-  ``<v0 v0^T, S> >= 1``, ``<-v0 v0^T, S> >= -1``;
+- the unpinned solve: ``V = [u, [0; N]]`` with ``u`` the unit vector along
+  ``[1; x0 - N N^T x0]`` (the least-norm solution of ``A x = b``, whatever
+  vertex ``x0`` is), an orthonormal basis of null(rows); ``C = V^T qhat V``,
+  the rows are the sign rows ``(V S V^T)_ij >= 0`` (every pair ``i < j``
+  for DNN, the pairs ``(0, j)`` for PSD0), and ``Y_00 = 1`` is the row
+  pair ``<v0 v0^T, S> >= 1``, ``<-v0 v0^T, S> >= -1``;
 - the pinned DNN solve (below);
 - the DNN OBJECTIVE certificate search, the pinned DNN problem at
   ``x = 0`` with ``tr S <= 1`` (below).
@@ -28,10 +30,13 @@ still defined here with its constants, but nothing calls it: the tracer
 under ``perfbench/`` wraps ``_consensus`` and ``_Polisher.attempt`` by
 name, and its kernel baseline calls only the ``numerics`` projections.
 
-Both the pinned solves and the certificate search live on one face per
-instance, ``_face``: the orthonormal basis ``N`` of null(A), ``C = N^T Q N``
-with its least eigenpair, and the DNN sign-row stack, built the first time
-a DNN solve reads it.  For a feasible anchor ``x`` and ``z = [1; x]``, the
+Every solve of one instance reads one record, ``_prepared``, kept for the
+last instance (matched by identity): ``N``, an orthonormal basis of
+null(A), ``C = N^T Q N`` with its least eigenpair, and, each built on first
+read, the DNN sign-row stack, the feasible point ``x0`` of the emptiness
+test and each cone's certificate pre-pass.  Every feasible lifted point is
+``[1; x][1; x]^T + [0 0; 0 N S N^T]``, on the face spanned by ``[1; x0]``
+and ``[0; N]``.  For a feasible anchor ``x`` and ``z = [1; x]``, the
 pinned feasible set of both lifts is
 ``{z z^T + [0 0; 0 N S N^T] : S positive semidefinite}`` intersected with
 the cone (``X - x x^T`` is positive semidefinite with columns in null(A)),
@@ -69,9 +74,7 @@ the least one.  The other checks of the grading hold to rounding for
 every positive definite ``S``.  Where no iterate is accepted, a rate below
 the threshold puts every optimum at trace 1, so a converged ``S`` of trace
 below 1/2 reads NONE without dividing by its trace; any other is graded as
-the candidate ``B S B^T / tr S``.  The plain and the pinned solves share
-one pre-pass, kept and reused across consecutive calls with the same
-instance, cone and options.
+the candidate ``B S B^T / tr S``.
 
 When the least eigenvalue of ``C`` is at or above
 ``-core.curvature_tolerance(Q)``, the pinned value of both cones is
@@ -101,15 +104,14 @@ its objective is ``q(x) + <N^T Q N, S>``, at least ``q(x)`` at the same
 threshold.  Both relaxations then equal the minimum of q over the
 polyhedron (Burer, Math. Prog. 2009), attained at ``z z^T`` with
 ``z = [1; x*]``.  ``solve_relaxation`` finds ``x*`` with a primal
-active-set method (``_convex_qp``) started at the basic feasible point of
-its emptiness test, and returns ``z z^T`` as OPTIMAL with 0 iterations
-once ``x*`` passes the raw-data first-order check
-(``oracle.first_order_certificate``, whose multipliers prove a global
-minimum of a q convex on the affine hull) and ``validate_lifted_point``.
-The result carries the multipliers as ``kkt``.  When the method instead
-meets a descent direction of zero curvature that no bound blocks, q and
-both relaxations are unbounded below: the solve returns UNBOUNDED with 0
-iterations and the ray ``(x0, d)`` as ``ray``, once
+active-set method (``_convex_qp``) started at the record's ``x0``, and
+returns ``z z^T`` as OPTIMAL with 0 iterations once ``x*`` passes the
+raw-data first-order check (``oracle.first_order_certificate``, whose
+multipliers prove a global minimum of a q convex on the affine hull) and
+``validate_lifted_point``.  The result carries the multipliers as ``kkt``.
+When the method instead meets a descent direction of zero curvature that
+no bound blocks, q and both relaxations are unbounded below: the solve
+returns UNBOUNDED with 0 iterations and the ray ``(x0, d)`` as ``ray``, once
 ``oracle.verify_ray_certificate`` accepts it.  No lifted recession
 certificate exists there, since the rate ``d^T Q d`` is 0.  Where a check
 fails, or the method reaches ``ACTIVE_SET_STEPS``, the solve runs the
@@ -980,21 +982,24 @@ def verify_certificate(
     )
 
 
-class _Face:
-    """The face null(A) of one instance, which the curvature check, both
-    cones' certificate searches and the pinned solves read.
+class _Prepared:
+    """What every solve of one instance reads: the curvature check, both
+    cones' certificate searches, and the plain and pinned solves.
 
     ``N`` is the orthonormal basis of null(A) and ``C = N^T Q N``;
     ``curvature`` is the least eigenvalue of ``C``, the curvature of Q on
     null(A), and ``v`` its eigenvector (``+inf`` and None when null(A) is
-    ``{0}``).  ``signs`` is the DNN sign-row stack of ``N`` (``_sign_stack``),
-    built the first time a DNN solve reads it.  All arrays are read-only.
-    ``_face`` keeps the face of the last instance (matched by identity) and
-    reuses it while consecutive calls share that instance.
+    ``{0}``).  Built the first time something reads them: ``signs``, the
+    DNN sign-row stack of ``N`` (``_sign_stack``); ``x0``, the basic
+    feasible point of the polyhedron (``oracle._feasible_point``), None
+    when it is empty; and ``prepass(cone, opts)``, the OBJECTIVE certificate
+    search of each cone and options.  All arrays are read-only.
+    ``_prepared`` keeps the record of the last instance, matched by identity.
     """
 
     def __init__(self, inst: QpInstance):
         N = nullspace_basis(inst.A)
+        self.inst, self._searches = inst, {}
         self.N, self.C, self.curvature, self.v = N, N.T @ inst.Q @ N, math.inf, None
         if N.shape[1]:
             values, vectors = np.linalg.eigh(self.C)
@@ -1009,8 +1014,23 @@ class _Face:
             a.flags.writeable = False
         return stack
 
+    @cached_property
+    def x0(self) -> Optional[np.ndarray]:
+        x0 = _feasible_point(self.inst.A, self.inst.b)
+        if x0 is not None:
+            x0.flags.writeable = False
+        return x0
 
-_face = lru_cache(maxsize=1)(_Face)
+    def prepass(self, cone: str, opts: SolveOptions) -> CertificateSearch:
+        """The unboundedness pre-pass: a FOUND search proves the relaxation
+        unbounded, and its ``curvature`` decides the closed forms either way."""
+        if (cone, opts) not in self._searches:
+            self._searches[cone, opts] = recession_certificate_search(self.inst, cone,
+                                                                      OBJECTIVE, opts)
+        return self._searches[cone, opts]
+
+
+_prepared = lru_cache(maxsize=1)(_Prepared)
 
 
 def _sign_stack(N: np.ndarray, cone: str = DNN):
@@ -1047,7 +1067,8 @@ def recession_certificate_search(
     """Search the recession cone of the lifted feasible set.
 
     Candidates are ``B S B^T`` with ``S`` positive semidefinite of unit
-    trace, over the basis ``B = [0; N]`` of the instance's face (``_face``).
+    trace, over the basis ``B = [0; N]`` of the instance's face
+    (``_prepared``).
     OBJECTIVE mode keeps the face's least eigenvalue of ``C = N^T Q N``, the
     curvature of Q on null(A), as ``curvature``.  It is the least PSD0 rate
     and a lower bound on the DNN rate, so an OBJECTIVE search of either cone
@@ -1076,7 +1097,7 @@ def recession_certificate_search(
         raise ValueError(f"unknown search mode {mode!r}")
     opts = opts or SolveOptions()
     lp = lift_instance(inst, cone)
-    face = _face(inst)
+    face = _prepared(inst)
     r = face.N.shape[1]
     if r == 0:
         return CertificateSearch(NONE, None, 0, 0.0, reason="certificate face is trivial",
@@ -1193,18 +1214,6 @@ def _unbounded_result(search: CertificateSearch) -> RelaxationResult:
     )
 
 
-@lru_cache(maxsize=1)
-def _prepass(inst: QpInstance, cone: str, opts: SolveOptions) -> CertificateSearch:
-    """The unboundedness pre-pass: the OBJECTIVE certificate search.
-
-    A FOUND search proves the relaxation unbounded; its ``curvature``
-    decides the closed forms either way.  The search depends on the
-    instance (matched by identity), the cone and the options only; the last
-    one is kept and reused while consecutive calls share all three.
-    """
-    return recession_certificate_search(inst, cone, OBJECTIVE, opts)
-
-
 def _convex_qp(inst: QpInstance, x: np.ndarray):
     """Minimize q over the polyhedron from the basic feasible point ``x``.
 
@@ -1279,29 +1288,29 @@ def solve_relaxation(
 ) -> RelaxationResult:
     """Solve the lifted relaxation over the selected cone.
 
-    Pipeline: decide feasibility exactly from the original polyhedron
-    (feasibility is preserved by the lifting, so an empty polyhedron means
-    an infeasible relaxation and no iterations are spent); search for a
-    negative-rate recession certificate (``_prepass``).  Where the
-    pre-pass curvature is at or above PSD0's threshold, solve the convex
-    QP by the active-set method ``_convex_qp`` from the basic feasible
-    point the feasibility test found (see the module docstring): OPTIMAL
+    Pipeline: read the instance's record (``_prepared``).  Its ``x0``
+    decides feasibility exactly from the original polyhedron (feasibility
+    is preserved by the lifting, so an empty polyhedron means an infeasible
+    relaxation and no iterations are spent); its ``prepass`` searches for a
+    negative-rate recession certificate.  Where the pre-pass curvature is
+    at or above PSD0's threshold, solve the convex QP by the active-set
+    method ``_convex_qp`` from ``x0`` (see the module docstring): OPTIMAL
     at ``z z^T`` when the point passes ``oracle.first_order_certificate``
     and ``validate_lifted_point``, UNBOUNDED when its ray passes
     ``oracle.verify_ray_certificate``, both with 0 iterations.  Otherwise,
     or when a check fails, run the interior-point method on the face
-    ``V S V^T`` to optimality.
+    ``V S V^T`` with ``V = [u, [0; N]]`` to optimality.
     """
     opts = opts or SolveOptions()
     lp = lift_instance(inst, cone)
-    vertex = _feasible_point(inst.A, inst.b)
-    if vertex is None:
+    prep = _prepared(inst)
+    if prep.x0 is None:
         return RelaxationResult(INFEASIBLE, math.inf, None, 0.0, 0.0, 0)
-    search = _prepass(inst, cone, opts)
+    search = prep.prepass(cone, opts)
     if search.status == FOUND:
         return _unbounded_result(search)
     convex = search.curvature >= -curvature_tolerance(inst.Q)
-    found = _convex_qp(inst, vertex) if convex else None
+    found = _convex_qp(inst, prep.x0) if convex else None
     if found is not None:
         x, d = found
         if d is not None:
@@ -1320,8 +1329,12 @@ def solve_relaxation(
                 result = _validated(lp, inst, np.outer(z, z), opts, 0.0, 0.0, 0)
                 if result.status == OPTIMAL:
                     return replace(result, kkt=kkt)
-    # Y = V S V^T; Y_00 = 1 is the row pair <v0 v0^T, S> >= 1, <-v0 v0^T, S> >= -1
-    V = nullspace_basis(lp.rows)
+    # Y = V S V^T with u = [1; x0 - N N^T x0] / |.|; Y_00 = 1 is the row pair
+    # <v0 v0^T, S> >= 1, <-v0 v0^T, S> >= -1
+    N = prep.N
+    V = np.zeros((inst.n + 1, N.shape[1] + 1))
+    V[0, 0], V[1:, 0], V[1:, 1:] = 1.0, prep.x0 - N @ (N.T @ prep.x0), N
+    V[:, 0] /= math.sqrt(V[:, 0] @ V[:, 0])
     G = _sign_stack(V, cone)[0]
     corner = np.outer(V[0], V[0])
     out = _face_ipm(V.T @ lp.qhat @ V, np.concatenate((G, [corner, -corner])),
@@ -1340,7 +1353,8 @@ def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> Relaxat
     resid = feasibility_residual(inst, x)
     if resid > max(FEAS_TOL, 10.0 * opts.tol_primal):
         raise PointInfeasible(f"anchor point violates the constraints (residual {resid:.3e})")
-    search = _prepass(inst, cone, opts)
+    prep = _prepared(inst)
+    search = prep.prepass(cone, opts)
     if search.status == FOUND:
         return _unbounded_result(search)
     lp = lift_instance(inst, cone)
@@ -1354,10 +1368,9 @@ def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> Relaxat
         # minus infinity along S = t u u^T, but the certificate that says so
         # failed verification
         return RelaxationResult(MAX_ITER, -math.inf, None, math.inf, math.inf, 0)
-    face = _face(inst)
-    G, i, j = face.signs
-    out = _face_ipm(face.C, G, -(x[i] * x[j]), opts)
-    y[1:, 1:] += face.N @ out.S @ face.N.T
+    G, i, j = prep.signs
+    out = _face_ipm(prep.C, G, -(x[i] * x[j]), opts)
+    y[1:, 1:] += prep.N @ out.S @ prep.N.T
     if out.status == MAX_ITER:
         return _unfinished(lp, y, out.residual_primal, out.residual_dual, out.iterations)
     return _validated(lp, inst, y, opts, out.residual_primal, out.residual_dual,
@@ -1372,16 +1385,16 @@ def evaluate_underestimator(
     Solves the relaxation with the 0th row pinned to the point.  The same
     certificate pre-pass applies: pinning does not change the recession
     cone of the lifted feasible set, so one negative-rate certificate
-    proves the underestimator is minus infinity everywhere.  The pre-pass
-    verdict is therefore reused across consecutive calls with the same
-    instance, cone and options, pinned or not; only the anchor's
-    feasibility is checked on every call.  Where Q is positive semidefinite
-    on null(A), up to the pre-pass's scaled curvature tolerance, the
-    underestimator is q itself: the value is ``q(x)`` at the point
-    ``z z^T``, returned with 0 iterations.  Elsewhere a DNN value comes from
-    the interior-point method on ``S``, whose iterations the result counts
-    (0 where ``S`` is a scalar, solved exactly), and a PSD0 value is minus
-    infinity (see the module docstring).
+    proves the underestimator is minus infinity everywhere.  So the
+    pre-pass comes from the instance's record (``_prepared``), which the
+    plain solve reads too; only the anchor's feasibility is checked on
+    every call.  Where Q is positive semidefinite on null(A), up to the
+    pre-pass's scaled curvature tolerance, the underestimator is q itself:
+    the value is ``q(x)`` at the point ``z z^T``, returned with 0
+    iterations.  Elsewhere a DNN value comes from the interior-point method
+    on ``S``, whose iterations the result counts (0 where ``S`` is a
+    scalar, solved exactly), and a PSD0 value is minus infinity (see the
+    module docstring).
     """
     opts = opts or SolveOptions()
     return _pinned_solve(inst, cone, x, opts)

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -121,9 +121,13 @@ class LiftedProblem:
 
 @dataclass(frozen=True, eq=False)
 class LiftedPoint:
-    """A symmetric ``(n+1) x (n+1)`` candidate or solution matrix."""
+    """A symmetric ``(n+1) x (n+1)`` candidate or solution matrix.
+
+    ``x`` is the extracted candidate point, the 0th row without the corner.
+    """
 
     y: np.ndarray
+    x: np.ndarray = field(init=False)
 
     def __post_init__(self):
         y = np.array(self.y, dtype=float)
@@ -134,15 +138,11 @@ class LiftedPoint:
         y = 0.5 * (y + y.T)
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", y[0, 1:])
 
     @property
     def n(self) -> int:
         return self.y.shape[0] - 1
-
-    @property
-    def x(self) -> np.ndarray:
-        """Extracted candidate point, the 0th row without the corner."""
-        return self.y[0, 1:]
 
     @property
     def X(self) -> np.ndarray:
@@ -184,7 +184,8 @@ class ValidationReport:
     ``x_feasible``     the extracted x satisfies ``Ax = b, x >= 0``;
     ``delta_psd``      ``X - x x^T`` is positive semidefinite;
     ``delta_nullspace``every column of ``X - x x^T`` lies in null(A);
-    ``cone_ok``        membership of Y in the requested cone.
+    ``cone_ok``        membership of Y in the requested cone;
+    ``ok``             all five hold.
     """
 
     corner_ok: bool
@@ -199,16 +200,11 @@ class ValidationReport:
     cone_violation: float
     tolerance: float
     cone: str
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.corner_ok
-            and self.x_feasible
-            and self.delta_psd
-            and self.delta_nullspace
-            and self.cone_ok
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.corner_ok and self.x_feasible and self.delta_psd
+                           and self.delta_nullspace and self.cone_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,20 @@ class TestCommands:
         assert payload["value"] == "-inf"
         assert payload["certificate"]["objective_rate"] <= -0.1
 
+    def test_solve_json_carries_the_verdict(self, tmp_path, capsys):
+        # an interior-point solve: the point's x and the validation's ok are
+        # printed, not left for the reader to rebuild
+        assert main(["generate", "random", "--kind", "BOUNDED", "--n", "4", "--m", "2",
+                     "--seed", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["--json", "solve", "--cone", "dnn",
+                     str(tmp_path / "bounded-n4-m2-s2.json")]) == 0
+        payload = strict_loads(capsys.readouterr().out)
+        assert payload["status"] == "OPTIMAL" and 1 <= payload["iterations"] <= 50
+        assert payload["validation"]["ok"] is True
+        assert payload["point"]["x"] == payload["point"]["y"][0][1:]
+        assert len(payload["point"]["x"]) == 4
+
     @pytest.mark.parametrize("command", ["solve", "oracle", "analyze"])
     def test_solve_json_is_the_report_entry(self, command, horn_file, capsys):
         # each section shared with compare has one layout: the result's fields

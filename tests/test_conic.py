@@ -168,16 +168,15 @@ class TestUnderestimator:
 
 @pytest.fixture
 def fresh_prepass():
-    """Empty pre-pass and face memos, emptied again at teardown so that
-    nothing a test faked stays cached for the next one."""
+    """An empty record memo, emptied again at teardown so that nothing a
+    test faked stays cached for the next one."""
     _clear_memos()
     yield
     _clear_memos()
 
 
 def _clear_memos():
-    conic._prepass.cache_clear()
-    conic._face.cache_clear()
+    conic._prepared.cache_clear()
 
 
 @pytest.fixture
@@ -225,8 +224,9 @@ class TestPinnedPrepassReuse:
         x = self.points()[0]
         for cone in (PSD0, DNN, PSD0):
             evaluate_underestimator(self.inst, cone, x)
-        # the DNN pre-pass is the search, which stops at its own screen
-        assert searches == [(self.inst, PSD0), (self.inst, DNN), (self.inst, PSD0)]
+        # the DNN pre-pass is the search, which stops at its own screen; the
+        # record keeps both cones' searches
+        assert searches == [(self.inst, PSD0), (self.inst, DNN)]
 
     def test_option_change_searches_again(self, searches):
         x = self.points()[0]
@@ -343,8 +343,9 @@ class TestPinnedFaceReuse:
 
     def test_face_is_read_only(self, faces):
         evaluate_underestimator(self.inst, DNN, self.points()[0])
-        face = conic._face(self.inst)
-        assert not any(a.flags.writeable for a in (face.N, face.C, face.v, *face.signs))
+        prep = conic._prepared(self.inst)
+        assert not any(a.flags.writeable
+                       for a in (prep.N, prep.C, prep.v, prep.x0, *prep.signs))
 
     def test_other_paths_build_no_sign_rows(self, stacks):
         # the curvature check, PSD0 and FEASIBILITY searches, DNN searches a
@@ -400,6 +401,66 @@ class TestFaceRelabeling:
                 assert verify_certificate(twin, new.certificate).ok
                 moved = replace(old.certificate, d=old.certificate.d[np.ix_(lifted, lifted)])
                 assert verify_certificate(twin, moved).ok
+
+
+#: ``random_instance(BOUNDED, n, m, seed)`` whose DNN solve runs the
+#: interior-point method on ``V = [u, [0; N]]``.
+UNPINNED_IPM = [(3, 1, 0), (4, 1, 0), (4, 2, 1), (4, 3, 0), (5, 2, 0), (5, 3, 1),
+                (6, 1, 1), (6, 3, 0), (7, 2, 2), (7, 3, 1), (8, 1, 2), (8, 3, 0)]
+
+
+class TestUnpinnedRelations:
+    """A variable permutation and an invertible row mix change ``N`` and
+    the vertex ``x0`` of the unpinned solve's basis, but not the problem."""
+
+    @staticmethod
+    def transformed(inst, relation, seed):
+        rng = np.random.default_rng(seed)
+        if relation == "permutation":
+            p = rng.permutation(inst.n)
+            return make_qp(inst.Q[np.ix_(p, p)], inst.c[p], inst.A[:, p], inst.b, inst.name)
+        # orthogonal times a positive scaling: condition number at most e^2
+        R = np.linalg.qr(rng.normal(size=(inst.m, inst.m)))[0] * np.exp(
+            rng.uniform(-1.0, 1.0, inst.m))
+        return make_qp(inst.Q, inst.c, R @ inst.A, R @ inst.b, inst.name)
+
+    @pytest.mark.parametrize("relation", ["permutation", "row mix"])
+    @pytest.mark.parametrize("n, m, seed", UNPINNED_IPM)
+    def test_relation_keeps_the_solve(self, n, m, seed, relation):
+        inst = random_instance(BOUNDED, n, m, seed)
+        before = solve_relaxation(inst, DNN)
+        assert before.status == OPTIMAL and before.iterations > 0
+        after = solve_relaxation(self.transformed(inst, relation, seed), DNN)
+        assert after.status == OPTIMAL and after.validation.ok
+        assert abs(after.value - before.value) <= COMPARISON_TOLERANCE * (1.0 + abs(before.value))
+
+    def test_basis_does_not_depend_on_the_vertex(self, monkeypatch, fresh_prepass):
+        # x0 - N N^T x0 is the least-norm solution of A x = b, whichever
+        # vertex x0 the feasibility test returns
+        inst = random_instance(BOUNDED, 4, 2, 2)
+        vertices = enumerate_vertices(inst)
+        assert len(vertices) > 1
+        feasible_point, face_ipm = conic._feasible_point, conic._face_ipm
+        chosen, problems = [], []
+
+        def recorded(C, G, h, *args):
+            problems.append((C, G, h))
+            return face_ipm(C, G, h, *args)
+
+        monkeypatch.setattr(conic, "_feasible_point", lambda A, b: chosen[-1].copy()
+                            if A is inst.A else feasible_point(A, b))
+        monkeypatch.setattr(conic, "_face_ipm", recorded)
+        results = []
+        for x0 in vertices:
+            chosen.append(x0)
+            _clear_memos()
+            results.append(solve_relaxation(inst, DNN))
+        assert len(problems) == len(vertices)
+        for (C, G, h), res in zip(problems, results):
+            assert res.status == OPTIMAL and res.iterations == results[0].iterations
+            assert abs(res.value - results[0].value) <= 1e-9 * abs(results[0].value)
+            for a, ref in zip((C, G, h), problems[0]):
+                assert np.abs(a - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 class TestCertificateSearch:

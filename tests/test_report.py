@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qprelax import conic
+from qprelax import conic, oracle
 from qprelax.cli import main
 from qprelax.analysis import check_psd_on_nullspace
 from qprelax.conic import (
@@ -32,6 +32,15 @@ from qprelax.generators import (
 from qprelax.report import COMPARISON_TOLERANCE, _grade, compare_report
 
 from conftest import make_qp
+
+
+def make_corpus():
+    """The 22 instances of the ``make_corpus.py`` corpus."""
+    corpus = [horn_instance()[0]]
+    corpus += [horn_family(HornFamilyParams(n=n, seed=s)) for n in (6, 7, 8)
+               for s in range(3)]
+    corpus += [random_instance(kind, 4, 2, s) for kind in KINDS for s in range(3)]
+    return corpus
 
 
 LOWER_BOUND = "relaxations lower-bound the optimum"
@@ -69,7 +78,7 @@ class TestCompareReport:
         assert by_name["unbounded verdicts carry verified certificates"].passed
 
     def test_copositivity_fallback_reuses_simplex_minimum(self, horn, monkeypatch):
-        from qprelax import analysis, oracle
+        from qprelax import analysis
 
         inst, _ = horn
         simplex = np.ones((1, inst.n))
@@ -152,7 +161,7 @@ class TestCompareReport:
             # so the border check meets a MAX_ITER entry only from the
             # interior-point solve alone: grade one directly
             unsettled = CertificateSearch(NONE, None, 0, 0.0, curvature=-math.inf)
-            monkeypatch.setattr(conic, "_prepass", lambda *args: unsettled)
+            monkeypatch.setattr(conic._Prepared, "prepass", lambda *args: unsettled)
             ipm_only = solve_relaxation(inst, PSD0, opts)
             assert ipm_only.status == MAX_ITER
             border_report = replace(report, checks=[],
@@ -261,10 +270,7 @@ class TestCompareReport:
         # on each instance of the make_corpus.py corpus, the curvature check
         # and both cones' pre-passes share one basis of null(A) and one
         # eigendecomposition of N^T Q N; the convex solve's faces are its own
-        corpus = [horn_instance()[0]]
-        corpus += [horn_family(HornFamilyParams(n=n, seed=s)) for n in (6, 7, 8)
-                   for s in range(3)]
-        corpus += [random_instance(kind, 4, 2, s) for kind in KINDS for s in range(3)]
+        corpus = make_corpus()
         svd, eigh, convex_qp = np.linalg.svd, np.linalg.eigh, conic._convex_qp
         inside, bases, eigensolves = [], [], []
 
@@ -291,10 +297,47 @@ class TestCompareReport:
         monkeypatch.setattr(conic, "_convex_qp", counted_convex_qp)
         assert len(corpus) == 22
         for inst in corpus:
-            conic._face.cache_clear()
+            conic._prepared.cache_clear()
             report = compare_report(inst)
             assert failed_checks(report) == [], inst.name
             assert bases.count(inst.name) == eigensolves.count(inst.name) == 1, inst.name
+
+    def test_one_feasibility_decision_and_one_basis(self, monkeypatch):
+        # both cones' solves read the record's x0 and N, and so does the
+        # unpinned interior-point solve; the convex solve's faces are its own
+        feasible_point, basis, convex_qp = (conic._feasible_point, conic.nullspace_basis,
+                                            conic._convex_qp)
+        corpus, inside, points, bases = make_corpus(), [], [], []
+
+        def counted_point(A, b):
+            if A is inst.A and b is inst.b:
+                points.append(inst.name)
+            return feasible_point(A, b)
+
+        def counted_basis(a):
+            if not inside:
+                bases.append(inst.name)
+            return basis(a)
+
+        def counted_convex_qp(*args):
+            inside.append(True)
+            try:
+                return convex_qp(*args)
+            finally:
+                inside.pop()
+
+        for module in (conic, oracle):
+            monkeypatch.setattr(module, "_feasible_point", counted_point)
+        monkeypatch.setattr(conic, "nullspace_basis", counted_basis)
+        monkeypatch.setattr(conic, "_convex_qp", counted_convex_qp)
+        unpinned = []
+        for inst in corpus:
+            conic._prepared.cache_clear()
+            dnn = compare_report(inst).relaxations[DNN]
+            if dnn.status == OPTIMAL and dnn.iterations > 0:
+                unpinned.append(inst.name)
+            assert points.count(inst.name) == bases.count(inst.name) == 1, inst.name
+        assert unpinned == ["bounded-n4-m2-s1", "bounded-n4-m2-s2"]
 
     def test_deterministic(self):
         inst = random_instance(BOUNDED, 3, 1, 6)
