@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .conic import SolveOptions, _prepared, evaluate_underestimator
-from .core import TOL_CURVATURE, QpInstance, curvature_tolerance, evaluate_objective, is_feasible
+from .core import QpInstance, curvature_tolerance, evaluate_objective, is_feasible
 from .errors import PointInfeasible
 from .oracle import RecessionReport, minimize_quad_over_polytope, recession_analysis
 
@@ -28,6 +28,7 @@ class NullspaceCurvatureReport:
 
     When the condition fails, ``witness`` is a null-space direction of
     strictly negative curvature, re-verifiable from raw data.
+    ``tolerance`` is ``core.curvature_tolerance(Q)``, the one applied.
     """
 
     holds: bool
@@ -55,12 +56,13 @@ def check_psd_on_nullspace(inst: QpInstance) -> NullspaceCurvatureReport:
     coordinates, scaled to unit max-norm.
     """
     face = _prepared(inst)
+    tol = curvature_tolerance(inst.Q)
     if face.v is None:
-        return NullspaceCurvatureReport(True, None, math.inf, TOL_CURVATURE)
-    holds = face.curvature >= -curvature_tolerance(inst.Q)
+        return NullspaceCurvatureReport(True, None, math.inf, tol)
+    holds = face.curvature >= -tol
     u = face.N @ face.v
     witness = None if holds else u / float(np.abs(u).max())
-    return NullspaceCurvatureReport(bool(holds), witness, face.curvature, TOL_CURVATURE)
+    return NullspaceCurvatureReport(bool(holds), witness, face.curvature, tol)
 
 
 def analyze_recession_cone(inst: QpInstance) -> RecessionReport:

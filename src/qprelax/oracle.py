@@ -11,16 +11,20 @@ reads UNBOUNDED_BELOW only when ``verify_ray_certificate`` accepts it.
 
 The faces are solved in groups, not one by one (``_face_candidates``): the
 patterns are grouped by their number of free variables, and each group is
-cut into slices of at most ``FACE_SLICE`` faces.  A slice takes one stacked
-SVD, which gives both the min-norm points and the null-space bases, then
-one stacked eigensolve of the reduced Hessians per null-space dimension.
-The PSD, vanishing-gradient and sign tests run as masks over the whole
-slice.  The singular faces of one null-space dimension whose min-norm
-stationary point has a negative entry share the stacked search
-``_feasible_points`` for a nonnegative point of their stationary sets.
-Every member of a stack is the matrix that face alone would pass to
-LAPACK, so neither grouping nor slicing changes a result; the slices
-bound the engine's memory at the cap.
+cut into slices of at most ``FACE_SLICE`` faces.  The grouping depends on
+``n`` alone, so it is built once, read-only, and cached (``_plan``: per
+group the patterns, their free columns and their subfaces with one
+variable fewer free).  A slice takes one stacked SVD, which gives both the
+min-norm points and the null-space bases, then one stacked eigensolve of
+the reduced Hessians per null-space dimension.  The PSD, vanishing-gradient
+and sign tests run as masks over the whole slice.  The singular faces of
+one null-space dimension whose min-norm stationary point has a negative
+entry share the stacked search ``_feasible_points`` for a nonnegative
+point of their stationary sets.  Each face writes its candidate into its
+own row of one ``(2^n, n)`` table, whose marked rows are the candidates
+in pattern order.  Every member of a stack is the matrix that face alone
+would pass to LAPACK, so neither grouping nor slicing changes a result;
+the slices bound the engine's memory at the cap.
 
 A face whose reduced Hessian has an eigenvalue below
 ``-_TOL_PSD * max(1, |Q|_F)`` is flagged indefinite, and so is, without a
@@ -37,8 +41,12 @@ a superset with a larger scale can pass its own test within the 1e-9 band.
 Basic feasible points are found the same way: the column subsets of size
 rank(A) are solved in stacks, one SVD per stack (``_basic_solutions``),
 each member the matrix ``numpy.linalg`` would receive for that subset.
-A LAPACK failure, in the faces or in the bases, raises
-``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
+The ray test of an unbounded polyhedron starts from its basic feasible
+points; a caller that has enumerated them already passes the list as the
+keyword ``vertices`` of ``global_solve`` or
+``minimize_quad_over_polytope``, so ``report.compare_report`` enumerates
+each instance once.  A LAPACK failure, in the faces or in the bases,
+raises ``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
 
 Every enumeration is capped at ``2 ** enum_cap()`` members (``enum_cap()``
 is 16 unless the QPRELAX_ENUM_CAP environment variable says otherwise),
@@ -53,13 +61,13 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .core import (
     FEAS_TOL,
-    TOL_CURVATURE,
     QpInstance,
     curvature_tolerance,
     feasibility_residual,
@@ -118,6 +126,8 @@ class RecessionReport:
     directions normalized to the unit simplex (+inf when the cone is
     trivial); ``zero_directions`` samples normalized directions of zero
     curvature; ``rays`` are the extreme normalized directions.
+    ``tolerance`` is ``core.curvature_tolerance(Q)``, the one the
+    curvatures were compared at.
     """
 
     l_nontrivial: bool
@@ -178,7 +188,8 @@ class RayCertificate:
 
 @dataclass(frozen=True)
 class RayCheck:
-    """Re-verification of a ``RayCertificate`` from raw instance data."""
+    """Re-verification of a ``RayCertificate`` from raw instance data;
+    ``tolerance`` is the curvature tolerance ``core.curvature_tolerance(Q)``."""
 
     ok: bool
     feasibility_residual: float
@@ -378,43 +389,78 @@ def _lapack_failed(err, flag):
     raise np.linalg.LinAlgError("LAPACK did not converge in the exact oracle")
 
 
+@lru_cache(maxsize=1)
+def _plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The face patterns of ``n`` variables with a free variable, grouped
+    for ``_face_candidates``.
+
+    A pattern's index reads its variables as bits, the first variable
+    highest and 1 for a free variable, so the indices run in
+    ``itertools.product`` order; pattern 0, every variable at zero, has no
+    group.  The ``f``-th group, ``f = 1 .. n``, holds the patterns with
+    ``f`` free variables, ascending, as ``(faces, cols, subfaces)``: the
+    pattern indices, each face's free columns, and per free column the
+    index of the subface that fixes it at zero, which sits in the group
+    before.  The arrays are
+    read-only and of the smallest unsigned type that holds ``2 ** n - 1``.
+    Every enumeration of one instance has the same ``n``, so one cached
+    plan serves them all.
+    """
+    dtype = np.min_scalar_type(2 ** n - 1)
+    bits = 1 << np.arange(n - 1, -1, -1)
+    free = (np.arange(2 ** n)[:, None] & bits) != 0
+    count = free.sum(axis=1)
+    groups = []
+    for f in range(1, n + 1):
+        faces = np.flatnonzero(count == f)
+        cols = np.nonzero(free[faces])[1].reshape(faces.size, f)
+        group = tuple(v.astype(dtype) for v in (faces, cols, faces[:, None] ^ bits[cols]))
+        for v in group:
+            v.setflags(write=False)
+        groups.append(group)
+    return tuple(groups)
+
+
 def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
     """Candidate minimizers of all faces, as rows in pattern order.
 
     A face's candidate is its vertex (no free variable) or the stationary
     point of the quadratic on its affine hull, kept when the reduced
     Hessian is PSD, the reduced gradient can vanish and the point is
-    nonnegative.  Faces are solved together per number of free variables,
-    in slices of at most ``FACE_SLICE`` faces (``_group_candidates``).
-    A face that contains a face flagged indefinite is flagged in turn and
+    nonnegative.  Faces are solved together per number of free variables
+    (the groups of ``_plan``), in slices of at most ``FACE_SLICE`` faces
+    (``_group_candidates``), and each writes its candidate into its own
+    row of one ``(2^n, n)`` table; ``has`` marks the candidates.  A face
+    that contains a face flagged indefinite is flagged in turn and
     skipped: its own PSD test would fail (see the module docstring).
     """
     n = A.shape[1]
-    # one row per face in itertools.product order; True marks a free
-    # variable, False one fixed at zero
-    free = np.indices((2,) * n, dtype=np.int8).reshape(n, 2 ** n).T == 1
-    # pattern p ^ bits[j] toggles variable j
-    bits = 1 << np.arange(n - 1, -1, -1)
+    X = np.zeros((2 ** n, n))
+    has = np.zeros(2 ** n, dtype=bool)
+    # the vertex x = 0 of the pattern with every variable fixed
+    has[0] = float(np.abs(b).max(initial=0.0)) <= _TOL_EQ * scale
     indefinite = np.zeros(2 ** n, dtype=bool)
     floor = -_TOL_PSD * max(1.0, float(np.linalg.norm(Q)))
-    # (pattern indices, candidate points); the f = 0 group always adds one
-    found = []
-    for f, idx in enumerate(_split_by(free.sum(axis=1), n + 1)):
-        # every subface with one free variable fewer sits in group f - 1
-        skip = (indefinite[idx[:, None] ^ bits] & free[idx]).any(axis=1)
-        indefinite[idx[skip]] = True
-        idx = idx[~skip]
-        for start in range(0, idx.size, FACE_SLICE):
-            part = idx[start : start + FACE_SLICE]
-            found += _group_candidates(Q, c, A, b, part, free[part], f, scale, floor, indefinite)
-    pattern = np.concatenate([faces for faces, _ in found])
-    return np.concatenate([x for _, x in found])[np.argsort(pattern)]
+    for faces, cols, subfaces in _plan(n):
+        # numpy indexes fastest with intp; the plan keeps its compact type
+        faces, cols = faces.astype(np.intp), cols.astype(np.intp)
+        skip = indefinite[subfaces].any(axis=1)
+        if skip.any():
+            indefinite[faces[skip]] = True
+            faces, cols = faces[~skip], cols[~skip]
+        for start in range(0, faces.size, FACE_SLICE):
+            part = slice(start, start + FACE_SLICE)
+            _group_candidates(Q, c, A, b, faces[part], cols[part], scale, floor,
+                              X, has, indefinite)
+    return X[has]
 
 
-def _group_candidates(Q, c, A, b, idx, free, f, scale, floor, indefinite):
-    """``(pattern indices, points)`` pairs of the faces ``idx`` with ``f`` free variables.
+def _group_candidates(Q, c, A, b, faces, cols, scale, floor, X, has, indefinite):
+    """Write the candidates of ``faces``, free on the columns ``cols``, into
+    their rows of the table ``X`` and mark them in ``has``.  Every face's
+    row may be written; only ``has`` says which rows are candidates.
 
-    The group shares one stacked SVD, which gives both the min-norm points
+    The faces share one stacked SVD, which gives both the min-norm points
     (singular values above ``RANK_TOL`` times the largest) and the
     null-space bases; the faces of one null-space dimension then share one
     stacked eigensolve (``_interior_points``).  Each slice is the matrix the
@@ -425,58 +471,51 @@ def _group_candidates(Q, c, A, b, idx, free, f, scale, floor, indefinite):
     ``indefinite`` at the faces whose reduced Hessian has an eigenvalue
     below ``floor``.
     """
-    m, n = A.shape
-    tol_eq = _TOL_EQ * scale
+    m = A.shape[0]
+    f = cols.shape[1]
     tol_bound = _TOL_BOUND * scale
-    if f == 0:  # the one pattern with every variable at zero
-        hit = idx[: int(float(np.abs(b).max(initial=0.0)) <= tol_eq)]
-        return [(hit, np.zeros((hit.size, n)))]
     r = b[:, None]  # every face has the right-hand side b
-    cols = np.nonzero(free)[1].reshape(-1, f)
     AF = A[:, cols].transpose(1, 0, 2).copy()
     u, s, vt = _svd(AF, signature="d->ddd")
     kept = s > RANK_TOL * s[:, :1]
-    rank = kept.sum(axis=1)
     # x0 = V diag(1/s) U^T b over the kept singular values
     q = s.shape[1]
     coef = np.divide(u[:, :, :q].transpose(0, 2, 1) @ r, s[:, :, None],
-                     out=np.zeros((idx.size, q, 1)), where=kept[:, :, None])
+                     out=np.zeros((faces.size, q, 1)), where=kept[:, :, None])
     x0 = vt[:, :q].transpose(0, 2, 1) @ coef
-    nonempty = np.abs(AF @ x0 - r).max(axis=(1, 2), initial=0.0) <= tol_eq
-    if not nonempty.any():
-        return []
-    idx, cols, AF, x0, vt, rank = (v[nonempty] for v in (idx, cols, AF, x0, vt, rank))
+    nonempty = np.abs(AF @ x0 - r).max(axis=(1, 2), initial=0.0) <= _TOL_EQ * scale
+    if not nonempty.all():
+        if not nonempty.any():
+            return
+        faces, cols, AF, x0, vt, kept = (v[nonempty] for v in (faces, cols, AF, x0, vt, kept))
+    rank = kept.sum(axis=1)
+    if rank.min() == rank.max():
+        parts = [(int(rank[0]), faces, cols, AF, x0, vt)]
+    else:
+        parts = [(k, *(v[sel] for v in (faces, cols, AF, x0, vt)))
+                 for k, sel in enumerate(_split_by(rank, min(m, f) + 1)) if sel.size]
 
-    found = []
-
-    def keep(faces, cs, xF):
-        points = np.zeros((faces.size, n))
-        points[np.arange(faces.size)[:, None], cs] = np.clip(xF, 0.0, None)
-        found.append((faces, points))
-
-    for k, sub in enumerate(_split_by(rank, min(m, f) + 1)):
-        if sub.size == 0:
-            continue
-        faces, cs = idx[sub], cols[sub]
+    for k, faces, cols, AF, x0, vt in parts:
         if k == f:  # the face is the single point x0
-            xF = x0[sub][:, :, 0]
+            xF = x0[:, :, 0]
             hit = _nonnegative(xF, tol_bound)
-            keep(faces[hit], cs[hit], xF[hit])
+        else:
+            xF, hit, outside, wmin = _interior_points(Q, c, vt[:, k:], cols, x0, tol_bound)
+            indefinite[faces[wmin < floor]] = True
+        X[faces[:, None], cols] = np.clip(xF, 0.0, None)
+        has[faces] = hit
+        if k == f or not outside.any():
             continue
-        xF, hit, outside, wmin = _interior_points(Q, c, vt[sub, k:], cs, x0[sub], tol_bound)
-        keep(faces[hit], cs[hit], xF[hit])
-        indefinite[faces[wmin < floor]] = True
-        if outside.any():
-            # the objective is constant on a singular face's stationary set
-            # {AF x = b, N^T (QFF x + cF) = 0}: look for a nonnegative point
-            NT, F = vt[sub[outside], k:], cs[outside]
-            QFF = Q[F[:, :, None], F[:, None, :]]
-            system = np.concatenate((AF[sub[outside]], NT @ QFF), axis=1)
-            rhs = np.concatenate((np.broadcast_to(b, (F.shape[0], m)),
-                                  -(NT @ c[F][:, :, None])[:, :, 0]), axis=1)
-            alt, hit = _feasible_points(system, rhs)
-            keep(faces[outside][hit], F[hit], alt[hit])
-    return found
+        # the objective is constant on a singular face's stationary set
+        # {AF x = b, N^T (QFF x + cF) = 0}: look for a nonnegative point
+        NT, F, faces = vt[outside, k:], cols[outside], faces[outside]
+        QFF = Q[F[:, :, None], F[:, None, :]]
+        system = np.concatenate((AF[outside], NT @ QFF), axis=1)
+        rhs = np.concatenate((np.broadcast_to(b, (F.shape[0], m)),
+                              -(NT @ c[F][:, :, None])[:, :, 0]), axis=1)
+        alt, found = _feasible_points(system, rhs)
+        X[faces[:, None], F] = np.clip(alt, 0.0, None)
+        has[faces] = found
 
 
 def _interior_points(Q, c, null_rows, cs, x0, tol):
@@ -496,21 +535,21 @@ def _interior_points(Q, c, null_rows, cs, x0, tol):
     H = 0.5 * (H + H.transpose(0, 2, 1))
     g = NT @ (QFF @ x0 + c[cs][:, :, None])
     w, V = _eigh(H, signature="d->dd")
-    hscale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None]
+    aw = np.abs(w)
+    hscale = np.maximum(1.0, aw.max(axis=1))[:, None]
     gp = (V.transpose(0, 2, 1) @ g)[:, :, 0]
-    singular = np.abs(w) <= 1e-10 * hscale
-    gscale = np.maximum(1.0, np.abs(gp).max(axis=1))[:, None]
+    ag = np.abs(gp)
+    singular = aw <= 1e-10 * hscale
+    gscale = np.maximum(1.0, ag.max(axis=1))[:, None]
     # PSD on the face, and the gradient can vanish on it
-    ok = (w[:, 0] >= -_TOL_PSD * hscale[:, 0]) & ~np.any(
-        singular & (np.abs(gp) > 1e-8 * gscale), axis=1
-    )
+    ok = (w[:, 0] >= -_TOL_PSD * hscale[:, 0]) & ~(singular & (ag > 1e-8 * gscale)).any(axis=1)
     t = np.where(singular, 0.0, -gp / np.where(singular, 1.0, w))
     xF = (x0 + N @ (V @ t[:, :, None]))[:, :, 0]
     inside = _nonnegative(xF, tol)
     return xF, ok & inside, ok & ~inside & singular.any(axis=1), w[:, 0]
 
 
-def minimize_quad_over_polytope(Q, c, A, b) -> OracleResult:
+def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None) -> OracleResult:
     """Exact minimum of ``x^T Q x + 2 c^T x`` over ``{A x = b, x >= 0}``.
 
     The global minimizer of a quadratic lies in the relative interior of
@@ -520,7 +559,10 @@ def minimize_quad_over_polytope(Q, c, A, b) -> OracleResult:
     (``recession_analysis``, ``ray_witness``): a divergent ray gives
     UNBOUNDED_BELOW with the ray, unchecked, and the finite value is
     certified only when every recession direction has strictly positive
-    curvature.
+    curvature.  The ray test starts from the basic feasible points of
+    ``{A x = b, x >= 0}``; a caller that has already enumerated them passes
+    ``basic_feasible_points(A, b)`` as ``vertices``, which is read only
+    when the recession cone is nontrivial.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -538,7 +580,7 @@ def minimize_quad_over_polytope(Q, c, A, b) -> OracleResult:
     certified = True
     recession = recession_analysis(Q, A)
     if recession.l_nontrivial:
-        verts = basic_feasible_points(A, b)
+        verts = basic_feasible_points(A, b) if vertices is None else vertices
         if not verts:
             return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE,
                                 recession=recession)
@@ -605,12 +647,12 @@ def recession_analysis(Q, A) -> RecessionReport:
     module builds itself have one), and enumerates nothing.
     """
     n = Q.shape[0]
+    tol = curvature_tolerance(Q)
     cut = _recession_slice(A)
     rays = [] if cut is None else basic_feasible_points(*cut)
     if not rays:
-        return RecessionReport(False, math.inf, None, (), TOL_CURVATURE, ())
+        return RecessionReport(False, math.inf, None, (), tol, ())
     curv = minimize_quad_over_polytope(Q, np.zeros(n), *cut)
-    tol = curvature_tolerance(Q)
     neg = curv.minimizers[0] if curv.value < -tol else None
     zero_dirs = []
     seen = set()
@@ -620,8 +662,7 @@ def recession_analysis(Q, A) -> RecessionReport:
             if key not in seen:
                 seen.add(key)
                 zero_dirs.append(d)
-    return RecessionReport(True, float(curv.value), neg, tuple(zero_dirs), TOL_CURVATURE,
-                           tuple(rays))
+    return RecessionReport(True, float(curv.value), neg, tuple(zero_dirs), tol, tuple(rays))
 
 
 def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[RayCertificate]:
@@ -662,7 +703,8 @@ def certifies_copositive(Q, simplex_min: float) -> bool:
     return simplex_min >= -curvature_tolerance(Q)
 
 
-def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> OracleResult:
+def global_solve(inst: QpInstance, simplex_min: Optional[float] = None, *,
+                 vertices=None) -> OracleResult:
     """Exact optimal value of the instance, with unboundedness analysis.
 
     +inf for infeasible instances, -inf when a divergent ray is found and
@@ -675,9 +717,11 @@ def global_solve(inst: QpInstance, simplex_min: Optional[float] = None) -> Oracl
     the whole orthant), otherwise the result is INCONCLUSIVE.  Copositivity
     is decided by the minimum of ``x^T Q x`` over the standard simplex
     (``certifies_copositive``); a caller that has already computed it
-    passes it as ``simplex_min``.
+    passes it as ``simplex_min``, and one that has already enumerated the
+    vertices passes the list ``enumerate_vertices(inst)`` returns as
+    ``vertices``.
     """
-    res = minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b)
+    res = minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b, vertices=vertices)
     if res.status == ORACLE_UNBOUNDED:
         check = verify_ray_certificate(inst, res.ray)
         status = ORACLE_UNBOUNDED if check.ok else ORACLE_INCONCLUSIVE
@@ -786,7 +830,7 @@ def verify_ray_certificate(inst: QpInstance, ray: RayCertificate) -> RayCheck:
         normalization_error=norm_err,
         curvature=curvature,
         slope=slope,
-        tolerance=TOL_CURVATURE,
+        tolerance=curvature_tol,
     )
 
 

@@ -156,9 +156,8 @@ def compare_report(inst: QpInstance, opts: Optional[SolveOptions] = None) -> Rep
     nullspace = check_psd_on_nullspace(inst)
     copositivity = desk_scale(notes, "copositivity check", check_copositivity_desk_scale, inst.Q)
     simplex_min = None if copositivity is None else copositivity.min_value
-    oracle = desk_scale(
-        notes, "oracle and recession analysis", global_solve, inst, simplex_min=simplex_min
-    )
+    oracle = desk_scale(notes, "oracle and recession analysis", global_solve, inst,
+                        simplex_min=simplex_min, vertices=verts)
     relaxations = {}
     for cone in (DNN, PSD0):
         res = desk_scale(notes, f"relaxation {cone}", solve_relaxation, inst, cone, opts)

@@ -3,11 +3,21 @@ import numpy as np
 import pytest
 
 from qprelax.core import QpInstance
+from qprelax.generators import KINDS, HornFamilyParams, horn_family, horn_instance, random_instance
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
 )
 hypothesis.settings.load_profile("default")
+
+
+def make_corpus():
+    """The 22 instances of the ``make_corpus.py`` corpus."""
+    corpus = [horn_instance()[0]]
+    corpus += [horn_family(HornFamilyParams(n=n, seed=s)) for n in (6, 7, 8)
+               for s in range(3)]
+    corpus += [random_instance(kind, 4, 2, s) for kind in KINDS for s in range(3)]
+    return corpus
 
 
 def make_qp(Q, c, A, b, name="test"):
@@ -37,8 +47,6 @@ def simplex_concave3():
 
 @pytest.fixture
 def horn():
-    from qprelax.generators import horn_instance
-
     return horn_instance()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qprelax import oracle
-from qprelax.core import TOL_CURVATURE, slope_tolerance
+from qprelax.analysis import check_psd_on_nullspace
+from qprelax.core import TOL_CURVATURE, curvature_tolerance, slope_tolerance
 from qprelax.errors import DeskScaleLimit, PointInfeasible
 from qprelax.generators import HornFamilyParams, horn_family
 from qprelax.numerics import nullspace_basis
@@ -21,11 +23,13 @@ from qprelax.oracle import (
     enumerate_vertices,
     global_solve,
     minimize_quad_over_polytope,
+    recession_analysis,
     second_order_minimum,
     verify_local_minimizer,
+    verify_ray_certificate,
 )
 
-from conftest import feasible_samples, make_qp
+from conftest import feasible_samples, make_corpus, make_qp
 
 
 class TestVertexEnumeration:
@@ -291,8 +295,7 @@ def reference_minimize(Q, c, A, b):
             return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE)
         if oracle.ray_witness(Q, c, verts, recession) is not None:
             return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED)
-        qscale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-        certified = recession.min_curvature > recession.tolerance * qscale
+        certified = recession.min_curvature > recession.tolerance
 
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
     tol_eq = oracle._TOL_EQ * scale
@@ -550,6 +553,111 @@ class TestIndefiniteSkip:
         # 247 faces were eigensolved before faces containing an indefinite
         # face were skipped
         assert sum(rows) == 102 and res.faces_explored == 256
+
+
+def bitwise_equal(u, v):
+    """Field for field equality of results, with arrays and floats compared
+    bit for bit."""
+    if dataclasses.is_dataclass(u):
+        return type(u) is type(v) and all(
+            bitwise_equal(getattr(u, f.name), getattr(v, f.name))
+            for f in dataclasses.fields(u))
+    if isinstance(u, np.ndarray):
+        return (isinstance(v, np.ndarray) and u.dtype == v.dtype and u.shape == v.shape
+                and u.tobytes() == v.tobytes())
+    if isinstance(u, (tuple, list)):
+        return (type(u) is type(v) and len(u) == len(v)
+                and all(bitwise_equal(x, y) for x, y in zip(u, v)))
+    if isinstance(u, float):
+        return isinstance(v, float) and u.hex() == v.hex()
+    return u == v
+
+
+class TestFacePlan:
+    """The cached grouping of the face patterns of one ``n``."""
+
+    def test_groups_follow_product_order(self):
+        n = 4
+        patterns = list(itertools.product((0, 1), repeat=n))
+        for f, (faces, cols, subfaces) in enumerate(oracle._plan(n), start=1):
+            assert faces.tolist() == [i for i, p in enumerate(patterns) if sum(p) == f]
+            for face, cs, subs in zip(faces, cols, subfaces):
+                assert cs.tolist() == [j for j in range(n) if patterns[face][j]]
+                for j, sub in zip(cs, subs):
+                    assert patterns[sub] == patterns[face][:j] + (0,) + patterns[face][j + 1:]
+
+    @pytest.mark.parametrize("n,dtype", [(5, np.uint8), (8, np.uint8), (9, np.uint16)])
+    def test_plan_is_read_only_and_compact(self, n, dtype):
+        plan = oracle._plan(n)
+        assert len(plan) == n
+        for group in plan:
+            for v in group:
+                assert v.dtype == dtype
+                with pytest.raises(ValueError):
+                    v[...] = 0
+
+    def test_evicted_plan_gives_the_same_candidates(self):
+        # one plan is cached, so enumerations at n = 5, 6, 5 build it three times
+        problems = [horn_problems(n)[k] for n in (5, 6, 5) for k in (0, 2)]
+
+        def candidates(Q, c, A, b):
+            with np.errstate(call=oracle._lapack_failed, invalid="call"):
+                return oracle._face_candidates(Q, c, A, b, 3.0)
+
+        oracle._plan.cache_clear()
+        cached = [candidates(*problem) for problem in problems]
+        assert oracle._plan.cache_info().misses == 3
+        for problem, X in zip(problems, cached):
+            oracle._plan.cache_clear()
+            assert len(X) and bitwise_equal(candidates(*problem), X)
+
+
+class TestGivenVertices:
+    """The oracle reads vertices its caller has already enumerated."""
+
+    def test_global_solve_over_the_corpus(self):
+        for inst in make_corpus():
+            given = global_solve(inst, vertices=enumerate_vertices(inst))
+            assert bitwise_equal(given, global_solve(inst)), inst.name
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_global_solve_on_the_horn_problems(self, n):
+        for Q, c, A, b in horn_problems(n):
+            inst = make_qp(Q, c, A, b)
+            given = global_solve(inst, vertices=enumerate_vertices(inst))
+            assert bitwise_equal(given, global_solve(inst))
+
+    def test_vertices_are_keyword_only(self):
+        inst = make_corpus()[0]
+        with pytest.raises(TypeError):
+            global_solve(inst, None, enumerate_vertices(inst))
+        with pytest.raises(TypeError):
+            minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b,
+                                        enumerate_vertices(inst))
+
+
+class TestCurvatureTolerance:
+    """Curvature reports record the scaled tolerance they were checked at."""
+
+    def test_reports_on_a_scaled_q(self):
+        Q = 3.0 * np.diag([1.0, -1.0])
+        tol = curvature_tolerance(Q)
+        assert tol == 3.0 * TOL_CURVATURE
+        # {x1 - x2 = 1}: a nontrivial cone along (1, 1)/2; x1 + x2 = 1: trivial
+        ray = make_qp(Q, [0, 0], [[1, -1]], [1])
+        segment = make_qp(Q, [0, 0], [[1, 1]], [1])
+        for inst in (ray, segment):
+            assert recession_analysis(inst.Q, inst.A).tolerance == tol
+            assert check_psd_on_nullspace(inst).tolerance == tol
+        assert recession_analysis(ray.Q, ray.A).l_nontrivial
+        assert not recession_analysis(segment.Q, segment.A).l_nontrivial
+        corner = make_qp(Q, [0, 0], np.eye(2), [1, 1])
+        assert check_psd_on_nullspace(corner).tolerance == tol
+        concave = make_qp(-Q @ Q, [1, 1], [[1, -1]], [1])
+        res = global_solve(concave)
+        assert res.status == ORACLE_UNBOUNDED
+        assert res.ray_check.tolerance == curvature_tolerance(concave.Q) == 9.0 * TOL_CURVATURE
+        assert verify_ray_certificate(concave, res.ray).tolerance == 9.0 * TOL_CURVATURE
 
 
 @st.composite

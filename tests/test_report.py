@@ -18,12 +18,11 @@ from qprelax.conic import (
     solve_relaxation,
     verify_certificate,
 )
-from qprelax.core import DNN, PSD0, save_instance
+from qprelax.core import DNN, PSD0, curvature_tolerance, save_instance
 from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
     INFEASIBLE,
-    KINDS,
     HornFamilyParams,
     horn_family,
     horn_instance,
@@ -31,16 +30,7 @@ from qprelax.generators import (
 )
 from qprelax.report import COMPARISON_TOLERANCE, _grade, compare_report
 
-from conftest import make_qp
-
-
-def make_corpus():
-    """The 22 instances of the ``make_corpus.py`` corpus."""
-    corpus = [horn_instance()[0]]
-    corpus += [horn_family(HornFamilyParams(n=n, seed=s)) for n in (6, 7, 8)
-               for s in range(3)]
-    corpus += [random_instance(kind, 4, 2, s) for kind in KINDS for s in range(3)]
-    return corpus
+from conftest import make_corpus, make_qp
 
 
 LOWER_BOUND = "relaxations lower-bound the optimum"
@@ -265,6 +255,35 @@ class TestCompareReport:
         text = compare_report(inst).to_text()
         assert "tol" in text
         assert "cross-checks" in text
+
+    def test_text_records_the_applied_curvature_tolerance(self):
+        inst = horn_family(HornFamilyParams(n=8, seed=2))
+        tol = curvature_tolerance(inst.Q)
+        assert tol > 1e-8
+        text = compare_report(inst).to_text()
+        # the recession cone's line and the null-space line
+        assert text.count(f"tol {tol:g})") == 2
+
+    def test_enumerates_the_vertices_once(self, monkeypatch):
+        # global_solve reads the vertices compare_report enumerated, so the
+        # instance's own system is enumerated once per op, also when the
+        # recession cone is nontrivial and the ray test starts from them
+        basic = oracle.basic_feasible_points
+        calls, nontrivial = [], []
+
+        def counted(A, b):
+            if A.shape == inst.A.shape and np.array_equal(A, inst.A) and np.array_equal(b, inst.b):
+                calls.append(inst.name)
+            return basic(A, b)
+
+        monkeypatch.setattr(oracle, "basic_feasible_points", counted)
+        for inst in make_corpus():
+            report = compare_report(inst)
+            assert failed_checks(report) == [], inst.name
+            assert calls.count(inst.name) == 1, inst.name
+            if report.oracle.recession.l_nontrivial:
+                nontrivial.append(inst.name)
+        assert len(nontrivial) == 13
 
     def test_builds_the_face_once(self, monkeypatch):
         # on each instance of the make_corpus.py corpus, the curvature check
