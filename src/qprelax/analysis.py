@@ -59,10 +59,9 @@ def check_psd_on_nullspace(inst: QpInstance) -> NullspaceCurvatureReport:
     tol = curvature_tolerance(inst.Q)
     if face.v is None:
         return NullspaceCurvatureReport(True, None, math.inf, tol)
-    holds = face.curvature >= -tol
     u = face.N @ face.v
-    witness = None if holds else u / float(np.abs(u).max())
-    return NullspaceCurvatureReport(bool(holds), witness, face.curvature, tol)
+    witness = None if face.holds else u / float(np.abs(u).max())
+    return NullspaceCurvatureReport(face.holds, witness, face.curvature, tol)
 
 
 def analyze_recession_cone(inst: QpInstance) -> RecessionReport:

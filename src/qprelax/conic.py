@@ -17,9 +17,9 @@ MAX_ITER where it has no optimum.  Three problems run it:
 - the unpinned solve: ``V = [u, [0; N]]`` with ``u`` the unit vector along
   ``[1; x0 - N N^T x0]`` (the least-norm solution of ``A x = b``, whatever
   vertex ``x0`` is), an orthonormal basis of null(rows); ``C = V^T qhat V``,
-  the rows are the sign rows ``(V S V^T)_ij >= 0`` (every pair ``i < j``
-  for DNN, the pairs ``(0, j)`` for PSD0), and ``Y_00 = 1`` is the row
-  pair ``<v0 v0^T, S> >= 1``, ``<-v0 v0^T, S> >= -1``;
+  the rows are the DNN sign rows ``(V S V^T)_ij >= 0`` for every pair
+  ``i < j`` (for both cones, below), and ``Y_00 = 1`` is the row pair
+  ``<v0 v0^T, S> >= 1``, ``<-v0 v0^T, S> >= -1``;
 - the pinned DNN solve (below);
 - the DNN OBJECTIVE certificate search, the pinned DNN problem at
   ``x = 0`` with ``tr S <= 1`` (below).
@@ -34,7 +34,8 @@ Every solve of one instance reads one record, ``_prepared``, kept for the
 last instance (matched by identity): ``N``, an orthonormal basis of
 null(A), ``C = N^T Q N`` with its least eigenpair, and, each built on first
 read, the DNN sign-row stack, the feasible point ``x0`` of the emptiness
-test and each cone's certificate pre-pass.  Every feasible lifted point is
+test, the checked convex closed form below and each cone's certificate
+pre-pass.  Every feasible lifted point is
 ``[1; x][1; x]^T + [0 0; 0 N S N^T]``, on the face spanned by ``[1; x0]``
 and ``[0; N]``.  For a feasible anchor ``x`` and ``z = [1; x]``, the
 pinned feasible set of both lifts is
@@ -103,19 +104,22 @@ either lift has ``X - x x^T = N S N^T`` with ``S`` positive semidefinite, so
 its objective is ``q(x) + <N^T Q N, S>``, at least ``q(x)`` at the same
 threshold.  Both relaxations then equal the minimum of q over the
 polyhedron (Burer, Math. Prog. 2009), attained at ``z z^T`` with
-``z = [1; x*]``.  ``solve_relaxation`` finds ``x*`` with a primal
-active-set method (``_convex_qp``) started at the record's ``x0``, and
-returns ``z z^T`` as OPTIMAL with 0 iterations once ``x*`` passes the
-raw-data first-order check (``oracle.first_order_certificate``, whose
-multipliers prove a global minimum of a q convex on the affine hull) and
-``validate_lifted_point``.  The result carries the multipliers as ``kkt``.
-When the method instead meets a descent direction of zero curvature that
-no bound blocks, q and both relaxations are unbounded below: the solve
-returns UNBOUNDED with 0 iterations and the ray ``(x0, d)`` as ``ray``, once
-``oracle.verify_ray_certificate`` accepts it.  No lifted recession
-certificate exists there, since the rate ``d^T Q d`` is 0.  Where a check
-fails, or the method reaches ``ACTIVE_SET_STEPS``, the solve runs the
-interior-point method, whose point is gated like the pinned one.
+``z = [1; x*]``.  The record finds ``x*`` once for both cones
+(``convex``) by a primal active-set method (``_convex_qp``) from its
+``x0``, and keeps it once it passes the raw-data first-order check
+(``oracle.first_order_certificate``, whose multipliers prove a global
+minimum of a q convex on the affine hull).  Each cone returns ``z z^T`` as
+OPTIMAL with 0 iterations, and the multipliers as ``kkt``, once it passes
+``validate_lifted_point`` there.  When the method instead meets a descent
+direction of zero curvature that no bound blocks, q and both relaxations
+are unbounded below: the record keeps the ray ``(x0, d)`` once
+``oracle.verify_ray_certificate`` accepts it, and both cones return it as
+``ray``, UNBOUNDED with 0 iterations.  No lifted recession certificate
+exists there, since the rate ``d^T Q d`` is 0.  Where a check fails, or
+the method reaches ``ACTIVE_SET_STEPS``, both cones solve DNN's unpinned
+problem and gate its point at their own cone: DNN lies in PSD0, and both
+equal the minimum of q there.  Below the threshold PSD0 is settled by the
+pre-pass (``_settled``), plain or pinned: it never iterates.
 """
 
 from __future__ import annotations
@@ -989,12 +993,14 @@ class _Prepared:
     ``N`` is the orthonormal basis of null(A) and ``C = N^T Q N``;
     ``curvature`` is the least eigenvalue of ``C``, the curvature of Q on
     null(A), and ``v`` its eigenvector (``+inf`` and None when null(A) is
-    ``{0}``).  Built the first time something reads them: ``signs``, the
+    ``{0}``); ``holds`` is the curvature condition, ``curvature`` at or above
+    ``-core.curvature_tolerance(Q)``.  Built on first read: ``signs``, the
     DNN sign-row stack of ``N`` (``_sign_stack``); ``x0``, the basic
     feasible point of the polyhedron (``oracle._feasible_point``), None
-    when it is empty; and ``prepass(cone, opts)``, the OBJECTIVE certificate
-    search of each cone and options.  All arrays are read-only.
-    ``_prepared`` keeps the record of the last instance, matched by identity.
+    when it is empty; ``convex``, the checked outcome of the convex QP;
+    and ``prepass(cone, opts)``, the OBJECTIVE certificate search of each
+    cone and options.  All arrays are read-only.  ``_prepared`` keeps the
+    record of the last instance, matched by identity.
     """
 
     def __init__(self, inst: QpInstance):
@@ -1006,6 +1012,7 @@ class _Prepared:
             self.curvature, self.v = float(values[0]), vectors[:, 0]
             self.v.flags.writeable = False
         N.flags.writeable = self.C.flags.writeable = False
+        self.holds = self.curvature >= -curvature_tolerance(inst.Q)
 
     @cached_property
     def signs(self):
@@ -1021,6 +1028,28 @@ class _Prepared:
             x0.flags.writeable = False
         return x0
 
+    @cached_property
+    def convex(self):
+        """``_convex_qp`` from ``x0``, where it exists and the condition
+        ``holds``, with its check: ``(x, kkt)`` with the multipliers of
+        ``oracle.first_order_certificate``, ``(ray, check)`` when
+        ``oracle.verify_ray_certificate`` accepts the ray, or None."""
+        found = _convex_qp(self.inst, self.x0) if self.holds and self.x0 is not None else None
+        if found is None:
+            return None
+        x, d = found
+        x.flags.writeable = False
+        if d is not None:
+            d.flags.writeable = False
+            ray = RayCertificate(x, d)
+            check = verify_ray_certificate(self.inst, ray)
+            return (ray, check) if check.ok else None
+        try:
+            kkt = first_order_certificate(self.inst, x)
+        except PointInfeasible:
+            return None
+        return None if kkt is None else (x, kkt)
+
     def prepass(self, cone: str, opts: SolveOptions) -> CertificateSearch:
         """The unboundedness pre-pass: a FOUND search proves the relaxation
         unbounded, and its ``curvature`` decides the closed forms either way."""
@@ -1033,19 +1062,16 @@ class _Prepared:
 _prepared = lru_cache(maxsize=1)(_Prepared)
 
 
-def _sign_stack(N: np.ndarray, cone: str = DNN):
-    """The sign rows ``(x x^T + N S N^T)_ij >= 0`` of the cone as
+def _sign_stack(N: np.ndarray):
+    """The DNN sign rows ``(x x^T + N S N^T)_ij >= 0`` for ``i < j`` as
     ``<G_k, S> >= h_k`` with ``h_k = -x_i x_j``: the stack ``G`` and the
     pairs ``(i, j)`` of its rows.
 
-    DNN has a row for every pair ``i < j``, PSD0 for the pairs ``(0, j)``
-    only.  The diagonal rows follow from ``S`` PSD.  A row whose ``G`` is
-    zero (to ``RANK_TOL``; a variable that is zero on the whole polyhedron
-    has a zero row in ``N``) reads ``0 >= -x_i x_j`` and is dropped.
+    The diagonal rows follow from ``S`` PSD.  A row whose ``G`` is zero (to
+    ``RANK_TOL``; a variable that is zero on the whole polyhedron has a zero
+    row in ``N``) reads ``0 >= -x_i x_j`` and is dropped.
     """
     i, j = np.triu_indices(N.shape[0], k=1)
-    if cone == PSD0:
-        i, j = i[i == 0], j[i == 0]
     G = N[i, :, None] * N[j, None, :]
     G = 0.5 * (G + G.transpose(0, 2, 1))
     rows = np.abs(G).max(axis=(1, 2), initial=0.0) > RANK_TOL
@@ -1183,13 +1209,14 @@ def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
 # relaxation solves
 
 
-def _unfinished(lp: LiftedProblem, y: np.ndarray, residual_primal: float,
-                residual_dual: float, iterations: int) -> RelaxationResult:
-    """MAX_ITER at the last point ``y`` of a solve that did not finish."""
-    return RelaxationResult(
-        status=MAX_ITER, value=float(np.vdot(lp.qhat, y)), point=LiftedPoint(y),
-        residual_primal=residual_primal, residual_dual=residual_dual, iterations=iterations,
-    )
+def _face_result(lp: LiftedProblem, inst: QpInstance, y: np.ndarray, out: _IpmOutcome,
+                 opts: SolveOptions) -> RelaxationResult:
+    """A face problem's result at its lifted point ``y``: MAX_ITER when the
+    outcome ``out`` did not finish, else ``_validated``."""
+    fields = (out.residual_primal, out.residual_dual, out.iterations)
+    if out.status == MAX_ITER:
+        return RelaxationResult(MAX_ITER, float(np.vdot(lp.qhat, y)), LiftedPoint(y), *fields)
+    return _validated(lp, inst, y, opts, *fields)
 
 
 def _validated(lp: LiftedProblem, inst: QpInstance, y: np.ndarray, opts: SolveOptions,
@@ -1206,12 +1233,17 @@ def _validated(lp: LiftedProblem, inst: QpInstance, y: np.ndarray, opts: SolveOp
     )
 
 
-def _unbounded_result(search: CertificateSearch) -> RelaxationResult:
-    return RelaxationResult(
-        status=UNBOUNDED, value=-math.inf, point=None,
-        residual_primal=search.residual, residual_dual=0.0,
-        iterations=search.iterations, certificate=search.certificate,
-    )
+def _settled(prep: _Prepared, cone: str, opts: SolveOptions) -> Optional[RelaxationResult]:
+    """The pre-pass verdict of a plain or pinned solve, or None: UNBOUNDED
+    with a FOUND certificate, else MAX_ITER with 0 iterations and value minus
+    infinity for PSD0 below the curvature threshold (Burer's dichotomy)."""
+    search = prep.prepass(cone, opts)
+    if search.status == FOUND:
+        return RelaxationResult(UNBOUNDED, -math.inf, None, search.residual, 0.0,
+                                search.iterations, certificate=search.certificate)
+    if cone == PSD0 and not prep.holds:
+        return RelaxationResult(MAX_ITER, -math.inf, None, math.inf, math.inf, 0)
+    return None
 
 
 def _convex_qp(inst: QpInstance, x: np.ndarray):
@@ -1288,62 +1320,41 @@ def solve_relaxation(
 ) -> RelaxationResult:
     """Solve the lifted relaxation over the selected cone.
 
-    Pipeline: read the instance's record (``_prepared``).  Its ``x0``
-    decides feasibility exactly from the original polyhedron (feasibility
-    is preserved by the lifting, so an empty polyhedron means an infeasible
-    relaxation and no iterations are spent); its ``prepass`` searches for a
-    negative-rate recession certificate.  Where the pre-pass curvature is
-    at or above PSD0's threshold, solve the convex QP by the active-set
-    method ``_convex_qp`` from ``x0`` (see the module docstring): OPTIMAL
-    at ``z z^T`` when the point passes ``oracle.first_order_certificate``
-    and ``validate_lifted_point``, UNBOUNDED when its ray passes
-    ``oracle.verify_ray_certificate``, both with 0 iterations.  Otherwise,
-    or when a check fails, run the interior-point method on the face
-    ``V S V^T`` with ``V = [u, [0; N]]`` to optimality.
+    Reads the instance's record (``_prepared``): its ``x0`` decides
+    feasibility exactly (the lifting preserves it, so an empty polyhedron
+    is INFEASIBLE with 0 iterations); its pre-pass (``_settled``) and its
+    convex closed form (``convex``, validated at the cone) settle the rest
+    without iterating where they can (see the module docstring).  Otherwise
+    the interior-point method solves DNN's face ``V S V^T`` with
+    ``V = [u, [0; N]]``, and its point is validated at the cone.
     """
     opts = opts or SolveOptions()
     lp = lift_instance(inst, cone)
     prep = _prepared(inst)
     if prep.x0 is None:
         return RelaxationResult(INFEASIBLE, math.inf, None, 0.0, 0.0, 0)
-    search = prep.prepass(cone, opts)
-    if search.status == FOUND:
-        return _unbounded_result(search)
-    convex = search.curvature >= -curvature_tolerance(inst.Q)
-    found = _convex_qp(inst, prep.x0) if convex else None
+    if (settled := _settled(prep, cone, opts)) is not None:
+        return settled
+    found, proof = prep.convex or (None, None)
+    if isinstance(found, RayCertificate):
+        return RelaxationResult(UNBOUNDED, -math.inf, None, 0.0, 0.0, 0, ray=found,
+                                ray_check=proof)
     if found is not None:
-        x, d = found
-        if d is not None:
-            ray = RayCertificate(x, d)
-            check = verify_ray_certificate(inst, ray)
-            if check.ok:
-                return RelaxationResult(UNBOUNDED, -math.inf, None, 0.0, 0.0, 0,
-                                        ray=ray, ray_check=check)
-        else:
-            try:
-                kkt = first_order_certificate(inst, x)
-            except PointInfeasible:
-                kkt = None
-            if kkt is not None:
-                z = np.concatenate(([1.0], x))
-                result = _validated(lp, inst, np.outer(z, z), opts, 0.0, 0.0, 0)
-                if result.status == OPTIMAL:
-                    return replace(result, kkt=kkt)
+        z = np.concatenate(([1.0], found))
+        result = _validated(lp, inst, np.outer(z, z), opts, 0.0, 0.0, 0)
+        if result.status == OPTIMAL:
+            return replace(result, kkt=proof)
     # Y = V S V^T with u = [1; x0 - N N^T x0] / |.|; Y_00 = 1 is the row pair
-    # <v0 v0^T, S> >= 1, <-v0 v0^T, S> >= -1
+    # <v0 v0^T, S> >= 1, <-v0 v0^T, S> >= -1; the rows are DNN's for both cones
     N = prep.N
     V = np.zeros((inst.n + 1, N.shape[1] + 1))
     V[0, 0], V[1:, 0], V[1:, 1:] = 1.0, prep.x0 - N @ (N.T @ prep.x0), N
     V[:, 0] /= math.sqrt(V[:, 0] @ V[:, 0])
-    G = _sign_stack(V, cone)[0]
+    G = _sign_stack(V)[0]
     corner = np.outer(V[0], V[0])
     out = _face_ipm(V.T @ lp.qhat @ V, np.concatenate((G, [corner, -corner])),
                     np.append(np.zeros(len(G)), [1.0, -1.0]), opts)
-    y = V @ out.S @ V.T
-    if out.status == MAX_ITER:
-        return _unfinished(lp, y, out.residual_primal, out.residual_dual, out.iterations)
-    return _validated(lp, inst, y, opts, out.residual_primal, out.residual_dual,
-                      out.iterations)
+    return _face_result(lp, inst, V @ out.S @ V.T, out, opts)
 
 
 def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> RelaxationResult:
@@ -1354,27 +1365,19 @@ def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> Relaxat
     if resid > max(FEAS_TOL, 10.0 * opts.tol_primal):
         raise PointInfeasible(f"anchor point violates the constraints (residual {resid:.3e})")
     prep = _prepared(inst)
-    search = prep.prepass(cone, opts)
-    if search.status == FOUND:
-        return _unbounded_result(search)
+    if (settled := _settled(prep, cone, opts)) is not None:
+        return settled
     lp = lift_instance(inst, cone)
     z = np.concatenate(([1.0], x))
     y = np.outer(z, z)
     # at PSD0's scaled tolerance, at which its pre-pass reads "not unbounded",
     # q is convex on the pinned set {z z^T + N S N^T}: its minimum is z z^T
-    if search.curvature >= -curvature_tolerance(inst.Q):
+    if prep.holds:
         return _validated(lp, inst, y, opts, 0.0, 0.0, 0)
-    if cone == PSD0:
-        # minus infinity along S = t u u^T, but the certificate that says so
-        # failed verification
-        return RelaxationResult(MAX_ITER, -math.inf, None, math.inf, math.inf, 0)
     G, i, j = prep.signs
     out = _face_ipm(prep.C, G, -(x[i] * x[j]), opts)
     y[1:, 1:] += prep.N @ out.S @ prep.N.T
-    if out.status == MAX_ITER:
-        return _unfinished(lp, y, out.residual_primal, out.residual_dual, out.iterations)
-    return _validated(lp, inst, y, opts, out.residual_primal, out.residual_dual,
-                      out.iterations)
+    return _face_result(lp, inst, y, out, opts)
 
 
 def evaluate_underestimator(
@@ -1382,15 +1385,12 @@ def evaluate_underestimator(
 ) -> RelaxationResult:
     """Value of the induced convex underestimator at a feasible point.
 
-    Solves the relaxation with the 0th row pinned to the point.  The same
-    certificate pre-pass applies: pinning does not change the recession
-    cone of the lifted feasible set, so one negative-rate certificate
-    proves the underestimator is minus infinity everywhere.  So the
-    pre-pass comes from the instance's record (``_prepared``), which the
-    plain solve reads too; only the anchor's feasibility is checked on
-    every call.  Where Q is positive semidefinite on null(A), up to the
-    pre-pass's scaled curvature tolerance, the underestimator is q itself:
-    the value is ``q(x)`` at the point ``z z^T``, returned with 0
+    Solves the relaxation with the 0th row pinned to the point.  Pinning
+    does not change the recession cone of the lifted feasible set, so the
+    plain solve's pre-pass, read from the instance's record
+    (``_prepared``), settles it too; only the anchor's feasibility is
+    checked per call.  Where Q is positive semidefinite on null(A), up to
+    the curvature tolerance, the value is ``q(x)`` at ``z z^T`` with 0
     iterations.  Elsewhere a DNN value comes from the interior-point method
     on ``S``, whose iterations the result counts (0 where ``S`` is a
     scalar, solved exactly), and a PSD0 value is minus infinity (see the

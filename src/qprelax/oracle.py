@@ -328,20 +328,20 @@ def _feasible_points(A, b):
     points is False.
 
     The systems of one rank take their column subsets in
-    ``itertools.combinations`` order, in rounds of one ``_basic_solutions``
-    call: each round gives every system left as many next subsets as fit in
-    ``FACE_SLICE`` rows (at least one), and a system leaves at its first
-    feasible basis.  Every basic solution is what ``_feasible_point`` would
-    compute for it, so the point found is that function's.  No enumeration
-    cap is checked: the caller bounds ``n``.  Call it under
-    ``_lapack_failed``.
+    ``itertools.combinations`` order, built for the ranks that hold one, in
+    rounds of one ``_basic_solutions`` call: each round gives every system
+    left as many next subsets as fit in ``FACE_SLICE`` rows (at least one),
+    and a system leaves at its first feasible basis.  Every basic solution
+    is what ``_feasible_point`` would compute for it, so the point found is
+    that function's.  No enumeration cap is checked: the caller bounds
+    ``n``.  Call it under ``_lapack_failed``.
     """
     k, m, n = A.shape
     tol, smax, rank = _system_ranks(A, b)
     points = np.zeros((k, n))
     found = (rank == 0) & (np.abs(b).max(axis=1, initial=0.0) <= tol)
     for rho, todo in enumerate(_split_by(rank, min(m, n) + 1)):
-        if rho == 0:
+        if rho == 0 or not todo.size:
             continue
         subsets = np.array(list(itertools.combinations(range(n), rho)))
         start = 0

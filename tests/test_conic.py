@@ -402,6 +402,20 @@ class TestFaceRelabeling:
                 moved = replace(old.certificate, d=old.certificate.d[np.ix_(lifted, lifted)])
                 assert verify_certificate(twin, moved).ok
 
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (6, 7, 8) for seed in range(3)])
+    def test_relabeling_keeps_the_interior_point_search(self, n, seed):
+        # the Horn family's DNN searches pass both screens and iterate
+        inst = horn_family(HornFamilyParams(n=n, seed=seed))
+        p = np.random.default_rng(seed).permutation(n)
+        assert (p != np.arange(n)).any()
+        twin = make_qp(inst.Q[np.ix_(p, p)], inst.c[p], inst.A[:, p], inst.b, inst.name)
+        old, new = (recession_certificate_search(x, DNN, OBJECTIVE) for x in (inst, twin))
+        assert old.status == new.status == FOUND and old.iterations > 0
+        assert new.iterations == old.iterations
+        rate = old.certificate.objective_rate
+        assert abs(new.certificate.objective_rate - rate) <= 1e-9 * abs(rate)
+        assert verify_certificate(twin, new.certificate).ok
+
 
 #: ``random_instance(BOUNDED, n, m, seed)`` whose DNN solve runs the
 #: interior-point method on ``V = [u, [0; N]]``.
@@ -935,6 +949,20 @@ class TestPinnedInteriorPoint:
         assert res.value == -math.inf and res.point is None
         assert loops == []
 
+    def test_unverified_psd0_certificate_stops_the_plain_solve(self, monkeypatch, ipms,
+                                                               fresh_prepass):
+        # the unpinned PSD0 solve reads the same dichotomy: no iterative path
+        inst = TestPinnedClosedForm.members[0]
+        search = recession_certificate_search(inst, PSD0)
+        assert search.status == FOUND and search.curvature < 0
+        unverified = replace(search, status=INCONCLUSIVE, certificate=None,
+                             reason="candidate failed verification")
+        monkeypatch.setattr(conic, "recession_certificate_search", lambda *args: unverified)
+        res = solve_relaxation(inst, PSD0)
+        assert res.status == MAX_ITER and res.iterations == 0
+        assert res.value == -math.inf and res.point is None
+        assert ipms == []
+
 
 #: Anchor parameters of the segment test: the ends, points 1e-9 from
 #: them, and interior points.
@@ -1045,6 +1073,10 @@ class TestIntervalLp:
 #: where d^T Q d = 0, and no lifted recession certificate exists
 ZERO_CURVATURE_RAY = make_qp(np.zeros((2, 2)), [-1, 0], [[1, -1]], [0])
 
+#: x1 + x2 = x1 + x3 = 1 with objective 2 x2 - x3 = 1 - x1: the optimum 0 is
+#: the degenerate vertex (1, 0, 0)
+DEGENERATE_OPTIMUM = make_qp(np.zeros((3, 3)), [0, 1, -0.5], [[1, 1, 0], [1, 0, 1]], [1, 1])
+
 
 class TestConvexClosedForm:
     """Where Q is PSD on null(A) an unpinned solve is the convex QP, solved
@@ -1073,9 +1105,10 @@ class TestConvexClosedForm:
         assert loops == []
 
     @pytest.mark.parametrize("cone", [DNN, PSD0])
-    def test_closed_form_matches_the_loop(self, cone, monkeypatch):
+    def test_closed_form_matches_the_loop(self, cone, monkeypatch, fresh_prepass):
         closed = [solve_relaxation(inst, cone, TIGHT) for inst in self.convex]
         monkeypatch.setattr(conic, "_convex_qp", lambda *args: None)
+        _clear_memos()  # the record keeps the closed form found above
         for inst, res in zip(self.convex, closed):
             looped = solve_relaxation(inst, cone, TIGHT)
             assert looped.status == OPTIMAL and looped.iterations > 0
@@ -1093,12 +1126,28 @@ class TestConvexClosedForm:
 
     # the fallback is the interior-point method on the face, not the loop
 
-    def test_failed_check_falls_back_to_the_loop(self, monkeypatch, loops, ipms):
+    @pytest.mark.parametrize("cone", [DNN, PSD0])
+    def test_failed_check_falls_back_to_the_loop(self, cone, monkeypatch, loops, ipms,
+                                                 fresh_prepass):
         inst = self.convex[1]
         monkeypatch.setattr(conic, "first_order_certificate", lambda *args: None)
-        res = solve_relaxation(inst, DNN)
+        res = solve_relaxation(inst, cone)
         assert res.status == OPTIMAL and res.iterations > 0 and res.kkt is None
+        assert res.validation.ok and res.validation.cone == cone
         assert len(ipms) == 1 and loops == []
+
+    def test_degenerate_optimum_falls_back_once(self, monkeypatch, ipms, fresh_prepass):
+        # the optimum 0 is the vertex (1, 0, 0), with one positive entry for
+        # rank A = 2: the least-squares multipliers give s_3 = -0.5, so the
+        # first-order check fails and both cones solve DNN's face problem
+        inst = DEGENERATE_OPTIMUM
+        found = _counted(monkeypatch, "_convex_qp")
+        ref = global_solve(inst).value
+        for cone in (DNN, PSD0):
+            res = solve_relaxation(inst, cone)
+            assert res.status == OPTIMAL and res.iterations > 0 and res.kkt is None, cone
+            assert abs(res.value - ref) <= COMPARISON_TOLERANCE * (1.0 + abs(ref)), cone
+        assert len(found) == 1 and len(ipms) == 2
 
     def test_step_cap_falls_back_to_the_loop(self, monkeypatch, loops, ipms):
         monkeypatch.setattr(conic, "ACTIVE_SET_STEPS", 0)

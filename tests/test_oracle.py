@@ -720,3 +720,24 @@ class TestStackedFallback:
         for x, ref in zip(points, expected):
             assert np.array_equal(x, ref)
         assert np.allclose(points, [[0, 0, 1, 1]] * 3 + [[1, 0, 0, 0]])
+
+    def test_builds_subsets_only_for_ranks_present(self, monkeypatch):
+        # three systems of three rows, each of rank 1: ranks 2 and 3 hold none
+        rows = np.array([[1.0, 2, 0, 1], [0, 1, 1, 3], [2, 0, 1, 1]])
+        A = np.stack([np.outer([1.0, 2, -1], row) for row in rows])
+        b = np.outer([1.0, 2, 3], [1.0, 2, -1])
+        expected = [oracle._feasible_point(a, r) for a, r in zip(A, b)]
+        sizes = []
+        combinations = itertools.combinations
+
+        def counted(pool, size):
+            sizes.append(size)
+            return combinations(pool, size)
+
+        monkeypatch.setattr(itertools, "combinations", counted)
+        with np.errstate(call=oracle._lapack_failed, invalid="call"):
+            points, found = oracle._feasible_points(A, b)
+        assert sizes == [1]
+        assert found.all()
+        for x, ref in zip(points, expected):
+            assert np.array_equal(x, ref)

@@ -137,6 +137,8 @@ class TestCompareReport:
             closed = solve_relaxation(inst, DNN, opts)
             assert closed.status == OPTIMAL and closed.iterations == 0
             monkeypatch.setattr(conic, "_convex_qp", lambda *args: None)
+            # the record keeps the closed form it found above
+            conic._prepared.cache_clear()
         report = compare_report(inst, opts)
         assert report.relaxations[DNN].status == MAX_ITER
         border_report = report  # the report that grades BORDER_TRIVIAL
@@ -148,14 +150,14 @@ class TestCompareReport:
             assert psd0.status == UNBOUNDED
             check = verify_certificate(inst, psd0.certificate)
             assert check.ok and check.objective_rate < 0
-            # so the border check meets a MAX_ITER entry only from the
-            # interior-point solve alone: grade one directly
+            # so the border check meets a MAX_ITER entry only where no
+            # certificate verifies: grade one directly
             unsettled = CertificateSearch(NONE, None, 0, 0.0, curvature=-math.inf)
             monkeypatch.setattr(conic._Prepared, "prepass", lambda *args: unsettled)
-            ipm_only = solve_relaxation(inst, PSD0, opts)
-            assert ipm_only.status == MAX_ITER
+            unproved = solve_relaxation(inst, PSD0, opts)
+            assert unproved.status == MAX_ITER and unproved.iterations == 0
             border_report = replace(report, checks=[],
-                                    relaxations={**report.relaxations, PSD0: ipm_only})
+                                    relaxations={**report.relaxations, PSD0: unproved})
             _grade(inst, border_report)
         for name in names:
             graded = border_report if name == BORDER_TRIVIAL else report
@@ -322,11 +324,12 @@ class TestCompareReport:
             assert bases.count(inst.name) == eigensolves.count(inst.name) == 1, inst.name
 
     def test_one_feasibility_decision_and_one_basis(self, monkeypatch):
-        # both cones' solves read the record's x0 and N, and so does the
-        # unpinned interior-point solve; the convex solve's faces are its own
+        # both cones' solves read the record's x0, N and convex closed form,
+        # and so does the unpinned interior-point solve; the convex solve's
+        # faces are its own
         feasible_point, basis, convex_qp = (conic._feasible_point, conic.nullspace_basis,
                                             conic._convex_qp)
-        corpus, inside, points, bases = make_corpus(), [], [], []
+        corpus, inside, points, bases, closed = make_corpus(), [], [], [], []
 
         def counted_point(A, b):
             if A is inst.A and b is inst.b:
@@ -339,6 +342,7 @@ class TestCompareReport:
             return basis(a)
 
         def counted_convex_qp(*args):
+            closed.append(inst.name)
             inside.append(True)
             try:
                 return convex_qp(*args)
@@ -352,11 +356,15 @@ class TestCompareReport:
         unpinned = []
         for inst in corpus:
             conic._prepared.cache_clear()
-            dnn = compare_report(inst).relaxations[DNN]
+            report = compare_report(inst)
+            dnn = report.relaxations[DNN]
             if dnn.status == OPTIMAL and dnn.iterations > 0:
                 unpinned.append(inst.name)
             assert points.count(inst.name) == bases.count(inst.name) == 1, inst.name
+            reaches = report.nullspace.holds and dnn.status != conic.INFEASIBLE
+            assert closed.count(inst.name) == reaches, inst.name
         assert unpinned == ["bounded-n4-m2-s1", "bounded-n4-m2-s2"]
+        assert len(closed) == 7
 
     def test_deterministic(self):
         inst = random_instance(BOUNDED, 3, 1, 6)
