@@ -12,7 +12,13 @@ stops at the requested tolerances, at an iterate its caller accepts, or
 returns MAX_ITER after ``IPM_ITERATIONS`` iterations.  A problem of order
 1 is not iterated: it is the interval LP min ``c s`` over ``s >= 0`` with
 ``g_k s >= h_k``, solved exactly with 0 iterations (``_interval_lp``), and
-MAX_ITER where it has no optimum.  Three problems run it:
+MAX_ITER where it has no optimum.  A problem of order 2 is first solved by
+its KKT pairs (``kkt.order_two``): the least-valued pair that passes the
+method's own stopping rule and is dual feasible to rounding is returned
+with 0 iterations, and the method iterates only where none passes (a
+vertex anchor whose optimum ``S = 0`` has ``Z`` positive definite, a
+problem with no optimum, or one with more than ``kkt.MAX_ROWS`` rows).
+Three problems run it:
 
 - the unpinned solve: ``V = [u, [0; N]]`` with ``u`` the unit vector along
   ``[1; x0 - N N^T x0]`` (the least-norm solution of ``A x = b``, whatever
@@ -88,9 +94,10 @@ proof.  A DNN anchor below the threshold with no DNN certificate from the
 pre-pass keeps its sign rows: it minimizes ``<C, S>`` over ``S`` positive
 semidefinite with the sign rows at ``h = -x_i x_j``, an ``r x r`` LMI with
 ``r = dim null(A)`` and no equality constraint left.  The interior-point
-method solves it; the result's ``iterations`` and residuals are its own,
-and its point ``z z^T + [0 0; 0 N S N^T]`` is gated by
-``validate_lifted_point`` like every OPTIMAL point.  The method's dual
+method solves it (exactly at ``r <= 2``, as above); the result's
+``iterations`` and residuals are its own, and its point
+``z z^T + [0 0; 0 N S N^T]`` is gated by ``validate_lifted_point`` like
+every OPTIMAL point.  The method's dual
 ``(Z, lam)`` bounds the pinned value below by
 ``q(x) - sum_ij lam_ij x_i x_j``, up to its dual residual.  On a
 polytope that is a segment ``[a, b]`` (``r = 1``) the problem is the
@@ -151,6 +158,7 @@ from .core import (
     validate_lifted_point,
 )
 from .errors import NonFinite, PointInfeasible
+from .kkt import order_two
 from .numerics import (
     RANK_TOL,
     FaceProjector,
@@ -827,11 +835,20 @@ def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
 
     A 1 x 1 problem is not iterated: it is the interval LP of
     ``_interval_lp``, solved exactly with 0 iterations, CONVERGED at its
-    optimum and MAX_ITER where it has none; ``accept`` is not consulted.
+    optimum and MAX_ITER where it has none.  A 2 x 2 problem goes first to
+    ``kkt.order_two``, which returns the least-valued KKT pair that passes
+    this method's stopping test at ``opts`` and is dual feasible to
+    rounding: CONVERGED with 0 iterations, that pair's ``S`` and ``lam``,
+    its primal residual and a dual residual of 0.  Where no pair passes,
+    the method iterates as at any other order.  Neither exact solve
+    consults ``accept`` or the iteration budget.
     """
     r, p = C.shape[0], h.size
     if r == 1:
         return _interval_lp(float(C[0, 0]), G.reshape(p), h)
+    if r == 2 and (exact := order_two(C, G, h, opts.tol_primal, opts.tol_dual)) is not None:
+        S, lam, residual = exact
+        return _IpmOutcome("CONVERGED", S, lam, 0, residual, 0.0)
     S, Z = np.eye(r), np.eye(r)
     w, lam = np.ones(p), np.ones(p)
     Gf = G.reshape(p, r * r)
@@ -1393,8 +1410,8 @@ def evaluate_underestimator(
     the curvature tolerance, the value is ``q(x)`` at ``z z^T`` with 0
     iterations.  Elsewhere a DNN value comes from the interior-point method
     on ``S``, whose iterations the result counts (0 where ``S`` is a
-    scalar, solved exactly), and a PSD0 value is minus infinity (see the
-    module docstring).
+    scalar, or of order 2 with a KKT pair that passes, solved exactly),
+    and a PSD0 value is minus infinity (see the module docstring).
     """
     opts = opts or SolveOptions()
     return _pinned_solve(inst, cone, x, opts)

@@ -27,7 +27,7 @@ from qprelax.conic import (
     solve_relaxation,
     verify_certificate,
 )
-from qprelax import oracle
+from qprelax import kkt, oracle
 from qprelax.core import DNN, PSD0, evaluate_objective, lift_instance, validate_lifted_point
 from qprelax.errors import DeskScaleLimit, NonFinite, PointInfeasible
 from qprelax.generators import (
@@ -306,8 +306,9 @@ class TestPinnedFaceReuse:
         return feasible_samples(self.inst, count, seed=5)
 
     def test_repeated_anchors_build_the_face_once(self, faces):
+        # the face has order 2: each anchor is solved exactly
         results = [evaluate_underestimator(self.inst, DNN, x) for x in self.points()]
-        assert all(res.status == OPTIMAL and res.iterations > 0 for res in results)
+        assert all(res.status == OPTIMAL and res.iterations == 0 for res in results)
         assert len(faces) == 1
 
     def test_instance_change_builds_again(self, faces):
@@ -365,7 +366,7 @@ class TestPinnedFaceReuse:
 
     def test_dnn_solves_build_the_sign_rows_once(self, stacks, horn):
         results = [evaluate_underestimator(self.inst, DNN, x) for x in self.points()]
-        assert all(res.iterations > 0 for res in results)
+        assert all(res.status == OPTIMAL and res.iterations == 0 for res in results)
         assert len(stacks) == 1
         search = recession_certificate_search(horn[0], DNN)
         assert search.status == FOUND and search.iterations > 0
@@ -418,7 +419,8 @@ class TestFaceRelabeling:
 
 
 #: ``random_instance(BOUNDED, n, m, seed)`` whose DNN solve runs the
-#: interior-point method on ``V = [u, [0; N]]``.
+#: interior-point method on ``V = [u, [0; N]]``; at n - m = 1 that face
+#: has order 2 and is solved exactly.
 UNPINNED_IPM = [(3, 1, 0), (4, 1, 0), (4, 2, 1), (4, 3, 0), (5, 2, 0), (5, 3, 1),
                 (6, 1, 1), (6, 3, 0), (7, 2, 2), (7, 3, 1), (8, 1, 2), (8, 3, 0)]
 
@@ -443,7 +445,7 @@ class TestUnpinnedRelations:
     def test_relation_keeps_the_solve(self, n, m, seed, relation):
         inst = random_instance(BOUNDED, n, m, seed)
         before = solve_relaxation(inst, DNN)
-        assert before.status == OPTIMAL and before.iterations > 0
+        assert before.status == OPTIMAL and (before.iterations == 0) == (n - m == 1)
         after = solve_relaxation(self.transformed(inst, relation, seed), DNN)
         assert after.status == OPTIMAL and after.validation.ok
         assert abs(after.value - before.value) <= COMPARISON_TOLERANCE * (1.0 + abs(before.value))
@@ -524,12 +526,13 @@ class TestCertificateSearch:
     ])
     def test_copositive_face_reads_none(self, Q, best, ipms):
         # Q is copositive but not PSD on null(A): the curvature screen passes
-        # the search to the interior-point method, which finds no certificate
+        # the search to the face problem, of order 2 and solved exactly,
+        # which finds no certificate
         inst = make_qp(Q, [0, 0, 0], [[0, 0, 1]], [1])
         res = recession_certificate_search(inst, DNN, OBJECTIVE)
         assert res.curvature == pytest.approx(-1.0, abs=1e-12)
         assert res.status == NONE and res.certificate is None
-        assert 0 < res.iterations <= conic.IPM_ITERATIONS and len(ipms) == 1
+        assert res.iterations == 0 and len(ipms) == 1
         if best == 0.0:
             assert res.check is not None and res.check.ok
             assert abs(res.check.objective_rate) <= 1e-6
@@ -745,23 +748,26 @@ class TestPinnedClosedForm:
 
     @pytest.mark.parametrize("cone", [DNN, PSD0])
     def test_closed_form_matches_the_pinned_loop(self, cone):
-        # the interior-point method on S, run where the closed form applies:
-        # DNN with its sign rows, PSD0 with none
-        N = nullspace_basis(self.convex.A)
-        C = N.T @ self.convex.Q @ N
-        for x in feasible_samples(self.convex, 3, seed=4):
-            G, i, j = conic._sign_stack(N)
-            if cone == PSD0:  # no sign rows
-                G, i, j = G[:0], i[:0], j[:0]
-            out = conic._face_ipm(C, G, -(x[i] * x[j]), TIGHT)
-            assert out.status == "CONVERGED" and out.iterations > 0
-            solved = evaluate_objective(self.convex, x) + float(np.vdot(C, out.S))
-            closed = evaluate_underestimator(self.convex, cone, x, TIGHT).value
-            assert abs(solved - closed) <= 1e-7 * (1.0 + abs(closed))
+        # the face problem on S, solved where the closed form applies: DNN
+        # with its sign rows, PSD0 with none; exactly on convex's face of
+        # order 2, by the interior-point method on a face of order 3
+        for inst in (self.convex, random_instance(CONVEX_ON_NULLSPACE, 5, 2, 5)):
+            N = nullspace_basis(inst.A)
+            C = N.T @ inst.Q @ N
+            for x in feasible_samples(inst, 3, seed=4):
+                G, i, j = conic._sign_stack(N)
+                if cone == PSD0:  # no sign rows
+                    G, i, j = G[:0], i[:0], j[:0]
+                out = conic._face_ipm(C, G, -(x[i] * x[j]), TIGHT)
+                assert out.status == "CONVERGED" and (out.iterations > 0) == (N.shape[1] > 2)
+                solved = evaluate_objective(inst, x) + float(np.vdot(C, out.S))
+                closed = evaluate_underestimator(inst, cone, x, TIGHT).value
+                assert abs(solved - closed) <= 1e-7 * (1.0 + abs(closed))
 
     def test_negative_curvature_dnn_anchor_still_loops(self, loops):
-        # the anchor is solved by the interior-point method, not the loop
-        inst = self.members[0]  # bounded; Q fails the curvature condition
+        # the anchor is solved by the interior-point method, not the loop, on
+        # a face of order 3 (one of order 2 is solved exactly)
+        inst = random_instance(BOUNDED, 4, 1, 0)  # Q fails the curvature condition
         res = evaluate_underestimator(inst, DNN, feasible_samples(inst, 1, seed=2)[0])
         assert res.status == OPTIMAL and res.iterations > 0
         assert res.validation.ok
@@ -818,43 +824,54 @@ class TestPinnedInteriorPoint:
     """DNN anchors where Q has negative curvature on null(A) and the pre-pass
     finds no certificate: the interior-point method on S decides them."""
 
-    # values from the consensus loop this method replaced, at TIGHT
-    @pytest.mark.parametrize("inst, x, looped", [
-        pytest.param(IMPLICIT_ZERO, [1, 0, 0], 1.9999999999913347, id="implicit-zero-vertex-1"),
-        pytest.param(IMPLICIT_ZERO, [0, 1, 0], -3.0000000000090488, id="implicit-zero-vertex-2"),
-        pytest.param(IMPLICIT_ZERO, [0.5, 0.5, 0], -0.5000000000100036, id="implicit-zero-mid"),
-        pytest.param(IMPLICIT_ZERO, [0.25, 0.75, 0], -1.7499999999894287,
+    # values from the consensus loop this method replaced, at TIGHT; faces of
+    # order 1 (implicit-zero) and 2 (the others) are solved exactly, but for
+    # vertices whose optimum S = 0 has a positive definite Z, a pair the
+    # exact solve does not build, so the interior-point method solves them
+    @pytest.mark.parametrize("inst, x, looped, exact", [
+        pytest.param(IMPLICIT_ZERO, [1, 0, 0], 1.9999999999913347, True,
+                     id="implicit-zero-vertex-1"),
+        pytest.param(IMPLICIT_ZERO, [0, 1, 0], -3.0000000000090488, True,
+                     id="implicit-zero-vertex-2"),
+        pytest.param(IMPLICIT_ZERO, [0.5, 0.5, 0], -0.5000000000100036, True,
+                     id="implicit-zero-mid"),
+        pytest.param(IMPLICIT_ZERO, [0.25, 0.75, 0], -1.7499999999894287, True,
                      id="implicit-zero-interior"),
-        *[pytest.param(*_bounded_vertex(3, 1, 0, k), v, id=f"bounded-n3-m1-s0-vertex-{k}")
+        *[pytest.param(*_bounded_vertex(3, 1, 0, k), v, False, id=f"bounded-n3-m1-s0-vertex-{k}")
           for k, v in enumerate([-10.417466427139324, 10.365467813236204, 4.637967178750397])],
-        *[pytest.param(*_bounded_vertex(4, 2, 2, k), v, id=f"bounded-n4-m2-s2-vertex-{k}")
+        *[pytest.param(*_bounded_vertex(4, 2, 2, k), v, k < 2, id=f"bounded-n4-m2-s2-vertex-{k}")
           for k, v in enumerate([-9.602279054712577, -0.7152976918937253, 2.6265832066304915])],
     ])
-    def test_matches_the_loop(self, inst, x, looped, loops):
+    def test_matches_the_loop(self, inst, x, looped, exact, loops):
         res = evaluate_underestimator(inst, DNN, np.array(x, dtype=float), TIGHT)
-        # implicit-zero's face has order 1, which is solved without iterating
-        iterated = nullspace_basis(inst.A).shape[1] > 1
-        assert res.status == OPTIMAL and (res.iterations > 0) == iterated
+        assert res.status == OPTIMAL and (res.iterations == 0) == exact
         assert res.validation.ok
         assert abs(res.value - looped) <= 1e-7 * (1.0 + abs(looped))
         assert loops == []
 
     def test_criterion_9_anchors_converge_within_8_iterations(self, ipms):
         # criterion 9's first 12 anchors at each bounded member, where Q
-        # fails the curvature condition: each runs the interior-point method,
-        # which takes 6 to 8 iterations at the pinned-batch tolerance on the
-        # two members of order 2 and solves the member of order 1 exactly
+        # fails the curvature condition: each reaches the face problem, of
+        # order 2 on two members and 1 on the third, and is solved exactly
+        # (the interior-point method took 6 to 8 iterations at order 2)
         opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
         for inst in TestPinnedClosedForm.members[:3]:
-            order = nullspace_basis(inst.A).shape[1]
             for x in feasible_samples(inst, 12, seed=77):
                 res = evaluate_underestimator(inst, DNN, x, opts)
-                assert res.status == OPTIMAL, inst.name
-                if order == 1:
-                    assert res.iterations == 0, inst.name
-                else:
-                    assert 0 < res.iterations <= 8, inst.name
+                assert res.status == OPTIMAL and res.iterations == 0, inst.name
         assert len(ipms) == 36
+
+    def test_order_3_anchors_converge_within_11_iterations(self, ipms):
+        # the same 12 anchors on a bounded member whose face has order 3,
+        # where the interior-point method takes 6 to 11 iterations at the
+        # pinned-batch tolerance
+        opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
+        inst = random_instance(BOUNDED, 4, 1, 0)
+        assert nullspace_basis(inst.A).shape[1] == 3
+        for x in feasible_samples(inst, 12, seed=77):
+            res = evaluate_underestimator(inst, DNN, x, opts)
+            assert res.status == OPTIMAL and 0 < res.iterations <= 11
+        assert len(ipms) == 12
 
     def test_dual_bound_closes_the_gap(self):
         # (Z, lam) is dual feasible up to the dual residual, and
@@ -1069,6 +1086,174 @@ class TestIntervalLp:
             self.assert_optimal(out, float(c), g, h, brute[1])
 
 
+def _order_two_problems(opts):
+    """Criterion 9's order-2 anchors, then the order-2 sizes of
+    ``anchor_sweep.py`` at seeds 0-2, every vertex and 4 Dirichlet mixtures:
+    ``(inst, x, C, G, h)`` of each pinned DNN face problem."""
+    cases = [(inst, feasible_samples(inst, 12, seed=77))
+             for inst in (TestPinnedClosedForm.members[0], TestPinnedClosedForm.members[2])]
+    for n, m in ((3, 1), (4, 2), (5, 3), (6, 4)):
+        for seed in range(3):
+            inst = random_instance(BOUNDED, n, m, seed)
+            vertices = np.array(enumerate_vertices(inst))
+            rng = np.random.default_rng(seed)
+            cases.append((inst, list(vertices) + [rng.dirichlet(np.ones(len(vertices))) @ vertices
+                                                  for _ in range(4)]))
+    for inst, points in cases:
+        prep = conic._prepared(inst)
+        if prep.holds or prep.prepass(DNN, opts).status == FOUND:
+            continue
+        assert prep.N.shape[1] == 2, inst.name
+        G, i, j = prep.signs
+        for x in points:
+            yield inst, x, prep.C, G, -(x[i] * x[j])
+
+
+def _raw_check(C, G, h, S, lam, tol):
+    """The pair ``(S, lam)`` checked from the raw problem: the rows to
+    ``tol``, ``S`` PSD and ``lam >= 0``, ``Z`` PSD to rounding, and the gap."""
+    eps = np.finfo(float).eps
+    rows = np.einsum("kij,ij->k", G, S)
+    assert np.all(rows >= h - tol * (1.0 + np.abs(h)))
+    assert np.linalg.eigvalsh(S)[0] >= -64.0 * eps * np.abs(S).max(initial=1.0)
+    assert lam.min(initial=0.0) >= 0.0
+    Z = C - np.tensordot(lam, G, axes=1)
+    scale = 1.0 + np.abs(C).max() + lam @ np.abs(G).max(axis=(1, 2), initial=0.0)
+    assert np.linalg.eigvalsh(Z)[0] >= -64.0 * eps * scale
+    value, dual = float(np.vdot(C, S)), float(h @ lam)
+    assert abs(value - dual) <= tol * (1.0 + abs(value) + abs(dual))
+
+
+class TestOrderTwoFaces:
+    """``_face_ipm`` at order 2: the least-valued KKT pair that passes
+    ``kkt._check``, with 0 iterations, or the interior-point method."""
+
+    @staticmethod
+    def rejected(cm, gm, hz, S, *args):
+        """A ``kkt._check`` that turns every pair down."""
+        return np.zeros(len(S), bool)
+
+    def iterated(self, monkeypatch, C, G, h, opts):
+        """``_face_ipm`` with every pair turned down."""
+        with monkeypatch.context() as patch:
+            patch.setattr(kkt, "_check", self.rejected)
+            return conic._face_ipm(C, G, h, opts)
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-8])
+    def test_certified_or_the_interior_point_outcome(self, tol, monkeypatch):
+        opts = SolveOptions(tol_primal=tol, tol_dual=tol)
+        certified = total = 0
+        for inst, x, C, G, h in _order_two_problems(opts):
+            exact = kkt.order_two(C, G, h, tol, tol)
+            out = conic._face_ipm(C, G, h, opts)
+            ipm = self.iterated(monkeypatch, C, G, h, opts)
+            total += 1
+            if exact is None:
+                assert out.status == ipm.status and out.iterations == ipm.iterations > 0
+                assert np.array_equal(out.S, ipm.S) and np.array_equal(out.lam, ipm.lam)
+                assert (out.residual_primal, out.residual_dual) == (
+                    ipm.residual_primal, ipm.residual_dual)
+                # a vertex whose optimum is S = 0 (with Z positive definite)
+                assert any(np.array_equal(x, v) for v in enumerate_vertices(inst))
+                assert np.linalg.eigvalsh(ipm.S)[-1] <= 10.0 * tol
+                continue
+            certified += 1
+            assert out.status == "CONVERGED" and out.iterations == 0 and out.residual_dual == 0.0
+            assert np.array_equal(out.S, exact[0]) and np.array_equal(out.lam, exact[1])
+            _raw_check(C, G, h, out.S, out.lam, tol)
+            value, ref = float(np.vdot(C, out.S)), float(np.vdot(C, ipm.S))
+            assert ipm.status == "CONVERGED"
+            assert abs(value - ref) <= 2.0 * tol * (1.0 + abs(ref)), inst.name
+        # the 24 anchors of criterion 9 and 73 of 81 others
+        assert (certified, total) == (97, 105)
+
+    def test_forced_fallback_is_the_interior_point_method(self, monkeypatch):
+        # criterion 9's order-2 anchors with every pair turned down: the
+        # iterations and values of the interior-point method alone
+        iterations = [7, 6, 7, 6, 6, 6, 7, 6, 6, 7, 7, 6, 8, 7, 7, 7, 7, 7, 7, 7, 7, 7, 8, 6]
+        values = [-5.0837434359944105, 0.1547972960733519, -4.244855649988486,
+                  5.108625467872428, 2.6935934196114584, -4.571596079523063,
+                  -5.4617819888098795, 5.327797368417723, 7.23903790648492, 0.302728305234518,
+                  3.547183113932337, 6.867137277911455, -6.9895340636061905, -4.056316182149864,
+                  -4.769885291827206, -1.275074122002181, 0.33577355672136816, -6.22465582593414,
+                  -5.798914424227036, -1.0588039902836566, -1.6625523682215932,
+                  -0.8963620163502708, 1.7232029838451477, -0.25940025389523225]
+        opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
+        problems = list(_order_two_problems(opts))[:24]
+        for (inst, x, C, G, h), its, ref in zip(problems, iterations, values):
+            ipm = self.iterated(monkeypatch, C, G, h, opts)
+            with monkeypatch.context() as patch:
+                patch.setattr(kkt, "MAX_ROWS", -1)  # no pair is built at all
+                plain = conic._face_ipm(C, G, h, opts)
+            assert ipm.status == plain.status == "CONVERGED"
+            assert ipm.iterations == plain.iterations == its
+            for a, b in zip((ipm.S, ipm.lam, ipm.residual_primal, ipm.residual_dual),
+                            (plain.S, plain.lam, plain.residual_primal, plain.residual_dual)):
+                assert np.array_equal(a, b)
+            with monkeypatch.context() as patch:
+                patch.setattr(kkt, "_check", self.rejected)
+                res = evaluate_underestimator(inst, DNN, x, opts)
+            assert res.iterations == its and abs(res.value - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    @staticmethod
+    def solve(C, G, h):
+        return conic._face_ipm(np.array(C, dtype=float), np.array(G, dtype=float).reshape(-1, 2, 2),
+                               np.array(h, dtype=float), TIGHT)
+
+    @pytest.mark.parametrize("C, G, h, value", [
+        # no rows: min <C, S> over S PSD is 0 at S = 0 for C PSD
+        pytest.param([[2, 1], [1, 1]], [], [], 0.0, id="no-rows"),
+        # tr S <= 1 as <-I, S> >= -1: the least eigenvalue of C
+        pytest.param([[1, 0], [0, -1]], [[[-1, 0], [0, -1]]], [-1], -1.0, id="single-row"),
+        pytest.param([[1, 0], [0, -1]], [[[-1, 0], [0, -1]]] * 2, [-1, -1], -1.0,
+                     id="duplicated-row"),
+        # S_11 = 1 as a row pair: min 2 S_12 + S_22 is -1 at S_12 = -1, S_22 = 1
+        pytest.param([[0, 1], [1, 1]], [[[1, 0], [0, 0]], [[-1, 0], [0, 0]]], [1, -1], -1.0,
+                     id="equality-row-pair"),
+    ])
+    def test_small_problems(self, C, G, h, value):
+        out = self.solve(C, G, h)
+        assert out.status == "CONVERGED" and out.iterations == 0
+        assert abs(float(np.vdot(C, out.S)) - value) <= 1e-12
+        _raw_check(np.array(C, dtype=float), np.array(G, dtype=float).reshape(-1, 2, 2),
+                   np.array(h, dtype=float), out.S, out.lam, 1e-12)
+
+    def test_no_rows_without_an_optimum(self):
+        # C is not PSD and nothing bounds S: no pair passes, and the
+        # interior-point method diverges as before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.solve([[1, 0], [0, -1]], [], [])
+        assert out.status == MAX_ITER and out.iterations > 0
+
+    def test_exact_multipliers_close_the_dual_bound(self):
+        # q(x) + h^T lam meets the value to rounding (the interior-point
+        # method's multipliers meet it to 1e-8)
+        opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
+        for inst, x, C, G, h in list(_order_two_problems(opts))[:24]:
+            out = conic._face_ipm(C, G, h, opts)
+            assert out.iterations == 0
+            value = evaluate_underestimator(inst, DNN, x, opts).value
+            bound = evaluate_objective(inst, x) + float(h @ out.lam)
+            assert abs(value - bound) <= 1e-12 * (1.0 + abs(value)), inst.name
+
+    @pytest.mark.parametrize("relation", ["permutation", "row mix"])
+    def test_relations_keep_the_pinned_values(self, relation):
+        # criterion 9's order-2 anchors on a relabeled or row-mixed twin
+        opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
+        for seed, inst in enumerate((TestPinnedClosedForm.members[0],
+                                     TestPinnedClosedForm.members[2])):
+            twin = TestUnpinnedRelations.transformed(inst, relation, seed)
+            p = (np.random.default_rng(seed).permutation(inst.n) if relation == "permutation"
+                 else np.arange(inst.n))
+            for x in feasible_samples(inst, 12, seed=77):
+                before = evaluate_underestimator(inst, DNN, x, opts)
+                after = evaluate_underestimator(twin, DNN, x[p], opts)
+                assert before.status == after.status == OPTIMAL
+                assert before.iterations == after.iterations == 0
+                assert abs(after.value - before.value) <= 1e-12 * (1.0 + abs(before.value))
+
+
 #: x1 = x2 >= 0 with objective -2 x1: q is unbounded along d = (1, 1),
 #: where d^T Q d = 0, and no lifted recession certificate exists
 ZERO_CURVATURE_RAY = make_qp(np.zeros((2, 2)), [-1, 0], [[1, -1]], [0])
@@ -1139,13 +1324,14 @@ class TestConvexClosedForm:
     def test_degenerate_optimum_falls_back_once(self, monkeypatch, ipms, fresh_prepass):
         # the optimum 0 is the vertex (1, 0, 0), with one positive entry for
         # rank A = 2: the least-squares multipliers give s_3 = -0.5, so the
-        # first-order check fails and both cones solve DNN's face problem
+        # first-order check fails and both cones solve DNN's face problem,
+        # which has order 2 and is solved exactly
         inst = DEGENERATE_OPTIMUM
         found = _counted(monkeypatch, "_convex_qp")
         ref = global_solve(inst).value
         for cone in (DNN, PSD0):
             res = solve_relaxation(inst, cone)
-            assert res.status == OPTIMAL and res.iterations > 0 and res.kkt is None, cone
+            assert res.status == OPTIMAL and res.iterations == 0 and res.kkt is None, cone
             assert abs(res.value - ref) <= COMPARISON_TOLERANCE * (1.0 + abs(ref)), cone
         assert len(found) == 1 and len(ipms) == 2
 
