@@ -1,24 +1,15 @@
-"""Interior-point solvers for the lifted conic relaxations.
+"""The lifted conic relaxations: their closed forms, certificates and face problems.
 
 The lifted problems minimize a linear objective over the intersection of an
 affine slice with a matrix cone.  Every feasible ``Y`` of either lift lies
 on a face ``{V S V^T : S positive semidefinite}`` of the PSD cone, so each
-problem that no closed form decides (below) is solved on such a face by one
-primal-dual interior-point method, ``_face_ipm``: minimize ``<C, S>`` over
-``S`` PSD with rows ``<G_k, S> >= h_k``, by the HKM direction (Helmberg,
-Rendl, Vanderbei & Wolkowicz 1996) with Mehrotra's predictor-corrector
-(1992), whose Schur matrix is inverted by an eigh pseudo-inverse.  It
-stops at the requested tolerances, at an iterate its caller accepts, or
-returns MAX_ITER after ``IPM_ITERATIONS`` iterations.  A problem of order
-1 is not iterated: it is the interval LP min ``c s`` over ``s >= 0`` with
-``g_k s >= h_k``, solved exactly with 0 iterations (``_interval_lp``), and
-MAX_ITER where it has no optimum.  A problem of order 2 is first solved by
-its KKT pairs (``kkt.order_two``): the least-valued pair that passes the
-method's own stopping rule and is dual feasible to rounding is returned
-with 0 iterations, and the method iterates only where none passes (a
-vertex anchor whose optimum ``S = 0`` has ``Z`` positive definite, a
-problem with no optimum, or one with more than ``kkt.MAX_ROWS`` rows).
-Three problems run it:
+problem that no closed form decides (below) is one face problem,
+minimize ``<C, S>`` over ``S`` PSD with rows ``<G_k, S> >= h_k``.  This
+module builds ``C``, ``G`` and ``h`` from the instance's record and reads
+the outcome; ``ipm.solve_face`` solves it (exactly at order 1, by its KKT
+pairs at order 2 where one passes, by a primal-dual interior-point method
+otherwise) and returns MAX_ITER after ``IPM_ITERATIONS`` iterations or
+where the problem has no optimum.  Three face problems are built here:
 
 - the unpinned solve: ``V = [u, [0; N]]`` with ``u`` the unit vector along
   ``[1; x0 - N N^T x0]`` (the least-norm solution of ``A x = b``, whatever
@@ -38,10 +29,12 @@ name, and its kernel baseline calls only the ``numerics`` projections.
 
 Every solve of one instance reads one record, ``_prepared``, kept for the
 last instance (matched by identity): ``N``, an orthonormal basis of
-null(A), ``C = N^T Q N`` with its least eigenpair, and, each built on first
-read, the DNN sign-row stack, the feasible point ``x0`` of the emptiness
-test, the checked convex closed form below and each cone's certificate
-pre-pass.  Every feasible lifted point is
+null(A), ``C = N^T Q N`` with its least eigenpair, the lifted objective
+``qhat`` of both cones, and, each built on first read, the DNN sign-row
+stack, the feasible point ``x0`` of the emptiness test, the checked convex
+closed form below, each cone's certificate pre-pass and the unpinned face
+problem's outcome.  Only ``verify_certificate`` lifts the instance again,
+from raw data.  Every feasible lifted point is
 ``[1; x][1; x]^T + [0 0; 0 N S N^T]``, on the face spanned by ``[1; x0]``
 and ``[0; N]``.  For a feasible anchor ``x`` and ``z = [1; x]``, the
 pinned feasible set of both lifts is
@@ -123,19 +116,19 @@ are unbounded below: the record keeps the ray ``(x0, d)`` once
 ``oracle.verify_ray_certificate`` accepts it, and both cones return it as
 ``ray``, UNBOUNDED with 0 iterations.  No lifted recession certificate
 exists there, since the rate ``d^T Q d`` is 0.  Where a check fails, or
-the method reaches ``ACTIVE_SET_STEPS``, both cones solve DNN's unpinned
-problem and gate its point at their own cone: DNN lies in PSD0, and both
-equal the minimum of q there.  Below the threshold PSD0 is settled by the
-pre-pass (``_settled``), plain or pinned: it never iterates.
+the method reaches ``ACTIVE_SET_STEPS``, the record solves DNN's unpinned
+problem once per options (``unpinned``) and both cones gate its point at
+their own cone: DNN lies in PSD0, and both equal the minimum of q there.
+Below the threshold PSD0 is settled by the pre-pass (``_settled``), plain
+or pinned: it never iterates.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -149,7 +142,6 @@ from .core import (
     LiftedProblem,
     QpInstance,
     ValidationReport,
-    _eigvalsh,
     _frozen_array,
     cone_violation,
     curvature_tolerance,
@@ -158,13 +150,8 @@ from .core import (
     validate_lifted_point,
 )
 from .errors import NonFinite, PointInfeasible
-from .kkt import order_two
-from .numerics import (
-    RANK_TOL,
-    FaceProjector,
-    _eigh,
-    nullspace_basis,
-)
+from .ipm import IPM_ITERATIONS, MAX_ITER, SolveOptions, _IpmOutcome, solve_face  # noqa: F401
+from .numerics import RANK_TOL, FaceProjector, nullspace_basis
 from .oracle import (
     KktCertificate,
     RayCertificate,
@@ -178,7 +165,6 @@ from .oracle import (
 OPTIMAL = "OPTIMAL"
 UNBOUNDED = "UNBOUNDED"
 INFEASIBLE = "INFEASIBLE"
-MAX_ITER = "MAX_ITER"
 
 OBJECTIVE = "OBJECTIVE"
 FEASIBILITY = "FEASIBILITY"
@@ -195,11 +181,6 @@ TOL_CERTIFICATE = 1e-6
 #: Working-set changes a closed-form convex solve may make before it gives
 #: way to the interior-point method (``_convex_qp``).
 ACTIVE_SET_STEPS = 200
-
-#: Iterations an interior-point solve or DNN search may take before it
-#: returns MAX_ITER (``_face_ipm``), or ``SolveOptions.max_iterations`` if
-#: fewer.
-IPM_ITERATIONS = 50
 
 # The constants below belong to the consensus loop ``_consensus``, which no
 # solve runs any more (see the module docstring).
@@ -233,21 +214,6 @@ STOP_MARGIN = 0.01
 #: LAPACK's general solver (``numpy.linalg.solve`` without its wrapper);
 #: called with ``signature="dd->d"`` on a regularized Gram matrix.
 _solve = _umath_linalg.solve1
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Iteration budget and residual tolerances of the interior-point method,
-    which stops at ``IPM_ITERATIONS`` when ``max_iterations`` is larger.  The
-    consensus loop, which no solve runs, reads the same fields."""
-
-    max_iterations: int = 200_000
-    tol_primal: float = 1e-7
-    tol_dual: float = 1e-7
-
-    def __post_init__(self):
-        if min(self.max_iterations, self.tol_primal, self.tol_dual) <= 0:
-            raise ValueError("iteration and tolerance options must be positive")
 
 
 @dataclass(frozen=True)
@@ -771,207 +737,6 @@ def _consensus(
 
 
 # ---------------------------------------------------------------------------
-# interior-point method on a reduced face
-
-
-@dataclass
-class _IpmOutcome:
-    status: str  # CONVERGED, ACCEPTED or MAX_ITER
-    S: np.ndarray  # the last iterate
-    lam: np.ndarray  # the multipliers of the rows, >= 0
-    iterations: int
-    residual_primal: float
-    residual_dual: float
-
-
-def _steps_to_boundary(roots: np.ndarray, dS, dZ, w, dw, lam, dlam) -> np.ndarray:
-    """The largest primal and dual steps, each at most 1, keeping ``S + t dS``
-    and ``Z + t dZ`` PSD and ``w + t dw`` and ``lam + t dlam`` nonnegative,
-    from the least relative changes: the eigenvalues of ``roots dS roots^T``
-    (``roots`` the inverse square-root factors of ``S`` and ``Z``) and ``dw / w``."""
-    least = _eigvalsh(roots @ np.array((dS, dZ)) @ roots.transpose(0, 2, 1),
-                      signature="d->d")[:, 0]
-    least = np.minimum(least, (np.array((dw, dlam)) / np.array((w, lam))).min(
-        axis=1, initial=np.inf))
-    return 1.0 / np.maximum(-least, 1.0)
-
-
-def _face_ipm(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
-              accept: Optional[Callable[[np.ndarray], bool]] = None) -> _IpmOutcome:
-    """Minimize ``<C, S>`` over ``S`` PSD with ``<G_k, S> >= h_k`` for each row k.
-
-    An infeasible-start primal-dual interior-point method: the HKM direction
-    (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) with
-    Mehrotra's predictor-corrector (SIAM J. Optim. 1992).  The rows take
-    slacks ``w >= 0``; the dual is ``max h^T lam`` over ``lam >= 0`` with
-    ``Z = C - sum_k lam_k G_k`` PSD.  Each iteration forms ``H_l = S G_l Z^-1``
-    and the Schur matrix ``M_kl = <G_k, H_l> + delta_kl w_k / lam_k`` once,
-    and inverts ``M``, symmetric positive definite in exact arithmetic, by
-    one eigendecomposition: the pseudo-inverse drops the eigenvalues of
-    magnitude at most ``eps p max|lambda|``, the singular values
-    ``numpy.linalg.lstsq`` drops by default, so it stays defined where rows
-    active at the optimum are linearly dependent (an equality as a row
-    pair; a plain inverse stalls there).  For
-    targets ``S Z = T``, ``w lam = t`` the direction is affine in ``dlam``,
-    ``dS = E + T Z^-1 + sum_l dlam_l H_l`` with ``E = -S - S R_d Z^-1`` (``R_d``
-    the dual residual) shared by predictor and corrector; ``dlam`` solves
-    ``M dlam = r_p - G(dS) + dw`` (``r_p`` the primal residual) at
-    ``dlam = 0``, and one refinement step recomputes that residual through
-    ``dS``, not ``M``, whose entries grow like ``1 / mu``.  The predictor's
-    steps to the boundary, primal and dual apart, set Mehrotra's centering;
-    the corrector takes one step length for both sides, 0.99 of the way to
-    the boundary.  It stops when the primal residual relative to ``1 + |h|``
-    is at most ``opts.tol_primal`` and both the dual residual relative to
-    ``1 + |C|`` and the duality gap relative to ``1 + |<C, S>| + |h^T lam|``
-    are at most ``opts.tol_dual``.  Given ``accept``, it also stops, with
-    status ACCEPTED, at the first iterate ``S`` it would step on from for
-    which ``accept(S)`` is true: the starting point and the iterate at the
-    budget are not offered.  After ``IPM_ITERATIONS`` iterations (or
-    ``opts.max_iterations``, if fewer), or when an iterate stops being
-    positive definite, the Schur matrix is not finite, a step is not
-    positive, or an entry grows past ``1 / eps`` (a problem with no optimum
-    diverges this way), it returns MAX_ITER with the last iterate it took.
-    Nothing here raises.
-
-    A 1 x 1 problem is not iterated: it is the interval LP of
-    ``_interval_lp``, solved exactly with 0 iterations, CONVERGED at its
-    optimum and MAX_ITER where it has none.  A 2 x 2 problem goes first to
-    ``kkt.order_two``, which returns the least-valued KKT pair that passes
-    this method's stopping test at ``opts`` and is dual feasible to
-    rounding: CONVERGED with 0 iterations, that pair's ``S`` and ``lam``,
-    its primal residual and a dual residual of 0.  Where no pair passes,
-    the method iterates as at any other order.  Neither exact solve
-    consults ``accept`` or the iteration budget.
-    """
-    r, p = C.shape[0], h.size
-    if r == 1:
-        return _interval_lp(float(C[0, 0]), G.reshape(p), h)
-    if r == 2 and (exact := order_two(C, G, h, opts.tol_primal, opts.tol_dual)) is not None:
-        S, lam, residual = exact
-        return _IpmOutcome("CONVERGED", S, lam, 0, residual, 0.0)
-    S, Z = np.eye(r), np.eye(r)
-    w, lam = np.ones(p), np.ones(p)
-    Gf = G.reshape(p, r * r)
-    hscale = 1.0 + math.sqrt(h @ h)
-    cscale = 1.0 + math.sqrt(np.vdot(C, C))
-    cap = min(IPM_ITERATIONS, opts.max_iterations)
-    status = MAX_ITER
-    it = 0
-    while True:
-        rp = h - Gf @ S.ravel() + w
-        Rd = C - (lam @ Gf).reshape(r, r) - Z
-        pobj, dobj = float(np.vdot(C, S)), float(h @ lam)
-        res_p = math.sqrt(rp @ rp) / hscale
-        res_d = math.sqrt(np.vdot(Rd, Rd)) / cscale
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        if res_p <= opts.tol_primal and res_d <= opts.tol_dual and gap <= opts.tol_dual:
-            status = "CONVERGED"
-            break
-        if it == cap:
-            break
-        if it and accept is not None and accept(S):
-            status = "ACCEPTED"
-            break
-        step = _ipm_step(G, Gf, S, Z, w, lam, rp, Rd)
-        if step is None:
-            break
-        S, Z, w, lam = step
-        it += 1
-    return _IpmOutcome(status, S, lam, it, res_p, res_d)
-
-
-def _interval_lp(c: float, g: np.ndarray, h: np.ndarray) -> _IpmOutcome:
-    """Minimize ``c s`` over ``s >= 0`` with ``g_k s >= h_k``: ``_face_ipm``
-    at order 1, solved exactly.
-
-    The feasible set is the interval from ``max(0, h_k / g_k)`` over the
-    rows with ``g_k > 0`` to ``min h_k / g_k`` over those with ``g_k < 0``;
-    a row with ``g_k = 0`` holds only when ``h_k <= 0``.  ``s`` is the lower
-    end for ``c >= 0`` and the upper end for ``c < 0``, with status
-    CONVERGED, 0 iterations and zero residuals; the binding row's multiplier
-    is ``c / g_k`` and every other one 0 (all 0 when ``s = 0`` is bound by
-    ``s >= 0`` alone), so ``Z = c - sum_k lam_k g_k >= 0`` and the gap
-    ``c s - h^T lam`` is 0.  An empty interval, or ``c < 0`` with no upper
-    end, has no optimum: it returns MAX_ITER, as the iterated method does,
-    at that method's starting point ``s = 1`` with infinite residuals.
-    """
-    lam = np.zeros(h.size)
-    ratio = np.divide(h, g, out=np.zeros(h.size), where=g != 0.0)
-    low = np.where(g > 0.0, ratio, 0.0)
-    high = np.where(g < 0.0, ratio, math.inf)
-    lower, upper = float(low.max(initial=0.0)), float(high.min(initial=math.inf))
-    if lower > upper or (h[g == 0.0] > 0.0).any() or (c < 0.0 and upper == math.inf):
-        return _IpmOutcome(MAX_ITER, np.ones((1, 1)), lam, 0, math.inf, math.inf)
-    if c < 0.0:
-        k = int(high.argmin())
-    elif c > 0.0 and lower > 0.0:
-        k = int(low.argmax())
-    else:
-        k = None
-    if k is not None:
-        lam[k] = c / g[k]
-    s = upper if c < 0.0 else lower
-    return _IpmOutcome("CONVERGED", np.full((1, 1), s), lam, 0, 0.0, 0.0)
-
-
-def _ipm_step(G, Gf, S, Z, w, lam, rp, Rd):
-    """One predictor-corrector step from ``(S, Z, w, lam)``, or None.
-
-    The Schur matrix is inverted by the eigh pseudo-inverse of ``_face_ipm``:
-    one ``_eigh`` call, then one scaled product of its eigenvectors."""
-    r, p = S.shape[0], w.size
-    eps = sys.float_info.epsilon
-    values, vectors = _eigh(np.array((S, Z)), signature="d->dd")
-    if not values[:, 0].min() > 0.0:
-        return None
-    # F^-1 with F F^T = S and with F F^T = Z, one eigenvector per row
-    roots = (vectors / np.sqrt(values)[:, None, :]).transpose(0, 2, 1)
-    Zi = roots[1].T @ roots[1]
-    ratio = w / lam
-    H = (S @ G @ Zi).reshape(p, r * r)
-    M = Gf @ H.T
-    M.flat[::p + 1] += ratio
-    if not np.isfinite(M).all():
-        return None
-    if p:
-        values, vectors = _eigh(M, signature="d->dd")
-        cut = eps * p * max(-values[0], values[-1])
-        M_inv = (vectors * np.divide(1.0, values, out=np.zeros(p),
-                                     where=np.abs(values) > cut)) @ vectors.T
-    else:
-        M_inv = M
-    E = (-S - S @ Rd @ Zi).ravel()
-
-    def direction(base, slack):
-        # base = E + T Z^-1 and slack = t / lam - w (see _face_ipm)
-        dlam = M_inv @ (rp - Gf @ base + slack)
-        dlam = dlam + M_inv @ (rp - Gf @ (base + dlam @ H) + slack - ratio * dlam)
-        dS = (base + dlam @ H).reshape(r, r)
-        return 0.5 * (dS + dS.T), Rd - (dlam @ Gf).reshape(r, r), slack - ratio * dlam, dlam
-
-    mu = (float(np.vdot(S, Z)) + float(w @ lam)) / (r + p)
-    dS, dZ, dw, dlam = direction(E, -w)
-    a_p, a_d = _steps_to_boundary(roots, dS, dZ, w, dw, lam, dlam)
-    mu_aff = (float(np.vdot(S + a_p * dS, Z + a_d * dZ))
-              + float((w + a_p * dw) @ (lam + a_d * dlam))) / (r + p)
-    sigma = (mu_aff / mu) ** 3 if mu > 0.0 else 0.0
-    T = sigma * mu * np.eye(r) - dS @ dZ
-    dS, dZ, dw, dlam = direction(E + (T @ Zi).ravel(), (sigma * mu - dw * dlam) / lam - w)
-    # one step length for both sides keeps the primal residual falling with mu
-    step = 0.99 * _steps_to_boundary(roots, dS, dZ, w, dw, lam, dlam).min()
-    if not step > 0.0:
-        return None
-    new = np.concatenate((S.ravel(), Z.ravel(), w, lam)) + step * np.concatenate(
-        (dS.ravel(), dZ.ravel(), dw, dlam))
-    # without an optimum the iterates run off to infinity: stop them long
-    # before they overflow (a NaN fails the test too)
-    if not np.abs(new).max() < 1.0 / eps:
-        return None
-    k = 2 * r * r
-    return (*new[:k].reshape(2, r, r), new[k:k + p], new[k + p:])
-
-
-# ---------------------------------------------------------------------------
 # certificates
 
 
@@ -1011,18 +776,22 @@ class _Prepared:
     ``curvature`` is the least eigenvalue of ``C``, the curvature of Q on
     null(A), and ``v`` its eigenvector (``+inf`` and None when null(A) is
     ``{0}``); ``holds`` is the curvature condition, ``curvature`` at or above
-    ``-core.curvature_tolerance(Q)``.  Built on first read: ``signs``, the
-    DNN sign-row stack of ``N`` (``_sign_stack``); ``x0``, the basic
+    ``-core.curvature_tolerance(Q)``; ``qhat`` is the lifted objective of
+    both cones (``core.lift_instance``).  Built on first read: ``signs``,
+    the DNN sign-row stack of ``N`` (``_sign_stack``); ``x0``, the basic
     feasible point of the polyhedron (``oracle._feasible_point``), None
     when it is empty; ``convex``, the checked outcome of the convex QP;
-    and ``prepass(cone, opts)``, the OBJECTIVE certificate search of each
-    cone and options.  All arrays are read-only.  ``_prepared`` keeps the
-    record of the last instance, matched by identity.
+    ``prepass(cone, opts)``, the OBJECTIVE certificate search of each cone
+    and options; and ``unpinned(opts)``, DNN's unpinned face problem at
+    each options, which both cones validate.  All arrays are read-only.
+    ``_prepared`` keeps the record of the last instance, matched by
+    identity.
     """
 
     def __init__(self, inst: QpInstance):
         N = nullspace_basis(inst.A)
-        self.inst, self._searches = inst, {}
+        self.inst, self.qhat = inst, lift_instance(inst).qhat
+        self._searches, self._unpinned = {}, {}
         self.N, self.C, self.curvature, self.v = N, N.T @ inst.Q @ N, math.inf, None
         if N.shape[1]:
             values, vectors = np.linalg.eigh(self.C)
@@ -1074,6 +843,25 @@ class _Prepared:
             self._searches[cone, opts] = recession_certificate_search(self.inst, cone,
                                                                       OBJECTIVE, opts)
         return self._searches[cone, opts]
+
+    def unpinned(self, opts: SolveOptions):
+        """DNN's unpinned face problem (see ``solve_relaxation``): its lifted
+        point ``V S V^T`` and the method's outcome, with ``x0`` not None."""
+        if opts not in self._unpinned:
+            # Y = V S V^T with u = [1; x0 - N N^T x0] / |.|; Y_00 = 1 is the row
+            # pair <v0 v0^T, S> >= 1, <-v0 v0^T, S> >= -1; the rows are DNN's
+            N = self.N
+            V = np.zeros((self.inst.n + 1, N.shape[1] + 1))
+            V[0, 0], V[1:, 0], V[1:, 1:] = 1.0, self.x0 - N @ (N.T @ self.x0), N
+            V[:, 0] /= math.sqrt(V[:, 0] @ V[:, 0])
+            G = _sign_stack(V)[0]
+            corner = np.outer(V[0], V[0])
+            out = solve_face(V.T @ self.qhat @ V, np.concatenate((G, [corner, -corner])),
+                             np.append(np.zeros(len(G)), [1.0, -1.0]), opts)
+            y = V @ out.S @ V.T
+            y.flags.writeable = False
+            self._unpinned[opts] = y, out
+        return self._unpinned[opts]
 
 
 _prepared = lru_cache(maxsize=1)(_Prepared)
@@ -1139,7 +927,6 @@ def recession_certificate_search(
     if mode not in (OBJECTIVE, FEASIBILITY):
         raise ValueError(f"unknown search mode {mode!r}")
     opts = opts or SolveOptions()
-    lp = lift_instance(inst, cone)
     face = _prepared(inst)
     r = face.N.shape[1]
     if r == 0:
@@ -1155,16 +942,16 @@ def recession_certificate_search(
                                      reason=f"border-cone rate {curvature:.3e} above threshold")
         if cone == PSD0:
             u = basis @ face.v
-            return _graded(inst, lp, np.outer(u, u), mode, opts, curvature)
+            return _graded(face, cone, np.outer(u, u), mode, opts, curvature)
     elif cone == PSD0:
-        return _graded(inst, lp, basis @ basis.T / r, mode, opts, curvature)
+        return _graded(face, cone, basis @ basis.T / r, mode, opts, curvature)
     d = _recession_direction(inst)
     if d is None:
         return CertificateSearch(NONE, None, 0, 0.0, curvature=curvature,
                                  reason="no recession direction: certificate set is empty")
     if mode == FEASIBILITY:
         z = np.concatenate(([0.0], d))
-        return _graded(inst, lp, np.outer(z, z) / np.dot(d, d), mode, opts, curvature)
+        return _graded(face, cone, np.outer(z, z) / np.dot(d, d), mode, opts, curvature)
 
     def candidate(S):
         return basis @ S @ basis.T / float(np.trace(S))
@@ -1175,12 +962,12 @@ def recession_certificate_search(
         # the checks of _graded that an iterate can fail: the other ones
         # hold to rounding for every positive definite S
         d = candidate(S)
-        return float(d.min()) >= -tol and float(np.vdot(lp.qhat, d)) < -threshold
+        return float(d.min()) >= -tol and float(np.vdot(face.qhat, d)) < -threshold
 
     # the sign rows at h = 0, and tr S <= 1 as <-I, S> >= -1
     G = face.signs[0]
-    out = _face_ipm(face.C, np.concatenate((G, [-np.eye(r)])), np.append(np.zeros(len(G)), -1.0),
-                    opts, verifiable)
+    out = solve_face(face.C, np.concatenate((G, [-np.eye(r)])), np.append(np.zeros(len(G)), -1.0),
+                     opts, verifiable)
     if out.status == MAX_ITER:
         return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
                                  reason="max_iter", curvature=curvature)
@@ -1190,7 +977,7 @@ def recession_certificate_search(
         return CertificateSearch(NONE, None, out.iterations, out.residual_primal,
                                  reason=f"optimum at trace {trace:.1e}: no rate below "
                                         "threshold", curvature=curvature)
-    return _graded(inst, lp, candidate(out.S), mode, opts, curvature, out.iterations,
+    return _graded(face, cone, candidate(out.S), mode, opts, curvature, out.iterations,
                    out.residual_primal)
 
 
@@ -1204,19 +991,18 @@ def _certificate_tol(opts: SolveOptions) -> float:
     return max(10.0 * opts.tol_primal, 1e-9)
 
 
-def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
-            opts: SolveOptions, curvature: float, iterations: int = 0,
-            residual: float = 0.0) -> CertificateSearch:
+def _graded(prep: _Prepared, cone: str, d: np.ndarray, mode: str, opts: SolveOptions,
+            curvature: float, iterations: int = 0, residual: float = 0.0) -> CertificateSearch:
     """The verdict on a candidate: FOUND when it verifies and, in OBJECTIVE
     mode, its rate is below the cone's threshold (``_rate_threshold``)."""
-    rate = float(np.vdot(lp.qhat, d))
+    rate = float(np.vdot(prep.qhat, d))
     cert = RecessionCertificate(d=d, objective_rate=rate, trace_norm=float(np.trace(d)),
-                                cone=lp.cone)
-    check = verify_certificate(inst, cert, tol=_certificate_tol(opts))
+                                cone=cone)
+    check = verify_certificate(prep.inst, cert, tol=_certificate_tol(opts))
     status, reason = FOUND, ""
     if not check.ok:
         status, cert, reason = INCONCLUSIVE, None, "candidate failed verification"
-    elif mode == OBJECTIVE and rate >= -_rate_threshold(inst, lp.cone):
+    elif mode == OBJECTIVE and rate >= -_rate_threshold(prep.inst, cone):
         status, cert, reason = NONE, None, f"optimal rate {rate:.3e} above threshold"
     return CertificateSearch(status, cert, iterations, residual, reason=reason, check=check,
                              curvature=curvature)
@@ -1226,25 +1012,26 @@ def _graded(inst: QpInstance, lp: LiftedProblem, d: np.ndarray, mode: str,
 # relaxation solves
 
 
-def _face_result(lp: LiftedProblem, inst: QpInstance, y: np.ndarray, out: _IpmOutcome,
+def _face_result(prep: _Prepared, cone: str, y: np.ndarray, out: _IpmOutcome,
                  opts: SolveOptions) -> RelaxationResult:
     """A face problem's result at its lifted point ``y``: MAX_ITER when the
     outcome ``out`` did not finish, else ``_validated``."""
     fields = (out.residual_primal, out.residual_dual, out.iterations)
     if out.status == MAX_ITER:
-        return RelaxationResult(MAX_ITER, float(np.vdot(lp.qhat, y)), LiftedPoint(y), *fields)
-    return _validated(lp, inst, y, opts, *fields)
+        return RelaxationResult(MAX_ITER, float(np.vdot(prep.qhat, y)), LiftedPoint(y), *fields)
+    return _validated(prep, cone, y, opts, *fields)
 
 
-def _validated(lp: LiftedProblem, inst: QpInstance, y: np.ndarray, opts: SolveOptions,
+def _validated(prep: _Prepared, cone: str, y: np.ndarray, opts: SolveOptions,
                residual_primal: float, residual_dual: float, iterations: int
                ) -> RelaxationResult:
-    """OPTIMAL at the point ``y``, or MAX_ITER when ``y`` fails validation."""
+    """OPTIMAL at the point ``y`` of the cone, or MAX_ITER when ``y`` fails
+    validation there."""
     point = LiftedPoint(y)
-    report = validate_lifted_point(inst, point, tol=10.0 * opts.tol_primal, cone=lp.cone)
+    report = validate_lifted_point(prep.inst, point, tol=10.0 * opts.tol_primal, cone=cone)
     return RelaxationResult(
         status=OPTIMAL if report.ok else MAX_ITER,
-        value=float(np.vdot(lp.qhat, point.y)), point=point,
+        value=float(np.vdot(prep.qhat, point.y)), point=point,
         residual_primal=residual_primal, residual_dual=residual_dual,
         iterations=iterations, validation=report,
     )
@@ -1343,10 +1130,12 @@ def solve_relaxation(
     convex closed form (``convex``, validated at the cone) settle the rest
     without iterating where they can (see the module docstring).  Otherwise
     the interior-point method solves DNN's face ``V S V^T`` with
-    ``V = [u, [0; N]]``, and its point is validated at the cone.
+    ``V = [u, [0; N]]`` once per options (``unpinned``), and its point is
+    validated at the cone.
     """
+    if cone not in CONES:
+        raise ValueError(f"unknown cone selector {cone!r}")
     opts = opts or SolveOptions()
-    lp = lift_instance(inst, cone)
     prep = _prepared(inst)
     if prep.x0 is None:
         return RelaxationResult(INFEASIBLE, math.inf, None, 0.0, 0.0, 0)
@@ -1358,20 +1147,10 @@ def solve_relaxation(
                                 ray_check=proof)
     if found is not None:
         z = np.concatenate(([1.0], found))
-        result = _validated(lp, inst, np.outer(z, z), opts, 0.0, 0.0, 0)
+        result = _validated(prep, cone, np.outer(z, z), opts, 0.0, 0.0, 0)
         if result.status == OPTIMAL:
             return replace(result, kkt=proof)
-    # Y = V S V^T with u = [1; x0 - N N^T x0] / |.|; Y_00 = 1 is the row pair
-    # <v0 v0^T, S> >= 1, <-v0 v0^T, S> >= -1; the rows are DNN's for both cones
-    N = prep.N
-    V = np.zeros((inst.n + 1, N.shape[1] + 1))
-    V[0, 0], V[1:, 0], V[1:, 1:] = 1.0, prep.x0 - N @ (N.T @ prep.x0), N
-    V[:, 0] /= math.sqrt(V[:, 0] @ V[:, 0])
-    G = _sign_stack(V)[0]
-    corner = np.outer(V[0], V[0])
-    out = _face_ipm(V.T @ lp.qhat @ V, np.concatenate((G, [corner, -corner])),
-                    np.append(np.zeros(len(G)), [1.0, -1.0]), opts)
-    return _face_result(lp, inst, V @ out.S @ V.T, out, opts)
+    return _face_result(prep, cone, *prep.unpinned(opts), opts)
 
 
 def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> RelaxationResult:
@@ -1384,17 +1163,16 @@ def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> Relaxat
     prep = _prepared(inst)
     if (settled := _settled(prep, cone, opts)) is not None:
         return settled
-    lp = lift_instance(inst, cone)
     z = np.concatenate(([1.0], x))
     y = np.outer(z, z)
     # at PSD0's scaled tolerance, at which its pre-pass reads "not unbounded",
     # q is convex on the pinned set {z z^T + N S N^T}: its minimum is z z^T
     if prep.holds:
-        return _validated(lp, inst, y, opts, 0.0, 0.0, 0)
+        return _validated(prep, cone, y, opts, 0.0, 0.0, 0)
     G, i, j = prep.signs
-    out = _face_ipm(prep.C, G, -(x[i] * x[j]), opts)
+    out = solve_face(prep.C, G, -(x[i] * x[j]), opts)
     y[1:, 1:] += prep.N @ out.S @ prep.N.T
-    return _face_result(lp, inst, y, out, opts)
+    return _face_result(prep, cone, y, out, opts)
 
 
 def evaluate_underestimator(
@@ -1413,5 +1191,7 @@ def evaluate_underestimator(
     scalar, or of order 2 with a KKT pair that passes, solved exactly),
     and a PSD0 value is minus infinity (see the module docstring).
     """
+    if cone not in CONES:
+        raise ValueError(f"unknown cone selector {cone!r}")
     opts = opts or SolveOptions()
     return _pinned_solve(inst, cone, x, opts)

@@ -47,8 +47,10 @@ DNN = "DNN"
 PSD0 = "PSD0"
 CONES = (DNN, PSD0)
 
-#: The LAPACK gufunc of ``numpy.linalg.eigvalsh`` (``signature="d->d"``): NaN where that raises
+#: The LAPACK gufuncs of ``numpy.linalg.eigvalsh`` (``signature="d->d"``) and
+#: ``numpy.linalg.eigh`` (``signature="d->dd"``): the same arrays, and NaN where those raise
 _eigvalsh = _umath_linalg.eigvalsh_lo
+_eigh = _umath_linalg.eigh_lo
 
 
 def _frozen_array(a) -> np.ndarray:

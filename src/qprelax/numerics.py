@@ -12,7 +12,7 @@ LAPACK does not converge, shows up here as a NaN in the output.  The
 oracle's face engine calls the same gufunc, and the SVD gufuncs beside
 it, on stacks of faces and of column subsets; its min-norm points and
 basic solutions come from those SVDs, so the engine calls no
-least-squares driver.  The interior-point method in ``conic`` calls the
+least-squares driver.  The interior-point method in ``ipm`` calls the
 eigen gufunc twice per step, once for ``S`` and ``Z`` and once to invert
 its Schur matrix.  It and lifted-point validation
 (``core.validate_lifted_point``, ``core.cone_violation``) call the
@@ -35,7 +35,7 @@ import warnings
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import DNN, PSD0, LiftedProblem, cone_violation  # noqa: F401 (re-exported)
+from .core import DNN, PSD0, LiftedProblem, _eigh, cone_violation  # noqa: F401 (re-exported)
 from .errors import DegenerateConstraints, DimensionMismatch, NonFinite
 
 #: Cone selectors for matrix projections.
@@ -45,13 +45,6 @@ ROW0NONNEG = "ROW0NONNEG"
 
 #: Relative singular-value threshold deciding numerical rank.
 RANK_TOL = 1e-10
-
-#: LAPACK's symmetric eigensolver on the lower triangle: called with
-#: ``signature="d->dd"`` it returns ascending eigenvalues and orthonormal
-#: eigenvector columns, the same arrays as ``numpy.linalg.eigh``, and NaNs
-#: where LAPACK does not converge; ``core._eigvalsh`` returns the eigenvalues
-#: alone.
-_eigh = _umath_linalg.eigh_lo
 
 #: LAPACK's full SVD driver behind ``numpy.linalg.svd(full_matrices=True)``:
 #: with ``signature="d->ddd"`` it returns ``U``, the singular values and

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -27,7 +30,7 @@ from qprelax.conic import (
     solve_relaxation,
     verify_certificate,
 )
-from qprelax import kkt, oracle
+from qprelax import core, ipm, oracle
 from qprelax.core import DNN, PSD0, evaluate_objective, lift_instance, validate_lifted_point
 from qprelax.errors import DeskScaleLimit, NonFinite, PointInfeasible
 from qprelax.generators import (
@@ -104,6 +107,17 @@ class TestSolveRelaxation:
             dnn = evaluate_underestimator(inst, DNN, x, TIGHT)
             psd0 = evaluate_underestimator(inst, PSD0, x, TIGHT)
             assert psd0.value <= dnn.value + 1e-6 * (1 + abs(dnn.value))
+
+    @pytest.mark.parametrize("kind", [KIND_INFEASIBLE, BOUNDED])
+    def test_unknown_cone_is_refused(self, kind):
+        # before any verdict: an empty polyhedron or an infeasible anchor
+        # must not answer for a cone that does not exist
+        inst = random_instance(kind, 3, 1, 1)
+        x = np.zeros(3) if kind == KIND_INFEASIBLE else feasible_samples(inst, 1)[0]
+        with pytest.raises(ValueError, match="unknown cone selector 'BOGUS'"):
+            solve_relaxation(inst, "BOGUS")
+        with pytest.raises(ValueError, match="unknown cone selector 'BOGUS'"):
+            evaluate_underestimator(inst, "BOGUS", x)
 
 
 class TestUnderestimator:
@@ -364,6 +378,31 @@ class TestPinnedFaceReuse:
         random_instance(CONVEX_ON_NULLSPACE, 30, 3, 0)
         assert stacks == []
 
+    def test_criterion_9_batch_lifts_each_instance_at_most_twice(self, monkeypatch,
+                                                                 fresh_prepass):
+        # the pinned-batch members, both cones, 12 anchors each: one lift for
+        # the record and at most one in verify_certificate per instance
+        lifted = []
+        lift = core.lift_instance
+
+        def counted(inst, *args):
+            lifted.append(inst)
+            return lift(inst, *args)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("qprelax") and getattr(
+                    module, "lift_instance", None) is lift:
+                monkeypatch.setattr(module, "lift_instance", counted)
+        opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
+        for inst in TestPinnedClosedForm.members:
+            for cone in (DNN, PSD0):
+                for x in feasible_samples(inst, 12, seed=77):
+                    res = evaluate_underestimator(inst, cone, x, opts)
+                    assert res.status in (OPTIMAL, UNBOUNDED), inst.name
+        for inst in TestPinnedClosedForm.members:
+            assert 1 <= sum(a is inst for a in lifted) <= 2, inst.name
+        assert len(lifted) <= 10
+
     def test_dnn_solves_build_the_sign_rows_once(self, stacks, horn):
         results = [evaluate_underestimator(self.inst, DNN, x) for x in self.points()]
         assert all(res.status == OPTIMAL and res.iterations == 0 for res in results)
@@ -456,16 +495,16 @@ class TestUnpinnedRelations:
         inst = random_instance(BOUNDED, 4, 2, 2)
         vertices = enumerate_vertices(inst)
         assert len(vertices) > 1
-        feasible_point, face_ipm = conic._feasible_point, conic._face_ipm
+        feasible_point, solve_face = conic._feasible_point, conic.solve_face
         chosen, problems = [], []
 
         def recorded(C, G, h, *args):
             problems.append((C, G, h))
-            return face_ipm(C, G, h, *args)
+            return solve_face(C, G, h, *args)
 
         monkeypatch.setattr(conic, "_feasible_point", lambda A, b: chosen[-1].copy()
                             if A is inst.A else feasible_point(A, b))
-        monkeypatch.setattr(conic, "_face_ipm", recorded)
+        monkeypatch.setattr(conic, "solve_face", recorded)
         results = []
         for x0 in vertices:
             chosen.append(x0)
@@ -556,7 +595,7 @@ class TestCertificateSearch:
         # the interior-point method converges
         inst = horn[0]
         seen, rows = [], []
-        face_ipm = conic._face_ipm
+        solve_face = conic.solve_face
 
         def recorded(C, G, h, opts, accept):
             rows.append((C, G, h))
@@ -565,23 +604,22 @@ class TestCertificateSearch:
                 seen.append((S.copy(), accept(S)))
                 return seen[-1][1]
 
-            return face_ipm(C, G, h, opts, logged)
+            return solve_face(C, G, h, opts, logged)
 
-        monkeypatch.setattr(conic, "_face_ipm", recorded)
+        monkeypatch.setattr(conic, "solve_face", recorded)
         res = recession_certificate_search(inst, DNN, OBJECTIVE)
         k = len(seen)
         assert [ok for _, ok in seen] == [False] * (k - 1) + [True]
         assert res.status == FOUND and res.iterations == k
-        lp = lift_instance(inst, DNN)
         N = nullspace_basis(inst.A)
         basis = np.vstack([np.zeros((1, N.shape[1])), N])
         S = seen[-1][0]
-        graded = conic._graded(inst, lp, basis @ S @ basis.T / np.trace(S), OBJECTIVE,
-                               SolveOptions(), res.curvature, k, res.residual)
+        graded = conic._graded(conic._prepared(inst), DNN, basis @ S @ basis.T / np.trace(S),
+                               OBJECTIVE, SolveOptions(), res.curvature, k, res.residual)
         assert graded.status == FOUND and graded.check == res.check
         assert np.array_equal(graded.certificate.d, res.certificate.d)
         assert graded.certificate.objective_rate == res.certificate.objective_rate
-        converged = face_ipm(*rows[0], SolveOptions())
+        converged = solve_face(*rows[0], SolveOptions())
         assert converged.status == "CONVERGED" and converged.iterations > k
 
     @pytest.mark.parametrize("n", [17, 20])
@@ -616,7 +654,7 @@ def loops(monkeypatch):
 @pytest.fixture
 def ipms(monkeypatch):
     """Interior-point solves on a reduced face, one entry per call."""
-    return _counted(monkeypatch, "_face_ipm")
+    return _counted(monkeypatch, "solve_face")
 
 
 @st.composite
@@ -758,7 +796,7 @@ class TestPinnedClosedForm:
                 G, i, j = conic._sign_stack(N)
                 if cone == PSD0:  # no sign rows
                     G, i, j = G[:0], i[:0], j[:0]
-                out = conic._face_ipm(C, G, -(x[i] * x[j]), TIGHT)
+                out = ipm.solve_face(C, G, -(x[i] * x[j]), TIGHT)
                 assert out.status == "CONVERGED" and (out.iterations > 0) == (N.shape[1] > 2)
                 solved = evaluate_objective(inst, x) + float(np.vdot(C, out.S))
                 closed = evaluate_underestimator(inst, cone, x, TIGHT).value
@@ -884,7 +922,7 @@ class TestPinnedInteriorPoint:
             C = N.T @ inst.Q @ N
             G, i, j = conic._sign_stack(N)
             h = -(x[i] * x[j])
-            out = conic._face_ipm(C, G, h, TIGHT)
+            out = ipm.solve_face(C, G, h, TIGHT)
             assert out.status == "CONVERGED" and out.lam.min() >= 0.0
             Z = C - np.tensordot(out.lam, G, axes=1)
             assert np.linalg.eigvalsh(Z)[0] >= -1e-8 * (1.0 + np.abs(C).max())
@@ -914,7 +952,7 @@ class TestPinnedInteriorPoint:
             w, lam = rng.uniform(0.01, 2.0, size=(2, p))
             dw, dlam = rng.normal(size=(2, p)) * rng.uniform(0, 3)
             args = (roots, dS, dZ, w, dw, lam, dlam)
-            np.testing.assert_allclose(conic._steps_to_boundary(*args), reference(*args),
+            np.testing.assert_allclose(ipm._steps_to_boundary(*args), reference(*args),
                                        rtol=1e-14)
 
     def test_zero_rows_are_dropped(self):
@@ -1025,13 +1063,13 @@ def _brute_interval_lp(c, g, h):
 
 
 class TestIntervalLp:
-    """``_face_ipm`` at order 1: the interval LP min ``c s`` over ``s >= 0``
+    """``ipm.solve_face`` at order 1: the interval LP min ``c s`` over ``s >= 0``
     with ``g_k s >= h_k``, solved exactly with 0 iterations."""
 
     @staticmethod
     def solve(c, g, h):
         g, h = np.asarray(g, dtype=float), np.asarray(h, dtype=float)
-        return conic._face_ipm(np.array([[c]], dtype=float), g.reshape(-1, 1, 1), h,
+        return ipm.solve_face(np.array([[c]], dtype=float), g.reshape(-1, 1, 1), h,
                                SolveOptions(max_iterations=1))
 
     @staticmethod
@@ -1125,44 +1163,44 @@ def _raw_check(C, G, h, S, lam, tol):
 
 
 class TestOrderTwoFaces:
-    """``_face_ipm`` at order 2: the least-valued KKT pair that passes
-    ``kkt._check``, with 0 iterations, or the interior-point method."""
+    """``ipm.solve_face`` at order 2: the least-valued KKT pair that passes
+    ``ipm._check``, with 0 iterations, or the interior-point method."""
 
     @staticmethod
     def rejected(cm, gm, hz, S, *args):
-        """A ``kkt._check`` that turns every pair down."""
+        """An ``ipm._check`` that turns every pair down."""
         return np.zeros(len(S), bool)
 
     def iterated(self, monkeypatch, C, G, h, opts):
-        """``_face_ipm`` with every pair turned down."""
+        """``ipm.solve_face`` with every pair turned down."""
         with monkeypatch.context() as patch:
-            patch.setattr(kkt, "_check", self.rejected)
-            return conic._face_ipm(C, G, h, opts)
+            patch.setattr(ipm, "_check", self.rejected)
+            return ipm.solve_face(C, G, h, opts)
 
     @pytest.mark.parametrize("tol", [1e-7, 1e-8])
     def test_certified_or_the_interior_point_outcome(self, tol, monkeypatch):
         opts = SolveOptions(tol_primal=tol, tol_dual=tol)
         certified = total = 0
         for inst, x, C, G, h in _order_two_problems(opts):
-            exact = kkt.order_two(C, G, h, tol, tol)
-            out = conic._face_ipm(C, G, h, opts)
-            ipm = self.iterated(monkeypatch, C, G, h, opts)
+            exact = ipm._order_two(C, G, h, tol, tol)
+            out = ipm.solve_face(C, G, h, opts)
+            method = self.iterated(monkeypatch, C, G, h, opts)
             total += 1
             if exact is None:
-                assert out.status == ipm.status and out.iterations == ipm.iterations > 0
-                assert np.array_equal(out.S, ipm.S) and np.array_equal(out.lam, ipm.lam)
+                assert out.status == method.status and out.iterations == method.iterations > 0
+                assert np.array_equal(out.S, method.S) and np.array_equal(out.lam, method.lam)
                 assert (out.residual_primal, out.residual_dual) == (
-                    ipm.residual_primal, ipm.residual_dual)
+                    method.residual_primal, method.residual_dual)
                 # a vertex whose optimum is S = 0 (with Z positive definite)
                 assert any(np.array_equal(x, v) for v in enumerate_vertices(inst))
-                assert np.linalg.eigvalsh(ipm.S)[-1] <= 10.0 * tol
+                assert np.linalg.eigvalsh(method.S)[-1] <= 10.0 * tol
                 continue
             certified += 1
             assert out.status == "CONVERGED" and out.iterations == 0 and out.residual_dual == 0.0
             assert np.array_equal(out.S, exact[0]) and np.array_equal(out.lam, exact[1])
             _raw_check(C, G, h, out.S, out.lam, tol)
-            value, ref = float(np.vdot(C, out.S)), float(np.vdot(C, ipm.S))
-            assert ipm.status == "CONVERGED"
+            value, ref = float(np.vdot(C, out.S)), float(np.vdot(C, method.S))
+            assert method.status == "CONVERGED"
             assert abs(value - ref) <= 2.0 * tol * (1.0 + abs(ref)), inst.name
         # the 24 anchors of criterion 9 and 73 of 81 others
         assert (certified, total) == (97, 105)
@@ -1181,23 +1219,23 @@ class TestOrderTwoFaces:
         opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
         problems = list(_order_two_problems(opts))[:24]
         for (inst, x, C, G, h), its, ref in zip(problems, iterations, values):
-            ipm = self.iterated(monkeypatch, C, G, h, opts)
+            method = self.iterated(monkeypatch, C, G, h, opts)
             with monkeypatch.context() as patch:
-                patch.setattr(kkt, "MAX_ROWS", -1)  # no pair is built at all
-                plain = conic._face_ipm(C, G, h, opts)
-            assert ipm.status == plain.status == "CONVERGED"
-            assert ipm.iterations == plain.iterations == its
-            for a, b in zip((ipm.S, ipm.lam, ipm.residual_primal, ipm.residual_dual),
+                patch.setattr(ipm, "MAX_ROWS", -1)  # no pair is built at all
+                plain = ipm.solve_face(C, G, h, opts)
+            assert method.status == plain.status == "CONVERGED"
+            assert method.iterations == plain.iterations == its
+            for a, b in zip((method.S, method.lam, method.residual_primal, method.residual_dual),
                             (plain.S, plain.lam, plain.residual_primal, plain.residual_dual)):
                 assert np.array_equal(a, b)
             with monkeypatch.context() as patch:
-                patch.setattr(kkt, "_check", self.rejected)
+                patch.setattr(ipm, "_check", self.rejected)
                 res = evaluate_underestimator(inst, DNN, x, opts)
             assert res.iterations == its and abs(res.value - ref) <= 1e-12 * (1.0 + abs(ref))
 
     @staticmethod
     def solve(C, G, h):
-        return conic._face_ipm(np.array(C, dtype=float), np.array(G, dtype=float).reshape(-1, 2, 2),
+        return ipm.solve_face(np.array(C, dtype=float), np.array(G, dtype=float).reshape(-1, 2, 2),
                                np.array(h, dtype=float), TIGHT)
 
     @pytest.mark.parametrize("C, G, h, value", [
@@ -1231,7 +1269,7 @@ class TestOrderTwoFaces:
         # method's multipliers meet it to 1e-8)
         opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
         for inst, x, C, G, h in list(_order_two_problems(opts))[:24]:
-            out = conic._face_ipm(C, G, h, opts)
+            out = ipm.solve_face(C, G, h, opts)
             assert out.iterations == 0
             value = evaluate_underestimator(inst, DNN, x, opts).value
             bound = evaluate_objective(inst, x) + float(h @ out.lam)
@@ -1324,16 +1362,18 @@ class TestConvexClosedForm:
     def test_degenerate_optimum_falls_back_once(self, monkeypatch, ipms, fresh_prepass):
         # the optimum 0 is the vertex (1, 0, 0), with one positive entry for
         # rank A = 2: the least-squares multipliers give s_3 = -0.5, so the
-        # first-order check fails and both cones solve DNN's face problem,
-        # which has order 2 and is solved exactly
+        # first-order check fails; the record solves DNN's face problem once,
+        # exactly at order 2, and both cones validate its point
         inst = DEGENERATE_OPTIMUM
         found = _counted(monkeypatch, "_convex_qp")
         ref = global_solve(inst).value
-        for cone in (DNN, PSD0):
-            res = solve_relaxation(inst, cone)
+        results = [solve_relaxation(inst, cone) for cone in (DNN, PSD0)]
+        for cone, res in zip((DNN, PSD0), results):
             assert res.status == OPTIMAL and res.iterations == 0 and res.kkt is None, cone
             assert abs(res.value - ref) <= COMPARISON_TOLERANCE * (1.0 + abs(ref)), cone
-        assert len(found) == 1 and len(ipms) == 2
+            assert res.validation.cone == cone
+        assert np.array_equal(results[0].point.y, results[1].point.y)
+        assert len(found) == 1 and len(ipms) == 1
 
     def test_step_cap_falls_back_to_the_loop(self, monkeypatch, loops, ipms):
         monkeypatch.setattr(conic, "ACTIVE_SET_STEPS", 0)
@@ -1608,6 +1648,23 @@ class TestSchurInverse:
         ref = (1.0 + cos) / (n * cos)
         assert res.status == OPTIMAL and 0 < res.iterations <= 8
         assert abs(res.value - ref) <= COMPARISON_TOLERANCE * ref
+
+
+class TestFaceSolverModule:
+    def test_ipm_imports_only_stdlib_numpy_and_core(self):
+        # the face solver is a leaf: it knows nothing of instances or lifts
+        tree = ast.parse(inspect.getsource(ipm))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert imported
+        for name in imported:
+            root = name.split(".")[0]
+            assert name == ".core" or root == "numpy" or (
+                root and root in sys.stdlib_module_names), name
 
 
 class TestOptions:
