@@ -19,7 +19,7 @@ import numpy as np
 from .conic import SolveOptions, _prepared, evaluate_underestimator
 from .core import QpInstance, curvature_tolerance, evaluate_objective, is_feasible
 from .errors import PointInfeasible
-from .oracle import RecessionReport, minimize_quad_over_polytope, recession_analysis
+from .oracle import RecessionReport, recession_analysis, simplex_minimum
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,10 @@ def check_copositivity_desk_scale(Q) -> CopositivityCheck:
     """Exact minimum of ``x^T Q x`` over the standard simplex.
 
     Q is copositive exactly when the minimum is nonnegative; the check is
-    by exhaustive face enumeration, refused past ``n = enum_cap()``.
+    by exhaustive face enumeration (``oracle.simplex_minimum``, which
+    ``oracle.global_solve`` runs too), refused past ``n = enum_cap()``.
     """
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    res = minimize_quad_over_polytope(Q, np.zeros(n), np.ones((1, n)), np.array([1.0]))
+    res = simplex_minimum(Q)
     return CopositivityCheck(min_value=float(res.value), minimizer=res.minimizers[0])
 
 

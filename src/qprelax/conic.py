@@ -31,12 +31,18 @@ Every solve of one instance reads one record, ``_prepared``, kept for the
 last instance (matched by identity): ``N``, an orthonormal basis of
 null(A), ``C = N^T Q N`` with its least eigenpair, the lifted objective
 ``qhat`` of both cones, and, each built on first read, the DNN sign-row
-stack, the feasible point ``x0`` of the emptiness test, the checked convex
-closed form below, each cone's certificate pre-pass and the unpinned face
-problem's outcome.  Only ``verify_certificate`` lifts the instance again,
-from raw data.  Every feasible lifted point is
-``[1; x][1; x]^T + [0 0; 0 N S N^T]``, on the face spanned by ``[1; x0]``
-and ``[0; N]``.  For a feasible anchor ``x`` and ``z = [1; x]``, the
+stack, the feasible point ``x0`` of the emptiness test, the recession
+direction of the DNN search, the checked convex closed form below, each
+cone's certificate pre-pass and the unpinned face problem's outcome.
+``x0`` is the polyhedron's first basic feasible point and the direction
+the first basic point of the recession slice ``{A d = 0, e^T d = 1,
+d >= 0}``.  ``report.compare_report`` hands over the vertex list and the
+recession rays the exact oracle enumerated, so the record takes their
+first points instead of enumerating either system again; a standalone
+solve finds them itself (``oracle._feasible_point``).  Only
+``verify_certificate`` lifts the instance again, from raw data.  Every
+feasible lifted point is ``[1; x][1; x]^T + [0 0; 0 N S N^T]``, on the
+face spanned by ``[1; x0]`` and ``[0; N]``.  For a feasible anchor ``x`` and ``z = [1; x]``, the
 pinned feasible set of both lifts is
 ``{z z^T + [0 0; 0 N S N^T] : S positive semidefinite}`` intersected with
 the cone (``X - x x^T`` is positive semidefinite with columns in null(A)),
@@ -778,14 +784,19 @@ class _Prepared:
     ``{0}``); ``holds`` is the curvature condition, ``curvature`` at or above
     ``-core.curvature_tolerance(Q)``; ``qhat`` is the lifted objective of
     both cones (``core.lift_instance``).  Built on first read: ``signs``,
-    the DNN sign-row stack of ``N`` (``_sign_stack``); ``x0``, the basic
-    feasible point of the polyhedron (``oracle._feasible_point``), None
-    when it is empty; ``convex``, the checked outcome of the convex QP;
-    ``prepass(cone, opts)``, the OBJECTIVE certificate search of each cone
-    and options; and ``unpinned(opts)``, DNN's unpinned face problem at
-    each options, which both cones validate.  All arrays are read-only.
-    ``_prepared`` keeps the record of the last instance, matched by
-    identity.
+    the DNN sign-row stack of ``N`` (``_sign_stack``); ``x0``, the first
+    basic feasible point of the polyhedron, None when it is empty;
+    ``direction``, the first basic point of the recession slice
+    ``{A d = 0, e^T d = 1, d >= 0}``, None when there is none; ``convex``,
+    the checked outcome of the convex QP; ``prepass(cone, opts)``, the
+    OBJECTIVE certificate search of each cone and options; and
+    ``unpinned(opts)``, DNN's unpinned face problem at each options, which
+    both cones validate.  ``x0`` and ``direction`` are what
+    ``oracle._feasible_point`` finds on each system; a caller that holds
+    the full enumerations hands them over first (``adopt``), and the record
+    takes their first points, the same bits, instead of enumerating again.
+    All arrays are read-only.  ``_prepared`` keeps the record of the last
+    instance, matched by identity.
     """
 
     def __init__(self, inst: QpInstance):
@@ -807,12 +818,23 @@ class _Prepared:
             a.flags.writeable = False
         return stack
 
+    def adopt(self, vertices=None, rays=None):
+        """Take ``x0`` from ``vertices``, the list ``oracle.enumerate_vertices``
+        returns, and ``direction`` from ``rays``, the ``rays`` of
+        ``oracle.recession_analysis``, where given and not yet read: their
+        first points, or None when they are empty."""
+        for name, points in (("x0", vertices), ("direction", rays)):
+            if points is not None and name not in self.__dict__:
+                self.__dict__[name] = _read_only(points[0] if len(points) else None)
+
     @cached_property
     def x0(self) -> Optional[np.ndarray]:
-        x0 = _feasible_point(self.inst.A, self.inst.b)
-        if x0 is not None:
-            x0.flags.writeable = False
-        return x0
+        return _read_only(_feasible_point(self.inst.A, self.inst.b))
+
+    @cached_property
+    def direction(self) -> Optional[np.ndarray]:
+        cut = _recession_slice(self.inst.A)
+        return None if cut is None else _read_only(_feasible_point(*cut))
 
     @cached_property
     def convex(self):
@@ -867,6 +889,15 @@ class _Prepared:
 _prepared = lru_cache(maxsize=1)(_Prepared)
 
 
+def _read_only(x: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """A read-only copy of the point ``x``, or None."""
+    if x is None:
+        return None
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
 def _sign_stack(N: np.ndarray):
     """The DNN sign rows ``(x x^T + N S N^T)_ij >= 0`` for ``i < j`` as
     ``<G_k, S> >= h_k`` with ``h_k = -x_i x_j``: the stack ``G`` and the
@@ -881,12 +912,6 @@ def _sign_stack(N: np.ndarray):
     G = 0.5 * (G + G.transpose(0, 2, 1))
     rows = np.abs(G).max(axis=(1, 2), initial=0.0) > RANK_TOL
     return G[rows], i[rows], j[rows]
-
-
-def _recession_direction(inst: QpInstance) -> Optional[np.ndarray]:
-    """The first basic point of ``{A d = 0, e^T d = 1, d >= 0}``, or None."""
-    cut = _recession_slice(inst.A)
-    return None if cut is None else _feasible_point(*cut)
 
 
 def recession_certificate_search(
@@ -908,9 +933,10 @@ def recession_certificate_search(
     for PSD0, ``TOL_CERTIFICATE`` for DNN).  For PSD0 nothing iterates:
     OBJECTIVE mode otherwise grades ``[0; N v] [0; N v]^T`` for the least
     eigenvector ``v``; FEASIBILITY mode returns ``B B^T / r``.
-    A DNN search then takes the first basic point ``d`` of
-    ``{A d = 0, e^T d = 1, d >= 0}``, the exact emptiness screen of its
-    certificate set, and reports NONE with 0 iterations when there is none.
+    A DNN search then takes the record's ``direction``, the first basic
+    point ``d`` of ``{A d = 0, e^T d = 1, d >= 0}``, the exact emptiness
+    screen of its certificate set, and reports NONE with 0 iterations when
+    there is none.
     FEASIBILITY mode returns ``[0; d] [0; d]^T / |d|^2`` with 0 iterations.
     OBJECTIVE mode runs the interior-point method on ``C`` with the sign
     rows at ``h = 0`` and ``tr S <= 1`` (see the module docstring) until an
@@ -945,7 +971,7 @@ def recession_certificate_search(
             return _graded(face, cone, np.outer(u, u), mode, opts, curvature)
     elif cone == PSD0:
         return _graded(face, cone, basis @ basis.T / r, mode, opts, curvature)
-    d = _recession_direction(inst)
+    d = face.direction
     if d is None:
         return CertificateSearch(NONE, None, 0, 0.0, curvature=curvature,
                                  reason="no recession direction: certificate set is empty")
@@ -1120,7 +1146,8 @@ def _convex_qp(inst: QpInstance, x: np.ndarray):
 
 
 def solve_relaxation(
-    inst: QpInstance, cone: str = DNN, opts: Optional[SolveOptions] = None
+    inst: QpInstance, cone: str = DNN, opts: Optional[SolveOptions] = None, *,
+    vertices=None, rays=None,
 ) -> RelaxationResult:
     """Solve the lifted relaxation over the selected cone.
 
@@ -1131,12 +1158,17 @@ def solve_relaxation(
     without iterating where they can (see the module docstring).  Otherwise
     the interior-point method solves DNN's face ``V S V^T`` with
     ``V = [u, [0; N]]`` once per options (``unpinned``), and its point is
-    validated at the cone.
+    validated at the cone.  A caller that has enumerated the instance's
+    basic feasible points (``oracle.enumerate_vertices``) or its recession
+    rays (``oracle.recession_analysis``) passes them as ``vertices`` and
+    ``rays``, and the record takes ``x0`` and the search's direction from
+    them (``_Prepared.adopt``): the answer is the same, bit for bit.
     """
     if cone not in CONES:
         raise ValueError(f"unknown cone selector {cone!r}")
     opts = opts or SolveOptions()
     prep = _prepared(inst)
+    prep.adopt(vertices, rays)
     if prep.x0 is None:
         return RelaxationResult(INFEASIBLE, math.inf, None, 0.0, 0.0, 0)
     if (settled := _settled(prep, cone, opts)) is not None:

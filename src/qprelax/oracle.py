@@ -26,6 +26,14 @@ in pattern order.  Every member of a stack is the matrix that face alone
 would pass to LAPACK, so neither grouping nor slicing changes a result;
 the slices bound the engine's memory at the cap.
 
+Every face of the standard simplex ``{e^T x = 1, x >= 0}`` with ``f``
+free variables has the constraint row ``e^T`` of length ``f``, so its
+affine-hull geometry (the SVD, min-norm point and null-space basis) is one
+per group.  ``_simplex_hulls(n)`` builds it once per ``n``, beside the
+plan, and ``simplex_minimum``, the copositivity test of ``global_solve``
+and ``analysis.check_copositivity_desk_scale``, reads it instead of one
+SVD per face; the generic enumeration gives the same bits.
+
 A face whose reduced Hessian has an eigenvalue below
 ``-_TOL_PSD * max(1, |Q|_F)`` is flagged indefinite, and so is, without a
 solve, every face that contains a flagged face: the groups run by
@@ -45,8 +53,11 @@ The ray test of an unbounded polyhedron starts from its basic feasible
 points; a caller that has enumerated them already passes the list as the
 keyword ``vertices`` of ``global_solve`` or
 ``minimize_quad_over_polytope``, so ``report.compare_report`` enumerates
-each instance once.  A LAPACK failure, in the faces or in the bases,
-raises ``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
+each instance once; it hands the same list, and the ``rays`` of the
+recession analysis, to the relaxations, whose feasible point and
+recession direction are their first points.  A LAPACK failure, in the
+faces or in the bases, raises ``numpy.linalg.LinAlgError`` as numpy's own
+wrappers do.
 
 Every enumeration is capped at ``2 ** enum_cap()`` members (``enum_cap()``
 is 16 unless the QPRELAX_ENUM_CAP environment variable says otherwise),
@@ -273,11 +284,15 @@ def _basic_feasible_iter(A, b, stack: int):
 def _feasible_point(A, b) -> Optional[np.ndarray]:
     """The first basic feasible point of ``{A x = b, x >= 0}``, or None.
 
-    The one emptiness test of the package: its stacks of column subsets
-    start at one and double, so it stops within twice the position of the
-    first feasible basis instead of enumerating them all, and only an empty
-    system costs every column subset.  ``_feasible_points`` gives the same
-    point for each system of a stack.
+    The emptiness test of a solve that has no enumeration to read: its
+    stacks of column subsets start at one and double, so it stops within
+    twice the position of the first feasible basis instead of enumerating
+    them all, and only an empty system costs every column subset.  It is
+    the first point of ``basic_feasible_points(A, b)``, bit for bit, so a
+    caller holding that list (``report.compare_report`` hands the instance's
+    vertices and the recession rays of ``recession_analysis`` to the
+    relaxations) takes its first point instead.  ``_feasible_points`` gives
+    the same point for each system of a stack.
     """
     return next(_basic_feasible_iter(A, b, 1), None)
 
@@ -421,7 +436,36 @@ def _plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     return tuple(groups)
 
 
-def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
+#: The feasibility scale ``1 + |b|_max + |A|_max`` of the standard simplex
+#: ``{e^T x = 1, x >= 0}``.
+_SIMPLEX_SCALE = 3.0
+
+
+@lru_cache(maxsize=1)
+def _simplex_hulls(n: int):
+    """The affine-hull geometry of the standard simplex's faces, one entry
+    per group of ``_plan(n)``.
+
+    A face with ``f`` free variables has the constraint row ``e^T`` of
+    length ``f`` whichever variables are free, so every face of the group
+    has the geometry ``_hull_points`` gives for one of them: the group's
+    entry is that, read-only, with a leading axis of length 1 that
+    ``_group_candidates`` broadcasts over the group.  The SVD of each
+    stack member is the one LAPACK gives that member alone, so reading the
+    entry changes no bit of what the faces would compute.
+    """
+    hulls = []
+    with np.errstate(call=_lapack_failed, invalid="call"):
+        for f in range(1, n + 1):
+            hull = _hull_points(np.ones((1, f)), np.ones(1), np.arange(f)[None],
+                                _SIMPLEX_SCALE)
+            for v in hull:
+                v.setflags(write=False)
+            hulls.append(hull)
+    return tuple(hulls)
+
+
+def _face_candidates(Q, c, A, b, scale, hulls=None) -> np.ndarray:
     """Candidate minimizers of all faces, as rows in pattern order.
 
     A face's candidate is its vertex (no free variable) or the stationary
@@ -433,6 +477,8 @@ def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
     row of one ``(2^n, n)`` table; ``has`` marks the candidates.  A face
     that contains a face flagged indefinite is flagged in turn and
     skipped: its own PSD test would fail (see the module docstring).
+    ``hulls``, when given, holds per group the affine-hull geometry its
+    faces share (``_simplex_hulls``), read instead of computed.
     """
     n = A.shape[1]
     X = np.zeros((2 ** n, n))
@@ -441,7 +487,8 @@ def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
     has[0] = float(np.abs(b).max(initial=0.0)) <= _TOL_EQ * scale
     indefinite = np.zeros(2 ** n, dtype=bool)
     floor = -_TOL_PSD * max(1.0, float(np.linalg.norm(Q)))
-    for faces, cols, subfaces in _plan(n):
+    for f, (faces, cols, subfaces) in enumerate(_plan(n)):
+        hull = None if hulls is None else hulls[f]
         # numpy indexes fastest with intp; the plan keeps its compact type
         faces, cols = faces.astype(np.intp), cols.astype(np.intp)
         skip = indefinite[subfaces].any(axis=1)
@@ -451,29 +498,17 @@ def _face_candidates(Q, c, A, b, scale) -> np.ndarray:
         for start in range(0, faces.size, FACE_SLICE):
             part = slice(start, start + FACE_SLICE)
             _group_candidates(Q, c, A, b, faces[part], cols[part], scale, floor,
-                              X, has, indefinite)
+                              X, has, indefinite, hull)
     return X[has]
 
 
-def _group_candidates(Q, c, A, b, faces, cols, scale, floor, X, has, indefinite):
-    """Write the candidates of ``faces``, free on the columns ``cols``, into
-    their rows of the table ``X`` and mark them in ``has``.  Every face's
-    row may be written; only ``has`` says which rows are candidates.
-
-    The faces share one stacked SVD, which gives both the min-norm points
-    (singular values above ``RANK_TOL`` times the largest) and the
-    null-space bases; the faces of one null-space dimension then share one
-    stacked eigensolve (``_interior_points``).  Each slice is the matrix the
-    face alone would give LAPACK, so stacking changes no result.  The
-    singular faces of one null-space dimension whose min-norm stationary
-    point has a negative entry share one stacked search for a nonnegative
-    point of their stationary sets (``_feasible_points``).  Sets
-    ``indefinite`` at the faces whose reduced Hessian has an eigenvalue
-    below ``floor``.
+def _hull_points(A, b, cols, scale):
+    """The affine hull ``{A_F x = b}`` of each face free on the columns
+    ``cols``: ``(AF, x0, vt, kept, nonempty)``, the constraint matrices
+    ``A_F``, the min-norm points ``x0`` (singular values above ``RANK_TOL``
+    times the largest), ``V^T`` and the mask of kept singular values from
+    one stacked SVD, and the faces where ``x0`` solves ``A_F x = b``.
     """
-    m = A.shape[0]
-    f = cols.shape[1]
-    tol_bound = _TOL_BOUND * scale
     r = b[:, None]  # every face has the right-hand side b
     AF = A[:, cols].transpose(1, 0, 2).copy()
     u, s, vt = _svd(AF, signature="d->ddd")
@@ -481,9 +516,33 @@ def _group_candidates(Q, c, A, b, faces, cols, scale, floor, X, has, indefinite)
     # x0 = V diag(1/s) U^T b over the kept singular values
     q = s.shape[1]
     coef = np.divide(u[:, :, :q].transpose(0, 2, 1) @ r, s[:, :, None],
-                     out=np.zeros((faces.size, q, 1)), where=kept[:, :, None])
+                     out=np.zeros((cols.shape[0], q, 1)), where=kept[:, :, None])
     x0 = vt[:, :q].transpose(0, 2, 1) @ coef
     nonempty = np.abs(AF @ x0 - r).max(axis=(1, 2), initial=0.0) <= _TOL_EQ * scale
+    return AF, x0, vt, kept, nonempty
+
+
+def _group_candidates(Q, c, A, b, faces, cols, scale, floor, X, has, indefinite, hull):
+    """Write the candidates of ``faces``, free on the columns ``cols``, into
+    their rows of the table ``X`` and mark them in ``has``.  Every face's
+    row may be written; only ``has`` says which rows are candidates.
+
+    The faces share one stacked SVD (``_hull_points``), which gives both the
+    min-norm points and the null-space bases, unless ``hull`` holds the one
+    geometry every face of the group shares (``_simplex_hulls``); the faces
+    of one null-space dimension then share one stacked eigensolve
+    (``_interior_points``).  Each slice is the matrix the face alone would
+    give LAPACK, so stacking changes no result.  The singular faces of one
+    null-space dimension whose min-norm stationary point has a negative
+    entry share one stacked search for a nonnegative point of their
+    stationary sets (``_feasible_points``).  Sets ``indefinite`` at the
+    faces whose reduced Hessian has an eigenvalue below ``floor``.
+    """
+    m = A.shape[0]
+    f = cols.shape[1]
+    tol_bound = _TOL_BOUND * scale
+    # a hull's arrays have a leading axis of 1, which broadcasts over the faces
+    AF, x0, vt, kept, nonempty = _hull_points(A, b, cols, scale) if hull is None else hull
     if not nonempty.all():
         if not nonempty.any():
             return
@@ -506,6 +565,8 @@ def _group_candidates(Q, c, A, b, faces, cols, scale, floor, X, has, indefinite)
         has[faces] = hit
         if k == f or not outside.any():
             continue
+        if hull is not None:
+            AF, vt = (np.broadcast_to(v, (faces.size, *v.shape[1:])) for v in (AF, vt))
         # the objective is constant on a singular face's stationary set
         # {AF x = b, N^T (QFF x + cF) = 0}: look for a nonnegative point
         NT, F, faces = vt[outside, k:], cols[outside], faces[outside]
@@ -549,7 +610,7 @@ def _interior_points(Q, c, null_rows, cs, x0, tol):
     return xF, ok & inside, ok & ~inside & singular.any(axis=1), w[:, 0]
 
 
-def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None) -> OracleResult:
+def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None, hulls=None) -> OracleResult:
     """Exact minimum of ``x^T Q x + 2 c^T x`` over ``{A x = b, x >= 0}``.
 
     The global minimizer of a quadratic lies in the relative interior of
@@ -562,7 +623,9 @@ def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None) -> OracleResult:
     curvature.  The ray test starts from the basic feasible points of
     ``{A x = b, x >= 0}``; a caller that has already enumerated them passes
     ``basic_feasible_points(A, b)`` as ``vertices``, which is read only
-    when the recession cone is nontrivial.
+    when the recession cone is nontrivial.  ``hulls``, passed only by
+    ``simplex_minimum``, holds each group's shared face geometry
+    (``_simplex_hulls``); it changes no bit of the result.
     """
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -590,14 +653,10 @@ def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None) -> OracleResult:
                                 recession=recession)
         certified = recession.min_curvature > curvature_tolerance(Q)
 
-    faces, cap = 2 ** n, enum_cap()
-    if faces > 1 << cap:
-        raise DeskScaleLimit(
-            f"{faces} face patterns exceed the enumeration cap 2^{cap} (QPRELAX_ENUM_CAP)")
-
+    faces = _face_patterns(n)
     scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
     with np.errstate(call=_lapack_failed, invalid="call"):
-        X = _face_candidates(Q, c, A, b, scale)
+        X = _face_candidates(Q, c, A, b, scale, hulls)
     if not len(X):
         return OracleResult(math.inf, (), False, faces, ORACLE_INFEASIBLE, recession=recession)
 
@@ -621,6 +680,32 @@ def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None) -> OracleResult:
         certified=certified,
         recession=recession,
     )
+
+
+def _face_patterns(n: int) -> int:
+    """``2 ** n``, the face patterns of ``n`` variables, or ``DeskScaleLimit``
+    past the enumeration cap."""
+    faces, cap = 2 ** n, enum_cap()
+    if faces > 1 << cap:
+        raise DeskScaleLimit(
+            f"{faces} face patterns exceed the enumeration cap 2^{cap} (QPRELAX_ENUM_CAP)")
+    return faces
+
+
+def simplex_minimum(Q) -> OracleResult:
+    """Exact minimum of ``x^T Q x`` over the standard simplex ``{e^T x = 1, x >= 0}``.
+
+    The result of ``minimize_quad_over_polytope(Q, 0, e^T, [1])`` bit for
+    bit, with every face's affine-hull geometry read from the cached
+    ``_simplex_hulls(n)`` instead of computed per face.  Q is copositive
+    exactly when the value is nonnegative (``certifies_copositive``).
+    Refused past ``n = enum_cap()``.
+    """
+    Q = np.asarray(Q, dtype=float)
+    n = Q.shape[0]
+    _face_patterns(n)
+    return minimize_quad_over_polytope(Q, np.zeros(n), np.ones((1, n)), np.ones(1),
+                                       hulls=_simplex_hulls(n))
 
 
 # ---------------------------------------------------------------------------
@@ -716,10 +801,10 @@ def global_solve(inst: QpInstance, simplex_min: Optional[float] = None, *,
     and the linear part nonnegative (the objective is then nonnegative on
     the whole orthant), otherwise the result is INCONCLUSIVE.  Copositivity
     is decided by the minimum of ``x^T Q x`` over the standard simplex
-    (``certifies_copositive``); a caller that has already computed it
-    passes it as ``simplex_min``, and one that has already enumerated the
-    vertices passes the list ``enumerate_vertices(inst)`` returns as
-    ``vertices``.
+    (``simplex_minimum``, ``certifies_copositive``); a caller that has
+    already computed it passes it as ``simplex_min``, and one that has
+    already enumerated the vertices passes the list
+    ``enumerate_vertices(inst)`` returns as ``vertices``.
     """
     res = minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b, vertices=vertices)
     if res.status == ORACLE_UNBOUNDED:
@@ -728,9 +813,7 @@ def global_solve(inst: QpInstance, simplex_min: Optional[float] = None, *,
         return replace(res, status=status, certified=check.ok, ray_check=check)
     if res.status == ORACLE_INCONCLUSIVE and float(inst.c.min()) >= 0.0:
         if simplex_min is None:
-            simplex_min = minimize_quad_over_polytope(
-                inst.Q, np.zeros(inst.n), np.ones((1, inst.n)), np.array([1.0])
-            ).value
+            simplex_min = simplex_minimum(inst.Q).value
         if certifies_copositive(inst.Q, simplex_min):
             return replace(res, attained=True, status=ORACLE_OPTIMAL, certified=True)
     return res

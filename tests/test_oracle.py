@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qprelax import oracle
-from qprelax.analysis import check_psd_on_nullspace
+from qprelax.analysis import check_copositivity_desk_scale, check_psd_on_nullspace
 from qprelax.core import TOL_CURVATURE, curvature_tolerance, slope_tolerance
 from qprelax.errors import DeskScaleLimit, PointInfeasible
 from qprelax.generators import HornFamilyParams, horn_family
@@ -634,6 +634,53 @@ class TestGivenVertices:
         with pytest.raises(TypeError):
             minimize_quad_over_polytope(inst.Q, inst.c, inst.A, inst.b,
                                         enumerate_vertices(inst))
+
+
+class TestSimplexMinimum:
+    """The standard simplex's cached face geometry gives the bits of the
+    generic enumeration, which stays the reference."""
+
+    @staticmethod
+    def assert_generic(Q):
+        n = Q.shape[0]
+        ref = minimize_quad_over_polytope(Q, np.zeros(n), np.ones((1, n)), np.array([1.0]))
+        assert bitwise_equal(oracle.simplex_minimum(Q), ref)
+        check = check_copositivity_desk_scale(Q)
+        assert check.min_value.hex() == ref.value.hex()
+        assert check.minimizer.tobytes() == ref.minimizers[0].tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_random_symmetric(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(6):
+            M = rng.standard_normal((n, n))
+            if k % 3 == 1:
+                M = np.round(M)  # ties and degenerate faces
+            elif k % 3 == 2:
+                M[:, : n // 2] = 0.0  # singular faces
+            self.assert_generic(M + M.T)
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_horn_family(self, n):
+        for seed in range(3):
+            self.assert_generic(horn_family(HornFamilyParams(n=n, seed=seed)).Q)
+
+    def test_geometry_is_read_only(self):
+        hulls = oracle._simplex_hulls(6)
+        assert len(hulls) == 6
+        for f, hull in enumerate(hulls, start=1):
+            AF, x0, vt, kept, nonempty = hull
+            assert AF.shape == (1, 1, f) and x0.shape == (1, f, 1) and vt.shape == (1, f, f)
+            assert kept.sum() == 1 and nonempty.all()
+            for v in hull:
+                with pytest.raises(ValueError):
+                    v[...] = 0
+
+    def test_refused_before_the_geometry_is_built(self):
+        oracle._simplex_hulls.cache_clear()
+        with pytest.raises(DeskScaleLimit, match="face patterns"):
+            oracle.simplex_minimum(np.eye(enum_cap() + 1))
+        assert oracle._simplex_hulls.cache_info().misses == 0
 
 
 class TestCurvatureTolerance:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qprelax import conic, oracle
+from qprelax import conic, oracle, report as report_module
 from qprelax.cli import main
 from qprelax.analysis import check_psd_on_nullspace
 from qprelax.conic import (
@@ -18,7 +18,8 @@ from qprelax.conic import (
     solve_relaxation,
     verify_certificate,
 )
-from qprelax.core import DNN, PSD0, curvature_tolerance, save_instance
+from qprelax.core import DNN, PSD0, QpInstance, curvature_tolerance, save_instance
+from qprelax.errors import DeskScaleLimit
 from qprelax.generators import (
     BOUNDED,
     CONVEX_ON_NULLSPACE,
@@ -68,8 +69,6 @@ class TestCompareReport:
         assert by_name["unbounded verdicts carry verified certificates"].passed
 
     def test_copositivity_fallback_reuses_simplex_minimum(self, horn, monkeypatch):
-        from qprelax import analysis
-
         inst, _ = horn
         simplex = np.ones((1, inst.n))
         calls = []
@@ -80,8 +79,8 @@ class TestCompareReport:
                 calls.append(1)
             return original(Q, c, A, *args, **kwargs)
 
+        # the copositivity check reaches it through oracle.simplex_minimum
         monkeypatch.setattr(oracle, "minimize_quad_over_polytope", counting)
-        monkeypatch.setattr(analysis, "minimize_quad_over_polytope", counting)
         report = compare_report(inst, SolveOptions(max_iterations=300))
         # the oracle's enumeration alone is INCONCLUSIVE here; the
         # copositivity check's simplex minimum certifies it
@@ -325,8 +324,9 @@ class TestCompareReport:
 
     def test_one_feasibility_decision_and_one_basis(self, monkeypatch):
         # both cones' solves read the record's x0, N and convex closed form,
-        # and so does the unpinned interior-point solve; the convex solve's
-        # faces are its own
+        # and so does the unpinned interior-point solve; x0 is the first
+        # point of the report's own vertex enumeration, so no emptiness test
+        # runs on the instance's system; the convex solve's faces are its own
         feasible_point, basis, convex_qp = (conic._feasible_point, conic.nullspace_basis,
                                             conic._convex_qp)
         corpus, inside, points, bases, closed = make_corpus(), [], [], [], []
@@ -360,11 +360,108 @@ class TestCompareReport:
             dnn = report.relaxations[DNN]
             if dnn.status == OPTIMAL and dnn.iterations > 0:
                 unpinned.append(inst.name)
-            assert points.count(inst.name) == bases.count(inst.name) == 1, inst.name
+            assert points.count(inst.name) == 0 and bases.count(inst.name) == 1, inst.name
             reaches = report.nullspace.holds and dnn.status != conic.INFEASIBLE
             assert closed.count(inst.name) == reaches, inst.name
         assert unpinned == ["bounded-n4-m2-s1", "bounded-n4-m2-s2"]
         assert len(closed) == 7
+
+    def test_enumerates_each_system_once(self, monkeypatch):
+        # the relaxations take x0 from the report's vertex list and the DNN
+        # search's direction from the oracle's recession rays, so one op
+        # enumerates the instance's system once and its recession slice
+        # {A d = 0, e^T d = 1, d >= 0} at most once
+        iterate, calls = oracle._basic_feasible_iter, []
+
+        def key(A, b):
+            A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+            return A.shape, A.tobytes(), b.tobytes()
+
+        def counted(A, b, stack):
+            calls.append(key(A, b))
+            return iterate(A, b, stack)
+
+        monkeypatch.setattr(oracle, "_basic_feasible_iter", counted)
+        sliced = 0
+        for inst in make_corpus():
+            calls.clear()
+            report = compare_report(inst)
+            assert failed_checks(report) == [], inst.name
+            assert calls.count(key(inst.A, inst.b)) == 1, inst.name
+            cut = oracle._recession_slice(inst.A)
+            if cut is not None:
+                assert calls.count(key(*cut)) == 1, inst.name
+                sliced += 1
+        assert sliced == 14
+
+    @pytest.mark.parametrize("refuse_vertices", [False, True],
+                             ids=["oracle", "oracle-and-vertices"])
+    def test_skipped_steps_keep_the_relaxations(self, refuse_vertices, monkeypatch):
+        # a cap of n - 1 refuses the oracle's 2^n faces and the copositivity
+        # check, but neither system's C(n, k) <= 2^(n-1) column subsets: the
+        # record finds the search's direction itself (oracle._feasible_point).
+        # A cap that refused the report's vertex enumeration would refuse the
+        # relaxation's own emptiness test of the same system too, so that
+        # enumeration is refused by hand, and the record finds x0 itself.
+        # Either way both relaxations are the same, bit for bit.
+        def refused(inst):
+            raise DeskScaleLimit("refused")
+
+        skipped = ["copositivity check", "oracle and recession analysis"]
+        if refuse_vertices:
+            skipped.insert(0, "feasibility enumeration")
+        found, feasible_point = [], conic._feasible_point
+
+        def counted(A, b):
+            found.append(A.shape)
+            return feasible_point(A, b)
+
+        for inst in make_corpus():
+            expected = compare_report(inst).to_dict()["relaxations"]
+            fresh = replace(inst)  # a new record
+            with monkeypatch.context() as patch:
+                patch.setenv("QPRELAX_ENUM_CAP", str(inst.n - 1))
+                patch.setattr(conic, "_feasible_point", counted)
+                if refuse_vertices:
+                    patch.setattr(report_module, "enumerate_vertices", refused)
+                report = compare_report(fresh)
+            assert [note.split(" skipped:")[0] for note in report.notes] == skipped, inst.name
+            assert json.dumps(report.to_dict()["relaxations"], sort_keys=True) == json.dumps(
+                expected, sort_keys=True), inst.name
+        # the ten DNN searches past the curvature screen, and x0 on every instance
+        assert len(found) == 10 + 22 * refuse_vertices
+
+    def test_permuted_variables_keep_the_answers(self):
+        # (P^T Q P, P^T c, A P, b) is the same problem, but its first vertex,
+        # which the record takes as x0, moves with the column order
+        rng = np.random.default_rng(3)
+        corpus = [inst for inst in make_corpus() if inst.n <= 5]
+        assert len(corpus) == 13
+
+        def close(u, v):
+            return u == v or abs(u - v) <= COMPARISON_TOLERANCE * (1.0 + abs(v))
+
+        moved = 0
+        for inst in corpus:
+            p = rng.permutation(inst.n)
+            perm = QpInstance(n=inst.n, m=inst.m, Q=inst.Q[np.ix_(p, p)], c=inst.c[p],
+                              A=inst.A[:, p], b=inst.b, name=inst.name)
+            ref, out = compare_report(inst), compare_report(perm)
+            assert failed_checks(out) == [], inst.name
+            assert out.vertices == ref.vertices and out.oracle.status == ref.oracle.status
+            assert close(out.oracle.value, ref.oracle.value), inst.name
+            for cone in (DNN, PSD0):
+                res, base = out.relaxations[cone], ref.relaxations[cone]
+                assert res.status == base.status and close(res.value, base.value), (inst.name, cone)
+                if res.certificate is not None:
+                    check = verify_certificate(perm, res.certificate)
+                    assert check.ok and check.objective_rate < 0, (inst.name, cone)
+                elif res.status == UNBOUNDED:
+                    assert oracle.verify_ray_certificate(perm, res.ray).ok, (inst.name, cone)
+            if ref.vertices:
+                x0, y0 = conic._prepared(perm).x0, conic._prepared(inst).x0
+                moved += not np.array_equal(x0, y0[p])
+        assert moved > 0
 
     def test_deterministic(self):
         inst = random_instance(BOUNDED, 3, 1, 6)
