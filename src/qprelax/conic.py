@@ -32,14 +32,14 @@ last instance (matched by identity): ``N``, an orthonormal basis of
 null(A), ``C = N^T Q N`` with its least eigenpair, the lifted objective
 ``qhat`` of both cones, and, each built on first read, the DNN sign-row
 stack, the feasible point ``x0`` of the emptiness test, the recession
-direction of the DNN search, the checked convex closed form below, each
+rays of the DNN search, the checked convex closed form below, each
 cone's certificate pre-pass and the unpinned face problem's outcome.
-``x0`` is the polyhedron's first basic feasible point and the direction
-the first basic point of the recession slice ``{A d = 0, e^T d = 1,
-d >= 0}``.  ``report.compare_report`` hands over the vertex list and the
-recession rays the exact oracle enumerated, so the record takes their
-first points instead of enumerating either system again; a standalone
-solve finds them itself (``oracle._feasible_point``).  Only
+``x0`` is the polyhedron's first basic feasible point and the rays the
+basic points of the recession slice ``{A d = 0, e^T d = 1, d >= 0}``.
+``report.compare_report`` hands over the vertex list and the recession
+rays the exact oracle enumerated, so the record takes them instead of
+enumerating either system again; a standalone solve finds them itself
+(``oracle._feasible_point`` and ``oracle.basic_feasible_points``).  Only
 ``verify_certificate`` lifts the instance again, from raw data.  Every
 feasible lifted point is ``[1; x][1; x]^T + [0 0; 0 N S N^T]``, on the
 face spanned by ``[1; x0]`` and ``[0; N]``.  For a feasible anchor ``x`` and ``z = [1; x]``, the
@@ -70,7 +70,10 @@ polyhedron, without which the DNN certificate set is empty.  Given one,
 ``[0; d] [0; d]^T / |d|^2`` is a DNN certificate, so a feasibility search
 needs no solve.  A DNN objective search that neither screen settles runs
 the interior-point method on ``C`` with the sign rows at ``h = 0`` and
-``tr S <= 1`` as the row ``<-I, S> >= -1``.  The rate is linear in ``S``,
+``tr S <= 1`` as the row ``<-I, S> >= -1``, started strictly inside both
+its feasible sets from the mean of the recession rays
+(``_search_start``), so every iterate is primal feasible to rounding.
+The rate is linear in ``S``,
 so that minimum is exactly the least unit-trace rate when it is negative,
 and 0 otherwise.  The search needs one certificate, not the least rate:
 it stops at the first iterate whose candidate ``B S B^T / tr S`` has no
@@ -159,11 +162,13 @@ from .errors import NonFinite, PointInfeasible
 from .ipm import IPM_ITERATIONS, MAX_ITER, SolveOptions, _IpmOutcome, solve_face  # noqa: F401
 from .numerics import RANK_TOL, FaceProjector, nullspace_basis
 from .oracle import (
+    _TOL_EQ,
     KktCertificate,
     RayCertificate,
     RayCheck,
     _feasible_point,
     _recession_slice,
+    basic_feasible_points,
     first_order_certificate,
     verify_ray_certificate,
 )
@@ -264,6 +269,9 @@ class CertificateSearch:
     verification).  ``check`` is the verification of the graded candidate,
     None when no candidate was graded.  ``curvature`` is the curvature of Q
     on null(A), ``+inf`` on a trivial face and NaN in FEASIBILITY mode.
+    ``start`` is where the interior-point run started, ``interior`` (the
+    strictly feasible ``_search_start``) or ``identity``, and None when no
+    iteration ran.
     """
 
     status: str
@@ -273,6 +281,7 @@ class CertificateSearch:
     reason: str = ""
     check: Optional[CertificateCheck] = None
     curvature: float = math.nan
+    start: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -284,7 +293,10 @@ class RelaxationResult:
     UNBOUNDED result carries the verified certificate.  The closed-form
     convex solve fills ``kkt`` (the multipliers of its OPTIMAL point) or
     ``ray`` and ``ray_check`` (its UNBOUNDED ray of the original QP, in
-    place of a lifted ``certificate``).
+    place of a lifted ``certificate``).  ``start`` is the start of the
+    interior-point run that ``iterations`` counts, the pre-pass search's
+    for an UNBOUNDED certificate (``CertificateSearch.start``), and None
+    when no iteration ran.
     """
 
     status: str
@@ -299,6 +311,7 @@ class RelaxationResult:
     kkt: Optional[KktCertificate] = None
     ray: Optional[RayCertificate] = None
     ray_check: Optional[RayCheck] = None
+    start: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -786,15 +799,17 @@ class _Prepared:
     both cones (``core.lift_instance``).  Built on first read: ``signs``,
     the DNN sign-row stack of ``N`` (``_sign_stack``); ``x0``, the first
     basic feasible point of the polyhedron, None when it is empty;
-    ``direction``, the first basic point of the recession slice
-    ``{A d = 0, e^T d = 1, d >= 0}``, None when there is none; ``convex``,
+    ``rays``, the basic points of the recession slice
+    ``{A d = 0, e^T d = 1, d >= 0}`` (``rays[0]`` is its first), empty when
+    there is none; ``convex``,
     the checked outcome of the convex QP; ``prepass(cone, opts)``, the
     OBJECTIVE certificate search of each cone and options; and
     ``unpinned(opts)``, DNN's unpinned face problem at each options, which
-    both cones validate.  ``x0`` and ``direction`` are what
-    ``oracle._feasible_point`` finds on each system; a caller that holds
-    the full enumerations hands them over first (``adopt``), and the record
-    takes their first points, the same bits, instead of enumerating again.
+    both cones validate.  ``x0`` is what ``oracle._feasible_point`` finds
+    and ``rays`` what ``oracle.basic_feasible_points`` enumerates, under
+    the same cap; a caller that holds both enumerations hands them over
+    first (``adopt``), and the record takes them, the same bits, instead of
+    enumerating again.
     All arrays are read-only.  ``_prepared`` keeps the record of the last
     instance, matched by identity.
     """
@@ -820,21 +835,22 @@ class _Prepared:
 
     def adopt(self, vertices=None, rays=None):
         """Take ``x0`` from ``vertices``, the list ``oracle.enumerate_vertices``
-        returns, and ``direction`` from ``rays``, the ``rays`` of
-        ``oracle.recession_analysis``, where given and not yet read: their
-        first points, or None when they are empty."""
-        for name, points in (("x0", vertices), ("direction", rays)):
-            if points is not None and name not in self.__dict__:
-                self.__dict__[name] = _read_only(points[0] if len(points) else None)
+        returns (its first point, or None when it is empty), and ``rays`` from
+        the ``rays`` of ``oracle.recession_analysis``, where given and not
+        yet read."""
+        if vertices is not None and "x0" not in self.__dict__:
+            self.__dict__["x0"] = _read_only(vertices[0] if len(vertices) else None)
+        if rays is not None and "rays" not in self.__dict__:
+            self.__dict__["rays"] = tuple(_read_only(d) for d in rays)
 
     @cached_property
     def x0(self) -> Optional[np.ndarray]:
         return _read_only(_feasible_point(self.inst.A, self.inst.b))
 
     @cached_property
-    def direction(self) -> Optional[np.ndarray]:
+    def rays(self) -> tuple:
         cut = _recession_slice(self.inst.A)
-        return None if cut is None else _read_only(_feasible_point(*cut))
+        return () if cut is None else tuple(_read_only(d) for d in basic_feasible_points(*cut))
 
     @cached_property
     def convex(self):
@@ -933,16 +949,20 @@ def recession_certificate_search(
     for PSD0, ``TOL_CERTIFICATE`` for DNN).  For PSD0 nothing iterates:
     OBJECTIVE mode otherwise grades ``[0; N v] [0; N v]^T`` for the least
     eigenvector ``v``; FEASIBILITY mode returns ``B B^T / r``.
-    A DNN search then takes the record's ``direction``, the first basic
-    point ``d`` of ``{A d = 0, e^T d = 1, d >= 0}``, the exact emptiness
-    screen of its certificate set, and reports NONE with 0 iterations when
-    there is none.
+    A DNN search then takes the basic points of the recession slice
+    ``{A d = 0, e^T d = 1, d >= 0}``, the exact emptiness screen of its
+    certificate set, and reports NONE with 0 iterations when there is none:
+    FEASIBILITY mode stops at the first, ``d`` (``oracle._feasible_point``),
+    and OBJECTIVE mode reads them all, the record's ``rays``.
     FEASIBILITY mode returns ``[0; d] [0; d]^T / |d|^2`` with 0 iterations.
     OBJECTIVE mode runs the interior-point method on ``C`` with the sign
-    rows at ``h = 0`` and ``tr S <= 1`` (see the module docstring) until an
+    rows at ``h = 0`` and ``tr S <= 1`` (see the module docstring), from
+    the strictly feasible start that the rays' mean gives
+    (``_search_start``), or from the identity where it gives none, until an
     iterate's candidate passes a pre-check
     (no entry below minus the verification tolerance, a rate below
-    ``-TOL_CERTIFICATE``) and is graded, until it converges, and FOUND
+    ``-TOL_CERTIFICATE``; from the strictly feasible start every iterate
+    passes the first) and is graded, until it converges, and FOUND
     needs a rate below ``-TOL_CERTIFICATE``, or until it stops unconverged:
     INCONCLUSIVE.  So the search stops at its first verified certificate,
     and a FOUND rate is not in general the least rate.  Every certificate
@@ -971,8 +991,14 @@ def recession_certificate_search(
             return _graded(face, cone, np.outer(u, u), mode, opts, curvature)
     elif cone == PSD0:
         return _graded(face, cone, basis @ basis.T / r, mode, opts, curvature)
-    d = face.direction
-    if d is None:
+    if mode == FEASIBILITY:
+        # one recession direction is a certificate: the screen stops at the first
+        cut = _recession_slice(inst.A)
+        d = None if cut is None else _feasible_point(*cut)
+        empty = d is None
+    else:
+        empty = not face.rays
+    if empty:
         return CertificateSearch(NONE, None, 0, 0.0, curvature=curvature,
                                  reason="no recession direction: certificate set is empty")
     if mode == FEASIBILITY:
@@ -993,18 +1019,53 @@ def recession_certificate_search(
     # the sign rows at h = 0, and tr S <= 1 as <-I, S> >= -1
     G = face.signs[0]
     out = solve_face(face.C, np.concatenate((G, [-np.eye(r)])), np.append(np.zeros(len(G)), -1.0),
-                     opts, verifiable)
+                     opts, verifiable, _search_start(face))
     if out.status == MAX_ITER:
         return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
-                                 reason="max_iter", curvature=curvature)
+                                 reason="max_iter", curvature=curvature, start=out.start)
     trace = float(np.trace(out.S))
     if out.status == "CONVERGED" and trace < 0.5:
         # a rate below the threshold puts every optimum at trace 1
         return CertificateSearch(NONE, None, out.iterations, out.residual_primal,
                                  reason=f"optimum at trace {trace:.1e}: no rate below "
-                                        "threshold", curvature=curvature)
-    return _graded(face, cone, candidate(out.S), mode, opts, curvature, out.iterations,
-                   out.residual_primal)
+                                        "threshold", curvature=curvature, start=out.start)
+    return replace(_graded(face, cone, candidate(out.S), mode, opts, curvature, out.iterations,
+                           out.residual_primal), start=out.start)
+
+
+def _search_start(prep: _Prepared):
+    """The strictly feasible start ``(S, lam)`` of the DNN objective search,
+    or None where the mean ``d`` of the recession rays is zero, to the
+    basic-solution tolerance of ``oracle``, on a coordinate of a kept sign
+    row.
+
+    ``S`` is ``u u^T / |u|^2 + eps I`` with ``u = N^T d`` at trace 1/2:
+    ``N u u^T N^T`` is ``d d^T``, positive on every kept row, and ``eps`` is
+    half the largest that keeps each row positive (at most 1), so the
+    sign-row slacks and the trace row's slack 1/2 are positive.  ``lam`` is
+    1 on the sign rows and, on the trace row, the least multiplier of at
+    least 1 that gives ``Z = C - sum_k lam_k G_k`` a least eigenvalue of at
+    least 1.
+    """
+    G, i, j = prep.signs
+    d = np.mean(prep.rays, axis=0)
+    # oracle's feasibility tolerance on the slice's system [A; e^T] d = [0; 1]
+    tol = _TOL_EQ * (2.0 + max(1.0, float(np.abs(prep.inst.A).max(initial=0.0))))
+    if not d[np.concatenate((i, j))].min(initial=math.inf) > tol:
+        return None
+    u = prep.N.T @ d
+    uu = np.outer(u, u) / (u @ u)
+    r = u.size
+    # each row at S = uu + eps I is a + eps b
+    a = G.reshape(len(G), r * r) @ uu.ravel()
+    b = np.trace(G, axis1=1, axis2=2)
+    eps = min(1.0, 0.5 * float((a[b < 0.0] / -b[b < 0.0]).min(initial=math.inf)))
+    if not eps > 0.0:
+        return None
+    S = (uu + eps * np.eye(r)) / (2.0 * (1.0 + eps * r))
+    lam = np.ones(len(G) + 1)
+    lam[-1] = max(1.0, 1.0 - float(np.linalg.eigvalsh(prep.C - G.sum(axis=0))[0]))
+    return S, lam
 
 
 def _rate_threshold(inst: QpInstance, cone: str) -> float:
@@ -1044,13 +1105,14 @@ def _face_result(prep: _Prepared, cone: str, y: np.ndarray, out: _IpmOutcome,
     outcome ``out`` did not finish, else ``_validated``."""
     fields = (out.residual_primal, out.residual_dual, out.iterations)
     if out.status == MAX_ITER:
-        return RelaxationResult(MAX_ITER, float(np.vdot(prep.qhat, y)), LiftedPoint(y), *fields)
-    return _validated(prep, cone, y, opts, *fields)
+        return RelaxationResult(MAX_ITER, float(np.vdot(prep.qhat, y)), LiftedPoint(y), *fields,
+                                start=out.start)
+    return _validated(prep, cone, y, opts, *fields, out.start)
 
 
 def _validated(prep: _Prepared, cone: str, y: np.ndarray, opts: SolveOptions,
-               residual_primal: float, residual_dual: float, iterations: int
-               ) -> RelaxationResult:
+               residual_primal: float, residual_dual: float, iterations: int,
+               start: Optional[str] = None) -> RelaxationResult:
     """OPTIMAL at the point ``y`` of the cone, or MAX_ITER when ``y`` fails
     validation there."""
     point = LiftedPoint(y)
@@ -1059,7 +1121,7 @@ def _validated(prep: _Prepared, cone: str, y: np.ndarray, opts: SolveOptions,
         status=OPTIMAL if report.ok else MAX_ITER,
         value=float(np.vdot(prep.qhat, point.y)), point=point,
         residual_primal=residual_primal, residual_dual=residual_dual,
-        iterations=iterations, validation=report,
+        iterations=iterations, validation=report, start=start,
     )
 
 
@@ -1070,7 +1132,8 @@ def _settled(prep: _Prepared, cone: str, opts: SolveOptions) -> Optional[Relaxat
     search = prep.prepass(cone, opts)
     if search.status == FOUND:
         return RelaxationResult(UNBOUNDED, -math.inf, None, search.residual, 0.0,
-                                search.iterations, certificate=search.certificate)
+                                search.iterations, certificate=search.certificate,
+                                start=search.start)
     if cone == PSD0 and not prep.holds:
         return RelaxationResult(MAX_ITER, -math.inf, None, math.inf, math.inf, 0)
     return None
@@ -1161,8 +1224,8 @@ def solve_relaxation(
     validated at the cone.  A caller that has enumerated the instance's
     basic feasible points (``oracle.enumerate_vertices``) or its recession
     rays (``oracle.recession_analysis``) passes them as ``vertices`` and
-    ``rays``, and the record takes ``x0`` and the search's direction from
-    them (``_Prepared.adopt``): the answer is the same, bit for bit.
+    ``rays``, and the record takes ``x0`` and the search's rays from them
+    (``_Prepared.adopt``): the answer is the same, bit for bit.
     """
     if cone not in CONES:
         raise ValueError(f"unknown cone selector {cone!r}")

@@ -82,16 +82,19 @@ class _IpmOutcome:
     status: str  # CONVERGED, ACCEPTED or MAX_ITER
     S: np.ndarray  # the last iterate
     lam: np.ndarray  # the multipliers of the rows, >= 0
+    Z: np.ndarray  # the dual slack: the last iterate, or C - sum_k lam_k G_k when solved exactly
     iterations: int
     residual_primal: float
     residual_dual: float
+    start: Optional[str] = None  # "interior" or "identity" when the method iterated
 
 
 def solve_face(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
-               accept: Optional[Callable[[np.ndarray], bool]] = None) -> _IpmOutcome:
+               accept: Optional[Callable[[np.ndarray], bool]] = None,
+               start: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> _IpmOutcome:
     """Minimize ``<C, S>`` over ``S`` PSD with ``<G_k, S> >= h_k`` for each row k.
 
-    An infeasible-start primal-dual interior-point method: the HKM direction
+    A primal-dual interior-point method: the HKM direction
     (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996) with
     Mehrotra's predictor-corrector (SIAM J. Optim. 1992).  The rows take
     slacks ``w >= 0``; the dual is ``max h^T lam`` over ``lam >= 0`` with
@@ -117,7 +120,14 @@ def solve_face(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
     are at most ``opts.tol_dual``.  Given ``accept``, it also stops, with
     status ACCEPTED, at the first iterate ``S`` it would step on from for
     which ``accept(S)`` is true: the starting point and the iterate at the
-    budget are not offered.  After ``IPM_ITERATIONS`` iterations (or
+    budget are not offered.  It starts from ``start = (S, lam)``, given,
+    with the slacks ``w = G(S) - h`` and ``Z = C - sum_k lam_k G_k``, so
+    that both residuals are 0 there and stay at rounding, once a check
+    before the first step finds ``S`` and ``Z`` positive definite and ``w``
+    and ``lam`` positive; otherwise, and when no start is given, from the
+    infeasible ``S = Z = I``, ``w = lam = 1``.  The outcome's ``start``
+    names the one it took, ``interior`` or ``identity``, and is None when
+    no iteration ran.  After ``IPM_ITERATIONS`` iterations (or
     ``opts.max_iterations``, if fewer), or when an iterate stops being
     positive definite, the Schur matrix is not finite, a step is not
     positive, or an entry grows past ``1 / eps`` (a problem with no optimum
@@ -128,17 +138,20 @@ def solve_face(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
     goes first to ``_order_two``: a KKT pair that passes this method's
     stopping test at ``opts`` is CONVERGED with 0 iterations and a dual
     residual of 0, and where none passes the method iterates.  Neither
-    exact solve consults ``accept`` or the iteration budget.
+    exact solve consults ``accept``, ``start`` or the iteration budget, and
+    both return ``Z = C - sum_k lam_k G_k``.
     """
     r, p = C.shape[0], h.size
     if r == 1:
         return _interval_lp(float(C[0, 0]), G.reshape(p), h)
     if r == 2 and (exact := _order_two(C, G, h, opts.tol_primal, opts.tol_dual)) is not None:
         S, lam, residual = exact
-        return _IpmOutcome("CONVERGED", S, lam, 0, residual, 0.0)
-    S, Z = np.eye(r), np.eye(r)
-    w, lam = np.ones(p), np.ones(p)
+        return _IpmOutcome("CONVERGED", S, lam, C - (lam @ G.reshape(p, 4)).reshape(2, 2), 0,
+                           residual, 0.0)
     Gf = G.reshape(p, r * r)
+    begun = None if start is None else _interior(C, Gf, h, *start)
+    interior = begun is not None
+    S, Z, w, lam = begun if interior else (np.eye(r), np.eye(r), np.ones(p), np.ones(p))
     hscale = 1.0 + math.sqrt(h @ h)
     cscale = 1.0 + math.sqrt(np.vdot(C, C))
     cap = min(IPM_ITERATIONS, opts.max_iterations)
@@ -164,7 +177,21 @@ def solve_face(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
             break
         S, Z, w, lam = step
         it += 1
-    return _IpmOutcome(status, S, lam, it, res_p, res_d)
+    taken = None if it == 0 else "interior" if interior else "identity"
+    return _IpmOutcome(status, S, lam, Z, it, res_p, res_d, taken)
+
+
+def _interior(C, Gf, h, S, lam):
+    """``(S, Z, w, lam)`` at the given ``S`` and ``lam``, with ``w = G(S) - h``
+    and ``Z = C - sum_k lam_k G_k``, or None unless ``S`` and ``Z`` are
+    positive definite and ``w`` and ``lam`` positive."""
+    r = S.shape[0]
+    w = Gf @ S.ravel() - h
+    Z = C - (lam @ Gf).reshape(r, r)
+    if not (w.min(initial=math.inf) > 0.0 and lam.min(initial=math.inf) > 0.0
+            and _eigvalsh(np.array((S, Z)), signature="d->d")[:, 0].min() > 0.0):
+        return None
+    return S, Z, w, lam
 
 
 def _interval_lp(c: float, g: np.ndarray, h: np.ndarray) -> _IpmOutcome:
@@ -178,9 +205,10 @@ def _interval_lp(c: float, g: np.ndarray, h: np.ndarray) -> _IpmOutcome:
     CONVERGED, 0 iterations and zero residuals; the binding row's multiplier
     is ``c / g_k`` and every other one 0 (all 0 when ``s = 0`` is bound by
     ``s >= 0`` alone), so ``Z = c - sum_k lam_k g_k >= 0`` and the gap
-    ``c s - h^T lam`` is 0.  An empty interval, or ``c < 0`` with no upper
-    end, has no optimum: it returns MAX_ITER, as the iterated method does,
-    at that method's starting point ``s = 1`` with infinite residuals.
+    ``c s - h^T lam`` is 0; the outcome carries that ``Z``.  An empty
+    interval, or ``c < 0`` with no upper end, has no optimum: it returns
+    MAX_ITER, as the iterated method does, at that method's starting point
+    ``s = 1`` with infinite residuals (and ``Z = c``, all ``lam`` 0).
     """
     lam = np.zeros(h.size)
     ratio = np.divide(h, g, out=np.zeros(h.size), where=g != 0.0)
@@ -188,7 +216,8 @@ def _interval_lp(c: float, g: np.ndarray, h: np.ndarray) -> _IpmOutcome:
     high = np.where(g < 0.0, ratio, math.inf)
     lower, upper = float(low.max(initial=0.0)), float(high.min(initial=math.inf))
     if lower > upper or (h[g == 0.0] > 0.0).any() or (c < 0.0 and upper == math.inf):
-        return _IpmOutcome(MAX_ITER, np.ones((1, 1)), lam, 0, math.inf, math.inf)
+        return _IpmOutcome(MAX_ITER, np.ones((1, 1)), lam, np.full((1, 1), c), 0, math.inf,
+                           math.inf)
     if c < 0.0:
         k = int(high.argmin())
     elif c > 0.0 and lower > 0.0:
@@ -198,7 +227,8 @@ def _interval_lp(c: float, g: np.ndarray, h: np.ndarray) -> _IpmOutcome:
     if k is not None:
         lam[k] = c / g[k]
     s = upper if c < 0.0 else lower
-    return _IpmOutcome("CONVERGED", np.full((1, 1), s), lam, 0, 0.0, 0.0)
+    return _IpmOutcome("CONVERGED", np.full((1, 1), s), lam, np.full((1, 1), c - lam @ g), 0,
+                       0.0, 0.0)
 
 
 def _order_two(C: np.ndarray, G: np.ndarray, h: np.ndarray, tol_primal: float,

@@ -54,10 +54,10 @@ points; a caller that has enumerated them already passes the list as the
 keyword ``vertices`` of ``global_solve`` or
 ``minimize_quad_over_polytope``, so ``report.compare_report`` enumerates
 each instance once; it hands the same list, and the ``rays`` of the
-recession analysis, to the relaxations, whose feasible point and
-recession direction are their first points.  A LAPACK failure, in the
-faces or in the bases, raises ``numpy.linalg.LinAlgError`` as numpy's own
-wrappers do.
+recession analysis, to the relaxations, whose feasible point is the
+list's first point and whose DNN search starts from the rays' mean.  A
+LAPACK failure, in the faces or in the bases, raises
+``numpy.linalg.LinAlgError`` as numpy's own wrappers do.
 
 Every enumeration is capped at ``2 ** enum_cap()`` members (``enum_cap()``
 is 16 unless the QPRELAX_ENUM_CAP environment variable says otherwise),

@@ -158,7 +158,7 @@ def compare_report(inst: QpInstance, opts: Optional[SolveOptions] = None) -> Rep
     simplex_min = None if copositivity is None else copositivity.min_value
     oracle = desk_scale(notes, "oracle and recession analysis", global_solve, inst,
                         simplex_min=simplex_min, vertices=verts)
-    # the relaxations read their feasible point and recession direction from
+    # the relaxations read their feasible point and recession rays from
     # these enumerations instead of repeating them
     rays = None if oracle is None else oracle.recession.rays
     relaxations = {}

@@ -28,6 +28,20 @@ def make_qp(Q, c, A, b, name="test"):
     return QpInstance(n=Q.shape[0], m=A.shape[0], Q=Q, c=c, A=A, b=b, name=name)
 
 
+#: A mixed-sign integer instance whose one recession ray is
+#: (4, 0, 2, 0, 3, 0, 0, 2) / 11 up to rounding: the slice's basic solution
+#: has 5.6e-17 and 2.8e-17 at coordinates 1 and 3, both in kept sign rows.
+ROUNDED_RAY = make_qp(
+    np.array([[-2, -3, 2, 1, -3, 1, 0, -3], [-3, -6, -4, -1, 2, 5, 2, 0],
+              [2, -4, 2, 5, -5, 0, 3, 3], [1, -1, 5, 0, -5, 0, 1, 0],
+              [-3, 2, -5, -5, 6, 4, 1, -2], [1, 5, 0, 0, 4, -6, 1, -1],
+              [0, 2, 3, 1, 1, 1, -2, -6], [-3, 0, 3, 0, -2, -1, -6, -4]]) / 2.0,
+    np.zeros(8),
+    [[0, -1, -2, 1, 0, 1, -2, 2], [1, 0, -1, -2, -2, 1, -2, 2], [2, -1, 1, 2, -2, -1, 1, -2],
+     [1, 2, 0, -1, -2, 2, -2, 1], [2, 1, 0, -1, -2, 1, -2, -1]],
+    [-2, -5, -5, 2, -3], "rounded-ray")
+
+
 @pytest.fixture
 def simplex_convex():
     # strictly convex objective on a segment; minimum 0.5 at the midpoint

@@ -9,8 +9,10 @@ import pytest
 
 from qprelax import conic
 from qprelax.cli import main
-from qprelax.core import load_instance
+from qprelax.core import load_instance, save_instance
 from qprelax.generators import horn_instance
+
+from conftest import ROUNDED_RAY
 
 
 @pytest.fixture
@@ -266,13 +268,30 @@ class TestCommands:
         assert len(calls) == 1
 
     def test_certificate_budget_is_inconclusive(self, horn_file, capsys):
-        assert main(["--json", "--max-iter", "5", "certificate", "--cone", "dnn",
+        # the interior start finds horn5's certificate in 2 iterations
+        assert main(["--json", "--max-iter", "1", "certificate", "--cone", "dnn",
                      "--mode", "objective", str(horn_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "INCONCLUSIVE"
-        assert payload["iterations"] == 5
+        assert payload["iterations"] == 1
         assert payload["reason"] == "max_iter"
         assert payload["certificate"] is None and payload["check"] is None
+
+    def test_json_records_the_search_start(self, horn_file, tmp_path, capsys):
+        # the strictly feasible start on horn5, the identity start where the
+        # recession rays vanish to rounding on a kept sign row
+        rounded = tmp_path / "rounded.json"
+        save_instance(ROUNDED_RAY, rounded)
+        for path, start in ((horn_file, "interior"), (rounded, "identity")):
+            assert main(["--json", "certificate", "--cone", "dnn", "--mode", "objective",
+                         str(path)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["status"] == "FOUND" and payload["start"] == start
+        assert main(["--json", "compare", str(horn_file)]) == 0
+        relaxations = json.loads(capsys.readouterr().out)["relaxations"]
+        assert relaxations["DNN"]["status"] == "UNBOUNDED"
+        assert relaxations["DNN"]["start"] == "interior"
+        assert relaxations["PSD0"]["start"] is None
 
     def test_oracle(self, horn_file, capsys):
         assert main(["--json", "oracle", str(horn_file)]) == 0

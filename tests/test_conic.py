@@ -41,6 +41,7 @@ from qprelax.generators import (
     UNBOUNDED_SAFE,
     HornFamilyParams,
     horn_family,
+    horn_instance,
     random_instance,
 )
 from qprelax.numerics import (
@@ -51,7 +52,7 @@ from qprelax.numerics import (
 from qprelax.oracle import enumerate_vertices, global_solve
 from qprelax.report import COMPARISON_TOLERANCE, compare_report
 
-from conftest import feasible_samples, make_qp
+from conftest import ROUNDED_RAY, feasible_samples, make_qp
 
 TIGHT = SolveOptions(tol_primal=1e-9, tol_dual=1e-9)
 
@@ -581,10 +582,11 @@ class TestCertificateSearch:
         assert sol.validation.ok
 
     def test_budget_exhaustion_is_inconclusive(self, horn):
+        # the interior start finds horn5's certificate in 2 iterations
         res = recession_certificate_search(horn[0], DNN, OBJECTIVE,
-                                           SolveOptions(max_iterations=5))
+                                           SolveOptions(max_iterations=1))
         assert res.status == INCONCLUSIVE and res.reason == "max_iter"
-        assert res.iterations == 5 and res.certificate is None
+        assert res.iterations == 1 and res.certificate is None
 
     def test_bad_mode(self, simplex_convex):
         with pytest.raises(ValueError):
@@ -597,14 +599,14 @@ class TestCertificateSearch:
         seen, rows = [], []
         solve_face = conic.solve_face
 
-        def recorded(C, G, h, opts, accept):
+        def recorded(C, G, h, opts, accept, start):
             rows.append((C, G, h))
 
             def logged(S):
                 seen.append((S.copy(), accept(S)))
                 return seen[-1][1]
 
-            return solve_face(C, G, h, opts, logged)
+            return solve_face(C, G, h, opts, logged, start)
 
         monkeypatch.setattr(conic, "solve_face", recorded)
         res = recession_certificate_search(inst, DNN, OBJECTIVE)
@@ -630,6 +632,155 @@ class TestCertificateSearch:
         assert res.status == FOUND and 0 < res.iterations <= 20
         check = verify_certificate(inst, res.certificate)
         assert check.ok and check.objective_rate < -conic.TOL_CERTIFICATE
+
+
+def _search_face(prep):
+    """The DNN objective search's face problem ``(C, G, h)``: the sign rows
+    at ``h = 0`` and ``tr S <= 1`` as ``<-I, S> >= -1``."""
+    r = prep.N.shape[1]
+    G = np.concatenate((prep.signs[0], [-np.eye(r)]))
+    return prep.C, G, np.append(np.zeros(len(G) - 1), -1.0)
+
+
+class TestSearchStart:
+    """The DNN objective search starts strictly inside both feasible sets,
+    from the mean of the recession rays, and falls back to the identity
+    start where that mean vanishes on a kept sign row."""
+
+    CASES = [pytest.param(horn_instance()[0], id="horn5")] + [
+        pytest.param(horn_family(HornFamilyParams(n=n, seed=s)), id=f"horn{n}-s{s}")
+        for n in range(6, 11) for s in range(3)]
+
+    @pytest.mark.parametrize("inst", CASES)
+    def test_start_is_strictly_feasible(self, inst):
+        prep = conic._prepared(inst)
+        C, G, h = _search_face(prep)
+        S, lam = conic._search_start(prep)
+        assert np.linalg.eigvalsh(S)[0] > 0.0 and np.trace(S) == pytest.approx(0.5)
+        w = G.reshape(len(G), -1) @ S.ravel() - h
+        # every sign-row slack and the trace slack 1/2
+        assert w.min() > 0.0 and w[-1] == pytest.approx(0.5)
+        Z = C - np.tensordot(lam, G, 1)
+        assert lam.min() > 0.0 and np.linalg.eigvalsh(Z)[0] >= 1.0 - 1e-12
+        # solve_face takes it: both residuals are 0 there
+        begun = ipm._interior(C, G.reshape(len(G), -1), h, S, lam)
+        assert begun is not None
+        S0, Z0, w0, lam0 = begun
+        assert not (h - G.reshape(len(G), -1) @ S0.ravel() + w0).any()
+        assert not (C - np.tensordot(lam0, G, 1) - Z0).any()
+
+    @pytest.mark.parametrize("inst", CASES)
+    def test_iterates_stay_primal_feasible(self, inst, monkeypatch):
+        seen, solve_face = [], conic.solve_face
+        tol = SolveOptions().tol_primal
+
+        def recorded(C, G, h, opts, accept, start):
+            def logged(S):
+                seen.append(np.maximum(h - G.reshape(len(G), -1) @ S.ravel(), 0.0))
+                return accept(S)
+
+            return solve_face(C, G, h, opts, logged, start)
+
+        monkeypatch.setattr(conic, "solve_face", recorded)
+        res = recession_certificate_search(inst, DNN, OBJECTIVE)
+        assert res.status == FOUND and res.start == "interior"
+        assert len(seen) == res.iterations >= 1
+        # h = 0 on the sign rows and -1 on the trace row: 1 + |h| = 2
+        assert max(math.sqrt(v @ v) / 2.0 for v in seen) <= tol
+        check = verify_certificate(inst, res.certificate)
+        assert check.ok and check.objective_rate < -conic.TOL_CERTIFICATE
+
+    def test_vanishing_mean_ray_takes_the_identity_start(self):
+        # a mean ray zero on a kept sign row, even only to rounding, has no
+        # strictly feasible start of this form
+        inst, _ = horn_instance()
+        prep = conic._Prepared(inst)
+        G, i, j = prep.signs
+        rays = np.array(conic._prepared(inst).rays)
+        rays[:, i[0]] = 1e-17
+        prep.adopt(rays=rays)
+        assert conic._search_start(prep) is None
+
+    def test_rounded_ray_keeps_the_identity_search(self, monkeypatch):
+        prep = conic._prepared(ROUNDED_RAY)
+        assert len(prep.rays) == 1
+        d = prep.rays[0]
+        kept = np.unique(np.concatenate(prep.signs[1:]))
+        assert kept.tolist() == list(range(8))
+        assert 0.0 < d[1] < 1e-16 and 0.0 < d[3] < 1e-16
+        assert conic._search_start(prep) is None
+        res = recession_certificate_search(ROUNDED_RAY, DNN, OBJECTIVE)
+        assert res.status == FOUND and res.iterations == 14 and res.start == "identity"
+        assert verify_certificate(ROUNDED_RAY, res.certificate).ok
+        # the identity start of a search that is given no start, bit for bit
+        _clear_memos()
+        monkeypatch.setattr(conic, "_search_start", lambda prep: None)
+        plain = recession_certificate_search(ROUNDED_RAY, DNN, OBJECTIVE)
+        assert np.array_equal(plain.certificate.d, res.certificate.d)
+        assert (plain.iterations, plain.residual, plain.check, plain.start) == (
+            res.iterations, res.residual, res.check, res.start)
+
+    def test_failed_check_takes_the_identity_start(self):
+        # a start that is not strictly feasible is not taken
+        prep = conic._prepared(horn_instance()[0])
+        C, G, h = _search_face(prep)
+        S, lam = conic._search_start(prep)
+        given = ipm.solve_face(C, G, h, SolveOptions(), None, (S, -lam))
+        plain = ipm.solve_face(C, G, h, SolveOptions())
+        assert given.start == plain.start == "identity"
+        assert given.iterations == plain.iterations
+        assert np.array_equal(given.S, plain.S) and np.array_equal(given.lam, plain.lam)
+
+    def test_start_is_recorded(self):
+        inst = horn_instance()[0]
+        assert recession_certificate_search(inst, DNN, OBJECTIVE).start == "interior"
+        # no iteration runs: the PSD0 eigenpair and the DNN feasibility certificate
+        assert recession_certificate_search(inst, PSD0, OBJECTIVE).start is None
+        assert recession_certificate_search(inst, DNN, FEASIBILITY).start is None
+        report = compare_report(inst)
+        assert report.relaxations[DNN].start == "interior"
+        assert report.relaxations[PSD0].start is None
+
+
+class TestDualSlack:
+    """``solve_face`` returns ``Z = C - sum_k lam_k G_k`` on every route."""
+
+    @staticmethod
+    def check(C, G, out, slack):
+        scale = 1.0 + np.abs(C).max() + np.abs(out.lam) @ np.abs(G).max(axis=(1, 2))
+        assert np.abs(out.Z - (C - np.tensordot(out.lam, G, 1))).max() <= slack * scale
+        if out.status == "CONVERGED":
+            assert np.linalg.eigvalsh(out.Z)[0] >= -64.0 * sys.float_info.epsilon * scale
+
+    def test_interval_lp(self):
+        C, G = np.array([[2.0]]), np.array([1.0, -1.0, 3.0]).reshape(3, 1, 1)
+        out = ipm.solve_face(C, G, np.array([1.0, -4.0, 6.0]), SolveOptions())
+        assert out.status == "CONVERGED" and out.iterations == 0 and out.lam.any()
+        self.check(C, G, out, 0.0)
+        # no optimum: lam = 0 and Z = c
+        empty = ipm.solve_face(C, G, np.array([5.0, -4.0, 0.0]), SolveOptions())
+        assert empty.status == MAX_ITER and np.array_equal(empty.Z, C)
+
+    def test_order_two(self):
+        # tr S >= 1 under C positive definite: S at the least eigenvector
+        C, G = np.array([[2.0, 1.0], [1.0, 1.0]]), np.eye(2)[None]
+        out = ipm.solve_face(C, G, np.array([1.0]), SolveOptions())
+        assert out.status == "CONVERGED" and out.iterations == 0
+        assert out.lam[0] == pytest.approx(np.linalg.eigvalsh(C)[0])
+        self.check(C, G, out, 64.0 * sys.float_info.epsilon)
+
+    @pytest.mark.parametrize("start", [True, False], ids=["interior", "identity"])
+    def test_interior_point(self, start):
+        prep = conic._prepared(horn_instance()[0])
+        C, G, h = _search_face(prep)
+        out = ipm.solve_face(C, G, h, SolveOptions(), None,
+                             conic._search_start(prep) if start else None)
+        assert out.status == "CONVERGED" and out.iterations > 0
+        assert out.start == ("interior" if start else "identity")
+        # from the interior start Z is C - sum_k lam_k G_k to rounding; from
+        # the identity start, to the dual residual
+        slack = 1e-14 if start else out.residual_dual
+        self.check(C, G, out, slack)
 
 
 def _counted(monkeypatch, name):

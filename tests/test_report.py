@@ -116,7 +116,8 @@ class TestCompareReport:
     @pytest.mark.parametrize(
         "inst, max_iterations, names",
         [
-            (horn_instance()[0], 4,
+            # the interior start finds horn5's certificate in 2 iterations
+            (horn_instance()[0], 1,
              (LOWER_BOUND, "weaker cone gives a weaker bound", BORDER_TRIVIAL)),
             (random_instance(CONVEX_ON_NULLSPACE, 3, 1, 2), 4,
              (LOWER_BOUND, "curvature condition makes relaxations exact")),
@@ -399,7 +400,7 @@ class TestCompareReport:
     def test_skipped_steps_keep_the_relaxations(self, refuse_vertices, monkeypatch):
         # a cap of n - 1 refuses the oracle's 2^n faces and the copositivity
         # check, but neither system's C(n, k) <= 2^(n-1) column subsets: the
-        # record finds the search's direction itself (oracle._feasible_point).
+        # record enumerates the search's rays itself (basic_feasible_points).
         # A cap that refused the report's vertex enumeration would refuse the
         # relaxation's own emptiness test of the same system too, so that
         # enumeration is refused by hand, and the record finds x0 itself.
@@ -411,10 +412,15 @@ class TestCompareReport:
         if refuse_vertices:
             skipped.insert(0, "feasibility enumeration")
         found, feasible_point = [], conic._feasible_point
+        enumerated, basic = [], conic.basic_feasible_points
 
         def counted(A, b):
             found.append(A.shape)
             return feasible_point(A, b)
+
+        def counted_rays(A, b):
+            enumerated.append(A.shape)
+            return basic(A, b)
 
         for inst in make_corpus():
             expected = compare_report(inst).to_dict()["relaxations"]
@@ -422,14 +428,16 @@ class TestCompareReport:
             with monkeypatch.context() as patch:
                 patch.setenv("QPRELAX_ENUM_CAP", str(inst.n - 1))
                 patch.setattr(conic, "_feasible_point", counted)
+                patch.setattr(conic, "basic_feasible_points", counted_rays)
                 if refuse_vertices:
                     patch.setattr(report_module, "enumerate_vertices", refused)
                 report = compare_report(fresh)
             assert [note.split(" skipped:")[0] for note in report.notes] == skipped, inst.name
             assert json.dumps(report.to_dict()["relaxations"], sort_keys=True) == json.dumps(
                 expected, sort_keys=True), inst.name
-        # the ten DNN searches past the curvature screen, and x0 on every instance
-        assert len(found) == 10 + 22 * refuse_vertices
+        # the rays of the ten DNN searches past the curvature screen, and x0
+        # on every instance
+        assert len(enumerated) == 10 and len(found) == 22 * refuse_vertices
 
     def test_permuted_variables_keep_the_answers(self):
         # (P^T Q P, P^T c, A P, b) is the same problem, but its first vertex,
