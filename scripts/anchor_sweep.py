@@ -46,18 +46,24 @@ def anchors(inst, seed):
     return list(vertices) + mixtures
 
 
-def main():
-    start = perf_counter()
-    cases = []
+def cases():
+    """Every ``(instance, anchors)`` of the sweep, in order."""
+    out = []
     for n, m in SIZES:
         for seed in SEEDS:
             inst = random_instance(BOUNDED, n, m, seed)
-            cases.append((inst, anchors(inst, seed)))
-    out = {"anchors": sum(len(points) for _, points in cases)}
+            out.append((inst, anchors(inst, seed)))
+    return out
+
+
+def main():
+    start = perf_counter()
+    sweep = cases()
+    out = {"anchors": sum(len(points) for _, points in sweep)}
     for tol in TOLERANCES:
         opts = SolveOptions(tol_primal=tol, tol_dual=tol)
         ipm, iterations, max_iter = 0, 0, []
-        for inst, points in cases:
+        for inst, points in sweep:
             for k, x in enumerate(points):
                 res = evaluate_underestimator(inst, DNN, x, opts)
                 ipm += res.iterations > 0

@@ -32,21 +32,25 @@ SIZES = ((3, 1), (4, 2), (5, 2), (6, 3))
 SEEDS = range(20)
 
 
+def instances():
+    """The 240 instances of the sweep, in order."""
+    for kind in KINDS:
+        for n, m in SIZES:
+            for seed in SEEDS:
+                yield random_instance(kind, n, m, seed)
+
+
 def main():
     failures = {}
     iterations = 0
     start = perf_counter()
-    for kind in KINDS:
-        for n, m in SIZES:
-            for seed in SEEDS:
-                inst = random_instance(kind, n, m, seed)
-                rep = compare_report(inst)
-                iterations += sum(res.iterations for res in rep.relaxations.values())
-                checks = [c.name for c in rep.checks if c.applicable and not c.passed]
-                max_iter = [cone for cone, res in rep.relaxations.items()
-                            if res.status == MAX_ITER]
-                if checks or max_iter:
-                    failures[inst.name] = {"failed_checks": checks, "max_iter": max_iter}
+    for inst in instances():
+        rep = compare_report(inst)
+        iterations += sum(res.iterations for res in rep.relaxations.values())
+        checks = [c.name for c in rep.checks if c.applicable and not c.passed]
+        max_iter = [cone for cone, res in rep.relaxations.items() if res.status == MAX_ITER]
+        if checks or max_iter:
+            failures[inst.name] = {"failed_checks": checks, "max_iter": max_iter}
     out = {
         "instances": len(KINDS) * len(SIZES) * len(SEEDS),
         "failing": len(failures),

@@ -318,14 +318,6 @@ class RelaxationResult:
 # active-face polishing of the consensus loop
 
 
-@lru_cache(maxsize=None)
-def _strict_triu(r: int):
-    """``np.triu_indices(r, k=1)`` as read-only arrays, built once per order."""
-    rows, cols = np.triu_indices(r, k=1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
 def _pack_design(m: np.ndarray) -> np.ndarray:
     """Row of the reduced system for <m, S> with S in packed symmetric form."""
     diag = np.diag(m)
@@ -914,6 +906,14 @@ def _read_only(x: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return x
 
 
+@lru_cache(maxsize=None)
+def _strict_triu(r: int):
+    """``np.triu_indices(r, k=1)`` as read-only arrays, built once per order."""
+    rows, cols = np.triu_indices(r, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _sign_stack(N: np.ndarray):
     """The DNN sign rows ``(x x^T + N S N^T)_ij >= 0`` for ``i < j`` as
     ``<G_k, S> >= h_k`` with ``h_k = -x_i x_j``: the stack ``G`` and the
@@ -923,7 +923,7 @@ def _sign_stack(N: np.ndarray):
     ``RANK_TOL``; a variable that is zero on the whole polyhedron has a zero
     row in ``N``) reads ``0 >= -x_i x_j`` and is dropped.
     """
-    i, j = np.triu_indices(N.shape[0], k=1)
+    i, j = _strict_triu(N.shape[0])
     G = N[i, :, None] * N[j, None, :]
     G = 0.5 * (G + G.transpose(0, 2, 1))
     rows = np.abs(G).max(axis=(1, 2), initial=0.0) > RANK_TOL

@@ -12,15 +12,18 @@ reads UNBOUNDED_BELOW only when ``verify_ray_certificate`` accepts it.
 The faces are solved in groups, not one by one (``_face_candidates``): the
 patterns are grouped by their number of free variables, and each group is
 cut into slices of at most ``FACE_SLICE`` faces.  The grouping depends on
-``n`` alone, so it is built once, read-only, and cached (``_plan``: per
-group the patterns, their free columns and their subfaces with one
-variable fewer free).  A slice takes one stacked SVD, which gives both the
-min-norm points and the null-space bases, then one stacked eigensolve of
-the reduced Hessians per null-space dimension.  The PSD, vanishing-gradient
-and sign tests run as masks over the whole slice.  The singular faces of
-one null-space dimension whose min-norm stationary point has a negative
-entry share the stacked search ``_feasible_points`` for a nonnegative
-point of their stationary sets.  Each face writes its candidate into its
+``n`` alone, so it is built once per ``n``, read-only, and kept for every
+``n`` (``_plan``: per group the patterns, their free columns and their
+subfaces with one variable fewer free).  It is built only after
+``_face_patterns`` accepts ``n <= enum_cap()``, so the plans a process
+holds are bounded: about 4.2 MB of arrays for every ``n`` up to the
+default cap of 16, 10 KB for ``n = 4 .. 8``.  A slice takes one stacked
+SVD, which gives both the min-norm points and the null-space bases, then
+one stacked eigensolve of the reduced Hessians per null-space dimension.
+The PSD, vanishing-gradient and sign tests run as masks over the whole
+slice.  The singular faces of one null-space dimension whose min-norm
+stationary point has a negative entry share the stacked search
+``_feasible_points`` for a nonnegative point of their stationary sets.  Each face writes its candidate into its
 own row of one ``(2^n, n)`` table, whose marked rows are the candidates
 in pattern order.  Every member of a stack is the matrix that face alone
 would pass to LAPACK, so neither grouping nor slicing changes a result;
@@ -29,10 +32,10 @@ the slices bound the engine's memory at the cap.
 Every face of the standard simplex ``{e^T x = 1, x >= 0}`` with ``f``
 free variables has the constraint row ``e^T`` of length ``f``, so its
 affine-hull geometry (the SVD, min-norm point and null-space basis) is one
-per group.  ``_simplex_hulls(n)`` builds it once per ``n``, beside the
-plan, and ``simplex_minimum``, the copositivity test of ``global_solve``
-and ``analysis.check_copositivity_desk_scale``, reads it instead of one
-SVD per face; the generic enumeration gives the same bits.
+per group.  ``_simplex_hulls(n)`` builds it once per ``n`` and keeps it
+beside the plan, and ``simplex_minimum``, the copositivity test of
+``global_solve`` and ``analysis.check_copositivity_desk_scale``, reads it
+instead of one SVD per face; the generic enumeration gives the same bits.
 
 A face whose reduced Hessian has an eigenvalue below
 ``-_TOL_PSD * max(1, |Q|_F)`` is flagged indefinite, and so is, without a
@@ -273,12 +276,21 @@ def _basic_feasible_iter(A, b, stack: int):
         with np.errstate(call=_lapack_failed, invalid="call"):
             points, ok = _basic_solutions(A, b, np.array(part),
                                           np.zeros(len(part), dtype=np.intp), smax, tol)
-        for x in points[ok]:
-            key = tuple(np.round(x, _DEDUP_DECIMALS))
-            if key not in seen:
-                seen.add(key)
-                yield x
+        yield from _first_occurrences(points[ok], seen)
         stack = min(2 * stack, FACE_SLICE)
+
+
+def _first_occurrences(rows, seen: set):
+    """The rows (a table, or a list of equal-length points) whose rounding
+    to ``_DEDUP_DECIMALS`` decimals is not in ``seen``, in order, each
+    adding its key.  All rows are rounded in one call; Python floats hash
+    and compare as the ``float64`` scalars do, so the same rows survive as
+    when each row is rounded alone."""
+    for x, key in zip(rows, np.round(rows, _DEDUP_DECIMALS).tolist()):
+        key = tuple(key)
+        if key not in seen:
+            seen.add(key)
+            yield x
 
 
 def _feasible_point(A, b) -> Optional[np.ndarray]:
@@ -333,7 +345,7 @@ def _basic_solutions(A, b, subsets, systems, smax, tol):
     tol = tol[systems]
     ok &= (np.abs(sub @ xb - r).max(axis=(1, 2)) <= tol) & (xb.min(axis=(1, 2)) >= -tol)
     x = np.zeros((k, A.shape[2]))
-    x[np.arange(k)[:, None], subsets] = np.clip(xb[:, :, 0], 0.0, None)
+    x[np.arange(k)[:, None], subsets] = np.maximum(xb[:, :, 0], 0.0)
     return x, ok
 
 
@@ -404,7 +416,7 @@ def _lapack_failed(err, flag):
     raise np.linalg.LinAlgError("LAPACK did not converge in the exact oracle")
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def _plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The face patterns of ``n`` variables with a free variable, grouped
     for ``_face_candidates``.
@@ -418,8 +430,9 @@ def _plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     index of the subface that fixes it at zero, which sits in the group
     before.  The arrays are
     read-only and of the smallest unsigned type that holds ``2 ** n - 1``.
-    Every enumeration of one instance has the same ``n``, so one cached
-    plan serves them all.
+    One plan is kept per ``n``: a ``compare`` pass over instances of
+    several sizes builds each once.  Callers check ``_face_patterns(n)``
+    first, which bounds what is kept.
     """
     dtype = np.min_scalar_type(2 ** n - 1)
     bits = 1 << np.arange(n - 1, -1, -1)
@@ -441,10 +454,11 @@ def _plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
 _SIMPLEX_SCALE = 3.0
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def _simplex_hulls(n: int):
     """The affine-hull geometry of the standard simplex's faces, one entry
-    per group of ``_plan(n)``.
+    per group of ``_plan(n)``, kept per ``n`` as the plan is
+    (``simplex_minimum`` checks ``_face_patterns(n)`` first).
 
     A face with ``f`` free variables has the constraint row ``e^T`` of
     length ``f`` whichever variables are free, so every face of the group
@@ -561,7 +575,7 @@ def _group_candidates(Q, c, A, b, faces, cols, scale, floor, X, has, indefinite,
         else:
             xF, hit, outside, wmin = _interior_points(Q, c, vt[:, k:], cols, x0, tol_bound)
             indefinite[faces[wmin < floor]] = True
-        X[faces[:, None], cols] = np.clip(xF, 0.0, None)
+        X[faces[:, None], cols] = np.maximum(xF, 0.0)
         has[faces] = hit
         if k == f or not outside.any():
             continue
@@ -575,7 +589,7 @@ def _group_candidates(Q, c, A, b, faces, cols, scale, floor, X, has, indefinite,
         rhs = np.concatenate((np.broadcast_to(b, (F.shape[0], m)),
                               -(NT @ c[F][:, :, None])[:, :, 0]), axis=1)
         alt, found = _feasible_points(system, rhs)
-        X[faces[:, None], F] = np.clip(alt, 0.0, None)
+        X[faces[:, None], F] = np.maximum(alt, 0.0)
         has[faces] = found
 
 
@@ -664,16 +678,10 @@ def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None, hulls=None) -> Ora
     values = (X[:, None, :] @ Q @ X[:, :, None])[:, 0, 0] + ((2 * c) @ X[:, :, None])[:, 0]
     vmin = float(values.min())
     vtol = 1e-9 * (1.0 + abs(vmin))
-    mins = []
-    seen = set()
-    for x in X[values <= vmin + vtol]:
-        key = tuple(np.round(x, _DEDUP_DECIMALS))
-        if key not in seen:
-            seen.add(key)
-            mins.append(x)
+    mins = tuple(_first_occurrences(X[values <= vmin + vtol], set()))
     return OracleResult(
         value=vmin,
-        minimizers=tuple(mins),
+        minimizers=mins,
         attained=certified,
         faces_explored=faces,
         status=ORACLE_OPTIMAL if certified else ORACLE_INCONCLUSIVE,
@@ -739,15 +747,9 @@ def recession_analysis(Q, A) -> RecessionReport:
         return RecessionReport(False, math.inf, None, (), tol, ())
     curv = minimize_quad_over_polytope(Q, np.zeros(n), *cut)
     neg = curv.minimizers[0] if curv.value < -tol else None
-    zero_dirs = []
-    seen = set()
-    for d in rays + list(curv.minimizers):
-        if abs(float(d @ Q @ d)) <= tol:
-            key = tuple(np.round(d, _DEDUP_DECIMALS))
-            if key not in seen:
-                seen.add(key)
-                zero_dirs.append(d)
-    return RecessionReport(True, float(curv.value), neg, tuple(zero_dirs), tol, tuple(rays))
+    dirs = [d for d in rays + list(curv.minimizers) if abs(float(d @ Q @ d)) <= tol]
+    zero_dirs = tuple(_first_occurrences(dirs, set()))
+    return RecessionReport(True, float(curv.value), neg, zero_dirs, tol, tuple(rays))
 
 
 def ray_witness(Q, c, verts, rec: RecessionReport) -> Optional[RayCertificate]:

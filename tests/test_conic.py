@@ -52,7 +52,7 @@ from qprelax.numerics import (
 from qprelax.oracle import enumerate_vertices, global_solve
 from qprelax.report import COMPARISON_TOLERANCE, compare_report
 
-from conftest import ROUNDED_RAY, feasible_samples, make_qp
+from conftest import ROUNDED_RAY, feasible_samples, make_corpus, make_qp
 
 TIGHT = SolveOptions(tol_primal=1e-9, tol_dual=1e-9)
 
@@ -319,6 +319,19 @@ class TestPinnedFaceReuse:
 
     def points(self, count=4):
         return feasible_samples(self.inst, count, seed=5)
+
+    def test_sign_stack_matches_triu_indices(self):
+        # the stack reads the per-order index pairs; built afresh they give
+        # the same rows, bit for bit, on every corpus record
+        for inst in make_corpus():
+            N = conic._prepared(inst).N
+            i, j = np.triu_indices(N.shape[0], k=1)
+            G = N[i, :, None] * N[j, None, :]
+            G = 0.5 * (G + G.transpose(0, 2, 1))
+            rows = np.abs(G).max(axis=(1, 2), initial=0.0) > conic.RANK_TOL
+            for got, ref in zip(conic._sign_stack(N), (G[rows], i[rows], j[rows])):
+                assert got.dtype == ref.dtype and got.shape == ref.shape, inst.name
+                assert got.tobytes() == ref.tobytes(), inst.name
 
     def test_repeated_anchors_build_the_face_once(self, faces):
         # the face has order 2: each anchor is solved exactly

@@ -597,7 +597,7 @@ class TestFacePlan:
                     v[...] = 0
 
     def test_evicted_plan_gives_the_same_candidates(self):
-        # one plan is cached, so enumerations at n = 5, 6, 5 build it three times
+        # one plan is cached per n, so enumerations at n = 5, 6, 5 build two
         problems = [horn_problems(n)[k] for n in (5, 6, 5) for k in (0, 2)]
 
         def candidates(Q, c, A, b):
@@ -606,10 +606,28 @@ class TestFacePlan:
 
         oracle._plan.cache_clear()
         cached = [candidates(*problem) for problem in problems]
-        assert oracle._plan.cache_info().misses == 3
+        assert oracle._plan.cache_info().misses == 2
         for problem, X in zip(problems, cached):
             oracle._plan.cache_clear()
             assert len(X) and bitwise_equal(candidates(*problem), X)
+
+    def test_every_n_keeps_its_plan(self):
+        oracle._plan.cache_clear()
+        plans = []
+        for n in (5, 6, 5):
+            minimize_quad_over_polytope(*horn_problems(n)[0])
+            plans.append(oracle._plan(n))
+        assert oracle._plan.cache_info().misses == 2
+        assert plans[2] is plans[0]
+
+    def test_every_n_keeps_its_simplex_geometry(self):
+        oracle._simplex_hulls.cache_clear()
+        hulls = []
+        for n in (5, 6, 5):
+            oracle.simplex_minimum(horn_family(HornFamilyParams(n=n, seed=0)).Q)
+            hulls.append(oracle._simplex_hulls(n))
+        assert oracle._simplex_hulls.cache_info().misses == 2
+        assert hulls[2] is hulls[0]
 
 
 class TestGivenVertices:
@@ -788,3 +806,66 @@ class TestStackedFallback:
         assert found.all()
         for x, ref in zip(points, expected):
             assert np.array_equal(x, ref)
+
+
+def per_row_first_occurrences(rows, seen, dropped):
+    """The reference de-duplication, rounding each row alone; counts in
+    ``dropped`` the rows it drops."""
+    for x in rows:
+        key = tuple(np.round(x, oracle._DEDUP_DECIMALS))
+        if key in seen:
+            dropped.append(key)
+        else:
+            seen.add(key)
+            yield x
+
+
+class TestDeduplication:
+    """Rounding each table in one call keeps the points the per-row
+    rounding kept, with the same bytes and in the same order."""
+
+    @staticmethod
+    def per_row(fn, *args):
+        """``fn(*args)`` with the per-row de-duplication, and the rows it dropped."""
+        dropped = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_first_occurrences",
+                       lambda rows, seen: per_row_first_occurrences(rows, seen, dropped))
+            return fn(*args), dropped
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_basic_points_of_horn_slices(self, n):
+        for seed in range(3):
+            A = horn_family(HornFamilyParams(n=n, seed=seed)).A
+            cut = oracle._recession_slice(A)
+            ref, dropped = self.per_row(basic_feasible_points, *cut)
+            assert dropped  # the slice repeats basic solutions
+            assert bitwise_equal(basic_feasible_points(*cut), ref)
+
+    @settings(max_examples=100)
+    @given(degenerate_systems())
+    def test_basic_points_of_degenerate_systems(self, systems):
+        for A, b in zip(*systems):
+            ref, _ = self.per_row(basic_feasible_points, A, b)
+            assert bitwise_equal(basic_feasible_points(A, b), ref)
+
+    def test_minimizers_on_tied_faces(self):
+        dropped = []
+        for n in range(2, 9):
+            rng = np.random.default_rng(n)
+            for _ in range(6):
+                M = np.round(rng.standard_normal((n, n)))
+                args = (M + M.T, np.zeros(n), np.ones((1, n)), np.array([1.0]))
+                ref, lost = self.per_row(minimize_quad_over_polytope, *args)
+                dropped += lost
+                assert bitwise_equal(minimize_quad_over_polytope(*args), ref)
+        assert dropped  # ties reach the de-duplication
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_zero_directions_of_horn_family(self, n):
+        for seed in range(3):
+            inst = horn_family(HornFamilyParams(n=n, seed=seed))
+            ref, _ = self.per_row(recession_analysis, inst.Q, inst.A)
+            got = recession_analysis(inst.Q, inst.A)
+            assert ref.zero_directions
+            assert bitwise_equal(got, ref)
