@@ -162,10 +162,10 @@ from .errors import NonFinite, PointInfeasible
 from .ipm import IPM_ITERATIONS, MAX_ITER, SolveOptions, _IpmOutcome, solve_face  # noqa: F401
 from .numerics import RANK_TOL, FaceProjector, nullspace_basis
 from .oracle import (
-    _TOL_EQ,
     KktCertificate,
     RayCertificate,
     RayCheck,
+    _feasibility_tol,
     _feasible_point,
     _recession_slice,
     basic_feasible_points,
@@ -759,7 +759,7 @@ def verify_certificate(
     Verifies cone membership, zero corner, zero constraint value, unit
     trace, and recomputes the objective rate.
     """
-    lp = lift_instance(inst, cert.cone)
+    lp = lift_instance(inst)
     d = np.asarray(cert.d, dtype=float)
     viol = cone_violation(d, cert.cone)
     corner = abs(float(d[0, 0]))
@@ -831,18 +831,19 @@ class _Prepared:
         the ``rays`` of ``oracle.recession_analysis``, where given and not
         yet read."""
         if vertices is not None and "x0" not in self.__dict__:
-            self.__dict__["x0"] = _read_only(vertices[0] if len(vertices) else None)
+            self.__dict__["x0"] = _frozen_array(vertices[0]) if len(vertices) else None
         if rays is not None and "rays" not in self.__dict__:
-            self.__dict__["rays"] = tuple(_read_only(d) for d in rays)
+            self.__dict__["rays"] = tuple(_frozen_array(d) for d in rays)
 
     @cached_property
     def x0(self) -> Optional[np.ndarray]:
-        return _read_only(_feasible_point(self.inst.A, self.inst.b))
+        x = _feasible_point(self.inst.A, self.inst.b)
+        return None if x is None else _frozen_array(x)
 
     @cached_property
     def rays(self) -> tuple:
         cut = _recession_slice(self.inst.A)
-        return () if cut is None else tuple(_read_only(d) for d in basic_feasible_points(*cut))
+        return () if cut is None else tuple(_frozen_array(d) for d in basic_feasible_points(*cut))
 
     @cached_property
     def convex(self):
@@ -895,15 +896,6 @@ class _Prepared:
 
 
 _prepared = lru_cache(maxsize=1)(_Prepared)
-
-
-def _read_only(x: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """A read-only copy of the point ``x``, or None."""
-    if x is None:
-        return None
-    x = np.array(x, dtype=float)
-    x.flags.writeable = False
-    return x
 
 
 @lru_cache(maxsize=None)
@@ -1036,8 +1028,8 @@ def recession_certificate_search(
 def _search_start(prep: _Prepared):
     """The strictly feasible start ``(S, lam)`` of the DNN objective search,
     or None where the mean ``d`` of the recession rays is zero, to the
-    basic-solution tolerance of ``oracle``, on a coordinate of a kept sign
-    row.
+    oracle's feasibility tolerance on the recession slice
+    (``oracle._feasibility_tol``), on a coordinate of a kept sign row.
 
     ``S`` is ``u u^T / |u|^2 + eps I`` with ``u = N^T d`` at trace 1/2:
     ``N u u^T N^T`` is ``d d^T``, positive on every kept row, and ``eps`` is
@@ -1049,8 +1041,7 @@ def _search_start(prep: _Prepared):
     """
     G, i, j = prep.signs
     d = np.mean(prep.rays, axis=0)
-    # oracle's feasibility tolerance on the slice's system [A; e^T] d = [0; 1]
-    tol = _TOL_EQ * (2.0 + max(1.0, float(np.abs(prep.inst.A).max(initial=0.0))))
+    tol = _feasibility_tol(*_recession_slice(prep.inst.A))
     if not d[np.concatenate((i, j))].min(initial=math.inf) > tol:
         return None
     u = prep.N.T @ d

@@ -103,12 +103,11 @@ class LiftedProblem:
     ``qhat`` carries the quadratic objective, symmetric of order ``n + 1``.
     ``rows`` is the ``m x (n + 1)`` matrix ``[b, -A]``: a positive
     semidefinite Y satisfies the lifted constraint ``<rows^T rows, Y> = 0``
-    exactly when ``rows Y = 0``.
+    exactly when ``rows Y = 0``.  Both are the same for every cone.
     """
 
     qhat: np.ndarray
     rows: np.ndarray
-    cone: str
     n: int
 
     def __post_init__(self):
@@ -117,8 +116,6 @@ class LiftedProblem:
         k = self.n + 1
         if self.qhat.shape != (k, k) or self.rows.ndim != 2 or self.rows.shape[1] != k:
             raise DimensionMismatch("qhat must be (n+1) x (n+1) and rows have n+1 columns")
-        if self.cone not in CONES:
-            raise ValueError(f"unknown cone selector {self.cone!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,21 +345,20 @@ def in_recession_cone(inst: QpInstance, d) -> bool:
     return float(d.min()) >= -FEAS_TOL * dscale
 
 
-def lift_instance(inst: QpInstance, cone: str = DNN) -> LiftedProblem:
-    """Assemble the lifted objective and constraint of the conic relaxation.
+def lift_instance(inst: QpInstance) -> LiftedProblem:
+    """Assemble the lifted objective and constraint of the conic relaxation,
+    the same for every cone.
 
     ``qhat`` has zero corner, c on the borders and Q inside; ``rows`` is
     ``[b, -A]``.
     """
-    if cone not in CONES:
-        raise ValueError(f"unknown cone selector {cone!r}")
     n = inst.n
     qhat = np.zeros((n + 1, n + 1))
     qhat[0, 1:] = inst.c
     qhat[1:, 0] = inst.c
     qhat[1:, 1:] = inst.Q
     rows = np.concatenate((inst.b[:, None], -inst.A), axis=1)
-    return LiftedProblem(qhat=qhat, rows=rows, cone=cone, n=n)
+    return LiftedProblem(qhat=qhat, rows=rows, n=n)
 
 
 def index_sets(x, tol: float = 1e-9) -> IndexSets:

@@ -158,9 +158,9 @@ class OracleResult:
 
     ``value`` is the optimal value with +inf / -inf sentinels for infeasible
     and unbounded problems; ``minimizers`` samples the optimal set; the
-    ``certified`` flag records whether boundedness below was proved (it is
-    always True for compact feasible regions).  A -inf value carries its
-    ``ray`` of descent, and ``global_solve`` adds its raw-data ``ray_check``.
+    ``certified`` flag records whether the verdict is proved.  A -inf value
+    carries its ``ray`` of descent, uncertified until ``global_solve``
+    adds its raw-data ``ray_check``.
     ``recession`` is the analysis of the recession cone ``{A d = 0, d >= 0}``.
     """
 
@@ -309,15 +309,27 @@ def _feasible_point(A, b) -> Optional[np.ndarray]:
     return next(_basic_feasible_iter(A, b, 1), None)
 
 
+def _system_scale(A, b):
+    """The feasibility scale ``1 + |b|_max + |A|_max`` of the system
+    ``{A x = b}``, or of each system of a stack (the last axes reduced)."""
+    return 1.0 + np.abs(b).max(axis=-1, initial=0.0) + np.abs(A).max(axis=(-2, -1), initial=0.0)
+
+
+def _feasibility_tol(A, b):
+    """``_TOL_EQ * _system_scale(A, b)``: every basic point, face and
+    emptiness test, here and in ``conic``, accepts a point of
+    ``{A x = b, x >= 0}`` within it (ranks are decided at ``RANK_TOL``)."""
+    return _TOL_EQ * _system_scale(A, b)
+
+
 def _system_ranks(A, b):
     """Per system ``{A_s x = b_s}`` of a stack: the feasibility tolerance
-    ``_TOL_EQ * (1 + |b_s|_max + |A_s|_max)``, the largest singular value
-    and the numerical rank (singular values above ``1e-10`` times the
-    largest), from one stacked singular-value call."""
-    scale = 1.0 + np.abs(b).max(axis=1, initial=0.0) + np.abs(A).max(axis=(1, 2), initial=0.0)
+    (``_feasibility_tol``), the largest singular value and the numerical
+    rank (singular values above ``RANK_TOL`` times the largest), from one
+    stacked singular-value call."""
     svals = _svdvals(A, signature="d->d")
     smax = svals[:, 0] if svals.shape[1] else np.zeros(len(A))
-    return _TOL_EQ * scale, smax, (svals > 1e-10 * smax[:, None]).sum(axis=1)
+    return _feasibility_tol(A, b), smax, (svals > RANK_TOL * smax[:, None]).sum(axis=1)
 
 
 def _basic_solutions(A, b, subsets, systems, smax, tol):
@@ -338,7 +350,7 @@ def _basic_solutions(A, b, subsets, systems, smax, tol):
     sub = A[systems[:, None], :, subsets].transpose(0, 2, 1)
     r = b[systems][:, :, None]
     u, s, vt = _svd(sub, signature="d->ddd")
-    ok = s[:, -1] > 1e-10 * np.maximum(smax[systems], 1e-300)
+    ok = s[:, -1] > RANK_TOL * np.maximum(smax[systems], 1e-300)
     coef = np.divide(u[:, :, :rank].transpose(0, 2, 1) @ r, s[:, :, None],
                      out=np.zeros((k, rank, 1)), where=ok[:, None, None])
     xb = vt.transpose(0, 2, 1) @ coef
@@ -449,11 +461,6 @@ def _plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     return tuple(groups)
 
 
-#: The feasibility scale ``1 + |b|_max + |A|_max`` of the standard simplex
-#: ``{e^T x = 1, x >= 0}``.
-_SIMPLEX_SCALE = 3.0
-
-
 @lru_cache(maxsize=None)
 def _simplex_hulls(n: int):
     """The affine-hull geometry of the standard simplex's faces, one entry
@@ -471,8 +478,8 @@ def _simplex_hulls(n: int):
     hulls = []
     with np.errstate(call=_lapack_failed, invalid="call"):
         for f in range(1, n + 1):
-            hull = _hull_points(np.ones((1, f)), np.ones(1), np.arange(f)[None],
-                                _SIMPLEX_SCALE)
+            A, b = np.ones((1, f)), np.ones(1)
+            hull = _hull_points(A, b, np.arange(f)[None], _system_scale(A, b))
             for v in hull:
                 v.setflags(write=False)
             hulls.append(hull)
@@ -632,10 +639,10 @@ def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None, hulls=None) -> Ora
     is positive semidefinite; enumerating those candidates plus all
     vertices is exact.  The recession cone is analyzed first
     (``recession_analysis``, ``ray_witness``): a divergent ray gives
-    UNBOUNDED_BELOW with the ray, unchecked, and the finite value is
-    certified only when every recession direction has strictly positive
-    curvature.  The ray test starts from the basic feasible points of
-    ``{A x = b, x >= 0}``; a caller that has already enumerated them passes
+    UNBOUNDED_BELOW with the ray, unchecked and so uncertified, and the
+    finite value is certified only when every recession direction has
+    strictly positive curvature.  The ray test starts from the basic
+    feasible points of ``{A x = b, x >= 0}``; a caller that has already enumerated them passes
     ``basic_feasible_points(A, b)`` as ``vertices``, which is read only
     when the recession cone is nontrivial.  ``hulls``, passed only by
     ``simplex_minimum``, holds each group's shared face geometry
@@ -663,12 +670,12 @@ def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None, hulls=None) -> Ora
                                 recession=recession)
         ray = ray_witness(Q, c, verts, recession)
         if ray is not None:
-            return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED, ray=ray,
-                                recession=recession)
+            return OracleResult(-math.inf, (), False, 0, ORACLE_UNBOUNDED, certified=False,
+                                ray=ray, recession=recession)
         certified = recession.min_curvature > curvature_tolerance(Q)
 
     faces = _face_patterns(n)
-    scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.abs(A).max(initial=0.0))
+    scale = float(_system_scale(A, b))
     with np.errstate(call=_lapack_failed, invalid="call"):
         X = _face_candidates(Q, c, A, b, scale, hulls)
     if not len(X):
@@ -825,6 +832,13 @@ def global_solve(inst: QpInstance, simplex_min: Optional[float] = None, *,
 # local minimizer verification
 
 
+def _support(x):
+    """The 0-based positive support of ``x`` (entries above ``1e-9``, after
+    clipping at zero) and its complement, as lists."""
+    sets = index_sets(np.clip(x, 0.0, None), tol=1e-9)
+    return [j - 1 for j in sets.positive], [j - 1 for j in sets.zero]
+
+
 def first_order_certificate(inst: QpInstance, x) -> Optional[KktCertificate]:
     """Multipliers proving a feasible point first-order stationary, or None.
 
@@ -834,16 +848,14 @@ def first_order_certificate(inst: QpInstance, x) -> Optional[KktCertificate]:
     multiplier are within ``1e-8 * (1 + |Qx + c|_max)``.  Where q is convex
     on the affine hull of the polyhedron, a pass proves ``x`` a global
     minimizer.  Raises ``PointInfeasible`` unless ``x`` is feasible within
-    ``1e-8``.
+    ``FEAS_TOL``.
     """
     x = np.asarray(x, dtype=float)
     residual = feasibility_residual(inst, x)
-    if residual > 1e-8:
+    if residual > FEAS_TOL:
         raise PointInfeasible(f"point is not feasible (residual {residual:.3e})")
 
-    sets = index_sets(np.clip(x, 0.0, None), tol=1e-9)
-    P = [j - 1 for j in sets.positive]
-    Z = [j - 1 for j in sets.zero]
+    P, Z = _support(x)
     grad = inst.Q @ x + inst.c
     gscale = 1.0 + float(np.abs(grad).max(initial=0.0))
 
@@ -931,9 +943,7 @@ def second_order_minimum(inst: QpInstance, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     grad = inst.Q @ x + inst.c
-    sets = index_sets(np.clip(x, 0.0, None), tol=1e-9)
-    P = [j - 1 for j in sets.positive]
-    Z = [j - 1 for j in sets.zero]
+    P, Z = _support(x)
     n = inst.n
     nsplit = 2 * len(P) + len(Z)
     # expansion matrix: d = T z with z >= 0

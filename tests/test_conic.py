@@ -399,9 +399,9 @@ class TestPinnedFaceReuse:
         lifted = []
         lift = core.lift_instance
 
-        def counted(inst, *args):
+        def counted(inst):
             lifted.append(inst)
-            return lift(inst, *args)
+            return lift(inst)
 
         for module in list(sys.modules.values()):
             if module is not None and module.__name__.startswith("qprelax") and getattr(
@@ -1619,7 +1619,7 @@ class TestConsensusLoop:
     def test_nonfinite_warm_state_raises(self, simplex_convex, block):
         # a non-finite entry of the loop's state, in Z (block None) or in the
         # scaled dual U of one block, stops the loop with NonFinite
-        lp = lift_instance(simplex_convex, DNN)
+        lp = lift_instance(simplex_convex)
         projector = build_affine_projector(lp)
         kernels = [projector.affine, *cone_projection_for(DNN)]
 
@@ -1644,7 +1644,7 @@ class TestConsensusLoop:
     def loop(self):
         """The loop on the unpinned DNN solve of ``looped``, with its
         polisher: the lifted problem, the face projector and the outcome."""
-        lp = lift_instance(self.looped, DNN)
+        lp = lift_instance(self.looped)
         projector = build_affine_projector(lp)
         out = conic._consensus(lp.qhat, projector, cone_projection_for(DNN), SolveOptions(),
                                polisher=conic._Polisher(lp, projector, DNN))
@@ -1829,6 +1829,37 @@ class TestFaceSolverModule:
             root = name.split(".")[0]
             assert name == ".core" or root == "numpy" or (
                 root and root in sys.stdlib_module_names), name
+
+
+class TestSharedOracleRules:
+    """``conic`` reads the oracle's decisions instead of copying them."""
+
+    def test_conic_imports_no_oracle_constant(self):
+        tree = ast.parse(inspect.getsource(conic))
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 and node.module == "oracle" for alias in node.names]
+        assert names
+        for name in names:
+            value = getattr(oracle, name)
+            assert inspect.isfunction(value) or inspect.isclass(value), name
+
+    def test_search_start_reads_the_oracle_tolerance(self, monkeypatch):
+        prep = conic._prepared(horn_instance()[0])
+        assert conic._search_start(prep) is not None
+        monkeypatch.setattr(conic, "_feasibility_tol", lambda A, b: 1e300)
+        assert conic._search_start(prep) is None
+
+    def test_slice_tolerance_is_the_basic_point_tolerance(self):
+        sliced = 0
+        for inst in make_corpus():
+            if not conic._prepared(inst).rays:
+                continue
+            sliced += 1
+            M, r = oracle._recession_slice(inst.A)
+            tol = oracle._feasibility_tol(M, r)
+            assert tol == oracle._system_ranks(M[None], r[None])[0][0], inst.name
+        assert sliced
 
 
 class TestOptions:

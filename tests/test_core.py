@@ -107,7 +107,7 @@ class TestObjective:
 
     def test_matches_lifted_inner_product(self, horn):
         inst, _ = horn
-        lp = lift_instance(inst, DNN)
+        lp = lift_instance(inst)
         rng = np.random.default_rng(7)
         for _ in range(100):
             x = rng.uniform(-3, 3, size=5)
@@ -120,7 +120,7 @@ class TestObjective:
 class TestLifting:
     def test_horn_lift_blocks(self, horn):
         inst, _ = horn
-        lp = lift_instance(inst, DNN)
+        lp = lift_instance(inst)
         assert lp.qhat[0, 0] == 0.0
         assert lp.qhat[0, 1:].tolist() == [1.0] * 5
         assert np.array_equal(lp.qhat[1:, 1:], inst.Q)
@@ -129,12 +129,8 @@ class TestLifting:
 
     def test_zero_rhs_zero_row(self):
         inst = make_qp(np.eye(2), [0, 0], [[1, -1]], [0])
-        lp = lift_instance(inst, PSD0)
+        lp = lift_instance(inst)
         assert np.all(lp.rows[:, 0] == 0.0)
-
-    def test_bad_cone(self, simplex_convex):
-        with pytest.raises(ValueError):
-            lift_instance(simplex_convex, "NOT_A_CONE")
 
 
 class TestIndexSets:
@@ -279,7 +275,7 @@ class TestMixture:
             report = validate_lifted_point(inst, point, tol=1e-8, cone=DNN)
             assert report.ok
             # lifted objective equals the mixture objective identity
-            lp = lift_instance(inst, DNN)
+            lp = lift_instance(inst)
             expected = (
                 w[0] * evaluate_objective(inst, xt1)
                 + w[1] * evaluate_objective(inst, xt2)

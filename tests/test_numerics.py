@@ -109,7 +109,7 @@ class TestPsdKernel:
 
     def test_loop_stops_before_eigensolver_sees_nonfinite(self, monkeypatch):
         inst = random_instance(BOUNDED, 4, 2, 2)
-        lp = lift_instance(inst, DNN)
+        lp = lift_instance(inst)
         calls = []
         lapack = numerics._eigh
 
@@ -250,7 +250,7 @@ class TestAffineProjector:
 
     def test_zero_matrix_gets_unit_corner(self, horn):
         inst, _ = horn
-        lp = lift_instance(inst, DNN)
+        lp = lift_instance(inst)
         proj = build_affine_projector(lp)
         out = proj.apply(np.zeros((6, 6)))
         assert out[0, 0] == pytest.approx(1.0, abs=1e-10)
@@ -258,7 +258,7 @@ class TestAffineProjector:
 
     def test_feasible_point_unchanged(self, horn):
         inst, _ = horn
-        lp = lift_instance(inst, DNN)
+        lp = lift_instance(inst)
         proj = build_affine_projector(lp)
         v = np.concatenate(([1.0], [0, 1, 0, 0, 4.0]))
         y = np.outer(v, v)
@@ -287,8 +287,8 @@ def _face_projectors():
     box = random_instance(BOUNDED, 4, 2, 2)
     point = make_qp(np.eye(2), [0, 0], [[1, 0], [0, 1]], [1, 1], "point")
     return {
-        "unpinned": build_affine_projector(lift_instance(unbounded, DNN)),
-        "bounded": build_affine_projector(lift_instance(box, PSD0)),
+        "unpinned": build_affine_projector(lift_instance(unbounded)),
+        "bounded": build_affine_projector(lift_instance(box)),
         "certificate": _trace_projector(unbounded),
         "rank-0 certificate": _trace_projector(point),
     }

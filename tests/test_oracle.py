@@ -99,6 +99,38 @@ class TestQuadMinimization:
         mins = sorted(tuple(np.round(m, 8)) for m in res.minimizers)
         assert mins == [(0, 1), (1, 0)]
 
+    def test_unchecked_ray_is_not_certified(self):
+        # the ray is returned unchecked: only global_solve's check proves it
+        Q, c, A, b = -np.eye(2), np.array([2.0, 2.0]), np.array([[1.0, -1.0]]), np.array([1.0])
+        res = minimize_quad_over_polytope(Q, c, A, b)
+        assert res.status == ORACLE_UNBOUNDED and res.ray is not None
+        assert res.ray_check is None and not res.certified
+        solved = global_solve(make_qp(Q, c, A, b))
+        assert solved.status == ORACLE_UNBOUNDED and solved.ray_check.ok and solved.certified
+
+
+class TestNearlyDependentRows:
+    """``A = [e^T; e^T + delta (0, 1, -1)]``, ``b = A (0.2, 0.5, 0.3)`` and
+    ``q = -x_1^2``: the feasible set is the segment ``x_2 - x_3 = 0.2`` of
+    the simplex, from (0.8, 0.2, 0) to (0, 0.6, 0.4), and the optimum is
+    -0.64 at its first end for every ``delta``.  From ``delta = 1e-7`` the
+    oracle's rank and feasibility rules read the two rows as one and
+    certify the simplex vertex's -1 instead (ROADMAP item 1).
+    """
+
+    @pytest.mark.parametrize("delta", [
+        1e-4,
+        1e-6,
+        *(pytest.param(d, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
+          for d in (1e-7, 1e-8, 1e-9)),
+    ])
+    def test_optimum(self, delta):
+        A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0 + delta, 1.0 - delta]])
+        inst = make_qp(np.diag([-1.0, 0.0, 0.0]), np.zeros(3), A, A @ np.array([0.2, 0.5, 0.3]))
+        res = global_solve(inst)
+        assert res.status == ORACLE_OPTIMAL and res.certified
+        assert abs(res.value + 0.64) <= 1e-9 * 0.64
+
 
 class TestGlobalSolve:
     def test_infeasible(self):
