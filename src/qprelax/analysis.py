@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import SolveOptions, _prepared, evaluate_underestimator
-from .core import QpInstance, curvature_tolerance, evaluate_objective, is_feasible
-from .errors import PointInfeasible
+from .conic import SolveOptions, _check_anchor, _prepared, evaluate_underestimator
+from .core import QpInstance, curvature_tolerance, evaluate_objective
 from .oracle import RecessionReport, recession_analysis, simplex_minimum
 
 
@@ -108,17 +107,19 @@ def sample_envelope(
 ) -> list[EnvelopeRow]:
     """Evaluate the underestimator and the objective along a segment.
 
-    Both endpoints must be feasible; the segment stays feasible by
-    convexity.  Solver failures on individual samples are recorded in the
-    row status rather than raised.
+    Both endpoints must pass the anchor rule of ``evaluate_underestimator``
+    (``conic._check_anchor``), checked before any solve; every sample then
+    passes it, since the residual is convex along the segment.  Solver
+    failures on individual samples are recorded in the row status rather
+    than raised.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
+    opts = opts or SolveOptions()
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
     for label, pt in (("start", start), ("end", end)):
-        if not is_feasible(inst, pt, tol=1e-7):
-            raise PointInfeasible(f"{label} point of the segment is infeasible")
+        _check_anchor(inst, pt, opts, f"{label} point of the segment")
     rows = []
     for t in np.linspace(0.0, 1.0, samples):
         x = (1.0 - t) * start + t * end

@@ -4,22 +4,14 @@ The lifted problems minimize a linear objective over the intersection of an
 affine slice with a matrix cone.  Every feasible ``Y`` of either lift lies
 on a face ``{V S V^T : S positive semidefinite}`` of the PSD cone, so each
 problem that no closed form decides (below) is one face problem,
-minimize ``<C, S>`` over ``S`` PSD with rows ``<G_k, S> >= h_k``.  This
-module builds ``C``, ``G`` and ``h`` from the instance's record and reads
-the outcome; ``ipm.solve_face`` solves it (exactly at order 1, by its KKT
-pairs at order 2 where one passes, by a primal-dual interior-point method
-otherwise) and returns MAX_ITER after ``IPM_ITERATIONS`` iterations or
-where the problem has no optimum.  Three face problems are built here:
-
-- the unpinned solve: ``V = [u, [0; N]]`` with ``u`` the unit vector along
-  ``[1; x0 - N N^T x0]`` (the least-norm solution of ``A x = b``, whatever
-  vertex ``x0`` is), an orthonormal basis of null(rows); ``C = V^T qhat V``,
-  the rows are the DNN sign rows ``(V S V^T)_ij >= 0`` for every pair
-  ``i < j`` (for both cones, below), and ``Y_00 = 1`` is the row pair
-  ``<v0 v0^T, S> >= 1``, ``<-v0 v0^T, S> >= -1``;
-- the pinned DNN solve (below);
-- the DNN OBJECTIVE certificate search, the pinned DNN problem at
-  ``x = 0`` with ``tr S <= 1`` (below).
+minimize ``<C, S>`` over ``S`` PSD with rows ``<G_k, S> >= h_k``.  One
+function, ``_face_problem``, builds ``C``, ``G``, ``h`` and the map from
+``S`` back to ``Y`` for each of the three face problems (the unpinned
+solve, a pinned DNN anchor and the DNN OBJECTIVE certificate search), and
+its docstring describes them; ``ipm.solve_face`` solves each (exactly at
+order 1, by its KKT pairs at order 2 where one passes, by a primal-dual
+interior-point method otherwise) and returns MAX_ITER after
+``IPM_ITERATIONS`` iterations or where the problem has no optimum.
 
 The consensus splitting loop ``_consensus`` (with its Anderson
 acceleration, adaptive penalty and active-face polisher ``_Polisher``) is
@@ -46,11 +38,8 @@ face spanned by ``[1; x0]`` and ``[0; N]``.  For a feasible anchor ``x`` and ``z
 pinned feasible set of both lifts is
 ``{z z^T + [0 0; 0 N S N^T] : S positive semidefinite}`` intersected with
 the cone (``X - x x^T`` is positive semidefinite with columns in null(A)),
-and on it the objective is ``q(x) + <C, S>``.  DNN adds the sign rows
-``(x x^T + N S N^T)_ij >= 0`` for ``i < j`` (``_sign_stack``), as
-``<G_k, S> >= h_k`` with ``h_k = -x_i x_j``: only ``h`` depends on the
-anchor.  The diagonal rows follow from ``S`` PSD, and a row that is
-identically zero is dropped.  The least eigenvalue of ``C`` is the
+and on it the objective is ``q(x) + <C, S>``; DNN adds its sign rows
+(``_face_problem``).  The least eigenvalue of ``C`` is the
 curvature of Q on null(A), which decides the closed forms below.
 
 Unboundedness is decided by a certificate pre-pass, the OBJECTIVE
@@ -69,12 +58,10 @@ recession direction ``d >= 0``, ``A d = 0``, ``d != 0`` of the
 polyhedron, without which the DNN certificate set is empty.  Given one,
 ``[0; d] [0; d]^T / |d|^2`` is a DNN certificate, so a feasibility search
 needs no solve.  A DNN objective search that neither screen settles runs
-the interior-point method on ``C`` with the sign rows at ``h = 0`` and
-``tr S <= 1`` as the row ``<-I, S> >= -1``, started strictly inside both
-its feasible sets from the mean of the recession rays
-(``_search_start``), so every iterate is primal feasible to rounding.
-The rate is linear in ``S``,
-so that minimum is exactly the least unit-trace rate when it is negative,
+the interior-point method on its face problem (``_face_problem``),
+started strictly inside both its feasible sets from the mean of the
+recession rays (``_search_start``), so every iterate is primal feasible to
+rounding.  The rate is linear in ``S``, so that minimum is exactly the least unit-trace rate when it is negative,
 and 0 otherwise.  The search needs one certificate, not the least rate:
 it stops at the first iterate whose candidate ``B S B^T / tr S`` has no
 entry below minus the verification tolerance and a rate below the
@@ -93,10 +80,9 @@ along ``S = t u u^T`` for the least eigenvector ``u``: its pre-pass
 certificate says so, and where that certificate fails verification the
 solve returns MAX_ITER with 0 iterations, since the value has no checked
 proof.  A DNN anchor below the threshold with no DNN certificate from the
-pre-pass keeps its sign rows: it minimizes ``<C, S>`` over ``S`` positive
-semidefinite with the sign rows at ``h = -x_i x_j``, an ``r x r`` LMI with
-``r = dim null(A)`` and no equality constraint left.  The interior-point
-method solves it (exactly at ``r <= 2``, as above); the result's
+pre-pass keeps its sign rows: its face problem (``_face_problem``) is an
+``r x r`` LMI with ``r = dim null(A)`` and no equality constraint left.
+The interior-point method solves it (exactly at ``r <= 2``, as above); the result's
 ``iterations`` and residuals are its own, and its point
 ``z z^T + [0 0; 0 N S N^T]`` is gated by ``validate_lifted_point`` like
 every OPTIMAL point.  The method's dual
@@ -125,8 +111,9 @@ are unbounded below: the record keeps the ray ``(x0, d)`` once
 ``oracle.verify_ray_certificate`` accepts it, and both cones return it as
 ``ray``, UNBOUNDED with 0 iterations.  No lifted recession certificate
 exists there, since the rate ``d^T Q d`` is 0.  Where a check fails, or
-the method reaches ``ACTIVE_SET_STEPS``, the record solves DNN's unpinned
-problem once per options (``unpinned``) and both cones gate its point at
+the method reaches ``ACTIVE_SET_STEPS``, the record builds DNN's unpinned
+face problem once (``unpinned_face``) and solves it once per options
+(``unpinned``), and both cones gate its point at
 their own cone: DNN lies in PSD0, and both equal the minimum of q there.
 Below the threshold PSD0 is settled by the pre-pass (``_settled``), plain
 or pinned: it never iterates.
@@ -789,15 +776,18 @@ class _Prepared:
     ``{0}``); ``holds`` is the curvature condition, ``curvature`` at or above
     ``-core.curvature_tolerance(Q)``; ``qhat`` is the lifted objective of
     both cones (``core.lift_instance``).  Built on first read: ``signs``,
-    the DNN sign-row stack of ``N`` (``_sign_stack``); ``x0``, the first
-    basic feasible point of the polyhedron, None when it is empty;
+    the sign rows ``(G, i, j)`` of the null-space face, which
+    ``_face_problem`` keeps for every pinned anchor and search; ``x0``, the
+    first basic feasible point of the polyhedron, None when it is empty;
     ``rays``, the basic points of the recession slice
     ``{A d = 0, e^T d = 1, d >= 0}`` (``rays[0]`` is its first), empty when
     there is none; ``convex``,
     the checked outcome of the convex QP; ``prepass(cone, opts)``, the
-    OBJECTIVE certificate search of each cone and options; and
-    ``unpinned(opts)``, DNN's unpinned face problem at each options, which
-    both cones validate.  ``x0`` is what ``oracle._feasible_point`` finds
+    OBJECTIVE certificate search of each cone and options; the face
+    problems of the search (``search_face``) and of DNN's unpinned solve
+    (``unpinned_face``); and ``unpinned(opts)``, the unpinned face's
+    solution at each options, which both cones validate.  ``x0`` is what
+    ``oracle._feasible_point`` finds
     and ``rays`` what ``oracle.basic_feasible_points`` enumerates, under
     the same cap; a caller that holds both enumerations hands them over
     first (``adopt``), and the record takes them, the same bits, instead of
@@ -809,7 +799,7 @@ class _Prepared:
     def __init__(self, inst: QpInstance):
         N = nullspace_basis(inst.A)
         self.inst, self.qhat = inst, lift_instance(inst).qhat
-        self._searches, self._unpinned = {}, {}
+        self._searches, self._unpinned, self._signs = {}, {}, None
         self.N, self.C, self.curvature, self.v = N, N.T @ inst.Q @ N, math.inf, None
         if N.shape[1]:
             values, vectors = np.linalg.eigh(self.C)
@@ -818,12 +808,11 @@ class _Prepared:
         N.flags.writeable = self.C.flags.writeable = False
         self.holds = self.curvature >= -curvature_tolerance(inst.Q)
 
-    @cached_property
+    @property
     def signs(self):
-        stack = _sign_stack(self.N)
-        for a in stack:
-            a.flags.writeable = False
-        return stack
+        """The null-space face's sign rows ``(G, i, j)`` (``_face_problem``)."""
+        _, G, _, i, j, _ = _face_problem(self)
+        return G, i, j
 
     def adopt(self, vertices=None, rays=None):
         """Take ``x0`` from ``vertices``, the list ``oracle.enumerate_vertices``
@@ -875,21 +864,27 @@ class _Prepared:
                                                                       OBJECTIVE, opts)
         return self._searches[cone, opts]
 
+    @cached_property
+    def search_face(self):
+        """The DNN objective search's face problem (``_face_problem``)."""
+        return _face_problem(self, rows="trace")
+
+    @cached_property
+    def unpinned_face(self):
+        """DNN's unpinned face problem (``_face_problem``), with ``x0`` not None."""
+        N = self.N
+        V = np.zeros((self.inst.n + 1, N.shape[1] + 1))
+        V[0, 0], V[1:, 0], V[1:, 1:] = 1.0, self.x0 - N @ (N.T @ self.x0), N
+        V[:, 0] /= math.sqrt(V[:, 0] @ V[:, 0])
+        return _face_problem(self, V, rows="corner")
+
     def unpinned(self, opts: SolveOptions):
-        """DNN's unpinned face problem (see ``solve_relaxation``): its lifted
-        point ``V S V^T`` and the method's outcome, with ``x0`` not None."""
+        """The unpinned face problem solved at ``opts`` (see
+        ``solve_relaxation``): its lifted point and the method's outcome."""
         if opts not in self._unpinned:
-            # Y = V S V^T with u = [1; x0 - N N^T x0] / |.|; Y_00 = 1 is the row
-            # pair <v0 v0^T, S> >= 1, <-v0 v0^T, S> >= -1; the rows are DNN's
-            N = self.N
-            V = np.zeros((self.inst.n + 1, N.shape[1] + 1))
-            V[0, 0], V[1:, 0], V[1:, 1:] = 1.0, self.x0 - N @ (N.T @ self.x0), N
-            V[:, 0] /= math.sqrt(V[:, 0] @ V[:, 0])
-            G = _sign_stack(V)[0]
-            corner = np.outer(V[0], V[0])
-            out = solve_face(V.T @ self.qhat @ V, np.concatenate((G, [corner, -corner])),
-                             np.append(np.zeros(len(G)), [1.0, -1.0]), opts)
-            y = V @ out.S @ V.T
+            C, G, h, _, _, lift = self.unpinned_face
+            out = solve_face(C, G, h, opts)
+            y = lift(out.S)
             y.flags.writeable = False
             self._unpinned[opts] = y, out
         return self._unpinned[opts]
@@ -907,19 +902,71 @@ def _strict_triu(r: int):
 
 
 def _sign_stack(N: np.ndarray):
-    """The DNN sign rows ``(x x^T + N S N^T)_ij >= 0`` for ``i < j`` as
-    ``<G_k, S> >= h_k`` with ``h_k = -x_i x_j``: the stack ``G`` and the
-    pairs ``(i, j)`` of its rows.
+    """The DNN sign rows ``(N S N^T)_ij`` for ``i < j`` as ``<G_k, S>``: the
+    stack ``G`` and the pairs ``(i, j)`` of its rows.
 
     The diagonal rows follow from ``S`` PSD.  A row whose ``G`` is zero (to
     ``RANK_TOL``; a variable that is zero on the whole polyhedron has a zero
-    row in ``N``) reads ``0 >= -x_i x_j`` and is dropped.
+    row in ``N``) reads ``0 >= h_k`` and is dropped.
     """
     i, j = _strict_triu(N.shape[0])
     G = N[i, :, None] * N[j, None, :]
     G = 0.5 * (G + G.transpose(0, 2, 1))
     rows = np.abs(G).max(axis=(1, 2), initial=0.0) > RANK_TOL
     return G[rows], i[rows], j[rows]
+
+
+def _face_problem(prep: _Prepared, V: Optional[np.ndarray] = None, x=None,
+                  rows: Optional[str] = None):
+    """The face problem of the record ``prep`` on the lifted basis ``V`` at
+    the offset ``x`` with the extra ``rows``: minimize ``<C, S>`` over ``S``
+    PSD with ``<G_k, S> >= h_k``.  Returns ``(C, G, h, i, j, lift)``: the
+    first rows are the DNN sign rows (``_sign_stack``), entry ``(i_k, j_k)``
+    of the lifted point at least 0, and ``lift`` maps ``S`` to ``Y``.
+
+    - A pinned DNN anchor (``V`` None, ``x`` the anchor):
+      ``Y = z z^T + [0 0; 0 N S N^T]`` with ``z = [1; x]``, ``C = N^T Q N``
+      and the rows ``(x x^T + N S N^T)_ij >= 0``, ``h_k = -x_i x_j``
+      (entries of ``X``).  The record keeps the rows (``signs``), so only
+      ``h`` depends on the anchor.
+    - The DNN objective search (``V`` and ``x`` None, ``rows="trace"``):
+      the same face at ``x = 0``, ``Y = B S B^T`` with ``B = [0; N]``, and
+      ``tr S <= 1`` as the row ``<-I, S> >= -1``.
+    - The unpinned solve (``rows="corner"``): ``Y = V S V^T`` with
+      ``V = [u, [0; N]]``, ``u`` the unit vector along ``[1; x0 - N N^T x0]``
+      (the least-norm solution of ``A x = b``, whatever vertex ``x0`` is),
+      an orthonormal basis of null(rows); ``C = V^T qhat V``, the rows
+      ``(V S V^T)_ij >= 0`` at ``h = 0`` (for both cones, see
+      ``solve_relaxation``), and ``Y_00 = 1`` as the row pair
+      ``<v0 v0^T, S> >= 1``, ``<-v0 v0^T, S> >= -1``.
+    """
+    if V is None:
+        if prep._signs is None:
+            prep._signs = _sign_stack(prep.N)
+            for a in prep._signs:
+                a.flags.writeable = False
+        (G, i, j), C, N = prep._signs, prep.C, prep.N
+    else:
+        (G, i, j), C = _sign_stack(V), V.T @ prep.qhat @ V
+    if x is None:
+        h = np.zeros(len(G))
+        B = np.vstack([np.zeros((1, N.shape[1])), N]) if V is None else V
+
+        def lift(S):
+            return B @ S @ B.T
+    else:
+        h, z = -(x[i] * x[j]), np.concatenate(([1.0], x))
+
+        def lift(S):
+            y = np.outer(z, z)
+            y[1:, 1:] += N @ S @ N.T
+            return y
+    if rows == "trace":
+        G, h = np.concatenate((G, [-np.eye(C.shape[0])])), np.append(h, -1.0)
+    elif rows == "corner":
+        corner = np.outer(V[0], V[0])
+        G, h = np.concatenate((G, [corner, -corner])), np.append(h, [1.0, -1.0])
+    return C, G, h, i, j, lift
 
 
 def recession_certificate_search(
@@ -947,8 +994,8 @@ def recession_certificate_search(
     FEASIBILITY mode stops at the first, ``d`` (``oracle._feasible_point``),
     and OBJECTIVE mode reads them all, the record's ``rays``.
     FEASIBILITY mode returns ``[0; d] [0; d]^T / |d|^2`` with 0 iterations.
-    OBJECTIVE mode runs the interior-point method on ``C`` with the sign
-    rows at ``h = 0`` and ``tr S <= 1`` (see the module docstring), from
+    OBJECTIVE mode runs the interior-point method on its face problem
+    (``_face_problem``: the sign rows at ``h = 0`` and ``tr S <= 1``), from
     the strictly feasible start that the rays' mean gives
     (``_search_start``), or from the identity where it gives none, until an
     iterate's candidate passes a pre-check
@@ -970,18 +1017,18 @@ def recession_certificate_search(
     if r == 0:
         return CertificateSearch(NONE, None, 0, 0.0, reason="certificate face is trivial",
                                  curvature=math.inf)
-    # a PSD certificate with zero corner has a zero 0th row
-    basis = np.vstack([np.zeros((1, r)), face.N])
     curvature = math.nan
     if mode == OBJECTIVE:
         curvature = face.curvature
         if curvature >= -_rate_threshold(inst, cone):
             return CertificateSearch(NONE, None, 0, 0.0, curvature=curvature,
                                      reason=f"border-cone rate {curvature:.3e} above threshold")
-        if cone == PSD0:
+    if cone == PSD0:
+        # a PSD certificate with zero corner has a zero 0th row
+        basis = np.vstack([np.zeros((1, r)), face.N])
+        if mode == OBJECTIVE:
             u = basis @ face.v
             return _graded(face, cone, np.outer(u, u), mode, opts, curvature)
-    elif cone == PSD0:
         return _graded(face, cone, basis @ basis.T / r, mode, opts, curvature)
     if mode == FEASIBILITY:
         # one recession direction is a certificate: the screen stops at the first
@@ -997,8 +1044,10 @@ def recession_certificate_search(
         z = np.concatenate(([0.0], d))
         return _graded(face, cone, np.outer(z, z) / np.dot(d, d), mode, opts, curvature)
 
+    C, G, h, _, _, lift = face.search_face
+
     def candidate(S):
-        return basis @ S @ basis.T / float(np.trace(S))
+        return lift(S) / float(np.trace(S))
 
     tol, threshold = _certificate_tol(opts), _rate_threshold(inst, cone)
 
@@ -1008,10 +1057,7 @@ def recession_certificate_search(
         d = candidate(S)
         return float(d.min()) >= -tol and float(np.vdot(face.qhat, d)) < -threshold
 
-    # the sign rows at h = 0, and tr S <= 1 as <-I, S> >= -1
-    G = face.signs[0]
-    out = solve_face(face.C, np.concatenate((G, [-np.eye(r)])), np.append(np.zeros(len(G)), -1.0),
-                     opts, verifiable, _search_start(face))
+    out = solve_face(C, G, h, opts, verifiable, _search_start(face))
     if out.status == MAX_ITER:
         return CertificateSearch(INCONCLUSIVE, None, out.iterations, out.residual_primal,
                                  reason="max_iter", curvature=curvature, start=out.start)
@@ -1026,7 +1072,8 @@ def recession_certificate_search(
 
 
 def _search_start(prep: _Prepared):
-    """The strictly feasible start ``(S, lam)`` of the DNN objective search,
+    """The strictly feasible start ``(S, lam)`` of the DNN objective search
+    (its face problem, ``search_face``),
     or None where the mean ``d`` of the recession rays is zero, to the
     oracle's feasibility tolerance on the recession slice
     (``oracle._feasibility_tol``), on a coordinate of a kept sign row.
@@ -1039,7 +1086,8 @@ def _search_start(prep: _Prepared):
     least 1 that gives ``Z = C - sum_k lam_k G_k`` a least eigenvalue of at
     least 1.
     """
-    G, i, j = prep.signs
+    C, G, _, i, j, _ = prep.search_face
+    G = G[:len(i)]  # the sign rows, without the trace row
     d = np.mean(prep.rays, axis=0)
     tol = _feasibility_tol(*_recession_slice(prep.inst.A))
     if not d[np.concatenate((i, j))].min(initial=math.inf) > tol:
@@ -1055,7 +1103,7 @@ def _search_start(prep: _Prepared):
         return None
     S = (uu + eps * np.eye(r)) / (2.0 * (1.0 + eps * r))
     lam = np.ones(len(G) + 1)
-    lam[-1] = max(1.0, 1.0 - float(np.linalg.eigvalsh(prep.C - G.sum(axis=0))[0]))
+    lam[-1] = max(1.0, 1.0 - float(np.linalg.eigvalsh(C - G.sum(axis=0))[0]))
     return S, lam
 
 
@@ -1239,26 +1287,32 @@ def solve_relaxation(
     return _face_result(prep, cone, *prep.unpinned(opts), opts)
 
 
+def _check_anchor(inst: QpInstance, x, opts: SolveOptions, label: str = "anchor point"):
+    """Refuse an anchor whose ``core.feasibility_residual`` is above
+    ``max(FEAS_TOL, 10 tol_primal)`` with ``PointInfeasible``, naming it
+    ``label``.  The residual is convex along a segment, so every point of a
+    segment whose ends pass passes too."""
+    resid = feasibility_residual(inst, x)
+    if resid > max(FEAS_TOL, 10.0 * opts.tol_primal):
+        raise PointInfeasible(f"{label} violates the constraints (residual {resid:.3e})")
+
+
 def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> RelaxationResult:
     """Pinned relaxation solve: the closed form, or the interior-point method
     on ``S`` (see the module docstring)."""
     x = np.asarray(x, dtype=float)
-    resid = feasibility_residual(inst, x)
-    if resid > max(FEAS_TOL, 10.0 * opts.tol_primal):
-        raise PointInfeasible(f"anchor point violates the constraints (residual {resid:.3e})")
+    _check_anchor(inst, x, opts)
     prep = _prepared(inst)
     if (settled := _settled(prep, cone, opts)) is not None:
         return settled
-    z = np.concatenate(([1.0], x))
-    y = np.outer(z, z)
     # at PSD0's scaled tolerance, at which its pre-pass reads "not unbounded",
     # q is convex on the pinned set {z z^T + N S N^T}: its minimum is z z^T
     if prep.holds:
-        return _validated(prep, cone, y, opts, 0.0, 0.0, 0)
-    G, i, j = prep.signs
-    out = solve_face(prep.C, G, -(x[i] * x[j]), opts)
-    y[1:, 1:] += prep.N @ out.S @ prep.N.T
-    return _face_result(prep, cone, y, out, opts)
+        z = np.concatenate(([1.0], x))
+        return _validated(prep, cone, np.outer(z, z), opts, 0.0, 0.0, 0)
+    C, G, h, _, _, lift = _face_problem(prep, x=x)
+    out = solve_face(C, G, h, opts)
+    return _face_result(prep, cone, lift(out.S), out, opts)
 
 
 def evaluate_underestimator(

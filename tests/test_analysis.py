@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qprelax import analysis
 from qprelax.analysis import (
     analyze_recession_cone,
     check_copositivity_desk_scale,
@@ -16,10 +17,11 @@ from qprelax.conic import (
     OPTIMAL,
     SolveOptions,
     UNBOUNDED,
+    evaluate_underestimator,
     recession_certificate_search,
     solve_relaxation,
 )
-from qprelax.core import DNN, PSD0, is_feasible, jsonable, save_instance
+from qprelax.core import DNN, PSD0, feasibility_residual, is_feasible, jsonable, save_instance
 from qprelax.errors import DeskScaleLimit, PointInfeasible
 from qprelax.generators import (
     BOUNDED,
@@ -31,7 +33,7 @@ from qprelax.generators import (
     horn_instance,
     random_instance,
 )
-from qprelax.oracle import ORACLE_UNBOUNDED, global_solve
+from qprelax.oracle import ORACLE_UNBOUNDED, enumerate_vertices, global_solve
 
 from conftest import make_qp
 
@@ -235,6 +237,55 @@ class TestEnvelopeSampling:
     def test_infeasible_endpoint(self, simplex_convex):
         with pytest.raises(PointInfeasible):
             sample_envelope(simplex_convex, DNN, [1.0, 1.0], [0.0, 1.0], samples=3)
+
+
+class TestAnchorRule:
+    """A segment's ends pass the anchor rule of ``evaluate_underestimator``
+    (``max(FEAS_TOL, 10 tol_primal)``), checked before any solve."""
+
+    inst = random_instance(BOUNDED, 4, 2, 2)
+
+    def segment(self, residual):
+        """The first two vertices, each moved to the feasibility residual
+        ``residual`` by a negative entry where it is zero."""
+        A, bscale = self.inst.A, 1.0 + float(np.abs(self.inst.b).max())
+        ends = []
+        for v in enumerate_vertices(self.inst)[:2]:
+            k = int(np.flatnonzero(v == 0.0)[0])
+            v = v.copy()
+            v[k] = -residual / max(1.0, float(np.abs(A[:, k]).max()) / bscale)
+            assert feasibility_residual(self.inst, v) == pytest.approx(residual, rel=1e-12)
+            ends.append(v)
+        return ends
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls, evaluate = [], analysis.evaluate_underestimator
+
+        def counted(inst, cone, x, opts=None):
+            calls.append(x)
+            return evaluate(inst, cone, x, opts)
+
+        monkeypatch.setattr(analysis, "evaluate_underestimator", counted)
+        return calls
+
+    def test_tight_tolerance_refuses_the_start_before_any_solve(self, solves):
+        opts = SolveOptions(tol_primal=1e-9, tol_dual=1e-9)
+        start, end = self.segment(5e-8)
+        for x in (start, end):
+            with pytest.raises(PointInfeasible, match="anchor point"):
+                evaluate_underestimator(self.inst, DNN, x, opts)
+        with pytest.raises(PointInfeasible, match="start point of the segment"):
+            sample_envelope(self.inst, DNN, start, end, samples=5, opts=opts)
+        assert solves == []
+
+    def test_default_tolerance_accepts_what_each_anchor_accepts(self, solves):
+        start, end = self.segment(5e-7)
+        for x in (start, end):
+            evaluate_underestimator(self.inst, DNN, x)
+        rows = sample_envelope(self.inst, DNN, start, end, samples=5)
+        assert [row.t for row in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert len(solves) == 5 and all(math.isfinite(row.lk) for row in rows)
 
 
 class TestDichotomy:

@@ -425,6 +425,73 @@ class TestPinnedFaceReuse:
         assert search.status == FOUND and search.iterations > 0
         assert len(stacks) == 2
 
+    def test_unpinned_face_is_built_once_per_instance(self, stacks):
+        inst = random_instance(BOUNDED, 5, 2, 0)
+        for opts in (SolveOptions(), TIGHT):
+            res = solve_relaxation(inst, DNN, opts)
+            assert res.status == OPTIMAL and res.iterations > 0
+        assert [N.shape for N in stacks] == [(inst.n + 1, inst.n - inst.m + 1)]
+
+
+class TestFaceProblem:
+    """``conic._face_problem`` builds the unpinned, search and pinned face
+    problems with the arrays and operations of the inline constructions it
+    replaced, kept here as the reference: both agree bit for bit."""
+
+    @staticmethod
+    def same(face, ref, S, name):
+        """``face``'s ``(C, G, h)`` and point at ``S`` are ``ref``'s bytes."""
+        for got, want in zip((*face[:3], face[5](S)), ref):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @staticmethod
+    def point(r, seed):
+        """A positive semidefinite ``S`` of order ``r``."""
+        M = np.random.default_rng(seed).normal(size=(r, r))
+        return M @ M.T
+
+    def test_unpinned_and_search_faces(self, fresh_prepass):
+        unpinned = 0
+        for k, inst in enumerate(make_corpus()):
+            prep = conic._prepared(inst)
+            N, r = prep.N, prep.N.shape[1]
+            # the sign rows at h = 0, and tr S <= 1 as <-I, S> >= -1
+            G, S = conic._sign_stack(N)[0], self.point(r, k)
+            basis = np.vstack([np.zeros((1, r)), N])
+            self.same(prep.search_face, (N.T @ inst.Q @ N, np.concatenate((G, [-np.eye(r)])),
+                                         np.append(np.zeros(len(G)), -1.0),
+                                         basis @ S @ basis.T), S, inst.name)
+            if prep.x0 is None:
+                continue
+            # Y = V S V^T with u = [1; x0 - N N^T x0] / |.|; Y_00 = 1 is the row
+            # pair <v0 v0^T, S> >= 1, <-v0 v0^T, S> >= -1; the rows are DNN's
+            V = np.zeros((inst.n + 1, r + 1))
+            V[0, 0], V[1:, 0], V[1:, 1:] = 1.0, prep.x0 - N @ (N.T @ prep.x0), N
+            V[:, 0] /= math.sqrt(V[:, 0] @ V[:, 0])
+            G, S = conic._sign_stack(V)[0], self.point(r + 1, k)
+            corner = np.outer(V[0], V[0])
+            self.same(prep.unpinned_face, (V.T @ prep.qhat @ V,
+                                           np.concatenate((G, [corner, -corner])),
+                                           np.append(np.zeros(len(G)), [1.0, -1.0]),
+                                           V @ S @ V.T), S, inst.name)
+            unpinned += 1
+        assert unpinned == 19
+
+    def test_pinned_faces(self, fresh_prepass):
+        # criterion 9's anchors: the pinned-batch members, 12 anchors each
+        for inst in TestPinnedClosedForm.members + [random_instance(UNBOUNDED_SAFE, 3, 1, 0)]:
+            prep = conic._prepared(inst)
+            N = prep.N
+            G, i, j = conic._sign_stack(N)
+            for k, x in enumerate(feasible_samples(inst, 12, seed=77)):
+                face, S = conic._face_problem(prep, x=x), self.point(N.shape[1], k)
+                assert np.array_equal(face[3], i) and np.array_equal(face[4], j)
+                z = np.concatenate(([1.0], x))
+                y = np.outer(z, z)
+                y[1:, 1:] += N @ S @ N.T
+                self.same(face, (N.T @ inst.Q @ N, G, -(x[i] * x[j]), y), S, inst.name)
+
 
 @st.composite
 def relabeled_instances(draw):
@@ -480,7 +547,17 @@ UNPINNED_IPM = [(3, 1, 0), (4, 1, 0), (4, 2, 1), (4, 3, 0), (5, 2, 0), (5, 3, 1)
 
 class TestUnpinnedRelations:
     """A variable permutation and an invertible row mix change ``N`` and
-    the vertex ``x0`` of the unpinned solve's basis, but not the problem."""
+    the vertex ``x0`` of the unpinned solve's basis, but not the problem;
+    an equality multiple ``(Q + A^T R + R^T A, c - R^T b)`` changes ``C``
+    off null(A) only, and a positive objective scale ``alpha`` scales every
+    value by ``alpha``."""
+
+    @staticmethod
+    def scale(relation, seed):
+        """The factor ``relation`` puts on every value."""
+        if relation != "objective scale":
+            return 1.0
+        return math.exp(np.random.default_rng(seed).uniform(-2.0, 2.0))
 
     @staticmethod
     def transformed(inst, relation, seed):
@@ -488,20 +565,46 @@ class TestUnpinnedRelations:
         if relation == "permutation":
             p = rng.permutation(inst.n)
             return make_qp(inst.Q[np.ix_(p, p)], inst.c[p], inst.A[:, p], inst.b, inst.name)
+        if relation == "equality multiple":
+            R = rng.normal(size=(inst.m, inst.n))
+            Q = inst.Q + inst.A.T @ R + R.T @ inst.A
+            return make_qp(0.5 * (Q + Q.T), inst.c - R.T @ inst.b, inst.A, inst.b, inst.name)
+        if relation == "objective scale":
+            alpha = TestUnpinnedRelations.scale(relation, seed)
+            return make_qp(alpha * inst.Q, alpha * inst.c, inst.A, inst.b, inst.name)
         # orthogonal times a positive scaling: condition number at most e^2
         R = np.linalg.qr(rng.normal(size=(inst.m, inst.m)))[0] * np.exp(
             rng.uniform(-1.0, 1.0, inst.m))
         return make_qp(inst.Q, inst.c, R @ inst.A, R @ inst.b, inst.name)
 
-    @pytest.mark.parametrize("relation", ["permutation", "row mix"])
+    @staticmethod
+    def assert_kept(before, after, alpha):
+        assert after.status == before.status
+        ref = alpha * before.value
+        assert abs(after.value - ref) <= COMPARISON_TOLERANCE * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("relation", ["permutation", "row mix", "equality multiple",
+                                          "objective scale"])
     @pytest.mark.parametrize("n, m, seed", UNPINNED_IPM)
     def test_relation_keeps_the_solve(self, n, m, seed, relation):
         inst = random_instance(BOUNDED, n, m, seed)
         before = solve_relaxation(inst, DNN)
         assert before.status == OPTIMAL and (before.iterations == 0) == (n - m == 1)
         after = solve_relaxation(self.transformed(inst, relation, seed), DNN)
-        assert after.status == OPTIMAL and after.validation.ok
-        assert abs(after.value - before.value) <= COMPARISON_TOLERANCE * (1.0 + abs(before.value))
+        assert after.validation.ok
+        self.assert_kept(before, after, self.scale(relation, seed))
+
+    @pytest.mark.parametrize("relation", ["equality multiple", "objective scale"])
+    @pytest.mark.parametrize("n, m, seed", UNPINNED_IPM[:8])
+    def test_relation_keeps_the_pinned_values(self, n, m, seed, relation):
+        opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
+        inst = random_instance(BOUNDED, n, m, seed)
+        twin = self.transformed(inst, relation, seed)
+        for x in feasible_samples(inst, 4, seed=seed):
+            before = evaluate_underestimator(inst, DNN, x, opts)
+            assert before.status == OPTIMAL
+            self.assert_kept(before, evaluate_underestimator(twin, DNN, x, opts),
+                             self.scale(relation, seed))
 
     def test_basis_does_not_depend_on_the_vertex(self, monkeypatch, fresh_prepass):
         # x0 - N N^T x0 is the least-norm solution of A x = b, whichever
@@ -647,14 +750,6 @@ class TestCertificateSearch:
         assert check.ok and check.objective_rate < -conic.TOL_CERTIFICATE
 
 
-def _search_face(prep):
-    """The DNN objective search's face problem ``(C, G, h)``: the sign rows
-    at ``h = 0`` and ``tr S <= 1`` as ``<-I, S> >= -1``."""
-    r = prep.N.shape[1]
-    G = np.concatenate((prep.signs[0], [-np.eye(r)]))
-    return prep.C, G, np.append(np.zeros(len(G) - 1), -1.0)
-
-
 class TestSearchStart:
     """The DNN objective search starts strictly inside both feasible sets,
     from the mean of the recession rays, and falls back to the identity
@@ -667,7 +762,7 @@ class TestSearchStart:
     @pytest.mark.parametrize("inst", CASES)
     def test_start_is_strictly_feasible(self, inst):
         prep = conic._prepared(inst)
-        C, G, h = _search_face(prep)
+        C, G, h = prep.search_face[:3]
         S, lam = conic._search_start(prep)
         assert np.linalg.eigvalsh(S)[0] > 0.0 and np.trace(S) == pytest.approx(0.5)
         w = G.reshape(len(G), -1) @ S.ravel() - h
@@ -736,7 +831,7 @@ class TestSearchStart:
     def test_failed_check_takes_the_identity_start(self):
         # a start that is not strictly feasible is not taken
         prep = conic._prepared(horn_instance()[0])
-        C, G, h = _search_face(prep)
+        C, G, h = prep.search_face[:3]
         S, lam = conic._search_start(prep)
         given = ipm.solve_face(C, G, h, SolveOptions(), None, (S, -lam))
         plain = ipm.solve_face(C, G, h, SolveOptions())
@@ -785,7 +880,7 @@ class TestDualSlack:
     @pytest.mark.parametrize("start", [True, False], ids=["interior", "identity"])
     def test_interior_point(self, start):
         prep = conic._prepared(horn_instance()[0])
-        C, G, h = _search_face(prep)
+        C, G, h = prep.search_face[:3]
         out = ipm.solve_face(C, G, h, SolveOptions(), None,
                              conic._search_start(prep) if start else None)
         assert out.status == "CONVERGED" and out.iterations > 0
@@ -954,14 +1049,13 @@ class TestPinnedClosedForm:
         # with its sign rows, PSD0 with none; exactly on convex's face of
         # order 2, by the interior-point method on a face of order 3
         for inst in (self.convex, random_instance(CONVEX_ON_NULLSPACE, 5, 2, 5)):
-            N = nullspace_basis(inst.A)
-            C = N.T @ inst.Q @ N
+            prep = conic._prepared(inst)
             for x in feasible_samples(inst, 3, seed=4):
-                G, i, j = conic._sign_stack(N)
+                C, G, h = conic._face_problem(prep, x=x)[:3]
                 if cone == PSD0:  # no sign rows
-                    G, i, j = G[:0], i[:0], j[:0]
-                out = ipm.solve_face(C, G, -(x[i] * x[j]), TIGHT)
-                assert out.status == "CONVERGED" and (out.iterations > 0) == (N.shape[1] > 2)
+                    G, h = G[:0], h[:0]
+                out = ipm.solve_face(C, G, h, TIGHT)
+                assert out.status == "CONVERGED" and (out.iterations > 0) == (prep.N.shape[1] > 2)
                 solved = evaluate_objective(inst, x) + float(np.vdot(C, out.S))
                 closed = evaluate_underestimator(inst, cone, x, TIGHT).value
                 assert abs(solved - closed) <= 1e-7 * (1.0 + abs(closed))
@@ -1082,10 +1176,7 @@ class TestPinnedInteriorPoint:
         anchors = [(IMPLICIT_ZERO, np.array([0.25, 0.75, 0.0])), _bounded_vertex(4, 2, 2, 1),
                    (inst, feasible_samples(inst, 1, seed=2)[0])]
         for inst, x in anchors:
-            N = nullspace_basis(inst.A)
-            C = N.T @ inst.Q @ N
-            G, i, j = conic._sign_stack(N)
-            h = -(x[i] * x[j])
+            C, G, h = conic._face_problem(conic._prepared(inst), x=x)[:3]
             out = ipm.solve_face(C, G, h, TIGHT)
             assert out.status == "CONVERGED" and out.lam.min() >= 0.0
             Z = C - np.tensordot(out.lam, G, axes=1)
@@ -1306,9 +1397,8 @@ def _order_two_problems(opts):
         if prep.holds or prep.prepass(DNN, opts).status == FOUND:
             continue
         assert prep.N.shape[1] == 2, inst.name
-        G, i, j = prep.signs
         for x in points:
-            yield inst, x, prep.C, G, -(x[i] * x[j])
+            yield (inst, x, *conic._face_problem(prep, x=x)[:3])
 
 
 def _raw_check(C, G, h, S, lam, tol):
@@ -1860,6 +1950,51 @@ class TestSharedOracleRules:
             tol = oracle._feasibility_tol(M, r)
             assert tol == oracle._system_ranks(M[None], r[None])[0][0], inst.name
         assert sliced
+
+
+class TestOneFaceBuilder:
+    """Only ``conic._face_problem`` builds the rows of a face problem."""
+
+    @staticmethod
+    def builds_rows(node):
+        """Whether ``node`` calls ``_sign_stack``, appends the extra rows'
+        offsets, or assembles a trace row ``-I`` or a corner ``v0 v0^T``."""
+        def numpy(call):
+            """The name of a ``np.<name>(...)`` call, or None."""
+            f = call.func
+            return f.attr if isinstance(f, ast.Attribute) and getattr(
+                f.value, "id", None) == "np" else None
+
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.UnaryOp) and isinstance(sub.op, ast.USub):
+                if isinstance(sub.operand, ast.Call) and numpy(sub.operand) == "eye":
+                    return True
+            if not isinstance(sub, ast.Call):
+                continue
+            if getattr(sub.func, "id", None) == "_sign_stack" or numpy(sub) == "append":
+                return True
+            if numpy(sub) == "outer" and len(sub.args) == 2 and all(
+                    isinstance(a, ast.Subscript) and isinstance(a.slice, ast.Constant)
+                    and a.slice.value == 0 for a in sub.args):
+                return True
+        return False
+
+    def test_only_the_builder_builds_face_rows(self):
+        tree = ast.parse(inspect.getsource(conic))
+        outer = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        outer += [item for node in tree.body if isinstance(node, ast.ClassDef)
+                  for item in node.body if isinstance(item, ast.FunctionDef)]
+        assert [node.name for node in outer if self.builds_rows(node)] == ["_face_problem"]
+
+    def test_the_guard_sees_each_row(self):
+        for source in ("def f(V):\n    return _sign_stack(V)",
+                       "def f(h):\n    return np.append(h, -1.0)",
+                       "def f(r):\n    return [-np.eye(r)]",
+                       "def f(V):\n    return np.outer(V[0], V[0])"):
+            assert self.builds_rows(ast.parse(source)), source
+        for source in ("def f(u, r):\n    return np.outer(u, u) + np.eye(r)",
+                       "def f(rows):\n    rows.append(-1.0)"):
+            assert not self.builds_rows(ast.parse(source)), source
 
 
 class TestOptions:
