@@ -3,8 +3,10 @@
 
 ``--out FILE`` writes one entry per result, keyed by where it comes from:
 
-- ``corpus-compare/seed<s>/<label>`` and ``pinned-batch/seed<s>/<label>``:
-  the ops of ``perfbench/workloads.py`` at seeds 0 and 7 (284 results);
+- ``corpus-compare/seed<s>/<label>``, ``pinned-batch/seed<s>/<label>`` and
+  ``desk-scale/seed<s>/<label>``: the ops of ``perfbench/workloads.py`` at
+  seeds 0 and 7 (304 results; the desk-scale ops enumerate 2^10 to 2^12
+  faces);
 - ``value-sweep/<instance>``: the 240 reports of ``value_sweep.py``;
 - ``anchors/<tol>/<instance>/<k>``: every anchor of ``anchor_sweep.py`` at
   each of its three tolerances.
@@ -127,7 +129,7 @@ def collect():
             raise ValueError(f"two results under {key}")
         entries[key] = entry
 
-    for name in ("corpus-compare", "pinned-batch"):
+    for name in ("corpus-compare", "pinned-batch", "desk-scale"):
         for seed in SEEDS:
             for op in workloads.WORKLOADS[name](seed):
                 result = workloads.call(op)

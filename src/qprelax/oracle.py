@@ -1,13 +1,20 @@
 """Ground-truth engine: exact global quadratic minimization over polyhedra.
 
-The core is exhaustive face enumeration.  For every zero pattern the
-quadratic is restricted to the face's affine hull; stationary points with a
-positive semidefinite reduced Hessian, together with all vertices, cover
-every possible location of the global minimum.  The recession cone is
-analyzed first (``recession_analysis``, then the ray test ``ray_witness``)
-so that unbounded problems are flagged instead of silently returning a
-wrong finite value.  The flag is a ``RayCertificate``, and ``global_solve``
-reads UNBOUNDED_BELOW only when ``verify_ray_certificate`` accepts it.
+The core is exhaustive face enumeration.  If q is bounded below on
+``P = {A x = b, x >= 0}``, it attains its minimum there (Frank & Wolfe
+1956), and some minimizer is a vertex or the stationary point of a face
+whose reduced Hessian ``Z_F^T Q_FF Z_F`` (``Z_F`` spanning null(A_F)) is
+positive definite.  Take a minimizer with support F: q is constant on the
+stationary set T of the affine hull of F, and ``T ∩ P`` has an extreme
+point y; a kernel vector of the reduced Hessian of y's support would be a
+direction of T, supported there, that contradicts y being extreme.  So the
+candidates are the vertices and the one stationary point of each positive
+definite face; a face whose reduced Hessian is singular or indefinite gives
+none.  The recession cone is analyzed first (``recession_analysis``, then
+the ray test ``ray_witness``) so that unbounded problems are flagged
+instead of silently returning a wrong finite value.  The flag is a
+``RayCertificate``, and ``global_solve`` reads UNBOUNDED_BELOW only when
+``verify_ray_certificate`` accepts it.
 
 The faces are solved in groups, not one by one (``_face_candidates``): the
 patterns are grouped by their number of free variables, and each group is
@@ -20,14 +27,12 @@ holds are bounded: about 4.2 MB of arrays for every ``n`` up to the
 default cap of 16, 10 KB for ``n = 4 .. 8``.  A slice takes one stacked
 SVD, which gives both the min-norm points and the null-space bases, then
 one stacked eigensolve of the reduced Hessians per null-space dimension.
-The PSD, vanishing-gradient and sign tests run as masks over the whole
-slice.  The singular faces of one null-space dimension whose min-norm
-stationary point has a negative entry share the stacked search
-``_feasible_points`` for a nonnegative point of their stationary sets.  Each face writes its candidate into its
-own row of one ``(2^n, n)`` table, whose marked rows are the candidates
-in pattern order.  Every member of a stack is the matrix that face alone
-would pass to LAPACK, so neither grouping nor slicing changes a result;
-the slices bound the engine's memory at the cap.
+The positive definiteness and sign tests run as masks over the whole
+slice.  Each face writes its candidate into its own row of one
+``(2^n, n)`` table, whose marked rows are the candidates in pattern order.
+Every member of a stack is the matrix that face alone would pass to
+LAPACK, so neither grouping nor slicing changes a result; the slices bound
+the engine's memory at the cap.
 
 Every face of the standard simplex ``{e^T x = 1, x >= 0}`` with ``f``
 free variables has the constraint row ``e^T`` of length ``f``, so its
@@ -37,17 +42,16 @@ beside the plan, and ``simplex_minimum``, the copositivity test of
 ``global_solve`` and ``analysis.check_copositivity_desk_scale``, reads it
 instead of one SVD per face; the generic enumeration gives the same bits.
 
-A face whose reduced Hessian has an eigenvalue below
-``-_TOL_PSD * max(1, |Q|_F)`` is flagged indefinite, and so is, without a
-solve, every face that contains a flagged face: the groups run by
+A face is positive definite when the least eigenvalue of its reduced
+Hessian is above ``1e-10`` times its own scale, the largest eigenvalue
+modulus or 1.  A face that fails this test is flagged, and so is, without
+a solve, every face that contains a flagged face: the groups run by
 increasing number of free variables, so all subfaces are decided first.
 The skip is exact.  If the free set of F lies in that of G, null(A_F),
 padded with zeros, lies in null(A_G), so by Cauchy interlacing the least
-reduced eigenvalue of G is at most that of F.  Each face's PSD test is
-relative to its own Hessian scale, which is at most
-``max(1, |Q|_2) <= max(1, |Q|_F)``, so G fails its own test and could not
-give a candidate.  The flag uses the common scale ``|Q|_F``, not F's own:
-a superset with a larger scale can pass its own test within the 1e-9 band.
+reduced eigenvalue of G is at most that of F and its largest modulus, so
+its scale, is at least F's.  G then fails its own test and could not give
+a candidate; one test decides both.
 
 Basic feasible points are found the same way: the column subsets of size
 rank(A) are solved in stacks, one SVD per stack (``_basic_solutions``),
@@ -100,14 +104,14 @@ ORACLE_INCONCLUSIVE = "INCONCLUSIVE"
 DEFAULT_ENUM_CAP = 16
 
 _TOL_EQ = 1e-8
-_TOL_PSD = 1e-9
 _TOL_BOUND = 1e-9
 _DEDUP_DECIMALS = 8
 
 #: Faces of one free-set group, and column subsets of one basic-solution
 #: stack, solved per stacked call; the cap bounds the memory of one call.
 #: The corpus (n <= 8) never reaches it; at the n = 16 cap the largest
-#: group has 12 870 faces before the indefinite ones are skipped.
+#: group has 12 870 faces before those containing a face that is not
+#: positive definite are skipped.
 FACE_SLICE = 2048
 
 
@@ -157,7 +161,9 @@ class OracleResult:
     """Exact minimization outcome.
 
     ``value`` is the optimal value with +inf / -inf sentinels for infeasible
-    and unbounded problems; ``minimizers`` samples the optimal set; the
+    and unbounded problems; ``minimizers`` holds the optimal vertices and
+    stationary points of positive definite faces, which sample the optimal
+    set (a face of optimal points is represented by its extreme points); the
     ``certified`` flag records whether the verdict is proved.  A -inf value
     carries its ``ray`` of descent, uncertified until ``global_solve``
     adds its raw-data ``ray_check``.
@@ -254,14 +260,12 @@ def _basic_feasible_iter(A, b, stack: int):
         raise DimensionMismatch("basic_feasible_points expects A (m x n) and b (m,)")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise NonFinite("non-finite constraint data")
-    m, n = A.shape
-    A, b = A[None], b[None]
+    n = A.shape[1]
     with np.errstate(call=_lapack_failed, invalid="call"):
         tol, smax, rank = _system_ranks(A, b)
-    rank = int(rank[0])
 
     if rank == 0:
-        if float(np.abs(b).max(initial=0.0)) <= tol[0]:
+        if float(np.abs(b).max(initial=0.0)) <= tol:
             yield np.zeros(n)
         return
 
@@ -274,8 +278,7 @@ def _basic_feasible_iter(A, b, stack: int):
     subsets = itertools.combinations(range(n), rank)
     while part := list(itertools.islice(subsets, stack)):
         with np.errstate(call=_lapack_failed, invalid="call"):
-            points, ok = _basic_solutions(A, b, np.array(part),
-                                          np.zeros(len(part), dtype=np.intp), smax, tol)
+            points, ok = _basic_solutions(A, b, np.array(part), smax, tol)
         yield from _first_occurrences(points[ok], seen)
         stack = min(2 * stack, FACE_SLICE)
 
@@ -303,16 +306,14 @@ def _feasible_point(A, b) -> Optional[np.ndarray]:
     the first point of ``basic_feasible_points(A, b)``, bit for bit, so a
     caller holding that list (``report.compare_report`` hands the instance's
     vertices and the recession rays of ``recession_analysis`` to the
-    relaxations) takes its first point instead.  ``_feasible_points`` gives
-    the same point for each system of a stack.
+    relaxations) takes its first point instead.
     """
     return next(_basic_feasible_iter(A, b, 1), None)
 
 
 def _system_scale(A, b):
-    """The feasibility scale ``1 + |b|_max + |A|_max`` of the system
-    ``{A x = b}``, or of each system of a stack (the last axes reduced)."""
-    return 1.0 + np.abs(b).max(axis=-1, initial=0.0) + np.abs(A).max(axis=(-2, -1), initial=0.0)
+    """The feasibility scale ``1 + |b|_max + |A|_max`` of the system ``{A x = b}``."""
+    return 1.0 + np.abs(b).max(initial=0.0) + np.abs(A).max(initial=0.0)
 
 
 def _feasibility_tol(A, b):
@@ -323,85 +324,39 @@ def _feasibility_tol(A, b):
 
 
 def _system_ranks(A, b):
-    """Per system ``{A_s x = b_s}`` of a stack: the feasibility tolerance
-    (``_feasibility_tol``), the largest singular value and the numerical
-    rank (singular values above ``RANK_TOL`` times the largest), from one
-    stacked singular-value call."""
+    """The feasibility tolerance (``_feasibility_tol``), the largest
+    singular value and the numerical rank (singular values above
+    ``RANK_TOL`` times the largest) of the system ``{A x = b}``."""
     svals = _svdvals(A, signature="d->d")
-    smax = svals[:, 0] if svals.shape[1] else np.zeros(len(A))
-    return _feasibility_tol(A, b), smax, (svals > RANK_TOL * smax[:, None]).sum(axis=1)
+    smax = svals[0] if svals.size else 0.0
+    return _feasibility_tol(A, b), smax, int((svals > RANK_TOL * smax).sum())
 
 
-def _basic_solutions(A, b, subsets, systems, smax, tol):
-    """The basic solutions of a stack of systems on column subsets, and the
-    mask of the feasible ones.
+def _basic_solutions(A, b, subsets, smax, tol):
+    """The basic solutions of ``{A x = b}`` on a stack of column subsets,
+    and the mask of the feasible ones.
 
-    Row ``i`` solves ``{A_s x = b_s}`` with ``s = systems[i]`` on the
-    columns ``subsets[i]``; ``smax`` and ``tol`` hold each system's largest
-    singular value and feasibility tolerance.  One stacked SVD drops the
-    linearly dependent bases and gives the solutions of the others; a
-    solution is feasible when it solves its system and is nonnegative, both
-    within ``tol``.  Every slice is built and solved the same way whatever
-    the stack, so stacking changes no bit.  A LAPACK failure shows as a NaN
-    with the invalid flag set, which the caller's ``numpy.errstate`` turns
-    into an error.
+    Row ``i`` solves the system on the columns ``subsets[i]``; ``smax`` and
+    ``tol`` are the system's largest singular value and feasibility
+    tolerance.  One stacked SVD drops the linearly dependent bases and
+    gives the solutions of the others; a solution is feasible when it
+    solves the system and is nonnegative, both within ``tol``.  Every slice
+    is built and solved the same way whatever the stack, so stacking
+    changes no bit.  A LAPACK failure shows as a NaN with the invalid flag
+    set, which the caller's ``numpy.errstate`` turns into an error.
     """
     k, rank = subsets.shape
-    sub = A[systems[:, None], :, subsets].transpose(0, 2, 1)
-    r = b[systems][:, :, None]
+    sub = A.T[subsets].transpose(0, 2, 1)
+    r = b[None, :, None]
     u, s, vt = _svd(sub, signature="d->ddd")
-    ok = s[:, -1] > RANK_TOL * np.maximum(smax[systems], 1e-300)
+    ok = s[:, -1] > RANK_TOL * max(smax, 1e-300)
     coef = np.divide(u[:, :, :rank].transpose(0, 2, 1) @ r, s[:, :, None],
                      out=np.zeros((k, rank, 1)), where=ok[:, None, None])
     xb = vt.transpose(0, 2, 1) @ coef
-    tol = tol[systems]
     ok &= (np.abs(sub @ xb - r).max(axis=(1, 2)) <= tol) & (xb.min(axis=(1, 2)) >= -tol)
-    x = np.zeros((k, A.shape[2]))
+    x = np.zeros((k, A.shape[1]))
     x[np.arange(k)[:, None], subsets] = np.maximum(xb[:, :, 0], 0.0)
     return x, ok
-
-
-def _feasible_points(A, b):
-    """``_feasible_point`` of every system ``{A_s x = b_s, x >= 0}`` of a
-    ``(k, m, n)`` stack: the points as rows, zero where the mask of found
-    points is False.
-
-    The systems of one rank take their column subsets in
-    ``itertools.combinations`` order, built for the ranks that hold one, in
-    rounds of one ``_basic_solutions`` call: each round gives every system
-    left as many next subsets as fit in ``FACE_SLICE`` rows (at least one),
-    and a system leaves at its first feasible basis.  Every basic solution
-    is what ``_feasible_point`` would compute for it, so the point found is
-    that function's.  No enumeration cap is checked: the caller bounds
-    ``n``.  Call it under ``_lapack_failed``.
-    """
-    k, m, n = A.shape
-    tol, smax, rank = _system_ranks(A, b)
-    points = np.zeros((k, n))
-    found = (rank == 0) & (np.abs(b).max(axis=1, initial=0.0) <= tol)
-    for rho, todo in enumerate(_split_by(rank, min(m, n) + 1)):
-        if rho == 0 or not todo.size:
-            continue
-        subsets = np.array(list(itertools.combinations(range(n), rho)))
-        start = 0
-        while todo.size and start < len(subsets):
-            part = subsets[start : start + max(1, FACE_SLICE // todo.size)]
-            hit = np.zeros(todo.size, dtype=bool)
-            # more than one call only when FACE_SLICE systems take one subset each
-            per_call = FACE_SLICE // len(part)
-            for lo in range(0, todo.size, per_call):
-                some = todo[lo : lo + per_call]
-                x, ok = _basic_solutions(A, b, np.tile(part, (some.size, 1)),
-                                         np.repeat(some, len(part)), smax, tol)
-                ok = ok.reshape(some.size, len(part))
-                first = ok.argmax(axis=1)
-                got = ok[np.arange(some.size), first]
-                points[some[got]] = x.reshape(some.size, len(part), n)[got, first[got]]
-                hit[lo : lo + per_call] = got
-            found[todo[hit]] = True
-            todo = todo[~hit]
-            start += len(part)
-    return points, found
 
 
 def enumerate_vertices(inst: QpInstance):
@@ -489,46 +444,44 @@ def _simplex_hulls(n: int):
 def _face_candidates(Q, c, A, b, scale, hulls=None) -> np.ndarray:
     """Candidate minimizers of all faces, as rows in pattern order.
 
-    A face's candidate is its vertex (no free variable) or the stationary
-    point of the quadratic on its affine hull, kept when the reduced
-    Hessian is PSD, the reduced gradient can vanish and the point is
-    nonnegative.  Faces are solved together per number of free variables
-    (the groups of ``_plan``), in slices of at most ``FACE_SLICE`` faces
-    (``_group_candidates``), and each writes its candidate into its own
-    row of one ``(2^n, n)`` table; ``has`` marks the candidates.  A face
-    that contains a face flagged indefinite is flagged in turn and
-    skipped: its own PSD test would fail (see the module docstring).
-    ``hulls``, when given, holds per group the affine-hull geometry its
-    faces share (``_simplex_hulls``), read instead of computed.
+    A face's candidate is its vertex (no free variable) or, when its
+    reduced Hessian is positive definite, the stationary point of the
+    quadratic on its affine hull, kept when it is nonnegative.  Faces are
+    solved together per number of free variables (the groups of ``_plan``),
+    in slices of at most ``FACE_SLICE`` faces (``_group_candidates``), and
+    each writes its candidate into its own row of one ``(2^n, n)`` table;
+    ``has`` marks the candidates.  A face that contains a face whose reduced
+    Hessian is not positive definite is flagged in turn and skipped: its own
+    test would fail (see the module docstring).  ``hulls``, when given,
+    holds per group the affine-hull geometry its faces share
+    (``_simplex_hulls``), read instead of computed.
     """
     n = A.shape[1]
     X = np.zeros((2 ** n, n))
     has = np.zeros(2 ** n, dtype=bool)
     # the vertex x = 0 of the pattern with every variable fixed
     has[0] = float(np.abs(b).max(initial=0.0)) <= _TOL_EQ * scale
-    indefinite = np.zeros(2 ** n, dtype=bool)
-    floor = -_TOL_PSD * max(1.0, float(np.linalg.norm(Q)))
+    not_pd = np.zeros(2 ** n, dtype=bool)
     for f, (faces, cols, subfaces) in enumerate(_plan(n)):
         hull = None if hulls is None else hulls[f]
         # numpy indexes fastest with intp; the plan keeps its compact type
         faces, cols = faces.astype(np.intp), cols.astype(np.intp)
-        skip = indefinite[subfaces].any(axis=1)
+        skip = not_pd[subfaces].any(axis=1)
         if skip.any():
-            indefinite[faces[skip]] = True
+            not_pd[faces[skip]] = True
             faces, cols = faces[~skip], cols[~skip]
         for start in range(0, faces.size, FACE_SLICE):
             part = slice(start, start + FACE_SLICE)
-            _group_candidates(Q, c, A, b, faces[part], cols[part], scale, floor,
-                              X, has, indefinite, hull)
+            _group_candidates(Q, c, A, b, faces[part], cols[part], scale, X, has, not_pd, hull)
     return X[has]
 
 
 def _hull_points(A, b, cols, scale):
     """The affine hull ``{A_F x = b}`` of each face free on the columns
-    ``cols``: ``(AF, x0, vt, kept, nonempty)``, the constraint matrices
-    ``A_F``, the min-norm points ``x0`` (singular values above ``RANK_TOL``
-    times the largest), ``V^T`` and the mask of kept singular values from
-    one stacked SVD, and the faces where ``x0`` solves ``A_F x = b``.
+    ``cols``: ``(x0, vt, kept, nonempty)``, the min-norm points ``x0``
+    (singular values above ``RANK_TOL`` times the largest), ``V^T`` and the
+    mask of kept singular values from one stacked SVD of the constraint
+    matrices ``A_F``, and the faces where ``x0`` solves ``A_F x = b``.
     """
     r = b[:, None]  # every face has the right-hand side b
     AF = A[:, cols].transpose(1, 0, 2).copy()
@@ -540,10 +493,10 @@ def _hull_points(A, b, cols, scale):
                      out=np.zeros((cols.shape[0], q, 1)), where=kept[:, :, None])
     x0 = vt[:, :q].transpose(0, 2, 1) @ coef
     nonempty = np.abs(AF @ x0 - r).max(axis=(1, 2), initial=0.0) <= _TOL_EQ * scale
-    return AF, x0, vt, kept, nonempty
+    return x0, vt, kept, nonempty
 
 
-def _group_candidates(Q, c, A, b, faces, cols, scale, floor, X, has, indefinite, hull):
+def _group_candidates(Q, c, A, b, faces, cols, scale, X, has, not_pd, hull):
     """Write the candidates of ``faces``, free on the columns ``cols``, into
     their rows of the table ``X`` and mark them in ``has``.  Every face's
     row may be written; only ``has`` says which rows are candidates.
@@ -553,62 +506,45 @@ def _group_candidates(Q, c, A, b, faces, cols, scale, floor, X, has, indefinite,
     geometry every face of the group shares (``_simplex_hulls``); the faces
     of one null-space dimension then share one stacked eigensolve
     (``_interior_points``).  Each slice is the matrix the face alone would
-    give LAPACK, so stacking changes no result.  The singular faces of one
-    null-space dimension whose min-norm stationary point has a negative
-    entry share one stacked search for a nonnegative point of their
-    stationary sets (``_feasible_points``).  Sets ``indefinite`` at the
-    faces whose reduced Hessian has an eigenvalue below ``floor``.
+    give LAPACK, so stacking changes no result.  Sets ``not_pd`` at the faces
+    whose reduced Hessian is not positive definite.
     """
-    m = A.shape[0]
     f = cols.shape[1]
     tol_bound = _TOL_BOUND * scale
     # a hull's arrays have a leading axis of 1, which broadcasts over the faces
-    AF, x0, vt, kept, nonempty = _hull_points(A, b, cols, scale) if hull is None else hull
+    x0, vt, kept, nonempty = _hull_points(A, b, cols, scale) if hull is None else hull
     if not nonempty.all():
         if not nonempty.any():
             return
-        faces, cols, AF, x0, vt, kept = (v[nonempty] for v in (faces, cols, AF, x0, vt, kept))
+        faces, cols, x0, vt, kept = (v[nonempty] for v in (faces, cols, x0, vt, kept))
     rank = kept.sum(axis=1)
     if rank.min() == rank.max():
-        parts = [(int(rank[0]), faces, cols, AF, x0, vt)]
+        parts = [(int(rank[0]), faces, cols, x0, vt)]
     else:
-        parts = [(k, *(v[sel] for v in (faces, cols, AF, x0, vt)))
-                 for k, sel in enumerate(_split_by(rank, min(m, f) + 1)) if sel.size]
+        parts = [(k, *(v[sel] for v in (faces, cols, x0, vt)))
+                 for k, sel in enumerate(_split_by(rank, min(A.shape[0], f) + 1)) if sel.size]
 
-    for k, faces, cols, AF, x0, vt in parts:
+    for k, faces, cols, x0, vt in parts:
         if k == f:  # the face is the single point x0
             xF = x0[:, :, 0]
             hit = _nonnegative(xF, tol_bound)
         else:
-            xF, hit, outside, wmin = _interior_points(Q, c, vt[:, k:], cols, x0, tol_bound)
-            indefinite[faces[wmin < floor]] = True
+            xF, definite = _interior_points(Q, c, vt[:, k:], cols, x0)
+            hit = definite & _nonnegative(xF, tol_bound)
+            not_pd[faces[~definite]] = True
         X[faces[:, None], cols] = np.maximum(xF, 0.0)
         has[faces] = hit
-        if k == f or not outside.any():
-            continue
-        if hull is not None:
-            AF, vt = (np.broadcast_to(v, (faces.size, *v.shape[1:])) for v in (AF, vt))
-        # the objective is constant on a singular face's stationary set
-        # {AF x = b, N^T (QFF x + cF) = 0}: look for a nonnegative point
-        NT, F, faces = vt[outside, k:], cols[outside], faces[outside]
-        QFF = Q[F[:, :, None], F[:, None, :]]
-        system = np.concatenate((AF[outside], NT @ QFF), axis=1)
-        rhs = np.concatenate((np.broadcast_to(b, (F.shape[0], m)),
-                              -(NT @ c[F][:, :, None])[:, :, 0]), axis=1)
-        alt, found = _feasible_points(system, rhs)
-        X[faces[:, None], F] = np.maximum(alt, 0.0)
-        has[faces] = found
 
 
-def _interior_points(Q, c, null_rows, cs, x0, tol):
+def _interior_points(Q, c, null_rows, cs, x0):
     """Stationary points of faces that share a null-space dimension.
 
     ``null_rows`` stacks, per face, the rows of ``V^T`` from the SVD of its
     constraint matrix that span the null space; ``cs`` holds the free
-    columns and ``x0`` the min-norm points.  Returns the stationary points,
-    the faces whose point is a candidate, the singular faces whose min-norm
-    stationary point has a negative entry, and each face's least
-    reduced-Hessian eigenvalue.
+    columns and ``x0`` the min-norm points.  Returns the stationary points
+    and the mask of the faces whose reduced Hessian is positive definite:
+    its least eigenvalue above ``1e-10`` times its scale ``max(1, |w|_max)``.
+    The point of any other face is a row to be ignored.
     """
     N = null_rows.transpose(0, 2, 1).copy()
     NT = N.transpose(0, 2, 1)
@@ -617,32 +553,26 @@ def _interior_points(Q, c, null_rows, cs, x0, tol):
     H = 0.5 * (H + H.transpose(0, 2, 1))
     g = NT @ (QFF @ x0 + c[cs][:, :, None])
     w, V = _eigh(H, signature="d->dd")
-    aw = np.abs(w)
-    hscale = np.maximum(1.0, aw.max(axis=1))[:, None]
+    hscale = np.maximum(1.0, np.abs(w).max(axis=1))
+    definite = w[:, 0] > 1e-10 * hscale
     gp = (V.transpose(0, 2, 1) @ g)[:, :, 0]
-    ag = np.abs(gp)
-    singular = aw <= 1e-10 * hscale
-    gscale = np.maximum(1.0, ag.max(axis=1))[:, None]
-    # PSD on the face, and the gradient can vanish on it
-    ok = (w[:, 0] >= -_TOL_PSD * hscale[:, 0]) & ~(singular & (ag > 1e-8 * gscale)).any(axis=1)
-    t = np.where(singular, 0.0, -gp / np.where(singular, 1.0, w))
+    t = -gp / np.where(definite[:, None], w, 1.0)
     xF = (x0 + N @ (V @ t[:, :, None]))[:, :, 0]
-    inside = _nonnegative(xF, tol)
-    return xF, ok & inside, ok & ~inside & singular.any(axis=1), w[:, 0]
+    return xF, definite
 
 
 def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None, hulls=None) -> OracleResult:
     """Exact minimum of ``x^T Q x + 2 c^T x`` over ``{A x = b, x >= 0}``.
 
-    The global minimizer of a quadratic lies in the relative interior of
-    some face, where the reduced gradient vanishes and the reduced Hessian
-    is positive semidefinite; enumerating those candidates plus all
-    vertices is exact.  The recession cone is analyzed first
-    (``recession_analysis``, ``ray_witness``): a divergent ray gives
-    UNBOUNDED_BELOW with the ray, unchecked and so uncertified, and the
-    finite value is certified only when every recession direction has
-    strictly positive curvature.  The ray test starts from the basic
-    feasible points of ``{A x = b, x >= 0}``; a caller that has already enumerated them passes
+    When q is bounded below, some global minimizer is a vertex or the
+    stationary point of a face with a positive definite reduced Hessian
+    (see the module docstring); enumerating those candidates is exact.
+    The recession cone is analyzed first (``recession_analysis``,
+    ``ray_witness``): a divergent ray gives UNBOUNDED_BELOW with the ray,
+    unchecked and so uncertified, and the finite value is certified only
+    when every recession direction has strictly positive curvature.  The
+    ray test starts from the basic feasible points of
+    ``{A x = b, x >= 0}``; a caller that has already enumerated them passes
     ``basic_feasible_points(A, b)`` as ``vertices``, which is read only
     when the recession cone is nontrivial.  ``hulls``, passed only by
     ``simplex_minimum``, holds each group's shared face geometry

@@ -1948,7 +1948,7 @@ class TestSharedOracleRules:
             sliced += 1
             M, r = oracle._recession_slice(inst.A)
             tol = oracle._feasibility_tol(M, r)
-            assert tol == oracle._system_ranks(M[None], r[None])[0][0], inst.name
+            assert tol == oracle._system_ranks(M, r)[0], inst.name
         assert sliced
 
 

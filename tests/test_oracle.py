@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from qprelax import oracle
 from qprelax.analysis import check_copositivity_desk_scale, check_psd_on_nullspace
-from qprelax.core import TOL_CURVATURE, curvature_tolerance, slope_tolerance
+from qprelax.core import TOL_CURVATURE, curvature_tolerance, evaluate_objective, slope_tolerance
 from qprelax.errors import DeskScaleLimit, PointInfeasible
-from qprelax.generators import HornFamilyParams, horn_family
+from qprelax.generators import KINDS, HornFamilyParams, horn_family, random_instance
 from qprelax.numerics import nullspace_basis
 from qprelax.oracle import (
     ORACLE_INCONCLUSIVE,
@@ -233,12 +233,8 @@ class TestGlobalSolve:
 
     def test_never_above_samples(self):
         for seed in range(3):
-            from qprelax.generators import random_instance
-
             inst = random_instance("BOUNDED", 4, 2, seed)
             res = global_solve(inst)
-            from qprelax.core import evaluate_objective
-
             for x in feasible_samples(inst, 1000, seed=seed):
                 assert res.value <= evaluate_objective(inst, x) + 1e-9 * (1 + abs(res.value))
 
@@ -292,8 +288,6 @@ class TestLocalMinimizer:
         assert verdict.is_local_min and verdict.second_order_min == 0.0
 
     def test_oracle_minimizers_are_local_minimizers(self):
-        from qprelax.generators import random_instance
-
         for seed in range(4):
             inst = random_instance("BOUNDED", 3, 1, seed)
             res = global_solve(inst)
@@ -310,12 +304,14 @@ class TestBasicFeasiblePoints:
         assert basic_feasible_points(np.zeros((1, 3)), np.array([1.0])) == []
 
 
-def reference_minimize(Q, c, A, b):
-    """The per-face loop the stacked face engine replaced, as its reference.
+def per_face_minimize(Q, c, A, b, stationary):
+    """The per-face loop the stacked face engine replaced.
 
     One ``lstsq``, one SVD (``nullspace_basis``) and one ``eigh`` per face,
-    through numpy's public wrappers.  The recession analysis, the singular
-    fallback and the result assembly are the oracle's own.
+    through numpy's public wrappers; every face is solved and none is
+    skipped.  ``stationary(QFF, cF, AF, b, x0, N, tol_bound)`` gives the
+    candidate of a face with a nontrivial null space, or None.  The
+    recession analysis and the result assembly are the oracle's own.
     """
     Q, c, A, b = (np.asarray(v, dtype=float) for v in (Q, c, A, b))
     n = Q.shape[0]
@@ -349,36 +345,11 @@ def reference_minimize(Q, c, A, b):
         if float(np.abs(AF @ x0 - b).max(initial=0.0)) > tol_eq:
             continue
         N = nullspace_basis(AF)
-        QFF = Q[np.ix_(free_idx, free_idx)]
-        cF = c[free_idx]
-
         if N.shape[1] == 0:
             xF = x0
         else:
-            H = N.T @ QFF @ N
-            H = 0.5 * (H + H.T)
-            g = N.T @ (QFF @ x0 + cF)
-            w, V = np.linalg.eigh(H)
-            hscale = max(1.0, float(np.abs(w).max(initial=0.0)))
-            if w[0] < -oracle._TOL_PSD * hscale:
-                continue
-            gp = V.T @ g
-            singular = np.abs(w) <= 1e-10 * hscale
-            gscale = max(1.0, float(np.abs(gp).max(initial=0.0)))
-            if np.any(singular & (np.abs(gp) > 1e-8 * gscale)):
-                continue
-            t = np.where(singular, 0.0, -gp / np.where(singular, 1.0, w))
-            xF = x0 + N @ (V @ t)
-            inside = float(xF.min(initial=0.0)) >= -tol_bound
-            if not inside and singular.any():
-                # the objective is constant on the stationary set
-                # {AF x = b, N^T (QFF x + cF) = 0}: its first basic point
-                alt = oracle._feasible_point(np.vstack([AF, N.T @ QFF]),
-                                             np.concatenate([b, -N.T @ cF]))
-                if alt is None:
-                    continue
-                xF = alt
-            elif not inside:
+            xF = stationary(Q[np.ix_(free_idx, free_idx)], c[free_idx], AF, b, x0, N, tol_bound)
+            if xF is None:
                 continue
 
         if float(xF.min(initial=0.0)) < -tol_bound:
@@ -403,16 +374,77 @@ def reference_minimize(Q, c, A, b):
     return OracleResult(vmin, tuple(mins), certified, faces, status, certified)
 
 
+def reduced_problem(QFF, cF, x0, N):
+    """The reduced Hessian's eigenpairs ``(w, V)``, its scale ``max(1,
+    |w|_max)`` and the reduced gradient ``V^T g`` in its eigenbasis."""
+    H = N.T @ QFF @ N
+    w, V = np.linalg.eigh(0.5 * (H + H.T))
+    return w, V, max(1.0, float(np.abs(w).max(initial=0.0))), V.T @ (N.T @ (QFF @ x0 + cF))
+
+
+def pd_stationary_point(QFF, cF, AF, b, x0, N, tol_bound):
+    """The engine's rule: only a positive definite face, least eigenvalue
+    above ``1e-10`` times its scale, gives its stationary point."""
+    w, V, hscale, gp = reduced_problem(QFF, cF, x0, N)
+    if w[0] <= 1e-10 * hscale:
+        return None
+    return x0 + N @ (V @ (-gp / w))
+
+
+def psd_stationary_point(QFF, cF, AF, b, x0, N, tol_bound):
+    """The rule before the positive definite one: a face whose reduced
+    Hessian is PSD within ``1e-9`` times its scale and whose gradient can
+    vanish gives its least-norm stationary point, or, on a singular face
+    where that point has a negative entry, the first basic point of its
+    stationary set ``{AF x = b, N^T (QFF x + cF) = 0, x >= 0}``, on which
+    the objective is constant."""
+    w, V, hscale, gp = reduced_problem(QFF, cF, x0, N)
+    if w[0] < -1e-9 * hscale:
+        return None
+    singular = np.abs(w) <= 1e-10 * hscale
+    gscale = max(1.0, float(np.abs(gp).max(initial=0.0)))
+    if np.any(singular & (np.abs(gp) > 1e-8 * gscale)):
+        return None
+    t = np.where(singular, 0.0, -gp / np.where(singular, 1.0, w))
+    xF = x0 + N @ (V @ t)
+    if float(xF.min(initial=0.0)) >= -tol_bound or not singular.any():
+        return xF
+    return oracle._feasible_point(np.vstack([AF, N.T @ QFF]), np.concatenate([b, -N.T @ cF]))
+
+
+def reference_minimize(Q, c, A, b):
+    """The engine's positive definite rule, face by face, with no skip."""
+    return per_face_minimize(Q, c, A, b, pd_stationary_point)
+
+
+def psd_referee(Q, c, A, b):
+    """The PSD and singular-face rule, face by face: a referee of values."""
+    return per_face_minimize(Q, c, A, b, psd_stationary_point)
+
+
 def assert_same_result(res, ref):
     assert res.status == ref.status
     assert res.faces_explored == ref.faces_explored
+    assert_same_value(res, ref)
+    assert len(res.minimizers) == len(ref.minimizers)
+    for x, y in zip(res.minimizers, ref.minimizers):
+        assert np.allclose(x, y, rtol=0.0, atol=1e-9)
+
+
+def assert_same_value(res, ref):
     if math.isinf(ref.value):
         assert res.value == ref.value
     else:
         assert abs(res.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value))
-    assert len(res.minimizers) == len(ref.minimizers)
-    for x, y in zip(res.minimizers, ref.minimizers):
-        assert np.allclose(x, y, rtol=0.0, atol=1e-9)
+
+
+def assert_referee_agrees(res, ref):
+    """The status and value of the PSD referee, and each minimizer one of
+    the referee's: its minimizers may sample more of the optimal set."""
+    assert res.status == ref.status
+    assert_same_value(res, ref)
+    for x in res.minimizers:
+        assert any(np.allclose(x, y, rtol=0.0, atol=1e-9) for y in ref.minimizers)
 
 
 #: Entries with exact sums and products, so that ties and degenerate faces
@@ -462,24 +494,30 @@ class TestStackedFaceEngine:
         res = minimize_quad_over_polytope(*problem)
         assert_same_result(res, reference_minimize(*problem))
 
-    def test_singular_face_fallback(self, monkeypatch):
-        # the objective is flat; on the faces with three or four free
-        # variables the min-norm point has a negative entry, so only the
-        # singular fallback finds a nonnegative representative
-        faces = []
-        fallback = oracle._feasible_points
+    @settings(max_examples=300)
+    @given(face_problems())
+    def test_psd_referee_agrees(self, problem):
+        assert_referee_agrees(minimize_quad_over_polytope(*problem), psd_referee(*problem))
 
-        def counted(A, b):
-            faces.extend(A)
-            return fallback(A, b)
+    @pytest.mark.parametrize("curvature, value", [(1e-9, 0.0), (1e-11, 5e-12)])
+    def test_positive_definite_threshold(self, curvature, value):
+        # q = curvature/2 (x1 - x2)^2 on the simplex: the edge's reduced
+        # Hessian is the curvature, at the scale 1.  Above 1e-10 the edge
+        # gives its stationary point (1/2, 1/2) at 0; below, only the
+        # vertices are candidates, at curvature/2
+        Q = 0.5 * curvature * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        res = minimize_quad_over_polytope(Q, np.zeros(2), np.ones((1, 2)), np.array([1.0]))
+        assert res.value == pytest.approx(value, rel=1e-12, abs=1e-20)
+        centroid = any(np.allclose(x, 0.5, rtol=0.0, atol=1e-12) for x in res.minimizers)
+        assert centroid == (value == 0.0)
 
-        monkeypatch.setattr(oracle, "_feasible_points", counted)
-        problem = (np.zeros((4, 4)), np.zeros(4), np.array([[1.0, 1, 1, 1], [3, -1, 0, 0]]),
-                   np.array([1.0, -0.5]))
-        res = minimize_quad_over_polytope(*problem)
-        assert len(faces) == 2
+    def test_flat_objective_gives_basic_points(self):
+        # q = 0: no face has a positive definite reduced Hessian, so the
+        # candidates, all optimal, are the basic feasible points
+        A, b = np.array([[1.0, 1, 1, 1], [3, -1, 0, 0]]), np.array([1.0, -0.5])
+        res = minimize_quad_over_polytope(np.zeros((4, 4)), np.zeros(4), A, b)
         assert res.value == 0.0 and res.status == ORACLE_OPTIMAL
-        assert_same_result(res, reference_minimize(*problem))
+        assert sorted_points(res.minimizers) == sorted_points(basic_feasible_points(A, b))
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_face_counts(self, n):
@@ -514,6 +552,11 @@ class TestStackedFaceEngine:
             solve(np.ones((1, 2)), np.array([1.0]))
 
 
+def sorted_points(points):
+    """The points rounded to 12 decimals, sorted."""
+    return sorted(tuple(np.round(x, 12)) for x in points)
+
+
 def unconverged(a, signature=None):
     """What the SVD gufunc does when LAPACK fails: NaN outputs and the
     floating-point invalid flag."""
@@ -546,26 +589,44 @@ def horn_problems(n):
 
 
 class TestIndefiniteSkip:
-    """Faces containing an indefinite face are skipped without a solve."""
+    """Faces containing a face whose reduced Hessian is not positive
+    definite are skipped without a solve."""
 
-    def test_band_keeps_every_minimizer(self):
-        # the edge x3 = 0 curves by -1.5e-9: below -1e-9 times its own
-        # Hessian scale 1, above -1e-9 |Q|_F.  The whole simplex, of scale
-        # 2.5, passes its own PSD test and gives the minimizer (1/3, 1/3,
-        # 1/3), which flagging the edge against its own scale would skip.
+    def test_band_keeps_the_referee_value(self):
+        # the edge x3 = 0 and the whole simplex curve by -1.5e-9, so neither
+        # is positive definite.  The PSD referee read the whole simplex as
+        # PSD within 1e-9 times its scale 2.5 and listed its stationary
+        # point (1/3, 1/3, 1/3), whose value 0 lies within the 1e-9 band of
+        # the minimum -3.3e-10 on the edges x1 = 0 and x2 = 0
         u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
         v = np.array([1.0, 1.0, -2.0]) / np.sqrt(6)
         Q = -1.5e-9 * np.outer(u, u) + 2.5 * np.outer(v, v)
         problem = (Q, np.zeros(3), np.ones((1, 3)), np.array([1.0]))
         res = minimize_quad_over_polytope(*problem)
-        assert len(res.minimizers) == 3
-        assert any(np.allclose(x, 1.0 / 3.0, rtol=0.0, atol=1e-12) for x in res.minimizers)
+        ref = psd_referee(*problem)
+        assert any(np.allclose(x, 1.0 / 3.0, rtol=0.0, atol=1e-12) for x in ref.minimizers)
+        assert not any(np.allclose(x, 1.0 / 3.0, rtol=0.0, atol=1e-6) for x in res.minimizers)
+        assert res.value == pytest.approx(-1e-9 / 3, rel=1e-6)
+        assert_referee_agrees(res, ref)
         assert_same_result(res, reference_minimize(*problem))
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_horn_family_matches_per_face_loop(self, n):
         for problem in horn_problems(n):
-            assert_same_result(minimize_quad_over_polytope(*problem), reference_minimize(*problem))
+            res = minimize_quad_over_polytope(*problem)
+            assert_same_result(res, reference_minimize(*problem))
+            assert_referee_agrees(res, psd_referee(*problem))
+
+    @pytest.mark.parametrize("kind", ["HORN", *KINDS])
+    def test_psd_referee_agrees_at_ten_variables(self, kind):
+        # 1 024 faces, the largest enumeration the referee checks
+        if kind == "HORN":
+            problems = horn_problems(10)
+        else:
+            inst = random_instance(kind, 10, 3, 0)
+            problems = [(inst.Q, inst.c, inst.A, inst.b)]
+        for problem in problems:
+            assert_referee_agrees(minimize_quad_over_polytope(*problem), psd_referee(*problem))
 
     def test_slices_change_no_bit_across_skips(self, monkeypatch):
         # faces flagged in one slice skip faces that the next group puts in
@@ -582,9 +643,10 @@ class TestIndefiniteSkip:
 
         monkeypatch.setattr(oracle, "_interior_points", counted)
         res = minimize_quad_over_polytope(*horn_problems(8)[2])
-        # 247 faces were eigensolved before faces containing an indefinite
-        # face were skipped
-        assert sum(rows) == 102 and res.faces_explored == 256
+        # 247 faces are eigensolved with no skip, 102 when only faces
+        # containing an indefinite face are skipped, 74 when every face
+        # containing a face that is not positive definite is
+        assert sum(rows) == 74 and res.faces_explored == 256
 
 
 def bitwise_equal(u, v):
@@ -719,8 +781,8 @@ class TestSimplexMinimum:
         hulls = oracle._simplex_hulls(6)
         assert len(hulls) == 6
         for f, hull in enumerate(hulls, start=1):
-            AF, x0, vt, kept, nonempty = hull
-            assert AF.shape == (1, 1, f) and x0.shape == (1, f, 1) and vt.shape == (1, f, f)
+            x0, vt, kept, nonempty = hull
+            assert x0.shape == (1, f, 1) and vt.shape == (1, f, f)
             assert kept.sum() == 1 and nonempty.all()
             for v in hull:
                 with pytest.raises(ValueError):
@@ -777,67 +839,6 @@ def degenerate_systems(draw):
             b[i] = A[i] @ np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
                                                  min_size=n, max_size=n)))
     return A, b
-
-
-class TestStackedFallback:
-    """The stacked search for nonnegative stationary points of singular faces."""
-
-    @settings(max_examples=300)
-    @given(degenerate_systems())
-    def test_matches_feasible_point_bitwise(self, systems):
-        A, b = systems
-        with np.errstate(call=oracle._lapack_failed, invalid="call"):
-            points, found = oracle._feasible_points(A, b)
-        for i in range(len(A)):
-            ref = oracle._feasible_point(A[i], b[i])
-            assert found[i] == (ref is not None)
-            if ref is not None:
-                assert np.array_equal(points[i], ref)
-
-    def test_small_slices_change_no_point(self, monkeypatch):
-        # only the last of the six column pairs of the rank-2 system is
-        # feasible; at FACE_SLICE = 2 its three copies try one subset per
-        # round, split over two calls, and the rank-1 system takes its
-        # first two subsets in one call
-        A = np.array([[[2.0, 1, -1, 1], [0, 0, -1, 2]]] * 3 + [[[1.0, 1, 1, 1], [2, 2, 2, 2]]])
-        b = np.array([[0.0, 1]] * 3 + [[1.0, 2]])
-        expected = [oracle._feasible_point(a, r) for a, r in zip(A, b)]
-        rows = []
-        basic = oracle._basic_solutions
-
-        def counted(A, b, subsets, *args):
-            rows.append(len(subsets))
-            return basic(A, b, subsets, *args)
-
-        monkeypatch.setattr(oracle, "_basic_solutions", counted)
-        monkeypatch.setattr(oracle, "FACE_SLICE", 2)
-        points, found = oracle._feasible_points(A, b)
-        assert rows == [2] + [2, 1] * 6
-        assert found.all()
-        for x, ref in zip(points, expected):
-            assert np.array_equal(x, ref)
-        assert np.allclose(points, [[0, 0, 1, 1]] * 3 + [[1, 0, 0, 0]])
-
-    def test_builds_subsets_only_for_ranks_present(self, monkeypatch):
-        # three systems of three rows, each of rank 1: ranks 2 and 3 hold none
-        rows = np.array([[1.0, 2, 0, 1], [0, 1, 1, 3], [2, 0, 1, 1]])
-        A = np.stack([np.outer([1.0, 2, -1], row) for row in rows])
-        b = np.outer([1.0, 2, 3], [1.0, 2, -1])
-        expected = [oracle._feasible_point(a, r) for a, r in zip(A, b)]
-        sizes = []
-        combinations = itertools.combinations
-
-        def counted(pool, size):
-            sizes.append(size)
-            return combinations(pool, size)
-
-        monkeypatch.setattr(itertools, "combinations", counted)
-        with np.errstate(call=oracle._lapack_failed, invalid="call"):
-            points, found = oracle._feasible_points(A, b)
-        assert sizes == [1]
-        assert found.all()
-        for x, ref in zip(points, expected):
-            assert np.array_equal(x, ref)
 
 
 def per_row_first_occurrences(rows, seen, dropped):
