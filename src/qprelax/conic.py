@@ -138,6 +138,8 @@ from .core import (
     LiftedProblem,
     QpInstance,
     ValidationReport,
+    _eigh,
+    _eigvalsh,
     _frozen_array,
     cone_violation,
     curvature_tolerance,
@@ -146,8 +148,15 @@ from .core import (
     validate_lifted_point,
 )
 from .errors import NonFinite, PointInfeasible
-from .ipm import IPM_ITERATIONS, MAX_ITER, SolveOptions, _IpmOutcome, solve_face  # noqa: F401
-from .numerics import RANK_TOL, FaceProjector, nullspace_basis
+from .ipm import (  # noqa: F401
+    IPM_ITERATIONS,
+    MAX_ITER,
+    SolveOptions,
+    _IpmOutcome,
+    _order_two_table,
+    solve_face,
+)
+from .numerics import RANK_TOL, FaceProjector, _lapack_errors, _least_squares, nullspace_basis
 from .oracle import (
     KktCertificate,
     RayCertificate,
@@ -777,11 +786,14 @@ class _Prepared:
     ``-core.curvature_tolerance(Q)``; ``qhat`` is the lifted objective of
     both cones (``core.lift_instance``).  Built on first read: ``signs``,
     the sign rows ``(G, i, j)`` of the null-space face, which
-    ``_face_problem`` keeps for every pinned anchor and search; ``x0``, the
+    ``_face_problem`` keeps for every pinned anchor and search;
+    ``kkt_table``, the order-2 KKT table of that face, which every pinned
+    DNN anchor at ``dim null(A) = 2`` reads; ``x0``, the
     first basic feasible point of the polyhedron, None when it is empty;
-    ``rays``, the basic points of the recession slice
-    ``{A d = 0, e^T d = 1, d >= 0}`` (``rays[0]`` is its first), empty when
-    there is none; ``convex``,
+    ``cut``, the recession slice ``{A d = 0, e^T d = 1, d >= 0}`` as
+    ``(M, r)``, which the rays, the search's start and the FEASIBILITY
+    search read; ``rays``, the basic points of that slice
+    (``rays[0]`` is its first), empty when there is none; ``convex``,
     the checked outcome of the convex QP; ``prepass(cone, opts)``, the
     OBJECTIVE certificate search of each cone and options; the face
     problems of the search (``search_face``) and of DNN's unpinned solve
@@ -802,7 +814,8 @@ class _Prepared:
         self._searches, self._unpinned, self._signs = {}, {}, None
         self.N, self.C, self.curvature, self.v = N, N.T @ inst.Q @ N, math.inf, None
         if N.shape[1]:
-            values, vectors = np.linalg.eigh(self.C)
+            with _lapack_errors():
+                values, vectors = _eigh(self.C, signature="d->dd")
             self.curvature, self.v = float(values[0]), vectors[:, 0]
             self.v.flags.writeable = False
         N.flags.writeable = self.C.flags.writeable = False
@@ -830,8 +843,13 @@ class _Prepared:
         return None if x is None else _frozen_array(x)
 
     @cached_property
+    def cut(self):
+        """The recession slice ``(M, r)`` (``oracle._recession_slice``), or None."""
+        return _recession_slice(self.inst.A)
+
+    @cached_property
     def rays(self) -> tuple:
-        cut = _recession_slice(self.inst.A)
+        cut = self.cut
         return () if cut is None else tuple(_frozen_array(d) for d in basic_feasible_points(*cut))
 
     @cached_property
@@ -863,6 +881,14 @@ class _Prepared:
             self._searches[cone, opts] = recession_certificate_search(self.inst, cone,
                                                                       OBJECTIVE, opts)
         return self._searches[cone, opts]
+
+    @cached_property
+    def kkt_table(self):
+        """The order-2 KKT table (``ipm._order_two_table``) of the null-space
+        face and its sign rows, which every pinned DNN anchor shares; None
+        unless ``dim null(A)`` is 2."""
+        G, _, _ = self.signs
+        return _order_two_table(self.C, G) if self.N.shape[1] == 2 else None
 
     @cached_property
     def search_face(self):
@@ -1032,8 +1058,7 @@ def recession_certificate_search(
         return _graded(face, cone, basis @ basis.T / r, mode, opts, curvature)
     if mode == FEASIBILITY:
         # one recession direction is a certificate: the screen stops at the first
-        cut = _recession_slice(inst.A)
-        d = None if cut is None else _feasible_point(*cut)
+        d = None if face.cut is None else _feasible_point(*face.cut)
         empty = d is None
     else:
         empty = not face.rays
@@ -1089,7 +1114,7 @@ def _search_start(prep: _Prepared):
     C, G, _, i, j, _ = prep.search_face
     G = G[:len(i)]  # the sign rows, without the trace row
     d = np.mean(prep.rays, axis=0)
-    tol = _feasibility_tol(*_recession_slice(prep.inst.A))
+    tol = _feasibility_tol(*prep.cut)
     if not d[np.concatenate((i, j))].min(initial=math.inf) > tol:
         return None
     u = prep.N.T @ d
@@ -1103,7 +1128,9 @@ def _search_start(prep: _Prepared):
         return None
     S = (uu + eps * np.eye(r)) / (2.0 * (1.0 + eps * r))
     lam = np.ones(len(G) + 1)
-    lam[-1] = max(1.0, 1.0 - float(np.linalg.eigvalsh(C - G.sum(axis=0))[0]))
+    with _lapack_errors():
+        least = _eigvalsh(C - G.sum(axis=0), signature="d->d")[0]
+    lam[-1] = max(1.0, 1.0 - float(least))
     return S, lam
 
 
@@ -1209,7 +1236,8 @@ def _convex_qp(inst: QpInstance, x: np.ndarray):
         gtol = 1e-10 * (1.0 + float(np.abs(g).max()))
         N = nullspace_basis(A[:, free]) if free.size and not stationary else None
         if N is not None and N.shape[1]:
-            w, V = np.linalg.eigh(N.T @ Q[np.ix_(free, free)] @ N)
+            with _lapack_errors():
+                w, V = _eigh(N.T @ Q[np.ix_(free, free)] @ N, signature="d->dd")
             if w[0] < -flat_tol:
                 return None
             r = V.T @ (N.T @ g[free])
@@ -1237,8 +1265,7 @@ def _convex_qp(inst: QpInstance, x: np.ndarray):
                     fixed[j] = True
                 np.clip(x, 0.0, None, out=x)
                 continue
-        y = np.linalg.lstsq(A[:, free].T, g[free], rcond=None)[0] if free.size \
-            else np.zeros(inst.m)
+        y = _least_squares(A[:, free].T, g[free]) if free.size else np.zeros(inst.m)
         drop = np.flatnonzero(fixed & (g - A.T @ y < -10.0 * gtol))
         if not drop.size:
             return x, None
@@ -1311,7 +1338,7 @@ def _pinned_solve(inst: QpInstance, cone: str, x, opts: SolveOptions) -> Relaxat
         z = np.concatenate(([1.0], x))
         return _validated(prep, cone, np.outer(z, z), opts, 0.0, 0.0, 0)
     C, G, h, _, _, lift = _face_problem(prep, x=x)
-    out = solve_face(C, G, h, opts)
+    out = solve_face(C, G, h, opts, table=prep.kkt_table)
     return _face_result(prep, cone, lift(out.S), out, opts)
 
 

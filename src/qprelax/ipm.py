@@ -9,7 +9,15 @@ exactly (``_interval_lp``).  Order 2 is first solved by its KKT pairs
 coordinates (Alizadeh & Goldfarb, Math. Prog. 2003), so the KKT system
 ``S Z = 0``, ``Z = C - sum_k lam_k G_k``, has finitely many candidate
 pairs ``(S, lam)``, each fixed by at most three active rows, and all are
-built at once, vectorized over the rows, pairs and triples of rows.  Every
+built at once, vectorized over the rows, pairs and triples of rows.  What
+the pairs read of ``C`` and the rows alone (the one-row roots and null
+vectors, the pair and triple gathers, the three-row adjugates,
+determinants and multipliers, and the dual side of the check of every
+pair whose multipliers do not involve ``h``) is one table
+(``_order_two_table``); a caller that solves many problems differing only
+in ``h``, as ``conic`` does for the pinned anchors of one instance, builds
+it once and passes it to ``solve_face``, and each problem then computes
+only what depends on ``h``, the same bits.  Every
 other problem is iterated by one primal-dual interior-point method
 (``_ipm_step``).  At order 2 a symmetric 2 x 2 matrix is the 3-vector
 ``(M_11, M_22, M_12)`` throughout, and a row reads ``g_k . s >= h_k`` with
@@ -91,7 +99,8 @@ class _IpmOutcome:
 
 def solve_face(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
                accept: Optional[Callable[[np.ndarray], bool]] = None,
-               start: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> _IpmOutcome:
+               start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+               table: Optional[_KktTable] = None) -> _IpmOutcome:
     """Minimize ``<C, S>`` over ``S`` PSD with ``<G_k, S> >= h_k`` for each row k.
 
     A primal-dual interior-point method: the HKM direction
@@ -139,12 +148,14 @@ def solve_face(C: np.ndarray, G: np.ndarray, h: np.ndarray, opts: SolveOptions,
     stopping test at ``opts`` is CONVERGED with 0 iterations and a dual
     residual of 0, and where none passes the method iterates.  Neither
     exact solve consults ``accept``, ``start`` or the iteration budget, and
-    both return ``Z = C - sum_k lam_k G_k``.
+    both return ``Z = C - sum_k lam_k G_k``.  ``table``, read only at order
+    2, is ``_order_two_table(C, G)`` built by the caller; it changes no bit.
     """
     r, p = C.shape[0], h.size
     if r == 1:
         return _interval_lp(float(C[0, 0]), G.reshape(p), h)
-    if r == 2 and (exact := _order_two(C, G, h, opts.tol_primal, opts.tol_dual)) is not None:
+    if r == 2 and (exact := _order_two(C, G, h, opts.tol_primal, opts.tol_dual,
+                                       table)) is not None:
         S, lam, residual = exact
         return _IpmOutcome("CONVERGED", S, lam, C - (lam @ G.reshape(p, 4)).reshape(2, 2), 0,
                            residual, 0.0)
@@ -231,27 +242,116 @@ def _interval_lp(c: float, g: np.ndarray, h: np.ndarray) -> _IpmOutcome:
                        0.0, 0.0)
 
 
+@dataclass(frozen=True)
+class _KktTable:
+    """What the candidate pairs of an order-2 problem read of ``C`` and its
+    rows ``G`` alone (``_order_two_table``), so that problems that differ
+    only in ``h`` build it once.  The pairs ``(K, 3)`` run in the order of
+    ``_pairs``; ``fresh`` is the slice of the two-row pairs, whose
+    multipliers depend on ``h``."""
+
+    cm: np.ndarray  # C as a 3-vector
+    gm: np.ndarray  # the rows as 3-vectors, and a zero row p
+    uu: np.ndarray  # one row: u u^T at each root, (2, p, 3)
+    ug: np.ndarray  # one row: u^T G_j u at each root, (2, p)
+    gj: np.ndarray  # two rows j < k: the rows j, (P, 3)
+    gk: np.ndarray  # ... and the rows k
+    gjw: np.ndarray  # ... weighted by _WEIGHTS
+    gkw: np.ndarray
+    mj: np.ndarray  # ... as 2 x 2 matrices, (P, 2, 2)
+    mk: np.ndarray
+    cmat: np.ndarray  # C as a 2 x 2 matrix
+    adj: np.ndarray  # three rows: the adjugates, (T, 3, 3)
+    det: np.ndarray  # ... and the determinants, (T, 1)
+    lam: np.ndarray  # the multipliers, 0 on the two-row pairs, (K, 3)
+    idx: np.ndarray  # the rows they belong to, p where unused, (K, 3)
+    dual: np.ndarray  # the dual side of the check (_dual_side), False on the two-row pairs
+    fresh: slice  # the two-row pairs
+
+
+def _order_two_table(C: np.ndarray, G: np.ndarray) -> Optional[_KktTable]:
+    """The table of ``_order_two`` for ``C`` and the rows ``G``, or None
+    past ``MAX_ROWS`` rows: the one-row roots and null vectors, the pair
+    and triple gathers, the three-row adjugates, determinants and
+    multipliers, and the dual side of the check (``_dual_side``) of every
+    pair whose multipliers do not involve ``h`` (see ``_pairs``).  Each
+    entry is the array ``_order_two`` would compute, so reading it changes
+    no bit."""
+    p = len(G)
+    if p > MAX_ROWS:
+        return None
+    gm = np.zeros((p + 1, 3))
+    gm[:p] = G.reshape(p, 4)[:, _PACK]
+    cm = C.ravel()[_PACK]
+    gp = gm[:p]
+    pair, triple = _PAIRS[:math.comb(p, 2)], _TRIPLES[:math.comb(p, 3)]
+    with np.errstate(all="ignore"):  # a vanishing divisor leaves a non-finite pair
+        # one row: det(C - lam G_j) = alpha lam^2 + beta lam + gamma, both roots
+        a, b, c = gp.T
+        alpha, gamma = a * b - c * c, cm[0] * cm[1] - cm[2] ** 2
+        q = _half_root(alpha, 2.0 * cm[2] * c - cm[0] * b - cm[1] * a, gamma)
+        lam1 = np.array((q / alpha, gamma / q))
+        z = cm - lam1[..., None] * gp
+        # the longer of Z's null vectors (Z_12, -Z_11) and (Z_22, -Z_12)
+        u = np.where((np.abs(z[..., 0]) >= np.abs(z[..., 1]))[..., None],
+                     z.take(_NULL_A, -1), z.take(_NULL_B, -1))
+        u[..., 1] *= -1.0
+        uu = u.take(_LEFT, -1) * u.take(_RIGHT, -1)
+        ug = np.einsum("rjc,jc->rj", uu, gp * _WEIGHTS)
+
+        gj, gk = gm.take(pair[:, 0], 0), gm.take(pair[:, 1], 0)
+
+        # three rows: row r of adj is G_{r+1} x G_{r+2} of the triple, as 3-vectors
+        m = gm.take(triple, 0)
+        after, last = m.take(_NEXT, 1), m.take(_LAST, 1)
+        adj = (after.take(_NEXT, 2) * last.take(_LAST, 2)
+               - after.take(_LAST, 2) * last.take(_NEXT, 2))
+        det = np.einsum("ic,ic->i", m[:, 0], adj[:, 0])[:, None]
+        lam3 = adj @ cm / det
+
+        n1, n2 = 1 + 2 * p, 1 + 2 * p + 2 * len(pair)
+        k = n2 + len(triple)
+        idx = np.full((k, 3), p)
+        lam = np.zeros((k, 3))
+        idx[1:n1, 0], lam[1:n1, 0] = np.concatenate((_ROWS[:p], _ROWS[:p])), lam1.ravel()
+        idx[n1:n2, :2] = np.concatenate((pair, pair))
+        idx[n2:], lam[n2:] = triple, lam3
+        dual = _dual_side(cm, gm, lam, idx)
+        dual[n1:n2] = False
+        table = _KktTable(cm, gm, uu, ug, gj, gk, gj * _WEIGHTS, gk * _WEIGHTS,
+                          gj.take(_UNPACK, 1).reshape(-1, 2, 2),
+                          gk.take(_UNPACK, 1).reshape(-1, 2, 2), cm.take(_UNPACK).reshape(2, 2),
+                          adj, det, lam, idx, dual, slice(n1, n2))
+    for v in vars(table).values():
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return table
+
+
 def _order_two(C: np.ndarray, G: np.ndarray, h: np.ndarray, tol_primal: float,
-               tol_dual: float) -> Optional[Tuple[np.ndarray, np.ndarray, float]]:
+               tol_dual: float, table: Optional[_KktTable] = None,
+               ) -> Optional[Tuple[np.ndarray, np.ndarray, float]]:
     """``(S, lam, residual_primal)`` of the least ``<C, S>`` among the
     candidate pairs (``_pairs``) that pass ``_check`` at the given
     tolerances, or None: when none passes, or the problem has more than
     ``MAX_ROWS`` rows.  ``residual_primal`` is the interior-point method's,
     the norm of ``max(h - G(S), 0)`` relative to ``1 + |h|``; its dual
-    residual is 0, since ``Z`` is defined by ``lam``.
+    residual is 0, since ``Z`` is defined by ``lam``.  ``table`` is
+    ``_order_two_table(C, G)``, built here when not given.
     """
     p = h.size
     if p > MAX_ROWS:
         return None
-    # the rows, and a zero row p that the unused slots of a pair point at
-    gm = np.zeros((p + 1, 3))
-    gm[:p] = G.reshape(p, 4)[:, _PACK]
+    if table is None:
+        table = _order_two_table(C, G)
+    cm, gm = table.cm, table.gm
+    # h, and a zero entry p that the unused slots of a pair point at
     hz = np.zeros(p + 1)
     hz[:p] = h
-    cm = C.ravel()[_PACK]
     with np.errstate(all="ignore"):  # a vanishing divisor leaves a non-finite pair
-        S, lam, idx = _pairs(cm, gm, hz)
-        ok = _check(cm, gm, hz, S, lam, idx, tol_primal, tol_dual)
+        S, lam = _pairs(table, hz)
+        ok = _check(cm, gm, hz, S, lam, table.idx, tol_primal, tol_dual, table.dual,
+                    table.fresh)
     passed = np.flatnonzero(ok)
     if not passed.size:
         return None
@@ -259,14 +359,15 @@ def _order_two(C: np.ndarray, G: np.ndarray, h: np.ndarray, tol_primal: float,
     s = S[best]
     rp = np.maximum(h - gm[:p] @ (s * _WEIGHTS), 0.0)
     out = np.zeros(p + 1)
-    out[idx[best]] = lam[best]
+    out[table.idx[best]] = lam[best]
     return s[_UNPACK].reshape(2, 2), out[:p], math.sqrt(rp @ rp) / (1.0 + math.sqrt(h @ h))
 
 
-def _pairs(cm: np.ndarray, gm: np.ndarray, hz: np.ndarray):
-    """Every candidate pair: ``S`` as 3-vectors, stacked ``(K, 3)``, and
-    ``lam`` as at most three values per pair with the rows they belong to
-    (``(K, 3)`` each; an unused slot holds 0 and the zero row p):
+def _pairs(t: _KktTable, hz: np.ndarray):
+    """Every candidate pair of the table ``t`` at the right-hand side ``hz``:
+    ``S`` as 3-vectors, stacked ``(K, 3)``, and ``lam`` as at most three
+    values per pair, ``(K, 3)``, for the rows ``t.idx`` (an unused slot
+    holds 0 and the zero row p):
 
     - ``S = 0`` with ``lam = 0``;
     - one active row j: each real root ``lam_j`` of
@@ -278,63 +379,39 @@ def _pairs(cm: np.ndarray, gm: np.ndarray, hz: np.ndarray):
     - three active rows: ``S`` where all three hold, and ``lam`` from
       ``C = sum_k lam_k G_k``, both by Cramer's rule.
 
-    Each quadratic is solved in the cancellation-free form (``_half_root``),
-    which stays exact where it degenerates to a linear one: the line of two
-    sign rows is often rank one.
+    Only ``S`` and the two-row multipliers depend on ``h``; the rest is
+    read from the table.  Each quadratic is solved in the cancellation-free
+    form (``_half_root``), which stays exact where it degenerates to a
+    linear one: the line of two sign rows is often rank one.
     """
     p = hz.size - 1
-    gp, hp = gm[:p], hz[:p]
     pair, triple = _PAIRS[:math.comb(p, 2)], _TRIPLES[:math.comb(p, 3)]
-
-    # one row: det(C - lam G_j) = alpha lam^2 + beta lam + gamma, both roots
-    a, b, c = gp.T
-    alpha, gamma = a * b - c * c, cm[0] * cm[1] - cm[2] ** 2
-    q = _half_root(alpha, 2.0 * cm[2] * c - cm[0] * b - cm[1] * a, gamma)
-    lam1 = np.array((q / alpha, gamma / q))
-    z = cm - lam1[..., None] * gp
-    # the longer of Z's null vectors (Z_12, -Z_11) and (Z_22, -Z_12)
-    u = np.where((np.abs(z[..., 0]) >= np.abs(z[..., 1]))[..., None],
-                 z.take(_NULL_A, -1), z.take(_NULL_B, -1))
-    u[..., 1] *= -1.0
-    uu = u.take(_LEFT, -1) * u.take(_RIGHT, -1)
-    s1 = uu * (hp / np.einsum("rjc,jc->rj", uu, gp * _WEIGHTS))[..., None]
+    s1 = t.uu * (hz[:p] / t.ug)[..., None]
 
     # two rows: v^T W v = 0 for W = h_j G_k - h_k G_j at v = (q, W_11) and (W_22, q)
-    gj, gk = gm.take(pair[:, 0], 0), gm.take(pair[:, 1], 0)
     hj, hk = hz.take(pair[:, 0]), hz.take(pair[:, 1])
-    W = hj[:, None] * gk - hk[:, None] * gj
+    W = hj[:, None] * t.gk - hk[:, None] * t.gj
     q = _half_root(W[:, 0], 2.0 * W[:, 2], W[:, 1])
     v = np.array(((q, W[:, 0]), (W[:, 1], q))).transpose(0, 2, 1)
     vv = v.take(_LEFT, -1) * v.take(_RIGHT, -1)
     # t fits both rows, which agree by the choice of v
-    tj = np.einsum("rpc,pc->rp", vv, gj * _WEIGHTS)
-    tk = np.einsum("rpc,pc->rp", vv, gk * _WEIGHTS)
+    tj = np.einsum("rpc,pc->rp", vv, t.gjw)
+    tk = np.einsum("rpc,pc->rp", vv, t.gkw)
     s2 = vv * ((hj * tj + hk * tk) / (tj * tj + tk * tk))[..., None]
     # lam from C v = lam_j G_j v + lam_k G_k v, by Cramer's rule
-    vj = (gj.take(_UNPACK, 1).reshape(-1, 2, 2) @ v[..., None])[..., 0]
-    vk = (gk.take(_UNPACK, 1).reshape(-1, 2, 2) @ v[..., None])[..., 0]
-    vc = v @ cm.take(_UNPACK).reshape(2, 2)
+    vj = (t.mj @ v[..., None])[..., 0]
+    vk = (t.mk @ v[..., None])[..., 0]
+    vc = v @ t.cmat
     lam2 = np.array((_cross2(vc, vk), _cross2(vj, vc))) / _cross2(vj, vk)
 
-    # three rows: row r of adj is G_{r+1} x G_{r+2} of the triple, as 3-vectors
-    m = gm.take(triple, 0)
-    after, last = m.take(_NEXT, 1), m.take(_LAST, 1)
-    adj = after.take(_NEXT, 2) * last.take(_LAST, 2) - after.take(_LAST, 2) * last.take(_NEXT, 2)
-    det = np.einsum("ic,ic->i", m[:, 0], adj[:, 0])[:, None]
-    lam3 = adj @ cm / det
-    # the adjugate of the g rows is adj scaled by (2, 2, 1), their determinant 2 det
-    s3 = (hz.take(triple)[:, None] @ adj)[:, 0] * (1.0, 1.0, 0.5) / det
+    # three rows: the adjugate of the g rows is adj scaled by (2, 2, 1), their determinant 2 det
+    s3 = (hz.take(triple)[:, None] @ t.adj)[:, 0] * (1.0, 1.0, 0.5) / t.det
 
     # in order: S = 0, the first root of every row then the second, the pairs alike, the triples
-    n1, n2 = 1 + 2 * p, 1 + 2 * p + 2 * len(pair)
     S = np.concatenate((np.zeros((1, 3)), s1.reshape(-1, 3), s2.reshape(-1, 3), s3))
-    idx = np.full(S.shape, p)
-    lam = np.zeros(S.shape)
-    idx[1:n1, 0], lam[1:n1, 0] = np.concatenate((_ROWS[:p], _ROWS[:p])), lam1.ravel()
-    idx[n1:n2, :2] = np.concatenate((pair, pair))
-    lam[n1:n2, :2] = lam2.transpose(1, 2, 0).reshape(-1, 2)
-    idx[n2:], lam[n2:] = triple, lam3
-    return S, lam, idx
+    lam = t.lam.copy()
+    lam[t.fresh, :2] = lam2.transpose(1, 2, 0).reshape(-1, 2)
+    return S, lam
 
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -350,21 +427,30 @@ def _half_root(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
 
 
-def _check(cm: np.ndarray, gm: np.ndarray, hz: np.ndarray, S: np.ndarray, lam: np.ndarray,
-           idx: np.ndarray, tol_primal: float, tol_dual: float) -> np.ndarray:
-    """Which pairs pass: the interior-point method's stopping rule at the
-    given tolerances, with slacks ``w = max(G(S) - h, 0)``, and feasibility
-    to rounding, not to ``tol_dual``: ``lam >= 0``, ``S`` PSD up to
-    ``64 eps |S|_max`` and ``Z`` PSD up to
-    ``64 eps (1 + |C|_max + sum_k |lam_k| |G_k|_max)``.  A problem with no
-    optimum can have a pair within ``tol_dual`` of dual feasibility; the
-    strict test turns it down."""
+def _dual_side(cm: np.ndarray, gm: np.ndarray, lam: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Which pairs pass the dual side of ``_check``: ``lam >= 0`` and ``Z``
+    PSD up to ``64 eps (1 + |C|_max + sum_k |lam_k| |G_k|_max)``."""
     eps = sys.float_info.epsilon
     Z = cm - np.einsum("ij,ijc->ic", lam, gm.take(idx, 0))
     zscale = 1.0 + np.abs(cm).max() + np.einsum("ij,ij->i", np.abs(lam),
                                                  np.abs(gm).max(axis=1).take(idx))
-    ok = (np.isfinite(S).all(axis=1) & (lam >= 0.0).all(axis=1)
-          & (_least_eigenvalue(Z) >= -64.0 * eps * zscale)
+    return (lam >= 0.0).all(axis=1) & (_least_eigenvalue(Z) >= -64.0 * eps * zscale)
+
+
+def _check(cm: np.ndarray, gm: np.ndarray, hz: np.ndarray, S: np.ndarray, lam: np.ndarray,
+           idx: np.ndarray, tol_primal: float, tol_dual: float, dual: np.ndarray,
+           fresh: slice) -> np.ndarray:
+    """Which pairs pass: the interior-point method's stopping rule at the
+    given tolerances, with slacks ``w = max(G(S) - h, 0)``, and feasibility
+    to rounding, not to ``tol_dual``: ``S`` PSD up to ``64 eps |S|_max``
+    and the dual side (``_dual_side``), which ``dual`` holds for every pair
+    but those of the slice ``fresh``, checked here.  A problem with no
+    optimum can have a pair within ``tol_dual`` of dual feasibility; the
+    strict test turns it down."""
+    eps = sys.float_info.epsilon
+    dual = dual.copy()
+    dual[fresh] = _dual_side(cm, gm, lam[fresh], idx[fresh])
+    ok = (np.isfinite(S).all(axis=1) & dual
           & (_least_eigenvalue(S) >= -64.0 * eps * np.abs(S).max(axis=1)))
     feasible = np.flatnonzero(ok)
     s, h = S[feasible] * _WEIGHTS, hz[:-1]

@@ -1,23 +1,41 @@
 """Dense symmetric linear algebra: nullspaces and projections.
 
-Everything here operates on small dense matrices.  The PSD projection's
-eigensolver is LAPACK's symmetric driver, called through the gufunc
-``numpy.linalg._umath_linalg.eigh_lo`` that ``numpy.linalg.eigh`` wraps;
-it meets the accuracy contract at the target sizes (order below ~200).
-The kernel calls it directly because at order 5 numpy's wrapper (type
-dispatch, an ``errstate`` context and ``astype`` copies) costs as much as
-the decomposition.  Its input is already float64, square and finite, so
-the wrapper's checks are redundant; the one thing it adds, an error when
-LAPACK does not converge, shows up here as a NaN in the output.  The
-oracle's face engine calls the same gufunc, and the SVD gufuncs beside
-it, on stacks of faces and of column subsets; its min-norm points and
-basic solutions come from those SVDs, so the engine calls no
-least-squares driver.  The interior-point method in ``ipm`` calls the
-eigen gufunc twice per step, once for ``S`` and ``Z`` and once to invert
-its Schur matrix.  It and lifted-point validation
-(``core.validate_lifted_point``, ``core.cone_violation``) call the
-eigenvalue gufunc ``core._eigvalsh``: an unconverged eigensolve reads NaN
-there, and a NaN fails every check.
+Everything here operates on small dense matrices.  Every LAPACK call in
+the package goes through a gufunc of ``numpy.linalg._umath_linalg``, the
+handle that numpy's own wrapper calls, without the wrapper: at the orders
+used here (below ~200, mostly below 10) the wrapper's type dispatch,
+``errstate`` context and ``astype`` copies cost as much as the
+decomposition, and the inputs are already float64 and finite.  The
+handles and their callers:
+
+- ``core._eigh`` (``eigh_lo``, ``numpy.linalg.eigh``): the PSD projection
+  ``_psd``; the interior-point step ``ipm._ipm_step``, twice per step, for
+  ``S`` and ``Z`` and to invert its Schur matrix; the oracle's reduced
+  Hessians ``oracle._interior_points``; and the curvature of the record
+  ``conic._Prepared`` and the reduced Hessians of ``conic._convex_qp``.
+- ``core._eigvalsh`` (``eigvalsh_lo``, ``numpy.linalg.eigvalsh``):
+  lifted-point validation (``core.validate_lifted_point``,
+  ``core.cone_violation``), the interior-point start test and step lengths
+  (``ipm._interior``, ``ipm._steps_to_boundary``) and the DNN search's
+  start (``conic._search_start``).
+- ``_svd`` (``svd_f``, ``numpy.linalg.svd``): ``nullspace_basis``, and the
+  oracle's stacked basic solutions and face hulls
+  (``oracle._basic_solutions``, ``oracle._hull_points``).
+- ``_svdvals`` (``svd``, ``numpy.linalg.svd(compute_uv=False)``): the
+  oracle's system rank (``oracle._system_ranks``).
+- ``_lstsq`` (``lstsq``, ``numpy.linalg.lstsq``), through
+  ``_least_squares``: the multipliers of ``conic._convex_qp`` and of
+  ``oracle.first_order_certificate``.
+
+Each returns the arrays numpy's wrapper returns, bit for bit, and where
+the wrapper raises ``LinAlgError`` it returns NaN and sets the invalid
+floating-point flag.  The failure rule: the oracle, ``nullspace_basis``,
+``_least_squares`` and the ``conic`` sites call their handle under
+``_lapack_errors()``, which turns that flag into ``LinAlgError`` as the
+wrappers do; the kernels that call theirs bare (``_psd``, the
+interior-point method, lifted-point validation) read the NaN instead and
+fail their own checks: ``project_cone`` raises ``NonFinite``, the method
+stops at MAX_ITER, and a NaN fails every validation test.
 
 Public projections (``project_cone``, ``AffineProjector.apply``,
 ``FaceProjector.apply``) validate their input: shape, finiteness, and
@@ -27,7 +45,6 @@ kernels they share with the splitting loop (``_psd``, ``_nonneg``,
 correctly sized input and check nothing; the loop (which no solve runs any
 more) checks finiteness once per iteration.
 """
-
 from __future__ import annotations
 
 import warnings
@@ -56,6 +73,35 @@ _svd = _umath_linalg.svd_f
 #: on a stack it returns one row per slice, and NaNs where LAPACK does not
 #: converge.
 _svdvals = _umath_linalg.svd
+#: The least-squares driver behind ``numpy.linalg.lstsq``: with
+#: ``signature="ddd->ddid"`` it returns the solution, the residuals, the
+#: rank and the singular values; read through ``_least_squares``.
+_lstsq = _umath_linalg.lstsq
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _lapack_failed(err, flag):
+    raise np.linalg.LinAlgError("LAPACK did not converge")
+
+
+def _lapack_errors() -> np.errstate:
+    """The context every raising LAPACK call runs under: a handle's invalid
+    flag (its NaN where LAPACK fails) raises ``LinAlgError``."""
+    return np.errstate(call=_lapack_failed, invalid="call")
+
+
+def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.lstsq(a, b, rcond=None)[0]`` for a float64 matrix ``a``
+    and vector ``b``, bit for bit: the same driver at the same cutoff
+    ``eps * max(m, n)``, and numpy's zero solution for a system with no
+    rows, where the driver leaves its output unwritten."""
+    m, n = a.shape
+    with _lapack_errors():
+        x = _lstsq(a, b[:, None], _EPS * max(m, n), signature="ddd->ddid")[0][:, 0]
+    if m == 0:
+        x[...] = 0.0
+    return x
 
 
 def _check_symmetric(m, name="matrix") -> np.ndarray:
@@ -77,7 +123,8 @@ def nullspace_basis(a) -> np.ndarray:
         raise DimensionMismatch("nullspace_basis expects a matrix")
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains non-finite entries")
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    with _lapack_errors():
+        _, s, vt = _svd(a, signature="d->ddd")
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > RANK_TOL * smax)) if smax > 0 else 0
     return vt[rank:].T.copy()

@@ -23,10 +23,14 @@ cut into slices of at most ``FACE_SLICE`` faces.  The grouping depends on
 ``n`` (``_plan``: per group the patterns, their free columns and their
 subfaces with one variable fewer free).  It is built only after
 ``_face_patterns`` accepts ``n <= enum_cap()``, so the plans a process
-holds are bounded: about 4.2 MB of arrays for every ``n`` up to the
-default cap of 16, 10 KB for ``n = 4 .. 8``.  A slice takes one stacked
-SVD, which gives both the min-norm points and the null-space bases, then
-one stacked eigensolve of the reduced Hessians per null-space dimension.
+holds are bounded.  Their arrays are numpy's index type ``intp``, which
+the face walk indexes with as they are (a smaller type would be cast on
+every group visit): ``8 (2^n - 1) + 8 n 2^n`` bytes per ``n`` on a 64-bit
+platform, 8 912 888 B at the cap ``n = 16``, 16 777 088 B for every ``n``
+up to it, and 32 344 B for the corpus's ``n = 4 .. 8``.  A slice takes
+one stacked SVD, which gives both the min-norm points and the null-space
+bases, then one stacked eigensolve of the reduced Hessians per null-space
+dimension.
 The positive definiteness and sign tests run as masks over the whole
 slice.  Each face writes its candidate into its own row of one
 ``(2^n, n)`` table, whose marked rows are the candidates in pattern order.
@@ -94,7 +98,7 @@ from .core import (
     slope_tolerance,
 )
 from .errors import DeskScaleLimit, DimensionMismatch, NonFinite, PointInfeasible
-from .numerics import RANK_TOL, _eigh, _svd, _svdvals
+from .numerics import RANK_TOL, _eigh, _lapack_errors, _least_squares, _svd, _svdvals
 
 ORACLE_OPTIMAL = "OPTIMAL"
 ORACLE_INFEASIBLE = "INFEASIBLE"
@@ -261,7 +265,7 @@ def _basic_feasible_iter(A, b, stack: int):
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise NonFinite("non-finite constraint data")
     n = A.shape[1]
-    with np.errstate(call=_lapack_failed, invalid="call"):
+    with _lapack_errors():
         tol, smax, rank = _system_ranks(A, b)
 
     if rank == 0:
@@ -277,7 +281,7 @@ def _basic_feasible_iter(A, b, stack: int):
     seen = set()
     subsets = itertools.combinations(range(n), rank)
     while part := list(itertools.islice(subsets, stack)):
-        with np.errstate(call=_lapack_failed, invalid="call"):
+        with _lapack_errors():
             points, ok = _basic_solutions(A, b, np.array(part), smax, tol)
         yield from _first_occurrences(points[ok], seen)
         stack = min(2 * stack, FACE_SLICE)
@@ -379,10 +383,6 @@ def _nonnegative(xF: np.ndarray, tol: float) -> np.ndarray:
     return xF.min(axis=1, initial=0.0) >= -tol
 
 
-def _lapack_failed(err, flag):
-    raise np.linalg.LinAlgError("LAPACK did not converge in the exact oracle")
-
-
 @lru_cache(maxsize=None)
 def _plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The face patterns of ``n`` variables with a free variable, grouped
@@ -395,13 +395,12 @@ def _plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     ``f`` free variables, ascending, as ``(faces, cols, subfaces)``: the
     pattern indices, each face's free columns, and per free column the
     index of the subface that fixes it at zero, which sits in the group
-    before.  The arrays are
-    read-only and of the smallest unsigned type that holds ``2 ** n - 1``.
-    One plan is kept per ``n``: a ``compare`` pass over instances of
-    several sizes builds each once.  Callers check ``_face_patterns(n)``
-    first, which bounds what is kept.
+    before.  The arrays are read-only and of numpy's index type ``intp``,
+    so the face walk indexes with them as they are.  One plan is kept per
+    ``n``: a ``compare`` pass over instances of several sizes builds each
+    once.  Callers check ``_face_patterns(n)`` first, which bounds what is
+    kept.
     """
-    dtype = np.min_scalar_type(2 ** n - 1)
     bits = 1 << np.arange(n - 1, -1, -1)
     free = (np.arange(2 ** n)[:, None] & bits) != 0
     count = free.sum(axis=1)
@@ -409,7 +408,8 @@ def _plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     for f in range(1, n + 1):
         faces = np.flatnonzero(count == f)
         cols = np.nonzero(free[faces])[1].reshape(faces.size, f)
-        group = tuple(v.astype(dtype) for v in (faces, cols, faces[:, None] ^ bits[cols]))
+        subfaces = faces[:, None] ^ bits[cols]
+        group = tuple(v.astype(np.intp, copy=False) for v in (faces, cols, subfaces))
         for v in group:
             v.setflags(write=False)
         groups.append(group)
@@ -431,7 +431,7 @@ def _simplex_hulls(n: int):
     entry changes no bit of what the faces would compute.
     """
     hulls = []
-    with np.errstate(call=_lapack_failed, invalid="call"):
+    with _lapack_errors():
         for f in range(1, n + 1):
             A, b = np.ones((1, f)), np.ones(1)
             hull = _hull_points(A, b, np.arange(f)[None], _system_scale(A, b))
@@ -464,8 +464,6 @@ def _face_candidates(Q, c, A, b, scale, hulls=None) -> np.ndarray:
     not_pd = np.zeros(2 ** n, dtype=bool)
     for f, (faces, cols, subfaces) in enumerate(_plan(n)):
         hull = None if hulls is None else hulls[f]
-        # numpy indexes fastest with intp; the plan keeps its compact type
-        faces, cols = faces.astype(np.intp), cols.astype(np.intp)
         skip = not_pd[subfaces].any(axis=1)
         if skip.any():
             not_pd[faces[skip]] = True
@@ -573,8 +571,11 @@ def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None, hulls=None) -> Ora
     when every recession direction has strictly positive curvature.  The
     ray test starts from the basic feasible points of
     ``{A x = b, x >= 0}``; a caller that has already enumerated them passes
-    ``basic_feasible_points(A, b)`` as ``vertices``, which is read only
-    when the recession cone is nontrivial.  ``hulls``, passed only by
+    ``basic_feasible_points(A, b)`` as ``vertices``.  An empty list, or an
+    empty enumeration of a nontrivial recession cone's polyhedron, is
+    INFEASIBLE with no face walked (``faces_explored`` 0; the enumeration
+    cap is still checked first when the cone is trivial); otherwise the
+    list is read only by the ray test.  ``hulls``, passed only by
     ``simplex_minimum``, holds each group's shared face geometry
     (``_simplex_hulls``); it changes no bit of the result.
     """
@@ -605,8 +606,10 @@ def minimize_quad_over_polytope(Q, c, A, b, *, vertices=None, hulls=None) -> Ora
         certified = recession.min_curvature > curvature_tolerance(Q)
 
     faces = _face_patterns(n)
+    if vertices is not None and not vertices:
+        return OracleResult(math.inf, (), False, 0, ORACLE_INFEASIBLE, recession=recession)
     scale = float(_system_scale(A, b))
-    with np.errstate(call=_lapack_failed, invalid="call"):
+    with _lapack_errors():
         X = _face_candidates(Q, c, A, b, scale, hulls)
     if not len(X):
         return OracleResult(math.inf, (), False, faces, ORACLE_INFEASIBLE, recession=recession)
@@ -791,7 +794,7 @@ def first_order_certificate(inst: QpInstance, x) -> Optional[KktCertificate]:
 
     if P:
         AP = inst.A[:, P]
-        y, *_ = np.linalg.lstsq(AP.T, grad[P], rcond=None)
+        y = _least_squares(AP.T, grad[P])
         stat_res = float(np.abs(AP.T @ y - grad[P]).max(initial=0.0))
     else:
         y = np.zeros(inst.m)

@@ -1487,6 +1487,41 @@ class TestOrderTwoFaces:
                 res = evaluate_underestimator(inst, DNN, x, opts)
             assert res.iterations == its and abs(res.value - ref) <= 1e-12 * (1.0 + abs(ref))
 
+    def test_one_table_serves_every_anchor(self, monkeypatch):
+        # criterion 9's first member: 12 anchors of one (C, G); the record
+        # builds one KKT table, and the table-backed solve is the table-free
+        # one bit for bit
+        opts = SolveOptions(tol_primal=1e-8, tol_dual=1e-8)
+        problems = list(_order_two_problems(opts))[:12]
+        inst = problems[0][0]
+        assert all(p[0] is inst for p in problems)
+        table = ipm._order_two_table(*problems[0][2:4])
+        built, build = [], ipm._order_two_table
+
+        def counted(C, G):
+            built.append(True)
+            return build(C, G)
+
+        def outcome(out):
+            return (out.status, out.S.tobytes(), out.lam.tobytes(), out.Z.tobytes(),
+                    out.iterations, out.residual_primal, out.residual_dual)
+
+        def result(res):
+            return res.status, res.value.hex(), res.point.y.tobytes(), res.iterations
+
+        monkeypatch.setattr(conic, "_order_two_table", counted)
+        conic._prepared.cache_clear()
+        backed = [result(evaluate_underestimator(inst, DNN, x, opts)) for _, x, *_ in problems]
+        assert len(built) == 1
+        monkeypatch.setattr(conic, "_order_two_table", lambda C, G: None)
+        conic._prepared.cache_clear()
+        free = [result(evaluate_underestimator(inst, DNN, x, opts)) for _, x, *_ in problems]
+        assert backed == free
+        for _, x, C, G, h in problems:
+            out = ipm.solve_face(C, G, h, opts, table=table)
+            assert out.iterations == 0
+            assert outcome(out) == outcome(ipm.solve_face(C, G, h, opts))
+
     @staticmethod
     def solve(C, G, h):
         return ipm.solve_face(np.array(C, dtype=float), np.array(G, dtype=float).reshape(-1, 2, 2),

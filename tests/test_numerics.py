@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qprelax import numerics
+from qprelax import conic, numerics, oracle
 from qprelax.conic import SolveOptions, _consensus, _strict_triu
 from qprelax.core import DNN, PSD0, lift_instance
-from qprelax.errors import DimensionMismatch, NonFinite
+from qprelax.errors import DimensionMismatch, NonFinite, PointInfeasible
 from qprelax.generators import BOUNDED, UNBOUNDED_SAFE, random_instance
 from qprelax.numerics import (
     NONNEG,
@@ -21,7 +21,7 @@ from qprelax.numerics import (
     project_cone,
 )
 
-from conftest import make_qp
+from conftest import make_corpus, make_qp
 
 
 def sym_matrices(n, elements=st.floats(min_value=-5, max_value=5)):
@@ -358,3 +358,117 @@ class TestConeViolation:
         m = np.eye(3)
         m[1, 2] = m[2, 1] = -0.5
         assert cone_violation(m, DNN) >= 0.5
+
+
+def _same_bits(u, v):
+    """Equality of nested results, with arrays and floats compared bit for bit."""
+    if isinstance(u, np.ndarray):
+        return (isinstance(v, np.ndarray) and u.dtype == v.dtype and u.shape == v.shape
+                and u.tobytes() == v.tobytes())
+    if isinstance(u, (tuple, list)):
+        return (type(u) is type(v) and len(u) == len(v)
+                and all(_same_bits(x, y) for x, y in zip(u, v)))
+    if isinstance(u, float):
+        return isinstance(v, float) and u.hex() == v.hex()
+    if hasattr(u, "__dataclass_fields__"):
+        return type(u) is type(v) and all(_same_bits(getattr(u, f), getattr(v, f))
+                                          for f in u.__dataclass_fields__)
+    return u == v
+
+
+def _failed(*args, signature=None):
+    """What a LAPACK gufunc does where numpy's wrapper raises: NaN outputs
+    and the floating-point invalid flag."""
+    return np.divide(np.zeros(args[0].shape), 0.0)
+
+
+@st.composite
+def _systems(draw):
+    """A matrix with 0 to 5 rows and 1 to 5 columns, of full or deficient
+    rank, and a right-hand side."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(m, n)))
+    values = st.floats(-4.0, 4.0, allow_nan=False, width=64)
+    left = draw(arrays(float, (m, k), elements=values))
+    right = draw(arrays(float, (k, n), elements=values))
+    b = draw(arrays(float, (m,), elements=values))
+    return left @ right if draw(st.booleans()) else draw(
+        arrays(float, (m, n), elements=values)), b
+
+
+class TestLapackHandles:
+    """The sites that call a LAPACK gufunc without numpy's wrapper give the
+    wrapper's bits, and raise ``LinAlgError`` where it would."""
+
+    @given(_systems())
+    def test_least_squares_is_the_wrapper(self, system):
+        a, b = system
+        ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert _same_bits(numerics._least_squares(a, b), ref)
+
+    @given(_systems())
+    def test_nullspace_basis_is_the_wrapper(self, system):
+        a, _ = system
+        _, s, vt = np.linalg.svd(a, full_matrices=True)
+        smax = s[0] if s.size else 0.0
+        rank = int(np.sum(s > numerics.RANK_TOL * smax)) if smax > 0 else 0
+        assert _same_bits(nullspace_basis(a), vt[rank:].T.copy())
+
+    @staticmethod
+    def sites():
+        """What every converted site gives over the make_corpus.py corpus."""
+        out = []
+        for inst in make_corpus():
+            prep = conic._Prepared(inst)
+            out.append((prep.N, prep.curvature, prep.v))
+            if prep.rays and prep.N.shape[1]:
+                out.append(conic._search_start(prep))
+            if prep.x0 is not None and prep.holds:
+                found = conic._convex_qp(inst, prep.x0)
+                out.append(found)
+                if found is not None and found[1] is None:
+                    try:
+                        out.append(oracle.first_order_certificate(inst, found[0]))
+                    except PointInfeasible:
+                        out.append(None)
+        return out
+
+    def test_sites_are_the_wrappers_over_the_corpus(self, monkeypatch):
+        handles = self.sites()
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_svd", lambda a, signature: np.linalg.svd(a))
+            patch.setattr(conic, "_eigh", lambda a, signature: np.linalg.eigh(a))
+            patch.setattr(conic, "_eigvalsh", lambda a, signature: np.linalg.eigvalsh(a))
+            for module in (conic, oracle):
+                patch.setattr(module, "_least_squares",
+                              lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0])
+            wrappers = self.sites()
+        assert len(handles) > 40 and _same_bits(handles, wrappers)
+
+    def test_a_failed_handle_raises(self, monkeypatch):
+        corpus = make_corpus()
+        horn = corpus[0]
+        convex = next(i for i in corpus if conic._Prepared(i).holds
+                      and conic._Prepared(i).x0 is not None
+                      and conic._convex_qp(i, conic._Prepared(i).x0)[1] is None)
+        search = next(i for i in corpus if conic._Prepared(i).rays
+                      and conic._search_start(conic._Prepared(i)) is not None)
+        x0 = conic._Prepared(convex).x0
+        x = conic._convex_qp(convex, x0)[0]
+        prep = conic._Prepared(search)
+        calls = [
+            (numerics, "_svd", lambda: nullspace_basis(horn.A)),
+            (numerics, "_lstsq", lambda: numerics._least_squares(np.eye(2), np.ones(2))),
+            (conic, "_eigh", lambda: conic._Prepared(horn)),
+            (conic, "_eigh", lambda: conic._convex_qp(convex, x0)),
+            (conic, "_eigvalsh", lambda: conic._search_start(prep)),
+            (numerics, "_lstsq", lambda: oracle.first_order_certificate(convex, x)),
+        ]
+        for module, name, call in calls:
+            with monkeypatch.context() as patch:
+                if name == "_eigh":
+                    patch.setattr(module, name, lambda a, signature: (_failed(a)[0], _failed(a)))
+                else:
+                    patch.setattr(module, name, _failed)
+                with pytest.raises(np.linalg.LinAlgError):
+                    call()

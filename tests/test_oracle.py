@@ -680,22 +680,31 @@ class TestFacePlan:
                 for j, sub in zip(cs, subs):
                     assert patterns[sub] == patterns[face][:j] + (0,) + patterns[face][j + 1:]
 
-    @pytest.mark.parametrize("n,dtype", [(5, np.uint8), (8, np.uint8), (9, np.uint16)])
-    def test_plan_is_read_only_and_compact(self, n, dtype):
-        plan = oracle._plan(n)
-        assert len(plan) == n
-        for group in plan:
-            for v in group:
-                assert v.dtype == dtype
-                with pytest.raises(ValueError):
-                    v[...] = 0
+    def test_plan_is_read_only_and_compact(self):
+        # numpy's index type, read-only: under 20 KB per plan for n <= 8
+        # (18 424 B at n = 8), under 17 MB for every n up to the cap of 16
+        total = 0
+        for n in range(1, 17):
+            plan = oracle._plan(n)
+            assert len(plan) == n
+            size = 0
+            for group in plan:
+                for v in group:
+                    assert v.dtype == np.intp
+                    with pytest.raises(ValueError):
+                        v[...] = 0
+                    size += v.nbytes
+            assert n > 8 or size < 20_000
+            total += size
+        assert total < 17_000_000
+        oracle._plan.cache_clear()
 
     def test_evicted_plan_gives_the_same_candidates(self):
         # one plan is cached per n, so enumerations at n = 5, 6, 5 build two
         problems = [horn_problems(n)[k] for n in (5, 6, 5) for k in (0, 2)]
 
         def candidates(Q, c, A, b):
-            with np.errstate(call=oracle._lapack_failed, invalid="call"):
+            with oracle._lapack_errors():
                 return oracle._face_candidates(Q, c, A, b, 3.0)
 
         oracle._plan.cache_clear()
@@ -728,9 +737,26 @@ class TestGivenVertices:
     """The oracle reads vertices its caller has already enumerated."""
 
     def test_global_solve_over_the_corpus(self):
+        # the same result, except that an empty vertex list walks no face
         for inst in make_corpus():
-            given = global_solve(inst, vertices=enumerate_vertices(inst))
-            assert bitwise_equal(given, global_solve(inst)), inst.name
+            vertices = enumerate_vertices(inst)
+            given, plain = global_solve(inst, vertices=vertices), global_solve(inst)
+            if not vertices:
+                assert given.faces_explored == 0 < plain.faces_explored, inst.name
+                plain = dataclasses.replace(plain, faces_explored=0)
+            assert bitwise_equal(given, plain), inst.name
+
+    def test_empty_vertex_list_walks_no_face(self, monkeypatch):
+        inst = next(i for i in make_corpus() if i.name == "infeasible-n4-m2-s0")
+        assert not recession_analysis(inst.Q, inst.A).l_nontrivial  # the new branch
+
+        def walked(*args, **kwargs):
+            raise AssertionError("the faces were walked")
+
+        monkeypatch.setattr(oracle, "_face_candidates", walked)
+        res = global_solve(inst, vertices=[])
+        assert res.status == ORACLE_INFEASIBLE and res.value == math.inf
+        assert res.faces_explored == 0 and res.certified and not res.attained
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_global_solve_on_the_horn_problems(self, n):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qprelax import conic, oracle, report as report_module
+from qprelax import conic, numerics, oracle, report as report_module
 from qprelax.cli import main
 from qprelax.analysis import check_psd_on_nullspace
 from qprelax.conic import (
@@ -292,7 +292,7 @@ class TestCompareReport:
         # and both cones' pre-passes share one basis of null(A) and one
         # eigendecomposition of N^T Q N; the convex solve's faces are its own
         corpus = make_corpus()
-        svd, eigh, convex_qp = np.linalg.svd, np.linalg.eigh, conic._convex_qp
+        svd, eigh, convex_qp = numerics._svd, conic._eigh, conic._convex_qp
         inside, bases, eigensolves = [], [], []
 
         def counted_svd(a, *args, **kwargs):
@@ -313,8 +313,8 @@ class TestCompareReport:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(numerics, "_svd", counted_svd)
+        monkeypatch.setattr(conic, "_eigh", counted_eigh)
         monkeypatch.setattr(conic, "_convex_qp", counted_convex_qp)
         assert len(corpus) == 22
         for inst in corpus:
