@@ -680,9 +680,24 @@ class TestFacePlan:
                 for j, sub in zip(cs, subs):
                     assert patterns[sub] == patterns[face][:j] + (0,) + patterns[face][j + 1:]
 
-    def test_plan_is_read_only_and_compact(self):
-        # numpy's index type, read-only: under 20 KB per plan for n <= 8
-        # (18 424 B at n = 8), under 17 MB for every n up to the cap of 16
+    @pytest.mark.parametrize("n,dtype", [(5, np.uint8), (8, np.uint8), (9, np.uint16)])
+    def test_plan_is_read_only_and_compact(self, n, dtype):
+        # stored in numpy's index type, read-only, and every entry is a
+        # pattern index or column that fits the smallest unsigned type of
+        # 2^n - 1, so the plan holds nothing beyond its n bits
+        plan = oracle._plan(n)
+        assert len(plan) == n
+        assert np.min_scalar_type(2 ** n - 1) == dtype
+        for group in plan:
+            for v in group:
+                assert v.dtype == np.intp
+                assert v.min() >= 0 and v.max() <= np.iinfo(dtype).max
+                with pytest.raises(ValueError):
+                    v[...] = 0
+
+    def test_every_plan_up_to_the_cap_is_small(self):
+        # under 20 KB per plan for n <= 8 (18 424 B at n = 8), under 17 MB
+        # for every n up to the cap of 16
         total = 0
         for n in range(1, 17):
             plan = oracle._plan(n)
